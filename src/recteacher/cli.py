@@ -4,7 +4,8 @@ Stages chain through plain line-delimited artifacts so every command is
 restartable and two runs with the same config, seed, and scripted backend
 produce byte-identical outputs. All writes go through temp-file-then-rename
 (the evidence cache is the documented exception: it appends per record so a
-partially warmed cache survives a crash).
+partially warmed cache survives a crash). run-teacher's on-demand fills are
+appended in session order, whatever order the concurrent sessions made them.
 """
 
 from __future__ import annotations
@@ -337,20 +338,20 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
         created_at=args.stamp,
     )
 
-    def run_one(pair: tuple[dict, EvalInstance]) -> dict:
+    def run_one(pair: tuple[dict, EvalInstance]) -> tuple[SessionLog, dict]:
         record, instance = pair
         context = build_context(instance, corpus, gateway, teacher_config)
         log = run_teacher(context, teacher_config, gateway, tools)
-        return _session_record(str(record["id"]), instance, context.prompt, log)
+        return log, _session_record(str(record["id"]), instance, context.prompt, log)
 
-    # on-demand verbalization appends to the cache file, so it must stay
-    # single-threaded to keep reruns byte-identical
-    workers = 1 if config.on_demand_verbalize else max(1, config.max_parallel)
-    if workers == 1:
-        session_records = [run_one(pair) for pair in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            session_records = list(pool.map(run_one, pairs))
+    # Sessions run concurrently, but their on-demand fills are appended in
+    # instance order: the cache file matches a serial run byte for byte, and
+    # a failed session still leaves the fills of every session before it.
+    session_records = []
+    with ThreadPoolExecutor(max_workers=max(1, config.max_parallel)) as pool:
+        for log, session_record in pool.map(run_one, pairs):
+            tools.persist(log)
+            session_records.append(session_record)
 
     write_jsonl_atomic(args.out, session_records)
     print(f"sessions: {len(session_records)} -> {args.out}")

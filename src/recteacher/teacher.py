@@ -6,11 +6,13 @@ whose phases carry everything the trajectory codec needs to replay the text.
 
 from __future__ import annotations
 
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from enum import Enum
 import json
 import logging
 from pathlib import Path
+import threading
 from typing import Mapping, Sequence
 
 from .abstract import DEFAULT_WINDOW_M, HybridHistory, abstract, render_interaction
@@ -36,6 +38,7 @@ from .graph import DEFAULT_NEIGHBOR_K, InteractionGraph
 from . import prompts
 from .tags import (
     JSON_TAG,
+    TOOL_ARG_KEY,
     TOOL_CALL_TAG,
     TOOL_RESPONSE_TAG,
     ToolCall,
@@ -47,6 +50,7 @@ from .tags import (
 )
 from .verbalize import (
     CacheMiss,
+    Evidence,
     EvidenceCache,
     EvidenceKey,
     verbalize_item,
@@ -178,7 +182,10 @@ class ToolRunner:
     """Executes UserCF/ItemCF calls against the evidence cache.
 
     Unknown anchors never raise: a miss falls back to on-demand verbalization
-    when enabled and possible, else to a fixed sentence.
+    when enabled and possible, else to a fixed sentence. Sessions may share
+    one runner across threads: concurrent misses on a key wait for a single
+    fill, which every session is served from memory at once and which reaches
+    the cache file only through `persist`.
     """
 
     def __init__(
@@ -202,45 +209,84 @@ class ToolRunner:
         self.domain = domain
         self.templates_dir = templates_dir
         self.created_at = created_at
+        self._lock = threading.Lock()
+        self._pending: dict[EvidenceKey, Future] = {}
 
     def run(self, call: ToolCall) -> str:
-        expected = {"UserCF": "user_id", "ItemCF": "item_id"}.get(call.name)
-        if expected is None:
-            raise ToolParseError(f"unknown tool name {call.name!r}")
-        if set(call.arguments) != {expected}:
-            raise ToolArgumentError(
-                f"{call.name} takes exactly one argument {expected!r}, got {sorted(call.arguments)}"
-            )
-        anchor = call.arguments[expected]
-        key = EvidenceKey(tool=call.name, anchor=anchor)
+        key = _evidence_key(call)
         found = self.cache.lookup(key)
         if not isinstance(found, CacheMiss):
             return found.text
-        if self.on_demand and self._can_verbalize(call.name, anchor):
-            evidence = self._verbalize(call.name, anchor)
-            self.cache.put(evidence)
-            return evidence.text
+        if self.on_demand and self._can_verbalize(key):
+            return self._fill(key).text
         return MISS_FALLBACK
 
-    def _can_verbalize(self, tool: str, anchor: str) -> bool:
+    def persist(self, log: SessionLog) -> None:
+        """Append the session's on-demand fills to the cache file, in tool-call order.
+
+        Keys already on file, and keys answered with the fallback sentence,
+        are skipped; persisting sessions in instance order therefore appends
+        exactly what running them one after another would.
+        """
+        self.cache.write_held(
+            _evidence_key(call) for record in log.phases for call, _result in record.tool_events
+        )
+
+    def _fill(self, key: EvidenceKey) -> Evidence:
+        # The filler puts the entry in the cache before it leaves _pending,
+        # so a key is never in neither and is verbalized at most once.
+        with self._lock:
+            found = self.cache.lookup(key)
+            if not isinstance(found, CacheMiss):
+                return found
+            flight = self._pending.get(key)
+            filler = flight is None
+            if filler:
+                flight = self._pending[key] = Future()
+        if not filler:
+            return flight.result()
+        try:
+            evidence = self._verbalize(key)
+            self.cache.put(evidence, hold=True)
+            flight.set_result(evidence)
+            return evidence
+        except BaseException as exc:
+            flight.set_exception(exc)
+            raise
+        finally:
+            with self._lock:
+                del self._pending[key]
+
+    def _can_verbalize(self, key: EvidenceKey) -> bool:
         if self.graph is None or self.corpus is None or self.gateway is None:
             return False
-        adj = self.graph.item_adj if tool == "ItemCF" else self.graph.user_adj
-        return anchor in adj
+        adj = self.graph.item_adj if key.tool == "ItemCF" else self.graph.user_adj
+        return key.anchor in adj
 
-    def _verbalize(self, tool: str, anchor: str):
+    def _verbalize(self, key: EvidenceKey) -> Evidence:
         assert self.graph is not None and self.corpus is not None and self.gateway is not None
-        if tool == "ItemCF":
+        if key.tool == "ItemCF":
             return verbalize_item(
-                self.graph, self.corpus.items, anchor, self.gateway,
+                self.graph, self.corpus.items, key.anchor, self.gateway,
                 k=self.k, domain=self.domain, templates_dir=self.templates_dir,
                 created_at=self.created_at,
             )
         return verbalize_user(
-            self.graph, self.corpus.users, self.corpus.items, anchor, self.gateway,
+            self.graph, self.corpus.users, self.corpus.items, key.anchor, self.gateway,
             k=self.k, domain=self.domain, templates_dir=self.templates_dir,
             created_at=self.created_at,
         )
+
+
+def _evidence_key(call: ToolCall) -> EvidenceKey:
+    expected = TOOL_ARG_KEY.get(call.name)
+    if expected is None:
+        raise ToolParseError(f"unknown tool name {call.name!r}")
+    if set(call.arguments) != {expected}:
+        raise ToolArgumentError(
+            f"{call.name} takes exactly one argument {expected!r}, got {sorted(call.arguments)}"
+        )
+    return EvidenceKey(tool=call.name, anchor=call.arguments[expected])
 
 
 def build_context(

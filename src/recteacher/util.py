@@ -4,16 +4,29 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from pathlib import Path
 from typing import Any, Iterable, Iterator
+
+
+def _create_temp(path: Path) -> tuple[int, Path]:
+    """Create a fresh temp file beside `path`.
+
+    Mode 0o666 lets the process umask apply, as it would to a plain open().
+    """
+    while True:
+        tmp = path.parent / f".{path.name}.{secrets.token_hex(4)}.tmp"
+        try:
+            return os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666), tmp
+        except FileExistsError:
+            continue
 
 
 def write_atomic(path: str | Path, text: str) -> None:
     """Write text via a temp file in the same directory, then rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    fd, tmp = _create_temp(path)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

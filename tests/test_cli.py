@@ -162,6 +162,33 @@ def test_run_teacher_rerun_is_byte_identical(pipeline, tmp_path, capsys):
     assert filecmp.cmp(outs[0], pipeline["sessions"], shallow=False)
 
 
+def test_on_demand_run_teacher_is_the_same_at_any_parallelism(pipeline, tmp_path, capsys):
+    config = tmp_path / "ondemand.ini"
+    config.write_text("[pipeline]\non_demand_verbalize = true\n", encoding="utf-8")
+    for workers in ("1", "4"):
+        run = tmp_path / f"parallel-{workers}"
+        run.mkdir()
+        assert main(["run-teacher", "--corpus", str(pipeline["corpus"]),
+                     "--graph", str(pipeline["graph"]), "--cache", str(run / "cache.jsonl"),
+                     "--instances", str(pipeline["instances"]),
+                     "--out", str(run / "sessions.jsonl"), "--backend", "mock",
+                     "--config", str(config), "--parallel", workers]) == 0
+    capsys.readouterr()
+    serial, parallel = tmp_path / "parallel-1", tmp_path / "parallel-4"
+    for name in ("sessions.jsonl", "cache.jsonl"):
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+    assert filecmp.cmp(parallel / "sessions.jsonl", pipeline["sessions"], shallow=False)
+
+    # one line per session user, in instance order, as offline verbalize wrote it
+    offline = {}
+    for line in pipeline["cache"].read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        offline[(record["tool"], record["anchor"])] = line
+    users = [record["user"] for record in records_of(pipeline["instances"])]
+    lines = (parallel / "cache.jsonl").read_text(encoding="utf-8").splitlines()
+    assert lines == [offline[("UserCF", user)] for user in users]
+
+
 def test_session_records_carry_full_structure(pipeline):
     records = records_of(pipeline["sessions"])
     assert len(records) == 6

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 import json
+import random
+import sys
+import threading
+import time
 
 import pytest
 
 from recteacher.abstract import HybridHistory
 from recteacher.corpus import Corpus, Interaction, ItemMeta, UserMeta
 from recteacher.errors import (
+    MissingAnswerTags,
     PlanParseError,
     RankParseError,
     ReflectionParseError,
@@ -42,7 +48,7 @@ from recteacher.teacher import (
     run_teacher,
 )
 from recteacher import prompts
-from recteacher.verbalize import Evidence, EvidenceCache, EvidenceKey
+from recteacher.verbalize import CacheMiss, Evidence, EvidenceCache, EvidenceKey
 
 CACHED_TEXT = "cached neighbor preferences"
 
@@ -106,8 +112,8 @@ def test_tool_runner_argument_validation():
         runner.run(ToolCall("MatrixFactorization", {"user_id": "x"}))
 
 
-def test_tool_runner_on_demand_verbalizes_and_caches():
-    corpus = Corpus(
+def small_corpus():
+    return Corpus(
         users={u: UserMeta(user=u) for u in "AB"},
         items={i: ItemMeta(item=i, title=i.upper()) for i in "xy"},
         sequences={
@@ -115,6 +121,10 @@ def test_tool_runner_on_demand_verbalizes_and_caches():
             "B": [Interaction("B", "x", 3)],
         },
     )
+
+
+def test_tool_runner_on_demand_verbalizes_and_caches():
+    corpus = small_corpus()
     graph = build_graph(corpus)
     backend, gateway = scripted_gateway("here it is\n<Answer>fresh evidence about x</Answer>")
     runner = ToolRunner(make_cache(), graph=graph, corpus=corpus, gateway=gateway, on_demand=True)
@@ -126,6 +136,116 @@ def test_tool_runner_on_demand_verbalizes_and_caches():
     # anchors outside the graph still fall back without a gateway call
     assert runner.run(ToolCall("ItemCF", {"item_id": "zz"})) == MISS_FALLBACK
     assert backend.sends == 1
+
+
+def session_with(*calls):
+    events = tuple((call, "served") for call in calls)
+    record = PhaseRecord(phase=Phase.RECOMMEND, tool_events=events)
+    return SessionLog(user="A", candidates=("c",), phases=(record,), final_ranking=("c",))
+
+
+def test_tool_runner_fills_a_shared_miss_once(tmp_path):
+    lock, missed, both_missed = threading.Lock(), set(), threading.Event()
+
+    class MissRecordingCache(EvidenceCache):
+        def lookup(self, key):
+            found = super().lookup(key)
+            if isinstance(found, CacheMiss):
+                with lock:
+                    missed.add(threading.get_ident())
+                    if len(missed) == 2:
+                        both_missed.set()
+            return found
+
+    def blocking_reply(_request, _index):
+        # hold the only fill until the second thread has missed the cache too
+        assert both_missed.wait(timeout=10)
+        return "<Answer>shared evidence about x</Answer>"
+
+    corpus = small_corpus()
+    backend = ScriptBackend([blocking_reply])  # a second send would exhaust the script
+    gateway = Gateway(backend, GatewayConfig(max_parallel=2), sleep=lambda s: None)
+    path = tmp_path / "cache.jsonl"
+    runner = ToolRunner(MissRecordingCache(path=path), graph=build_graph(corpus), corpus=corpus,
+                        gateway=gateway, on_demand=True)
+    call = ToolCall("ItemCF", {"item_id": "x"})
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(runner.run, call) for _ in range(2)]
+        texts = [future.result(timeout=10) for future in futures]
+    assert texts == ["shared evidence about x"] * 2
+    assert backend.sends == 1
+    assert len(missed) == 2
+    assert not path.exists()  # served from memory, not yet written
+
+    runner.persist(session_with(call, ToolCall("ItemCF", {"item_id": "zz"}), call))
+    runner.persist(session_with(call))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["anchor"] for line in lines] == ["x"]
+
+
+def test_tool_runner_concurrent_fills_match_a_serial_run(tmp_path):
+    rng = random.Random(7)
+    users = [f"u{n}" for n in range(12)]
+    items = [f"i{n}" for n in range(16)]
+    corpus = Corpus(
+        users={u: UserMeta(user=u) for u in users},
+        items={i: ItemMeta(item=i, title=i.upper()) for i in items},
+        sequences={u: [Interaction(u, item, t) for t, item in enumerate(rng.sample(items, 4))]
+                   for u in users},
+    )
+    graph = build_graph(corpus)
+    calls = ([ToolCall("UserCF", {"user_id": u}) for u in users]
+             + [ToolCall("ItemCF", {"item_id": i}) for i in items])
+
+    class SlowOracle(OracleBackend):
+        def send(self, request):
+            time.sleep(0.001)  # let other threads reach the same miss
+            return super().send(request)
+
+    def runner_over(backend, path):
+        gateway = Gateway(backend, GatewayConfig(max_parallel=8), sleep=lambda s: None)
+        return ToolRunner(EvidenceCache(path), graph=graph, corpus=corpus, gateway=gateway,
+                          on_demand=True)
+
+    serial_backend = OracleBackend()
+    serial = runner_over(serial_backend, tmp_path / "serial.jsonl")
+    expected = [serial.run(call) for call in calls]
+    serial.persist(session_with(*calls))
+
+    backend = SlowOracle()
+    runner = runner_over(backend, tmp_path / "concurrent.jsonl")
+
+    def worker(seed):
+        order = list(range(len(calls)))
+        random.Random(seed).shuffle(order)
+        return {index: runner.run(calls[index]) for index in order}
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(worker, seed) for seed in range(8)]
+            results = [future.result(timeout=30) for future in futures]
+    finally:
+        sys.setswitchinterval(previous)
+    for result in results:
+        assert [result[index] for index in range(len(calls))] == expected
+    assert backend.sends == serial_backend.sends  # each key verbalized once
+    runner.persist(session_with(*calls))
+    assert ((tmp_path / "concurrent.jsonl").read_bytes()
+            == (tmp_path / "serial.jsonl").read_bytes())
+
+
+def test_tool_runner_failed_fill_is_retried():
+    corpus = small_corpus()
+    backend, gateway = scripted_gateway("no envelope", "<Answer>second try</Answer>")
+    runner = ToolRunner(make_cache(), graph=build_graph(corpus), corpus=corpus,
+                        gateway=gateway, on_demand=True)
+    call = ToolCall("ItemCF", {"item_id": "x"})
+    with pytest.raises(MissingAnswerTags):
+        runner.run(call)
+    assert runner.run(call) == "second try"
+    assert backend.sends == 2
 
 
 # ---------------------------------------------------------------------- plan

@@ -95,6 +95,25 @@ def test_cache_load_last_record_wins(tmp_path):
     assert loaded.lookup(key).created_at == 2
 
 
+def test_cache_held_entries_reach_the_file_when_named(tmp_path):
+    path = tmp_path / "evidence.jsonl"
+    cache = EvidenceCache(path)
+    x = Evidence(EvidenceKey("ItemCF", "x"), "about x", ("y",), 0)
+    a = Evidence(EvidenceKey("UserCF", "A"), "about A", ("z",), 0)
+    cache.put(x, hold=True)
+    cache.put(a, hold=True)
+    assert cache.lookup(x.key) is x  # served before it is written
+    assert not path.exists()
+
+    written = Evidence(EvidenceKey("ItemCF", "w"), "about w", (), 0)
+    cache.put(written)
+    # unknown and already-written keys are skipped; each held key is written once
+    cache.write_held([a.key, EvidenceKey("ItemCF", "nowhere"), written.key, a.key, x.key])
+    cache.write_held([x.key])
+    assert [record["anchor"] for _, record in read_jsonl(path)] == ["w", "A", "x"]
+    assert EvidenceCache.load(path).lookup(a.key) == a
+
+
 def test_verbalize_item_happy_path():
     backend, gateway = scripted_gateway(answer("readers of x also like y and z"))
     evidence = verbalize_item(GRAPH, CORPUS.items, "x", gateway, created_at=9)
