@@ -4,8 +4,10 @@ Stages chain through plain line-delimited artifacts so every command is
 restartable and two runs with the same config, seed, and scripted backend
 produce byte-identical outputs. All writes go through temp-file-then-rename
 (the evidence cache is the documented exception: it appends per record so a
-partially warmed cache survives a crash). run-teacher's on-demand fills are
-appended in session order, whatever order the concurrent sessions made them.
+partially warmed cache survives a crash); JSONL artifacts are streamed to their
+temp file one record at a time. run-teacher handles each session when its turn
+in instance order comes, whatever order the concurrent sessions finished in:
+it appends the session's on-demand fills to the cache and writes its record.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from .config import PipelineConfig, load_config
 from .corpus import Interaction, ingest, load_corpus, save_corpus
@@ -344,17 +346,19 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
         log = run_teacher(context, teacher_config, gateway, tools)
         return log, _session_record(str(record["id"]), instance, context.prompt, log)
 
-    # Sessions run concurrently, but their on-demand fills are appended in
-    # instance order: the cache file matches a serial run byte for byte, and
-    # a failed session still leaves the fills of every session before it.
-    session_records = []
+    # Sessions run concurrently, but are consumed in instance order: each
+    # session's on-demand fills are appended to the cache and its record is
+    # streamed to the temp file when its turn comes. The cache file matches a
+    # serial run byte for byte, a failed session still leaves the fills of
+    # every session before it, and only unconsumed results stay in memory.
     with ThreadPoolExecutor(max_workers=max(1, config.max_parallel)) as pool:
-        for log, session_record in pool.map(run_one, pairs):
-            tools.persist(log)
-            session_records.append(session_record)
+        def session_records() -> Iterator[dict]:
+            for log, session_record in pool.map(run_one, pairs):
+                tools.persist(log)
+                yield session_record
 
-    write_jsonl_atomic(args.out, session_records)
-    print(f"sessions: {len(session_records)} -> {args.out}")
+        count = write_jsonl_atomic(args.out, session_records())
+    print(f"sessions: {count} -> {args.out}")
     return EXIT_OK
 
 
@@ -522,7 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
     backend = argparse.ArgumentParser(add_help=False)
     backend.add_argument("--backend", choices=[BACKEND_MOCK, BACKEND_HTTP], default=BACKEND_HTTP,
                          help="LLM backend: a deterministic offline mock or the configured http endpoint")
-    backend.add_argument("--script", help="JSON array of canned replies (implies --backend mock)")
+    backend.add_argument("--script",
+                         help="JSON array of canned replies, handed out in send order (needs "
+                              "--backend mock); reproducible across sessions only at --parallel 1")
 
     parser = argparse.ArgumentParser(
         prog="recteacher",

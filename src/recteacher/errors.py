@@ -53,7 +53,14 @@ class UnknownItem(PipelineError):
     pass
 
 
-GATEWAY_ERROR_KINDS = ("auth", "rate_limit_exhausted", "timeout", "malformed_response")
+GATEWAY_ERROR_KINDS = (
+    "auth",
+    "rate_limit_exhausted",
+    "server_error",
+    "timeout",
+    "connection_error",
+    "malformed_response",
+)
 
 
 class GatewayError(PipelineError):

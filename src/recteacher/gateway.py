@@ -97,17 +97,18 @@ class GatewayConfig:
 
 
 class TransientFailure(Exception):
-    """A retryable backend failure (rate limit, server error, timeout)."""
+    """A retryable backend failure (rate limit, server error, timeout, lost connection)."""
 
     def __init__(self, kind: str, detail: str = ""):
-        self.kind = kind  # "rate_limit" | "server" | "timeout"
+        self.kind = kind  # "rate_limit" | "server" | "timeout" | "connection"
         super().__init__(f"{kind}: {detail}" if detail else kind)
 
 
 _EXHAUSTED_KIND = {
     "rate_limit": "rate_limit_exhausted",
-    "server": "rate_limit_exhausted",
+    "server": "server_error",
     "timeout": "timeout",
+    "connection": "connection_error",
 }
 
 
@@ -207,7 +208,7 @@ class HttpBackend:
         except self._requests.Timeout as exc:
             raise TransientFailure("timeout", str(exc)) from exc
         except self._requests.RequestException as exc:
-            raise TransientFailure("timeout", f"connection failure: {exc}") from exc
+            raise TransientFailure("connection", str(exc)) from exc
 
         if resp.status_code in (401, 403):
             raise GatewayError("auth", f"HTTP {resp.status_code}")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .corpus import Corpus
 from .errors import EmptyCorpus, MalformedRecord, UnknownItem, UnknownUser
-from .util import write_atomic
+from .util import atomic_writer
 
 logger = logging.getLogger(__name__)
 
@@ -143,21 +143,16 @@ def neighbor_item_pool(
 
 def save_graph(graph: InteractionGraph, path: str | Path) -> None:
     """Persist as one header line plus one id-sorted adjacency line per user."""
-    lines = [
-        json.dumps(
-            {
-                "user_count": len(graph.user_adj),
-                "item_count": len(graph.item_adj),
-                "edge_count": graph.edge_count(),
-            },
-            sort_keys=True,
-        )
-    ]
-    for user in sorted(graph.user_adj):
-        lines.append(
-            json.dumps({"user": user, "items": sorted(graph.user_adj[user])}, sort_keys=True)
-        )
-    write_atomic(path, "\n".join(lines) + "\n")
+    header = {
+        "user_count": len(graph.user_adj),
+        "item_count": len(graph.item_adj),
+        "edge_count": graph.edge_count(),
+    }
+    with atomic_writer(path) as handle:
+        handle.write(json.dumps(header, sort_keys=True) + "\n")
+        for user in sorted(graph.user_adj):
+            line = json.dumps({"user": user, "items": sorted(graph.user_adj[user])}, sort_keys=True)
+            handle.write(line + "\n")
 
 
 def load_graph(path: str | Path) -> InteractionGraph:

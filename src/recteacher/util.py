@@ -5,8 +5,9 @@ from __future__ import annotations
 import json
 import os
 import secrets
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, TextIO
 
 
 def _create_temp(path: Path) -> tuple[int, Path]:
@@ -22,14 +23,18 @@ def _create_temp(path: Path) -> tuple[int, Path]:
             continue
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write text via a temp file in the same directory, then rename."""
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[TextIO]:
+    """Yield a text handle on a temp file beside `path`, renamed over it on success.
+
+    On any exception the temp file is removed and `path` is left as it was.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = _create_temp(path)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -39,16 +44,24 @@ def write_atomic(path: str | Path, text: str) -> None:
         raise
 
 
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write text via a temp file in the same directory, then rename."""
+    with atomic_writer(path) as handle:
+        handle.write(text)
+
+
 def dump_json_line(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False)
 
 
 def write_jsonl_atomic(path: str | Path, records: Iterable[Any]) -> int:
-    """Write one JSON object per line. Returns the record count."""
-    lines = [dump_json_line(rec) for rec in records]
-    body = "\n".join(lines)
-    write_atomic(path, body + "\n" if lines else "")
-    return len(lines)
+    """Write one JSON object per line, each as it is pulled. Returns the record count."""
+    count = 0
+    with atomic_writer(path) as handle:
+        for record in records:
+            handle.write(dump_json_line(record) + "\n")
+            count += 1
+    return count
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:

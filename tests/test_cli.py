@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import filecmp
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -240,6 +241,38 @@ def test_script_backend_drives_run_teacher(pipeline, tmp_path, capsys):
     (record,) = records_of(out)
     assert [p["phase"] for p in record["phases"]] == ["plan", "user_profile", "reflection", "recommend"]
     assert record["final_ranking"] == record["candidates"]  # empty list repaired in order
+
+
+def test_run_teacher_failure_keeps_the_earlier_output(pipeline, tmp_path, capsys):
+    # two scripted sessions at one worker; the script runs out at the second plan
+    first, second = records_of(pipeline["instances"])[:2]
+    instances = tmp_path / "two.jsonl"
+    instances.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n", encoding="utf-8")
+
+    def folds(instance):  # history chunks at m=10
+        return ["<SUMMARY>the early arc</SUMMARY>"] * max(0, -(-len(instance["history"]) // 10) - 1)
+
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(folds(first) + [
+        'One lens is enough.\n<JSON>["User_Profile_Summary"]</JSON>',
+        'Straight to the point.\n<JSON>["profile sketch"]</JSON>',
+        'Holds up.\n<JSON>{"correct": "yes"}</JSON>',
+        "No preference signal; keeping the given order.\n<JSON>[]</JSON>",
+    ] + folds(second)), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "sessions.jsonl"
+    earlier = pipeline["sessions"].read_bytes()
+    out.write_bytes(earlier)
+    assert main(["run-teacher", "--corpus", str(pipeline["corpus"]),
+                 "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
+                 "--instances", str(instances), "--out", str(out),
+                 "--backend", "mock", "--script", str(script), "--parallel", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "error: SessionError: session aborted in phase 'plan'" in captured.err
+    assert "script exhausted" in captured.err
+    assert out.read_bytes() == earlier
+    assert sorted(os.listdir(out_dir)) == ["sessions.jsonl"]
 
 
 def test_filter_prints_kept_ratio(pipeline, capsys, tmp_path):

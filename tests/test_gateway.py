@@ -224,6 +224,29 @@ def test_http_backend_timeout_is_transient():
     assert excinfo.value.kind == "timeout"
 
 
+def test_http_server_error_exhausts_as_server_error():
+    backend, session = _http_backend(FakeResponse(503))
+    gateway = Gateway(backend, GatewayConfig(retries=2), sleep=lambda _s: None)
+    with pytest.raises(GatewayError) as excinfo:
+        gateway.complete(REQ)
+    assert excinfo.value.kind == "server_error"
+    assert len(session.calls) == 3
+
+
+def test_http_connection_error_is_its_own_kind():
+    import requests
+
+    backend, session = _http_backend(requests.ConnectionError("refused"))
+    with pytest.raises(TransientFailure) as excinfo:
+        backend.send(REQ)
+    assert excinfo.value.kind == "connection"
+    gateway = Gateway(backend, GatewayConfig(retries=1), sleep=lambda _s: None)
+    with pytest.raises(GatewayError) as excinfo:
+        gateway.complete(REQ)
+    assert excinfo.value.kind == "connection_error"
+    assert len(session.calls) == 3
+
+
 def test_http_backend_requires_endpoint():
     with pytest.raises(ValueError):
         HttpBackend(GatewayConfig(endpoint=""))
