@@ -15,7 +15,6 @@ from .corpus import (
     Interaction,
     ItemMeta,
     UserMeta,
-    exclude_test_users,
     holdout_split,
     ingest,
     load_corpus,
@@ -61,7 +60,6 @@ from .rewards import (
     format_reward,
     largest_remainder,
     outcome_reward,
-    success_count,
 )
 from .tags import ToolCall, decode_tool_call, decode_tool_calls, encode_tool_call
 from .teacher import (
@@ -139,7 +137,6 @@ __all__ = [
     "decode_tool_calls",
     "encode_tool_call",
     "evaluate",
-    "exclude_test_users",
     "export_sft",
     "format_reward",
     "hit_at_k",
@@ -159,7 +156,6 @@ __all__ = [
     "save_corpus",
     "save_graph",
     "serialize",
-    "success_count",
     "top1_hit",
     "user_cf_neighbors",
     "verbalize_item",

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
 from .config import PipelineConfig, load_config
-from .corpus import Interaction, ingest, load_corpus, save_corpus
+from .corpus import Interaction, ingest, interaction_record, load_corpus, save_corpus
 from .errors import EmptyInput, MalformedRecord, PipelineError
 from .evaluate import (
     DEFAULT_KS,
@@ -134,19 +134,6 @@ def _record_field(record: dict, key: str, what: str) -> Any:
 # instance records
 
 
-def _interaction_record(interaction: Interaction) -> dict:
-    record: dict[str, Any] = {
-        "user_id": interaction.user,
-        "item_id": interaction.item,
-        "timestamp": interaction.timestamp,
-    }
-    if interaction.rating is not None:
-        record["rating"] = interaction.rating
-    if interaction.review_text is not None:
-        record["review_text"] = interaction.review_text
-    return record
-
-
 def _interaction_from_record(record: dict) -> Interaction:
     return Interaction(
         user=str(record["user_id"]),
@@ -162,7 +149,7 @@ def _instance_record(instance: EvalInstance, seed: int) -> dict:
         "id": f"{instance.scenario.value}-{instance.user}",
         "user": instance.user,
         "scenario": instance.scenario.value,
-        "history": [_interaction_record(it) for it in instance.history],
+        "history": [interaction_record(it) for it in instance.history],
         "candidates": list(instance.candidates),
         "ground_truth": instance.ground_truth,
         "seed": seed,

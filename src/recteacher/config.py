@@ -13,15 +13,10 @@ from pathlib import Path
 from .abstract import DEFAULT_WINDOW_M
 from .errors import PipelineError
 from .evaluate import ScenarioThresholds
-from .gateway import (
-    DEFAULT_GROUP_SIZE,
-    DEFAULT_TEMPERATURE,
-    DEFAULT_TOP_P,
-    GatewayConfig,
-)
+from .gateway import DEFAULT_TEMPERATURE, DEFAULT_TOP_P, GatewayConfig
 from .graph import DEFAULT_NEIGHBOR_K
 from .prompts import DEFAULT_DOMAIN, TEMPLATE_FILES
-from .rewards import DEFAULT_RL_RATIO, DEFAULT_RL_TARGET
+from .rewards import DEFAULT_GROUP_SIZE, DEFAULT_RL_RATIO, DEFAULT_RL_TARGET
 from .teacher import DEFAULT_MAX_TOOL_ROUNDS
 
 SECTION = "pipeline"
@@ -34,7 +29,6 @@ class PipelineConfig:
     graph_path: str = ""
     cache_path: str = ""
     templates_dir: str = ""
-    output_dir: str = "out"
     # gateway
     endpoint: str = ""
     model: str = ""

@@ -1,4 +1,4 @@
-"""User/item/interaction corpus: ingestion, holdout splits, user exclusion.
+"""User/item/interaction corpus: ingestion, persistence, holdout splits.
 
 The corpus is built once from three line-delimited JSON files and treated as
 immutable afterwards. Per-user interaction sequences are kept in chronological
@@ -11,7 +11,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from .errors import (
     DanglingReference,
@@ -189,6 +189,20 @@ def ingest(user_file: str | Path, item_file: str | Path, review_file: str | Path
     return Corpus(users=users, items=items, sequences=sequences)
 
 
+def interaction_record(interaction: Interaction) -> dict[str, Any]:
+    """The review-file record of one interaction; absent rating and text are omitted."""
+    record: dict[str, Any] = {
+        "user_id": interaction.user,
+        "item_id": interaction.item,
+        "timestamp": interaction.timestamp,
+    }
+    if interaction.rating is not None:
+        record["rating"] = interaction.rating
+    if interaction.review_text is not None:
+        record["review_text"] = interaction.review_text
+    return record
+
+
 def save_corpus(corpus: Corpus, out_dir: str | Path) -> None:
     """Write the corpus back out as three normalized record files.
 
@@ -204,19 +218,9 @@ def save_corpus(corpus: Corpus, out_dir: str | Path) -> None:
         {"item_id": iid, "title": corpus.items[iid].title, **corpus.items[iid].attributes}
         for iid in sorted(corpus.items)
     ]
-    review_records = []
-    for uid in sorted(corpus.sequences):
-        for inter in corpus.sequences[uid]:
-            rec: dict[str, Any] = {
-                "user_id": inter.user,
-                "item_id": inter.item,
-                "timestamp": inter.timestamp,
-            }
-            if inter.rating is not None:
-                rec["rating"] = inter.rating
-            if inter.review_text is not None:
-                rec["review_text"] = inter.review_text
-            review_records.append(rec)
+    review_records = [
+        interaction_record(inter) for uid in sorted(corpus.sequences) for inter in corpus.sequences[uid]
+    ]
 
     write_jsonl_atomic(out / USERS_FILE, user_records)
     write_jsonl_atomic(out / ITEMS_FILE, item_records)
@@ -244,16 +248,3 @@ def holdout_split(corpus: Corpus, user: str) -> tuple[list[Interaction], str]:
     ground_truth = seq[-1].item
     first_idx = next(i for i, inter in enumerate(seq) if inter.item == ground_truth)
     return list(seq[:first_idx]), ground_truth
-
-
-def exclude_test_users(corpus: Corpus, test_users: Iterable[str]) -> Corpus:
-    """Return a corpus with the test users' sequences (and metadata) removed."""
-    excluded = set(test_users)
-    missing = excluded - set(corpus.sequences)
-    if missing:
-        raise UnknownUser(", ".join(sorted(missing)))
-    return Corpus(
-        users={uid: meta for uid, meta in corpus.users.items() if uid not in excluded},
-        items=dict(corpus.items),
-        sequences={uid: list(seq) for uid, seq in corpus.sequences.items() if uid not in excluded},
-    )

@@ -12,7 +12,6 @@ import os
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol
 
@@ -28,7 +27,6 @@ JITTER_FRACTION = 0.25
 
 DEFAULT_TEMPERATURE = 0.7
 DEFAULT_TOP_P = 0.95
-DEFAULT_GROUP_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -149,23 +147,6 @@ class Gateway:
                     logger.debug("retrying after %s (attempt %d)", exc, attempt + 1)
         assert last is not None
         raise GatewayError(_EXHAUSTED_KIND[last.kind], str(last))
-
-    def sample_group(self, request: ChatRequest, g: int = DEFAULT_GROUP_SIZE) -> list[ChatReply | GatewayError]:
-        """g independent completions of the same request, in request order.
-
-        Failures come back as per-index GatewayError markers, never raised.
-        """
-        if g < 1:
-            raise ValueError("g must be >= 1")
-
-        def one(_idx: int) -> ChatReply | GatewayError:
-            try:
-                return self.complete(request)
-            except GatewayError as exc:
-                return exc
-
-        with ThreadPoolExecutor(max_workers=g) as pool:
-            return list(pool.map(one, range(g)))
 
 
 def _backoff_delay(attempt: int) -> float:

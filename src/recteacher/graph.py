@@ -1,8 +1,7 @@
 """Bipartite interaction graph and neighborhood collaborative filtering.
 
 Queries are read-only and deterministic: neighbor scores count co-occurring
-users/items, and ties always break by ascending id. An optional Jaccard
-scoring mode exists behind a flag; co-occurrence counts are the default.
+users/items, and ties always break by ascending id.
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ from .util import atomic_writer
 logger = logging.getLogger(__name__)
 
 DEFAULT_NEIGHBOR_K = 10
-
-SCORING_COUNT = "count"
-SCORING_JACCARD = "jaccard"
 
 
 @dataclass
@@ -64,31 +60,20 @@ def _validate_k(k: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-def _rank_scored(scores: Counter, anchors: dict[str, frozenset[str]],
-                 anchor_set: frozenset[str], scoring: str) -> list[tuple[str, float | int]]:
-    if scoring == SCORING_COUNT:
-        scored = list(scores.items())
-    elif scoring == SCORING_JACCARD:
-        scored = []
-        for other, inter_count in scores.items():
-            union = len(anchor_set) + len(anchors[other]) - inter_count
-            scored.append((other, inter_count / union))
-    else:
-        raise ValueError(f"unknown scoring mode {scoring!r}")
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored
+def _by_count(counts: Counter) -> list[tuple[str, int]]:
+    """(id, count) pairs, highest count first, ties by ascending id."""
+    return sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))
 
 
 def item_cf_neighbors(
     graph: InteractionGraph,
     anchor: str,
     k: int = DEFAULT_NEIGHBOR_K,
-    scoring: str = SCORING_COUNT,
-) -> list[tuple[str, float | int]]:
+) -> list[tuple[str, int]]:
     """Top-k items sharing users with the anchor (Item -> User -> Item).
 
-    Score is the co-reader count (or Jaccard when selected); only items with
-    at least one shared user qualify; the anchor itself is excluded.
+    Score is the co-reader count; only items with at least one shared user
+    qualify; the anchor itself is excluded.
     """
     _validate_k(k)
     users = graph.item_adj.get(anchor)
@@ -99,15 +84,14 @@ def item_cf_neighbors(
         for other in graph.user_adj[user]:
             if other != anchor:
                 scores[other] += 1
-    return _rank_scored(scores, graph.item_adj, users, scoring)[:k]
+    return _by_count(scores)[:k]
 
 
 def user_cf_neighbors(
     graph: InteractionGraph,
     anchor: str,
     k: int = DEFAULT_NEIGHBOR_K,
-    scoring: str = SCORING_COUNT,
-) -> list[tuple[str, float | int]]:
+) -> list[tuple[str, int]]:
     """Top-k users sharing items with the anchor (User -> Item -> User)."""
     _validate_k(k)
     items = graph.user_adj.get(anchor)
@@ -118,7 +102,7 @@ def user_cf_neighbors(
         for other in graph.item_adj[item]:
             if other != anchor:
                 scores[other] += 1
-    return _rank_scored(scores, graph.user_adj, items, scoring)[:k]
+    return _by_count(scores)[:k]
 
 
 def neighbor_item_pool(
@@ -137,8 +121,7 @@ def neighbor_item_pool(
         for item in graph.user_adj[other]:
             if item not in own:
                 counts[item] += 1
-    ordered = sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))
-    return [item for item, _count in ordered]
+    return [item for item, _count in _by_count(counts)]
 
 
 def save_graph(graph: InteractionGraph, path: str | Path) -> None:

@@ -9,17 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-import logging
 import random
 from typing import Mapping, Sequence, TypeVar
 
-from .errors import GatewayError, InsufficientBucket, TagError, ToolParseError
-from .evaluate import EvalInstance
-from .gateway import DEFAULT_GROUP_SIZE, Gateway, chat_request
+from .errors import InsufficientBucket, TagError, ToolParseError
 from .tags import decode_json_stream, decode_tool_call
-from .trajectory import ParsedTrajectory, parse, top1_hit
-
-logger = logging.getLogger(__name__)
+from .trajectory import ParsedTrajectory, parse
 
 FORMAT_PASS = 1
 FORMAT_FAIL = -1
@@ -27,6 +22,7 @@ FORMAT_FAIL = -1
 # Sections a trajectory must contain to earn the format reward.
 REQUIRED_SECTIONS = ("plan", "reflection", "recommend")
 
+DEFAULT_GROUP_SIZE = 8  # rollouts per instance; success counts run 0..g
 DEFAULT_RL_TARGET = 500
 DEFAULT_RL_RATIO = (3, 4, 3)  # easy : medium : hard
 
@@ -164,45 +160,3 @@ def compose_rl_set(
             raise InsufficientBucket(which.value, need, len(available))
         chosen.extend(rng.sample(available, need))
     return chosen
-
-
-@dataclass(frozen=True)
-class PolicyPrompt:
-    system: str
-    user: str
-
-
-def success_count(
-    instance: EvalInstance,
-    g: int,
-    gateway: Gateway,
-    policy_prompt: PolicyPrompt,
-    temperature: float | None = None,
-    top_p: float | None = None,
-) -> int:
-    """Sample g trajectories for the instance and count top-1 hits.
-
-    Per-sample gateway failures count as misses; if every sample failed, the
-    first failure is raised.
-    """
-    kwargs = {}
-    if temperature is not None:
-        kwargs["temperature"] = temperature
-    if top_p is not None:
-        kwargs["top_p"] = top_p
-    request = chat_request(
-        [("system", policy_prompt.system), ("user", policy_prompt.user)],
-        **kwargs,
-    )
-    replies = gateway.sample_group(request, g=g)
-    failures = [r for r in replies if isinstance(r, GatewayError)]
-    if len(failures) == len(replies):
-        raise failures[0]
-    hits = 0
-    for reply in replies:
-        if isinstance(reply, GatewayError):
-            logger.warning("rollout failed for user %s: %s", instance.user, reply)
-            continue
-        if top1_hit(reply.content, instance.ground_truth) is True:
-            hits += 1
-    return hits

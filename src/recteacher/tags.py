@@ -19,8 +19,8 @@ JSON_TAG = "JSON"
 TOOL_CALL_TAG = "tool_call"
 TOOL_RESPONSE_TAG = "tool_response"
 
-RECOGNIZED_TOOLS = ("UserCF", "ItemCF")
 TOOL_ARG_KEY = {"UserCF": "user_id", "ItemCF": "item_id"}
+RECOGNIZED_TOOLS = tuple(TOOL_ARG_KEY)
 
 
 def extract_tagged(text: str, tag: str) -> str | None:

@@ -7,7 +7,7 @@ whose phases carry everything the trajectory codec needs to replay the text.
 from __future__ import annotations
 
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 import json
 import logging
@@ -16,7 +16,7 @@ import threading
 from typing import Mapping, Sequence
 
 from .abstract import DEFAULT_WINDOW_M, HybridHistory, abstract, render_interaction
-from .corpus import Corpus, ItemMeta
+from .corpus import Corpus
 from .errors import (
     PlanParseError,
     RankParseError,
@@ -48,14 +48,10 @@ from .tags import (
     extract_last_json_payload,
     strip_tagged,
 )
-from .verbalize import (
-    CacheMiss,
-    Evidence,
-    EvidenceCache,
-    EvidenceKey,
-    verbalize_item,
-    verbalize_user,
-)
+from .verbalize import CacheMiss, Evidence, EvidenceCache, EvidenceKey, verbalize_key
+
+# Unused here, but perfbench/probes.py looks both names up on this module.
+from .verbalize import verbalize_item, verbalize_user  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -86,20 +82,9 @@ class Phase(Enum):
     RECOMMEND = "recommend"
 
 
-# Serialization tag for each subtask kind.
-KIND_TAG: Mapping[SubtaskKind, str] = {
-    SubtaskKind.USER_PROFILE: Phase.USER_PROFILE.value,
-    SubtaskKind.HISTORICAL: Phase.HISTORICAL.value,
-    SubtaskKind.RECENT: Phase.RECENT.value,
-    SubtaskKind.DIVERGENCE: Phase.DIVERGENCE.value,
-}
-
-KIND_PHASE: Mapping[SubtaskKind, Phase] = {
-    SubtaskKind.USER_PROFILE: Phase.USER_PROFILE,
-    SubtaskKind.HISTORICAL: Phase.HISTORICAL,
-    SubtaskKind.RECENT: Phase.RECENT,
-    SubtaskKind.DIVERGENCE: Phase.DIVERGENCE,
-}
+# A subtask kind's phase shares its member name; the phase value is its serialization tag.
+KIND_PHASE: Mapping[SubtaskKind, Phase] = {kind: Phase[kind.name] for kind in SubtaskKind}
+KIND_TAG: Mapping[SubtaskKind, str] = {kind: phase.value for kind, phase in KIND_PHASE.items()}
 
 
 @dataclass(frozen=True)
@@ -246,7 +231,12 @@ class ToolRunner:
         if not filler:
             return flight.result()
         try:
-            evidence = self._verbalize(key)
+            assert self.graph is not None and self.corpus is not None and self.gateway is not None
+            evidence = verbalize_key(
+                self.graph, self.corpus, key, self.gateway,
+                k=self.k, domain=self.domain, templates_dir=self.templates_dir,
+                created_at=self.created_at,
+            )
             self.cache.put(evidence, hold=True)
             flight.set_result(evidence)
             return evidence
@@ -263,20 +253,6 @@ class ToolRunner:
         adj = self.graph.item_adj if key.tool == "ItemCF" else self.graph.user_adj
         return key.anchor in adj
 
-    def _verbalize(self, key: EvidenceKey) -> Evidence:
-        assert self.graph is not None and self.corpus is not None and self.gateway is not None
-        if key.tool == "ItemCF":
-            return verbalize_item(
-                self.graph, self.corpus.items, key.anchor, self.gateway,
-                k=self.k, domain=self.domain, templates_dir=self.templates_dir,
-                created_at=self.created_at,
-            )
-        return verbalize_user(
-            self.graph, self.corpus.users, self.corpus.items, key.anchor, self.gateway,
-            k=self.k, domain=self.domain, templates_dir=self.templates_dir,
-            created_at=self.created_at,
-        )
-
 
 def _evidence_key(call: ToolCall) -> EvidenceKey:
     expected = TOOL_ARG_KEY.get(call.name)
@@ -289,16 +265,29 @@ def _evidence_key(call: ToolCall) -> EvidenceKey:
     return EvidenceKey(tool=call.name, anchor=call.arguments[expected])
 
 
+def guard(phase_name: str, func, *args, **kwargs):
+    """Call func; any exception it raises aborts the session as a SessionError."""
+    try:
+        return func(*args, **kwargs)
+    except Exception as exc:
+        raise SessionError(phase_name, exc) from exc
+
+
 def build_context(
     instance: EvalInstance,
     corpus: Corpus,
     gateway: Gateway,
     config: TeacherConfig = TeacherConfig(),
 ) -> TeacherContext:
-    """Abstract the instance history and render the shared instance prompt."""
+    """Abstract the instance history and render the shared instance prompt.
+
+    A failed abstraction raises SessionError with phase "abstract".
+    """
     user_meta = corpus.users.get(instance.user)
     attributes = user_meta.attributes if user_meta is not None else {}
-    hybrid = abstract(
+    hybrid = guard(
+        "abstract",
+        abstract,
         list(instance.history),
         config.window_m,
         gateway,
@@ -349,6 +338,43 @@ def _thinking(content: str) -> str:
 
 def _request(messages: Sequence[dict], config: TeacherConfig) -> ChatRequest:
     return chat_request(messages, temperature=config.temperature, top_p=config.top_p)
+
+
+def _tool_loop(
+    messages: list[dict],
+    rounds: int,
+    gateway: Gateway,
+    config: TeacherConfig,
+    tools: ToolRunner | None,
+) -> tuple[str, list[str], list[tuple[ToolCall, str]]]:
+    """Ask up to `rounds` times, answering each reply's tool calls, until a reply makes none.
+
+    Tool calls in the last round's reply go unanswered. Returns the last reply,
+    the non-empty thinking text of every reply, and the (call, result) events.
+    `messages` is extended in place.
+    """
+    thinking_parts: list[str] = []
+    events: list[tuple[ToolCall, str]] = []
+    content = ""
+    for round_index in range(rounds):
+        content = gateway.complete(_request(messages, config)).content
+        part = _thinking(content)
+        if part:
+            thinking_parts.append(part)
+        blocks = extract_all_tagged(content, TOOL_CALL_TAG)
+        if not blocks or round_index == rounds - 1:
+            break
+        calls = [call for block in blocks for call in decode_tool_calls(block)]
+        messages.append({"role": "assistant", "content": content})
+        assert tools is not None
+        for call in calls:
+            result = tools.run(call)
+            events.append((call, result))
+            messages.append({
+                "role": "tool",
+                "content": f"<{TOOL_RESPONSE_TAG}>{encode_tool_response(result)}</{TOOL_RESPONSE_TAG}>",
+            })
+    return content, thinking_parts, events
 
 
 _REASK_TEXT = (
@@ -420,27 +446,7 @@ def execute_subtask(
         {"role": "system", "content": prompts.subtask_system(kind.value, config.domain, config.templates_dir)},
         {"role": "user", "content": user_text},
     ]
-    thinking_parts: list[str] = []
-    events: list[tuple[ToolCall, str]] = []
-    content = ""
-    for round_index in range(config.max_tool_rounds):
-        reply = gateway.complete(_request(messages, config))
-        content = reply.content
-        part = _thinking(content)
-        if part:
-            thinking_parts.append(part)
-        blocks = extract_all_tagged(content, TOOL_CALL_TAG)
-        if not blocks or round_index == config.max_tool_rounds - 1:
-            break
-        calls = [call for block in blocks for call in decode_tool_calls(block)]
-        messages.append({"role": "assistant", "content": content})
-        for call in calls:
-            result = tools.run(call)
-            events.append((call, result))
-            messages.append({
-                "role": "tool",
-                "content": f"<{TOOL_RESPONSE_TAG}>{encode_tool_response(result)}</{TOOL_RESPONSE_TAG}>",
-            })
+    content, thinking_parts, events = _tool_loop(messages, config.max_tool_rounds, gateway, config, tools)
     payload = extract_last_json_payload(content)
     if payload is None:
         raise SubtaskParseError(f"{kind.value}: no <JSON> payload after tool loop")
@@ -544,29 +550,8 @@ def rank(
         {"role": "system", "content": prompts.ranker_system(config.domain, config.templates_dir)},
         {"role": "user", "content": f"{context.prompt}\n{_outputs_block(outputs)}"},
     ]
-    thinking_parts: list[str] = []
-    events: list[tuple[ToolCall, str]] = []
-    content = ""
     rounds = config.max_tool_rounds if (config.ranker_tools and tools is not None) else 1
-    for round_index in range(rounds):
-        reply = gateway.complete(_request(messages, config))
-        content = reply.content
-        part = _thinking(content)
-        if part:
-            thinking_parts.append(part)
-        blocks = extract_all_tagged(content, TOOL_CALL_TAG)
-        if not blocks or round_index == rounds - 1:
-            break
-        calls = [call for block in blocks for call in decode_tool_calls(block)]
-        messages.append({"role": "assistant", "content": content})
-        assert tools is not None
-        for call in calls:
-            result = tools.run(call)
-            events.append((call, result))
-            messages.append({
-                "role": "tool",
-                "content": f"<{TOOL_RESPONSE_TAG}>{encode_tool_response(result)}</{TOOL_RESPONSE_TAG}>",
-            })
+    content, thinking_parts, events = _tool_loop(messages, rounds, gateway, config, tools)
 
     last_reason = ""
     for attempt in range(2):
@@ -611,13 +596,6 @@ def run_teacher(
     tools: ToolRunner,
 ) -> SessionLog:
     """One full teacher session over a prepared context."""
-
-    def guard(phase_name: str, func, *args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except Exception as exc:
-            raise SessionError(phase_name, exc) from exc
-
     phases: list[PhaseRecord] = []
     plan_result = guard(Phase.PLAN.value, plan, context, gateway, config)
     phases.append(plan_result.record)

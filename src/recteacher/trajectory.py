@@ -31,24 +31,11 @@ from .util import write_jsonl_atomic
 
 logger = logging.getLogger(__name__)
 
-SECTION_TAGS = (
-    "plan",
-    "user_profile",
-    "historical_analysis",
-    "recent_analysis",
-    "interest_divergence",
-    "reflection",
-    "recommend",
-)
+# A correction is serialized under its subtask's tag, so it has no section of its own.
+SECTION_TAGS = tuple(phase.value for phase in Phase if phase is not Phase.CORRECTION)
 
 # Sections whose bodies may carry tool_call/tool_response blocks.
-TOOL_SECTIONS = (
-    "user_profile",
-    "historical_analysis",
-    "recent_analysis",
-    "interest_divergence",
-    "recommend",
-)
+TOOL_SECTIONS = (*KIND_TAG.values(), Phase.RECOMMEND.value)
 
 _BLOCK_TAGS = (TOOL_CALL_TAG, TOOL_RESPONSE_TAG, JSON_TAG)
 
@@ -58,6 +45,7 @@ _TOKEN = re.compile(
 
 # Numbered ranking entries: "1. id" lines or "1. a, 2. b" runs.
 _NUMBERED = re.compile(r"\d+\.[ \t]*([^,\n]+)")
+_NUMBERED_LINE = re.compile(r"\s*\d+\.")
 
 
 @dataclass(frozen=True)
@@ -121,17 +109,24 @@ def _section_thinking(body: str, block_spans: Sequence[tuple[int, int]]) -> str:
     return head
 
 
-def _strip_trailing_ranking(thinking: str) -> str:
-    """Drop the trailing numbered-list run (the ranking is not thinking text)."""
-    lines = thinking.split("\n")
+def _trailing_numbered_run(lines: Sequence[str]) -> tuple[int, int]:
+    """(start, end) of the numbered lines that close the text, after trailing blank lines."""
     end = len(lines)
     while end > 0 and not lines[end - 1].strip():
         end -= 1
-    while end > 0 and re.match(r"\s*\d+\.", lines[end - 1]):
-        end -= 1
-    while end > 0 and not lines[end - 1].strip():
-        end -= 1
-    return "\n".join(lines[:end])
+    start = end
+    while start > 0 and _NUMBERED_LINE.match(lines[start - 1]):
+        start -= 1
+    return start, end
+
+
+def _strip_trailing_ranking(thinking: str) -> str:
+    """Drop the trailing numbered-list run (the ranking is not thinking text)."""
+    lines = thinking.split("\n")
+    start, _end = _trailing_numbered_run(lines)
+    while start > 0 and not lines[start - 1].strip():
+        start -= 1
+    return "\n".join(lines[:start])
 
 
 def _finish_section(tag: str, body: str) -> ParsedSection:
@@ -191,12 +186,7 @@ def _extract_ranking(section: ParsedSection) -> tuple[str, ...]:
     # only the trailing run of numbered lines counts, so numbered prose in
     # the thinking text above the list stays out of the ranking
     lines = text.split("\n")
-    end = len(lines)
-    while end > 0 and not lines[end - 1].strip():
-        end -= 1
-    start = end
-    while start > 0 and re.match(r"\s*\d+\.", lines[start - 1]):
-        start -= 1
+    start, end = _trailing_numbered_run(lines)
     entries = [
         entry.strip()
         for line in lines[start:end]

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-import json
 import logging
 from pathlib import Path
 import threading
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .corpus import Corpus, ItemMeta, UserMeta
-from .errors import MissingAnswerTags, UnknownItem, UnknownUser
+from .errors import MalformedRecord, MissingAnswerTags
 from .gateway import Gateway, chat_request
 from .graph import (
     DEFAULT_NEIGHBOR_K,
@@ -118,15 +117,25 @@ class EvidenceCache:
 
     @classmethod
     def load(cls, path: Path) -> "EvidenceCache":
+        """Read a cache file; a bad line raises MalformedRecord naming it."""
         cache = cls()
-        for _, record in read_jsonl(path):
-            key = EvidenceKey(tool=str(record["tool"]), anchor=str(record["anchor"]))
-            cache._entries[key] = Evidence(
-                key=key,
-                text=str(record["text"]),
-                source_neighbors=tuple(str(n) for n in record.get("neighbors", [])),
-                created_at=int(record.get("created_at", 0)),
-            )
+        for lineno, record in read_jsonl(path):
+            if not isinstance(record, dict):
+                raise MalformedRecord(lineno, "record is not a JSON object", source=str(path))
+            missing = [name for name in ("tool", "anchor", "text") if name not in record]
+            if missing:
+                raise MalformedRecord(lineno, f"missing {', '.join(missing)}", source=str(path))
+            if record["tool"] not in RECOGNIZED_TOOLS:
+                raise MalformedRecord(lineno, f"unknown tool {record['tool']!r}", source=str(path))
+            key = EvidenceKey(tool=record["tool"], anchor=str(record["anchor"]))
+            try:
+                neighbors = tuple(str(n) for n in record.get("neighbors", []))
+                created_at = int(record.get("created_at", 0))
+            except (TypeError, ValueError) as exc:
+                raise MalformedRecord(lineno, f"bad neighbors or created_at: {exc}",
+                                      source=str(path)) from exc
+            cache._entries[key] = Evidence(key=key, text=str(record["text"]),
+                                           source_neighbors=neighbors, created_at=created_at)
         cache.path = Path(path)
         return cache
 
@@ -225,6 +234,28 @@ def verbalize_user(
     return Evidence(key=key, text=body.strip(), source_neighbors=tuple(pool), created_at=created_at)
 
 
+def verbalize_key(
+    graph: InteractionGraph,
+    corpus: Corpus,
+    key: EvidenceKey,
+    gateway: Gateway,
+    k: int = DEFAULT_NEIGHBOR_K,
+    domain: str = prompts.DEFAULT_DOMAIN,
+    templates_dir: Path | None = None,
+    created_at: int = 0,
+) -> Evidence:
+    """Verbalize one cache key with the verbalizer of its tool."""
+    if key.tool == "ItemCF":
+        return verbalize_item(
+            graph, corpus.items, key.anchor, gateway,
+            k=k, domain=domain, templates_dir=templates_dir, created_at=created_at,
+        )
+    return verbalize_user(
+        graph, corpus.users, corpus.items, key.anchor, gateway,
+        k=k, domain=domain, templates_dir=templates_dir, created_at=created_at,
+    )
+
+
 def all_keys(graph: InteractionGraph) -> list[EvidenceKey]:
     keys = [EvidenceKey("ItemCF", item) for item in sorted(graph.item_adj)]
     keys.extend(EvidenceKey("UserCF", user) for user in sorted(graph.user_adj))
@@ -256,20 +287,13 @@ def warm_cache(
     if not pending:
         return cache
 
-    def work(key: EvidenceKey) -> Evidence:
-        if key.tool == "ItemCF":
-            return verbalize_item(
-                graph, corpus.items, key.anchor, gateway,
-                k=k, domain=domain, templates_dir=templates_dir, created_at=created_at,
-            )
-        return verbalize_user(
-            graph, corpus.users, corpus.items, key.anchor, gateway,
-            k=k, domain=domain, templates_dir=templates_dir, created_at=created_at,
-        )
-
     workers = max(1, gateway.config.max_parallel)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [(key, pool.submit(work, key)) for key in pending]
+        futures = [
+            (key, pool.submit(verbalize_key, graph, corpus, key, gateway, k=k, domain=domain,
+                              templates_dir=templates_dir, created_at=created_at))
+            for key in pending
+        ]
         for key, future in futures:
             try:
                 cache.put(future.result())

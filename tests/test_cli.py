@@ -275,6 +275,25 @@ def test_run_teacher_failure_keeps_the_earlier_output(pipeline, tmp_path, capsys
     assert sorted(os.listdir(out_dir)) == ["sessions.jsonl"]
 
 
+def test_abstraction_failure_is_a_one_line_session_error(pipeline, tmp_path, capsys):
+    # more history than one window (m=10), so the first call is a summary
+    record = next(r for r in records_of(pipeline["instances"]) if len(r["history"]) > 10)
+    instances = tmp_path / "one.jsonl"
+    instances.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    script = tmp_path / "script.json"
+    script.write_text("[]", encoding="utf-8")
+    code = main(["run-teacher", "--corpus", str(pipeline["corpus"]),
+                 "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
+                 "--instances", str(instances), "--out", str(tmp_path / "sessions.jsonl"),
+                 "--backend", "mock", "--script", str(script)])
+    captured = capsys.readouterr()
+    assert code == 1
+    error_lines = [l for l in captured.err.splitlines() if l.startswith("error: ")]
+    assert len(error_lines) == 1
+    assert error_lines[0].startswith("error: SessionError: session aborted in phase 'abstract'")
+    assert "Traceback" not in captured.err
+
+
 def test_filter_prints_kept_ratio(pipeline, capsys, tmp_path):
     out = tmp_path / "kept.jsonl"
     assert main(["filter", "--sessions", str(pipeline["sessions"]), "--out", str(out)]) == 0

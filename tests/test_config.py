@@ -56,6 +56,8 @@ def test_load_errors(tmp_path):
         load_config(write_config(tmp_path, "[other]\nseed = 1\n"))
     with pytest.raises(PipelineError, match="unknown config key"):
         load_config(write_config(tmp_path, "[pipeline]\nseeed = 1\n"))
+    with pytest.raises(PipelineError, match="unknown config key 'output_dir'"):
+        load_config(write_config(tmp_path, "[pipeline]\noutput_dir = out\n"))
     with pytest.raises(PipelineError, match="cannot parse"):
         load_config(write_config(tmp_path, "[pipeline]\nseed = soon\n"))
     with pytest.raises(PipelineError, match="cannot parse"):

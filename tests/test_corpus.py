@@ -10,7 +10,6 @@ import pytest
 from recteacher.corpus import (
     Corpus,
     Interaction,
-    exclude_test_users,
     holdout_split,
     ingest,
     load_corpus,
@@ -120,16 +119,6 @@ def test_holdout_split_errors(tmp_path):
         holdout_split(corpus, "nope")
     with pytest.raises(SequenceTooShort):
         holdout_split(corpus, "u2")
-
-
-def test_exclude_test_users(tmp_path):
-    corpus = ingest(*make_files(tmp_path, BASE_USERS, BASE_ITEMS, BASE_REVIEWS))
-    reduced = exclude_test_users(corpus, ["u1"])
-    assert set(reduced.sequences) == {"u2"}
-    assert set(reduced.users) == {"u2"}
-    assert set(reduced.items) == {"i1", "i2", "i3"}  # item metadata stays
-    with pytest.raises(UnknownUser):
-        exclude_test_users(corpus, ["ghost"])
 
 
 def test_save_load_round_trip(tmp_path):

@@ -100,20 +100,6 @@ def test_permanent_errors_do_not_retry():
     assert backend.sends == 1
 
 
-def test_sample_group_returns_markers_not_raises():
-    script = ["a", "b", TransientFailure("rate_limit"), "c"]
-    backend = ScriptBackend(script)
-    gateway = Gateway(backend, GatewayConfig(retries=0), sleep=lambda _s: None)
-    results = gateway.sample_group(REQ, g=4)
-    assert len(results) == 4
-    errors = [r for r in results if isinstance(r, GatewayError)]
-    replies = sorted(r.content for r in results if isinstance(r, ChatReply))
-    assert len(errors) == 1
-    assert replies == ["a", "b", "c"]
-    with pytest.raises(ValueError):
-        gateway.sample_group(REQ, g=0)
-
-
 def test_parallelism_bound_is_enforced():
     class ProbeBackend:
         def __init__(self):
@@ -132,8 +118,16 @@ def test_parallelism_bound_is_enforced():
 
     backend = ProbeBackend()
     gateway = Gateway(backend, GatewayConfig(max_parallel=3))
-    results = gateway.sample_group(REQ, g=12)
-    assert all(isinstance(r, ChatReply) for r in results)
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(gateway.complete(REQ)))
+               for _ in range(12)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 12 and all(r.content == "ok" for r in results)
+    assert gateway.call_count == 12
     assert backend.peak <= 3
 
 

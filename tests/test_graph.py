@@ -10,7 +10,6 @@ from cfref import brute_item_neighbors, brute_pool, brute_user_neighbors, make_g
 from recteacher.corpus import Corpus, ItemMeta, Interaction, UserMeta
 from recteacher.errors import EmptyCorpus, UnknownItem, UnknownUser
 from recteacher.graph import (
-    SCORING_JACCARD,
     build_graph,
     item_cf_neighbors,
     load_graph,
@@ -75,13 +74,6 @@ def test_build_graph_empty_raises():
     corpus = Corpus(users={}, items={}, sequences={})
     with pytest.raises(EmptyCorpus):
         build_graph(corpus)
-
-
-def test_jaccard_scoring():
-    graph = make_graph({"A": {"x", "y"}, "B": {"x", "y"}, "C": {"x"}})
-    # |x ∩ y| = 2 readers, |x ∪ y| = 3
-    scored = dict(item_cf_neighbors(graph, "x", k=5, scoring=SCORING_JACCARD))
-    assert scored["y"] == pytest.approx(2 / 3)
 
 
 def test_random_graphs_match_brute_force():

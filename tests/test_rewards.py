@@ -7,12 +7,9 @@ import random
 
 import pytest
 
-from recteacher.errors import GatewayError, InsufficientBucket
-from recteacher.evaluate import EvalInstance
-from recteacher.gateway import Gateway, GatewayConfig, ScriptBackend, TransientFailure
+from recteacher.errors import InsufficientBucket
 from recteacher.rewards import (
     Bucket,
-    PolicyPrompt,
     RewardBreakdown,
     bucket,
     composite_reward,
@@ -20,9 +17,7 @@ from recteacher.rewards import (
     format_reward,
     largest_remainder,
     outcome_reward,
-    success_count,
 )
-from recteacher.corpus import Interaction
 
 from randlog import random_log
 from recteacher.trajectory import serialize
@@ -189,39 +184,3 @@ def test_compose_rl_set_ratio_validation():
     with pytest.raises(ValueError):
         compose_rl_set({}, target_total=10, ratio=(1, 1))
 
-
-def make_instance(ground_truth="c01"):
-    candidates = tuple(f"c{i:02d}" for i in range(20))
-    return EvalInstance(
-        user="u1",
-        history=(Interaction("u1", "h1", 1),),
-        candidates=candidates,
-        ground_truth=ground_truth,
-    )
-
-
-PROMPT = PolicyPrompt(system="rank the candidates", user="the instance prompt")
-HIT = "<recommend>\n1. c01\n2. c02\n</recommend>"
-MISS = "<recommend>\n1. c02\n2. c01\n</recommend>"
-
-
-def test_success_count_counts_top1_hits():
-    backend = ScriptBackend([HIT, MISS, HIT, "<plan>"])
-    gateway = Gateway(backend, GatewayConfig(max_parallel=4, retries=0), sleep=lambda s: None)
-    hits = success_count(make_instance(), 4, gateway, PROMPT, temperature=0.7, top_p=0.95)
-    assert hits == 2  # the unparsable rollout counts as a miss
-    assert backend.sends == 4
-    assert all(r.temperature == 0.7 and r.top_p == 0.95 for r in backend.requests)
-
-
-def test_success_count_failures_are_misses():
-    backend = ScriptBackend([HIT, TransientFailure("server"), MISS])
-    gateway = Gateway(backend, GatewayConfig(max_parallel=1, retries=0), sleep=lambda s: None)
-    assert success_count(make_instance(), 3, gateway, PROMPT) == 1
-
-
-def test_success_count_all_failed_raises():
-    backend = ScriptBackend([TransientFailure("server")] * 2)
-    gateway = Gateway(backend, GatewayConfig(max_parallel=1, retries=0), sleep=lambda s: None)
-    with pytest.raises(GatewayError):
-        success_count(make_instance(), 2, gateway, PROMPT)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from recteacher.corpus import Corpus, ItemMeta, UserMeta
-from recteacher.errors import MissingAnswerTags, UnknownItem, UnknownUser
+from recteacher.errors import MalformedRecord, MissingAnswerTags, UnknownItem, UnknownUser
 from recteacher.gateway import Gateway, GatewayConfig, ScriptBackend
 from recteacher.util import read_jsonl
 from recteacher.verbalize import (
@@ -93,6 +93,25 @@ def test_cache_load_last_record_wins(tmp_path):
     assert len(loaded) == 1
     assert loaded.lookup(key).text == "fresh"
     assert loaded.lookup(key).created_at == 2
+
+
+@pytest.mark.parametrize("line, reason", [
+    ('["ItemCF", "x", "text"]', "not a JSON object"),
+    ('{"anchor": "x", "text": "t"}', "missing tool"),
+    ('{"tool": "ItemCF", "text": "t"}', "missing anchor"),
+    ('{"tool": "ItemCF", "anchor": "x"}', "missing text"),
+    ('{"tool": "Foo", "anchor": "x", "text": "t"}', "unknown tool 'Foo'"),
+    ('{"tool": "ItemCF", "anchor": "x", "text": "t", "created_at": "soon"}', "created_at"),
+], ids=["not-object", "no-tool", "no-anchor", "no-text", "unknown-tool", "bad-created-at"])
+def test_cache_load_names_the_malformed_line(tmp_path, line, reason):
+    path = tmp_path / "evidence.jsonl"
+    good = '{"tool": "UserCF", "anchor": "A", "text": "fine"}'
+    path.write_text(f"{good}\n{line}\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as excinfo:
+        EvidenceCache.load(path)
+    assert excinfo.value.line == 2
+    assert excinfo.value.source == str(path)
+    assert reason in excinfo.value.reason
 
 
 def test_cache_held_entries_reach_the_file_when_named(tmp_path):
