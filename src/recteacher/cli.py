@@ -1,13 +1,14 @@
 """Pipeline entry point: one subcommand per stage, shared config file.
 
 Stages chain through plain line-delimited artifacts so every command is
-restartable and two runs with the same config, seed, and scripted backend
-produce byte-identical outputs. All writes go through temp-file-then-rename
-(the evidence cache is the documented exception: it appends per record so a
-partially warmed cache survives a crash); JSONL artifacts are streamed to their
-temp file one record at a time. run-teacher handles each session when its turn
-in instance order comes, whatever order the concurrent sessions finished in:
-it appends the session's on-demand fills to the cache and writes its record.
+restartable and two runs with the same config, seed, and mock backend
+produce byte-identical outputs (with a scripted backend, at --parallel 1). All
+writes go through temp-file-then-rename (the evidence cache is the documented
+exception: it appends per record so a partially warmed cache survives a
+crash); JSONL artifacts are streamed to their temp file one record at a time.
+run-teacher handles each session when its turn in instance order comes,
+whatever order the concurrent sessions finished in: it appends the session's
+on-demand fills to the cache and writes its record.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import argparse
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
@@ -39,7 +39,7 @@ from .oracle import OracleBackend
 from .rewards import Bucket, bucket, composite_reward, compose_rl_set, largest_remainder
 from .teacher import PhaseRecord, SessionLog, TeacherConfig, ToolRunner, build_context, run_teacher
 from .trajectory import export_sft, serialize, top1_hit
-from .util import read_jsonl, write_atomic, write_jsonl_atomic
+from .util import ordered_map, read_jsonl, write_atomic, write_jsonl_atomic
 from .verbalize import EvidenceCache, warm_cache
 
 logger = logging.getLogger(__name__)
@@ -106,8 +106,8 @@ def _make_gateway(args: argparse.Namespace, config: PipelineConfig,
     return Gateway(backend, gateway_config)
 
 
-def _read_records(path: str | Path, what: str) -> list[dict]:
-    """Read record dicts from one .jsonl file or every .jsonl in a directory."""
+def _iter_records(path: str | Path, what: str) -> Iterator[dict]:
+    """Yield record dicts from one .jsonl file or every .jsonl in a directory."""
     base = Path(path)
     if base.is_dir():
         files = sorted(base.glob("*.jsonl"))
@@ -115,13 +115,15 @@ def _read_records(path: str | Path, what: str) -> list[dict]:
             raise EmptyInput(f"no .jsonl {what} files under {base}")
     else:
         files = [base]
-    records: list[dict] = []
     for file in files:
         for lineno, obj in read_jsonl(file):
             if not isinstance(obj, dict):
                 raise MalformedRecord(lineno, f"{what} record is not a JSON object", source=str(file))
-            records.append(obj)
-    return records
+            yield obj
+
+
+def _read_records(path: str | Path, what: str) -> list[dict]:
+    return list(_iter_records(path, what))
 
 
 def _record_field(record: dict, key: str, what: str) -> Any:
@@ -169,17 +171,29 @@ def _instance_from_record(record: dict) -> EvalInstance:
         raise PipelineError(f"bad instance record {record.get('id', '?')!r}: {exc}") from exc
 
 
-def _read_instances(path: str | Path) -> list[tuple[dict, EvalInstance]]:
-    pairs = [(record, _instance_from_record(record)) for record in _read_records(path, "instance")]
-    if not pairs:
-        raise EmptyInput(f"no instances in {path}")
+def _check_instances(path: str | Path) -> dict[str, str]:
+    """Validate every instance record, keeping only the ground truth of each user.
+
+    A bad file fails here, before any session starts; `_iter_instances`
+    parses the records again one at a time as their sessions are submitted.
+    """
+    ground_truth: dict[str, str] = {}
     seen: set[str] = set()
-    for record, _instance in pairs:
+    for record in _iter_records(path, "instance"):
+        instance = _instance_from_record(record)
         instance_id = str(_record_field(record, "id", "instance"))
         if instance_id in seen:
             raise PipelineError(f"duplicate instance id {instance_id!r}")
         seen.add(instance_id)
-    return pairs
+        ground_truth[instance.user] = instance.ground_truth
+    if not seen:
+        raise EmptyInput(f"no instances in {path}")
+    return ground_truth
+
+
+def _iter_instances(path: str | Path) -> Iterator[tuple[str, EvalInstance]]:
+    for record in _iter_records(path, "instance"):
+        yield str(record["id"]), _instance_from_record(record)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +316,7 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
     cache_path = Path(_required_path(args.cache, config.cache_path, "cache"))
     cache = EvidenceCache.load(cache_path) if cache_path.exists() else EvidenceCache(path=cache_path)
 
-    pairs = _read_instances(args.instances)
-    ground_truth = {instance.user: instance.ground_truth for _record, instance in pairs}
-    gateway = _make_gateway(args, config, ground_truth=ground_truth)
+    gateway = _make_gateway(args, config, ground_truth=_check_instances(args.instances))
 
     teacher_config = TeacherConfig(
         domain=config.domain,
@@ -327,24 +339,27 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
         created_at=args.stamp,
     )
 
-    def run_one(pair: tuple[dict, EvalInstance]) -> tuple[SessionLog, dict]:
-        record, instance = pair
+    def run_one(pair: tuple[str, EvalInstance]) -> tuple[SessionLog, dict]:
+        session_id, instance = pair
         context = build_context(instance, corpus, gateway, teacher_config)
         log = run_teacher(context, teacher_config, gateway, tools)
-        return log, _session_record(str(record["id"]), instance, context.prompt, log)
+        return log, _session_record(session_id, instance, context.prompt, log)
 
     # Sessions run concurrently, but are consumed in instance order: each
     # session's on-demand fills are appended to the cache and its record is
     # streamed to the temp file when its turn comes. The cache file matches a
-    # serial run byte for byte, a failed session still leaves the fills of
-    # every session before it, and only unconsumed results stay in memory.
-    with ThreadPoolExecutor(max_workers=max(1, config.max_parallel)) as pool:
-        def session_records() -> Iterator[dict]:
-            for log, session_record in pool.map(run_one, pairs):
-                tools.persist(log)
-                yield session_record
+    # serial run byte for byte, and a failed session still leaves the fills of
+    # every session before it. Instances are parsed as their sessions are
+    # submitted, at most two per worker ahead of the writer, so memory does
+    # not grow with the instance count.
+    def session_records() -> Iterator[dict]:
+        sessions = ordered_map(run_one, _iter_instances(args.instances),
+                               config.max_parallel, window=2 * config.max_parallel)
+        for log, session_record in sessions:
+            tools.persist(log)
+            yield session_record
 
-        count = write_jsonl_atomic(args.out, session_records())
+    count = write_jsonl_atomic(args.out, session_records())
     print(f"sessions: {count} -> {args.out}")
     return EXIT_OK
 
@@ -507,7 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="pipeline config file (INI)")
     common.add_argument("--seed", type=int, help="override the configured random seed")
     common.add_argument("--parallel", type=int,
-                        help="max concurrent gateway calls and sessions (default from config, 4)")
+                        help="at most N sessions at once and at most N gateway calls in flight, "
+                             "a session's analysis agents included (default from config, 4)")
     common.add_argument("--verbose", action="store_true", help="debug logging")
 
     backend = argparse.ArgumentParser(add_help=False)
@@ -515,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="LLM backend: a deterministic offline mock or the configured http endpoint")
     backend.add_argument("--script",
                          help="JSON array of canned replies, handed out in send order (needs "
-                              "--backend mock); reproducible across sessions only at --parallel 1")
+                              "--backend mock); reproducible only at --parallel 1, even within "
+                              "one session, whose analysis agents send side by side")
 
     parser = argparse.ArgumentParser(
         prog="recteacher",

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -66,6 +68,19 @@ class Corpus:
 
     def interaction_count(self) -> int:
         return sum(len(seq) for seq in self.sequences.values())
+
+    # Derived once per corpus, which is not changed after it is built.
+    @cached_property
+    def item_reads(self) -> Counter[str]:
+        """Interactions per item over every user's sequence."""
+        reads: Counter[str] = Counter()
+        for seq in self.sequences.values():
+            reads.update(interaction.item for interaction in seq)
+        return reads
+
+    @cached_property
+    def sorted_item_ids(self) -> list[str]:
+        return sorted(self.items)
 
 
 def _stringify_attribute(value: Any) -> str:

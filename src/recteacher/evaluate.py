@@ -80,13 +80,7 @@ def matches_scenario(
     if scenario is Scenario.COLD_START_USER:
         return len(history) < thresholds.cold_user_max_history
     if scenario is Scenario.COLD_START_ITEM:
-        seen = sum(
-            1
-            for sequence in corpus.sequences.values()
-            for interaction in sequence
-            if interaction.item == ground_truth
-        )
-        return seen <= thresholds.cold_item_max_interactions
+        return corpus.item_reads[ground_truth] <= thresholds.cold_item_max_interactions
     if scenario is Scenario.EVO_LONG:
         return len(history) >= thresholds.evo_long_min_history
     sequence = corpus.sequences[user]
@@ -105,7 +99,7 @@ def build_instance(
     if not history:
         raise SequenceTooShort(user, "no interactions before the ground-truth item")
     interacted = {interaction.item for interaction in corpus.sequences[user]}
-    pool = sorted(item for item in corpus.items if item not in interacted)
+    pool = [item for item in corpus.sorted_item_ids if item not in interacted]
     if len(pool) < NEGATIVE_COUNT:
         raise NotEnoughItems(f"user {user!r}: {len(pool)} candidates for {NEGATIVE_COUNT} negatives")
     rng = random.Random(rng_seed)

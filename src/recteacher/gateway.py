@@ -12,6 +12,7 @@ import os
 import random
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol
 
@@ -114,6 +115,37 @@ class Backend(Protocol):
     def send(self, request: ChatRequest) -> ChatReply: ...
 
 
+class _FifoSlots:
+    """A bound on concurrent holders whose freed slots go to the longest waiter.
+
+    A release hands the slot straight to the head of the queue, so a thread
+    that releases and asks again at once queues behind every earlier waiter
+    (threading.Semaphore would let it take the slot back first).
+    """
+
+    def __init__(self, size: int):
+        self._lock = threading.Lock()
+        self._free = size
+        self._waiters: deque[threading.Lock] = deque()
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._free:
+                self._free -= 1
+                return
+            ticket = threading.Lock()
+            ticket.acquire()
+            self._waiters.append(ticket)
+        ticket.acquire()  # released by the holder that hands this thread its slot
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            if self._waiters:
+                self._waiters.popleft().release()
+            else:
+                self._free += 1
+
+
 class Gateway:
     """Retry, backoff, and bounded parallelism around a backend."""
 
@@ -126,7 +158,7 @@ class Gateway:
         self._backend = backend
         self.config = config or GatewayConfig()
         self._sleep = sleep
-        self._slots = threading.Semaphore(self.config.max_parallel)
+        self._slots = _FifoSlots(self.config.max_parallel)
         self._count_lock = threading.Lock()
         self.call_count = 0  # completed complete() invocations, assertable in tests
 

@@ -6,6 +6,7 @@ users/items, and ties always break by ascending id.
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 from collections import Counter
@@ -60,9 +61,17 @@ def _validate_k(k: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
+def _rank_key(pair: tuple[str, int]) -> tuple[int, str]:
+    """Highest count first, ties by ascending id."""
+    return -pair[1], pair[0]
+
+
 def _by_count(counts: Counter) -> list[tuple[str, int]]:
-    """(id, count) pairs, highest count first, ties by ascending id."""
-    return sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))
+    return sorted(counts.items(), key=_rank_key)
+
+
+def _top_k(counts: Counter, k: int) -> list[tuple[str, int]]:
+    return heapq.nsmallest(k, counts.items(), key=_rank_key)
 
 
 def item_cf_neighbors(
@@ -81,10 +90,9 @@ def item_cf_neighbors(
         raise UnknownItem(anchor)
     scores: Counter = Counter()
     for user in users:
-        for other in graph.user_adj[user]:
-            if other != anchor:
-                scores[other] += 1
-    return _by_count(scores)[:k]
+        scores.update(graph.user_adj[user])
+    del scores[anchor]
+    return _top_k(scores, k)
 
 
 def user_cf_neighbors(
@@ -99,10 +107,9 @@ def user_cf_neighbors(
         raise UnknownUser(anchor)
     scores: Counter = Counter()
     for item in items:
-        for other in graph.item_adj[item]:
-            if other != anchor:
-                scores[other] += 1
-    return _by_count(scores)[:k]
+        scores.update(graph.item_adj[item])
+    del scores[anchor]
+    return _top_k(scores, k)
 
 
 def neighbor_item_pool(
@@ -115,12 +122,11 @@ def neighbor_item_pool(
     Ordered by how many similar users touched the item, ties by ascending id.
     """
     similar = user_cf_neighbors(graph, anchor, k_users)
-    own = graph.user_adj[anchor]
     counts: Counter = Counter()
     for other, _score in similar:
-        for item in graph.user_adj[other]:
-            if item not in own:
-                counts[item] += 1
+        counts.update(graph.user_adj[other])
+    for item in graph.user_adj[anchor]:
+        del counts[item]
     return [item for item, _count in _by_count(counts)]
 
 

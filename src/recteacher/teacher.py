@@ -2,6 +2,7 @@
 
 One session walks a fixed workflow over the gateway and yields a SessionLog
 whose phases carry everything the trajectory codec needs to replay the text.
+The analysis agents of one pass run side by side; their records keep plan order.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import logging
 from pathlib import Path
 import threading
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .abstract import DEFAULT_WINDOW_M, HybridHistory, abstract, render_interaction
 from .corpus import Corpus
@@ -48,6 +49,7 @@ from .tags import (
     extract_last_json_payload,
     strip_tagged,
 )
+from .util import ordered_map
 from .verbalize import CacheMiss, Evidence, EvidenceCache, EvidenceKey, verbalize_key
 
 # Unused here, but perfbench/probes.py looks both names up on this module.
@@ -60,6 +62,8 @@ logger = logging.getLogger(__name__)
 MISS_FALLBACK = "no cached collaborative evidence available"
 
 DEFAULT_MAX_TOOL_ROUNDS = 3
+
+T = TypeVar("T")
 
 
 class SubtaskKind(Enum):
@@ -589,6 +593,18 @@ def rank(
     raise RankParseError(last_reason)
 
 
+def _fan_out(
+    func: Callable[[T], PhaseRecord], items: Sequence[T], gateway: Gateway
+) -> list[PhaseRecord]:
+    """func over items, up to the gateway's in-flight bound at once; records in item order.
+
+    The agents of one pass read only the shared instance prompt, never each
+    other's output, so running them concurrently leaves every record as a
+    serial run makes it. The first failure in item order is raised.
+    """
+    return list(ordered_map(func, items, min(len(items), gateway.config.max_parallel)))
+
+
 def run_teacher(
     context: TeacherContext,
     config: TeacherConfig,
@@ -600,25 +616,29 @@ def run_teacher(
     plan_result = guard(Phase.PLAN.value, plan, context, gateway, config)
     phases.append(plan_result.record)
 
-    outputs: list[PhaseRecord] = []
-    for kind in plan_result.kinds:
-        record = guard(KIND_TAG[kind], execute_subtask, kind, context, tools, gateway, config)
-        outputs.append(record)
-        phases.append(record)
+    outputs = _fan_out(
+        lambda kind: guard(KIND_TAG[kind], execute_subtask, kind, context, tools, gateway, config),
+        plan_result.kinds,
+        gateway,
+    )
+    phases.extend(outputs)
 
     verdict = guard(Phase.REFLECTION.value, reflect, context, outputs, gateway, config)
     phases.append(verdict.record)
 
     if not verdict.correct:
-        for problem in verdict.problems:
-            record = guard(
+        corrections = _fan_out(
+            lambda problem: guard(
                 Phase.CORRECTION.value,
                 execute_subtask,
                 problem.kind, context, tools, gateway, config,
                 suggestion=problem.suggestion,
-            )
-            outputs.append(record)
-            phases.append(record)
+            ),
+            verdict.problems,
+            gateway,
+        )
+        outputs.extend(corrections)
+        phases.extend(corrections)
 
     ranking, record = guard(Phase.RECOMMEND.value, rank, context, outputs, gateway, config, tools)
     phases.append(record)

@@ -190,6 +190,56 @@ def test_on_demand_run_teacher_is_the_same_at_any_parallelism(pipeline, tmp_path
     assert lines == [offline[("UserCF", user)] for user in users]
 
 
+def test_run_teacher_parses_instances_at_most_a_window_ahead(pipeline, tmp_path, capsys,
+                                                             monkeypatch):
+    import recteacher.cli as cli
+
+    persisted: list[str] = []
+    parsed_at: list[int] = []  # sessions persisted when each instance record was parsed
+    parse, persist = cli._instance_from_record, cli.ToolRunner.persist
+
+    def counting_parse(record):
+        parsed_at.append(len(persisted))
+        return parse(record)
+
+    def counting_persist(runner, log):
+        persisted.append(log.user)
+        return persist(runner, log)
+
+    monkeypatch.setattr(cli, "_instance_from_record", counting_parse)
+    monkeypatch.setattr(cli.ToolRunner, "persist", counting_persist)
+    out = tmp_path / "sessions.jsonl"
+    assert main(["run-teacher", "--corpus", str(pipeline["corpus"]),
+                 "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
+                 "--instances", str(pipeline["instances"]), "--out", str(out),
+                 "--backend", "mock", "--parallel", "2"]) == 0
+    capsys.readouterr()
+    assert filecmp.cmp(out, pipeline["sessions"], shallow=False)
+    count = len(records_of(pipeline["instances"]))
+    assert count > 4 and len(persisted) == count
+    # the last pass parses each instance as its session is submitted: at most
+    # two per worker beyond the sessions already handed to the writer
+    submitted = parsed_at[-count:]
+    assert max(index - done for index, done in enumerate(submitted)) <= 2 * 2
+
+
+def test_a_bad_instance_file_fails_before_any_session(pipeline, tmp_path, capsys):
+    *good, last = records_of(pipeline["instances"])
+    broken = {key: value for key, value in last.items() if key != "candidates"}
+    instances = tmp_path / "instances.jsonl"
+    instances.write_text("".join(json.dumps(r) + "\n" for r in [*good, broken]), encoding="utf-8")
+    script = tmp_path / "script.json"
+    script.write_text("[]", encoding="utf-8")  # any gateway call would exhaust it
+    out = tmp_path / "sessions.jsonl"
+    assert main(["run-teacher", "--corpus", str(pipeline["corpus"]),
+                 "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
+                 "--instances", str(instances), "--out", str(out),
+                 "--backend", "mock", "--script", str(script), "--parallel", "2"]) == 1
+    captured = capsys.readouterr()
+    assert f"error: PipelineError: bad instance record {last['id']!r}" in captured.err
+    assert sorted(os.listdir(tmp_path)) == ["instances.jsonl", "script.json"]  # no output, no temp
+
+
 def test_session_records_carry_full_structure(pipeline):
     records = records_of(pipeline["sessions"])
     assert len(records) == 6

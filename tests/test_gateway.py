@@ -131,6 +131,64 @@ def test_parallelism_bound_is_enforced():
     assert backend.peak <= 3
 
 
+def wait_until(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.001)
+
+
+def test_freed_slots_go_to_waiters_in_arrival_order():
+    release_first = threading.Event()
+    order: list[str] = []
+
+    class HoldingBackend:
+        def send(self, request):
+            label = request.messages[0]["content"]
+            order.append(label)  # one slot, so one sender at a time
+            if label == "holder 1":
+                assert release_first.wait(timeout=10)
+            return ChatReply(content="ok")
+
+    gateway = Gateway(HoldingBackend(), GatewayConfig(max_parallel=1))
+
+    def ask(label):
+        gateway.complete(chat_request([("user", label)]))
+
+    def holder():
+        ask("holder 1")
+        ask("holder 2")  # asks again at once, as the next tool-loop round does
+
+    threads = [threading.Thread(target=holder)]
+    threads[0].start()
+    wait_until(lambda: order == ["holder 1"])
+    for n in range(3):
+        thread = threading.Thread(target=ask, args=(f"waiter {n}",))
+        thread.start()
+        threads.append(thread)
+        wait_until(lambda: len(gateway._slots._waiters) == n + 1)
+    release_first.set()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert order == ["holder 1", "waiter 0", "waiter 1", "waiter 2", "holder 2"]
+    assert gateway.call_count == 5
+
+
+def test_a_failed_send_frees_its_slot():
+    backend = ScriptBackend([RuntimeError("backend down"), "ok"])
+    gateway = Gateway(backend, GatewayConfig(max_parallel=1))
+    with pytest.raises(RuntimeError):
+        gateway.complete(REQ)
+    results = []
+    thread = threading.Thread(target=lambda: results.append(gateway.complete(REQ)))
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert [r.content for r in results] == ["ok"]
+    assert gateway.call_count == 1
+
+
 def test_script_backend_callable_and_exhaustion():
     backend = ScriptBackend([lambda request, index: f"reply {index}"])
     gateway = Gateway(backend, GatewayConfig())

@@ -40,6 +40,18 @@ def test_neighbor_item_pool_hand_checked():
     assert neighbor_item_pool(graph, "A", k_users=5) == ["z"]
 
 
+def test_ties_at_the_kth_place_break_by_id():
+    # w shares two readers with x; v, y and z tie at one for the second place.
+    # A's neighbors: B shares two items; C and D tie at one for the second place.
+    graph = make_graph({"A": {"x", "w", "z"}, "B": {"x", "w", "y"}, "C": {"x", "v"}, "D": {"w", "u"}})
+    assert item_cf_neighbors(graph, "x", k=2) == [("w", 2), ("v", 1)]
+    assert user_cf_neighbors(graph, "A", k=2) == [("B", 2), ("C", 1)]
+    assert neighbor_item_pool(graph, "A", k_users=2) == ["v", "y"]  # D's u is past the cut
+    assert item_cf_neighbors(graph, "x", k=2) == brute_item_neighbors(graph, "x", 2)
+    assert user_cf_neighbors(graph, "A", k=2) == brute_user_neighbors(graph, "A", 2)
+    assert neighbor_item_pool(graph, "A", k_users=2) == brute_pool(graph, "A", 2)
+
+
 def test_anchor_excluded_and_zero_overlap_dropped():
     graph = make_graph({"A": {"x"}, "B": {"y"}})
     assert item_cf_neighbors(graph, "x", k=5) == []

@@ -24,7 +24,7 @@ from recteacher.errors import (
     ToolParseError,
 )
 from recteacher.evaluate import EvalInstance
-from recteacher.gateway import Gateway, GatewayConfig, ScriptBackend
+from recteacher.gateway import ChatReply, Gateway, GatewayConfig, ScriptBackend
 from recteacher.graph import build_graph
 from recteacher.oracle import OracleBackend
 from recteacher.tags import ToolCall
@@ -533,6 +533,86 @@ def test_run_teacher_wraps_phase_failures():
         run_teacher(make_context(), TeacherConfig(), gateway, runner)
     assert excinfo.value.phase == "user_profile"
     assert isinstance(excinfo.value.cause, SubtaskParseError)
+
+
+SUBTASK_SYSTEMS = {prompts.subtask_system(kind.value): kind for kind in SubtaskKind}
+
+
+def first_round_kind(request):
+    """The agent a subtask request is for, on its first round only; else None."""
+    if any(message["role"] == "tool" for message in request.messages):
+        return None
+    return SUBTASK_SYSTEMS.get(request.messages[0]["content"])
+
+
+def test_run_teacher_runs_the_planned_subtasks_side_by_side():
+    context = make_context(user="u7", candidates=("c1", "c2", "c3", "c4"), ground_truth="c3")
+    _serial_backend, serial_gateway = oracle_gateway(ground_truth={"u7": "c3"})
+    serial = run_teacher(context, TeacherConfig(), serial_gateway,
+                         ToolRunner(make_cache(("UserCF", "u7"))))
+
+    class BarrierOracle(OracleBackend):
+        """Holds each agent's first call until all four agents have sent one."""
+
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            self.barrier = threading.Barrier(len(SubtaskKind), timeout=10)
+            self.lock = threading.Lock()
+            self.active = self.peak = 0
+
+        def send(self, request):
+            with self.lock:
+                self.active += 1
+                self.peak = max(self.peak, self.active)
+            try:
+                if first_round_kind(request) is not None:
+                    self.barrier.wait()
+                return super().send(request)
+            finally:
+                with self.lock:
+                    self.active -= 1
+
+    backend = BarrierOracle(ground_truth={"u7": "c3"})
+    gateway = Gateway(backend, GatewayConfig(max_parallel=4), sleep=lambda s: None)
+    threads_before = set(threading.enumerate())
+    log = run_teacher(context, TeacherConfig(), gateway, ToolRunner(make_cache(("UserCF", "u7"))))
+
+    assert backend.peak == 4
+    assert [p.phase for p in log.phases] == [
+        Phase.PLAN, Phase.USER_PROFILE, Phase.HISTORICAL, Phase.RECENT,
+        Phase.DIVERGENCE, Phase.REFLECTION, Phase.RECOMMEND,
+    ]
+    assert log == serial
+    assert backend.sends == serial_gateway.call_count == gateway.call_count
+    assert set(threading.enumerate()) <= threads_before
+
+
+def test_run_teacher_raises_the_first_failing_subtask_in_plan_order():
+    recent_failed = threading.Event()
+
+    class FailingOracle(OracleBackend):
+        """The second agent fails, but only after the third one has."""
+
+        def send(self, request):
+            kind = first_round_kind(request)
+            if kind is SubtaskKind.RECENT:
+                recent_failed.set()
+                raise RuntimeError("recent agent backend down")
+            if kind is SubtaskKind.HISTORICAL:
+                assert recent_failed.wait(timeout=10)
+                return ChatReply(content="no structure here at all")
+            return super().send(request)
+
+    backend = FailingOracle(ground_truth={"u7": "c3"})
+    gateway = Gateway(backend, GatewayConfig(max_parallel=4), sleep=lambda s: None)
+    context = make_context(user="u7", candidates=("c1", "c2", "c3", "c4"), ground_truth="c3")
+    threads_before = set(threading.enumerate())
+    with pytest.raises(SessionError) as excinfo:
+        run_teacher(context, TeacherConfig(), gateway, ToolRunner(make_cache(("UserCF", "u7"))))
+    assert excinfo.value.phase == Phase.HISTORICAL.value
+    assert isinstance(excinfo.value.cause, SubtaskParseError)
+    assert recent_failed.is_set()
+    assert set(threading.enumerate()) <= threads_before
 
 
 def test_session_log_requires_permutation():
