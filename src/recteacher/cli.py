@@ -8,7 +8,9 @@ exception: it appends per record so a partially warmed cache survives a
 crash); JSONL artifacts are streamed to their temp file one record at a time.
 run-teacher handles each session when its turn in instance order comes,
 whatever order the concurrent sessions finished in: it appends the session's
-on-demand fills to the cache and writes its record.
+on-demand fills to the cache and writes its record. Instance, kept-session and
+rollout files name each id once; a repeated id is an error in every command
+that reads them.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .gateway import Gateway, HttpBackend, ScriptBackend
 from .graph import build_graph, load_graph, save_graph
 from .oracle import OracleBackend
 from .rewards import Bucket, bucket, composite_reward, compose_rl_set, largest_remainder
-from .teacher import PhaseRecord, SessionLog, TeacherConfig, ToolRunner, build_context, run_teacher
+from .teacher import PhaseRecord, SessionLog, ToolRunner, build_context, run_teacher
 from .trajectory import export_sft, serialize, top1_hit
 from .util import ordered_map, read_jsonl, write_atomic, write_jsonl_atomic
 from .verbalize import EvidenceCache, warm_cache
@@ -65,13 +67,19 @@ def _required_path(flag_value: str | None, config_value: str, what: str) -> str:
     raise PipelineError(f"no {what} path given (pass the flag or set it in the config file)")
 
 
+# Least value of each count flag; the config file's own bounds are checked on load.
+_FLAG_MINIMUM = {"parallel": 1, "limit": 1, "target": 0}
+
+
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
+    for name, minimum in _FLAG_MINIMUM.items():
+        value = getattr(args, name, None)
+        if value is not None and value < minimum:
+            raise PipelineError(f"--{name} must be >= {minimum}")
     config = load_config(Path(args.config) if args.config else None)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.parallel is not None:
-        if args.parallel < 1:
-            raise PipelineError("--parallel must be >= 1")
         config = replace(config, max_parallel=args.parallel)
     return config
 
@@ -132,6 +140,17 @@ def _record_field(record: dict, key: str, what: str) -> Any:
     return record[key]
 
 
+def _unique_records(path: str | Path, what: str) -> Iterator[tuple[str, dict]]:
+    """Yield (id, record) pairs; a repeated id is an error. Only the ids are kept."""
+    seen: set[str] = set()
+    for record in _iter_records(path, what):
+        record_id = str(_record_field(record, "id", what))
+        if record_id in seen:
+            raise PipelineError(f"duplicate {what} id {record_id!r}")
+        seen.add(record_id)
+        yield record_id, record
+
+
 # ---------------------------------------------------------------------------
 # instance records
 
@@ -177,23 +196,15 @@ def _check_instances(path: str | Path) -> dict[str, str]:
     A bad file fails here, before any session starts; `_iter_instances`
     parses the records again one at a time as their sessions are submitted.
     """
-    ground_truth: dict[str, str] = {}
-    seen: set[str] = set()
-    for record in _iter_records(path, "instance"):
-        instance = _instance_from_record(record)
-        instance_id = str(_record_field(record, "id", "instance"))
-        if instance_id in seen:
-            raise PipelineError(f"duplicate instance id {instance_id!r}")
-        seen.add(instance_id)
-        ground_truth[instance.user] = instance.ground_truth
-    if not seen:
+    ground_truth = {instance.user: instance.ground_truth for _, instance in _iter_instances(path)}
+    if not ground_truth:
         raise EmptyInput(f"no instances in {path}")
     return ground_truth
 
 
 def _iter_instances(path: str | Path) -> Iterator[tuple[str, EvalInstance]]:
-    for record in _iter_records(path, "instance"):
-        yield str(record["id"]), _instance_from_record(record)
+    for instance_id, record in _unique_records(path, "instance"):
+        yield instance_id, _instance_from_record(record)
 
 
 # ---------------------------------------------------------------------------
@@ -266,27 +277,15 @@ def _cmd_verbalize(args: argparse.Namespace, config: PipelineConfig) -> int:
         cache = EvidenceCache(path=out)
     before = len(cache)
 
-    gateway = _make_gateway(args, config)
-    failures: list[str] = []
-
-    def on_error(key: Any, exc: Exception) -> None:
-        failures.append(f"{key.tool}:{key.anchor}: {type(exc).__name__}: {exc}")
+    failed = warm_cache(graph, corpus, _make_gateway(args, config), cache, k=config.neighbor_k,
+                        domain=config.domain, templates_dir=config.templates_path())
+    for key, exc in failed:
         logger.warning("verbalization failed for %s %s: %s", key.tool, key.anchor, exc)
-
-    warm_cache(
-        graph,
-        corpus,
-        gateway,
-        cache=cache,
-        k=config.neighbor_k,
-        domain=config.domain,
-        templates_dir=config.templates_path(),
-        created_at=args.stamp,
-        on_error=on_error,
-    )
-    print(f"cache entries: {len(cache)} ({len(cache) - before} new, {len(failures)} failed) -> {out}")
-    if failures:
-        raise PipelineError(f"{len(failures)} keys failed to verbalize; first: {failures[0]}")
+    print(f"cache entries: {len(cache)} ({len(cache) - before} new, {len(failed)} failed) -> {out}")
+    if failed:
+        key, exc = failed[0]
+        raise PipelineError(f"{len(failed)} keys failed to verbalize; "
+                            f"first: {key.tool}:{key.anchor}: {type(exc).__name__}: {exc}")
     return EXIT_OK
 
 
@@ -318,15 +317,7 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
 
     gateway = _make_gateway(args, config, ground_truth=_check_instances(args.instances))
 
-    teacher_config = TeacherConfig(
-        domain=config.domain,
-        temperature=config.temperature,
-        top_p=config.top_p,
-        max_tool_rounds=config.max_tool_rounds,
-        ranker_tools=config.ranker_tools,
-        window_m=config.window_m,
-        templates_dir=config.templates_path(),
-    )
+    teacher_config = config.teacher_config()
     tools = ToolRunner(
         cache,
         graph=graph,
@@ -336,7 +327,6 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
         k=config.neighbor_k,
         domain=config.domain,
         templates_dir=config.templates_path(),
-        created_at=args.stamp,
     )
 
     def run_one(pair: tuple[str, EvalInstance]) -> tuple[SessionLog, dict]:
@@ -384,15 +374,11 @@ def _cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def _cmd_export_sft(args: argparse.Namespace, config: PipelineConfig) -> int:
-    records = _read_records(args.kept, "kept-session")
     trajectories: dict[str, str] = {}
     prompts_by_id: dict[str, str] = {}
-    for record in records:
-        session_id = str(_record_field(record, "id", "kept-session"))
-        if session_id in trajectories:
-            raise PipelineError(f"duplicate session id {session_id!r}")
-        trajectories[session_id] = str(_record_field(record, "trajectory", "kept-session"))
-        prompts_by_id[session_id] = str(_record_field(record, "prompt", "kept-session"))
+    for session_id, record in _unique_records(args.kept, "session"):
+        trajectories[session_id] = str(_record_field(record, "trajectory", "session"))
+        prompts_by_id[session_id] = str(_record_field(record, "prompt", "session"))
     count = export_sft(trajectories, prompts_by_id, Path(args.out),
                        templates_dir=config.templates_path())
     print(f"exported {count} records -> {args.out}")
@@ -403,10 +389,8 @@ def _cmd_score_rewards(args: argparse.Namespace, config: PipelineConfig) -> int:
     records = _read_records(args.trajectories, "trajectory")
     ground_truth_by_id: dict[str, str] = {}
     if args.instances:
-        for record in _read_records(args.instances, "instance"):
-            ground_truth_by_id[str(_record_field(record, "id", "instance"))] = str(
-                _record_field(record, "ground_truth", "instance")
-            )
+        for record_id, record in _unique_records(args.instances, "instance"):
+            ground_truth_by_id[record_id] = str(_record_field(record, "ground_truth", "instance"))
     out_records = []
     for record in records:
         record_id = str(_record_field(record, "id", "trajectory"))
@@ -431,10 +415,7 @@ def _cmd_score_rewards(args: argparse.Namespace, config: PipelineConfig) -> int:
 def _cmd_bucket_rl(args: argparse.Namespace, config: PipelineConfig) -> int:
     by_bucket: dict[Bucket, list[str]] = {b: [] for b in Bucket}
     bucket_of: dict[str, Bucket] = {}
-    for record in _read_records(args.rollouts, "rollout"):
-        record_id = str(_record_field(record, "id", "rollout"))
-        if record_id in bucket_of:
-            raise PipelineError(f"duplicate rollout id {record_id!r}")
+    for record_id, record in _unique_records(args.rollouts, "rollout"):
         count = _record_field(record, "success_count", "rollout")
         if isinstance(count, bool) or not isinstance(count, int):
             raise PipelineError(f"rollout {record_id!r}: success_count must be an integer")
@@ -478,10 +459,7 @@ def _report_row(name: str, report: EvalReport) -> str:
 
 def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
     sessions = _read_records(args.sessions, "session")
-    instance_records = {
-        str(_record_field(record, "id", "instance")): record
-        for record in _read_records(args.instances, "instance")
-    }
+    instance_records = dict(_unique_records(args.instances, "instance"))
     all_pairs: list[tuple[list[str], EvalInstance]] = []
     by_scenario: dict[str, list[tuple[list[str], EvalInstance]]] = {}
     for record in sessions:
@@ -561,8 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="evidence cache file")
     p.add_argument("--only-missing", action="store_true",
                    help="keep existing cache entries and fill gaps only")
-    p.add_argument("--stamp", type=int, default=0,
-                   help="created_at stamp recorded on new cache entries (default 0)")
     p.set_defaults(handler=_cmd_verbalize)
 
     p = sub.add_parser("make-instances", parents=[common],
@@ -582,8 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="sessions .jsonl file")
     p.add_argument("--fail-reflection", action="store_true",
                    help="mock backend only: reflection flags one subtask to force a correction")
-    p.add_argument("--stamp", type=int, default=0,
-                   help="created_at stamp for on-demand cache entries (default 0)")
     p.set_defaults(handler=_cmd_run_teacher)
 
     p = sub.add_parser("filter", parents=[common],

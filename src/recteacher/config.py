@@ -16,8 +16,8 @@ from .evaluate import ScenarioThresholds
 from .gateway import DEFAULT_TEMPERATURE, DEFAULT_TOP_P, GatewayConfig
 from .graph import DEFAULT_NEIGHBOR_K
 from .prompts import DEFAULT_DOMAIN, TEMPLATE_FILES
-from .rewards import DEFAULT_GROUP_SIZE, DEFAULT_RL_RATIO, DEFAULT_RL_TARGET
-from .teacher import DEFAULT_MAX_TOOL_ROUNDS
+from .rewards import DEFAULT_GROUP_SIZE, DEFAULT_RL_RATIO, DEFAULT_RL_TARGET, largest_remainder
+from .teacher import DEFAULT_MAX_TOOL_ROUNDS, TeacherConfig
 
 SECTION = "pipeline"
 
@@ -45,7 +45,6 @@ class PipelineConfig:
     window_m: int = DEFAULT_WINDOW_M
     neighbor_k: int = DEFAULT_NEIGHBOR_K
     max_tool_rounds: int = DEFAULT_MAX_TOOL_ROUNDS
-    ranker_tools: bool = True
     on_demand_verbalize: bool = False
     rl_target: int = DEFAULT_RL_TARGET
     rl_ratio: tuple[int, int, int] = DEFAULT_RL_RATIO
@@ -64,6 +63,16 @@ class PipelineConfig:
             max_parallel=self.max_parallel,
             retries=self.retries,
             timeout_s=self.timeout_s,
+        )
+
+    def teacher_config(self) -> TeacherConfig:
+        return TeacherConfig(
+            domain=self.domain,
+            temperature=self.temperature,
+            top_p=self.top_p,
+            max_tool_rounds=self.max_tool_rounds,
+            window_m=self.window_m,
+            templates_dir=self.templates_path(),
         )
 
     def scenario_thresholds(self) -> ScenarioThresholds:
@@ -129,16 +138,21 @@ def load_config(path: Path | None = None) -> PipelineConfig:
 
 
 def validate_config(config: PipelineConfig) -> None:
+    """Check every bound; the gateway, teacher and RL-quota checks are reused, not restated."""
     directory = config.templates_path()
     if directory is not None:
         missing = [name for name in TEMPLATE_FILES if not (directory / name).is_file()]
         if missing:
             raise PipelineError(f"templates_dir {directory} is missing {', '.join(missing)}")
-    if config.window_m < 1:
-        raise PipelineError("window_m must be >= 1")
-    if config.neighbor_k < 1:
-        raise PipelineError("neighbor_k must be >= 1")
-    if config.group_size < 1:
-        raise PipelineError("group_size must be >= 1")
-    if config.rl_target < 1:
-        raise PipelineError("rl_target must be >= 1")
+    for name in ("neighbor_k", "group_size", "rl_target"):
+        if getattr(config, name) < 1:
+            raise PipelineError(f"{name} must be >= 1")
+    try:
+        config.gateway_config()
+        config.teacher_config()
+    except ValueError as exc:
+        raise PipelineError(str(exc)) from None
+    try:
+        largest_remainder(config.rl_target, config.rl_ratio)
+    except ValueError as exc:
+        raise PipelineError(f"rl_ratio {config.rl_ratio}: {exc}") from None

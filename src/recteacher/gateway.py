@@ -42,6 +42,14 @@ class ChatReply:
     usage: ChatUsage = field(default_factory=ChatUsage)
 
 
+def check_sampling(temperature: float, top_p: float) -> None:
+    """Raise ValueError unless temperature is in [0, 2] and top_p in (0, 1]."""
+    if not 0.0 <= temperature <= 2.0:
+        raise ValueError(f"temperature {temperature} outside [0, 2]")
+    if not 0.0 < top_p <= 1.0:
+        raise ValueError(f"top_p {top_p} outside (0, 1]")
+
+
 @dataclass(frozen=True)
 class ChatRequest:
     """One chat-completion request. Messages are role/content dicts."""
@@ -49,8 +57,6 @@ class ChatRequest:
     messages: tuple[dict, ...]
     temperature: float = DEFAULT_TEMPERATURE
     top_p: float = DEFAULT_TOP_P
-    max_tokens: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if not self.messages:
@@ -60,12 +66,7 @@ class ChatRequest:
                 raise ValueError("each message needs role and content")
             if msg["role"] not in VALID_ROLES:
                 raise ValueError(f"invalid role {msg['role']!r}")
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ValueError(f"temperature {self.temperature} outside [0, 2]")
-        if not 0.0 < self.top_p <= 1.0:
-            raise ValueError(f"top_p {self.top_p} outside (0, 1]")
-        if self.max_tokens is not None and self.max_tokens < 1:
-            raise ValueError("max_tokens must be positive")
+        check_sampling(self.temperature, self.top_p)
 
 
 def chat_request(messages: Iterable, **kwargs) -> ChatRequest:
@@ -205,10 +206,6 @@ class HttpBackend:
             "temperature": request.temperature,
             "top_p": request.top_p,
         }
-        if request.max_tokens is not None:
-            body["max_tokens"] = request.max_tokens
-        if request.seed is not None:
-            body["seed"] = request.seed
 
         headers = {}
         api_key = os.environ.get(self.config.api_key_env, "")

@@ -33,13 +33,6 @@ _SUMMARY_BODY = (
 )
 
 
-def _last_user_text(request: ChatRequest) -> str:
-    for message in reversed(request.messages):
-        if message["role"] == "user":
-            return message["content"]
-    return ""
-
-
 def _first_user_text(request: ChatRequest) -> str:
     for message in request.messages:
         if message["role"] == "user":

@@ -14,7 +14,7 @@ import json
 import logging
 from pathlib import Path
 import threading
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 from .abstract import DEFAULT_WINDOW_M, HybridHistory, abstract, render_interaction
 from .corpus import Corpus
@@ -34,6 +34,7 @@ from .gateway import (
     ChatRequest,
     Gateway,
     chat_request,
+    check_sampling,
 )
 from .graph import DEFAULT_NEIGHBOR_K, InteractionGraph
 from . import prompts
@@ -144,11 +145,11 @@ class TeacherConfig:
     temperature: float = DEFAULT_TEMPERATURE
     top_p: float = DEFAULT_TOP_P
     max_tool_rounds: int = DEFAULT_MAX_TOOL_ROUNDS
-    ranker_tools: bool = True
     window_m: int = DEFAULT_WINDOW_M
     templates_dir: Path | None = None
 
     def __post_init__(self) -> None:
+        check_sampling(self.temperature, self.top_p)
         if self.max_tool_rounds < 1:
             raise ValueError("max_tool_rounds must be >= 1")
         if self.window_m < 1:
@@ -187,7 +188,6 @@ class ToolRunner:
         k: int = DEFAULT_NEIGHBOR_K,
         domain: str = prompts.DEFAULT_DOMAIN,
         templates_dir: Path | None = None,
-        created_at: int = 0,
     ) -> None:
         self.cache = cache
         self.graph = graph
@@ -197,7 +197,6 @@ class ToolRunner:
         self.k = k
         self.domain = domain
         self.templates_dir = templates_dir
-        self.created_at = created_at
         self._lock = threading.Lock()
         self._pending: dict[EvidenceKey, Future] = {}
 
@@ -239,7 +238,6 @@ class ToolRunner:
             evidence = verbalize_key(
                 self.graph, self.corpus, key, self.gateway,
                 k=self.k, domain=self.domain, templates_dir=self.templates_dir,
-                created_at=self.created_at,
             )
             self.cache.put(evidence, hold=True)
             flight.set_result(evidence)
@@ -409,14 +407,19 @@ def plan(context: TeacherContext, gateway: Gateway, config: TeacherConfig = Teac
     raise PlanParseError(last_reason)
 
 
-def _parse_plan(content: str) -> tuple[tuple[SubtaskKind, ...], str]:
+def _decode_payload(content: str, error: type[Exception]) -> tuple[str, Any]:
+    """The last <JSON> payload of a reply and its decoded value; a bad one raises `error`."""
     payload = extract_last_json_payload(content)
     if payload is None:
-        raise PlanParseError("no <JSON> payload")
+        raise error("no <JSON> payload")
     try:
-        names = json.loads(payload)
+        return payload, json.loads(payload)
     except ValueError as exc:
-        raise PlanParseError(f"payload is not JSON: {exc}") from exc
+        raise error(f"payload is not JSON: {exc}") from exc
+
+
+def _parse_plan(content: str) -> tuple[tuple[SubtaskKind, ...], str]:
+    payload, names = _decode_payload(content, PlanParseError)
     if not isinstance(names, list) or not names:
         raise PlanParseError("payload must be a non-empty list of agent names")
     kinds = []
@@ -490,13 +493,7 @@ def reflect(
     ]
     reply = gateway.complete(_request(messages, config))
     content = reply.content
-    payload = extract_last_json_payload(content)
-    if payload is None:
-        raise ReflectionParseError("no <JSON> payload")
-    try:
-        verdict = json.loads(payload)
-    except ValueError as exc:
-        raise ReflectionParseError(f"payload is not JSON: {exc}") from exc
+    payload, verdict = _decode_payload(content, ReflectionParseError)
     if not isinstance(verdict, dict):
         raise ReflectionParseError("payload must be an object")
     correct = verdict.get("correct")
@@ -554,32 +551,24 @@ def rank(
         {"role": "system", "content": prompts.ranker_system(config.domain, config.templates_dir)},
         {"role": "user", "content": f"{context.prompt}\n{_outputs_block(outputs)}"},
     ]
-    rounds = config.max_tool_rounds if (config.ranker_tools and tools is not None) else 1
+    rounds = config.max_tool_rounds if tools is not None else 1
     content, thinking_parts, events = _tool_loop(messages, rounds, gateway, config, tools)
 
     last_reason = ""
     for attempt in range(2):
-        payload = extract_last_json_payload(content)
-        ids = None
-        if payload is None:
-            last_reason = "no <JSON> payload"
+        try:
+            payload, decoded = _decode_payload(content, RankParseError)
+            if not isinstance(decoded, list):
+                raise RankParseError("payload is not a list")
+        except RankParseError as exc:
+            last_reason = str(exc)
         else:
-            try:
-                decoded = json.loads(payload)
-            except ValueError as exc:
-                decoded = None
-                last_reason = f"payload is not JSON: {exc}"
-            if isinstance(decoded, list):
-                ids = [str(x) for x in decoded]
-            elif decoded is not None:
-                last_reason = "payload is not a list"
-        if ids is not None:
-            ranking = repair_ranking(ids, context.candidates)
+            ranking = repair_ranking([str(x) for x in decoded], context.candidates)
             record = PhaseRecord(
                 phase=Phase.RECOMMEND,
                 thinking="\n".join(thinking_parts),
                 tool_events=tuple(events),
-                payload=payload if payload is not None else "",
+                payload=payload,
             )
             return ranking, record
         if attempt == 0:

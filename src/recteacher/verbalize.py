@@ -2,17 +2,16 @@
 
 Neighbor sets from the interaction graph are turned into natural-language
 evidence once, through the gateway, and cached on disk. Online tool calls then
-reduce to cache lookups.
+reduce to cache lookups. New entries record `created_at` 0; the field stays in
+the cache format, and a file that sets it otherwise still loads.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-import logging
 from pathlib import Path
 import threading
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus, ItemMeta, UserMeta
 from .errors import MalformedRecord, MissingAnswerTags
@@ -25,9 +24,7 @@ from .graph import (
 )
 from . import prompts
 from .tags import ANSWER_TAG, RECOGNIZED_TOOLS, extract_tagged
-from .util import dump_json_line, read_jsonl
-
-logger = logging.getLogger(__name__)
+from .util import dump_json_line, ordered_map, read_jsonl
 
 # Deterministic evidence for anchors with no collaborative signal; no gateway call.
 FALLBACK_NO_NEIGHBORS = "no collaborative neighbors found"
@@ -48,7 +45,7 @@ class Evidence:
     key: EvidenceKey
     text: str
     source_neighbors: tuple[str, ...]
-    created_at: int
+    created_at: int = 0
 
 
 @dataclass(frozen=True)
@@ -140,8 +137,8 @@ class EvidenceCache:
         return cache
 
 
-def _fallback(key: EvidenceKey, created_at: int) -> Evidence:
-    return Evidence(key=key, text=FALLBACK_NO_NEIGHBORS, source_neighbors=(), created_at=created_at)
+def _fallback(key: EvidenceKey) -> Evidence:
+    return Evidence(key=key, text=FALLBACK_NO_NEIGHBORS, source_neighbors=())
 
 
 def _item_lines(ids: Sequence[str], items: Mapping[str, ItemMeta]) -> tuple[list[str], list[str]]:
@@ -165,12 +162,11 @@ def verbalize_item(
     k: int = DEFAULT_NEIGHBOR_K,
     domain: str = prompts.DEFAULT_DOMAIN,
     templates_dir: Path | None = None,
-    created_at: int = 0,
 ) -> Evidence:
     key = EvidenceKey(tool="ItemCF", anchor=anchor)
     neighbors = item_cf_neighbors(graph, anchor, k=k)
     if not neighbors:
-        return _fallback(key, created_at)
+        return _fallback(key)
     neighbor_ids = [item for item, _ in neighbors]
     neighbor_lines, extra_keys = _item_lines(neighbor_ids, items)
     anchor_meta = items.get(anchor)
@@ -193,7 +189,7 @@ def verbalize_item(
     body = extract_tagged(reply.content, ANSWER_TAG)
     if body is None or not body.strip():
         raise MissingAnswerTags(f"ItemCF evidence for {anchor!r}")
-    return Evidence(key=key, text=body.strip(), source_neighbors=tuple(neighbor_ids), created_at=created_at)
+    return Evidence(key=key, text=body.strip(), source_neighbors=tuple(neighbor_ids))
 
 
 def verbalize_user(
@@ -205,12 +201,11 @@ def verbalize_user(
     k: int = DEFAULT_NEIGHBOR_K,
     domain: str = prompts.DEFAULT_DOMAIN,
     templates_dir: Path | None = None,
-    created_at: int = 0,
 ) -> Evidence:
     key = EvidenceKey(tool="UserCF", anchor=anchor)
     pool = neighbor_item_pool(graph, anchor, k_users=k)
     if not pool:
-        return _fallback(key, created_at)
+        return _fallback(key)
     pool_lines, extra_keys = _item_lines(pool, items)
     user_meta = users.get(anchor)
     anchor_line = prompts.render_user_line(
@@ -231,7 +226,7 @@ def verbalize_user(
     body = extract_tagged(reply.content, ANSWER_TAG)
     if body is None or not body.strip():
         raise MissingAnswerTags(f"UserCF evidence for {anchor!r}")
-    return Evidence(key=key, text=body.strip(), source_neighbors=tuple(pool), created_at=created_at)
+    return Evidence(key=key, text=body.strip(), source_neighbors=tuple(pool))
 
 
 def verbalize_key(
@@ -242,17 +237,16 @@ def verbalize_key(
     k: int = DEFAULT_NEIGHBOR_K,
     domain: str = prompts.DEFAULT_DOMAIN,
     templates_dir: Path | None = None,
-    created_at: int = 0,
 ) -> Evidence:
     """Verbalize one cache key with the verbalizer of its tool."""
     if key.tool == "ItemCF":
         return verbalize_item(
             graph, corpus.items, key.anchor, gateway,
-            k=k, domain=domain, templates_dir=templates_dir, created_at=created_at,
+            k=k, domain=domain, templates_dir=templates_dir,
         )
     return verbalize_user(
         graph, corpus.users, corpus.items, key.anchor, gateway,
-        k=k, domain=domain, templates_dir=templates_dir, created_at=created_at,
+        k=k, domain=domain, templates_dir=templates_dir,
     )
 
 
@@ -266,40 +260,31 @@ def warm_cache(
     graph: InteractionGraph,
     corpus: Corpus,
     gateway: Gateway,
-    cache: EvidenceCache | None = None,
+    cache: EvidenceCache,
     keys: Iterable[EvidenceKey] | None = None,
     k: int = DEFAULT_NEIGHBOR_K,
     domain: str = prompts.DEFAULT_DOMAIN,
     templates_dir: Path | None = None,
-    created_at: int = 0,
-    on_error: Callable[[EvidenceKey, Exception], None] | None = None,
-) -> EvidenceCache:
-    """Verbalize every requested key not already cached.
+) -> list[tuple[EvidenceKey, Exception]]:
+    """Verbalize every requested key not already cached; return the failed keys and their errors.
 
     Gateway calls run with the gateway's own parallelism bound; results are
-    persisted in deterministic key order. Per-key failures go to `on_error`
-    (default: logged) and never block other keys.
+    put in the cache in key order. A failed key never blocks the others.
     """
-    if cache is None:
-        cache = EvidenceCache()
     wanted = list(keys) if keys is not None else all_keys(graph)
     pending = [key for key in wanted if isinstance(cache.lookup(key), CacheMiss)]
-    if not pending:
-        return cache
 
-    workers = max(1, gateway.config.max_parallel)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            (key, pool.submit(verbalize_key, graph, corpus, key, gateway, k=k, domain=domain,
-                              templates_dir=templates_dir, created_at=created_at))
-            for key in pending
-        ]
-        for key, future in futures:
-            try:
-                cache.put(future.result())
-            except Exception as exc:
-                if on_error is not None:
-                    on_error(key, exc)
-                else:
-                    logger.warning("verbalization failed for %s %s: %s", key.tool, key.anchor, exc)
-    return cache
+    def attempt(key: EvidenceKey) -> Evidence | Exception:
+        try:
+            return verbalize_key(graph, corpus, key, gateway, k=k, domain=domain,
+                                 templates_dir=templates_dir)
+        except Exception as exc:
+            return exc
+
+    failed: list[tuple[EvidenceKey, Exception]] = []
+    for key, result in zip(pending, ordered_map(attempt, pending, gateway.config.max_parallel)):
+        if isinstance(result, Exception):
+            failed.append((key, result))
+        else:
+            cache.put(result)
+    return failed

@@ -5,11 +5,13 @@ from __future__ import annotations
 import filecmp
 import json
 import os
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from recteacher.cli import main
+from recteacher.cli import build_parser, main
 from recteacher.util import read_jsonl
 
 
@@ -45,6 +47,27 @@ def pipeline(toy_files, tmp_path_factory):
     for argv in steps:
         assert main(argv) == 0, argv
     return paths
+
+
+def test_readme_commands_parse(capsys):
+    from conftest import REPO_ROOT
+
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.DOTALL)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("recteacher ")
+    ]
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: recteacher {shlex.join(argv)}\n"
+                        f"{capsys.readouterr().err}")
+    # every subcommand is shown at least once
+    assert {argv[0] for argv in commands} == set(parser._subparsers._group_actions[0].choices)
 
 
 def test_usage_errors_exit_2(capsys):
@@ -109,6 +132,62 @@ def test_parallel_flag_validation(toy_files, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "--parallel must be >= 1" in captured.err
+
+
+def test_make_instances_rejects_a_limit_below_one(pipeline, tmp_path, capsys):
+    out = tmp_path / "instances.jsonl"
+    code = main(["make-instances", "--corpus", str(pipeline["corpus"]),
+                 "--limit", "0", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error: PipelineError: --limit must be >= 1" in captured.err
+    assert not out.exists()
+
+
+def test_bucket_rl_rejects_a_negative_target(tmp_path, capsys):
+    rollouts = tmp_path / "rollouts.jsonl"
+    rollouts.write_text(json.dumps({"id": "r1", "success_count": 3}) + "\n", encoding="utf-8")
+    code = main(["bucket-rl", "--rollouts", str(rollouts), "--target", "-1",
+                 "--out", str(tmp_path / "rl.jsonl")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error: PipelineError: --target must be >= 0" in captured.err
+
+
+@pytest.mark.parametrize("command", ["run-teacher", "evaluate", "score-rewards"])
+def test_a_repeated_instance_id_is_an_error(pipeline, tmp_path, capsys, command):
+    first, *rest = records_of(pipeline["instances"])
+    # same id, another ground truth: keeping either record silently would skew the result
+    other = dict(first, ground_truth=next(c for c in first["candidates"]
+                                          if c != first["ground_truth"]))
+    instances = tmp_path / "instances.jsonl"
+    instances.write_text("".join(json.dumps(r) + "\n" for r in [first, *rest, other]),
+                         encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    argv = {
+        "run-teacher": ["run-teacher", "--corpus", str(pipeline["corpus"]),
+                        "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
+                        "--backend", "mock", "--out", str(out)],
+        "evaluate": ["evaluate", "--sessions", str(pipeline["sessions"]), "--out", str(out)],
+        "score-rewards": ["score-rewards", "--trajectories", str(pipeline["sessions"]),
+                          "--out", str(out)],
+    }[command]
+    code = main([*argv, "--instances", str(instances)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"error: PipelineError: duplicate instance id {first['id']!r}" in captured.err
+    assert not out.exists()
+
+
+def test_bucket_rl_rejects_a_repeated_rollout_id(tmp_path, capsys):
+    rollouts = tmp_path / "rollouts.jsonl"
+    rows = [{"id": "r1", "success_count": 3}, {"id": "r1", "success_count": 5}]
+    rollouts.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    code = main(["bucket-rl", "--rollouts", str(rollouts), "--target", "0",
+                 "--out", str(tmp_path / "rl.jsonl")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error: PipelineError: duplicate rollout id 'r1'" in captured.err
 
 
 def test_make_instances_respects_limit_and_seed(pipeline, tmp_path, capsys):

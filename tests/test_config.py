@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import configparser
+from dataclasses import fields
+
 import pytest
 
 from recteacher.config import PipelineConfig, load_config, validate_config
@@ -32,7 +35,6 @@ def test_load_overrides_types(tmp_path):
         "corpus_dir = data/x",
         "seed = 7",
         "temperature = 0.2",
-        "ranker_tools = no",
         "on_demand_verbalize = TRUE",
         "rl_ratio = 1, 2, 1",
         "window_m = 4",
@@ -41,7 +43,6 @@ def test_load_overrides_types(tmp_path):
     assert config.corpus_dir == "data/x"
     assert config.seed == 7
     assert config.temperature == 0.2
-    assert config.ranker_tools is False
     assert config.on_demand_verbalize is True
     assert config.rl_ratio == (1, 2, 1)
     assert config.window_m == 4
@@ -56,12 +57,13 @@ def test_load_errors(tmp_path):
         load_config(write_config(tmp_path, "[other]\nseed = 1\n"))
     with pytest.raises(PipelineError, match="unknown config key"):
         load_config(write_config(tmp_path, "[pipeline]\nseeed = 1\n"))
-    with pytest.raises(PipelineError, match="unknown config key 'output_dir'"):
-        load_config(write_config(tmp_path, "[pipeline]\noutput_dir = out\n"))
+    for retired in ("output_dir", "ranker_tools"):
+        with pytest.raises(PipelineError, match=f"unknown config key '{retired}'"):
+            load_config(write_config(tmp_path, f"[pipeline]\n{retired} = out\n"))
     with pytest.raises(PipelineError, match="cannot parse"):
         load_config(write_config(tmp_path, "[pipeline]\nseed = soon\n"))
     with pytest.raises(PipelineError, match="cannot parse"):
-        load_config(write_config(tmp_path, "[pipeline]\nranker_tools = maybe\n"))
+        load_config(write_config(tmp_path, "[pipeline]\non_demand_verbalize = maybe\n"))
     with pytest.raises(PipelineError, match="rl_ratio"):
         load_config(write_config(tmp_path, "[pipeline]\nrl_ratio = 3,4\n"))
     with pytest.raises(PipelineError, match="rl_ratio"):
@@ -69,8 +71,10 @@ def test_load_errors(tmp_path):
 
 
 def test_validate_ranges(tmp_path):
-    for line in ("window_m = 0", "neighbor_k = 0", "group_size = 0", "rl_target = 0"):
-        with pytest.raises(PipelineError):
+    for line in ("window_m = 0", "neighbor_k = 0", "group_size = 0", "rl_target = 0",
+                 "max_tool_rounds = 0", "max_parallel = 0", "retries = -1", "timeout_s = 0",
+                 "rl_ratio = 0,0,0", "temperature = 5", "top_p = 0"):
+        with pytest.raises(PipelineError, match=line.split(" = ")[0]):
             load_config(write_config(tmp_path, f"[pipeline]\n{line}\n"))
 
 
@@ -109,6 +113,11 @@ def test_gateway_and_thresholds_views():
 def test_shipped_example_config_loads():
     from conftest import REPO_ROOT
 
-    config = load_config(REPO_ROOT / "config.example.ini")
+    path = REPO_ROOT / "config.example.ini"
+    config = load_config(path)
     assert config.corpus_dir
     assert config.seed == 0
+    # the example documents every key, and nothing that is not one
+    parser = configparser.ConfigParser()
+    parser.read(path, encoding="utf-8")
+    assert set(parser["pipeline"]) == {field.name for field in fields(PipelineConfig)}

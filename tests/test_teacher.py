@@ -440,9 +440,7 @@ def test_repair_ranking():
 
 def test_rank_without_tools():
     backend, gateway = scripted_gateway('By overall fit.\n<JSON>["c2", "c1", "c3"]</JSON>')
-    ranking, record = rank(
-        make_context(), [], gateway, config=TeacherConfig(ranker_tools=False),
-    )
+    ranking, record = rank(make_context(), [], gateway)
     assert ranking == ["c2", "c1", "c3"]
     assert record.phase is Phase.RECOMMEND
     assert record.payload == '["c2", "c1", "c3"]'
@@ -464,7 +462,7 @@ def test_rank_with_tool_loop():
 
 def test_rank_repairs_model_output():
     _, gateway = scripted_gateway('<JSON>["foreign", "c2", "c2"]</JSON>')
-    ranking, _ = rank(make_context(), [], gateway, config=TeacherConfig(ranker_tools=False))
+    ranking, _ = rank(make_context(), [], gateway)
     assert ranking == ["c2", "c1", "c3"]
 
 
@@ -473,7 +471,7 @@ def test_rank_reasks_once():
         '<JSON>{"not": "a list"}</JSON>',
         '<JSON>["c1", "c2", "c3"]</JSON>',
     )
-    ranking, _ = rank(make_context(), [], gateway, config=TeacherConfig(ranker_tools=False))
+    ranking, _ = rank(make_context(), [], gateway)
     assert ranking == ["c1", "c2", "c3"]
     assert backend.sends == 2
     assert "could not be parsed" in backend.requests[1].messages[-1]["content"]
@@ -481,9 +479,17 @@ def test_rank_reasks_once():
 
 def test_rank_fails_after_two_bad_replies():
     backend, gateway = scripted_gateway("nothing", "still nothing")
-    with pytest.raises(RankParseError):
-        rank(make_context(), [], gateway, config=TeacherConfig(ranker_tools=False))
+    with pytest.raises(RankParseError, match="no <JSON> payload"):
+        rank(make_context(), [], gateway)
     assert backend.sends == 2
+
+
+def test_rank_names_a_null_payload():
+    # JSON null decodes to None: a payload, but not a list
+    backend, gateway = scripted_gateway("<JSON>null</JSON>", "<JSON>null</JSON>")
+    with pytest.raises(RankParseError, match="payload is not a list"):
+        rank(make_context(), [], gateway)
+    assert "payload is not a list" in backend.requests[1].messages[-1]["content"]
 
 
 # --------------------------------------------------------------- run_teacher
@@ -625,6 +631,10 @@ def test_teacher_config_validation():
         TeacherConfig(max_tool_rounds=0)
     with pytest.raises(ValueError):
         TeacherConfig(window_m=0)
+    with pytest.raises(ValueError, match="temperature"):
+        TeacherConfig(temperature=5.0)
+    with pytest.raises(ValueError, match="top_p"):
+        TeacherConfig(top_p=0.0)
 
 
 # ------------------------------------------------------------- build_context

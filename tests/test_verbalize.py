@@ -135,11 +135,11 @@ def test_cache_held_entries_reach_the_file_when_named(tmp_path):
 
 def test_verbalize_item_happy_path():
     backend, gateway = scripted_gateway(answer("readers of x also like y and z"))
-    evidence = verbalize_item(GRAPH, CORPUS.items, "x", gateway, created_at=9)
+    evidence = verbalize_item(GRAPH, CORPUS.items, "x", gateway)
     assert evidence.key == EvidenceKey("ItemCF", "x")
     assert evidence.text == "readers of x also like y and z"
     assert evidence.source_neighbors == ("y", "z")
-    assert evidence.created_at == 9
+    assert evidence.created_at == 0
     assert backend.sends == 1
 
     request = backend.requests[0]
@@ -155,10 +155,10 @@ def test_verbalize_item_happy_path():
 
 def test_verbalize_item_no_neighbors_skips_gateway():
     backend, gateway = scripted_gateway()
-    evidence = verbalize_item(GRAPH, CORPUS.items, "w", gateway, created_at=5)
+    evidence = verbalize_item(GRAPH, CORPUS.items, "w", gateway)
     assert evidence.text == FALLBACK_NO_NEIGHBORS
     assert evidence.source_neighbors == ()
-    assert evidence.created_at == 5
+    assert evidence.created_at == 0
     assert backend.sends == 0
 
 
@@ -217,19 +217,22 @@ def test_warm_cache_full_and_persists_in_key_order(tmp_path):
     # 8 keys total; w and D have no neighbors so only 6 gateway calls.
     backend, gateway = scripted_gateway(*[answer(f"evidence {i}") for i in range(6)])
     path = tmp_path / "evidence.jsonl"
-    cache = warm_cache(GRAPH, CORPUS, gateway, cache=EvidenceCache(path), created_at=1)
+    cache = EvidenceCache(path)
+    assert warm_cache(GRAPH, CORPUS, gateway, cache) == []
     assert len(cache) == 8
     assert backend.sends == 6
-    anchors = [record["anchor"] for _, record in read_jsonl(path)]
-    assert anchors == ["w", "x", "y", "z", "A", "B", "C", "D"]
+    records = [record for _, record in read_jsonl(path)]
+    assert [record["anchor"] for record in records] == ["w", "x", "y", "z", "A", "B", "C", "D"]
+    assert {record["created_at"] for record in records} == {0}
 
 
 def test_warm_cache_only_missing_is_a_noop():
     backend, gateway = scripted_gateway(*[answer("e")] * 6)
-    cache = warm_cache(GRAPH, CORPUS, gateway)
+    cache = EvidenceCache()
+    warm_cache(GRAPH, CORPUS, gateway, cache)
     assert backend.sends == 6
-    again = warm_cache(GRAPH, CORPUS, gateway, cache=cache)
-    assert again is cache
+    assert warm_cache(GRAPH, CORPUS, gateway, cache) == []
+    assert len(cache) == 8
     assert backend.sends == 6
 
 
@@ -237,31 +240,46 @@ def test_warm_cache_partial_precache():
     backend, gateway = scripted_gateway(*[answer("e")] * 5)
     cache = EvidenceCache()
     cache.put(Evidence(EvidenceKey("ItemCF", "x"), "already", ("y", "z"), 0))
-    warm_cache(GRAPH, CORPUS, gateway, cache=cache)
+    warm_cache(GRAPH, CORPUS, gateway, cache)
     assert backend.sends == 5
     assert cache.lookup(EvidenceKey("ItemCF", "x")).text == "already"
 
 
 def test_warm_cache_subset_of_keys():
     backend, gateway = scripted_gateway(answer("only x"))
-    cache = warm_cache(GRAPH, CORPUS, gateway, keys=[EvidenceKey("ItemCF", "x")])
+    cache = EvidenceCache()
+    warm_cache(GRAPH, CORPUS, gateway, cache, keys=[EvidenceKey("ItemCF", "x")])
     assert len(cache) == 1
     assert backend.sends == 1
 
 
-def test_warm_cache_failure_routed_to_on_error():
+def test_warm_cache_returns_failed_keys():
     # Second scripted reply has no envelope; max_parallel=1 keys it to ItemCF y.
     backend, gateway = scripted_gateway(
         answer("x text"), "broken reply", *[answer("e")] * 4,
     )
-    failures = []
-    cache = warm_cache(
-        GRAPH, CORPUS, gateway,
-        on_error=lambda key, exc: failures.append((key, exc)),
-    )
+    cache = EvidenceCache()
+    failures = warm_cache(GRAPH, CORPUS, gateway, cache)
     assert [key for key, _ in failures] == [EvidenceKey("ItemCF", "y")]
     assert all(isinstance(exc, MissingAnswerTags) for _, exc in failures)
     # Every other key still landed despite the failure.
     assert len(cache) == 7
     assert isinstance(cache.lookup(EvidenceKey("ItemCF", "y")), CacheMiss)
     assert backend.sends == 6
+
+
+def test_warm_cache_side_by_side_keeps_key_order(tmp_path):
+    # Replies are keyed by the anchor a request names, not by send order, so
+    # the outcome is fixed at any width; the key of ItemCF y gets no envelope.
+    def reply(request, index):
+        user_text = request.messages[1]["content"]
+        return "broken reply" if "# Target item\nitem_id: y " in user_text else answer("e")
+
+    backend, gateway = scripted_gateway(*[reply] * 6, max_parallel=3)
+    path = tmp_path / "evidence.jsonl"
+    cache = EvidenceCache(path)
+    failures = warm_cache(GRAPH, CORPUS, gateway, cache)
+    assert [key for key, _ in failures] == [EvidenceKey("ItemCF", "y")]
+    assert backend.sends == 6
+    anchors = [record["anchor"] for _, record in read_jsonl(path)]
+    assert anchors == ["w", "x", "z", "A", "B", "C", "D"]
