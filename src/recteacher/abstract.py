@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .corpus import Interaction, ItemMeta
@@ -37,12 +36,10 @@ def chunk(history: Sequence[Interaction], m: int) -> list[list[Interaction]]:
 
 def render_interaction(interaction: Interaction, items: Mapping[str, ItemMeta]) -> str:
     stamp = datetime.fromtimestamp(interaction.timestamp, tz=timezone.utc)
-    meta = items.get(interaction.item)
-    title = meta.title if meta is not None else "(unknown)"
     parts = [
         f"Review time: {stamp.strftime('%Y-%m-%d-%I%p')}",
         f"item_id: {interaction.item}",
-        f"title: {title}",
+        f"title: {prompts.item_meta(interaction.item, items).title}",
     ]
     if interaction.rating is not None:
         parts.append(f"rating: {interaction.rating:g}")
@@ -58,7 +55,6 @@ def abstract(
     gateway: Gateway,
     render: Callable[[Interaction], str],
     domain: str = prompts.DEFAULT_DOMAIN,
-    templates_dir: Path | None = None,
     user_block: str = "",
 ) -> HybridHistory:
     """Fold all chunks but the last into a rolling summary.
@@ -71,13 +67,13 @@ def abstract(
     if len(chunks) <= 1:
         return HybridHistory(long_term_summary="", recent_raw=tuple(history), window_size=m)
 
-    system_text = prompts.history_summary_system(domain, templates_dir)
+    system = prompts.history_summary_system(domain)
     summary = ""
     for part in chunks[:-1]:
         block = "\n".join(f"{i}. {render(x)}" for i, x in enumerate(part, start=1))
-        user_text = prompts.history_summary_user(user_block, summary, block, templates_dir)
+        user_text = prompts.history_summary_user(user_block, summary, block)
         reply = gateway.complete(chat_request([
-            ("system", system_text),
+            ("system", system),
             ("user", user_text),
         ]))
         body = extract_tagged(reply.content, SUMMARY_TAG)

@@ -3,9 +3,12 @@
 Stages chain through plain line-delimited artifacts so every command is
 restartable and two runs with the same config, seed, and mock backend
 produce byte-identical outputs (with a scripted backend, at --parallel 1). All
-writes go through temp-file-then-rename (the evidence cache is the documented
-exception: it appends per record so a partially warmed cache survives a
-crash); JSONL artifacts are streamed to their temp file one record at a time.
+writes go through temp-file-then-rename, a full `verbalize` rebuild included:
+it replaces the cache only once every key is verbalized. The documented
+exception is appending to an existing cache (`verbalize --only-missing` and
+run-teacher's on-demand fills), one record at a time, so keys filled before a
+crash survive it. JSONL artifacts are streamed to their temp file one record
+at a time.
 run-teacher handles each session when its turn in instance order comes,
 whatever order the concurrent sessions finished in: it appends the session's
 on-demand fills to the cache and writes its record. Instance, kept-session and
@@ -19,6 +22,7 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
@@ -41,7 +45,7 @@ from .oracle import OracleBackend
 from .rewards import Bucket, bucket, composite_reward, compose_rl_set, largest_remainder
 from .teacher import PhaseRecord, SessionLog, ToolRunner, build_context, run_teacher
 from .trajectory import export_sft, serialize, top1_hit
-from .util import ordered_map, read_jsonl, write_atomic, write_jsonl_atomic
+from .util import atomic_path, ordered_map, read_jsonl, write_atomic, write_jsonl_atomic
 from .verbalize import EvidenceCache, warm_cache
 
 logger = logging.getLogger(__name__)
@@ -268,24 +272,21 @@ def _cmd_verbalize(args: argparse.Namespace, config: PipelineConfig) -> int:
     corpus = load_corpus(_required_path(args.corpus, config.corpus_dir, "corpus"))
     graph = load_graph(_required_path(args.graph, config.graph_path, "graph"))
     out = Path(_required_path(args.out, config.cache_path, "cache output"))
-
-    if args.only_missing and out.exists():
-        cache = EvidenceCache.load(out)
-    else:
-        if out.exists():
-            out.unlink()  # full rebuild; --only-missing preserves prior entries
-        cache = EvidenceCache(path=out)
-    before = len(cache)
-
-    failed = warm_cache(graph, corpus, _make_gateway(args, config), cache, k=config.neighbor_k,
-                        domain=config.domain, templates_dir=config.templates_path())
-    for key, exc in failed:
-        logger.warning("verbalization failed for %s %s: %s", key.tool, key.anchor, exc)
-    print(f"cache entries: {len(cache)} ({len(cache) - before} new, {len(failed)} failed) -> {out}")
-    if failed:
-        key, exc = failed[0]
-        raise PipelineError(f"{len(failed)} keys failed to verbalize; "
-                            f"first: {key.tool}:{key.anchor}: {type(exc).__name__}: {exc}")
+    gateway = _make_gateway(args, config)
+    only_missing = args.only_missing and out.exists()
+    # --only-missing appends to --out as each key lands; a full rebuild fills a
+    # temp file that replaces --out only once every key is verbalized.
+    with (nullcontext(out) if only_missing else atomic_path(out)) as path:
+        cache = EvidenceCache.load(path) if only_missing else EvidenceCache(path=path)
+        before = len(cache)
+        failed = warm_cache(graph, corpus, gateway, cache, k=config.neighbor_k, domain=config.domain)
+        for key, exc in failed:
+            logger.warning("verbalization failed for %s %s: %s", key.tool, key.anchor, exc)
+        print(f"cache entries: {len(cache)} ({len(cache) - before} new, {len(failed)} failed) -> {out}")
+        if failed:
+            key, exc = failed[0]
+            raise PipelineError(f"{len(failed)} keys failed to verbalize; "
+                                f"first: {key.tool}:{key.anchor}: {type(exc).__name__}: {exc}")
     return EXIT_OK
 
 
@@ -326,7 +327,6 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
         on_demand=config.on_demand_verbalize,
         k=config.neighbor_k,
         domain=config.domain,
-        templates_dir=config.templates_path(),
     )
 
     def run_one(pair: tuple[str, EvalInstance]) -> tuple[SessionLog, dict]:
@@ -379,8 +379,7 @@ def _cmd_export_sft(args: argparse.Namespace, config: PipelineConfig) -> int:
     for session_id, record in _unique_records(args.kept, "session"):
         trajectories[session_id] = str(_record_field(record, "trajectory", "session"))
         prompts_by_id[session_id] = str(_record_field(record, "prompt", "session"))
-    count = export_sft(trajectories, prompts_by_id, Path(args.out),
-                       templates_dir=config.templates_path())
+    count = export_sft(trajectories, prompts_by_id, Path(args.out))
     print(f"exported {count} records -> {args.out}")
     return EXIT_OK
 

@@ -15,7 +15,7 @@ from .errors import PipelineError
 from .evaluate import ScenarioThresholds
 from .gateway import DEFAULT_TEMPERATURE, DEFAULT_TOP_P, GatewayConfig
 from .graph import DEFAULT_NEIGHBOR_K
-from .prompts import DEFAULT_DOMAIN, TEMPLATE_FILES
+from .prompts import DEFAULT_DOMAIN
 from .rewards import DEFAULT_GROUP_SIZE, DEFAULT_RL_RATIO, DEFAULT_RL_TARGET, largest_remainder
 from .teacher import DEFAULT_MAX_TOOL_ROUNDS, TeacherConfig
 
@@ -28,7 +28,6 @@ class PipelineConfig:
     corpus_dir: str = ""
     graph_path: str = ""
     cache_path: str = ""
-    templates_dir: str = ""
     # gateway
     endpoint: str = ""
     model: str = ""
@@ -72,7 +71,6 @@ class PipelineConfig:
             top_p=self.top_p,
             max_tool_rounds=self.max_tool_rounds,
             window_m=self.window_m,
-            templates_dir=self.templates_path(),
         )
 
     def scenario_thresholds(self) -> ScenarioThresholds:
@@ -82,9 +80,6 @@ class PipelineConfig:
             evo_long_min_history=self.evo_long_min_history,
             evo_short_max_gap_s=self.evo_short_max_gap_s,
         )
-
-    def templates_path(self) -> Path | None:
-        return Path(self.templates_dir) if self.templates_dir else None
 
 
 def _parse_ratio(raw: str) -> tuple[int, int, int]:
@@ -139,11 +134,6 @@ def load_config(path: Path | None = None) -> PipelineConfig:
 
 def validate_config(config: PipelineConfig) -> None:
     """Check every bound; the gateway, teacher and RL-quota checks are reused, not restated."""
-    directory = config.templates_path()
-    if directory is not None:
-        missing = [name for name in TEMPLATE_FILES if not (directory / name).is_file()]
-        if missing:
-            raise PipelineError(f"templates_dir {directory} is missing {', '.join(missing)}")
     for name in ("neighbor_k", "group_size", "rl_target"):
         if getattr(config, name) < 1:
             raise PipelineError(f"{name} must be >= 1")

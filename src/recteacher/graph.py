@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .corpus import Corpus
 from .errors import EmptyCorpus, MalformedRecord, UnknownItem, UnknownUser
-from .util import atomic_writer
+from .util import atomic_writer, read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -145,33 +145,29 @@ def save_graph(graph: InteractionGraph, path: str | Path) -> None:
 
 
 def load_graph(path: str | Path) -> InteractionGraph:
-    """Load a persisted graph; queries behave identically to the original."""
+    """Load a persisted graph; queries behave identically to the original.
+
+    A bad record raises MalformedRecord naming its line in the file.
+    """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        raw_lines = [line.strip() for line in handle if line.strip()]
-    if not raw_lines:
-        raise MalformedRecord(1, "empty graph file", source=str(path))
-
-    def parse(lineno: int, text: str) -> dict:
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(lineno, f"invalid JSON: {exc}", source=str(path)) from exc
-        if not isinstance(obj, dict):
-            raise MalformedRecord(lineno, "record is not a JSON object", source=str(path))
-        return obj
-
-    header = parse(1, raw_lines[0])
+    header: dict | None = None
+    header_line = 1
     user_adj: dict[str, frozenset[str]] = {}
     item_sets: dict[str, set[str]] = {}
-    for lineno, text in enumerate(raw_lines[1:], 2):
-        obj = parse(lineno, text)
+    for lineno, obj in read_jsonl(path):
+        if not isinstance(obj, dict):
+            raise MalformedRecord(lineno, "record is not a JSON object", source=str(path))
+        if header is None:
+            header, header_line = obj, lineno
+            continue
         user, items = obj.get("user"), obj.get("items")
         if not isinstance(user, str) or not isinstance(items, list):
             raise MalformedRecord(lineno, "adjacency record needs user and items", source=str(path))
         user_adj[user] = frozenset(items)
         for item in items:
             item_sets.setdefault(item, set()).add(user)
+    if header is None:
+        raise MalformedRecord(1, "empty graph file", source=str(path))
 
     graph = InteractionGraph(
         user_adj=user_adj,
@@ -180,5 +176,6 @@ def load_graph(path: str | Path) -> InteractionGraph:
     expected = (header.get("user_count"), header.get("item_count"), header.get("edge_count"))
     actual = (len(graph.user_adj), len(graph.item_adj), graph.edge_count())
     if expected != actual:
-        raise MalformedRecord(1, f"header counts {expected} do not match body {actual}", source=str(path))
+        raise MalformedRecord(header_line, f"header counts {expected} do not match body {actual}",
+                              source=str(path))
     return graph

@@ -1,17 +1,19 @@
 """Prompt template loading and rendering.
 
-Templates ship as package data under ``templates/``. Rendering replaces only
-``{word}`` placeholders whose key is supplied; everything else (including JSON
-examples with braces) passes through untouched.
+The templates that ship as package data under ``templates/`` are the only
+prompt text. Rendering replaces only ``{word}`` placeholders whose key is
+supplied; everything else (including JSON examples with braces) passes through
+untouched. Corpus items and users become prompt lines here, and only here.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 import re
 from typing import Mapping, Sequence
+
+from .corpus import ItemMeta, UserMeta
 
 DEFAULT_DOMAIN = "goodreads"
 
@@ -50,12 +52,10 @@ def _packaged(name: str) -> str:
     return (resources.files(__package__) / "templates" / name).read_text(encoding="utf-8")
 
 
-def load_template(name: str, directory: Path | None = None) -> str:
-    """Return raw template text, from `directory` if given else package data."""
+def load_template(name: str) -> str:
+    """Return the raw text of a packaged template."""
     if name not in TEMPLATE_FILES:
         raise KeyError(f"unknown template {name!r}")
-    if directory is not None:
-        return (Path(directory) / name).read_text(encoding="utf-8")
     return _packaged(name)
 
 
@@ -63,67 +63,62 @@ def render(text: str, values: Mapping[str, str]) -> str:
     return _PLACEHOLDER.sub(lambda m: values.get(m.group(1), m.group(0)), text)
 
 
-def _load_rendered(name: str, values: Mapping[str, str], directory: Path | None) -> str:
-    return render(load_template(name, directory), values)
+def _load_rendered(name: str, values: Mapping[str, str]) -> str:
+    return render(load_template(name), values)
 
 
-def planner_system(domain: str = DEFAULT_DOMAIN, directory: Path | None = None) -> str:
-    return _load_rendered("planner.txt", {"domain": domain}, directory)
+def planner_system(domain: str = DEFAULT_DOMAIN) -> str:
+    return _load_rendered("planner.txt", {"domain": domain})
 
 
-def subtask_system(agent_name: str, domain: str = DEFAULT_DOMAIN, directory: Path | None = None) -> str:
+def subtask_system(agent_name: str, domain: str = DEFAULT_DOMAIN) -> str:
     try:
         template = SUBTASK_TEMPLATES[agent_name]
     except KeyError:
         raise KeyError(f"unknown agent name {agent_name!r}") from None
     values = {
         "domain": domain,
-        "tool_protocol": load_template("tool_protocol.txt", directory).rstrip("\n"),
-        "subtask_output": load_template("subtask_output.txt", directory).rstrip("\n"),
+        "tool_protocol": load_template("tool_protocol.txt").rstrip("\n"),
+        "subtask_output": load_template("subtask_output.txt").rstrip("\n"),
     }
-    return _load_rendered(template, values, directory)
+    return _load_rendered(template, values)
 
 
-def reflector_system(domain: str = DEFAULT_DOMAIN, directory: Path | None = None) -> str:
-    return _load_rendered("reflector.txt", {"domain": domain}, directory)
+def reflector_system(domain: str = DEFAULT_DOMAIN) -> str:
+    return _load_rendered("reflector.txt", {"domain": domain})
 
 
-def ranker_system(domain: str = DEFAULT_DOMAIN, directory: Path | None = None) -> str:
+def ranker_system(domain: str = DEFAULT_DOMAIN) -> str:
     values = {
         "domain": domain,
-        "tool_protocol": load_template("tool_protocol.txt", directory).rstrip("\n"),
+        "tool_protocol": load_template("tool_protocol.txt").rstrip("\n"),
     }
-    return _load_rendered("ranker.txt", values, directory)
+    return _load_rendered("ranker.txt", values)
 
 
-def student_system(directory: Path | None = None) -> str:
-    return load_template("student_system.txt", directory)
+def student_system() -> str:
+    return load_template("student_system.txt")
 
 
-def history_summary_system(domain: str = DEFAULT_DOMAIN, directory: Path | None = None) -> str:
-    return _load_rendered("history_summary.txt", {"domain": domain}, directory)
+def history_summary_system(domain: str = DEFAULT_DOMAIN) -> str:
+    return _load_rendered("history_summary.txt", {"domain": domain})
 
 
-def history_summary_user(
-    user_block: str,
-    previous_summary: str,
-    chunk_block: str,
-    directory: Path | None = None,
-) -> str:
+def history_summary_user(user_block: str, previous_summary: str, chunk_block: str) -> str:
     values = {
         "user_block": user_block,
         "previous_summary": previous_summary if previous_summary else "(no previous summary)",
         "chunk_block": chunk_block,
     }
-    return _load_rendered("history_summary_user.txt", values, directory)
+    return _load_rendered("history_summary_user.txt", values)
 
 
-def item_evidence_system(domain: str = DEFAULT_DOMAIN, directory: Path | None = None) -> str:
-    return _load_rendered("item_evidence_system.txt", {"domain": domain}, directory)
+def item_evidence_system(domain: str = DEFAULT_DOMAIN) -> str:
+    return _load_rendered("item_evidence_system.txt", {"domain": domain})
 
 
-def user_evidence_system(domain: str = DEFAULT_DOMAIN, directory: Path | None = None) -> str:
-    return _load_rendered("user_evidence_system.txt", {"domain": domain}, directory)
+def user_evidence_system(domain: str = DEFAULT_DOMAIN) -> str:
+    return _load_rendered("user_evidence_system.txt", {"domain": domain})
 
 
 def evidence_user(
@@ -131,7 +126,6 @@ def evidence_user(
     neighbor_header: str,
     neighbor_block: str,
     extra_keys: Sequence[str] = (),
-    directory: Path | None = None,
 ) -> str:
     extra = "\n".join(f"> {key} (Item attribute)" for key in extra_keys)
     values = {
@@ -140,7 +134,7 @@ def evidence_user(
         "neighbor_header": neighbor_header,
         "neighbor_block": neighbor_block,
     }
-    return _load_rendered("evidence_user.txt", values, directory)
+    return _load_rendered("evidence_user.txt", values)
 
 
 def render_item_line(item: str, title: str, attributes: Mapping[str, str]) -> str:
@@ -153,6 +147,29 @@ def render_user_line(user: str, attributes: Mapping[str, str]) -> str:
     parts = [f"user_id: {user}"]
     parts.extend(f"{key}: {attributes[key]}" for key in sorted(attributes))
     return " | ".join(parts)
+
+
+def item_meta(item: str, items: Mapping[str, ItemMeta]) -> ItemMeta:
+    """The metadata of `item`; an item the corpus lacks gets an unknown title and no attributes."""
+    meta = items.get(item)
+    return meta if meta is not None else ItemMeta(item=item, title="(unknown)")
+
+
+def user_attributes(user: str, users: Mapping[str, UserMeta]) -> Mapping[str, str]:
+    """The attributes of `user`; a user the corpus lacks has none."""
+    meta = users.get(user)
+    return meta.attributes if meta is not None else {}
+
+
+def item_lines(ids: Sequence[str], items: Mapping[str, ItemMeta]) -> tuple[list[str], set[str]]:
+    """The prompt line of each item in `ids`, and the union of their attribute keys."""
+    lines: list[str] = []
+    keys: set[str] = set()
+    for item in ids:
+        meta = item_meta(item, items)
+        keys.update(meta.attributes)
+        lines.append(render_item_line(item, meta.title, meta.attributes))
+    return lines, keys
 
 
 def render_instance_prompt(

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 import json
 import logging
-from pathlib import Path
 import threading
 from typing import Any, Callable, Mapping, Sequence, TypeVar
 
@@ -146,7 +145,6 @@ class TeacherConfig:
     top_p: float = DEFAULT_TOP_P
     max_tool_rounds: int = DEFAULT_MAX_TOOL_ROUNDS
     window_m: int = DEFAULT_WINDOW_M
-    templates_dir: Path | None = None
 
     def __post_init__(self) -> None:
         check_sampling(self.temperature, self.top_p)
@@ -187,7 +185,6 @@ class ToolRunner:
         on_demand: bool = False,
         k: int = DEFAULT_NEIGHBOR_K,
         domain: str = prompts.DEFAULT_DOMAIN,
-        templates_dir: Path | None = None,
     ) -> None:
         self.cache = cache
         self.graph = graph
@@ -196,7 +193,6 @@ class ToolRunner:
         self.on_demand = on_demand
         self.k = k
         self.domain = domain
-        self.templates_dir = templates_dir
         self._lock = threading.Lock()
         self._pending: dict[EvidenceKey, Future] = {}
 
@@ -235,10 +231,8 @@ class ToolRunner:
             return flight.result()
         try:
             assert self.graph is not None and self.corpus is not None and self.gateway is not None
-            evidence = verbalize_key(
-                self.graph, self.corpus, key, self.gateway,
-                k=self.k, domain=self.domain, templates_dir=self.templates_dir,
-            )
+            evidence = verbalize_key(self.graph, self.corpus, key, self.gateway,
+                                     k=self.k, domain=self.domain)
             self.cache.put(evidence, hold=True)
             flight.set_result(evidence)
             return evidence
@@ -285,8 +279,7 @@ def build_context(
 
     A failed abstraction raises SessionError with phase "abstract".
     """
-    user_meta = corpus.users.get(instance.user)
-    attributes = user_meta.attributes if user_meta is not None else {}
+    attributes = prompts.user_attributes(instance.user, corpus.users)
     hybrid = guard(
         "abstract",
         abstract,
@@ -295,23 +288,12 @@ def build_context(
         gateway,
         render=lambda i: render_interaction(i, corpus.items),
         domain=config.domain,
-        templates_dir=config.templates_dir,
         user_block=prompts.render_user_line(instance.user, attributes),
     )
-    item_keys: set[str] = set()
-    recent_lines = []
+    recent_lines = [render_interaction(i, corpus.items) for i in hybrid.recent_raw]
+    candidate_lines, item_keys = prompts.item_lines(instance.candidates, corpus.items)
     for interaction in hybrid.recent_raw:
-        meta = corpus.items.get(interaction.item)
-        if meta is not None:
-            item_keys.update(meta.attributes)
-        recent_lines.append(render_interaction(interaction, corpus.items))
-    candidate_lines = []
-    for candidate in instance.candidates:
-        meta = corpus.items.get(candidate)
-        title = meta.title if meta is not None else "(unknown)"
-        attrs = meta.attributes if meta is not None else {}
-        item_keys.update(attrs)
-        candidate_lines.append(prompts.render_item_line(candidate, title, attrs))
+        item_keys.update(prompts.item_meta(interaction.item, corpus.items).attributes)
     prompt = prompts.render_instance_prompt(
         user=instance.user,
         user_attributes=attributes,
@@ -388,7 +370,7 @@ _REASK_TEXT = (
 def plan(context: TeacherContext, gateway: Gateway, config: TeacherConfig = TeacherConfig()) -> Plan:
     """One planning call; a malformed reply earns exactly one re-ask."""
     messages = [
-        {"role": "system", "content": prompts.planner_system(config.domain, config.templates_dir)},
+        {"role": "system", "content": prompts.planner_system(config.domain)},
         {"role": "user", "content": context.prompt},
     ]
     last_reason = ""
@@ -450,7 +432,7 @@ def execute_subtask(
     if suggestion is not None:
         user_text = f"{user_text}\n# Correction Suggestion\n{suggestion}"
     messages = [
-        {"role": "system", "content": prompts.subtask_system(kind.value, config.domain, config.templates_dir)},
+        {"role": "system", "content": prompts.subtask_system(kind.value, config.domain)},
         {"role": "user", "content": user_text},
     ]
     content, thinking_parts, events = _tool_loop(messages, config.max_tool_rounds, gateway, config, tools)
@@ -488,7 +470,7 @@ def reflect(
 ) -> ReflectionVerdict:
     """Single verification call; strictly parsed, no re-ask."""
     messages = [
-        {"role": "system", "content": prompts.reflector_system(config.domain, config.templates_dir)},
+        {"role": "system", "content": prompts.reflector_system(config.domain)},
         {"role": "user", "content": f"{context.prompt}\n{_outputs_block(outputs)}"},
     ]
     reply = gateway.complete(_request(messages, config))
@@ -548,7 +530,7 @@ def rank(
 ) -> tuple[list[str], PhaseRecord]:
     """Final ranking call; tool loop optional, one re-ask, then repair."""
     messages = [
-        {"role": "system", "content": prompts.ranker_system(config.domain, config.templates_dir)},
+        {"role": "system", "content": prompts.ranker_system(config.domain)},
         {"role": "user", "content": f"{context.prompt}\n{_outputs_block(outputs)}"},
     ]
     rounds = config.max_tool_rounds if tools is not None else 1

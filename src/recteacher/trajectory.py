@@ -287,20 +287,20 @@ def export_sft(
     trajectories: Mapping[str, str],
     instance_prompts: Mapping[str, str],
     out: Path,
-    system_text: str | None = None,
-    templates_dir: Path | None = None,
 ) -> int:
-    """Write one {system, user, assistant} record per session id, sorted by id."""
+    """Write one {system, user, assistant} record per session id, sorted by id.
+
+    Every record's system turn is the packaged student prompt.
+    """
     if not trajectories:
         raise EmptyInput("no trajectories to export")
-    if system_text is None:
-        system_text = prompts.student_system(templates_dir)
+    system = prompts.student_system()
     records = []
     for session_id in sorted(trajectories):
         if session_id not in instance_prompts:
             raise PipelineError(f"no instance prompt for session {session_id!r}")
         records.append({
-            "system": system_text,
+            "system": system,
             "user": instance_prompts[session_id],
             "assistant": trajectories[session_id],
         })

@@ -30,17 +30,17 @@ def _create_temp(path: Path) -> tuple[int, Path]:
 
 
 @contextmanager
-def atomic_writer(path: str | Path) -> Iterator[TextIO]:
-    """Yield a text handle on a temp file beside `path`, renamed over it on success.
+def atomic_path(path: str | Path) -> Iterator[Path]:
+    """Yield the path of a new empty temp file beside `path`, renamed over it on success.
 
     On any exception the temp file is removed and `path` is left as it was.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = _create_temp(path)
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            yield handle
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -48,6 +48,16 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
         except OSError:
             pass
         raise
+
+
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[TextIO]:
+    """Yield a text handle on a temp file beside `path`, renamed over it on success.
+
+    On any exception the temp file is removed and `path` is left as it was.
+    """
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as handle:
+        yield handle
 
 
 def write_atomic(path: str | Path, text: str) -> None:

@@ -2,8 +2,10 @@
 
 Neighbor sets from the interaction graph are turned into natural-language
 evidence once, through the gateway, and cached on disk. Online tool calls then
-reduce to cache lookups. New entries record `created_at` 0; the field stays in
-the cache format, and a file that sets it otherwise still loads.
+reduce to cache lookups. ItemCF and UserCF evidence share one prompt, call and
+parse body; they differ only in neighbor source, headers and system template.
+New entries record `created_at` 0; the field stays in the cache format, and a
+file that sets it otherwise still loads.
 """
 
 from __future__ import annotations
@@ -141,17 +143,28 @@ def _fallback(key: EvidenceKey) -> Evidence:
     return Evidence(key=key, text=FALLBACK_NO_NEIGHBORS, source_neighbors=())
 
 
-def _item_lines(ids: Sequence[str], items: Mapping[str, ItemMeta]) -> tuple[list[str], list[str]]:
-    """Numbered metadata lines plus the union of extra attribute keys."""
-    keys: set[str] = set()
-    lines: list[str] = []
-    for index, item in enumerate(ids, start=1):
-        meta = items.get(item)
-        title = meta.title if meta is not None else "(unknown)"
-        attributes = meta.attributes if meta is not None else {}
-        keys.update(attributes)
-        lines.append(f"{index}. {prompts.render_item_line(item, title, attributes)}")
-    return lines, sorted(keys)
+def _verbalize(
+    key: EvidenceKey,
+    neighbors: Sequence[str],
+    items: Mapping[str, ItemMeta],
+    gateway: Gateway,
+    target_block: str,
+    neighbor_header: str,
+    system: str,
+) -> Evidence:
+    """One gateway call that describes `neighbors` for the target; its <Answer> is the evidence."""
+    lines, keys = prompts.item_lines(neighbors, items)
+    user_text = prompts.evidence_user(
+        target_block=target_block,
+        neighbor_header=neighbor_header,
+        neighbor_block="\n".join(f"{index}. {line}" for index, line in enumerate(lines, start=1)),
+        extra_keys=sorted(keys),
+    )
+    reply = gateway.complete(chat_request([("system", system), ("user", user_text)]))
+    body = extract_tagged(reply.content, ANSWER_TAG)
+    if body is None or not body.strip():
+        raise MissingAnswerTags(f"{key.tool} evidence for {key.anchor!r}")
+    return Evidence(key=key, text=body.strip(), source_neighbors=tuple(neighbors))
 
 
 def verbalize_item(
@@ -161,35 +174,15 @@ def verbalize_item(
     gateway: Gateway,
     k: int = DEFAULT_NEIGHBOR_K,
     domain: str = prompts.DEFAULT_DOMAIN,
-    templates_dir: Path | None = None,
 ) -> Evidence:
+    """Evidence for an item from its ItemCF neighbors."""
     key = EvidenceKey(tool="ItemCF", anchor=anchor)
-    neighbors = item_cf_neighbors(graph, anchor, k=k)
+    neighbors = [item for item, _ in item_cf_neighbors(graph, anchor, k=k)]
     if not neighbors:
         return _fallback(key)
-    neighbor_ids = [item for item, _ in neighbors]
-    neighbor_lines, extra_keys = _item_lines(neighbor_ids, items)
-    anchor_meta = items.get(anchor)
-    anchor_line = prompts.render_item_line(
-        anchor,
-        anchor_meta.title if anchor_meta is not None else "(unknown)",
-        anchor_meta.attributes if anchor_meta is not None else {},
-    )
-    user_text = prompts.evidence_user(
-        target_block=f"# Target item\n{anchor_line}\n",
-        neighbor_header="Collaborative items",
-        neighbor_block="\n".join(neighbor_lines),
-        extra_keys=extra_keys,
-        directory=templates_dir,
-    )
-    reply = gateway.complete(chat_request([
-        ("system", prompts.item_evidence_system(domain, templates_dir)),
-        ("user", user_text),
-    ]))
-    body = extract_tagged(reply.content, ANSWER_TAG)
-    if body is None or not body.strip():
-        raise MissingAnswerTags(f"ItemCF evidence for {anchor!r}")
-    return Evidence(key=key, text=body.strip(), source_neighbors=tuple(neighbor_ids))
+    (anchor_line,), _ = prompts.item_lines([anchor], items)
+    return _verbalize(key, neighbors, items, gateway, f"# Target item\n{anchor_line}\n",
+                      "Collaborative items", prompts.item_evidence_system(domain))
 
 
 def verbalize_user(
@@ -200,33 +193,15 @@ def verbalize_user(
     gateway: Gateway,
     k: int = DEFAULT_NEIGHBOR_K,
     domain: str = prompts.DEFAULT_DOMAIN,
-    templates_dir: Path | None = None,
 ) -> Evidence:
+    """Evidence for a user from the items their UserCF neighbors touched."""
     key = EvidenceKey(tool="UserCF", anchor=anchor)
     pool = neighbor_item_pool(graph, anchor, k_users=k)
     if not pool:
         return _fallback(key)
-    pool_lines, extra_keys = _item_lines(pool, items)
-    user_meta = users.get(anchor)
-    anchor_line = prompts.render_user_line(
-        anchor,
-        user_meta.attributes if user_meta is not None else {},
-    )
-    user_text = prompts.evidence_user(
-        target_block=f"# Target user\n{anchor_line}\n",
-        neighbor_header="Preference items",
-        neighbor_block="\n".join(pool_lines),
-        extra_keys=extra_keys,
-        directory=templates_dir,
-    )
-    reply = gateway.complete(chat_request([
-        ("system", prompts.user_evidence_system(domain, templates_dir)),
-        ("user", user_text),
-    ]))
-    body = extract_tagged(reply.content, ANSWER_TAG)
-    if body is None or not body.strip():
-        raise MissingAnswerTags(f"UserCF evidence for {anchor!r}")
-    return Evidence(key=key, text=body.strip(), source_neighbors=tuple(pool))
+    anchor_line = prompts.render_user_line(anchor, prompts.user_attributes(anchor, users))
+    return _verbalize(key, pool, items, gateway, f"# Target user\n{anchor_line}\n",
+                      "Preference items", prompts.user_evidence_system(domain))
 
 
 def verbalize_key(
@@ -236,18 +211,11 @@ def verbalize_key(
     gateway: Gateway,
     k: int = DEFAULT_NEIGHBOR_K,
     domain: str = prompts.DEFAULT_DOMAIN,
-    templates_dir: Path | None = None,
 ) -> Evidence:
     """Verbalize one cache key with the verbalizer of its tool."""
     if key.tool == "ItemCF":
-        return verbalize_item(
-            graph, corpus.items, key.anchor, gateway,
-            k=k, domain=domain, templates_dir=templates_dir,
-        )
-    return verbalize_user(
-        graph, corpus.users, corpus.items, key.anchor, gateway,
-        k=k, domain=domain, templates_dir=templates_dir,
-    )
+        return verbalize_item(graph, corpus.items, key.anchor, gateway, k=k, domain=domain)
+    return verbalize_user(graph, corpus.users, corpus.items, key.anchor, gateway, k=k, domain=domain)
 
 
 def all_keys(graph: InteractionGraph) -> list[EvidenceKey]:
@@ -261,23 +229,19 @@ def warm_cache(
     corpus: Corpus,
     gateway: Gateway,
     cache: EvidenceCache,
-    keys: Iterable[EvidenceKey] | None = None,
     k: int = DEFAULT_NEIGHBOR_K,
     domain: str = prompts.DEFAULT_DOMAIN,
-    templates_dir: Path | None = None,
 ) -> list[tuple[EvidenceKey, Exception]]:
-    """Verbalize every requested key not already cached; return the failed keys and their errors.
+    """Verbalize every graph key not already cached; return the failed keys and their errors.
 
     Gateway calls run with the gateway's own parallelism bound; results are
     put in the cache in key order. A failed key never blocks the others.
     """
-    wanted = list(keys) if keys is not None else all_keys(graph)
-    pending = [key for key in wanted if isinstance(cache.lookup(key), CacheMiss)]
+    pending = [key for key in all_keys(graph) if isinstance(cache.lookup(key), CacheMiss)]
 
     def attempt(key: EvidenceKey) -> Evidence | Exception:
         try:
-            return verbalize_key(graph, corpus, key, gateway, k=k, domain=domain,
-                                 templates_dir=templates_dir)
+            return verbalize_key(graph, corpus, key, gateway, k=k, domain=domain)
         except Exception as exc:
             return exc
 

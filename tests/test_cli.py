@@ -230,6 +230,23 @@ def test_verbalize_reports_and_only_missing(pipeline, capsys):
     assert "cache entries: 80" in captured.out
 
 
+def test_failed_verbalize_rebuild_keeps_the_old_cache(pipeline, tmp_path, capsys):
+    out = tmp_path / "cache.jsonl"
+    earlier = pipeline["cache"].read_bytes()
+    out.write_bytes(earlier)
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(["Grouped, but with no envelope."] * 80), encoding="utf-8")
+    code = main(["verbalize", "--corpus", str(pipeline["corpus"]),
+                 "--graph", str(pipeline["graph"]), "--out", str(out),
+                 "--backend", "mock", "--script", str(script), "--parallel", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "keys failed to verbalize" in captured.err
+    assert "MissingAnswerTags" in captured.err
+    assert out.read_bytes() == earlier
+    assert sorted(os.listdir(tmp_path)) == ["cache.jsonl", "script.json"]
+
+
 def test_run_teacher_rerun_is_byte_identical(pipeline, tmp_path, capsys):
     outs = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
     for out in outs:

@@ -7,7 +7,7 @@ from dataclasses import fields
 
 import pytest
 
-from recteacher.config import PipelineConfig, load_config, validate_config
+from recteacher.config import PipelineConfig, load_config
 from recteacher.errors import PipelineError
 from recteacher.evaluate import ScenarioThresholds
 
@@ -57,7 +57,7 @@ def test_load_errors(tmp_path):
         load_config(write_config(tmp_path, "[other]\nseed = 1\n"))
     with pytest.raises(PipelineError, match="unknown config key"):
         load_config(write_config(tmp_path, "[pipeline]\nseeed = 1\n"))
-    for retired in ("output_dir", "ranker_tools"):
+    for retired in ("output_dir", "ranker_tools", "templates_dir"):
         with pytest.raises(PipelineError, match=f"unknown config key '{retired}'"):
             load_config(write_config(tmp_path, f"[pipeline]\n{retired} = out\n"))
     with pytest.raises(PipelineError, match="cannot parse"):
@@ -76,12 +76,6 @@ def test_validate_ranges(tmp_path):
                  "rl_ratio = 0,0,0", "temperature = 5", "top_p = 0"):
         with pytest.raises(PipelineError, match=line.split(" = ")[0]):
             load_config(write_config(tmp_path, f"[pipeline]\n{line}\n"))
-
-
-def test_validate_templates_dir(tmp_path):
-    config = PipelineConfig(templates_dir=str(tmp_path / "nowhere"))
-    with pytest.raises(PipelineError, match="missing"):
-        validate_config(config)
 
 
 def test_gateway_and_thresholds_views():
@@ -107,7 +101,6 @@ def test_gateway_and_thresholds_views():
         evo_long_min_history=10,
         evo_short_max_gap_s=100,
     )
-    assert PipelineConfig().templates_path() is None
 
 
 def test_shipped_example_config_loads():

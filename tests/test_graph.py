@@ -8,7 +8,7 @@ import pytest
 
 from cfref import brute_item_neighbors, brute_pool, brute_user_neighbors, make_graph, random_graph
 from recteacher.corpus import Corpus, ItemMeta, Interaction, UserMeta
-from recteacher.errors import EmptyCorpus, UnknownItem, UnknownUser
+from recteacher.errors import EmptyCorpus, MalformedRecord, UnknownItem, UnknownUser
 from recteacher.graph import (
     build_graph,
     item_cf_neighbors,
@@ -109,3 +109,25 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.item_adj == graph.item_adj
     anchor = sorted(graph.item_adj)[0]
     assert item_cf_neighbors(loaded, anchor, 5) == item_cf_neighbors(graph, anchor, 5)
+
+
+HEADER = '{"edge_count": 1, "item_count": 1, "user_count": 1}'
+EDGE = '{"items": ["x"], "user": "A"}'
+
+
+@pytest.mark.parametrize("text, line, reason", [
+    (f"{HEADER}\n\n\n{EDGE}\n[1]\n", 5, "record is not a JSON object"),
+    (f"\n{HEADER}\n\n{EDGE}\n{{broken\n", 5, "invalid JSON"),
+    (f"{HEADER}\n\n{{\"user\": \"A\"}}\n", 3, "needs user and items"),
+    (f"\n\n[]\n", 3, "record is not a JSON object"),
+    (f"\n\n{HEADER.replace('1', '2')}\n{EDGE}\n", 3, "header counts"),
+    ("\n\n", 1, "empty graph file"),
+], ids=["not-object", "bad-json", "no-items", "bad-header", "count-mismatch", "empty"])
+def test_load_graph_names_the_line_in_the_file(tmp_path, text, line, reason):
+    path = tmp_path / "g.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedRecord) as excinfo:
+        load_graph(path)
+    assert excinfo.value.line == line  # blank lines count
+    assert excinfo.value.source == str(path)
+    assert reason in excinfo.value.reason

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from recteacher import prompts
@@ -70,9 +72,47 @@ def test_ranker_system_expands_tool_protocol():
     assert "UserCF" in system and "ItemCF" in system
 
 
-def test_templates_directory_override(tmp_path):
-    (tmp_path / "planner.txt").write_text("You are a planner agent for {domain}.", encoding="utf-8")
-    assert prompts.planner_system(domain="x", directory=tmp_path) == "You are a planner agent for x."
+# Every renderer, called with a value for each of its arguments.
+RENDERERS = {
+    "planner": lambda: prompts.planner_system("books"),
+    **{
+        f"subtask-{name}": (lambda name=name: prompts.subtask_system(name, "books"))
+        for name in prompts.SUBTASK_TEMPLATES
+    },
+    "reflector": lambda: prompts.reflector_system("books"),
+    "ranker": lambda: prompts.ranker_system("books"),
+    "student": prompts.student_system,
+    "history-summary": lambda: prompts.history_summary_system("books"),
+    "history-summary-user": lambda: prompts.history_summary_user("user_id: u1", "", "1. line"),
+    "history-summary-user-previous": lambda: prompts.history_summary_user("user_id: u1", "old", "1. line"),
+    "item-evidence": lambda: prompts.item_evidence_system("books"),
+    "user-evidence": lambda: prompts.user_evidence_system("books"),
+    "evidence-user": lambda: prompts.evidence_user("# Target item\nitem_id: i1\n", "Collaborative items",
+                                                   "1. item_id: i2", extra_keys=("genre",)),
+    "item-line": lambda: prompts.render_item_line("i1", "T", {"genre": "sf"}),
+    "user-line": lambda: prompts.render_user_line("u1", {"age": "30"}),
+    "instance": lambda: prompts.render_instance_prompt("u1", {"age": "30"}, "summary",
+                                                       ["item_id: i1"], ["item_id: i2"], ("genre",)),
+}
+
+
+@pytest.mark.parametrize("renderer", RENDERERS.values(), ids=RENDERERS.keys())
+def test_every_placeholder_is_filled(renderer):
+    assert re.findall(r"\{[a-z_]+\}", renderer()) == []
+
+
+def test_renderers_cover_every_template(monkeypatch):
+    loaded = set()
+    original = prompts.load_template
+
+    def recording(name):
+        loaded.add(name)
+        return original(name)
+
+    monkeypatch.setattr(prompts, "load_template", recording)
+    for renderer in RENDERERS.values():
+        renderer()
+    assert loaded == set(prompts.TEMPLATE_FILES)
 
 
 def test_history_summary_user_blocks():

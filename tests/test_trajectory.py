@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from recteacher import prompts
 from recteacher.errors import EmptyInput, PipelineError, TagError
 from recteacher.tags import ToolCall
 from recteacher.teacher import Phase, PhaseRecord, SessionLog, SubtaskKind
@@ -215,12 +216,11 @@ def test_export_sft(tmp_path):
         {"s2": "<recommend>\n1. a\n</recommend>", "s1": "<recommend>\n1. b\n</recommend>"},
         {"s1": "prompt one", "s2": "prompt two", "s3": "unused"},
         out,
-        system_text="be the teacher",
     )
     assert count == 2
     records = [record for _, record in read_jsonl(out)]
     assert [r["user"] for r in records] == ["prompt one", "prompt two"]  # sorted by id
-    assert all(r["system"] == "be the teacher" for r in records)
+    assert all(r["system"] == prompts.student_system() for r in records)
     assert records[0]["assistant"] == "<recommend>\n1. b\n</recommend>"
 
 

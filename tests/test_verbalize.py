@@ -245,14 +245,6 @@ def test_warm_cache_partial_precache():
     assert cache.lookup(EvidenceKey("ItemCF", "x")).text == "already"
 
 
-def test_warm_cache_subset_of_keys():
-    backend, gateway = scripted_gateway(answer("only x"))
-    cache = EvidenceCache()
-    warm_cache(GRAPH, CORPUS, gateway, cache, keys=[EvidenceKey("ItemCF", "x")])
-    assert len(cache) == 1
-    assert backend.sends == 1
-
-
 def test_warm_cache_returns_failed_keys():
     # Second scripted reply has no envelope; max_parallel=1 keys it to ItemCF y.
     backend, gateway = scripted_gateway(
