@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
 from .config import PipelineConfig, load_config
-from .corpus import Interaction, ingest, interaction_record, load_corpus, save_corpus
+from .corpus import decode_interaction, ingest, interaction_record, load_corpus, save_corpus
 from .errors import EmptyInput, MalformedRecord, PipelineError
 from .evaluate import (
     DEFAULT_KS,
@@ -159,16 +159,6 @@ def _unique_records(path: str | Path, what: str) -> Iterator[tuple[str, dict]]:
 # instance records
 
 
-def _interaction_from_record(record: dict) -> Interaction:
-    return Interaction(
-        user=str(record["user_id"]),
-        item=str(record["item_id"]),
-        timestamp=int(record["timestamp"]),
-        rating=record.get("rating"),
-        review_text=record.get("review_text"),
-    )
-
-
 def _instance_record(instance: EvalInstance, seed: int) -> dict:
     return {
         "id": f"{instance.scenario.value}-{instance.user}",
@@ -185,7 +175,7 @@ def _instance_from_record(record: dict) -> EvalInstance:
     try:
         return EvalInstance(
             user=str(record["user"]),
-            history=tuple(_interaction_from_record(r) for r in record["history"]),
+            history=tuple(decode_interaction(r) for r in record["history"]),
             candidates=tuple(str(c) for c in record["candidates"]),
             ground_truth=str(record["ground_truth"]),
             scenario=Scenario(record.get("scenario", Scenario.CLASSIC.value)),
@@ -500,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="override the configured random seed")
     common.add_argument("--parallel", type=int,
                         help="at most N sessions at once and at most N gateway calls in flight, "
-                             "a session's analysis agents included (default from config, 4)")
+                             "a session's analysis agents included "
+                             f"(default from config, {PipelineConfig.max_parallel})")
     common.add_argument("--verbose", action="store_true", help="debug logging")
 
     backend = argparse.ArgumentParser(add_help=False)
@@ -582,7 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bucket rollout success counts by difficulty and sample the RL set")
     p.add_argument("--rollouts", required=True,
                    help=".jsonl of {id, success_count} rollout records")
-    p.add_argument("--target", type=int, help="RL set size (default from config, 500)")
+    p.add_argument("--target", type=int,
+                   help=f"RL set size (default from config, {PipelineConfig.rl_target})")
     p.add_argument("--out", required=True, help="selected {id, bucket} .jsonl file")
     p.set_defaults(handler=_cmd_bucket_rl)
 

@@ -31,10 +31,10 @@ class PipelineConfig:
     # gateway
     endpoint: str = ""
     model: str = ""
-    api_key_env: str = "LLM_API_KEY"
-    max_parallel: int = 4
-    retries: int = 3
-    timeout_s: float = 60.0
+    api_key_env: str = GatewayConfig.api_key_env
+    max_parallel: int = GatewayConfig.max_parallel
+    retries: int = GatewayConfig.retries
+    timeout_s: float = GatewayConfig.timeout_s
     # sampling
     temperature: float = DEFAULT_TEMPERATURE
     top_p: float = DEFAULT_TOP_P
@@ -49,10 +49,10 @@ class PipelineConfig:
     rl_ratio: tuple[int, int, int] = DEFAULT_RL_RATIO
     seed: int = 0
     # scenario thresholds
-    cold_user_max_history: int = 5
-    cold_item_max_interactions: int = 2
-    evo_long_min_history: int = 10
-    evo_short_max_gap_s: int = 30 * 86400
+    cold_user_max_history: int = ScenarioThresholds.cold_user_max_history
+    cold_item_max_interactions: int = ScenarioThresholds.cold_item_max_interactions
+    evo_long_min_history: int = ScenarioThresholds.evo_long_min_history
+    evo_short_max_gap_s: int = ScenarioThresholds.evo_short_max_gap_s
 
     def gateway_config(self) -> GatewayConfig:
         return GatewayConfig(

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Iterator, TypeVar
 
 from .errors import (
     DanglingReference,
@@ -32,6 +33,11 @@ RATING_MAX = 5.0
 USERS_FILE = "users.jsonl"
 ITEMS_FILE = "items.jsonl"
 REVIEWS_FILE = "reviews.jsonl"
+
+# A ranking line ("1. a, 2. b") splits entries at commas and strips whitespace.
+_ID_BREAK = re.compile(r"[,\s]")
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -89,79 +95,92 @@ def _stringify_attribute(value: Any) -> str:
     return json.dumps(value, ensure_ascii=False, sort_keys=True)
 
 
-def _require_id(obj: dict, key: str, lineno: int, source: str) -> str:
+def _require_id(obj: Any, key: str) -> str:
+    """The record's `key`: a non-empty id free of commas and whitespace.
+
+    The ranking line could not carry any other id back. The record must be a
+    JSON object; every record decoder reads an id first.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("record is not a JSON object")
     value = obj.get(key)
     if not isinstance(value, str) or not value:
-        raise MalformedRecord(lineno, f"missing or invalid {key}", source=source)
+        raise ValueError(f"missing or invalid {key}")
+    if _ID_BREAK.search(value):
+        raise ValueError(f"{key} {value!r} contains a comma or whitespace")
     return value
+
+
+def _decoded(path: str | Path, decode: Callable[[Any], T]) -> Iterator[tuple[int, T]]:
+    """(line number, decode(record)) per record; a ValueError from decode names the line."""
+    for lineno, obj in read_jsonl(path):
+        try:
+            value = decode(obj)
+        except ValueError as exc:
+            raise MalformedRecord(lineno, str(exc), source=str(path)) from None
+        yield lineno, value
+
+
+def _decode_user(obj: Any) -> UserMeta:
+    user_id = _require_id(obj, "user_id")
+    return UserMeta(user=user_id, attributes={
+        k: _stringify_attribute(v) for k, v in obj.items() if k != "user_id"
+    })
+
+
+def _decode_item(obj: Any) -> ItemMeta:
+    item_id = _require_id(obj, "item_id")
+    title = obj.get("title")
+    if not isinstance(title, str) or not title:
+        raise ValueError("missing or invalid title")
+    return ItemMeta(item=item_id, title=title, attributes={
+        k: _stringify_attribute(v) for k, v in obj.items() if k not in ("item_id", "title")
+    })
 
 
 def _load_users(path: str | Path) -> dict[str, UserMeta]:
     users: dict[str, UserMeta] = {}
-    for lineno, obj in read_jsonl(path):
-        if not isinstance(obj, dict):
-            raise MalformedRecord(lineno, "record is not a JSON object", source=str(path))
-        user_id = _require_id(obj, "user_id", lineno, str(path))
-        if user_id in users:
-            raise MalformedRecord(lineno, f"duplicate user_id {user_id!r}", source=str(path))
-        attrs = {k: _stringify_attribute(v) for k, v in obj.items() if k != "user_id"}
-        users[user_id] = UserMeta(user=user_id, attributes=attrs)
+    for lineno, meta in _decoded(path, _decode_user):
+        if meta.user in users:
+            raise MalformedRecord(lineno, f"duplicate user_id {meta.user!r}", source=str(path))
+        users[meta.user] = meta
     return users
 
 
 def _load_items(path: str | Path) -> dict[str, ItemMeta]:
     items: dict[str, ItemMeta] = {}
-    for lineno, obj in read_jsonl(path):
-        if not isinstance(obj, dict):
-            raise MalformedRecord(lineno, "record is not a JSON object", source=str(path))
-        item_id = _require_id(obj, "item_id", lineno, str(path))
-        if item_id in items:
-            raise MalformedRecord(lineno, f"duplicate item_id {item_id!r}", source=str(path))
-        title = obj.get("title")
-        if not isinstance(title, str) or not title:
-            raise MalformedRecord(lineno, "missing or invalid title", source=str(path))
-        attrs = {
-            k: _stringify_attribute(v)
-            for k, v in obj.items()
-            if k not in ("item_id", "title")
-        }
-        items[item_id] = ItemMeta(item=item_id, title=title, attributes=attrs)
+    for lineno, meta in _decoded(path, _decode_item):
+        if meta.item in items:
+            raise MalformedRecord(lineno, f"duplicate item_id {meta.item!r}", source=str(path))
+        items[meta.item] = meta
     return items
 
 
-def _parse_review(
-    obj: dict,
-    lineno: int,
-    source: str,
-    users: Mapping[str, UserMeta],
-    items: Mapping[str, ItemMeta],
-) -> Interaction:
-    user_id = _require_id(obj, "user_id", lineno, source)
-    item_id = _require_id(obj, "item_id", lineno, source)
-    if user_id not in users:
-        raise DanglingReference(lineno, user_id, "user", source=source)
-    if item_id not in items:
-        raise DanglingReference(lineno, item_id, "item", source=source)
+def decode_interaction(obj: Any) -> Interaction:
+    """The interaction of one review-file record; ValueError says what is wrong with it.
+
+    Reviews at ingest and the history of instance records go through here.
+    """
+    user_id = _require_id(obj, "user_id")
+    item_id = _require_id(obj, "item_id")
 
     timestamp = obj.get("timestamp")
     if isinstance(timestamp, bool) or not isinstance(timestamp, int):
-        raise MalformedRecord(lineno, "timestamp must be an integer", source=source)
+        raise ValueError("timestamp must be an integer")
     if timestamp < 0:
-        raise MalformedRecord(lineno, "timestamp must be >= 0", source=source)
+        raise ValueError("timestamp must be >= 0")
 
     rating = obj.get("rating")
     if rating is not None:
         if isinstance(rating, bool) or not isinstance(rating, (int, float)):
-            raise MalformedRecord(lineno, "rating must be a number", source=source)
+            raise ValueError("rating must be a number")
         rating = float(rating)
         if not RATING_MIN <= rating <= RATING_MAX:
-            raise MalformedRecord(
-                lineno, f"rating {rating} outside [{RATING_MIN}, {RATING_MAX}]", source=source
-            )
+            raise ValueError(f"rating {rating} outside [{RATING_MIN}, {RATING_MAX}]")
 
     review_text = obj.get("review_text")
     if review_text is not None and not isinstance(review_text, str):
-        raise MalformedRecord(lineno, "review_text must be a string", source=source)
+        raise ValueError("review_text must be a string")
 
     return Interaction(
         user=user_id,
@@ -184,10 +203,11 @@ def ingest(user_file: str | Path, item_file: str | Path, review_file: str | Path
 
     sequences: dict[str, list[Interaction]] = {}
     total = 0
-    for lineno, obj in read_jsonl(review_file):
-        if not isinstance(obj, dict):
-            raise MalformedRecord(lineno, "record is not a JSON object", source=str(review_file))
-        inter = _parse_review(obj, lineno, str(review_file), users, items)
+    for lineno, inter in _decoded(review_file, decode_interaction):
+        if inter.user not in users:
+            raise DanglingReference(lineno, inter.user, "user", source=str(review_file))
+        if inter.item not in items:
+            raise DanglingReference(lineno, inter.item, "item", source=str(review_file))
         sequences.setdefault(inter.user, []).append(inter)
         total += 1
 

@@ -81,7 +81,23 @@ class MissingSummaryTags(PipelineError):
     """Summarizer reply carried no <SUMMARY>...</SUMMARY> envelope."""
 
 
-class PlanParseError(PipelineError):
+class ReplyParseError(PipelineError):
+    """An agent's reply lacks the payload its phase needs."""
+
+
+class PlanParseError(ReplyParseError):
+    pass
+
+
+class SubtaskParseError(ReplyParseError):
+    pass
+
+
+class ReflectionParseError(ReplyParseError):
+    pass
+
+
+class RankParseError(ReplyParseError):
     pass
 
 
@@ -89,20 +105,8 @@ class ToolParseError(PipelineError):
     pass
 
 
-class ToolArgumentError(PipelineError):
-    pass
-
-
-class SubtaskParseError(PipelineError):
-    pass
-
-
-class ReflectionParseError(PipelineError):
-    pass
-
-
-class RankParseError(PipelineError):
-    pass
+class ToolArgumentError(ToolParseError):
+    """A recognized tool called without exactly its one id argument."""
 
 
 class SessionError(PipelineError):

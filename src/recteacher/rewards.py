@@ -14,13 +14,11 @@ from typing import Mapping, Sequence, TypeVar
 
 from .errors import InsufficientBucket, TagError, ToolParseError
 from .tags import decode_json_stream, decode_tool_call
+from .teacher import Phase
 from .trajectory import ParsedTrajectory, parse
 
 FORMAT_PASS = 1
 FORMAT_FAIL = -1
-
-# Sections a trajectory must contain to earn the format reward.
-REQUIRED_SECTIONS = ("plan", "reflection", "recommend")
 
 DEFAULT_GROUP_SIZE = 8  # rollouts per instance; success counts run 0..g
 DEFAULT_RL_TARGET = 500
@@ -43,7 +41,7 @@ class Bucket(Enum):
 
 def _format_of(parsed: ParsedTrajectory) -> int:
     tags = {section.tag for section in parsed.sections}
-    if not set(REQUIRED_SECTIONS) <= tags:
+    if not {Phase.PLAN.value, Phase.REFLECTION.value, Phase.RECOMMEND.value} <= tags:
         return FORMAT_FAIL
     for section in parsed.sections:
         for body in section.tool_calls:
@@ -62,7 +60,8 @@ def _format_of(parsed: ParsedTrajectory) -> int:
 
 def format_reward(text: str) -> int:
     """+1 iff the text parses, has plan/reflection/recommend, and every
-    tool_call body is one valid call of a recognized tool; else -1."""
+    tool_call body is one valid call of a recognized tool with its one id
+    argument; else -1."""
     try:
         parsed = parse(text)
     except TagError:

@@ -6,12 +6,12 @@ so envelope contents never need escaping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import json
 import re
 from typing import Any, Mapping
 
-from .errors import ToolParseError
+from .errors import ToolArgumentError, ToolParseError
 
 ANSWER_TAG = "Answer"
 SUMMARY_TAG = "SUMMARY"
@@ -97,21 +97,34 @@ def decode_json_stream(raw: str) -> list[Any]:
 
 @dataclass(frozen=True)
 class ToolCall:
+    """A call of a recognized tool with exactly its one id argument.
+
+    An unknown name raises ToolParseError, any other argument set
+    ToolArgumentError, so every ToolCall in the pipeline is a valid one.
+    """
+
     name: str
-    arguments: Mapping[str, str] = field(default_factory=dict)
+    arguments: Mapping[str, str]
+
+    def __post_init__(self) -> None:
+        if self.name not in RECOGNIZED_TOOLS:
+            raise ToolParseError(f"unknown tool name {self.name!r}")
+        expected = TOOL_ARG_KEY[self.name]
+        if set(self.arguments) != {expected}:
+            raise ToolArgumentError(
+                f"{self.name} takes exactly one argument {expected!r}, got {sorted(self.arguments)}"
+            )
 
 
 def decode_tool_call(value: Any) -> ToolCall:
     """Validate one decoded tool-call object into a ToolCall.
 
-    Accepts `arguments` as an object or as a string-encoded JSON object.
-    Argument-key correctness is the tool runner's concern, not parsing's.
+    Accepts `arguments` as an object or as a string-encoded JSON object, whose
+    values must be ids (strings or integers). The name and the argument key
+    are checked by ToolCall itself; every failure is a ToolParseError.
     """
     if not isinstance(value, dict):
         raise ToolParseError(f"tool call is not an object: {value!r}")
-    name = value.get("name")
-    if name not in RECOGNIZED_TOOLS:
-        raise ToolParseError(f"unknown tool name {name!r}")
     arguments = value.get("arguments")
     if isinstance(arguments, str):
         try:
@@ -125,7 +138,7 @@ def decode_tool_call(value: Any) -> ToolCall:
         if not isinstance(raw, (str, int)) or isinstance(raw, bool):
             raise ToolParseError(f"argument {key!r} is not an id: {raw!r}")
         cleaned[str(key)] = str(raw)
-    return ToolCall(name=name, arguments=cleaned)
+    return ToolCall(name=value.get("name"), arguments=cleaned)
 
 
 def decode_tool_calls(body: str) -> list[ToolCall]:

@@ -3,6 +3,9 @@
 One session walks a fixed workflow over the gateway and yields a SessionLog
 whose phases carry everything the trajectory codec needs to replay the text.
 The analysis agents of one pass run side by side; their records keep plan order.
+Every agent's record comes out of one turn (`_turn`): ask, answer tool calls,
+parse the last reply, re-ask once where the agent allows it, and record the
+payload with the thinking of the answered rounds and of the accepted reply.
 """
 
 from __future__ import annotations
@@ -21,20 +24,12 @@ from .errors import (
     PlanParseError,
     RankParseError,
     ReflectionParseError,
+    ReplyParseError,
     SessionError,
     SubtaskParseError,
-    ToolArgumentError,
-    ToolParseError,
 )
 from .evaluate import EvalInstance
-from .gateway import (
-    DEFAULT_TEMPERATURE,
-    DEFAULT_TOP_P,
-    ChatRequest,
-    Gateway,
-    chat_request,
-    check_sampling,
-)
+from .gateway import DEFAULT_TEMPERATURE, DEFAULT_TOP_P, Gateway, chat_request, check_sampling
 from .graph import DEFAULT_NEIGHBOR_K, InteractionGraph
 from . import prompts
 from .tags import (
@@ -251,14 +246,7 @@ class ToolRunner:
 
 
 def _evidence_key(call: ToolCall) -> EvidenceKey:
-    expected = TOOL_ARG_KEY.get(call.name)
-    if expected is None:
-        raise ToolParseError(f"unknown tool name {call.name!r}")
-    if set(call.arguments) != {expected}:
-        raise ToolArgumentError(
-            f"{call.name} takes exactly one argument {expected!r}, got {sorted(call.arguments)}"
-        )
-    return EvidenceKey(tool=call.name, anchor=call.arguments[expected])
+    return EvidenceKey(tool=call.name, anchor=call.arguments[TOOL_ARG_KEY[call.name]])
 
 
 def guard(phase_name: str, func, *args, **kwargs):
@@ -320,10 +308,6 @@ def _thinking(content: str) -> str:
     return stripped.strip()
 
 
-def _request(messages: Sequence[dict], config: TeacherConfig) -> ChatRequest:
-    return chat_request(messages, temperature=config.temperature, top_p=config.top_p)
-
-
 def _tool_loop(
     messages: list[dict],
     rounds: int,
@@ -334,20 +318,19 @@ def _tool_loop(
     """Ask up to `rounds` times, answering each reply's tool calls, until a reply makes none.
 
     Tool calls in the last round's reply go unanswered. Returns the last reply,
-    the non-empty thinking text of every reply, and the (call, result) events.
+    the thinking text of every answered reply, and the (call, result) events.
     `messages` is extended in place.
     """
-    thinking_parts: list[str] = []
+    thinking: list[str] = []
     events: list[tuple[ToolCall, str]] = []
     content = ""
     for round_index in range(rounds):
-        content = gateway.complete(_request(messages, config)).content
-        part = _thinking(content)
-        if part:
-            thinking_parts.append(part)
+        request = chat_request(messages, temperature=config.temperature, top_p=config.top_p)
+        content = gateway.complete(request).content
         blocks = extract_all_tagged(content, TOOL_CALL_TAG)
         if not blocks or round_index == rounds - 1:
             break
+        thinking.append(_thinking(content))
         calls = [call for block in blocks for call in decode_tool_calls(block)]
         messages.append({"role": "assistant", "content": content})
         assert tools is not None
@@ -358,7 +341,7 @@ def _tool_loop(
                 "role": "tool",
                 "content": f"<{TOOL_RESPONSE_TAG}>{encode_tool_response(result)}</{TOOL_RESPONSE_TAG}>",
             })
-    return content, thinking_parts, events
+    return content, thinking, events
 
 
 _REASK_TEXT = (
@@ -367,29 +350,44 @@ _REASK_TEXT = (
 )
 
 
-def plan(context: TeacherContext, gateway: Gateway, config: TeacherConfig = TeacherConfig()) -> Plan:
-    """One planning call; a malformed reply earns exactly one re-ask."""
-    messages = [
-        {"role": "system", "content": prompts.planner_system(config.domain)},
-        {"role": "user", "content": context.prompt},
-    ]
-    last_reason = ""
-    for attempt in range(2):
-        reply = gateway.complete(_request(messages, config))
-        content = reply.content
-        try:
-            kinds, payload = _parse_plan(content)
-        except PlanParseError as exc:
-            last_reason = str(exc)
-            messages.append({"role": "assistant", "content": content})
-            messages.append({"role": "user", "content": _REASK_TEXT.format(reason=last_reason)})
-            continue
-        record = PhaseRecord(phase=Phase.PLAN, thinking=_thinking(content), payload=payload)
-        return Plan(kinds=kinds, record=record)
-    raise PlanParseError(last_reason)
+def _turn(
+    phase: Phase,
+    system: str,
+    user_text: str,
+    parse: Callable[[str], tuple[str, T]],
+    gateway: Gateway,
+    config: TeacherConfig,
+    tools: ToolRunner | None = None,
+    reask: bool = False,
+    kind: SubtaskKind | None = None,
+) -> tuple[PhaseRecord, T]:
+    """One agent turn: ask, answering tool calls, parse the last reply and record it.
+
+    With tools the agent gets `max_tool_rounds` rounds, else one. `parse`
+    returns the reply's (payload, value) or raises a ReplyParseError; with
+    `reask`, a rejected reply earns exactly one more call that names the
+    reason. The record's thinking is that of the answered tool rounds and of
+    the accepted reply: a rejected reply's thinking goes with its payload.
+    """
+    messages = [{"role": "system", "content": system}, {"role": "user", "content": user_text}]
+    rounds = config.max_tool_rounds if tools is not None else 1
+    content, thinking, events = _tool_loop(messages, rounds, gateway, config, tools)
+    try:
+        payload, value = parse(content)
+    except ReplyParseError as exc:
+        if not reask:
+            raise
+        messages.append({"role": "assistant", "content": content})
+        messages.append({"role": "user", "content": _REASK_TEXT.format(reason=exc)})
+        content, _, _ = _tool_loop(messages, 1, gateway, config, None)
+        payload, value = parse(content)
+    thinking.append(_thinking(content))
+    record = PhaseRecord(phase=phase, thinking="\n".join(part for part in thinking if part),
+                         tool_events=tuple(events), payload=payload, kind=kind)
+    return record, value
 
 
-def _decode_payload(content: str, error: type[Exception]) -> tuple[str, Any]:
+def _decode_payload(content: str, error: type[ReplyParseError]) -> tuple[str, Any]:
     """The last <JSON> payload of a reply and its decoded value; a bad one raises `error`."""
     payload = extract_last_json_payload(content)
     if payload is None:
@@ -400,7 +398,7 @@ def _decode_payload(content: str, error: type[Exception]) -> tuple[str, Any]:
         raise error(f"payload is not JSON: {exc}") from exc
 
 
-def _parse_plan(content: str) -> tuple[tuple[SubtaskKind, ...], str]:
+def _parse_plan(content: str) -> tuple[str, tuple[SubtaskKind, ...]]:
     payload, names = _decode_payload(content, PlanParseError)
     if not isinstance(names, list) or not names:
         raise PlanParseError("payload must be a non-empty list of agent names")
@@ -412,7 +410,14 @@ def _parse_plan(content: str) -> tuple[tuple[SubtaskKind, ...], str]:
             raise PlanParseError(f"unknown agent name {name!r}") from None
     if len(set(kinds)) != len(kinds):
         raise PlanParseError("duplicate agent names")
-    return tuple(kinds), payload
+    return payload, tuple(kinds)
+
+
+def plan(context: TeacherContext, gateway: Gateway, config: TeacherConfig = TeacherConfig()) -> Plan:
+    """One planning call; a malformed reply earns exactly one re-ask."""
+    record, kinds = _turn(Phase.PLAN, prompts.planner_system(config.domain), context.prompt,
+                          _parse_plan, gateway, config, reask=True)
+    return Plan(kinds=kinds, record=record)
 
 
 def execute_subtask(
@@ -431,22 +436,17 @@ def execute_subtask(
     user_text = context.prompt
     if suggestion is not None:
         user_text = f"{user_text}\n# Correction Suggestion\n{suggestion}"
-    messages = [
-        {"role": "system", "content": prompts.subtask_system(kind.value, config.domain)},
-        {"role": "user", "content": user_text},
-    ]
-    content, thinking_parts, events = _tool_loop(messages, config.max_tool_rounds, gateway, config, tools)
-    payload = extract_last_json_payload(content)
-    if payload is None:
-        raise SubtaskParseError(f"{kind.value}: no <JSON> payload after tool loop")
+
+    def parse(content: str) -> tuple[str, None]:
+        payload = extract_last_json_payload(content)
+        if payload is None:
+            raise SubtaskParseError(f"{kind.value}: no <JSON> payload after tool loop")
+        return payload, None
+
     phase = Phase.CORRECTION if suggestion is not None else KIND_PHASE[kind]
-    return PhaseRecord(
-        phase=phase,
-        thinking="\n".join(thinking_parts),
-        tool_events=tuple(events),
-        payload=payload,
-        kind=kind,
-    )
+    record, _ = _turn(phase, prompts.subtask_system(kind.value, config.domain), user_text,
+                      parse, gateway, config, tools, kind=kind)
+    return record
 
 
 def _outputs_block(records: Sequence[PhaseRecord]) -> str:
@@ -462,30 +462,18 @@ def _outputs_block(records: Sequence[PhaseRecord]) -> str:
     return "\n".join(lines)
 
 
-def reflect(
-    context: TeacherContext,
-    outputs: Sequence[PhaseRecord],
-    gateway: Gateway,
-    config: TeacherConfig = TeacherConfig(),
-) -> ReflectionVerdict:
-    """Single verification call; strictly parsed, no re-ask."""
-    messages = [
-        {"role": "system", "content": prompts.reflector_system(config.domain)},
-        {"role": "user", "content": f"{context.prompt}\n{_outputs_block(outputs)}"},
-    ]
-    reply = gateway.complete(_request(messages, config))
-    content = reply.content
+def _parse_verdict(content: str) -> tuple[str, tuple[Problem, ...]]:
+    """A reflection payload and the problems it flags, none for a passing verdict."""
     payload, verdict = _decode_payload(content, ReflectionParseError)
     if not isinstance(verdict, dict):
         raise ReflectionParseError("payload must be an object")
     correct = verdict.get("correct")
     if correct not in ("yes", "no"):
         raise ReflectionParseError(f'"correct" must be "yes" or "no", got {correct!r}')
-    record = PhaseRecord(phase=Phase.REFLECTION, thinking=_thinking(content), payload=payload)
     if correct == "yes":
         if verdict.get("problematic_agent"):
             raise ReflectionParseError("passing verdict cannot flag agents")
-        return ReflectionVerdict(correct=True, problems=(), record=record)
+        return payload, ()
     raw_problems = verdict.get("problematic_agent")
     if not isinstance(raw_problems, list) or not raw_problems:
         raise ReflectionParseError("failing verdict needs a non-empty problematic_agent list")
@@ -505,7 +493,20 @@ def reflect(
             continue  # one correction per kind
         seen.add(kind)
         problems.append(Problem(kind=kind, suggestion=suggestion))
-    return ReflectionVerdict(correct=False, problems=tuple(problems), record=record)
+    return payload, tuple(problems)
+
+
+def reflect(
+    context: TeacherContext,
+    outputs: Sequence[PhaseRecord],
+    gateway: Gateway,
+    config: TeacherConfig = TeacherConfig(),
+) -> ReflectionVerdict:
+    """Single verification call; strictly parsed, no re-ask."""
+    record, problems = _turn(Phase.REFLECTION, prompts.reflector_system(config.domain),
+                             f"{context.prompt}\n{_outputs_block(outputs)}",
+                             _parse_verdict, gateway, config)
+    return ReflectionVerdict(correct=not problems, problems=problems, record=record)
 
 
 def repair_ranking(raw: Sequence[str], candidates: Sequence[str]) -> list[str]:
@@ -529,39 +530,17 @@ def rank(
     tools: ToolRunner | None = None,
 ) -> tuple[list[str], PhaseRecord]:
     """Final ranking call; tool loop optional, one re-ask, then repair."""
-    messages = [
-        {"role": "system", "content": prompts.ranker_system(config.domain)},
-        {"role": "user", "content": f"{context.prompt}\n{_outputs_block(outputs)}"},
-    ]
-    rounds = config.max_tool_rounds if tools is not None else 1
-    content, thinking_parts, events = _tool_loop(messages, rounds, gateway, config, tools)
 
-    last_reason = ""
-    for attempt in range(2):
-        try:
-            payload, decoded = _decode_payload(content, RankParseError)
-            if not isinstance(decoded, list):
-                raise RankParseError("payload is not a list")
-        except RankParseError as exc:
-            last_reason = str(exc)
-        else:
-            ranking = repair_ranking([str(x) for x in decoded], context.candidates)
-            record = PhaseRecord(
-                phase=Phase.RECOMMEND,
-                thinking="\n".join(thinking_parts),
-                tool_events=tuple(events),
-                payload=payload,
-            )
-            return ranking, record
-        if attempt == 0:
-            messages.append({"role": "assistant", "content": content})
-            messages.append({"role": "user", "content": _REASK_TEXT.format(reason=last_reason)})
-            reply = gateway.complete(_request(messages, config))
-            content = reply.content
-            part = _thinking(content)
-            if part:
-                thinking_parts.append(part)
-    raise RankParseError(last_reason)
+    def parse(content: str) -> tuple[str, list[str]]:
+        payload, decoded = _decode_payload(content, RankParseError)
+        if not isinstance(decoded, list):
+            raise RankParseError("payload is not a list")
+        return payload, repair_ranking([str(x) for x in decoded], context.candidates)
+
+    record, ranking = _turn(Phase.RECOMMEND, prompts.ranker_system(config.domain),
+                            f"{context.prompt}\n{_outputs_block(outputs)}",
+                            parse, gateway, config, tools, reask=True)
+    return ranking, record
 
 
 def _fan_out(

@@ -2,7 +2,10 @@
 
 SessionLogs flatten into tagged linear text; the strict parser walks the tag
 grammar back out. Block bodies (tool_call, tool_response, JSON) are raw until
-their literal closing tag, so payload text never needs escaping.
+their literal closing tag, so payload text never needs escaping. One walk over
+each section validates it and collects its blocks, its thinking (the text
+before the first block) and its text outside every block, where the ranking
+scan looks for the closing numbered list.
 """
 
 from __future__ import annotations
@@ -34,8 +37,10 @@ logger = logging.getLogger(__name__)
 # A correction is serialized under its subtask's tag, so it has no section of its own.
 SECTION_TAGS = tuple(phase.value for phase in Phase if phase is not Phase.CORRECTION)
 
+_RECOMMEND = Phase.RECOMMEND.value
+
 # Sections whose bodies may carry tool_call/tool_response blocks.
-TOOL_SECTIONS = (*KIND_TAG.values(), Phase.RECOMMEND.value)
+TOOL_SECTIONS = (*KIND_TAG.values(), _RECOMMEND)
 
 _BLOCK_TAGS = (TOOL_CALL_TAG, TOOL_RESPONSE_TAG, JSON_TAG)
 
@@ -51,7 +56,7 @@ _NUMBERED_LINE = re.compile(r"\s*\d+\.")
 @dataclass(frozen=True)
 class ParsedSection:
     tag: str
-    body: str
+    body: str  # the section's text outside every block
     thinking: str
     tool_calls: tuple[str, ...]
     tool_responses: tuple[str, ...]
@@ -98,79 +103,73 @@ def serialize(log: SessionLog) -> str:
     return "\n".join(sections)
 
 
-def _section_thinking(body: str, block_spans: Sequence[tuple[int, int]]) -> str:
-    """Text before the first block, minus the one newline serialize adds each side."""
-    end = block_spans[0][0] if block_spans else len(body)
-    head = body[:end]
-    if head.startswith("\n"):
-        head = head[1:]
-    if head.endswith("\n"):
-        head = head[:-1]
-    return head
-
-
-def _trailing_numbered_run(lines: Sequence[str]) -> tuple[int, int]:
-    """(start, end) of the numbered lines that close the text, after trailing blank lines."""
+def _split_ranking(text: str) -> tuple[str, list[str]]:
+    """(text before, lines of) the numbered run that closes the text, blank lines aside."""
+    lines = text.split("\n")
     end = len(lines)
     while end > 0 and not lines[end - 1].strip():
         end -= 1
     start = end
     while start > 0 and _NUMBERED_LINE.match(lines[start - 1]):
         start -= 1
-    return start, end
+    head = start
+    while head > 0 and not lines[head - 1].strip():
+        head -= 1
+    return "\n".join(lines[:head]), lines[start:end]
 
 
-def _strip_trailing_ranking(thinking: str) -> str:
-    """Drop the trailing numbered-list run (the ranking is not thinking text)."""
-    lines = thinking.split("\n")
-    start, _end = _trailing_numbered_run(lines)
-    while start > 0 and not lines[start - 1].strip():
-        start -= 1
-    return "\n".join(lines[:start])
+def _section(text: str, name: str, pos: int) -> tuple[ParsedSection, int]:
+    """Walk one section from just past its opener; return it and the index past its closer.
 
-
-def _finish_section(tag: str, body: str) -> ParsedSection:
-    """Split a section body into blocks; text before the first block is thinking.
-
-    The caller's grammar walk has already rejected structural violations, so
-    every token left in the body opens a well-formed block.
+    Block bodies are collected as they are skipped, together with the text
+    outside every block. The text before the first block is the thinking,
+    minus the one newline serialize adds each side; in a recommend section
+    without blocks the closing numbered run is the ranking, not thinking.
     """
-    calls: list[str] = []
-    responses: list[str] = []
-    payloads: list[str] = []
-    spans: list[tuple[int, int]] = []
-    pos = 0
+    closer = f"</{name}>"
+    blocks: dict[str, list[str]] = {tag: [] for tag in _BLOCK_TAGS}
+    outside: list[str] = []
     while True:
-        match = _TOKEN.search(body, pos)
-        if match is None:
+        token = _TOKEN.search(text, pos)
+        if token is None:
+            raise TagError("unclosed", f"<{name}>")
+        outside.append(text[pos:token.start()])
+        tag = token.group(0)
+        inner = tag.strip("</>")
+        if tag == closer:
             break
-        name = match.group(0).strip("</>")
-        closer = f"</{name}>"
-        end = body.find(closer, match.end())
-        inner = body[match.end():end]
-        if name == TOOL_CALL_TAG:
-            calls.append(inner)
-        elif name == TOOL_RESPONSE_TAG:
-            responses.append(inner)
-        else:
-            payloads.append(inner)
-        spans.append((match.start(), end + len(closer)))
-        pos = end + len(closer)
-    thinking = _section_thinking(body, spans)
-    if tag == "recommend" and not spans:
-        thinking = _strip_trailing_ranking(thinking)
-    return ParsedSection(
-        tag=tag,
-        body=body,
-        thinking=thinking,
-        tool_calls=tuple(calls),
-        tool_responses=tuple(responses),
-        payloads=tuple(payloads),
+        if inner in _BLOCK_TAGS and not tag.startswith("</"):
+            if inner != JSON_TAG and name not in TOOL_SECTIONS:
+                raise TagError("misnested", f"<{inner}> not allowed inside <{name}>")
+            block_close = text.find(f"</{inner}>", token.end())
+            if block_close == -1:
+                raise TagError("unclosed", f"<{inner}> inside <{name}>")
+            blocks[inner].append(text[token.end():block_close])
+            pos = block_close + len(inner) + 3
+            continue
+        if inner in SECTION_TAGS and not tag.startswith("</"):
+            raise TagError("misnested", f"<{inner}> opened inside <{name}>")
+        raise TagError("misnested", f"stray {tag} inside <{name}>")
+    thinking = outside[0]
+    if name == _RECOMMEND and len(outside) == 1:
+        thinking, _run = _split_ranking(thinking)
+    section = ParsedSection(
+        tag=name,
+        body="".join(outside),
+        thinking=thinking.removeprefix("\n").removesuffix("\n"),
+        tool_calls=tuple(blocks[TOOL_CALL_TAG]),
+        tool_responses=tuple(blocks[TOOL_RESPONSE_TAG]),
+        payloads=tuple(blocks[JSON_TAG]),
     )
+    return section, token.end()
 
 
 def _extract_ranking(section: ParsedSection) -> tuple[str, ...]:
-    """Ranking from the last JSON array payload, else trailing numbered entries."""
+    """Ranking from the last JSON array payload, else the closing numbered run.
+
+    Only the run that closes the text outside the blocks counts: ids inside
+    tool payloads and numbered prose in the thinking stay out of the ranking.
+    """
     if section.payloads:
         try:
             decoded = json.loads(section.payloads[-1])
@@ -178,84 +177,41 @@ def _extract_ranking(section: ParsedSection) -> tuple[str, ...]:
             decoded = None
         if isinstance(decoded, list) and decoded:
             return tuple(str(x) for x in decoded)
-    # strip block spans so ids inside tool payloads are not counted
-    text = section.body
-    for tag in _BLOCK_TAGS:
-        pattern = re.compile(f"<{tag}>.*?</{tag}>", re.DOTALL)
-        text = pattern.sub("", text)
-    # only the trailing run of numbered lines counts, so numbered prose in
-    # the thinking text above the list stays out of the ranking
-    lines = text.split("\n")
-    start, end = _trailing_numbered_run(lines)
-    entries = [
-        entry.strip()
-        for line in lines[start:end]
-        for entry in _NUMBERED.findall(line)
-    ]
+    _head, run = _split_ranking(section.body)
+    entries = [entry.strip() for line in run for entry in _NUMBERED.findall(line)]
     return tuple(entry for entry in entries if entry)
 
 
 def parse(text: str) -> ParsedTrajectory:
     """Strict grammar walk; every violation maps to one TagError kind."""
     sections: list[ParsedSection] = []
-    seen_recommend = False
     pos = 0
     while True:
         match = _TOKEN.search(text, pos)
+        gap = text[pos:match.start() if match else len(text)].strip()
+        if gap:
+            raise TagError("unknown", f"stray top-level text {gap[:40]!r}")
         if match is None:
-            tail = text[pos:]
-            if tail.strip():
-                raise TagError("unknown", f"stray top-level text {tail.strip()[:40]!r}")
             break
-        gap = text[pos:match.start()]
-        if gap.strip():
-            raise TagError("unknown", f"stray top-level text {gap.strip()[:40]!r}")
         token = match.group(0)
         name = token.strip("</>")
         if token.startswith("</"):
             raise TagError("misnested", f"closer {token} without an open section")
         if name not in SECTION_TAGS:
             raise TagError("misnested", f"<{name}> at top level")
-        if name == "recommend" and seen_recommend:
-            raise TagError("duplicate_recommend")
-        if seen_recommend:
-            raise TagError("misnested", f"<{name}> after <recommend>")
-        closer = f"</{name}>"
-        # scan for the section closer, skipping over raw block bodies
-        scan = match.end()
-        body_end = -1
-        while True:
-            inner = _TOKEN.search(text, scan)
-            if inner is None:
-                raise TagError("unclosed", f"<{name}>")
-            inner_token = inner.group(0)
-            inner_name = inner_token.strip("</>")
-            if inner_token == closer:
-                body_end = inner.start()
-                break
-            if inner_name in _BLOCK_TAGS and not inner_token.startswith("</"):
-                if inner_name in (TOOL_CALL_TAG, TOOL_RESPONSE_TAG) and name not in TOOL_SECTIONS:
-                    raise TagError("misnested", f"<{inner_name}> not allowed inside <{name}>")
-                block_close = text.find(f"</{inner_name}>", inner.end())
-                if block_close == -1:
-                    raise TagError("unclosed", f"<{inner_name}> inside <{name}>")
-                scan = block_close + len(inner_name) + 3
-                continue
-            if inner_name in SECTION_TAGS and not inner_token.startswith("</"):
-                raise TagError("misnested", f"<{inner_name}> opened inside <{name}>")
-            raise TagError("misnested", f"stray {inner_token} inside <{name}>")
-        body = text[match.end():body_end]
-        sections.append(_finish_section(name, body))
-        if name == "recommend":
-            seen_recommend = True
-        pos = body_end + len(closer)
+        if sections and sections[-1].tag == _RECOMMEND:
+            if name == _RECOMMEND:
+                raise TagError("duplicate_recommend")
+            raise TagError("misnested", f"<{name}> after <{_RECOMMEND}>")
+        section, pos = _section(text, name, match.end())
+        sections.append(section)
     if not sections:
         raise TagError("missing_recommend", "empty trajectory")
-    if not seen_recommend:
+    if sections[-1].tag != _RECOMMEND:
         raise TagError("missing_recommend")
     ranking = _extract_ranking(sections[-1])
     if not ranking:
-        raise TagError("missing_recommend", "recommend section carries no ranking")
+        raise TagError("missing_recommend", f"{_RECOMMEND} section carries no ranking")
     return ParsedTrajectory(sections=tuple(sections), ranking=ranking)
 
 

@@ -321,19 +321,26 @@ def test_run_teacher_parses_instances_at_most_a_window_ahead(pipeline, tmp_path,
 
 def test_a_bad_instance_file_fails_before_any_session(pipeline, tmp_path, capsys):
     *good, last = records_of(pipeline["instances"])
-    broken = {key: value for key, value in last.items() if key != "candidates"}
+    first, *rest = last["history"]
+    # history entries are checked like review-file records
+    broken_records = [
+        {key: value for key, value in last.items() if key != "candidates"},
+        {**last, "history": [{**first, "rating": "five"}, *rest]},
+        {**last, "history": [{**first, "timestamp": True}, *rest]},
+    ]
     instances = tmp_path / "instances.jsonl"
-    instances.write_text("".join(json.dumps(r) + "\n" for r in [*good, broken]), encoding="utf-8")
     script = tmp_path / "script.json"
     script.write_text("[]", encoding="utf-8")  # any gateway call would exhaust it
     out = tmp_path / "sessions.jsonl"
-    assert main(["run-teacher", "--corpus", str(pipeline["corpus"]),
-                 "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
-                 "--instances", str(instances), "--out", str(out),
-                 "--backend", "mock", "--script", str(script), "--parallel", "2"]) == 1
-    captured = capsys.readouterr()
-    assert f"error: PipelineError: bad instance record {last['id']!r}" in captured.err
-    assert sorted(os.listdir(tmp_path)) == ["instances.jsonl", "script.json"]  # no output, no temp
+    for broken in broken_records:
+        instances.write_text("".join(json.dumps(r) + "\n" for r in [*good, broken]), encoding="utf-8")
+        assert main(["run-teacher", "--corpus", str(pipeline["corpus"]),
+                     "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
+                     "--instances", str(instances), "--out", str(out),
+                     "--backend", "mock", "--script", str(script), "--parallel", "2"]) == 1
+        captured = capsys.readouterr()
+        assert f"error: PipelineError: bad instance record {last['id']!r}" in captured.err
+        assert sorted(os.listdir(tmp_path)) == ["instances.jsonl", "script.json"]  # no output, no temp
 
 
 def test_session_records_carry_full_structure(pipeline):

@@ -78,6 +78,12 @@ def test_ingest_rejects_bad_records(tmp_path):
         (BASE_USERS, [{"item_id": "i1"}], BASE_REVIEWS, MalformedRecord),  # no title
         ([{"user_id": "u1"}, {"user_id": "u1"}], BASE_ITEMS, BASE_REVIEWS, MalformedRecord),
         (BASE_USERS, BASE_ITEMS, [], EmptyCorpus),
+        # ids a ranking line ("1. a, 2. b") cannot carry back
+        ([{"user_id": "u,1"}], BASE_ITEMS, BASE_REVIEWS, MalformedRecord),
+        (BASE_USERS, [{"item_id": "i 1", "title": "Spaced"}], BASE_REVIEWS, MalformedRecord),
+        (BASE_USERS, [{"item_id": "i\t1", "title": "Tabbed"}], BASE_REVIEWS, MalformedRecord),
+        (BASE_USERS, BASE_ITEMS, [{"user_id": "u1", "item_id": "a,b", "timestamp": 1}], MalformedRecord),
+        (BASE_USERS, BASE_ITEMS, [{"user_id": "u1\n", "item_id": "i1", "timestamp": 1}], MalformedRecord),
     ]
     for users, items, reviews, expected in cases:
         with pytest.raises(expected):

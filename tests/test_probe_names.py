@@ -2,11 +2,15 @@
 
 `perfbench/probes.py` replaces names where their callers look them up, so a
 name renamed or deleted under `src/` would otherwise surface only in a traced
-benchmark run. This test only reads perfbench.
+benchmark run. A layer the program stops reaching through its probed name
+(say, an agent called past `teacher.plan`) would read zero in the layer
+metrics, so a toy session must leave a span at every one. These tests only
+read perfbench.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import sys
 
@@ -19,6 +23,7 @@ import recteacher.rewards
 import recteacher.teacher
 import recteacher.trajectory
 import recteacher.verbalize
+from recteacher.cli import main
 from recteacher.corpus import Corpus, ItemMeta, UserMeta
 from recteacher.gateway import Gateway, GatewayConfig, ScriptBackend
 from recteacher.verbalize import EvidenceKey
@@ -50,14 +55,24 @@ def load_probes():
     return module
 
 
-def test_probes_install_record_and_restore():
+@contextlib.contextmanager
+def tracing():
+    """The benchmark's probes installed for the block; yields the tracer."""
     probes = load_probes()
-    before = [dict(vars(owner)) for owner in OWNERS]
     mock = probes.MockLLM()
     mock_patches = mock.install()
     tracer = probes.Tracer(mock)
     tracer_patches = tracer.install()
     try:
+        yield tracer
+    finally:
+        tracer_patches.restore()
+        mock_patches.restore()
+
+
+def test_probes_install_record_and_restore():
+    before = [dict(vars(owner)) for owner in OWNERS]
+    with tracing() as tracer:
         # verbalize_key reaches the verbalizers through the patched module globals
         graph = make_graph({"A": {"x", "y"}, "B": {"x"}})
         corpus = Corpus(
@@ -72,11 +87,32 @@ def test_probes_install_record_and_restore():
         assert {"verbalize.verbalize_item", "verbalize.verbalize_user", "gateway.complete",
                 "prompts.render_item_line", "prompts.render_user_line",
                 "prompts.evidence_user"} <= names
-    finally:
-        tracer_patches.restore()
-        mock_patches.restore()
     after = [dict(vars(owner)) for owner in OWNERS]
     for owner, old, new in zip(OWNERS, before, after):
         assert old.keys() == new.keys(), owner
         changed = [name for name in old if old[name] is not new[name]]
         assert changed == [], (owner, changed)
+
+
+def test_probes_see_every_layer_of_a_session(toy_files, tmp_path):
+    corpus, graph, cache, instances, sessions = (
+        str(tmp_path / name)
+        for name in ("corpus", "graph.jsonl", "cache.jsonl", "instances.jsonl", "sessions.jsonl")
+    )
+    steps = [
+        ["ingest", "--users", str(toy_files["users"]), "--items", str(toy_files["items"]),
+         "--reviews", str(toy_files["reviews"]), "--out", corpus],
+        ["build-graph", "--corpus", corpus, "--out", graph],
+        ["verbalize", "--backend", "mock", "--corpus", corpus, "--graph", graph, "--out", cache],
+        ["make-instances", "--corpus", corpus, "--limit", "2", "--out", instances],
+        ["run-teacher", "--backend", "mock", "--corpus", corpus, "--graph", graph, "--cache", cache,
+         "--instances", instances, "--out", sessions, "--fail-reflection"],
+        ["score-rewards", "--trajectories", sessions, "--out", str(tmp_path / "rewards.jsonl")],
+    ]
+    with tracing() as tracer:
+        for argv in steps:
+            assert main(argv) == 0, argv
+    names = {span.name for span in tracer.spans}
+    assert {"teacher.plan", "teacher.execute_subtask", "teacher.reflect", "teacher.rank",
+            "teacher.tool_run", "abstract.abstract", "trajectory.parse",
+            "rewards.composite_reward"} <= names

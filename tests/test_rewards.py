@@ -53,6 +53,8 @@ def test_format_reward_accepts_valid():
     VALID.replace('{"arguments": {"user_id": "u"}, "name": "UserCF"}', "not json"),
     # empty tool_call body
     VALID.replace('{"arguments": {"user_id": "u"}, "name": "UserCF"}', ""),
+    # a recognized tool called with another tool's argument key
+    VALID.replace('{"user_id": "u"}', '{"item_id": "x"}'),
 ])
 def test_format_reward_rejects(text):
     assert format_reward(text) == -1

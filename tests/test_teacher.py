@@ -492,6 +492,21 @@ def test_rank_names_a_null_payload():
     assert "payload is not a list" in backend.requests[1].messages[-1]["content"]
 
 
+@pytest.mark.parametrize("ask,accepted", [
+    (lambda gateway: plan(make_context(), gateway).record, '["Historical_Interest_Analysis"]'),
+    (lambda gateway: rank(make_context(), [], gateway)[1], '["c1", "c2", "c3"]'),
+], ids=["plan", "rank"])
+def test_a_reasked_record_keeps_only_the_accepted_reply(ask, accepted):
+    backend, gateway = scripted_gateway(
+        "Rejected reasoning.\n<JSON>null</JSON>",
+        f"Accepted reasoning.\n<JSON>{accepted}</JSON>",
+    )
+    record = ask(gateway)
+    assert record.thinking == "Accepted reasoning."
+    assert record.payload == accepted
+    assert backend.sends == 2
+
+
 # --------------------------------------------------------------- run_teacher
 
 def test_run_teacher_happy_session():

@@ -184,6 +184,13 @@ def test_ranking_skips_ids_inside_tool_blocks():
             "1. real\n"
             "</recommend>")
     assert parse(text).ranking == ("real",)
+    # a tag inside a raw block body opens no block of its own
+    text = ("<recommend>\n"
+            '<tool_response>{"result": "see <tool_call>"}</tool_response>\n'
+            "1. real\n"
+            '<tool_call>{"arguments": {"user_id": "u"}, "name": "UserCF"}</tool_call>\n'
+            "</recommend>")
+    assert parse(text).ranking == ("real",)
 
 
 def test_non_list_json_payload_falls_back_to_numbered_lines():
