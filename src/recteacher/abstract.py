@@ -24,7 +24,6 @@ REVIEW_EXCERPT_CHARS = 300  # cap per rendered review
 class HybridHistory:
     long_term_summary: str
     recent_raw: tuple[Interaction, ...]
-    window_size: int
 
 
 def chunk(history: Sequence[Interaction], m: int) -> list[list[Interaction]]:
@@ -65,7 +64,7 @@ def abstract(
         raise EmptyInput("history is empty")
     chunks = chunk(history, m)
     if len(chunks) <= 1:
-        return HybridHistory(long_term_summary="", recent_raw=tuple(history), window_size=m)
+        return HybridHistory(long_term_summary="", recent_raw=tuple(history))
 
     system = prompts.history_summary_system(domain)
     summary = ""
@@ -80,4 +79,4 @@ def abstract(
         if body is None or not body.strip():
             raise MissingSummaryTags(f"chunk of {len(part)} interactions")
         summary = body.strip()
-    return HybridHistory(long_term_summary=summary, recent_raw=tuple(chunks[-1]), window_size=m)
+    return HybridHistory(long_term_summary=summary, recent_raw=tuple(chunks[-1]))

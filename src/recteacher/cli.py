@@ -11,9 +11,9 @@ crash survive it. JSONL artifacts are streamed to their temp file one record
 at a time.
 run-teacher handles each session when its turn in instance order comes,
 whatever order the concurrent sessions finished in: it appends the session's
-on-demand fills to the cache and writes its record. Instance, kept-session and
-rollout files name each id once; a repeated id is an error in every command
-that reads them.
+on-demand fills to the cache and writes its record. Instance, session and
+rollout files name each id once, shard directories included; a repeated id is
+an error in every command that reads them.
 """
 
 from __future__ import annotations
@@ -28,22 +28,30 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
 from .config import PipelineConfig, load_config
-from .corpus import decode_interaction, ingest, interaction_record, load_corpus, save_corpus
+from .corpus import (
+    decode_interaction,
+    ingest,
+    interaction_record,
+    load_corpus,
+    require_id,
+    save_corpus,
+)
 from .errors import EmptyInput, MalformedRecord, PipelineError
 from .evaluate import (
     DEFAULT_KS,
     EvalInstance,
     EvalReport,
     Scenario,
+    ScenarioThresholds,
     build_instance,
     evaluate,
     matches_scenario,
 )
-from .gateway import Gateway, HttpBackend, ScriptBackend
+from .gateway import Gateway, GatewayConfig, HttpBackend, ScriptBackend
 from .graph import build_graph, load_graph, save_graph
 from .oracle import OracleBackend
 from .rewards import Bucket, bucket, composite_reward, compose_rl_set, largest_remainder
-from .teacher import PhaseRecord, SessionLog, ToolRunner, build_context, run_teacher
+from .teacher import PhaseRecord, SessionLog, TeacherConfig, ToolRunner, build_context, run_teacher
 from .trajectory import export_sft, serialize, top1_hit
 from .util import atomic_path, ordered_map, read_jsonl, write_atomic, write_jsonl_atomic
 from .verbalize import EvidenceCache, warm_cache
@@ -94,7 +102,7 @@ def _make_gateway(args: argparse.Namespace, config: PipelineConfig,
     script_path = getattr(args, "script", None)
     if script_path and backend_name != BACKEND_MOCK:
         raise PipelineError("--script requires --backend mock")
-    gateway_config = config.gateway_config()
+    gateway_config = config.view(GatewayConfig)
     if backend_name == BACKEND_MOCK:
         if script_path:
             try:
@@ -134,10 +142,6 @@ def _iter_records(path: str | Path, what: str) -> Iterator[dict]:
             yield obj
 
 
-def _read_records(path: str | Path, what: str) -> list[dict]:
-    return list(_iter_records(path, what))
-
-
 def _record_field(record: dict, key: str, what: str) -> Any:
     if key not in record:
         raise PipelineError(f"{what} record {record.get('id', '?')!r} is missing {key!r}")
@@ -174,10 +178,10 @@ def _instance_record(instance: EvalInstance, seed: int) -> dict:
 def _instance_from_record(record: dict) -> EvalInstance:
     try:
         return EvalInstance(
-            user=str(record["user"]),
+            user=require_id(record.get("user"), "user"),
             history=tuple(decode_interaction(r) for r in record["history"]),
-            candidates=tuple(str(c) for c in record["candidates"]),
-            ground_truth=str(record["ground_truth"]),
+            candidates=tuple(require_id(c, "candidate") for c in record["candidates"]),
+            ground_truth=require_id(record.get("ground_truth"), "ground_truth"),
             scenario=Scenario(record.get("scenario", Scenario.CLASSIC.value)),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -283,7 +287,7 @@ def _cmd_verbalize(args: argparse.Namespace, config: PipelineConfig) -> int:
 def _cmd_make_instances(args: argparse.Namespace, config: PipelineConfig) -> int:
     corpus = load_corpus(_required_path(args.corpus, config.corpus_dir, "corpus"))
     scenario = Scenario(args.scenario)
-    thresholds = config.scenario_thresholds()
+    thresholds = config.view(ScenarioThresholds)
     records = []
     for user in sorted(corpus.sequences):
         if not matches_scenario(corpus, user, scenario, thresholds):
@@ -308,7 +312,7 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
 
     gateway = _make_gateway(args, config, ground_truth=_check_instances(args.instances))
 
-    teacher_config = config.teacher_config()
+    teacher_config = config.view(TeacherConfig)
     tools = ToolRunner(
         cache,
         graph=graph,
@@ -345,21 +349,27 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def _cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> int:
-    records = _read_records(args.sessions, "session")
     kept = []
-    for record in records:
+    total = unparsable = 0
+    for session_id, record in _unique_records(args.sessions, "session"):
+        total += 1
         trajectory = str(_record_field(record, "trajectory", "session"))
         ground_truth = str(_record_field(record, "ground_truth", "session"))
-        if top1_hit(trajectory, ground_truth) is True:
+        hit = top1_hit(trajectory, ground_truth)
+        if hit is None:
+            unparsable += 1
+        elif hit:
             kept.append({
-                "id": _record_field(record, "id", "session"),
+                "id": session_id,
                 "user": record.get("user", ""),
                 "ground_truth": ground_truth,
                 "prompt": record.get("prompt", ""),
                 "trajectory": trajectory,
             })
+    if unparsable:
+        logger.warning("filter dropped %d unparsable trajectories", unparsable)
     write_jsonl_atomic(args.out, kept)
-    print(f"kept {len(kept)} / {len(records)}")
+    print(f"kept {len(kept)} / {total}")
     return EXIT_OK
 
 
@@ -375,18 +385,16 @@ def _cmd_export_sft(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def _cmd_score_rewards(args: argparse.Namespace, config: PipelineConfig) -> int:
-    records = _read_records(args.trajectories, "trajectory")
     ground_truth_by_id: dict[str, str] = {}
     if args.instances:
         for record_id, record in _unique_records(args.instances, "instance"):
             ground_truth_by_id[record_id] = str(_record_field(record, "ground_truth", "instance"))
     out_records = []
-    for record in records:
-        record_id = str(_record_field(record, "id", "trajectory"))
+    for record_id, record in _unique_records(args.trajectories, "session"):
         ground_truth = record.get("ground_truth", ground_truth_by_id.get(record_id))
         if ground_truth is None:
             raise PipelineError(f"no ground truth for trajectory {record_id!r} (pass --instances)")
-        breakdown = composite_reward(str(_record_field(record, "trajectory", "trajectory")),
+        breakdown = composite_reward(str(_record_field(record, "trajectory", "session")),
                                      str(ground_truth))
         out_records.append({
             "id": record_id,
@@ -447,12 +455,10 @@ def _report_row(name: str, report: EvalReport) -> str:
 
 
 def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
-    sessions = _read_records(args.sessions, "session")
     instance_records = dict(_unique_records(args.instances, "instance"))
     all_pairs: list[tuple[list[str], EvalInstance]] = []
     by_scenario: dict[str, list[tuple[list[str], EvalInstance]]] = {}
-    for record in sessions:
-        session_id = str(_record_field(record, "id", "session"))
+    for session_id, record in _unique_records(args.sessions, "session"):
         if session_id not in instance_records:
             raise PipelineError(f"session {session_id!r} has no matching instance record")
         instance = _instance_from_record(instance_records[session_id])

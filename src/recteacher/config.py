@@ -9,6 +9,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import TypeVar
 
 from .abstract import DEFAULT_WINDOW_M
 from .errors import PipelineError
@@ -20,6 +21,8 @@ from .rewards import DEFAULT_GROUP_SIZE, DEFAULT_RL_RATIO, DEFAULT_RL_TARGET, la
 from .teacher import DEFAULT_MAX_TOOL_ROUNDS, TeacherConfig
 
 SECTION = "pipeline"
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -54,32 +57,9 @@ class PipelineConfig:
     evo_long_min_history: int = ScenarioThresholds.evo_long_min_history
     evo_short_max_gap_s: int = ScenarioThresholds.evo_short_max_gap_s
 
-    def gateway_config(self) -> GatewayConfig:
-        return GatewayConfig(
-            endpoint=self.endpoint,
-            api_key_env=self.api_key_env,
-            model=self.model,
-            max_parallel=self.max_parallel,
-            retries=self.retries,
-            timeout_s=self.timeout_s,
-        )
-
-    def teacher_config(self) -> TeacherConfig:
-        return TeacherConfig(
-            domain=self.domain,
-            temperature=self.temperature,
-            top_p=self.top_p,
-            max_tool_rounds=self.max_tool_rounds,
-            window_m=self.window_m,
-        )
-
-    def scenario_thresholds(self) -> ScenarioThresholds:
-        return ScenarioThresholds(
-            cold_user_max_history=self.cold_user_max_history,
-            cold_item_max_interactions=self.cold_item_max_interactions,
-            evo_long_min_history=self.evo_long_min_history,
-            evo_short_max_gap_s=self.evo_short_max_gap_s,
-        )
+    def view(self, cls: type[T]) -> T:
+        """A `cls` (GatewayConfig, TeacherConfig or ScenarioThresholds) from the fields named alike."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
 
 
 def _parse_ratio(raw: str) -> tuple[int, int, int]:
@@ -138,8 +118,8 @@ def validate_config(config: PipelineConfig) -> None:
         if getattr(config, name) < 1:
             raise PipelineError(f"{name} must be >= 1")
     try:
-        config.gateway_config()
-        config.teacher_config()
+        config.view(GatewayConfig)
+        config.view(TeacherConfig)
     except ValueError as exc:
         raise PipelineError(str(exc)) from None
     try:

@@ -95,20 +95,24 @@ def _stringify_attribute(value: Any) -> str:
     return json.dumps(value, ensure_ascii=False, sort_keys=True)
 
 
-def _require_id(obj: Any, key: str) -> str:
-    """The record's `key`: a non-empty id free of commas and whitespace.
+def require_id(value: Any, name: str) -> str:
+    """`value` as a user or item id: a non-empty string free of commas and whitespace.
 
-    The ranking line could not carry any other id back. The record must be a
-    JSON object; every record decoder reads an id first.
+    The ranking line could not carry any other id back. Corpus records and
+    instance records both go through here.
     """
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"missing or invalid {name}")
+    if _ID_BREAK.search(value):
+        raise ValueError(f"{name} {value!r} contains a comma or whitespace")
+    return value
+
+
+def _require_id(obj: Any, key: str) -> str:
+    """The record's `key` id. The record must be a JSON object; every record decoder reads an id first."""
     if not isinstance(obj, dict):
         raise ValueError("record is not a JSON object")
-    value = obj.get(key)
-    if not isinstance(value, str) or not value:
-        raise ValueError(f"missing or invalid {key}")
-    if _ID_BREAK.search(value):
-        raise ValueError(f"{key} {value!r} contains a comma or whitespace")
-    return value
+    return require_id(obj.get(key), key)
 
 
 def _decoded(path: str | Path, decode: Callable[[Any], T]) -> Iterator[tuple[int, T]]:

@@ -85,22 +85,6 @@ class ReplyParseError(PipelineError):
     """An agent's reply lacks the payload its phase needs."""
 
 
-class PlanParseError(ReplyParseError):
-    pass
-
-
-class SubtaskParseError(ReplyParseError):
-    pass
-
-
-class ReflectionParseError(ReplyParseError):
-    pass
-
-
-class RankParseError(ReplyParseError):
-    pass
-
-
 class ToolParseError(PipelineError):
     pass
 

@@ -6,6 +6,8 @@ The analysis agents of one pass run side by side; their records keep plan order.
 Every agent's record comes out of one turn (`_turn`): ask, answer tool calls,
 parse the last reply, re-ask once where the agent allows it, and record the
 payload with the thinking of the answered rounds and of the accepted reply.
+`plan`, `reflect` and `rank` return the turn's (record, value) pair and
+`execute_subtask` its record; a failed turn raises SessionError naming its phase.
 """
 
 from __future__ import annotations
@@ -18,16 +20,9 @@ import logging
 import threading
 from typing import Any, Callable, Mapping, Sequence, TypeVar
 
-from .abstract import DEFAULT_WINDOW_M, HybridHistory, abstract, render_interaction
+from .abstract import DEFAULT_WINDOW_M, abstract, render_interaction
 from .corpus import Corpus
-from .errors import (
-    PlanParseError,
-    RankParseError,
-    ReflectionParseError,
-    ReplyParseError,
-    SessionError,
-    SubtaskParseError,
-)
+from .errors import ReplyParseError, SessionError
 from .evaluate import EvalInstance
 from .gateway import DEFAULT_TEMPERATURE, DEFAULT_TOP_P, Gateway, chat_request, check_sampling
 from .graph import DEFAULT_NEIGHBOR_K, InteractionGraph
@@ -97,28 +92,9 @@ class PhaseRecord:
 
 
 @dataclass(frozen=True)
-class Plan:
-    kinds: tuple[SubtaskKind, ...]
-    record: PhaseRecord
-
-
-@dataclass(frozen=True)
 class Problem:
     kind: SubtaskKind
     suggestion: str
-
-
-@dataclass(frozen=True)
-class ReflectionVerdict:
-    correct: bool
-    problems: tuple[Problem, ...]
-    record: PhaseRecord
-
-    def __post_init__(self) -> None:
-        if self.correct and self.problems:
-            raise ValueError("passing verdict cannot carry problems")
-        if not self.correct and not self.problems:
-            raise ValueError("failing verdict needs at least one problem")
 
 
 @dataclass(frozen=True)
@@ -154,11 +130,8 @@ class TeacherContext:
     """Everything a session needs, resolved before the first gateway call."""
 
     user: str
-    user_attributes: Mapping[str, str]
     candidates: tuple[str, ...]
-    hybrid: HybridHistory
     prompt: str
-    ground_truth: str | None = None
 
 
 class ToolRunner:
@@ -249,14 +222,6 @@ def _evidence_key(call: ToolCall) -> EvidenceKey:
     return EvidenceKey(tool=call.name, anchor=call.arguments[TOOL_ARG_KEY[call.name]])
 
 
-def guard(phase_name: str, func, *args, **kwargs):
-    """Call func; any exception it raises aborts the session as a SessionError."""
-    try:
-        return func(*args, **kwargs)
-    except Exception as exc:
-        raise SessionError(phase_name, exc) from exc
-
-
 def build_context(
     instance: EvalInstance,
     corpus: Corpus,
@@ -268,16 +233,17 @@ def build_context(
     A failed abstraction raises SessionError with phase "abstract".
     """
     attributes = prompts.user_attributes(instance.user, corpus.users)
-    hybrid = guard(
-        "abstract",
-        abstract,
-        list(instance.history),
-        config.window_m,
-        gateway,
-        render=lambda i: render_interaction(i, corpus.items),
-        domain=config.domain,
-        user_block=prompts.render_user_line(instance.user, attributes),
-    )
+    try:
+        hybrid = abstract(
+            list(instance.history),
+            config.window_m,
+            gateway,
+            render=lambda i: render_interaction(i, corpus.items),
+            domain=config.domain,
+            user_block=prompts.render_user_line(instance.user, attributes),
+        )
+    except Exception as exc:
+        raise SessionError("abstract", exc) from exc
     recent_lines = [render_interaction(i, corpus.items) for i in hybrid.recent_raw]
     candidate_lines, item_keys = prompts.item_lines(instance.candidates, corpus.items)
     for interaction in hybrid.recent_raw:
@@ -290,14 +256,7 @@ def build_context(
         candidate_lines=candidate_lines,
         item_keys=sorted(item_keys),
     )
-    return TeacherContext(
-        user=instance.user,
-        user_attributes=attributes,
-        candidates=tuple(instance.candidates),
-        hybrid=hybrid,
-        prompt=prompt,
-        ground_truth=instance.ground_truth,
-    )
+    return TeacherContext(user=instance.user, candidates=tuple(instance.candidates), prompt=prompt)
 
 
 def _thinking(content: str) -> str:
@@ -367,57 +326,62 @@ def _turn(
     returns the reply's (payload, value) or raises a ReplyParseError; with
     `reask`, a rejected reply earns exactly one more call that names the
     reason. The record's thinking is that of the answered tool rounds and of
-    the accepted reply: a rejected reply's thinking goes with its payload.
+    the accepted reply: a rejected reply's thinking goes with its payload. Any
+    failure, a gateway or tool error included, raises SessionError naming `phase`.
     """
     messages = [{"role": "system", "content": system}, {"role": "user", "content": user_text}]
     rounds = config.max_tool_rounds if tools is not None else 1
-    content, thinking, events = _tool_loop(messages, rounds, gateway, config, tools)
     try:
-        payload, value = parse(content)
-    except ReplyParseError as exc:
-        if not reask:
-            raise
-        messages.append({"role": "assistant", "content": content})
-        messages.append({"role": "user", "content": _REASK_TEXT.format(reason=exc)})
-        content, _, _ = _tool_loop(messages, 1, gateway, config, None)
-        payload, value = parse(content)
+        content, thinking, events = _tool_loop(messages, rounds, gateway, config, tools)
+        try:
+            payload, value = parse(content)
+        except ReplyParseError as exc:
+            if not reask:
+                raise
+            messages.append({"role": "assistant", "content": content})
+            messages.append({"role": "user", "content": _REASK_TEXT.format(reason=exc)})
+            content, _, _ = _tool_loop(messages, 1, gateway, config, None)
+            payload, value = parse(content)
+    except Exception as exc:
+        raise SessionError(phase.value, exc) from exc
     thinking.append(_thinking(content))
     record = PhaseRecord(phase=phase, thinking="\n".join(part for part in thinking if part),
                          tool_events=tuple(events), payload=payload, kind=kind)
     return record, value
 
 
-def _decode_payload(content: str, error: type[ReplyParseError]) -> tuple[str, Any]:
-    """The last <JSON> payload of a reply and its decoded value; a bad one raises `error`."""
+def _decode_payload(content: str) -> tuple[str, Any]:
+    """The last <JSON> payload of a reply and its decoded value; a bad one raises ReplyParseError."""
     payload = extract_last_json_payload(content)
     if payload is None:
-        raise error("no <JSON> payload")
+        raise ReplyParseError("no <JSON> payload")
     try:
         return payload, json.loads(payload)
     except ValueError as exc:
-        raise error(f"payload is not JSON: {exc}") from exc
+        raise ReplyParseError(f"payload is not JSON: {exc}") from exc
 
 
 def _parse_plan(content: str) -> tuple[str, tuple[SubtaskKind, ...]]:
-    payload, names = _decode_payload(content, PlanParseError)
+    payload, names = _decode_payload(content)
     if not isinstance(names, list) or not names:
-        raise PlanParseError("payload must be a non-empty list of agent names")
+        raise ReplyParseError("payload must be a non-empty list of agent names")
     kinds = []
     for name in names:
         try:
             kinds.append(SubtaskKind(name))
         except ValueError:
-            raise PlanParseError(f"unknown agent name {name!r}") from None
+            raise ReplyParseError(f"unknown agent name {name!r}") from None
     if len(set(kinds)) != len(kinds):
-        raise PlanParseError("duplicate agent names")
+        raise ReplyParseError("duplicate agent names")
     return payload, tuple(kinds)
 
 
-def plan(context: TeacherContext, gateway: Gateway, config: TeacherConfig = TeacherConfig()) -> Plan:
+def plan(
+    context: TeacherContext, gateway: Gateway, config: TeacherConfig = TeacherConfig()
+) -> tuple[PhaseRecord, tuple[SubtaskKind, ...]]:
     """One planning call; a malformed reply earns exactly one re-ask."""
-    record, kinds = _turn(Phase.PLAN, prompts.planner_system(config.domain), context.prompt,
-                          _parse_plan, gateway, config, reask=True)
-    return Plan(kinds=kinds, record=record)
+    return _turn(Phase.PLAN, prompts.planner_system(config.domain), context.prompt,
+                 _parse_plan, gateway, config, reask=True)
 
 
 def execute_subtask(
@@ -440,7 +404,7 @@ def execute_subtask(
     def parse(content: str) -> tuple[str, None]:
         payload = extract_last_json_payload(content)
         if payload is None:
-            raise SubtaskParseError(f"{kind.value}: no <JSON> payload after tool loop")
+            raise ReplyParseError(f"{kind.value}: no <JSON> payload after tool loop")
         return payload, None
 
     phase = Phase.CORRECTION if suggestion is not None else KIND_PHASE[kind]
@@ -464,31 +428,31 @@ def _outputs_block(records: Sequence[PhaseRecord]) -> str:
 
 def _parse_verdict(content: str) -> tuple[str, tuple[Problem, ...]]:
     """A reflection payload and the problems it flags, none for a passing verdict."""
-    payload, verdict = _decode_payload(content, ReflectionParseError)
+    payload, verdict = _decode_payload(content)
     if not isinstance(verdict, dict):
-        raise ReflectionParseError("payload must be an object")
+        raise ReplyParseError("payload must be an object")
     correct = verdict.get("correct")
     if correct not in ("yes", "no"):
-        raise ReflectionParseError(f'"correct" must be "yes" or "no", got {correct!r}')
+        raise ReplyParseError(f'"correct" must be "yes" or "no", got {correct!r}')
     if correct == "yes":
         if verdict.get("problematic_agent"):
-            raise ReflectionParseError("passing verdict cannot flag agents")
+            raise ReplyParseError("passing verdict cannot flag agents")
         return payload, ()
     raw_problems = verdict.get("problematic_agent")
     if not isinstance(raw_problems, list) or not raw_problems:
-        raise ReflectionParseError("failing verdict needs a non-empty problematic_agent list")
+        raise ReplyParseError("failing verdict needs a non-empty problematic_agent list")
     problems: list[Problem] = []
     seen: set[SubtaskKind] = set()
     for entry in raw_problems:
         if not isinstance(entry, dict):
-            raise ReflectionParseError(f"problem entry is not an object: {entry!r}")
+            raise ReplyParseError(f"problem entry is not an object: {entry!r}")
         try:
             kind = SubtaskKind(entry.get("agent_name"))
         except ValueError:
-            raise ReflectionParseError(f"unknown agent name {entry.get('agent_name')!r}") from None
+            raise ReplyParseError(f"unknown agent name {entry.get('agent_name')!r}") from None
         suggestion = entry.get("suggestion")
         if not isinstance(suggestion, str) or not suggestion:
-            raise ReflectionParseError(f"{kind.value}: missing suggestion")
+            raise ReplyParseError(f"{kind.value}: missing suggestion")
         if kind in seen:
             continue  # one correction per kind
         seen.add(kind)
@@ -501,12 +465,11 @@ def reflect(
     outputs: Sequence[PhaseRecord],
     gateway: Gateway,
     config: TeacherConfig = TeacherConfig(),
-) -> ReflectionVerdict:
-    """Single verification call; strictly parsed, no re-ask."""
-    record, problems = _turn(Phase.REFLECTION, prompts.reflector_system(config.domain),
-                             f"{context.prompt}\n{_outputs_block(outputs)}",
-                             _parse_verdict, gateway, config)
-    return ReflectionVerdict(correct=not problems, problems=problems, record=record)
+) -> tuple[PhaseRecord, tuple[Problem, ...]]:
+    """Single verification call; strictly parsed, no re-ask. A pass flags no problems."""
+    return _turn(Phase.REFLECTION, prompts.reflector_system(config.domain),
+                 f"{context.prompt}\n{_outputs_block(outputs)}",
+                 _parse_verdict, gateway, config)
 
 
 def repair_ranking(raw: Sequence[str], candidates: Sequence[str]) -> list[str]:
@@ -528,19 +491,18 @@ def rank(
     gateway: Gateway,
     config: TeacherConfig = TeacherConfig(),
     tools: ToolRunner | None = None,
-) -> tuple[list[str], PhaseRecord]:
+) -> tuple[PhaseRecord, list[str]]:
     """Final ranking call; tool loop optional, one re-ask, then repair."""
 
     def parse(content: str) -> tuple[str, list[str]]:
-        payload, decoded = _decode_payload(content, RankParseError)
+        payload, decoded = _decode_payload(content)
         if not isinstance(decoded, list):
-            raise RankParseError("payload is not a list")
+            raise ReplyParseError("payload is not a list")
         return payload, repair_ranking([str(x) for x in decoded], context.candidates)
 
-    record, ranking = _turn(Phase.RECOMMEND, prompts.ranker_system(config.domain),
-                            f"{context.prompt}\n{_outputs_block(outputs)}",
-                            parse, gateway, config, tools, reask=True)
-    return ranking, record
+    return _turn(Phase.RECOMMEND, prompts.ranker_system(config.domain),
+                 f"{context.prompt}\n{_outputs_block(outputs)}",
+                 parse, gateway, config, tools, reask=True)
 
 
 def _fan_out(
@@ -562,40 +524,20 @@ def run_teacher(
     tools: ToolRunner,
 ) -> SessionLog:
     """One full teacher session over a prepared context."""
-    phases: list[PhaseRecord] = []
-    plan_result = guard(Phase.PLAN.value, plan, context, gateway, config)
-    phases.append(plan_result.record)
-
-    outputs = _fan_out(
-        lambda kind: guard(KIND_TAG[kind], execute_subtask, kind, context, tools, gateway, config),
-        plan_result.kinds,
+    plan_record, kinds = plan(context, gateway, config)
+    outputs = _fan_out(lambda kind: execute_subtask(kind, context, tools, gateway, config),
+                       kinds, gateway)
+    reflection, problems = reflect(context, outputs, gateway, config)
+    corrections = _fan_out(
+        lambda problem: execute_subtask(problem.kind, context, tools, gateway, config,
+                                        suggestion=problem.suggestion),
+        problems,
         gateway,
     )
-    phases.extend(outputs)
-
-    verdict = guard(Phase.REFLECTION.value, reflect, context, outputs, gateway, config)
-    phases.append(verdict.record)
-
-    if not verdict.correct:
-        corrections = _fan_out(
-            lambda problem: guard(
-                Phase.CORRECTION.value,
-                execute_subtask,
-                problem.kind, context, tools, gateway, config,
-                suggestion=problem.suggestion,
-            ),
-            verdict.problems,
-            gateway,
-        )
-        outputs.extend(corrections)
-        phases.extend(corrections)
-
-    ranking, record = guard(Phase.RECOMMEND.value, rank, context, outputs, gateway, config, tools)
-    phases.append(record)
-
+    recommend, ranking = rank(context, outputs + corrections, gateway, config, tools)
     return SessionLog(
         user=context.user,
         candidates=context.candidates,
-        phases=tuple(phases),
+        phases=(plan_record, *outputs, reflection, *corrections, recommend),
         final_ranking=tuple(ranking),
     )

@@ -70,7 +70,7 @@ def test_abstract_single_chunk_is_free():
     backend, gateway = scripted_gateway()
     history = interactions(4)
     result = abstract(history, 10, gateway, render=lambda x: x.item)
-    assert result == HybridHistory(long_term_summary="", recent_raw=tuple(history), window_size=10)
+    assert result == HybridHistory(long_term_summary="", recent_raw=tuple(history))
     assert backend.sends == 0
 
 

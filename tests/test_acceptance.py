@@ -1,7 +1,9 @@
 """Acceptance gate: nine checks, one printed verdict line each.
 
 Every check runs offline against deterministic mocks except the last, which
-exercises a live chat-completions endpoint only when one is configured.
+exercises a live chat-completions endpoint only when one is configured. Its
+session also runs offline against the oracle, so the live check cannot rot
+unseen while it is skipped.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from recteacher.evaluate import (
 )
 from recteacher.corpus import load_corpus
 from recteacher.gateway import Gateway, GatewayConfig, HttpBackend, ScriptBackend
+from recteacher.oracle import OracleBackend
 from recteacher.graph import item_cf_neighbors, neighbor_item_pool, user_cf_neighbors
 from recteacher.rewards import (
     Bucket,
@@ -40,8 +43,7 @@ from recteacher.rewards import (
     format_reward,
     largest_remainder,
 )
-from recteacher.teacher import TeacherConfig, TeacherContext, ToolRunner, run_teacher
-from recteacher.abstract import HybridHistory
+from recteacher.teacher import SessionLog, TeacherConfig, TeacherContext, ToolRunner, run_teacher
 from recteacher import prompts
 from recteacher.trajectory import outcome_filter, parse, serialize
 from recteacher.util import read_jsonl
@@ -335,6 +337,33 @@ def test_criterion_8_reward_format_coherence():
             assert format_reward(serialize(random_log(rng))) == 1
 
 
+SMOKE_CANDIDATES = tuple(f"c{i:02d}" for i in range(CANDIDATE_COUNT))
+
+
+def smoke_session(gateway: Gateway) -> SessionLog:
+    """Criterion 9's session: user u1, 20 candidates, one cached UserCF entry."""
+    prompt = prompts.render_instance_prompt(
+        "u1", {"age": "34"}, "a steady run of character-driven novels",
+        [f"item_id: h{i} | title: History {i}" for i in range(3)],
+        [f"item_id: {c} | title: Candidate {c}" for c in SMOKE_CANDIDATES],
+    )
+    context = TeacherContext(user="u1", candidates=SMOKE_CANDIDATES, prompt=prompt)
+    cache = EvidenceCache()
+    cache.put(Evidence(EvidenceKey("UserCF", "u1"),
+                       "similar readers favor long character arcs", (), 0))
+    return run_teacher(context, TeacherConfig(), gateway, ToolRunner(cache))
+
+
+def test_criterion_9_session_runs_offline():
+    backend = OracleBackend(ground_truth={"u1": SMOKE_CANDIDATES[0]})
+    log = smoke_session(Gateway(backend, GatewayConfig(), sleep=lambda s: None))
+    text = serialize(log)
+    parse(text)
+    assert format_reward(text) == 1
+    assert log.final_ranking[0] == SMOKE_CANDIDATES[0]
+    assert any(call.name == "UserCF" for record in log.phases for call, _ in record.tool_events)
+
+
 def test_criterion_9_live_backend_smoke():
     with criterion(9, "live-backend smoke"):
         endpoint = os.environ.get(SMOKE_ENDPOINT_VAR, "")
@@ -343,24 +372,7 @@ def test_criterion_9_live_backend_smoke():
         config = GatewayConfig(endpoint=endpoint, model=os.environ.get(SMOKE_MODEL_VAR, ""))
         gateway = Gateway(HttpBackend(config), config)
 
-        candidates = tuple(f"c{i:02d}" for i in range(CANDIDATE_COUNT))
-        prompt = prompts.render_instance_prompt(
-            "u1", {"age": "34"}, "a steady run of character-driven novels",
-            [f"item_id: h{i} | title: History {i}" for i in range(3)],
-            [f"item_id: {c} | title: Candidate {c}" for c in candidates],
-        )
-        context = TeacherContext(
-            user="u1",
-            user_attributes={"age": "34"},
-            candidates=candidates,
-            hybrid=HybridHistory("a steady run of character-driven novels", (), 10),
-            prompt=prompt,
-            ground_truth=candidates[0],
-        )
-        cache = EvidenceCache()
-        cache.put(Evidence(EvidenceKey("UserCF", "u1"),
-                           "similar readers favor long character arcs", (), 0))
-        log = run_teacher(context, TeacherConfig(), gateway, ToolRunner(cache))
+        log = smoke_session(gateway)
         text = serialize(log)
         parse(text)
         assert format_reward(text) == 1

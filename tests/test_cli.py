@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import filecmp
 import json
+import logging
 import os
 import re
 import shlex
@@ -322,11 +323,19 @@ def test_run_teacher_parses_instances_at_most_a_window_ahead(pipeline, tmp_path,
 def test_a_bad_instance_file_fails_before_any_session(pipeline, tmp_path, capsys):
     *good, last = records_of(pipeline["instances"])
     first, *rest = last["history"]
-    # history entries are checked like review-file records
+    other = next(c for c in last["candidates"] if c != last["ground_truth"])
+
+    def with_candidate(replacement):
+        return [replacement if c == other else c for c in last["candidates"]]
+
+    # history entries are checked like review-file records, and ids like corpus ids
     broken_records = [
         {key: value for key, value in last.items() if key != "candidates"},
         {**last, "history": [{**first, "rating": "five"}, *rest]},
         {**last, "history": [{**first, "timestamp": True}, *rest]},
+        {**last, "candidates": with_candidate(None)},
+        {**last, "candidates": with_candidate("a,b")},
+        {**last, "user": None},
     ]
     instances = tmp_path / "instances.jsonl"
     script = tmp_path / "script.json"
@@ -466,6 +475,40 @@ def test_filter_accepts_directory_of_shards(pipeline, tmp_path, capsys):
     assert main(["filter", "--sessions", str(shards), "--out", str(out)]) == 0
     captured = capsys.readouterr()
     assert "kept 6 / 6" in captured.out
+
+
+@pytest.mark.parametrize("command", ["filter", "evaluate", "score-rewards"])
+def test_a_repeated_session_id_is_an_error(pipeline, tmp_path, capsys, command):
+    # two copies of one shard: counting both would report n = 12 over 6 instances
+    shards = tmp_path / "shards"
+    shards.mkdir()
+    for name in ("part-0.jsonl", "part-1.jsonl"):
+        (shards / name).write_bytes(pipeline["sessions"].read_bytes())
+    out = tmp_path / "out.jsonl"
+    argv = {
+        "filter": ["filter", "--sessions", str(shards)],
+        "evaluate": ["evaluate", "--sessions", str(shards), "--instances", str(pipeline["instances"])],
+        "score-rewards": ["score-rewards", "--trajectories", str(shards)],
+    }[command]
+    code = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    first_id = records_of(pipeline["sessions"])[0]["id"]
+    assert f"error: PipelineError: duplicate session id {first_id!r}" in captured.err
+    assert not out.exists()
+
+
+def test_filter_warns_about_unparsable_trajectories(pipeline, tmp_path, capsys, caplog):
+    good, bad = records_of(pipeline["sessions"])[:2]
+    bad["trajectory"] = bad["trajectory"].replace("</recommend>", "")
+    path = tmp_path / "sessions.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in [good, bad]), encoding="utf-8")
+    out = tmp_path / "kept.jsonl"
+    with caplog.at_level(logging.WARNING, logger="recteacher.cli"):
+        assert main(["filter", "--sessions", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["kept 1 / 2"]
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == ["filter dropped 1 unparsable trajectories"]
 
 
 def test_filter_drops_misses(pipeline, tmp_path, capsys):

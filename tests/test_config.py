@@ -10,6 +10,8 @@ import pytest
 from recteacher.config import PipelineConfig, load_config
 from recteacher.errors import PipelineError
 from recteacher.evaluate import ScenarioThresholds
+from recteacher.gateway import GatewayConfig
+from recteacher.teacher import TeacherConfig
 
 
 def write_config(tmp_path, body):
@@ -87,14 +89,24 @@ def test_gateway_and_thresholds_views():
         timeout_s=5.0,
         cold_user_max_history=3,
         evo_short_max_gap_s=100,
+        window_m=4,
+        max_tool_rounds=2,
+        temperature=0.2,
     )
-    gw = config.gateway_config()
+    gw = config.view(GatewayConfig)
     assert gw.endpoint == "http://example/v1"
     assert gw.model == "local-model"
     assert gw.max_parallel == 2
     assert gw.retries == 1
     assert gw.timeout_s == 5.0
-    thresholds = config.scenario_thresholds()
+    assert config.view(TeacherConfig) == TeacherConfig(
+        domain=TeacherConfig.domain,
+        temperature=0.2,
+        top_p=TeacherConfig.top_p,
+        max_tool_rounds=2,
+        window_m=4,
+    )
+    thresholds = config.view(ScenarioThresholds)
     assert thresholds == ScenarioThresholds(
         cold_user_max_history=3,
         cold_item_max_interactions=2,

@@ -11,15 +11,11 @@ import time
 
 import pytest
 
-from recteacher.abstract import HybridHistory
 from recteacher.corpus import Corpus, Interaction, ItemMeta, UserMeta
 from recteacher.errors import (
     MissingAnswerTags,
-    PlanParseError,
-    RankParseError,
-    ReflectionParseError,
+    ReplyParseError,
     SessionError,
-    SubtaskParseError,
     ToolArgumentError,
     ToolParseError,
 )
@@ -32,8 +28,6 @@ from recteacher.teacher import (
     MISS_FALLBACK,
     Phase,
     PhaseRecord,
-    Problem,
-    ReflectionVerdict,
     SessionLog,
     SubtaskKind,
     TeacherConfig,
@@ -60,20 +54,13 @@ def make_cache(*anchors):
     return cache
 
 
-def make_context(user="u1", candidates=("c1", "c2", "c3"), ground_truth="c2"):
+def make_context(user="u1", candidates=("c1", "c2", "c3")):
     prompt = prompts.render_instance_prompt(
         user, {"age": "30"}, "a long view of the user",
         ["item_id: h1 | title: Past Pick"],
         [f"item_id: {c} | title: T{c}" for c in candidates],
     )
-    return TeacherContext(
-        user=user,
-        user_attributes={"age": "30"},
-        candidates=tuple(candidates),
-        hybrid=HybridHistory("a long view of the user", (), 10),
-        prompt=prompt,
-        ground_truth=ground_truth,
-    )
+    return TeacherContext(user=user, candidates=tuple(candidates), prompt=prompt)
 
 
 def scripted_gateway(*replies):
@@ -253,11 +240,11 @@ def test_tool_runner_failed_fill_is_retried():
 def test_plan_happy_path():
     reply = 'Two lenses suffice here.\n<JSON>["User_Profile_Summary", "Recent_Interest_Analysis"]</JSON>'
     backend, gateway = scripted_gateway(reply)
-    result = plan(make_context(), gateway)
-    assert result.kinds == (SubtaskKind.USER_PROFILE, SubtaskKind.RECENT)
-    assert result.record.phase is Phase.PLAN
-    assert result.record.thinking == "Two lenses suffice here."
-    assert result.record.payload == '["User_Profile_Summary", "Recent_Interest_Analysis"]'
+    record, kinds = plan(make_context(), gateway)
+    assert kinds == (SubtaskKind.USER_PROFILE, SubtaskKind.RECENT)
+    assert record.phase is Phase.PLAN
+    assert record.thinking == "Two lenses suffice here."
+    assert record.payload == '["User_Profile_Summary", "Recent_Interest_Analysis"]'
     assert backend.sends == 1
 
 
@@ -266,8 +253,8 @@ def test_plan_reasks_once_then_succeeds():
         "no payload at all",
         '<JSON>["Historical_Interest_Analysis"]</JSON>',
     )
-    result = plan(make_context(), gateway)
-    assert result.kinds == (SubtaskKind.HISTORICAL,)
+    _, kinds = plan(make_context(), gateway)
+    assert kinds == (SubtaskKind.HISTORICAL,)
     assert backend.sends == 2
     retry = backend.requests[1].messages
     assert retry[-2]["role"] == "assistant"
@@ -284,8 +271,10 @@ def test_plan_reasks_once_then_succeeds():
 ])
 def test_plan_rejects_after_two_bad_replies(bad):
     backend, gateway = scripted_gateway(bad, bad)
-    with pytest.raises(PlanParseError):
+    with pytest.raises(SessionError) as excinfo:
         plan(make_context(), gateway)
+    assert excinfo.value.phase == "plan"
+    assert isinstance(excinfo.value.cause, ReplyParseError)
     assert backend.sends == 2
 
 
@@ -339,11 +328,13 @@ def test_execute_subtask_round_budget_stops_tool_loop():
 def test_execute_subtask_missing_payload():
     backend, gateway = scripted_gateway(tool_call(user_id="u1"), tool_call(user_id="u1"))
     runner = ToolRunner(make_cache(("UserCF", "u1")))
-    with pytest.raises(SubtaskParseError):
+    with pytest.raises(SessionError) as excinfo:
         execute_subtask(
             SubtaskKind.DIVERGENCE, make_context(), runner, gateway,
             config=TeacherConfig(max_tool_rounds=2),
         )
+    assert excinfo.value.phase == "interest_divergence"
+    assert isinstance(excinfo.value.cause, ReplyParseError)
     assert backend.sends == 2
 
 
@@ -368,10 +359,9 @@ def test_reflect_pass_verdict():
         PhaseRecord(phase=Phase.USER_PROFILE, payload='["p"]', kind=SubtaskKind.USER_PROFILE),
         PhaseRecord(phase=Phase.CORRECTION, payload='["d"]', kind=SubtaskKind.DIVERGENCE),
     ]
-    verdict = reflect(make_context(), outputs, gateway)
-    assert verdict.correct is True
-    assert verdict.problems == ()
-    assert verdict.record.phase is Phase.REFLECTION
+    record, problems = reflect(make_context(), outputs, gateway)
+    assert problems == ()
+    assert record.phase is Phase.REFLECTION
 
     shown = backend.requests[0].messages[1]["content"]
     assert "# Preceding Agent Outputs" in shown
@@ -390,9 +380,8 @@ def test_reflect_fail_verdict_dedupes_agents():
         ],
     })
     _, gateway = scripted_gateway(f"<JSON>{payload}</JSON>")
-    verdict = reflect(make_context(), [], gateway)
-    assert verdict.correct is False
-    assert [(p.kind, p.suggestion) for p in verdict.problems] == [
+    _, problems = reflect(make_context(), [], gateway)
+    assert [(p.kind, p.suggestion) for p in problems] == [
         (SubtaskKind.DIVERGENCE, "first take"),
         (SubtaskKind.RECENT, "narrow the window"),
     ]
@@ -412,20 +401,10 @@ def test_reflect_fail_verdict_dedupes_agents():
 ])
 def test_reflect_rejects_malformed(bad):
     _, gateway = scripted_gateway(bad)
-    with pytest.raises(ReflectionParseError):
+    with pytest.raises(SessionError) as excinfo:
         reflect(make_context(), [], gateway)
-
-
-def test_reflection_verdict_validation():
-    record = PhaseRecord(phase=Phase.REFLECTION)
-    with pytest.raises(ValueError):
-        ReflectionVerdict(correct=False, problems=(), record=record)
-    with pytest.raises(ValueError):
-        ReflectionVerdict(
-            correct=True,
-            problems=(Problem(kind=SubtaskKind.RECENT, suggestion="s"),),
-            record=record,
-        )
+    assert excinfo.value.phase == "reflection"
+    assert isinstance(excinfo.value.cause, ReplyParseError)
 
 
 # ---------------------------------------------------------------------- rank
@@ -440,7 +419,7 @@ def test_repair_ranking():
 
 def test_rank_without_tools():
     backend, gateway = scripted_gateway('By overall fit.\n<JSON>["c2", "c1", "c3"]</JSON>')
-    ranking, record = rank(make_context(), [], gateway)
+    record, ranking = rank(make_context(), [], gateway)
     assert ranking == ["c2", "c1", "c3"]
     assert record.phase is Phase.RECOMMEND
     assert record.payload == '["c2", "c1", "c3"]'
@@ -454,7 +433,7 @@ def test_rank_with_tool_loop():
         '<JSON>["c3", "c2", "c1"]</JSON>',
     )
     runner = ToolRunner(make_cache(("UserCF", "u1")))
-    ranking, record = rank(make_context(), [], gateway, tools=runner)
+    record, ranking = rank(make_context(), [], gateway, tools=runner)
     assert ranking == ["c3", "c2", "c1"]
     assert record.tool_events == ((ToolCall("UserCF", {"user_id": "u1"}), CACHED_TEXT),)
     assert backend.sends == 2
@@ -462,7 +441,7 @@ def test_rank_with_tool_loop():
 
 def test_rank_repairs_model_output():
     _, gateway = scripted_gateway('<JSON>["foreign", "c2", "c2"]</JSON>')
-    ranking, _ = rank(make_context(), [], gateway)
+    _, ranking = rank(make_context(), [], gateway)
     assert ranking == ["c2", "c1", "c3"]
 
 
@@ -471,7 +450,7 @@ def test_rank_reasks_once():
         '<JSON>{"not": "a list"}</JSON>',
         '<JSON>["c1", "c2", "c3"]</JSON>',
     )
-    ranking, _ = rank(make_context(), [], gateway)
+    _, ranking = rank(make_context(), [], gateway)
     assert ranking == ["c1", "c2", "c3"]
     assert backend.sends == 2
     assert "could not be parsed" in backend.requests[1].messages[-1]["content"]
@@ -479,22 +458,24 @@ def test_rank_reasks_once():
 
 def test_rank_fails_after_two_bad_replies():
     backend, gateway = scripted_gateway("nothing", "still nothing")
-    with pytest.raises(RankParseError, match="no <JSON> payload"):
+    with pytest.raises(SessionError, match="no <JSON> payload") as excinfo:
         rank(make_context(), [], gateway)
+    assert excinfo.value.phase == "recommend"
+    assert isinstance(excinfo.value.cause, ReplyParseError)
     assert backend.sends == 2
 
 
 def test_rank_names_a_null_payload():
     # JSON null decodes to None: a payload, but not a list
     backend, gateway = scripted_gateway("<JSON>null</JSON>", "<JSON>null</JSON>")
-    with pytest.raises(RankParseError, match="payload is not a list"):
+    with pytest.raises(SessionError, match="payload is not a list"):
         rank(make_context(), [], gateway)
     assert "payload is not a list" in backend.requests[1].messages[-1]["content"]
 
 
 @pytest.mark.parametrize("ask,accepted", [
-    (lambda gateway: plan(make_context(), gateway).record, '["Historical_Interest_Analysis"]'),
-    (lambda gateway: rank(make_context(), [], gateway)[1], '["c1", "c2", "c3"]'),
+    (lambda gateway: plan(make_context(), gateway)[0], '["Historical_Interest_Analysis"]'),
+    (lambda gateway: rank(make_context(), [], gateway)[0], '["c1", "c2", "c3"]'),
 ], ids=["plan", "rank"])
 def test_a_reasked_record_keeps_only_the_accepted_reply(ask, accepted):
     backend, gateway = scripted_gateway(
@@ -510,7 +491,7 @@ def test_a_reasked_record_keeps_only_the_accepted_reply(ask, accepted):
 # --------------------------------------------------------------- run_teacher
 
 def test_run_teacher_happy_session():
-    context = make_context(user="u7", candidates=("c1", "c2", "c3", "c4"), ground_truth="c3")
+    context = make_context(user="u7", candidates=("c1", "c2", "c3", "c4"))
     backend, gateway = oracle_gateway(ground_truth={"u7": "c3"})
     runner = ToolRunner(make_cache(("UserCF", "u7")))
     log = run_teacher(context, TeacherConfig(), gateway, runner)
@@ -529,7 +510,7 @@ def test_run_teacher_happy_session():
 
 
 def test_run_teacher_failing_reflection_adds_one_correction():
-    context = make_context(user="u7", candidates=("c1", "c2", "c3", "c4"), ground_truth="c1")
+    context = make_context(user="u7", candidates=("c1", "c2", "c3", "c4"))
     backend, gateway = oracle_gateway(ground_truth={"u7": "c1"}, fail_reflection=True)
     runner = ToolRunner(make_cache(("UserCF", "u7")))
     log = run_teacher(context, TeacherConfig(), gateway, runner)
@@ -553,7 +534,7 @@ def test_run_teacher_wraps_phase_failures():
     with pytest.raises(SessionError) as excinfo:
         run_teacher(make_context(), TeacherConfig(), gateway, runner)
     assert excinfo.value.phase == "user_profile"
-    assert isinstance(excinfo.value.cause, SubtaskParseError)
+    assert isinstance(excinfo.value.cause, ReplyParseError)
 
 
 SUBTASK_SYSTEMS = {prompts.subtask_system(kind.value): kind for kind in SubtaskKind}
@@ -567,7 +548,7 @@ def first_round_kind(request):
 
 
 def test_run_teacher_runs_the_planned_subtasks_side_by_side():
-    context = make_context(user="u7", candidates=("c1", "c2", "c3", "c4"), ground_truth="c3")
+    context = make_context(user="u7", candidates=("c1", "c2", "c3", "c4"))
     _serial_backend, serial_gateway = oracle_gateway(ground_truth={"u7": "c3"})
     serial = run_teacher(context, TeacherConfig(), serial_gateway,
                          ToolRunner(make_cache(("UserCF", "u7"))))
@@ -626,12 +607,12 @@ def test_run_teacher_raises_the_first_failing_subtask_in_plan_order():
 
     backend = FailingOracle(ground_truth={"u7": "c3"})
     gateway = Gateway(backend, GatewayConfig(max_parallel=4), sleep=lambda s: None)
-    context = make_context(user="u7", candidates=("c1", "c2", "c3", "c4"), ground_truth="c3")
+    context = make_context(user="u7", candidates=("c1", "c2", "c3", "c4"))
     threads_before = set(threading.enumerate())
     with pytest.raises(SessionError) as excinfo:
         run_teacher(context, TeacherConfig(), gateway, ToolRunner(make_cache(("UserCF", "u7"))))
     assert excinfo.value.phase == Phase.HISTORICAL.value
-    assert isinstance(excinfo.value.cause, SubtaskParseError)
+    assert isinstance(excinfo.value.cause, ReplyParseError)
     assert recent_failed.is_set()
     assert set(threading.enumerate()) <= threads_before
 
@@ -676,11 +657,11 @@ def test_build_context_renders_prompt_and_folds_history():
     context = build_context(instance, corpus, gateway, TeacherConfig(window_m=2))
     # 5 interactions at m=2 -> 3 chunks -> 2 folds
     assert backend.sends == 2
-    assert context.hybrid.long_term_summary == "older arc: steady genre fiction"
-    assert [x.item for x in context.hybrid.recent_raw] == ["i04"]
     assert "(Value: u1)" in context.prompt
     assert "# Long-term User Behavior Summary" in context.prompt
     assert "older arc: steady genre fiction" in context.prompt
+    # only the last window stays raw
+    assert "item_id: i04 " in context.prompt
+    assert "item_id: i03 " not in context.prompt
     assert "1. item_id: i05 | title: Title 5 | genre: sf" in context.prompt
-    assert context.ground_truth == "i05"
     assert context.candidates == instance.candidates
