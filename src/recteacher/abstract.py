@@ -11,10 +11,10 @@ from datetime import datetime, timezone
 from typing import Callable, Mapping, Sequence
 
 from .corpus import Interaction, ItemMeta
-from .errors import EmptyInput, MissingSummaryTags
+from .errors import EmptyInput
 from .gateway import Gateway, chat_request
 from . import prompts
-from .tags import SUMMARY_TAG, extract_tagged
+from .tags import SUMMARY_TAG, reply_body
 
 DEFAULT_WINDOW_M = 10
 REVIEW_EXCERPT_CHARS = 300  # cap per rendered review
@@ -75,8 +75,5 @@ def abstract(
             ("system", system),
             ("user", user_text),
         ]))
-        body = extract_tagged(reply.content, SUMMARY_TAG)
-        if body is None or not body.strip():
-            raise MissingSummaryTags(f"chunk of {len(part)} interactions")
-        summary = body.strip()
+        summary = reply_body(reply.content, SUMMARY_TAG, f"chunk of {len(part)} interactions")
     return HybridHistory(long_term_summary=summary, recent_raw=tuple(chunks[-1]))

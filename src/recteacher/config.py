@@ -69,15 +69,11 @@ def _parse_ratio(raw: str) -> tuple[int, int, int]:
     return (int(parts[0]), int(parts[1]), int(parts[2]))
 
 
-_BOOL = {"1": True, "true": True, "yes": True, "on": True,
-         "0": False, "false": False, "no": False, "off": False}
-
-
 def _convert(name: str, kind: type, raw: str):
     raw = raw.strip()
     try:
         if kind is bool:
-            return _BOOL[raw.lower()]
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if kind is int:
             return int(raw)
         if kind is float:

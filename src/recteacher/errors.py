@@ -1,7 +1,8 @@
 """Exception types shared across the pipeline.
 
 Every error raised by library code derives from PipelineError so the CLI can
-report any pipeline failure with one machine-parsable line.
+report any pipeline failure with one machine-parsable line. One fault has one
+class: a malformed LLM reply is a ReplyParseError whoever asked for it.
 """
 
 from __future__ import annotations
@@ -73,16 +74,12 @@ class GatewayError(PipelineError):
         super().__init__(f"{kind}: {detail}" if detail else kind)
 
 
-class MissingAnswerTags(PipelineError):
-    """Evidence reply carried no <Answer>...</Answer> envelope."""
-
-
-class MissingSummaryTags(PipelineError):
-    """Summarizer reply carried no <SUMMARY>...</SUMMARY> envelope."""
-
-
 class ReplyParseError(PipelineError):
-    """An agent's reply lacks the payload its phase needs."""
+    """An LLM reply lacks the envelope or payload its caller asked for.
+
+    One class for every reader: the teacher's agents, the history summarizer
+    and the evidence verbalizer; the message names what was asked.
+    """
 
 
 class ToolParseError(PipelineError):

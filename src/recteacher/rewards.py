@@ -13,7 +13,7 @@ import random
 from typing import Mapping, Sequence, TypeVar
 
 from .errors import InsufficientBucket, TagError, ToolParseError
-from .tags import decode_json_stream, decode_tool_call
+from .tags import decode_tool_calls
 from .teacher import Phase
 from .trajectory import ParsedTrajectory, parse
 
@@ -43,19 +43,12 @@ def _format_of(parsed: ParsedTrajectory) -> int:
     tags = {section.tag for section in parsed.sections}
     if not {Phase.PLAN.value, Phase.REFLECTION.value, Phase.RECOMMEND.value} <= tags:
         return FORMAT_FAIL
-    for section in parsed.sections:
-        for body in section.tool_calls:
-            try:
-                values = decode_json_stream(body)
-            except ValueError:
-                return FORMAT_FAIL
-            if len(values) != 1:
-                return FORMAT_FAIL  # exactly one call object per block
-            try:
-                decode_tool_call(values[0])
-            except ToolParseError:
-                return FORMAT_FAIL
-    return FORMAT_PASS
+    try:
+        blocks = [decode_tool_calls(body) for section in parsed.sections for body in section.tool_calls]
+    except ToolParseError:
+        return FORMAT_FAIL
+    # exactly one call object per block
+    return FORMAT_PASS if all(len(calls) == 1 for calls in blocks) else FORMAT_FAIL
 
 
 def format_reward(text: str) -> int:

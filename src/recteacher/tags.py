@@ -1,7 +1,9 @@
-"""Low-level helpers for the angle-tag envelopes used across the pipeline.
+"""Angle-tag envelopes in LLM replies, and the tool-call codec.
 
-Bodies between a tag pair are raw text: the closing tag is found literally,
-so envelope contents never need escaping.
+Every reply is read through one scan (`envelopes`): bodies between a tag pair
+are raw text and the closing tag is found literally, so envelope contents
+never need escaping. A reply that lacks the envelope its caller asked for
+raises ReplyParseError. Tool-call bodies are decoded here and only here.
 """
 
 from __future__ import annotations
@@ -9,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 import json
 import re
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
-from .errors import ToolArgumentError, ToolParseError
+from .errors import ReplyParseError, ToolArgumentError, ToolParseError
 
 ANSWER_TAG = "Answer"
 SUMMARY_TAG = "SUMMARY"
@@ -23,58 +25,46 @@ TOOL_ARG_KEY = {"UserCF": "user_id", "ItemCF": "item_id"}
 RECOGNIZED_TOOLS = tuple(TOOL_ARG_KEY)
 
 
-def extract_tagged(text: str, tag: str) -> str | None:
-    """Body of the first <tag>...</tag> envelope, or None when absent."""
-    open_mark, close_mark = f"<{tag}>", f"</{tag}>"
-    start = text.find(open_mark)
-    if start == -1:
-        return None
-    start += len(open_mark)
-    end = text.find(close_mark, start)
-    if end == -1:
-        return None
-    return text[start:end]
+def envelopes(text: str, tag: str) -> Iterator[tuple[int, int]]:
+    """(start, end) of the body of every well-formed <tag>...</tag> envelope, in order.
 
-
-def extract_all_tagged(text: str, tag: str) -> list[str]:
-    """Bodies of every well-formed <tag>...</tag> envelope, in order."""
+    The scan stops at the first opener with no closer after it.
+    """
     open_mark, close_mark = f"<{tag}>", f"</{tag}>"
-    bodies = []
     pos = 0
-    while True:
-        start = text.find(open_mark, pos)
-        if start == -1:
-            return bodies
+    while (start := text.find(open_mark, pos)) != -1:
         start += len(open_mark)
         end = text.find(close_mark, start)
         if end == -1:
-            return bodies
-        bodies.append(text[start:end])
+            return
+        yield start, end
         pos = end + len(close_mark)
 
 
-def extract_last_json_payload(text: str) -> str | None:
-    """Body of the last <JSON>...</JSON> envelope, or None."""
-    bodies = extract_all_tagged(text, JSON_TAG)
-    return bodies[-1] if bodies else None
+def tagged_bodies(text: str, tag: str) -> list[str]:
+    """Bodies of every well-formed <tag>...</tag> envelope, in order."""
+    return [text[start:end] for start, end in envelopes(text, tag)]
+
+
+def reply_body(text: str, tag: str, what: str) -> str:
+    """Stripped body of the first <tag> envelope; ReplyParseError naming `what` when absent or blank."""
+    span = next(envelopes(text, tag), None)
+    body = text[span[0]:span[1]].strip() if span is not None else ""
+    if not body:
+        raise ReplyParseError(f"{what}: reply has no non-blank <{tag}> envelope")
+    return body
 
 
 def strip_tagged(text: str, tag: str) -> str:
     """Remove every well-formed <tag>...</tag> envelope from the text."""
-    open_mark, close_mark = f"<{tag}>", f"</{tag}>"
+    opener, closer = len(f"<{tag}>"), len(f"</{tag}>")
     out = []
     pos = 0
-    while True:
-        start = text.find(open_mark, pos)
-        if start == -1:
-            out.append(text[pos:])
-            return "".join(out)
-        end = text.find(close_mark, start + len(open_mark))
-        if end == -1:
-            out.append(text[pos:])
-            return "".join(out)
-        out.append(text[pos:start])
-        pos = end + len(close_mark)
+    for start, end in envelopes(text, tag):
+        out.append(text[pos:start - opener])
+        pos = end + closer
+    out.append(text[pos:])
+    return "".join(out)
 
 
 _DECODER = json.JSONDecoder()

@@ -6,6 +6,7 @@ The analysis agents of one pass run side by side; their records keep plan order.
 Every agent's record comes out of one turn (`_turn`): ask, answer tool calls,
 parse the last reply, re-ask once where the agent allows it, and record the
 payload with the thinking of the answered rounds and of the accepted reply.
+Recorded thinking carries no tag of the trajectory grammar (`GRAMMAR_TAG`).
 `plan`, `reflect` and `rank` return the turn's (record, value) pair and
 `execute_subtask` its record; a failed turn raises SessionError naming its phase.
 """
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 import json
 import logging
+import re
 import threading
 from typing import Any, Callable, Mapping, Sequence, TypeVar
 
@@ -35,12 +37,11 @@ from .tags import (
     ToolCall,
     decode_tool_calls,
     encode_tool_response,
-    extract_all_tagged,
-    extract_last_json_payload,
     strip_tagged,
+    tagged_bodies,
 )
 from .util import ordered_map
-from .verbalize import CacheMiss, Evidence, EvidenceCache, EvidenceKey, verbalize_key
+from .verbalize import Evidence, EvidenceCache, EvidenceKey, verbalize_key
 
 # Unused here, but perfbench/probes.py looks both names up on this module.
 from .verbalize import verbalize_item, verbalize_user  # noqa: F401
@@ -79,6 +80,14 @@ class Phase(Enum):
 # A subtask kind's phase shares its member name; the phase value is its serialization tag.
 KIND_PHASE: Mapping[SubtaskKind, Phase] = {kind: Phase[kind.name] for kind in SubtaskKind}
 KIND_TAG: Mapping[SubtaskKind, str] = {kind: phase.value for kind, phase in KIND_PHASE.items()}
+
+# A correction is serialized under its subtask's tag, so it has no section of its own.
+SECTION_TAGS = tuple(phase.value for phase in Phase if phase is not Phase.CORRECTION)
+BLOCK_TAGS = (TOOL_CALL_TAG, TOOL_RESPONSE_TAG, JSON_TAG)
+
+# Any opener or closer of the trajectory grammar. The codec parses with it, and
+# recorded thinking carries none, so no reply's prose can break its trajectory.
+GRAMMAR_TAG = re.compile("</?(?:" + "|".join(SECTION_TAGS + BLOCK_TAGS) + ")>")
 
 
 @dataclass(frozen=True)
@@ -167,7 +176,7 @@ class ToolRunner:
     def run(self, call: ToolCall) -> str:
         key = _evidence_key(call)
         found = self.cache.lookup(key)
-        if not isinstance(found, CacheMiss):
+        if found is not None:
             return found.text
         if self.on_demand and self._can_verbalize(key):
             return self._fill(key).text
@@ -189,7 +198,7 @@ class ToolRunner:
         # so a key is never in neither and is verbalized at most once.
         with self._lock:
             found = self.cache.lookup(key)
-            if not isinstance(found, CacheMiss):
+            if found is not None:
                 return found
             flight = self._pending.get(key)
             filler = flight is None
@@ -260,11 +269,13 @@ def build_context(
 
 
 def _thinking(content: str) -> str:
-    """Free text outside every structural envelope."""
-    stripped = content
+    """Free text outside every block envelope, with every other grammar tag dropped."""
     for tag in (JSON_TAG, TOOL_CALL_TAG, TOOL_RESPONSE_TAG):
-        stripped = strip_tagged(stripped, tag)
-    return stripped.strip()
+        content = strip_tagged(content, tag)
+    while True:  # a dropped tag may join the text around it into another
+        content, dropped = GRAMMAR_TAG.subn("", content)
+        if not dropped:
+            return content.strip()
 
 
 def _tool_loop(
@@ -286,7 +297,7 @@ def _tool_loop(
     for round_index in range(rounds):
         request = chat_request(messages, temperature=config.temperature, top_p=config.top_p)
         content = gateway.complete(request).content
-        blocks = extract_all_tagged(content, TOOL_CALL_TAG)
+        blocks = tagged_bodies(content, TOOL_CALL_TAG)
         if not blocks or round_index == rounds - 1:
             break
         thinking.append(_thinking(content))
@@ -352,11 +363,11 @@ def _turn(
 
 def _decode_payload(content: str) -> tuple[str, Any]:
     """The last <JSON> payload of a reply and its decoded value; a bad one raises ReplyParseError."""
-    payload = extract_last_json_payload(content)
-    if payload is None:
+    payloads = tagged_bodies(content, JSON_TAG)
+    if not payloads:
         raise ReplyParseError("no <JSON> payload")
     try:
-        return payload, json.loads(payload)
+        return payloads[-1], json.loads(payloads[-1])
     except ValueError as exc:
         raise ReplyParseError(f"payload is not JSON: {exc}") from exc
 
@@ -402,10 +413,10 @@ def execute_subtask(
         user_text = f"{user_text}\n# Correction Suggestion\n{suggestion}"
 
     def parse(content: str) -> tuple[str, None]:
-        payload = extract_last_json_payload(content)
-        if payload is None:
+        payloads = tagged_bodies(content, JSON_TAG)
+        if not payloads:
             raise ReplyParseError(f"{kind.value}: no <JSON> payload after tool loop")
-        return payload, None
+        return payloads[-1], None
 
     phase = Phase.CORRECTION if suggestion is not None else KIND_PHASE[kind]
     record, _ = _turn(phase, prompts.subtask_system(kind.value, config.domain), user_text,

@@ -5,7 +5,8 @@ grammar back out. Block bodies (tool_call, tool_response, JSON) are raw until
 their literal closing tag, so payload text never needs escaping. One walk over
 each section validates it and collects its blocks, its thinking (the text
 before the first block) and its text outside every block, where the ranking
-scan looks for the closing numbered list.
+scan looks for the closing numbered list; serialize sets a numbered last line
+of ranker thinking off from that list with a blank line.
 """
 
 from __future__ import annotations
@@ -28,25 +29,16 @@ from .tags import (
     encode_tool_call,
     encode_tool_response,
 )
-from .teacher import KIND_TAG, Phase, SessionLog
+from .teacher import BLOCK_TAGS, GRAMMAR_TAG, KIND_TAG, SECTION_TAGS, Phase, SessionLog
 from . import prompts
 from .util import write_jsonl_atomic
 
 logger = logging.getLogger(__name__)
 
-# A correction is serialized under its subtask's tag, so it has no section of its own.
-SECTION_TAGS = tuple(phase.value for phase in Phase if phase is not Phase.CORRECTION)
-
 _RECOMMEND = Phase.RECOMMEND.value
 
 # Sections whose bodies may carry tool_call/tool_response blocks.
 TOOL_SECTIONS = (*KIND_TAG.values(), _RECOMMEND)
-
-_BLOCK_TAGS = (TOOL_CALL_TAG, TOOL_RESPONSE_TAG, JSON_TAG)
-
-_TOKEN = re.compile(
-    "</?(?:" + "|".join(SECTION_TAGS + _BLOCK_TAGS) + ")>"
-)
 
 # Numbered ranking entries: "1. id" lines or "1. a, 2. b" runs.
 _NUMBERED = re.compile(r"\d+\.[ \t]*([^,\n]+)")
@@ -95,6 +87,8 @@ def serialize(log: SessionLog) -> str:
             lines.append(f"<{TOOL_CALL_TAG}>{encode_tool_call(call)}</{TOOL_CALL_TAG}>")
             lines.append(f"<{TOOL_RESPONSE_TAG}>{encode_tool_response(response)}</{TOOL_RESPONSE_TAG}>")
         if record.phase is Phase.RECOMMEND:
+            if not record.tool_events and _NUMBERED_LINE.match(record.thinking.rsplit("\n", 1)[-1]):
+                lines.append("")  # a numbered last line of thinking must not join the ranking
             lines.extend(f"{i}. {item}" for i, item in enumerate(log.final_ranking, start=1))
         elif record.payload:
             lines.append(f"<{JSON_TAG}>{record.payload}</{JSON_TAG}>")
@@ -127,10 +121,10 @@ def _section(text: str, name: str, pos: int) -> tuple[ParsedSection, int]:
     without blocks the closing numbered run is the ranking, not thinking.
     """
     closer = f"</{name}>"
-    blocks: dict[str, list[str]] = {tag: [] for tag in _BLOCK_TAGS}
+    blocks: dict[str, list[str]] = {tag: [] for tag in BLOCK_TAGS}
     outside: list[str] = []
     while True:
-        token = _TOKEN.search(text, pos)
+        token = GRAMMAR_TAG.search(text, pos)
         if token is None:
             raise TagError("unclosed", f"<{name}>")
         outside.append(text[pos:token.start()])
@@ -138,7 +132,7 @@ def _section(text: str, name: str, pos: int) -> tuple[ParsedSection, int]:
         inner = tag.strip("</>")
         if tag == closer:
             break
-        if inner in _BLOCK_TAGS and not tag.startswith("</"):
+        if inner in BLOCK_TAGS and not tag.startswith("</"):
             if inner != JSON_TAG and name not in TOOL_SECTIONS:
                 raise TagError("misnested", f"<{inner}> not allowed inside <{name}>")
             block_close = text.find(f"</{inner}>", token.end())
@@ -187,7 +181,7 @@ def parse(text: str) -> ParsedTrajectory:
     sections: list[ParsedSection] = []
     pos = 0
     while True:
-        match = _TOKEN.search(text, pos)
+        match = GRAMMAR_TAG.search(text, pos)
         gap = text[pos:match.start() if match else len(text)].strip()
         if gap:
             raise TagError("unknown", f"stray top-level text {gap[:40]!r}")

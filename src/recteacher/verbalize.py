@@ -16,7 +16,7 @@ import threading
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus, ItemMeta, UserMeta
-from .errors import MalformedRecord, MissingAnswerTags
+from .errors import MalformedRecord
 from .gateway import Gateway, chat_request
 from .graph import (
     DEFAULT_NEIGHBOR_K,
@@ -25,7 +25,7 @@ from .graph import (
     neighbor_item_pool,
 )
 from . import prompts
-from .tags import ANSWER_TAG, RECOGNIZED_TOOLS, extract_tagged
+from .tags import ANSWER_TAG, RECOGNIZED_TOOLS, reply_body
 from .util import dump_json_line, ordered_map, read_jsonl
 
 # Deterministic evidence for anchors with no collaborative signal; no gateway call.
@@ -50,11 +50,6 @@ class Evidence:
     created_at: int = 0
 
 
-@dataclass(frozen=True)
-class CacheMiss:
-    key: EvidenceKey
-
-
 class EvidenceCache:
     """At most one Evidence per key; optionally persisted one record per line.
 
@@ -76,9 +71,8 @@ class EvidenceCache:
     def keys(self) -> list[EvidenceKey]:
         return list(self._entries)
 
-    def lookup(self, key: EvidenceKey) -> Evidence | CacheMiss:
-        found = self._entries.get(key)
-        return found if found is not None else CacheMiss(key)
+    def lookup(self, key: EvidenceKey) -> Evidence | None:
+        return self._entries.get(key)
 
     def put(self, evidence: Evidence, hold: bool = False) -> None:
         with self._lock:
@@ -161,10 +155,8 @@ def _verbalize(
         extra_keys=sorted(keys),
     )
     reply = gateway.complete(chat_request([("system", system), ("user", user_text)]))
-    body = extract_tagged(reply.content, ANSWER_TAG)
-    if body is None or not body.strip():
-        raise MissingAnswerTags(f"{key.tool} evidence for {key.anchor!r}")
-    return Evidence(key=key, text=body.strip(), source_neighbors=tuple(neighbors))
+    body = reply_body(reply.content, ANSWER_TAG, f"{key.tool} evidence for {key.anchor!r}")
+    return Evidence(key=key, text=body, source_neighbors=tuple(neighbors))
 
 
 def verbalize_item(
@@ -237,7 +229,7 @@ def warm_cache(
     Gateway calls run with the gateway's own parallelism bound; results are
     put in the cache in key order. A failed key never blocks the others.
     """
-    pending = [key for key in all_keys(graph) if isinstance(cache.lookup(key), CacheMiss)]
+    pending = [key for key in all_keys(graph) if cache.lookup(key) is None]
 
     def attempt(key: EvidenceKey) -> Evidence | Exception:
         try:

@@ -9,7 +9,7 @@ import pytest
 
 from recteacher.abstract import HybridHistory, abstract, chunk, render_interaction
 from recteacher.corpus import Interaction, ItemMeta
-from recteacher.errors import EmptyInput, MissingSummaryTags
+from recteacher.errors import EmptyInput, ReplyParseError
 from recteacher.gateway import Gateway, GatewayConfig, ScriptBackend
 
 
@@ -104,8 +104,8 @@ def test_abstract_chains_previous_summary():
 
 def test_abstract_missing_summary_tags():
     _, gateway = scripted_gateway("no envelope")
-    with pytest.raises(MissingSummaryTags):
+    with pytest.raises(ReplyParseError):
         abstract(interactions(5), 2, gateway, render=lambda x: x.item)
     _, gateway = scripted_gateway("<SUMMARY>  </SUMMARY>")
-    with pytest.raises(MissingSummaryTags):
+    with pytest.raises(ReplyParseError):
         abstract(interactions(5), 2, gateway, render=lambda x: x.item)

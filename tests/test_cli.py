@@ -243,7 +243,7 @@ def test_failed_verbalize_rebuild_keeps_the_old_cache(pipeline, tmp_path, capsys
     captured = capsys.readouterr()
     assert code == 1
     assert "keys failed to verbalize" in captured.err
-    assert "MissingAnswerTags" in captured.err
+    assert "ReplyParseError" in captured.err
     assert out.read_bytes() == earlier
     assert sorted(os.listdir(tmp_path)) == ["cache.jsonl", "script.json"]
 

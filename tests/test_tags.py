@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from recteacher.errors import ToolParseError
+from recteacher.errors import ReplyParseError, ToolParseError
 from recteacher.tags import (
     ToolCall,
     decode_json_stream,
@@ -13,26 +13,25 @@ from recteacher.tags import (
     decode_tool_response,
     encode_tool_call,
     encode_tool_response,
-    extract_all_tagged,
-    extract_last_json_payload,
-    extract_tagged,
+    reply_body,
     strip_tagged,
+    tagged_bodies,
 )
 
 
-def test_extract_tagged_basics():
-    assert extract_tagged("a <Answer>body</Answer> b", "Answer") == "body"
-    assert extract_tagged("no tags here", "Answer") is None
-    assert extract_tagged("<Answer>unclosed", "Answer") is None
+def test_reply_body_basics():
+    assert reply_body("a <Answer> body </Answer> b <Answer>late</Answer>", "Answer", "x") == "body"
     # bodies are raw: inner angle text survives
-    assert extract_tagged("<Answer>x < y</Answer>", "Answer") == "x < y"
+    assert reply_body("<Answer>x < y</Answer>", "Answer", "x") == "x < y"
+    for text in ("no tags here", "<Answer>unclosed", "<Answer>  </Answer>"):
+        with pytest.raises(ReplyParseError, match="evidence for 'i1'.*<Answer>"):
+            reply_body(text, "Answer", "evidence for 'i1'")
 
 
-def test_extract_all_tagged_order():
-    text = "<JSON>1</JSON> mid <JSON>2</JSON>"
-    assert extract_all_tagged(text, "JSON") == ["1", "2"]
-    assert extract_last_json_payload(text) == "2"
-    assert extract_last_json_payload("nothing") is None
+def test_tagged_bodies_order():
+    text = "<JSON>1</JSON> mid <JSON>2</JSON> <JSON>open"
+    assert tagged_bodies(text, "JSON") == ["1", "2"]
+    assert tagged_bodies("nothing", "JSON") == []
 
 
 def test_strip_tagged():

@@ -13,7 +13,6 @@ import pytest
 
 from recteacher.corpus import Corpus, Interaction, ItemMeta, UserMeta
 from recteacher.errors import (
-    MissingAnswerTags,
     ReplyParseError,
     SessionError,
     ToolArgumentError,
@@ -42,7 +41,9 @@ from recteacher.teacher import (
     run_teacher,
 )
 from recteacher import prompts
-from recteacher.verbalize import CacheMiss, Evidence, EvidenceCache, EvidenceKey
+from recteacher.rewards import format_reward
+from recteacher.trajectory import parse, serialize
+from recteacher.verbalize import Evidence, EvidenceCache, EvidenceKey
 
 CACHED_TEXT = "cached neighbor preferences"
 
@@ -137,7 +138,7 @@ def test_tool_runner_fills_a_shared_miss_once(tmp_path):
     class MissRecordingCache(EvidenceCache):
         def lookup(self, key):
             found = super().lookup(key)
-            if isinstance(found, CacheMiss):
+            if found is None:
                 with lock:
                     missed.add(threading.get_ident())
                     if len(missed) == 2:
@@ -229,7 +230,7 @@ def test_tool_runner_failed_fill_is_retried():
     runner = ToolRunner(make_cache(), graph=build_graph(corpus), corpus=corpus,
                         gateway=gateway, on_demand=True)
     call = ToolCall("ItemCF", {"item_id": "x"})
-    with pytest.raises(MissingAnswerTags):
+    with pytest.raises(ReplyParseError):
         runner.run(call)
     assert runner.run(call) == "second try"
     assert backend.sends == 2
@@ -615,6 +616,21 @@ def test_run_teacher_raises_the_first_failing_subtask_in_plan_order():
     assert isinstance(excinfo.value.cause, ReplyParseError)
     assert recent_failed.is_set()
     assert set(threading.enumerate()) <= threads_before
+
+
+def test_grammar_tags_in_thinking_are_not_recorded():
+    backend, gateway = scripted_gateway(
+        "Weigh </plan> closers before a stray <tool_call> opener.\n"
+        '<JSON>["User_Profile_Summary"]</JSON>',
+        '<JSON>["steady reader"]</JSON>',
+        '<JSON>{"correct": "yes"}</JSON>',
+        '<JSON>["c2", "c1", "c3"]</JSON>',
+    )
+    log = run_teacher(make_context(), TeacherConfig(), gateway, ToolRunner(make_cache()))
+    assert log.phases[0].thinking == "Weigh  closers before a stray  opener."
+    text = serialize(log)
+    assert parse(text).ranking == ("c2", "c1", "c3")
+    assert format_reward(text) == 1
 
 
 def test_session_log_requires_permutation():

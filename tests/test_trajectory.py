@@ -177,6 +177,20 @@ def test_ranking_ignores_numbered_prose_above_the_list():
     assert parsed.sections[-1].thinking == "two reasons: 1. variety and 2. recency matter"
 
 
+@pytest.mark.parametrize("thinking", [
+    "Top picks so far:\n1. i03\n2. i04",
+    "Scores agree:\n4.5 on average.",
+])
+def test_numbered_tail_of_ranker_thinking_stays_thinking(thinking):
+    candidates = tuple(f"i{n:02d}" for n in range(5))
+    log = SessionLog(user="u1", candidates=candidates,
+                     phases=(PhaseRecord(phase=Phase.RECOMMEND, thinking=thinking),),
+                     final_ranking=candidates)
+    parsed = parse(serialize(log))
+    assert parsed.ranking == candidates
+    assert parsed.sections[-1].thinking == thinking
+
+
 def test_ranking_skips_ids_inside_tool_blocks():
     text = ("<recommend>\n"
             '<tool_call>{"arguments": {"user_id": "u"}, "name": "UserCF"}</tool_call>\n'

@@ -5,12 +5,11 @@ from __future__ import annotations
 import pytest
 
 from recteacher.corpus import Corpus, ItemMeta, UserMeta
-from recteacher.errors import MalformedRecord, MissingAnswerTags, UnknownItem, UnknownUser
+from recteacher.errors import MalformedRecord, ReplyParseError, UnknownItem, UnknownUser
 from recteacher.gateway import Gateway, GatewayConfig, ScriptBackend
 from recteacher.util import read_jsonl
 from recteacher.verbalize import (
     FALLBACK_NO_NEIGHBORS,
-    CacheMiss,
     Evidence,
     EvidenceCache,
     EvidenceKey,
@@ -58,8 +57,7 @@ def test_evidence_key_rejects_unknown_tool():
 def test_cache_put_lookup_len_keys():
     cache = EvidenceCache()
     key = EvidenceKey("ItemCF", "x")
-    assert isinstance(cache.lookup(key), CacheMiss)
-    assert cache.lookup(key).key == key
+    assert cache.lookup(key) is None
     evidence = Evidence(key=key, text="t", source_neighbors=("y",), created_at=7)
     cache.put(evidence)
     assert len(cache) == 1
@@ -164,10 +162,10 @@ def test_verbalize_item_no_neighbors_skips_gateway():
 
 def test_verbalize_item_missing_answer_tags():
     _, gateway = scripted_gateway("no envelope here")
-    with pytest.raises(MissingAnswerTags):
+    with pytest.raises(ReplyParseError):
         verbalize_item(GRAPH, CORPUS.items, "x", gateway)
     _, gateway = scripted_gateway("<Answer>   </Answer>")
-    with pytest.raises(MissingAnswerTags):
+    with pytest.raises(ReplyParseError):
         verbalize_item(GRAPH, CORPUS.items, "x", gateway)
 
 
@@ -253,10 +251,10 @@ def test_warm_cache_returns_failed_keys():
     cache = EvidenceCache()
     failures = warm_cache(GRAPH, CORPUS, gateway, cache)
     assert [key for key, _ in failures] == [EvidenceKey("ItemCF", "y")]
-    assert all(isinstance(exc, MissingAnswerTags) for _, exc in failures)
+    assert all(isinstance(exc, ReplyParseError) for _, exc in failures)
     # Every other key still landed despite the failure.
     assert len(cache) == 7
-    assert isinstance(cache.lookup(EvidenceKey("ItemCF", "y")), CacheMiss)
+    assert cache.lookup(EvidenceKey("ItemCF", "y")) is None
     assert backend.sends == 6
 
 
