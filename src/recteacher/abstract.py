@@ -12,11 +12,12 @@ from typing import Callable, Mapping, Sequence
 
 from .corpus import Interaction, ItemMeta
 from .errors import EmptyInput
-from .gateway import Gateway, chat_request
+from .gateway import Gateway, Origin, chat_request
 from . import prompts
 from .tags import SUMMARY_TAG, reply_body
 
 DEFAULT_WINDOW_M = 10
+SUMMARIZER = "abstract"  # the origin role of a summary call; send n folds chunk n
 REVIEW_EXCERPT_CHARS = 300  # cap per rendered review
 
 
@@ -58,7 +59,8 @@ def abstract(
 ) -> HybridHistory:
     """Fold all chunks but the last into a rolling summary.
 
-    Gateway calls = len(chunks) - 1 when there are 2+ chunks, else 0.
+    Gateway calls = len(chunks) - 1 when there are 2+ chunks, else 0. The
+    subject of every call's origin is the user of the history's first interaction.
     """
     if not history:
         raise EmptyInput("history is empty")
@@ -68,12 +70,11 @@ def abstract(
 
     system = prompts.history_summary_system(domain)
     summary = ""
-    for part in chunks[:-1]:
+    for send, part in enumerate(chunks[:-1]):
         block = "\n".join(f"{i}. {render(x)}" for i, x in enumerate(part, start=1))
         user_text = prompts.history_summary_user(user_block, summary, block)
-        reply = gateway.complete(chat_request([
-            ("system", system),
-            ("user", user_text),
-        ]))
-        summary = reply_body(reply.content, SUMMARY_TAG, f"chunk of {len(part)} interactions")
+        request = chat_request([("system", system), ("user", user_text)],
+                               origin=Origin(SUMMARIZER, history[0].user, send))
+        summary = reply_body(gateway.complete(request).content, SUMMARY_TAG,
+                             f"chunk of {len(part)} interactions")
     return HybridHistory(long_term_summary=summary, recent_raw=tuple(chunks[-1]))

@@ -84,12 +84,15 @@ def _convert(name: str, kind: type, raw: str):
 
 
 def load_config(path: Path | None = None) -> PipelineConfig:
-    """Read the [pipeline] section; unknown keys are errors, not typos."""
+    """Read the [pipeline] section; unknown keys are errors, not typos. A `%` is literal."""
     config = PipelineConfig()
     if path is None:
         return config
-    parser = configparser.ConfigParser()
-    read = parser.read(path, encoding="utf-8")
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(str(path), encoding="utf-8")
+    except configparser.Error as exc:  # its message may span lines
+        raise PipelineError(f"config file {path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise PipelineError(f"config file not found: {path}")
     if not parser.has_section(SECTION):

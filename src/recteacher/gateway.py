@@ -14,7 +14,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Hashable, Iterable, Protocol
 
 from .errors import GatewayError
 
@@ -51,12 +51,26 @@ def check_sampling(temperature: float, top_p: float) -> None:
 
 
 @dataclass(frozen=True)
+class Origin:
+    """Which agent sent a request: its role, its subject and the send's index within its turn.
+
+    The role is a teacher `Phase` (`(Phase.CORRECTION, kind)` on a correction pass),
+    the history summarizer or an evidence tool's verbalizer; the subject is a user or anchor id.
+    """
+
+    role: Hashable
+    subject: str
+    send: int = 0
+
+
+@dataclass(frozen=True)
 class ChatRequest:
-    """One chat-completion request. Messages are role/content dicts."""
+    """One chat-completion request. Messages are role/content dicts; no backend sends `origin`."""
 
     messages: tuple[dict, ...]
     temperature: float = DEFAULT_TEMPERATURE
     top_p: float = DEFAULT_TOP_P
+    origin: Origin | None = None
 
     def __post_init__(self):
         if not self.messages:
@@ -160,8 +174,6 @@ class Gateway:
         self.config = config or GatewayConfig()
         self._sleep = sleep
         self._slots = _FifoSlots(self.config.max_parallel)
-        self._count_lock = threading.Lock()
-        self.call_count = 0  # completed complete() invocations, assertable in tests
 
     def complete(self, request: ChatRequest) -> ChatReply:
         attempts = self.config.retries + 1
@@ -169,10 +181,7 @@ class Gateway:
         for attempt in range(attempts):
             try:
                 with self._slots:
-                    reply = self._backend.send(request)
-                with self._count_lock:
-                    self.call_count += 1
-                return reply
+                    return self._backend.send(request)
             except TransientFailure as exc:
                 last = exc
                 if attempt < attempts - 1:
@@ -252,6 +261,7 @@ class ScriptBackend:
 
     Entries may be reply strings, exceptions to raise (TransientFailure to
     exercise retries), or callables of (request, index) returning a string.
+    A callable keyed on `request.origin`, not the index, replies alike at any parallelism.
     """
 
     def __init__(self, script: Iterable):

@@ -1,8 +1,9 @@
 """Deterministic oracle backend for offline pipeline runs.
 
-Plays every agent role by recognizing the system prompt, always plans all four
-subtasks, calls one CF tool per subtask, and ranks the ground truth first when
-it knows it. The whole pipeline can therefore run with zero network access.
+Plays every agent role by reading the request's origin (role, subject and send
+index), never its prompt text: always plans all four subtasks, calls one CF
+tool on each analysis agent's first send, and ranks the ground truth first
+when it knows it. The whole pipeline can therefore run with zero network access.
 """
 
 from __future__ import annotations
@@ -12,14 +13,18 @@ import re
 import threading
 from typing import Mapping
 
+from .abstract import SUMMARIZER
 from .gateway import ChatReply, ChatRequest
-from .teacher import SubtaskKind
+from .teacher import KIND_PHASE, Phase, SubtaskKind
 
-# Instance prompts carry the user id in the key-definitions block.
-_USER_ID = re.compile(r"\(Value: (\S+)\)")
 _CANDIDATE_LINE = re.compile(r"^\d+\. item_id: (\S+)", re.MULTILINE)
 
+_PHASE_KIND = {phase: kind for kind, phase in KIND_PHASE.items()}
+
 _SUGGESTION = "reweigh interest divergence against the recent behavior signals"
+
+# Verbalizer role (the evidence tool) -> what its prompt calls the neighbor items.
+_EVIDENCE_ITEMS = {"ItemCF": "collaborative", "UserCF": "preference"}
 
 _ANSWER_BODY = (
     "Category 1: Shared Themes\n"
@@ -33,20 +38,8 @@ _SUMMARY_BODY = (
 )
 
 
-def _first_user_text(request: ChatRequest) -> str:
-    for message in request.messages:
-        if message["role"] == "user":
-            return message["content"]
-    return ""
-
-
-def _user_id(request: ChatRequest) -> str | None:
-    match = _USER_ID.search(_first_user_text(request))
-    return match.group(1) if match else None
-
-
 class OracleBackend:
-    """Scripted replies keyed off the agent role in the system prompt."""
+    """Scripted replies keyed off the request's origin."""
 
     def __init__(
         self,
@@ -61,53 +54,38 @@ class OracleBackend:
     def send(self, request: ChatRequest) -> ChatReply:
         with self._lock:
             self.sends += 1
-        system = request.messages[0]["content"] if request.messages else ""
-        return ChatReply(content=self._reply(system, request))
+        return ChatReply(content=self._reply(request))
 
-    def _reply(self, system: str, request: ChatRequest) -> str:
-        if "You are a planner agent" in system:
+    def _reply(self, request: ChatRequest) -> str:
+        origin = request.origin
+        role = origin.role if origin is not None else None
+        if role is Phase.PLAN:
             return self._plan()
-        if "You are a user profile summary agent" in system:
-            return self._subtask(SubtaskKind.USER_PROFILE, request)
-        if "You are a Historical interest analysis agent" in system:
-            return self._subtask(SubtaskKind.HISTORICAL, request)
-        if "You are a Recent interest analysis agent" in system:
-            return self._subtask(SubtaskKind.RECENT, request)
-        if "You are an interest divergence reasoning agent" in system:
-            return self._subtask(SubtaskKind.DIVERGENCE, request)
-        if "You are a Reflector agent" in system:
+        if role in _PHASE_KIND:
+            return self._subtask(_PHASE_KIND[role], origin.subject, origin.send)
+        if isinstance(role, tuple):  # a correction pass: (Phase.CORRECTION, kind)
+            return self._subtask(role[1], origin.subject, origin.send)
+        if role is Phase.REFLECTION:
             return self._reflect()
-        if "You are a ranking agent" in system:
-            return self._rank(request)
-        if "You are a long behavioral sequence summary agent" in system:
+        if role is Phase.RECOMMEND:
+            return self._rank(origin.subject, request)
+        if role == SUMMARIZER:
             return f"Condensing the segment.\n<SUMMARY>{_SUMMARY_BODY}</SUMMARY>"
-        if 'denoted as the "collaborative items"' in system:
-            return f"Grouping the collaborative items.\n<Answer>\n{_ANSWER_BODY}\n</Answer>"
-        if 'denoted as the "preference items"' in system:
-            return f"Grouping the preference items.\n<Answer>\n{_ANSWER_BODY}\n</Answer>"
-        raise AssertionError(f"oracle got an unrecognized system prompt: {system[:80]!r}")
+        if role in _EVIDENCE_ITEMS:
+            return (f"Grouping the {_EVIDENCE_ITEMS[role]} items.\n"
+                    f"<Answer>\n{_ANSWER_BODY}\n</Answer>")
+        raise AssertionError(f"oracle got a request of unknown origin {origin!r}")
 
     def _plan(self) -> str:
-        names = [kind.value for kind in SubtaskKind]
-        return (
-            "All four analyses are useful here, in the standard order.\n"
-            f"<JSON>{json.dumps(names)}</JSON>"
-        )
+        names = json.dumps([kind.value for kind in SubtaskKind])
+        return f"All four analyses are useful here, in the standard order.\n<JSON>{names}</JSON>"
 
-    def _subtask(self, kind: SubtaskKind, request: ChatRequest) -> str:
-        had_tool_reply = any(message["role"] == "tool" for message in request.messages)
-        user = _user_id(request) or "unknown"
-        if not had_tool_reply:
+    def _subtask(self, kind: SubtaskKind, user: str, send: int) -> str:
+        if send == 0:
             call = json.dumps({"name": "UserCF", "arguments": {"user_id": user}})
-            return (
-                "Pulling collaborative evidence first.\n"
-                f"<tool_call>{call}</tool_call>"
-            )
-        conclusion = f"{kind.value} conclusion for user {user}"
-        return (
-            "Evidence received; summarizing.\n"
-            f"<JSON>{json.dumps([conclusion])}</JSON>"
-        )
+            return f"Pulling collaborative evidence first.\n<tool_call>{call}</tool_call>"
+        conclusion = json.dumps([f"{kind.value} conclusion for user {user}"])
+        return f"Evidence received; summarizing.\n<JSON>{conclusion}</JSON>"
 
     def _reflect(self) -> str:
         if self.fail_reflection:
@@ -120,16 +98,8 @@ class OracleBackend:
             return f"The divergence analysis overreaches.\n<JSON>{json.dumps(verdict)}</JSON>"
         return 'All outputs line up.\n<JSON>{"correct": "yes"}</JSON>'
 
-    def _rank(self, request: ChatRequest) -> str:
-        prompt = _first_user_text(request)
+    def _rank(self, user: str, request: ChatRequest) -> str:
+        prompt = request.messages[1]["content"]
         candidates = _CANDIDATE_LINE.findall(prompt.split("# Candidate Item Information")[-1])
-        user = _user_id(request)
-        target = self.ground_truth.get(user) if user else None
-        ranking = list(candidates)
-        if target in ranking:
-            ranking.remove(target)
-            ranking.insert(0, target)
-        return (
-            "Ordering candidates by fit with the analyses.\n"
-            f"<JSON>{json.dumps(ranking)}</JSON>"
-        )
+        ranking = sorted(candidates, key=lambda item: item != self.ground_truth.get(user))
+        return f"Ordering candidates by fit with the analyses.\n<JSON>{json.dumps(ranking)}</JSON>"

@@ -14,7 +14,7 @@ Recorded thinking carries no tag of the trajectory grammar (`GRAMMAR_TAG`).
 from __future__ import annotations
 
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 import json
 import logging
@@ -26,7 +26,7 @@ from .abstract import DEFAULT_WINDOW_M, abstract, render_interaction
 from .corpus import Corpus
 from .errors import ReplyParseError, SessionError
 from .evaluate import EvalInstance
-from .gateway import DEFAULT_TEMPERATURE, DEFAULT_TOP_P, Gateway, chat_request, check_sampling
+from .gateway import DEFAULT_TEMPERATURE, DEFAULT_TOP_P, Gateway, Origin, chat_request, check_sampling
 from .graph import DEFAULT_NEIGHBOR_K, InteractionGraph
 from . import prompts
 from .tags import (
@@ -284,18 +284,21 @@ def _tool_loop(
     gateway: Gateway,
     config: TeacherConfig,
     tools: ToolRunner | None,
+    origin: Origin,
 ) -> tuple[str, list[str], list[tuple[ToolCall, str]]]:
     """Ask up to `rounds` times, answering each reply's tool calls, until a reply makes none.
 
     Tool calls in the last round's reply go unanswered. Returns the last reply,
     the thinking text of every answered reply, and the (call, result) events.
-    `messages` is extended in place.
+    `messages` is extended in place; round r is sent as `origin` with its send
+    index advanced by r.
     """
     thinking: list[str] = []
     events: list[tuple[ToolCall, str]] = []
     content = ""
     for round_index in range(rounds):
-        request = chat_request(messages, temperature=config.temperature, top_p=config.top_p)
+        request = chat_request(messages, temperature=config.temperature, top_p=config.top_p,
+                               origin=replace(origin, send=origin.send + round_index))
         content = gateway.complete(request).content
         blocks = tagged_bodies(content, TOOL_CALL_TAG)
         if not blocks or round_index == rounds - 1:
@@ -322,6 +325,7 @@ _REASK_TEXT = (
 
 def _turn(
     phase: Phase,
+    context: TeacherContext,
     system: str,
     user_text: str,
     parse: Callable[[str], tuple[str, T]],
@@ -339,11 +343,14 @@ def _turn(
     reason. The record's thinking is that of the answered tool rounds and of
     the accepted reply: a rejected reply's thinking goes with its payload. Any
     failure, a gateway or tool error included, raises SessionError naming `phase`.
+    Every send's origin has the turn's role (the phase, paired with the kind on
+    a correction pass), the session's user and the send's index in the turn.
     """
     messages = [{"role": "system", "content": system}, {"role": "user", "content": user_text}]
     rounds = config.max_tool_rounds if tools is not None else 1
+    origin = Origin((phase, kind) if phase is Phase.CORRECTION else phase, context.user)
     try:
-        content, thinking, events = _tool_loop(messages, rounds, gateway, config, tools)
+        content, thinking, events = _tool_loop(messages, rounds, gateway, config, tools, origin)
         try:
             payload, value = parse(content)
         except ReplyParseError as exc:
@@ -351,7 +358,9 @@ def _turn(
                 raise
             messages.append({"role": "assistant", "content": content})
             messages.append({"role": "user", "content": _REASK_TEXT.format(reason=exc)})
-            content, _, _ = _tool_loop(messages, 1, gateway, config, None)
+            # one send per answered round, then the last one
+            content, _, _ = _tool_loop(messages, 1, gateway, config, None,
+                                       replace(origin, send=len(thinking) + 1))
             payload, value = parse(content)
     except Exception as exc:
         raise SessionError(phase.value, exc) from exc
@@ -391,7 +400,7 @@ def plan(
     context: TeacherContext, gateway: Gateway, config: TeacherConfig = TeacherConfig()
 ) -> tuple[PhaseRecord, tuple[SubtaskKind, ...]]:
     """One planning call; a malformed reply earns exactly one re-ask."""
-    return _turn(Phase.PLAN, prompts.planner_system(config.domain), context.prompt,
+    return _turn(Phase.PLAN, context, prompts.planner_system(config.domain), context.prompt,
                  _parse_plan, gateway, config, reask=True)
 
 
@@ -419,8 +428,8 @@ def execute_subtask(
         return payloads[-1], None
 
     phase = Phase.CORRECTION if suggestion is not None else KIND_PHASE[kind]
-    record, _ = _turn(phase, prompts.subtask_system(kind.value, config.domain), user_text,
-                      parse, gateway, config, tools, kind=kind)
+    record, _ = _turn(phase, context, prompts.subtask_system(kind.value, config.domain),
+                      user_text, parse, gateway, config, tools, kind=kind)
     return record
 
 
@@ -478,7 +487,7 @@ def reflect(
     config: TeacherConfig = TeacherConfig(),
 ) -> tuple[PhaseRecord, tuple[Problem, ...]]:
     """Single verification call; strictly parsed, no re-ask. A pass flags no problems."""
-    return _turn(Phase.REFLECTION, prompts.reflector_system(config.domain),
+    return _turn(Phase.REFLECTION, context, prompts.reflector_system(config.domain),
                  f"{context.prompt}\n{_outputs_block(outputs)}",
                  _parse_verdict, gateway, config)
 
@@ -511,7 +520,7 @@ def rank(
             raise ReplyParseError("payload is not a list")
         return payload, repair_ranking([str(x) for x in decoded], context.candidates)
 
-    return _turn(Phase.RECOMMEND, prompts.ranker_system(config.domain),
+    return _turn(Phase.RECOMMEND, context, prompts.ranker_system(config.domain),
                  f"{context.prompt}\n{_outputs_block(outputs)}",
                  parse, gateway, config, tools, reask=True)
 

@@ -81,17 +81,18 @@ def write_jsonl_atomic(path: str | Path, records: Iterable[Any]) -> int:
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
-    """Yield (line_number, parsed_object) pairs; blank lines are skipped."""
+    """Yield (line_number, parsed_object) pairs, blank lines skipped; a bad line raises MalformedRecord."""
     from .errors import MalformedRecord
 
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
+    with path.open("rb") as handle:
         for lineno, raw in enumerate(handle, 1):
-            stripped = raw.strip()
-            if not stripped:
-                continue
             try:
-                yield lineno, json.loads(stripped)
+                stripped = raw.decode("utf-8").strip()
+                if stripped:
+                    yield lineno, json.loads(stripped)
+            except UnicodeDecodeError as exc:
+                raise MalformedRecord(lineno, f"invalid UTF-8: {exc}", source=str(path)) from exc
             except json.JSONDecodeError as exc:
                 raise MalformedRecord(lineno, f"invalid JSON: {exc}", source=str(path)) from exc
 

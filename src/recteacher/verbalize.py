@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus, ItemMeta, UserMeta
 from .errors import MalformedRecord
-from .gateway import Gateway, chat_request
+from .gateway import Gateway, Origin, chat_request
 from .graph import (
     DEFAULT_NEIGHBOR_K,
     InteractionGraph,
@@ -154,7 +154,8 @@ def _verbalize(
         neighbor_block="\n".join(f"{index}. {line}" for index, line in enumerate(lines, start=1)),
         extra_keys=sorted(keys),
     )
-    reply = gateway.complete(chat_request([("system", system), ("user", user_text)]))
+    reply = gateway.complete(chat_request([("system", system), ("user", user_text)],
+                                          origin=Origin(key.tool, key.anchor)))
     body = reply_body(reply.content, ANSWER_TAG, f"{key.tool} evidence for {key.anchor!r}")
     return Evidence(key=key, text=body, source_neighbors=tuple(neighbors))
 

@@ -118,6 +118,19 @@ def test_http_backend_requires_endpoint(pipeline, tmp_path, capsys):
     assert "endpoint" in captured.err
 
 
+def test_ingest_names_a_line_that_is_not_utf8(toy_files, tmp_path, capsys):
+    items = tmp_path / "items.jsonl"
+    lines = toy_files["items"].read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b'"title": "', b'"title": "\xff', 1)
+    items.write_bytes(b"".join(lines))
+    code = main(["ingest", "--users", str(toy_files["users"]), "--items", str(items),
+                 "--reviews", str(toy_files["reviews"]), "--out", str(tmp_path / "corpus")])
+    error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
+    assert code == 1
+    assert len(error_lines) == 1
+    assert error_lines[0].startswith(f"error: MalformedRecord: {items}:3: invalid UTF-8: ")
+
+
 def test_ingest_reports_counts(toy_files, tmp_path, capsys):
     code = main(["ingest", "--users", str(toy_files["users"]), "--items", str(toy_files["items"]),
                  "--reviews", str(toy_files["reviews"]), "--out", str(tmp_path / "corpus")])

@@ -7,6 +7,7 @@ from dataclasses import fields
 
 import pytest
 
+from recteacher.cli import main
 from recteacher.config import PipelineConfig, load_config
 from recteacher.errors import PipelineError
 from recteacher.evaluate import ScenarioThresholds
@@ -70,6 +71,25 @@ def test_load_errors(tmp_path):
         load_config(write_config(tmp_path, "[pipeline]\nrl_ratio = 3,4\n"))
     with pytest.raises(PipelineError, match="rl_ratio"):
         load_config(write_config(tmp_path, "[pipeline]\nrl_ratio = a,b,c\n"))
+
+
+@pytest.mark.parametrize("body, error", [
+    ("[pipeline]\nendpoint = http://x/a%20b\n", None),
+    ("seed = 1\n", "File contains no section headers."),
+    ("[pipeline]\nseed = 1\nseed = 2\n", "option 'seed' in section 'pipeline' already exists"),
+], ids=["percent", "no-section-header", "repeated-key"])
+def test_config_file_syntax_ends_in_one_error_line(tmp_path, capsys, body, error):
+    path = write_config(tmp_path, body)
+    code = main(["build-graph", "--config", str(path), "--corpus", str(tmp_path / "nowhere"),
+                 "--out", str(tmp_path / "g.jsonl")])
+    error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
+    assert code == 1 and len(error_lines) == 1
+    if error is None:  # a `%` is literal, so the run gets past the config to the missing corpus
+        assert load_config(path).endpoint == "http://x/a%20b"
+        assert "nowhere" in error_lines[0]
+    else:
+        assert error_lines[0].startswith(f"error: PipelineError: config file {path}: ")
+        assert error in error_lines[0]
 
 
 def test_validate_ranges(tmp_path):

@@ -54,7 +54,6 @@ def test_complete_retries_transient_then_succeeds():
     reply = gateway.complete(REQ)
     assert reply.content == "ok"
     assert backend.sends == 2
-    assert gateway.call_count == 1
     assert len(sleeps) == 1
     # first delay is BASE_DELAY_S with +-25% jitter
     assert BASE_DELAY_S * 0.75 <= sleeps[0] <= BASE_DELAY_S * 1.25
@@ -125,7 +124,6 @@ def test_parallelism_bound_is_enforced():
         thread.join(timeout=10)
     assert not any(thread.is_alive() for thread in threads)
     assert len(results) == 12 and all(r.content == "ok" for r in results)
-    assert gateway.call_count == 12
     assert backend.peak <= 3
 
 
@@ -170,7 +168,6 @@ def test_freed_slots_go_to_waiters_in_arrival_order():
         thread.join(timeout=10)
     assert not any(thread.is_alive() for thread in threads)
     assert order == ["holder 1", "waiter 0", "waiter 1", "waiter 2", "holder 2"]
-    assert gateway.call_count == 5
 
 
 def test_a_failed_send_frees_its_slot():
@@ -184,7 +181,6 @@ def test_a_failed_send_frees_its_slot():
     thread.join(timeout=10)
     assert not thread.is_alive()
     assert [r.content for r in results] == ["ok"]
-    assert gateway.call_count == 1
 
 
 def test_script_backend_callable_and_exhaustion():

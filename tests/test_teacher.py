@@ -24,6 +24,7 @@ from recteacher.graph import build_graph
 from recteacher.oracle import OracleBackend
 from recteacher.tags import ToolCall
 from recteacher.teacher import (
+    KIND_PHASE,
     MISS_FALLBACK,
     Phase,
     PhaseRecord,
@@ -538,19 +539,19 @@ def test_run_teacher_wraps_phase_failures():
     assert isinstance(excinfo.value.cause, ReplyParseError)
 
 
-SUBTASK_SYSTEMS = {prompts.subtask_system(kind.value): kind for kind in SubtaskKind}
+PHASE_KIND = {phase: kind for kind, phase in KIND_PHASE.items()}
 
 
 def first_round_kind(request):
     """The agent a subtask request is for, on its first round only; else None."""
-    if any(message["role"] == "tool" for message in request.messages):
+    if request.origin.send != 0:
         return None
-    return SUBTASK_SYSTEMS.get(request.messages[0]["content"])
+    return PHASE_KIND.get(request.origin.role)
 
 
 def test_run_teacher_runs_the_planned_subtasks_side_by_side():
     context = make_context(user="u7", candidates=("c1", "c2", "c3", "c4"))
-    _serial_backend, serial_gateway = oracle_gateway(ground_truth={"u7": "c3"})
+    serial_backend, serial_gateway = oracle_gateway(ground_truth={"u7": "c3"})
     serial = run_teacher(context, TeacherConfig(), serial_gateway,
                          ToolRunner(make_cache(("UserCF", "u7"))))
 
@@ -586,7 +587,7 @@ def test_run_teacher_runs_the_planned_subtasks_side_by_side():
         Phase.DIVERGENCE, Phase.REFLECTION, Phase.RECOMMEND,
     ]
     assert log == serial
-    assert backend.sends == serial_gateway.call_count == gateway.call_count
+    assert backend.sends == serial_backend.sends
     assert set(threading.enumerate()) <= threads_before
 
 
