@@ -1,9 +1,9 @@
 """Deterministic oracle backend for offline pipeline runs.
 
 Plays every agent role by reading the request's origin (role, subject and send
-index), never its prompt text: always plans all four subtasks, calls one CF
-tool on each analysis agent's first send, and ranks the ground truth first
-when it knows it. The whole pipeline can therefore run with zero network access.
+index); only the ranker also reads its prompt, for the candidate ids. It plans
+all four subtasks, calls one CF tool on each analysis agent's first send, and
+ranks the ground truth first when it knows it, so the pipeline runs offline.
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ from fractions import Fraction
 import random
 from typing import Mapping, Sequence, TypeVar
 
-from .errors import InsufficientBucket, TagError, ToolParseError
+from .errors import InsufficientBucket, ReplyParseError, TagError, ToolParseError
 from .tags import decode_tool_calls
-from .teacher import Phase
+from .teacher import Phase, decode_payload
 from .trajectory import ParsedTrajectory, parse
 
 FORMAT_PASS = 1
@@ -44,15 +44,20 @@ def _format_of(parsed: ParsedTrajectory) -> int:
     if not {Phase.PLAN.value, Phase.REFLECTION.value, Phase.RECOMMEND.value} <= tags:
         return FORMAT_FAIL
     try:
+        for section in parsed.sections:  # serialize writes the ranking as a numbered list
+            if section.payload is not None or section.tag != Phase.RECOMMEND.value:
+                decode_payload(section.payload, Phase(section.tag))
         blocks = [decode_tool_calls(body) for section in parsed.sections for body in section.tool_calls]
-    except ToolParseError:
+    except (ReplyParseError, ToolParseError):
         return FORMAT_FAIL
     # exactly one call object per block
     return FORMAT_PASS if all(len(calls) == 1 for calls in blocks) else FORMAT_FAIL
 
 
 def format_reward(text: str) -> int:
-    """+1 iff the text parses, has plan/reflection/recommend, and every
+    """+1 iff the text parses, has plan/reflection/recommend, every section's
+    last payload meets its role's contract (`teacher.decode_payload`, the rule
+    the teacher accepts replies by; a recommend section needs none), and every
     tool_call body is one valid call of a recognized tool with its one id
     argument; else -1."""
     try:
@@ -81,18 +86,10 @@ def composite_reward(text: str, ground_truth: str) -> RewardBreakdown:
     try:
         parsed = parse(text)
     except TagError:
-        return RewardBreakdown(
-            format_score=FORMAT_FAIL,
-            outcome_score=Fraction(0),
-            total=Fraction(FORMAT_FAIL),
-        )
+        return RewardBreakdown(FORMAT_FAIL, Fraction(0), Fraction(FORMAT_FAIL))
     format_score = _format_of(parsed)
     outcome_score = outcome_reward(parsed.ranking, ground_truth)
-    return RewardBreakdown(
-        format_score=format_score,
-        outcome_score=outcome_score,
-        total=format_score + outcome_score,
-    )
+    return RewardBreakdown(format_score, outcome_score, format_score + outcome_score)
 
 
 def bucket(success_count: int, g: int = DEFAULT_GROUP_SIZE) -> Bucket:

@@ -4,8 +4,10 @@ One session walks a fixed workflow over the gateway and yields a SessionLog
 whose phases carry everything the trajectory codec needs to replay the text.
 The analysis agents of one pass run side by side; their records keep plan order.
 Every agent's record comes out of one turn (`_turn`): ask, answer tool calls,
-parse the last reply, re-ask once where the agent allows it, and record the
-payload with the thinking of the answered rounds and of the accepted reply.
+decode the last reply by its role's contract, re-ask once where `REASK` allows
+it, and record the payload with the thinking of the answered rounds and of the
+accepted reply. A role's contract (`DECODERS`, read through `decode_payload`)
+says what its <JSON> payload must decode to; the format reward reads the same one.
 Recorded thinking carries no tag of the trajectory grammar (`GRAMMAR_TAG`).
 `plan`, `reflect` and `rank` return the turn's (record, value) pair and
 `execute_subtask` its record; a failed turn raises SessionError naming its phase.
@@ -317,6 +319,90 @@ def _tool_loop(
     return content, thinking, events
 
 
+def _agent(name: Any) -> SubtaskKind:
+    try:
+        return SubtaskKind(name)
+    except ValueError:
+        raise ReplyParseError(f"unknown agent name {name!r}") from None
+
+
+def _plan_kinds(names: Any) -> tuple[SubtaskKind, ...]:
+    if not isinstance(names, list) or not names:
+        raise ReplyParseError("payload must be a non-empty list of agent names")
+    kinds = tuple(_agent(name) for name in names)
+    if len(set(kinds)) != len(kinds):
+        raise ReplyParseError("duplicate agent names")
+    return kinds
+
+
+def _conclusions(conclusions: Any) -> tuple[str, ...]:
+    if not (isinstance(conclusions, list) and conclusions
+            and all(isinstance(entry, str) and entry for entry in conclusions)):
+        raise ReplyParseError("payload must be a non-empty list of non-empty strings")
+    return tuple(conclusions)
+
+
+def _verdict(verdict: Any) -> tuple[Problem, ...]:
+    """The problems a reflection verdict flags, none for a pass; one per agent."""
+    if not isinstance(verdict, dict):
+        raise ReplyParseError("payload must be an object")
+    correct = verdict.get("correct")
+    if correct not in ("yes", "no"):
+        raise ReplyParseError(f'"correct" must be "yes" or "no", got {correct!r}')
+    raw_problems = verdict.get("problematic_agent")
+    if correct == "yes":
+        if raw_problems:
+            raise ReplyParseError("passing verdict cannot flag agents")
+        return ()
+    if not isinstance(raw_problems, list) or not raw_problems:
+        raise ReplyParseError("failing verdict needs a non-empty problematic_agent list")
+    problems: dict[SubtaskKind, Problem] = {}
+    for entry in raw_problems:
+        if not isinstance(entry, dict):
+            raise ReplyParseError(f"problem entry is not an object: {entry!r}")
+        kind = _agent(entry.get("agent_name"))
+        suggestion = entry.get("suggestion")
+        if not isinstance(suggestion, str) or not suggestion:
+            raise ReplyParseError(f"{kind.value}: missing suggestion")
+        problems.setdefault(kind, Problem(kind=kind, suggestion=suggestion))
+    return tuple(problems.values())
+
+
+def _ranking(ranking: Any) -> list[str]:
+    if not isinstance(ranking, list):
+        raise ReplyParseError("payload is not a list")
+    return [str(item) for item in ranking]
+
+
+# Each role's reply contract: what its last <JSON> payload must decode to. A
+# correction is read as its analysis agent is, and its section carries that tag.
+DECODERS: Mapping[Phase, Callable[[Any], Any]] = {
+    Phase.PLAN: _plan_kinds,
+    **{phase: _conclusions for phase in (*KIND_PHASE.values(), Phase.CORRECTION)},
+    Phase.REFLECTION: _verdict,
+    Phase.RECOMMEND: _ranking,
+}
+# The roles whose rejected reply earns exactly one re-ask.
+REASK = frozenset({Phase.PLAN, Phase.RECOMMEND})
+
+
+def decode_payload(payload: str | None, phase: Phase) -> Any:
+    """The value of a `phase` reply's last <JSON> payload; a missing or rejected one raises ReplyParseError."""
+    if payload is None:
+        raise ReplyParseError("no <JSON> payload")
+    try:
+        decoded = json.loads(payload)
+    except ValueError as exc:
+        raise ReplyParseError(f"payload is not JSON: {exc}") from exc
+    return DECODERS[phase](decoded)
+
+
+def _answer(content: str, phase: Phase) -> tuple[str, Any]:
+    """A reply's last <JSON> payload and its decoded value."""
+    payload = (tagged_bodies(content, JSON_TAG) or [None])[-1]
+    return payload, decode_payload(payload, phase)
+
+
 _REASK_TEXT = (
     "Your previous reply could not be parsed: {reason}. "
     "Reply again following the output requirements exactly."
@@ -328,21 +414,19 @@ def _turn(
     context: TeacherContext,
     system: str,
     user_text: str,
-    parse: Callable[[str], tuple[str, T]],
     gateway: Gateway,
     config: TeacherConfig,
     tools: ToolRunner | None = None,
-    reask: bool = False,
     kind: SubtaskKind | None = None,
-) -> tuple[PhaseRecord, T]:
-    """One agent turn: ask, answering tool calls, parse the last reply and record it.
+) -> tuple[PhaseRecord, Any]:
+    """One agent turn: ask, answering tool calls, decode the last reply and record it.
 
-    With tools the agent gets `max_tool_rounds` rounds, else one. `parse`
-    returns the reply's (payload, value) or raises a ReplyParseError; with
-    `reask`, a rejected reply earns exactly one more call that names the
-    reason. The record's thinking is that of the answered tool rounds and of
-    the accepted reply: a rejected reply's thinking goes with its payload. Any
-    failure, a gateway or tool error included, raises SessionError naming `phase`.
+    With tools the agent gets `max_tool_rounds` rounds, else one. The reply is
+    decoded by `phase`'s contract (`decode_payload`); for a phase in `REASK`, a
+    rejected reply earns exactly one more call that names the reason. The
+    record's thinking is that of the answered tool rounds and of the accepted
+    reply: a rejected reply's thinking goes with its payload. Any failure, a
+    gateway or tool error included, raises SessionError naming `phase`.
     Every send's origin has the turn's role (the phase, paired with the kind on
     a correction pass), the session's user and the send's index in the turn.
     """
@@ -352,16 +436,16 @@ def _turn(
     try:
         content, thinking, events = _tool_loop(messages, rounds, gateway, config, tools, origin)
         try:
-            payload, value = parse(content)
+            payload, value = _answer(content, phase)
         except ReplyParseError as exc:
-            if not reask:
+            if phase not in REASK:
                 raise
             messages.append({"role": "assistant", "content": content})
             messages.append({"role": "user", "content": _REASK_TEXT.format(reason=exc)})
             # one send per answered round, then the last one
             content, _, _ = _tool_loop(messages, 1, gateway, config, None,
                                        replace(origin, send=len(thinking) + 1))
-            payload, value = parse(content)
+            payload, value = _answer(content, phase)
     except Exception as exc:
         raise SessionError(phase.value, exc) from exc
     thinking.append(_thinking(content))
@@ -370,38 +454,12 @@ def _turn(
     return record, value
 
 
-def _decode_payload(content: str) -> tuple[str, Any]:
-    """The last <JSON> payload of a reply and its decoded value; a bad one raises ReplyParseError."""
-    payloads = tagged_bodies(content, JSON_TAG)
-    if not payloads:
-        raise ReplyParseError("no <JSON> payload")
-    try:
-        return payloads[-1], json.loads(payloads[-1])
-    except ValueError as exc:
-        raise ReplyParseError(f"payload is not JSON: {exc}") from exc
-
-
-def _parse_plan(content: str) -> tuple[str, tuple[SubtaskKind, ...]]:
-    payload, names = _decode_payload(content)
-    if not isinstance(names, list) or not names:
-        raise ReplyParseError("payload must be a non-empty list of agent names")
-    kinds = []
-    for name in names:
-        try:
-            kinds.append(SubtaskKind(name))
-        except ValueError:
-            raise ReplyParseError(f"unknown agent name {name!r}") from None
-    if len(set(kinds)) != len(kinds):
-        raise ReplyParseError("duplicate agent names")
-    return payload, tuple(kinds)
-
-
 def plan(
     context: TeacherContext, gateway: Gateway, config: TeacherConfig = TeacherConfig()
 ) -> tuple[PhaseRecord, tuple[SubtaskKind, ...]]:
     """One planning call; a malformed reply earns exactly one re-ask."""
     return _turn(Phase.PLAN, context, prompts.planner_system(config.domain), context.prompt,
-                 _parse_plan, gateway, config, reask=True)
+                 gateway, config)
 
 
 def execute_subtask(
@@ -420,16 +478,9 @@ def execute_subtask(
     user_text = context.prompt
     if suggestion is not None:
         user_text = f"{user_text}\n# Correction Suggestion\n{suggestion}"
-
-    def parse(content: str) -> tuple[str, None]:
-        payloads = tagged_bodies(content, JSON_TAG)
-        if not payloads:
-            raise ReplyParseError(f"{kind.value}: no <JSON> payload after tool loop")
-        return payloads[-1], None
-
     phase = Phase.CORRECTION if suggestion is not None else KIND_PHASE[kind]
     record, _ = _turn(phase, context, prompts.subtask_system(kind.value, config.domain),
-                      user_text, parse, gateway, config, tools, kind=kind)
+                      user_text, gateway, config, tools, kind=kind)
     return record
 
 
@@ -446,50 +497,15 @@ def _outputs_block(records: Sequence[PhaseRecord]) -> str:
     return "\n".join(lines)
 
 
-def _parse_verdict(content: str) -> tuple[str, tuple[Problem, ...]]:
-    """A reflection payload and the problems it flags, none for a passing verdict."""
-    payload, verdict = _decode_payload(content)
-    if not isinstance(verdict, dict):
-        raise ReplyParseError("payload must be an object")
-    correct = verdict.get("correct")
-    if correct not in ("yes", "no"):
-        raise ReplyParseError(f'"correct" must be "yes" or "no", got {correct!r}')
-    if correct == "yes":
-        if verdict.get("problematic_agent"):
-            raise ReplyParseError("passing verdict cannot flag agents")
-        return payload, ()
-    raw_problems = verdict.get("problematic_agent")
-    if not isinstance(raw_problems, list) or not raw_problems:
-        raise ReplyParseError("failing verdict needs a non-empty problematic_agent list")
-    problems: list[Problem] = []
-    seen: set[SubtaskKind] = set()
-    for entry in raw_problems:
-        if not isinstance(entry, dict):
-            raise ReplyParseError(f"problem entry is not an object: {entry!r}")
-        try:
-            kind = SubtaskKind(entry.get("agent_name"))
-        except ValueError:
-            raise ReplyParseError(f"unknown agent name {entry.get('agent_name')!r}") from None
-        suggestion = entry.get("suggestion")
-        if not isinstance(suggestion, str) or not suggestion:
-            raise ReplyParseError(f"{kind.value}: missing suggestion")
-        if kind in seen:
-            continue  # one correction per kind
-        seen.add(kind)
-        problems.append(Problem(kind=kind, suggestion=suggestion))
-    return payload, tuple(problems)
-
-
 def reflect(
     context: TeacherContext,
     outputs: Sequence[PhaseRecord],
     gateway: Gateway,
     config: TeacherConfig = TeacherConfig(),
 ) -> tuple[PhaseRecord, tuple[Problem, ...]]:
-    """Single verification call; strictly parsed, no re-ask. A pass flags no problems."""
+    """Single verification call; strictly decoded, no re-ask. A pass flags no problems."""
     return _turn(Phase.REFLECTION, context, prompts.reflector_system(config.domain),
-                 f"{context.prompt}\n{_outputs_block(outputs)}",
-                 _parse_verdict, gateway, config)
+                 f"{context.prompt}\n{_outputs_block(outputs)}", gateway, config)
 
 
 def repair_ranking(raw: Sequence[str], candidates: Sequence[str]) -> list[str]:
@@ -513,16 +529,9 @@ def rank(
     tools: ToolRunner | None = None,
 ) -> tuple[PhaseRecord, list[str]]:
     """Final ranking call; tool loop optional, one re-ask, then repair."""
-
-    def parse(content: str) -> tuple[str, list[str]]:
-        payload, decoded = _decode_payload(content)
-        if not isinstance(decoded, list):
-            raise ReplyParseError("payload is not a list")
-        return payload, repair_ranking([str(x) for x in decoded], context.candidates)
-
-    return _turn(Phase.RECOMMEND, context, prompts.ranker_system(config.domain),
-                 f"{context.prompt}\n{_outputs_block(outputs)}",
-                 parse, gateway, config, tools, reask=True)
+    record, ranking = _turn(Phase.RECOMMEND, context, prompts.ranker_system(config.domain),
+                            f"{context.prompt}\n{_outputs_block(outputs)}", gateway, config, tools)
+    return record, repair_ranking(ranking, context.candidates)
 
 
 def _fan_out(

@@ -12,13 +12,12 @@ of ranker thinking off from that list with a blank line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 import logging
 from pathlib import Path
 import re
 from typing import Mapping, Sequence
 
-from .errors import EmptyInput, PipelineError, TagError
+from .errors import EmptyInput, PipelineError, ReplyParseError, TagError
 from .tags import (
     JSON_TAG,
     TOOL_CALL_TAG,
@@ -29,7 +28,7 @@ from .tags import (
     encode_tool_call,
     encode_tool_response,
 )
-from .teacher import BLOCK_TAGS, GRAMMAR_TAG, KIND_TAG, SECTION_TAGS, Phase, SessionLog
+from .teacher import BLOCK_TAGS, GRAMMAR_TAG, KIND_TAG, SECTION_TAGS, Phase, SessionLog, decode_payload
 from . import prompts
 from .util import write_jsonl_atomic
 
@@ -52,11 +51,7 @@ class ParsedSection:
     thinking: str
     tool_calls: tuple[str, ...]
     tool_responses: tuple[str, ...]
-    payloads: tuple[str, ...]
-
-    @property
-    def payload(self) -> str | None:
-        return self.payloads[-1] if self.payloads else None
+    payload: str | None  # the last <JSON> body, if any
 
     @property
     def tool_events(self) -> tuple[tuple[ToolCall, str], ...]:
@@ -153,24 +148,24 @@ def _section(text: str, name: str, pos: int) -> tuple[ParsedSection, int]:
         thinking=thinking.removeprefix("\n").removesuffix("\n"),
         tool_calls=tuple(blocks[TOOL_CALL_TAG]),
         tool_responses=tuple(blocks[TOOL_RESPONSE_TAG]),
-        payloads=tuple(blocks[JSON_TAG]),
+        payload=(blocks[JSON_TAG] or [None])[-1],
     )
     return section, token.end()
 
 
 def _extract_ranking(section: ParsedSection) -> tuple[str, ...]:
-    """Ranking from the last JSON array payload, else the closing numbered run.
+    """Ranking from the last payload if the ranker's contract reads a non-empty
+    list from it, else from the closing numbered run.
 
     Only the run that closes the text outside the blocks counts: ids inside
     tool payloads and numbered prose in the thinking stay out of the ranking.
     """
-    if section.payloads:
-        try:
-            decoded = json.loads(section.payloads[-1])
-        except ValueError:
-            decoded = None
-        if isinstance(decoded, list) and decoded:
-            return tuple(str(x) for x in decoded)
+    try:
+        ranking = decode_payload(section.payload, Phase.RECOMMEND)
+    except ReplyParseError:  # no payload, or one the ranker's contract rejects
+        ranking = []
+    if ranking:
+        return tuple(ranking)
     _head, run = _split_ranking(section.body)
     entries = [entry.strip() for line in run for entry in _NUMBERED.findall(line)]
     return tuple(entry for entry in entries if entry)

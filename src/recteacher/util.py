@@ -12,6 +12,8 @@ from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
 
+from .errors import MalformedRecord
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -82,8 +84,6 @@ def write_jsonl_atomic(path: str | Path, records: Iterable[Any]) -> int:
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
     """Yield (line_number, parsed_object) pairs, blank lines skipped; a bad line raises MalformedRecord."""
-    from .errors import MalformedRecord
-
     path = Path(path)
     with path.open("rb") as handle:
         for lineno, raw in enumerate(handle, 1):

@@ -68,9 +68,6 @@ class EvidenceCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def keys(self) -> list[EvidenceKey]:
-        return list(self._entries)
-
     def lookup(self, key: EvidenceKey) -> Evidence | None:
         return self._entries.get(key)
 

@@ -55,6 +55,12 @@ def test_format_reward_accepts_valid():
     VALID.replace('{"arguments": {"user_id": "u"}, "name": "UserCF"}', ""),
     # a recognized tool called with another tool's argument key
     VALID.replace('{"user_id": "u"}', '{"item_id": "x"}'),
+    # payloads the teacher rejects: plan, analysis, reflection and ranking contracts
+    VALID.replace('["User_Profile_Summary"]', "[1]"),
+    VALID.replace('["ok"]', "not json"),
+    VALID.replace('<JSON>["ok"]</JSON>\n', ""),
+    VALID.replace('{"correct": "yes"}', "{}"),
+    VALID.replace("1. gt", '<JSON>{"note": "x"}</JSON>\n1. gt'),
 ])
 def test_format_reward_rejects(text):
     assert format_reward(text) == -1
@@ -76,7 +82,8 @@ def test_outcome_reward_tiers():
 
 
 def test_composite_reward_combines_exactly():
-    text = "<plan>\n<JSON>[1]</JSON>\n</plan>\n<reflection>\n<JSON>{}</JSON>\n</reflection>\n" \
+    text = "<plan>\n<JSON>[\"User_Profile_Summary\"]</JSON>\n</plan>\n" \
+           "<reflection>\n<JSON>{\"correct\": \"yes\"}</JSON>\n</reflection>\n" \
            "<recommend>\n1. a\n2. b\n3. c\n4. d\n</recommend>"
     assert composite_reward(text, "a") == RewardBreakdown(1, Fraction(1), Fraction(2))
     assert composite_reward(text, "b") == RewardBreakdown(1, Fraction(2, 3), Fraction(5, 3))
@@ -86,7 +93,7 @@ def test_composite_reward_combines_exactly():
 
 def test_composite_reward_format_failure_keeps_outcome():
     # parses, hits top-1, but lacks a reflection section
-    text = "<plan>\n<JSON>[1]</JSON>\n</plan>\n<recommend>\n1. a\n</recommend>"
+    text = "<plan>\n<JSON>[\"User_Profile_Summary\"]</JSON>\n</plan>\n<recommend>\n1. a\n</recommend>"
     assert composite_reward(text, "a") == RewardBreakdown(-1, Fraction(1), Fraction(0))
 
 

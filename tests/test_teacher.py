@@ -22,9 +22,10 @@ from recteacher.evaluate import EvalInstance
 from recteacher.gateway import ChatReply, Gateway, GatewayConfig, ScriptBackend
 from recteacher.graph import build_graph
 from recteacher.oracle import OracleBackend
-from recteacher.tags import ToolCall
+from recteacher.tags import ToolCall, tagged_bodies
 from recteacher.teacher import (
     KIND_PHASE,
+    KIND_TAG,
     MISS_FALLBACK,
     Phase,
     PhaseRecord,
@@ -33,6 +34,7 @@ from recteacher.teacher import (
     TeacherConfig,
     TeacherContext,
     ToolRunner,
+    _turn,
     build_context,
     execute_subtask,
     plan,
@@ -263,14 +265,17 @@ def test_plan_reasks_once_then_succeeds():
     assert "could not be parsed" in retry[-1]["content"]
 
 
-@pytest.mark.parametrize("bad", [
+PLAN_REJECTS = (
     "no payload",
     "<JSON>not json</JSON>",
     '<JSON>{"a": 1}</JSON>',
     "<JSON>[]</JSON>",
     '<JSON>["Psychic_Agent"]</JSON>',
     '<JSON>["User_Profile_Summary", "User_Profile_Summary"]</JSON>',
-])
+)
+
+
+@pytest.mark.parametrize("bad", PLAN_REJECTS)
 def test_plan_rejects_after_two_bad_replies(bad):
     backend, gateway = scripted_gateway(bad, bad)
     with pytest.raises(SessionError) as excinfo:
@@ -340,6 +345,21 @@ def test_execute_subtask_missing_payload():
     assert backend.sends == 2
 
 
+@pytest.mark.parametrize("bad", [
+    "<JSON>[]</JSON>",
+    '<JSON>{"conclusion": "x"}</JSON>',
+    '<JSON>["fine", ""]</JSON>',
+    '<JSON>["fine", 3]</JSON>',
+])
+def test_execute_subtask_rejects_a_payload_that_is_no_list_of_conclusions(bad):
+    backend, gateway = scripted_gateway(bad)
+    with pytest.raises(SessionError) as excinfo:
+        execute_subtask(SubtaskKind.RECENT, make_context(), ToolRunner(make_cache()), gateway)
+    assert excinfo.value.phase == "recent_analysis"
+    assert isinstance(excinfo.value.cause, ReplyParseError)
+    assert backend.sends == 1  # analysis agents get no re-ask
+
+
 def test_execute_subtask_suggestion_marks_correction():
     backend, gateway = scripted_gateway('Reworked.\n<JSON>["fixed"]</JSON>')
     runner = ToolRunner(make_cache())
@@ -389,7 +409,7 @@ def test_reflect_fail_verdict_dedupes_agents():
     ]
 
 
-@pytest.mark.parametrize("bad", [
+VERDICT_REJECTS = (
     "no payload",
     "<JSON>not json</JSON>",
     "<JSON>[1]</JSON>",
@@ -400,7 +420,10 @@ def test_reflect_fail_verdict_dedupes_agents():
     '<JSON>{"correct": "no", "problematic_agent": ["x"]}</JSON>',
     '<JSON>{"correct": "no", "problematic_agent": [{"agent_name": "Psychic", "suggestion": "s"}]}</JSON>',
     '<JSON>{"correct": "no", "problematic_agent": [{"agent_name": "Recent_Interest_Analysis"}]}</JSON>',
-])
+)
+
+
+@pytest.mark.parametrize("bad", VERDICT_REJECTS)
 def test_reflect_rejects_malformed(bad):
     _, gateway = scripted_gateway(bad)
     with pytest.raises(SessionError) as excinfo:
@@ -682,3 +705,90 @@ def test_build_context_renders_prompt_and_folds_history():
     assert "item_id: i03 " not in context.prompt
     assert "1. item_id: i05 | title: Title 5 | genre: sf" in context.prompt
     assert context.candidates == instance.candidates
+
+
+# ----------------------------------------------------------- reply contracts
+
+def trajectory_with(phase, payload):
+    """A well-formed trajectory whose `phase` section carries `payload`; None leaves it without one.
+
+    An analysis phase takes the user-profile slot; a correction is a divergence section.
+    """
+    sections = [(Phase.PLAN, '["User_Profile_Summary"]'), (Phase.USER_PROFILE, '["steady reader"]'),
+                (Phase.REFLECTION, '{"correct": "yes"}'), (Phase.CORRECTION, '["revised view"]'),
+                (Phase.RECOMMEND, None)]
+    slot = Phase.USER_PROFILE if phase in KIND_PHASE.values() else phase
+    parts = []
+    for section, body in sections:
+        if section is slot:
+            section, body = phase, payload
+        tag = KIND_TAG[SubtaskKind.DIVERGENCE] if section is Phase.CORRECTION else section.value
+        lines = [f"<{tag}>"]
+        if body is not None:
+            lines.append(f"<JSON>{body}</JSON>")
+        if section is Phase.RECOMMEND:
+            lines.extend(["1. c1", "2. c2", "3. c3"])
+        lines.append(f"</{tag}>")
+        parts.append("\n".join(lines))
+    return "\n".join(parts)
+
+
+def test_a_subtask_payload_that_is_not_json_fails_its_turn_and_its_trajectory():
+    backend, gateway = scripted_gateway("<JSON>not json</JSON>")
+    with pytest.raises(SessionError) as excinfo:
+        execute_subtask(SubtaskKind.HISTORICAL, make_context(), ToolRunner(make_cache()), gateway)
+    assert excinfo.value.phase == "historical_analysis"
+    assert isinstance(excinfo.value.cause, ReplyParseError)
+    assert "payload is not JSON" in str(excinfo.value.cause)
+    assert format_reward(trajectory_with(Phase.HISTORICAL, "not json")) == -1
+
+
+# Every reply this module scripts for an agent, accepted or rejected, plus
+# edge cases of the conclusion and ranking contracts; each is played to every role.
+REPLIES = (
+    *PLAN_REJECTS,
+    *VERDICT_REJECTS,
+    'Two lenses suffice here.\n<JSON>["User_Profile_Summary", "Recent_Interest_Analysis"]</JSON>',
+    'Got it.\n<JSON>["conclusion"]</JSON>',
+    tool_call(user_id="u1"),
+    f"{tool_call(user_id='u1')}\n<JSON>[\"fallback conclusion\"]</JSON>",
+    "no structure here at all",
+    '<JSON>{"correct": "yes"}</JSON>',
+    '<JSON>{"correct": "no", "problematic_agent": '
+    '[{"agent_name": "Recent_Interest_Analysis", "suggestion": "narrow the window"}]}</JSON>',
+    '<JSON>["c2", "c1", "c3"]</JSON>',
+    '<JSON>["foreign", "c2", "c2"]</JSON>',
+    '<JSON>{"not": "a list"}</JSON>',
+    "<JSON>null</JSON>",
+    '<JSON>["fine", ""]</JSON>',
+    '<JSON>["fine", 3]</JSON>',
+    "<JSON>[1, 2]</JSON>",
+)
+
+
+def turn_accepts(phase, reply):
+    """Whether an agent turn of `phase` accepts `reply`, given it on every send."""
+    _, gateway = scripted_gateway(reply, reply)
+    kind = SubtaskKind.DIVERGENCE if phase is Phase.CORRECTION else None
+    try:
+        _turn(phase, make_context(), "system", "user", gateway, TeacherConfig(), kind=kind)
+    except SessionError as exc:
+        assert exc.phase == phase.value
+        assert isinstance(exc.cause, ReplyParseError)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("phase", list(Phase), ids=lambda phase: phase.value)
+def test_the_turn_accepts_exactly_the_payloads_the_format_reward_passes(phase):
+    verdicts = set()
+    for reply in REPLIES:
+        payloads = tagged_bodies(reply, "JSON")
+        payload = payloads[-1] if payloads else None
+        if phase is Phase.RECOMMEND and payload is None:
+            continue  # the ranking is serialized as a numbered list, so no payload is fine there
+        accepted = turn_accepts(phase, reply)
+        rewarded = format_reward(trajectory_with(phase, payload)) == 1
+        assert accepted == rewarded, reply
+        verdicts.add(accepted)
+    assert verdicts == {True, False}

@@ -61,8 +61,8 @@ def test_cache_put_lookup_len_keys():
     evidence = Evidence(key=key, text="t", source_neighbors=("y",), created_at=7)
     cache.put(evidence)
     assert len(cache) == 1
-    assert cache.keys() == [key]
     assert cache.lookup(key) is evidence
+    assert cache.lookup(EvidenceKey("UserCF", "x")) is None  # the key is the (tool, anchor) pair
 
 
 def test_cache_persistence_round_trip(tmp_path):
