@@ -13,7 +13,9 @@ run-teacher handles each session when its turn in instance order comes,
 whatever order the concurrent sessions finished in: it appends the session's
 on-demand fills to the cache and writes its record. Instance, session and
 rollout files name each id once, shard directories included; a repeated id is
-an error in every command that reads them.
+an error in every command that reads them, and so is a ground truth that breaks
+the id rule. run-teacher needs an existing evidence cache, unless
+on_demand_verbalize is set: only then does it load the graph, to fill misses.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import logging
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -36,7 +39,7 @@ from .corpus import (
     require_id,
     save_corpus,
 )
-from .errors import EmptyInput, MalformedRecord, PipelineError
+from .errors import EmptyInput, PipelineError
 from .evaluate import (
     DEFAULT_KS,
     EvalInstance,
@@ -54,7 +57,7 @@ from .rewards import Bucket, bucket, composite_reward, compose_rl_set, largest_r
 from .teacher import PhaseRecord, SessionLog, TeacherConfig, ToolRunner, build_context, run_teacher
 from .trajectory import export_sft, serialize, top1_hit
 from .util import atomic_path, ordered_map, read_jsonl, write_atomic, write_jsonl_atomic
-from .verbalize import EvidenceCache, warm_cache
+from .verbalize import EvidenceCache, verbalize_key, warm_cache
 
 logger = logging.getLogger(__name__)
 
@@ -136,16 +139,26 @@ def _iter_records(path: str | Path, what: str) -> Iterator[dict]:
     else:
         files = [base]
     for file in files:
-        for lineno, obj in read_jsonl(file):
-            if not isinstance(obj, dict):
-                raise MalformedRecord(lineno, f"{what} record is not a JSON object", source=str(file))
-            yield obj
+        for _lineno, record in read_jsonl(file):
+            yield record
 
 
 def _record_field(record: dict, key: str, what: str) -> Any:
     if key not in record:
         raise PipelineError(f"{what} record {record.get('id', '?')!r} is missing {key!r}")
     return record[key]
+
+
+def _bad_record(what: str, record: dict, exc: Exception) -> PipelineError:
+    return PipelineError(f"bad {what} record {record.get('id', '?')!r}: {exc}")
+
+
+def _id_field(record: dict, key: str, what: str) -> str:
+    """The record's `key`, read by the id rule (`require_id`)."""
+    try:
+        return require_id(record.get(key), key)
+    except ValueError as exc:
+        raise _bad_record(what, record, exc) from exc
 
 
 def _unique_records(path: str | Path, what: str) -> Iterator[tuple[str, dict]]:
@@ -185,7 +198,7 @@ def _instance_from_record(record: dict) -> EvalInstance:
             scenario=Scenario(record.get("scenario", Scenario.CLASSIC.value)),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise PipelineError(f"bad instance record {record.get('id', '?')!r}: {exc}") from exc
+        raise _bad_record("instance", record, exc) from exc
 
 
 def _check_instances(path: str | Path) -> dict[str, str]:
@@ -271,7 +284,7 @@ def _cmd_verbalize(args: argparse.Namespace, config: PipelineConfig) -> int:
     # --only-missing appends to --out as each key lands; a full rebuild fills a
     # temp file that replaces --out only once every key is verbalized.
     with (nullcontext(out) if only_missing else atomic_path(out)) as path:
-        cache = EvidenceCache.load(path) if only_missing else EvidenceCache(path=path)
+        cache = EvidenceCache.load(path)
         before = len(cache)
         failed = warm_cache(graph, corpus, gateway, cache, k=config.neighbor_k, domain=config.domain)
         for key, exc in failed:
@@ -306,22 +319,21 @@ def _cmd_make_instances(args: argparse.Namespace, config: PipelineConfig) -> int
 
 def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
     corpus = load_corpus(_required_path(args.corpus, config.corpus_dir, "corpus"))
-    graph = load_graph(_required_path(args.graph, config.graph_path, "graph"))
     cache_path = Path(_required_path(args.cache, config.cache_path, "cache"))
-    cache = EvidenceCache.load(cache_path) if cache_path.exists() else EvidenceCache(path=cache_path)
+    if not (cache_path.exists() or config.on_demand_verbalize):
+        raise PipelineError(f"evidence cache {str(cache_path)!r} does not exist "
+                            "(run `verbalize` first, or set on_demand_verbalize)")
+    cache = EvidenceCache.load(cache_path)
 
     gateway = _make_gateway(args, config, ground_truth=_check_instances(args.instances))
 
     teacher_config = config.view(TeacherConfig)
-    tools = ToolRunner(
-        cache,
-        graph=graph,
-        corpus=corpus,
-        gateway=gateway,
-        on_demand=config.on_demand_verbalize,
-        k=config.neighbor_k,
-        domain=config.domain,
-    )
+    fill = None
+    if config.on_demand_verbalize:
+        graph = load_graph(_required_path(args.graph, config.graph_path, "graph"))
+        fill = partial(verbalize_key, graph, corpus, gateway=gateway,
+                       k=config.neighbor_k, domain=config.domain)
+    tools = ToolRunner(cache, fill)
 
     def run_one(pair: tuple[str, EvalInstance]) -> tuple[SessionLog, dict]:
         session_id, instance = pair
@@ -354,7 +366,7 @@ def _cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> int:
     for session_id, record in _unique_records(args.sessions, "session"):
         total += 1
         trajectory = str(_record_field(record, "trajectory", "session"))
-        ground_truth = str(_record_field(record, "ground_truth", "session"))
+        ground_truth = _id_field(record, "ground_truth", "session")
         hit = top1_hit(trajectory, ground_truth)
         if hit is None:
             unparsable += 1
@@ -385,17 +397,19 @@ def _cmd_export_sft(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def _cmd_score_rewards(args: argparse.Namespace, config: PipelineConfig) -> int:
-    ground_truth_by_id: dict[str, str] = {}
-    if args.instances:
-        for record_id, record in _unique_records(args.instances, "instance"):
-            ground_truth_by_id[record_id] = str(_record_field(record, "ground_truth", "instance"))
+    ground_truth_by_id = {instance_id: instance.ground_truth
+                          for instance_id, instance in _iter_instances(args.instances)
+                          } if args.instances else {}
     out_records = []
     for record_id, record in _unique_records(args.trajectories, "session"):
-        ground_truth = record.get("ground_truth", ground_truth_by_id.get(record_id))
-        if ground_truth is None:
+        if "ground_truth" in record:
+            ground_truth = _id_field(record, "ground_truth", "session")
+        elif record_id in ground_truth_by_id:
+            ground_truth = ground_truth_by_id[record_id]
+        else:
             raise PipelineError(f"no ground truth for trajectory {record_id!r} (pass --instances)")
         breakdown = composite_reward(str(_record_field(record, "trajectory", "session")),
-                                     str(ground_truth))
+                                     ground_truth)
         out_records.append({
             "id": record_id,
             "format_score": breakdown.format_score,

@@ -109,7 +109,7 @@ def require_id(value: Any, name: str) -> str:
 
 
 def _require_id(obj: Any, key: str) -> str:
-    """The record's `key` id. The record must be a JSON object; every record decoder reads an id first."""
+    """The record's `key` id; the record must be an object (instance history entries are not file lines)."""
     if not isinstance(obj, dict):
         raise ValueError("record is not a JSON object")
     return require_id(obj.get(key), key)

@@ -155,8 +155,6 @@ def load_graph(path: str | Path) -> InteractionGraph:
     user_adj: dict[str, frozenset[str]] = {}
     item_sets: dict[str, set[str]] = {}
     for lineno, obj in read_jsonl(path):
-        if not isinstance(obj, dict):
-            raise MalformedRecord(lineno, "record is not a JSON object", source=str(path))
         if header is None:
             header, header_line = obj, lineno
             continue

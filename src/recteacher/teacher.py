@@ -26,10 +26,9 @@ from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 from .abstract import DEFAULT_WINDOW_M, abstract, render_interaction
 from .corpus import Corpus
-from .errors import ReplyParseError, SessionError
+from .errors import ReplyParseError, SessionError, UnknownItem, UnknownUser
 from .evaluate import EvalInstance
 from .gateway import DEFAULT_TEMPERATURE, DEFAULT_TOP_P, Gateway, Origin, chat_request, check_sampling
-from .graph import DEFAULT_NEIGHBOR_K, InteractionGraph
 from . import prompts
 from .tags import (
     JSON_TAG,
@@ -43,15 +42,15 @@ from .tags import (
     tagged_bodies,
 )
 from .util import ordered_map
-from .verbalize import Evidence, EvidenceCache, EvidenceKey, verbalize_key
+from .verbalize import Evidence, EvidenceCache, EvidenceKey
 
 # Unused here, but perfbench/probes.py looks both names up on this module.
 from .verbalize import verbalize_item, verbalize_user  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
-# Evidence text served when a tool call misses the cache and on-demand
-# verbalization is off (or the anchor is absent from the graph).
+# Evidence text served when a tool call misses the cache and there is no
+# on-demand fill (or the anchor is absent from the graph).
 MISS_FALLBACK = "no cached collaborative evidence available"
 
 DEFAULT_MAX_TOOL_ROUNDS = 3
@@ -148,30 +147,18 @@ class TeacherContext:
 class ToolRunner:
     """Executes UserCF/ItemCF calls against the evidence cache.
 
-    Unknown anchors never raise: a miss falls back to on-demand verbalization
-    when enabled and possible, else to a fixed sentence. Sessions may share
-    one runner across threads: concurrent misses on a key wait for a single
-    fill, which every session is served from memory at once and which reaches
-    the cache file only through `persist`.
+    Unknown anchors never raise. A miss is filled by `fill` (an EvidenceKey ->
+    Evidence callable) when one is given; without one, or for an anchor the
+    fill's CF query does not know, the call gets a fixed sentence. Sessions may
+    share one runner across threads: concurrent misses on a key wait for a
+    single fill, which every session is served from memory at once and which
+    reaches the cache file only through `persist`.
     """
 
-    def __init__(
-        self,
-        cache: EvidenceCache,
-        graph: InteractionGraph | None = None,
-        corpus: Corpus | None = None,
-        gateway: Gateway | None = None,
-        on_demand: bool = False,
-        k: int = DEFAULT_NEIGHBOR_K,
-        domain: str = prompts.DEFAULT_DOMAIN,
-    ) -> None:
+    def __init__(self, cache: EvidenceCache,
+                 fill: Callable[[EvidenceKey], Evidence] | None = None) -> None:
         self.cache = cache
-        self.graph = graph
-        self.corpus = corpus
-        self.gateway = gateway
-        self.on_demand = on_demand
-        self.k = k
-        self.domain = domain
+        self.fill = fill
         self._lock = threading.Lock()
         self._pending: dict[EvidenceKey, Future] = {}
 
@@ -180,9 +167,12 @@ class ToolRunner:
         found = self.cache.lookup(key)
         if found is not None:
             return found.text
-        if self.on_demand and self._can_verbalize(key):
+        if self.fill is None:
+            return MISS_FALLBACK
+        try:
             return self._fill(key).text
-        return MISS_FALLBACK
+        except (UnknownItem, UnknownUser):  # the anchor is not in the graph; nothing was sent
+            return MISS_FALLBACK
 
     def persist(self, log: SessionLog) -> None:
         """Append the session's on-demand fills to the cache file, in tool-call order.
@@ -197,7 +187,7 @@ class ToolRunner:
 
     def _fill(self, key: EvidenceKey) -> Evidence:
         # The filler puts the entry in the cache before it leaves _pending,
-        # so a key is never in neither and is verbalized at most once.
+        # so a key is never in neither and is filled at most once.
         with self._lock:
             found = self.cache.lookup(key)
             if found is not None:
@@ -209,9 +199,7 @@ class ToolRunner:
         if not filler:
             return flight.result()
         try:
-            assert self.graph is not None and self.corpus is not None and self.gateway is not None
-            evidence = verbalize_key(self.graph, self.corpus, key, self.gateway,
-                                     k=self.k, domain=self.domain)
+            evidence = self.fill(key)
             self.cache.put(evidence, hold=True)
             flight.set_result(evidence)
             return evidence
@@ -221,12 +209,6 @@ class ToolRunner:
         finally:
             with self._lock:
                 del self._pending[key]
-
-    def _can_verbalize(self, key: EvidenceKey) -> bool:
-        if self.graph is None or self.corpus is None or self.gateway is None:
-            return False
-        adj = self.graph.item_adj if key.tool == "ItemCF" else self.graph.user_adj
-        return key.anchor in adj
 
 
 def _evidence_key(call: ToolCall) -> EvidenceKey:

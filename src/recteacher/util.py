@@ -82,19 +82,23 @@ def write_jsonl_atomic(path: str | Path, records: Iterable[Any]) -> int:
     return count
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
-    """Yield (line_number, parsed_object) pairs, blank lines skipped; a bad line raises MalformedRecord."""
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line_number, record) per non-blank line; a line not one JSON object raises MalformedRecord."""
     path = Path(path)
     with path.open("rb") as handle:
         for lineno, raw in enumerate(handle, 1):
             try:
                 stripped = raw.decode("utf-8").strip()
-                if stripped:
-                    yield lineno, json.loads(stripped)
+                if not stripped:
+                    continue
+                record = json.loads(stripped)
             except UnicodeDecodeError as exc:
                 raise MalformedRecord(lineno, f"invalid UTF-8: {exc}", source=str(path)) from exc
             except json.JSONDecodeError as exc:
                 raise MalformedRecord(lineno, f"invalid JSON: {exc}", source=str(path)) from exc
+            if not isinstance(record, dict):
+                raise MalformedRecord(lineno, "record is not a JSON object", source=str(path))
+            yield lineno, record
 
 
 def ordered_map(

@@ -107,11 +107,11 @@ class EvidenceCache:
 
     @classmethod
     def load(cls, path: Path) -> "EvidenceCache":
-        """Read a cache file; a bad line raises MalformedRecord naming it."""
-        cache = cls()
+        """Read the cache file at `path` (a missing one is empty); a bad line raises MalformedRecord."""
+        cache = cls(path)
+        if not cache.path.exists():
+            return cache
         for lineno, record in read_jsonl(path):
-            if not isinstance(record, dict):
-                raise MalformedRecord(lineno, "record is not a JSON object", source=str(path))
             missing = [name for name in ("tool", "anchor", "text") if name not in record]
             if missing:
                 raise MalformedRecord(lineno, f"missing {', '.join(missing)}", source=str(path))
@@ -126,7 +126,6 @@ class EvidenceCache:
                                       source=str(path)) from exc
             cache._entries[key] = Evidence(key=key, text=str(record["text"]),
                                            source_neighbors=neighbors, created_at=created_at)
-        cache.path = Path(path)
         return cache
 
 

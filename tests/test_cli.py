@@ -365,6 +365,21 @@ def test_a_bad_instance_file_fails_before_any_session(pipeline, tmp_path, capsys
         assert sorted(os.listdir(tmp_path)) == ["instances.jsonl", "script.json"]  # no output, no temp
 
 
+def test_run_teacher_refuses_a_missing_cache_without_on_demand(pipeline, tmp_path, capsys):
+    missing = tmp_path / "nope.jsonl"
+    out = tmp_path / "sessions.jsonl"
+    code = main(["run-teacher", "--corpus", str(pipeline["corpus"]), "--cache", str(missing),
+                 "--instances", str(pipeline["instances"]), "--out", str(out),
+                 "--backend", "mock"])
+    captured = capsys.readouterr()
+    assert code == 1
+    error_lines = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+    assert len(error_lines) == 1
+    assert error_lines[0].startswith("error: PipelineError: ")
+    assert str(missing) in error_lines[0] and "verbalize" in error_lines[0]
+    assert os.listdir(tmp_path) == []  # no output, no temp, no cache file
+
+
 def test_session_records_carry_full_structure(pipeline):
     records = records_of(pipeline["sessions"])
     assert len(records) == 6
@@ -535,6 +550,46 @@ def test_filter_drops_misses(pipeline, tmp_path, capsys):
     assert main(["filter", "--sessions", str(path), "--out", str(out)]) == 0
     captured = capsys.readouterr()
     assert "kept 1 / 2" in captured.out
+
+
+def with_null_ground_truth(records, tmp_path, name):
+    """`records` written to `name`, the first with a null ground truth."""
+    records = [dict(record) for record in records]
+    records[0]["ground_truth"] = None
+    path = tmp_path / name
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return records[0]["id"], path
+
+
+@pytest.mark.parametrize("command", ["filter", "score-rewards"])
+def test_a_null_session_ground_truth_is_a_bad_record(pipeline, tmp_path, capsys, command):
+    bad_id, path = with_null_ground_truth(records_of(pipeline["sessions"]), tmp_path,
+                                          "sessions.jsonl")
+    out = tmp_path / "out.jsonl"
+    flag = "--sessions" if command == "filter" else "--trajectories"
+    code = main([command, flag, str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert (f"error: PipelineError: bad session record {bad_id!r}: "
+            "missing or invalid ground_truth") in captured.err
+    assert "no ground truth" not in captured.err
+    assert not out.exists()
+
+
+def test_a_null_instance_ground_truth_fails_score_rewards(pipeline, tmp_path, capsys):
+    bare = tmp_path / "bare.jsonl"
+    bare.write_text("".join(json.dumps({"id": r["id"], "trajectory": r["trajectory"]}) + "\n"
+                            for r in records_of(pipeline["sessions"])), encoding="utf-8")
+    bad_id, instances = with_null_ground_truth(records_of(pipeline["instances"]), tmp_path,
+                                               "instances.jsonl")
+    out = tmp_path / "rewards.jsonl"
+    code = main(["score-rewards", "--trajectories", str(bare), "--instances", str(instances),
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert (f"error: PipelineError: bad instance record {bad_id!r}: "
+            "missing or invalid ground_truth") in captured.err
+    assert not out.exists()
 
 
 def test_export_sft_records(pipeline, tmp_path, capsys):

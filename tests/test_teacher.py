@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 import json
 import random
 import sys
@@ -46,7 +47,7 @@ from recteacher.teacher import (
 from recteacher import prompts
 from recteacher.rewards import format_reward
 from recteacher.trajectory import parse, serialize
-from recteacher.verbalize import Evidence, EvidenceCache, EvidenceKey
+from recteacher.verbalize import Evidence, EvidenceCache, EvidenceKey, verbalize_key
 
 CACHED_TEXT = "cached neighbor preferences"
 
@@ -114,11 +115,15 @@ def small_corpus():
     )
 
 
+def filler(corpus, gateway):
+    """The on-demand fill run-teacher builds: verbalize a key over the corpus graph."""
+    return partial(verbalize_key, build_graph(corpus), corpus, gateway=gateway)
+
+
 def test_tool_runner_on_demand_verbalizes_and_caches():
     corpus = small_corpus()
-    graph = build_graph(corpus)
     backend, gateway = scripted_gateway("here it is\n<Answer>fresh evidence about x</Answer>")
-    runner = ToolRunner(make_cache(), graph=graph, corpus=corpus, gateway=gateway, on_demand=True)
+    runner = ToolRunner(make_cache(), filler(corpus, gateway))
     call = ToolCall("ItemCF", {"item_id": "x"})
     assert runner.run(call) == "fresh evidence about x"
     assert backend.sends == 1
@@ -126,6 +131,7 @@ def test_tool_runner_on_demand_verbalizes_and_caches():
     assert backend.sends == 1
     # anchors outside the graph still fall back without a gateway call
     assert runner.run(ToolCall("ItemCF", {"item_id": "zz"})) == MISS_FALLBACK
+    assert runner.run(ToolCall("UserCF", {"user_id": "nobody"})) == MISS_FALLBACK
     assert backend.sends == 1
 
 
@@ -157,8 +163,7 @@ def test_tool_runner_fills_a_shared_miss_once(tmp_path):
     backend = ScriptBackend([blocking_reply])  # a second send would exhaust the script
     gateway = Gateway(backend, GatewayConfig(max_parallel=2), sleep=lambda s: None)
     path = tmp_path / "cache.jsonl"
-    runner = ToolRunner(MissRecordingCache(path=path), graph=build_graph(corpus), corpus=corpus,
-                        gateway=gateway, on_demand=True)
+    runner = ToolRunner(MissRecordingCache(path=path), filler(corpus, gateway))
     call = ToolCall("ItemCF", {"item_id": "x"})
     with ThreadPoolExecutor(max_workers=2) as pool:
         futures = [pool.submit(runner.run, call) for _ in range(2)]
@@ -184,7 +189,6 @@ def test_tool_runner_concurrent_fills_match_a_serial_run(tmp_path):
         sequences={u: [Interaction(u, item, t) for t, item in enumerate(rng.sample(items, 4))]
                    for u in users},
     )
-    graph = build_graph(corpus)
     calls = ([ToolCall("UserCF", {"user_id": u}) for u in users]
              + [ToolCall("ItemCF", {"item_id": i}) for i in items])
 
@@ -195,8 +199,7 @@ def test_tool_runner_concurrent_fills_match_a_serial_run(tmp_path):
 
     def runner_over(backend, path):
         gateway = Gateway(backend, GatewayConfig(max_parallel=8), sleep=lambda s: None)
-        return ToolRunner(EvidenceCache(path), graph=graph, corpus=corpus, gateway=gateway,
-                          on_demand=True)
+        return ToolRunner(EvidenceCache(path), filler(corpus, gateway))
 
     serial_backend = OracleBackend()
     serial = runner_over(serial_backend, tmp_path / "serial.jsonl")
@@ -230,8 +233,7 @@ def test_tool_runner_concurrent_fills_match_a_serial_run(tmp_path):
 def test_tool_runner_failed_fill_is_retried():
     corpus = small_corpus()
     backend, gateway = scripted_gateway("no envelope", "<Answer>second try</Answer>")
-    runner = ToolRunner(make_cache(), graph=build_graph(corpus), corpus=corpus,
-                        gateway=gateway, on_demand=True)
+    runner = ToolRunner(make_cache(), filler(corpus, gateway))
     call = ToolCall("ItemCF", {"item_id": "x"})
     with pytest.raises(ReplyParseError):
         runner.run(call)

@@ -74,3 +74,11 @@ def artifacts(toy_files, tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_toy_artifact_digest(artifacts, name):
     assert hashlib.sha256((artifacts / name).read_bytes()).hexdigest() == DIGESTS[name]
+
+
+def test_run_teacher_without_on_demand_needs_no_graph(artifacts, tmp_path):
+    out = tmp_path / "sessions.jsonl"
+    assert main(["run-teacher", "--backend", "mock", "--corpus", str(artifacts / "corpus"),
+                 "--cache", str(artifacts / "cache.jsonl"),
+                 "--instances", str(artifacts / "instances.jsonl"), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS["sessions.jsonl"]

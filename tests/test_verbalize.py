@@ -112,6 +112,16 @@ def test_cache_load_names_the_malformed_line(tmp_path, line, reason):
     assert reason in excinfo.value.reason
 
 
+def test_cache_load_binds_a_missing_file_as_an_empty_cache(tmp_path):
+    path = tmp_path / "evidence.jsonl"
+    cache = EvidenceCache.load(path)
+    assert len(cache) == 0
+    assert not path.exists()
+    evidence = Evidence(EvidenceKey("ItemCF", "x"), "about x", ("y",), 0)
+    cache.put(evidence)
+    assert EvidenceCache.load(path).lookup(evidence.key) == evidence
+
+
 def test_cache_held_entries_reach_the_file_when_named(tmp_path):
     path = tmp_path / "evidence.jsonl"
     cache = EvidenceCache(path)
