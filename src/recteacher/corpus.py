@@ -125,39 +125,31 @@ def _decoded(path: str | Path, decode: Callable[[Any], T]) -> Iterator[tuple[int
         yield lineno, value
 
 
-def _decode_user(obj: Any) -> UserMeta:
+def _decode_user(obj: Any) -> tuple[str, UserMeta]:
     user_id = _require_id(obj, "user_id")
-    return UserMeta(user=user_id, attributes={
+    return user_id, UserMeta(user=user_id, attributes={
         k: _stringify_attribute(v) for k, v in obj.items() if k != "user_id"
     })
 
 
-def _decode_item(obj: Any) -> ItemMeta:
+def _decode_item(obj: Any) -> tuple[str, ItemMeta]:
     item_id = _require_id(obj, "item_id")
     title = obj.get("title")
     if not isinstance(title, str) or not title:
         raise ValueError("missing or invalid title")
-    return ItemMeta(item=item_id, title=title, attributes={
+    return item_id, ItemMeta(item=item_id, title=title, attributes={
         k: _stringify_attribute(v) for k, v in obj.items() if k not in ("item_id", "title")
     })
 
 
-def _load_users(path: str | Path) -> dict[str, UserMeta]:
-    users: dict[str, UserMeta] = {}
-    for lineno, meta in _decoded(path, _decode_user):
-        if meta.user in users:
-            raise MalformedRecord(lineno, f"duplicate user_id {meta.user!r}", source=str(path))
-        users[meta.user] = meta
-    return users
-
-
-def _load_items(path: str | Path) -> dict[str, ItemMeta]:
-    items: dict[str, ItemMeta] = {}
-    for lineno, meta in _decoded(path, _decode_item):
-        if meta.item in items:
-            raise MalformedRecord(lineno, f"duplicate item_id {meta.item!r}", source=str(path))
-        items[meta.item] = meta
-    return items
+def _load_meta(path: str | Path, key: str, decode: Callable[[Any], tuple[str, T]]) -> dict[str, T]:
+    """{id: metadata} of a user or item file; a repeated `key` id raises MalformedRecord naming its line."""
+    metas: dict[str, T] = {}
+    for lineno, (meta_id, meta) in _decoded(path, decode):
+        if meta_id in metas:
+            raise MalformedRecord(lineno, f"duplicate {key} {meta_id!r}", source=str(path))
+        metas[meta_id] = meta
+    return metas
 
 
 def decode_interaction(obj: Any) -> Interaction:
@@ -202,8 +194,8 @@ def ingest(user_file: str | Path, item_file: str | Path, review_file: str | Path
     name unknown users/items, and EmptyCorpus when no interactions exist.
     Duplicate review triples are kept as distinct interactions.
     """
-    users = _load_users(user_file)
-    items = _load_items(item_file)
+    users = _load_meta(user_file, "user_id", _decode_user)
+    items = _load_meta(item_file, "item_id", _decode_item)
 
     sequences: dict[str, list[Interaction]] = {}
     total = 0

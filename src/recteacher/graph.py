@@ -12,14 +12,17 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Mapping
 
-from .corpus import Corpus
+from .corpus import Corpus, require_id
 from .errors import EmptyCorpus, MalformedRecord, UnknownItem, UnknownUser
 from .util import atomic_writer, read_jsonl
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_NEIGHBOR_K = 10
+
+Adjacency = Mapping[str, frozenset[str]]
 
 
 @dataclass
@@ -29,26 +32,26 @@ class InteractionGraph:
     user_adj: dict[str, frozenset[str]]
     item_adj: dict[str, frozenset[str]]
 
+    @classmethod
+    def from_user_sets(cls, user_sets: Mapping[str, Iterable[str]]) -> "InteractionGraph":
+        """The graph of each user's items; the one place item_adj is derived."""
+        user_adj = {user: frozenset(items) for user, items in user_sets.items()}
+        item_sets: dict[str, set[str]] = {}
+        for user, items in user_adj.items():
+            for item in items:
+                item_sets.setdefault(item, set()).add(user)
+        return cls(user_adj=user_adj, item_adj={i: frozenset(s) for i, s in item_sets.items()})
+
     def edge_count(self) -> int:
         return sum(len(items) for items in self.user_adj.values())
 
 
 def build_graph(corpus: Corpus) -> InteractionGraph:
     """Build the deduplicated bipartite graph from all interactions."""
-    user_sets: dict[str, set[str]] = {}
-    item_sets: dict[str, set[str]] = {}
-    total = 0
-    for user, seq in corpus.sequences.items():
-        for inter in seq:
-            user_sets.setdefault(user, set()).add(inter.item)
-            item_sets.setdefault(inter.item, set()).add(user)
-            total += 1
-    if total == 0:
+    user_sets = {user: {inter.item for inter in seq} for user, seq in corpus.sequences.items() if seq}
+    if not user_sets:
         raise EmptyCorpus("no interactions to build a graph from")
-    graph = InteractionGraph(
-        user_adj={u: frozenset(s) for u, s in user_sets.items()},
-        item_adj={i: frozenset(s) for i, s in item_sets.items()},
-    )
+    graph = InteractionGraph.from_user_sets(user_sets)
     logger.info(
         "built graph: %d users, %d items, %d edges",
         len(graph.user_adj), len(graph.item_adj), graph.edge_count(),
@@ -74,25 +77,30 @@ def _top_k(counts: Counter, k: int) -> list[tuple[str, int]]:
     return heapq.nsmallest(k, counts.items(), key=_rank_key)
 
 
+def _two_hop(adj: Adjacency, back: Adjacency, anchor: str, k: int,
+             unknown: type[Exception]) -> list[tuple[str, int]]:
+    """Top-k nodes sharing a neighbor with the anchor (anchor -> adj -> back), by shared count.
+
+    The anchor itself is excluded; an anchor not in `adj` raises `unknown`.
+    """
+    _validate_k(k)
+    middle = adj.get(anchor)
+    if middle is None:
+        raise unknown(anchor)
+    scores: Counter = Counter()
+    for node in middle:
+        scores.update(back[node])
+    del scores[anchor]
+    return _top_k(scores, k)
+
+
 def item_cf_neighbors(
     graph: InteractionGraph,
     anchor: str,
     k: int = DEFAULT_NEIGHBOR_K,
 ) -> list[tuple[str, int]]:
-    """Top-k items sharing users with the anchor (Item -> User -> Item).
-
-    Score is the co-reader count; only items with at least one shared user
-    qualify; the anchor itself is excluded.
-    """
-    _validate_k(k)
-    users = graph.item_adj.get(anchor)
-    if users is None:
-        raise UnknownItem(anchor)
-    scores: Counter = Counter()
-    for user in users:
-        scores.update(graph.user_adj[user])
-    del scores[anchor]
-    return _top_k(scores, k)
+    """Top-k items sharing users with the anchor (Item -> User -> Item), scored by co-reader count."""
+    return _two_hop(graph.item_adj, graph.user_adj, anchor, k, UnknownItem)
 
 
 def user_cf_neighbors(
@@ -101,15 +109,7 @@ def user_cf_neighbors(
     k: int = DEFAULT_NEIGHBOR_K,
 ) -> list[tuple[str, int]]:
     """Top-k users sharing items with the anchor (User -> Item -> User)."""
-    _validate_k(k)
-    items = graph.user_adj.get(anchor)
-    if items is None:
-        raise UnknownUser(anchor)
-    scores: Counter = Counter()
-    for item in items:
-        scores.update(graph.item_adj[item])
-    del scores[anchor]
-    return _top_k(scores, k)
+    return _two_hop(graph.user_adj, graph.item_adj, anchor, k, UnknownUser)
 
 
 def neighbor_item_pool(
@@ -147,30 +147,34 @@ def save_graph(graph: InteractionGraph, path: str | Path) -> None:
 def load_graph(path: str | Path) -> InteractionGraph:
     """Load a persisted graph; queries behave identically to the original.
 
-    A bad record raises MalformedRecord naming its line in the file.
+    A bad record raises MalformedRecord naming its line in the file: one that
+    is not `{user, items}`, an id `corpus.require_id` rejects, a user given a
+    second line, or a header whose counts the body does not match.
     """
     path = Path(path)
     header: dict | None = None
     header_line = 1
-    user_adj: dict[str, frozenset[str]] = {}
-    item_sets: dict[str, set[str]] = {}
+    user_sets: dict[str, list[str]] = {}
     for lineno, obj in read_jsonl(path):
         if header is None:
             header, header_line = obj, lineno
             continue
-        user, items = obj.get("user"), obj.get("items")
-        if not isinstance(user, str) or not isinstance(items, list):
+        items = obj.get("items")
+        if not isinstance(items, list):
             raise MalformedRecord(lineno, "adjacency record needs user and items", source=str(path))
-        user_adj[user] = frozenset(items)
-        for item in items:
-            item_sets.setdefault(item, set()).add(user)
+        try:
+            user = require_id(obj.get("user"), "user")
+            for item in items:
+                require_id(item, "item")
+        except ValueError as exc:
+            raise MalformedRecord(lineno, str(exc), source=str(path)) from None
+        if user in user_sets:
+            raise MalformedRecord(lineno, f"duplicate user {user!r}", source=str(path))
+        user_sets[user] = items
     if header is None:
         raise MalformedRecord(1, "empty graph file", source=str(path))
 
-    graph = InteractionGraph(
-        user_adj=user_adj,
-        item_adj={i: frozenset(s) for i, s in item_sets.items()},
-    )
+    graph = InteractionGraph.from_user_sets(user_sets)
     expected = (header.get("user_count"), header.get("item_count"), header.get("edge_count"))
     actual = (len(graph.user_adj), len(graph.item_adj), graph.edge_count())
     if expected != actual:

@@ -17,23 +17,12 @@ from .corpus import ItemMeta, UserMeta
 
 DEFAULT_DOMAIN = "goodreads"
 
-TEMPLATE_FILES: tuple[str, ...] = (
-    "planner.txt",
-    "profile.txt",
-    "historical.txt",
-    "recent.txt",
-    "divergence.txt",
-    "reflector.txt",
-    "ranker.txt",
-    "tool_protocol.txt",
-    "subtask_output.txt",
-    "item_evidence_system.txt",
-    "user_evidence_system.txt",
-    "evidence_user.txt",
-    "history_summary.txt",
-    "history_summary_user.txt",
-    "student_system.txt",
-)
+_TEMPLATES = resources.files(__package__) / "templates"
+
+# Every packaged template, sorted; the directory is the one list.
+TEMPLATE_FILES: tuple[str, ...] = tuple(sorted(
+    entry.name for entry in _TEMPLATES.iterdir() if entry.name.endswith(".txt")
+))
 
 # Wire name of each analysis agent -> its system template.
 SUBTASK_TEMPLATES: Mapping[str, str] = {
@@ -49,7 +38,7 @@ _PLACEHOLDER = re.compile(r"\{([a-z_]+)\}")
 
 @lru_cache(maxsize=None)
 def _packaged(name: str) -> str:
-    return (resources.files(__package__) / "templates" / name).read_text(encoding="utf-8")
+    return (_TEMPLATES / name).read_text(encoding="utf-8")
 
 
 def load_template(name: str) -> str:

@@ -519,11 +519,12 @@ def rank(
 def _fan_out(
     func: Callable[[T], PhaseRecord], items: Sequence[T], gateway: Gateway
 ) -> list[PhaseRecord]:
-    """func over items, up to the gateway's in-flight bound at once; records in item order.
+    """func over items on pool threads, up to the gateway's in-flight bound at once, in item order.
 
     The agents of one pass read only the shared instance prompt, never each
     other's output, so running them concurrently leaves every record as a
-    serial run makes it. The first failure in item order is raised.
+    serial run makes it. The first failure in item order is raised. An empty
+    pass (no corrections) asks for width 0 and starts no thread.
     """
     return list(ordered_map(func, items, min(len(items), gateway.config.max_parallel)))
 

@@ -109,18 +109,16 @@ def ordered_map(
 ) -> Iterator[R]:
     """Yield func(item) for every item, in item order, with up to `width` calls running.
 
+    The calls run on pool threads, never in the caller's; a width below 1
+    counts as 1, and a pool starts no thread until an item is submitted.
     Items are pulled from `items` only as they are submitted, at most `window`
     (default: no limit) beyond the last result handed back. A call that raised
     re-raises when its turn comes: calls not yet started are cancelled and the
-    running ones are waited for first. At width 1 the calls run one after
-    another in the caller's thread.
+    running ones are waited for first.
     """
-    if width <= 1:
-        yield from map(func, items)
-        return
     remaining = iter(items)
     pending: deque = deque()
-    with ThreadPoolExecutor(max_workers=width) as pool:
+    with ThreadPoolExecutor(max_workers=max(width, 1)) as pool:
         try:
             pending.extend(pool.submit(func, item) for item in islice(remaining, window))
             while pending:

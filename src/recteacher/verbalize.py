@@ -115,9 +115,10 @@ class EvidenceCache:
             missing = [name for name in ("tool", "anchor", "text") if name not in record]
             if missing:
                 raise MalformedRecord(lineno, f"missing {', '.join(missing)}", source=str(path))
-            if record["tool"] not in RECOGNIZED_TOOLS:
-                raise MalformedRecord(lineno, f"unknown tool {record['tool']!r}", source=str(path))
-            key = EvidenceKey(tool=record["tool"], anchor=str(record["anchor"]))
+            try:
+                key = EvidenceKey(tool=record["tool"], anchor=str(record["anchor"]))
+            except ValueError as exc:
+                raise MalformedRecord(lineno, str(exc), source=str(path)) from None
             try:
                 neighbors = tuple(str(n) for n in record.get("neighbors", []))
                 created_at = int(record.get("created_at", 0))

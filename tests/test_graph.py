@@ -122,7 +122,15 @@ EDGE = '{"items": ["x"], "user": "A"}'
     (f"\n\n[]\n", 3, "record is not a JSON object"),
     (f"\n\n{HEADER.replace('1', '2')}\n{EDGE}\n", 3, "header counts"),
     ("\n\n", 1, "empty graph file"),
-], ids=["not-object", "bad-json", "no-items", "bad-header", "count-mismatch", "empty"])
+    ('{"edge_count": 3, "item_count": 3, "user_count": 2}\n{"items": ["x", "y"], "user": "A"}\n'
+     '{"items": ["x"], "user": "B"}\n{"items": ["z", "x"], "user": "A"}\n', 4, "duplicate user 'A'"),
+    ('{"edge_count": 2, "item_count": 2, "user_count": 1}\n{"items": [1, null], "user": "A"}\n',
+     2, "missing or invalid item"),
+    (f"{HEADER}\n{{\"items\": [\"x\"], \"user\": \"A B\"}}\n", 2, "contains a comma or whitespace"),
+    (f"{HEADER}\n{{\"items\": [\"x,y\"], \"user\": \"A\"}}\n", 2, "contains a comma or whitespace"),
+    (f"{HEADER}\n{{\"items\": [\"x\"], \"user\": \"\"}}\n", 2, "missing or invalid user"),
+], ids=["not-object", "bad-json", "no-items", "bad-header", "count-mismatch", "empty",
+        "repeated-user", "non-string-items", "user-with-space", "item-with-comma", "empty-user"])
 def test_load_graph_names_the_line_in_the_file(tmp_path, text, line, reason):
     path = tmp_path / "g.jsonl"
     path.write_text(text, encoding="utf-8")
