@@ -16,6 +16,9 @@ rollout files name each id once, shard directories included; a repeated id is
 an error in every command that reads them, and so is a ground truth that breaks
 the id rule. run-teacher needs an existing evidence cache, unless
 on_demand_verbalize is set: only then does it load the graph, to fill misses.
+verbalize and run-teacher read only the catalogue of the corpus directory
+(its user and item files); build-graph and make-instances read and check all
+three files.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .corpus import (
     decode_interaction,
     ingest,
     interaction_record,
+    load_catalog,
     load_corpus,
     require_id,
     save_corpus,
@@ -276,7 +280,7 @@ def _cmd_build_graph(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def _cmd_verbalize(args: argparse.Namespace, config: PipelineConfig) -> int:
-    corpus = load_corpus(_required_path(args.corpus, config.corpus_dir, "corpus"))
+    catalog = load_catalog(_required_path(args.corpus, config.corpus_dir, "corpus"))
     graph = load_graph(_required_path(args.graph, config.graph_path, "graph"))
     out = Path(_required_path(args.out, config.cache_path, "cache output"))
     gateway = _make_gateway(args, config)
@@ -286,7 +290,7 @@ def _cmd_verbalize(args: argparse.Namespace, config: PipelineConfig) -> int:
     with (nullcontext(out) if only_missing else atomic_path(out)) as path:
         cache = EvidenceCache.load(path)
         before = len(cache)
-        failed = warm_cache(graph, corpus, gateway, cache, k=config.neighbor_k, domain=config.domain)
+        failed = warm_cache(graph, catalog, gateway, cache, k=config.neighbor_k, domain=config.domain)
         for key, exc in failed:
             logger.warning("verbalization failed for %s %s: %s", key.tool, key.anchor, exc)
         print(f"cache entries: {len(cache)} ({len(cache) - before} new, {len(failed)} failed) -> {out}")
@@ -318,12 +322,13 @@ def _cmd_make_instances(args: argparse.Namespace, config: PipelineConfig) -> int
 
 
 def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
-    corpus = load_corpus(_required_path(args.corpus, config.corpus_dir, "corpus"))
+    catalog = load_catalog(_required_path(args.corpus, config.corpus_dir, "corpus"))
     cache_path = Path(_required_path(args.cache, config.cache_path, "cache"))
     if not (cache_path.exists() or config.on_demand_verbalize):
         raise PipelineError(f"evidence cache {str(cache_path)!r} does not exist "
                             "(run `verbalize` first, or set on_demand_verbalize)")
     cache = EvidenceCache.load(cache_path)
+    logger.info("loaded evidence cache: %d entries from %s", len(cache), cache_path)
 
     gateway = _make_gateway(args, config, ground_truth=_check_instances(args.instances))
 
@@ -331,13 +336,13 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
     fill = None
     if config.on_demand_verbalize:
         graph = load_graph(_required_path(args.graph, config.graph_path, "graph"))
-        fill = partial(verbalize_key, graph, corpus, gateway=gateway,
+        fill = partial(verbalize_key, graph, catalog, gateway=gateway,
                        k=config.neighbor_k, domain=config.domain)
     tools = ToolRunner(cache, fill)
 
     def run_one(pair: tuple[str, EvalInstance]) -> tuple[SessionLog, dict]:
         session_id, instance = pair
-        context = build_context(instance, corpus, gateway, teacher_config)
+        context = build_context(instance, catalog, gateway, teacher_config)
         log = run_teacher(context, teacher_config, gateway, tools)
         return log, _session_record(session_id, instance, context.prompt, log)
 
@@ -544,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verbalize", parents=[common, backend],
                        help="precompute natural-language evidence for every graph anchor")
-    p.add_argument("--corpus", help="corpus directory")
+    p.add_argument("--corpus", help="corpus directory; only its users.jsonl and items.jsonl are read")
     p.add_argument("--graph", help="graph file")
     p.add_argument("--out", help="evidence cache file")
     p.add_argument("--only-missing", action="store_true",
@@ -561,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-teacher", parents=[common, backend],
                        help="run one multi-phase teacher session per instance")
-    p.add_argument("--corpus", help="corpus directory")
+    p.add_argument("--corpus", help="corpus directory; only its users.jsonl and items.jsonl are read")
     p.add_argument("--graph", help="graph file")
     p.add_argument("--cache", help="evidence cache file")
     p.add_argument("--instances", required=True, help="instances .jsonl file")

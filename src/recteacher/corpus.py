@@ -2,7 +2,10 @@
 
 The corpus is built once from three line-delimited JSON files and treated as
 immutable afterwards. Per-user interaction sequences are kept in chronological
-order (stable sort, so equal timestamps keep file order).
+order (stable sort, so equal timestamps keep file order). The catalogue is the
+user and item files alone: commands that render prompts and evidence read it
+and never open the review file. Every id that passes the id rule is interned,
+so each distinct id is one string however many records name it.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -65,11 +69,17 @@ class ItemMeta:
 
 
 @dataclass
-class Corpus:
-    """All users, items, and per-user chronological interaction sequences."""
+class Catalog:
+    """All users and items by id."""
 
     users: dict[str, UserMeta]
     items: dict[str, ItemMeta]
+
+
+@dataclass
+class Corpus(Catalog):
+    """The catalogue plus per-user chronological interaction sequences."""
+
     sequences: dict[str, list[Interaction]]
 
     def interaction_count(self) -> int:
@@ -98,14 +108,15 @@ def _stringify_attribute(value: Any) -> str:
 def require_id(value: Any, name: str) -> str:
     """`value` as a user or item id: a non-empty string free of commas and whitespace.
 
-    The ranking line could not carry any other id back. Corpus records and
-    instance records both go through here.
+    The ranking line could not carry any other id back. Corpus, instance,
+    graph and evidence-cache records all go through here. The id comes back
+    interned: equal ids from any of them are one object.
     """
     if not isinstance(value, str) or not value:
         raise ValueError(f"missing or invalid {name}")
     if _ID_BREAK.search(value):
         raise ValueError(f"{name} {value!r} contains a comma or whitespace")
-    return value
+    return sys.intern(value)
 
 
 def _require_id(obj: Any, key: str) -> str:
@@ -214,7 +225,7 @@ def ingest(user_file: str | Path, item_file: str | Path, review_file: str | Path
         seq.sort(key=lambda it: it.timestamp)  # stable: ties keep file order
 
     logger.info(
-        "ingested corpus: %d users, %d items, %d interactions",
+        "loaded corpus: %d users, %d items, %d interactions",
         len(users), len(items), total,
     )
     return Corpus(users=users, items=items, sequences=sequences)
@@ -262,6 +273,18 @@ def load_corpus(corpus_dir: str | Path) -> Corpus:
     """Load a corpus previously written by save_corpus."""
     base = Path(corpus_dir)
     return ingest(base / USERS_FILE, base / ITEMS_FILE, base / REVIEWS_FILE)
+
+
+def load_catalog(corpus_dir: str | Path) -> Catalog:
+    """The users and items of a corpus directory, checked as `ingest` checks them.
+
+    The review file is not opened, so it need not exist.
+    """
+    base = Path(corpus_dir)
+    catalog = Catalog(users=_load_meta(base / USERS_FILE, "user_id", _decode_user),
+                      items=_load_meta(base / ITEMS_FILE, "item_id", _decode_item))
+    logger.info("loaded catalogue: %d users, %d items", len(catalog.users), len(catalog.items))
+    return catalog
 
 
 def holdout_split(corpus: Corpus, user: str) -> tuple[list[Interaction], str]:

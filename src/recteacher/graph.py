@@ -164,8 +164,7 @@ def load_graph(path: str | Path) -> InteractionGraph:
             raise MalformedRecord(lineno, "adjacency record needs user and items", source=str(path))
         try:
             user = require_id(obj.get("user"), "user")
-            for item in items:
-                require_id(item, "item")
+            items = [require_id(item, "item") for item in items]
         except ValueError as exc:
             raise MalformedRecord(lineno, str(exc), source=str(path)) from None
         if user in user_sets:

@@ -25,7 +25,7 @@ import threading
 from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 from .abstract import DEFAULT_WINDOW_M, abstract, render_interaction
-from .corpus import Corpus
+from .corpus import Catalog
 from .errors import ReplyParseError, SessionError, UnknownItem, UnknownUser
 from .evaluate import EvalInstance
 from .gateway import DEFAULT_TEMPERATURE, DEFAULT_TOP_P, Gateway, Origin, chat_request, check_sampling
@@ -217,7 +217,7 @@ def _evidence_key(call: ToolCall) -> EvidenceKey:
 
 def build_context(
     instance: EvalInstance,
-    corpus: Corpus,
+    catalog: Catalog,
     gateway: Gateway,
     config: TeacherConfig = TeacherConfig(),
 ) -> TeacherContext:
@@ -225,22 +225,22 @@ def build_context(
 
     A failed abstraction raises SessionError with phase "abstract".
     """
-    attributes = prompts.user_attributes(instance.user, corpus.users)
+    attributes = prompts.user_attributes(instance.user, catalog.users)
     try:
         hybrid = abstract(
             list(instance.history),
             config.window_m,
             gateway,
-            render=lambda i: render_interaction(i, corpus.items),
+            render=lambda i: render_interaction(i, catalog.items),
             domain=config.domain,
             user_block=prompts.render_user_line(instance.user, attributes),
         )
     except Exception as exc:
         raise SessionError("abstract", exc) from exc
-    recent_lines = [render_interaction(i, corpus.items) for i in hybrid.recent_raw]
-    candidate_lines, item_keys = prompts.item_lines(instance.candidates, corpus.items)
+    recent_lines = [render_interaction(i, catalog.items) for i in hybrid.recent_raw]
+    candidate_lines, item_keys = prompts.item_lines(instance.candidates, catalog.items)
     for interaction in hybrid.recent_raw:
-        item_keys.update(prompts.item_meta(interaction.item, corpus.items).attributes)
+        item_keys.update(prompts.item_meta(interaction.item, catalog.items).attributes)
     prompt = prompts.render_instance_prompt(
         user=instance.user,
         user_attributes=attributes,

@@ -5,7 +5,7 @@ evidence once, through the gateway, and cached on disk. Online tool calls then
 reduce to cache lookups. ItemCF and UserCF evidence share one prompt, call and
 parse body; they differ only in neighbor source, headers and system template.
 New entries record `created_at` 0; the field stays in the cache format, and a
-file that sets it otherwise still loads.
+file that sets it to another integer still loads.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 import threading
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Corpus, ItemMeta, UserMeta
+from .corpus import Catalog, ItemMeta, UserMeta, require_id
 from .errors import MalformedRecord
 from .gateway import Gateway, Origin, chat_request
 from .graph import (
@@ -112,22 +112,34 @@ class EvidenceCache:
         if not cache.path.exists():
             return cache
         for lineno, record in read_jsonl(path):
-            missing = [name for name in ("tool", "anchor", "text") if name not in record]
-            if missing:
-                raise MalformedRecord(lineno, f"missing {', '.join(missing)}", source=str(path))
             try:
-                key = EvidenceKey(tool=record["tool"], anchor=str(record["anchor"]))
+                evidence = _decode_evidence(record)
             except ValueError as exc:
                 raise MalformedRecord(lineno, str(exc), source=str(path)) from None
-            try:
-                neighbors = tuple(str(n) for n in record.get("neighbors", []))
-                created_at = int(record.get("created_at", 0))
-            except (TypeError, ValueError) as exc:
-                raise MalformedRecord(lineno, f"bad neighbors or created_at: {exc}",
-                                      source=str(path)) from exc
-            cache._entries[key] = Evidence(key=key, text=str(record["text"]),
-                                           source_neighbors=neighbors, created_at=created_at)
+            cache._entries[evidence.key] = evidence
         return cache
+
+
+def _decode_evidence(record: dict) -> Evidence:
+    """The entry of one cache-file record; ValueError says what is wrong with it.
+
+    Anchor and neighbours follow the id rule (`require_id`), which hands back
+    each id's one interned string.
+    """
+    missing = [name for name in ("tool", "anchor", "text") if name not in record]
+    if missing:
+        raise ValueError(f"missing {', '.join(missing)}")
+    key = EvidenceKey(tool=record["tool"], anchor=require_id(record["anchor"], "anchor"))
+    text, neighbors = record["text"], record.get("neighbors", [])
+    created_at = record.get("created_at", 0)
+    if not isinstance(text, str):
+        raise ValueError("text must be a string")
+    if not isinstance(neighbors, list):
+        raise ValueError("neighbors must be a list of ids")
+    if isinstance(created_at, bool) or not isinstance(created_at, int):
+        raise ValueError("created_at must be an integer")
+    return Evidence(key=key, text=text, created_at=created_at,
+                    source_neighbors=tuple(require_id(n, "neighbor") for n in neighbors))
 
 
 def _fallback(key: EvidenceKey) -> Evidence:
@@ -196,7 +208,7 @@ def verbalize_user(
 
 def verbalize_key(
     graph: InteractionGraph,
-    corpus: Corpus,
+    catalog: Catalog,
     key: EvidenceKey,
     gateway: Gateway,
     k: int = DEFAULT_NEIGHBOR_K,
@@ -204,8 +216,8 @@ def verbalize_key(
 ) -> Evidence:
     """Verbalize one cache key with the verbalizer of its tool."""
     if key.tool == "ItemCF":
-        return verbalize_item(graph, corpus.items, key.anchor, gateway, k=k, domain=domain)
-    return verbalize_user(graph, corpus.users, corpus.items, key.anchor, gateway, k=k, domain=domain)
+        return verbalize_item(graph, catalog.items, key.anchor, gateway, k=k, domain=domain)
+    return verbalize_user(graph, catalog.users, catalog.items, key.anchor, gateway, k=k, domain=domain)
 
 
 def all_keys(graph: InteractionGraph) -> list[EvidenceKey]:
@@ -216,7 +228,7 @@ def all_keys(graph: InteractionGraph) -> list[EvidenceKey]:
 
 def warm_cache(
     graph: InteractionGraph,
-    corpus: Corpus,
+    catalog: Catalog,
     gateway: Gateway,
     cache: EvidenceCache,
     k: int = DEFAULT_NEIGHBOR_K,
@@ -231,7 +243,7 @@ def warm_cache(
 
     def attempt(key: EvidenceKey) -> Evidence | Exception:
         try:
-            return verbalize_key(graph, corpus, key, gateway, k=k, domain=domain)
+            return verbalize_key(graph, catalog, key, gateway, k=k, domain=domain)
         except Exception as exc:
             return exc
 

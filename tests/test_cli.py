@@ -139,6 +139,29 @@ def test_ingest_reports_counts(toy_files, tmp_path, capsys):
     assert "ingested 30 users, 50 items, 442 interactions" in captured.out
 
 
+def test_each_command_logs_what_it_loaded(pipeline, tmp_path, caplog):
+    corpus, graph, cache = (str(pipeline[name]) for name in ("corpus", "graph", "cache"))
+    commands = {
+        "build-graph": ["build-graph", "--corpus", corpus, "--out", str(tmp_path / "graph.jsonl")],
+        "verbalize": ["verbalize", "--backend", "mock", "--corpus", corpus, "--graph", graph,
+                      "--out", str(tmp_path / "cache.jsonl")],
+        "run-teacher": ["run-teacher", "--backend", "mock", "--corpus", corpus, "--cache", cache,
+                        "--instances", str(pipeline["instances"]),
+                        "--out", str(tmp_path / "sessions.jsonl")],
+    }
+    loaded = {}
+    for name, argv in commands.items():
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="recteacher"):
+            assert main(argv) == 0, argv
+        loaded[name] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("loaded ")]
+    assert loaded["build-graph"] == ["loaded corpus: 30 users, 50 items, 442 interactions"]
+    assert loaded["verbalize"] == ["loaded catalogue: 30 users, 50 items"]
+    entries = len(records_of(pipeline["cache"]))
+    assert loaded["run-teacher"] == ["loaded catalogue: 30 users, 50 items",
+                                     f"loaded evidence cache: {entries} entries from {cache}"]
+
+
 def test_parallel_flag_validation(toy_files, tmp_path, capsys):
     code = main(["ingest", "--users", str(toy_files["users"]), "--items", str(toy_files["items"]),
                  "--reviews", str(toy_files["reviews"]), "--out", str(tmp_path / "corpus"),

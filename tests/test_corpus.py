@@ -12,6 +12,7 @@ from recteacher.corpus import (
     Interaction,
     holdout_split,
     ingest,
+    load_catalog,
     load_corpus,
     save_corpus,
 )
@@ -134,6 +135,24 @@ def test_save_load_round_trip(tmp_path):
     assert again.users == corpus.users
     assert again.items == corpus.items
     assert again.sequences == corpus.sequences
+
+
+def test_load_catalog_reads_users_and_items_only(tmp_path):
+    corpus = ingest(*make_files(tmp_path, BASE_USERS, BASE_ITEMS, BASE_REVIEWS))
+    save_corpus(corpus, tmp_path / "norm")
+    (tmp_path / "norm" / "reviews.jsonl").unlink()
+    catalog = load_catalog(tmp_path / "norm")
+    assert not hasattr(catalog, "sequences")
+    assert catalog.users == corpus.users
+    assert catalog.items == corpus.items
+
+
+def test_load_catalog_checks_records_as_ingest_does(tmp_path):
+    make_files(tmp_path, BASE_USERS, BASE_ITEMS + [{"item_id": "i1", "title": "Again"}], [])
+    with pytest.raises(MalformedRecord) as excinfo:
+        load_catalog(tmp_path)
+    assert excinfo.value.line == 4
+    assert "duplicate item_id 'i1'" in excinfo.value.reason
 
 
 def test_random_corpora_round_trip(tmp_path):

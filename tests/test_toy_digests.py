@@ -2,17 +2,22 @@
 
 Each artifact's sha256 is pinned. A change that alters an artifact on purpose
 updates its digest here and says why in CHANGES.md; any other mismatch means
-behaviour drifted.
+behaviour drifted. verbalize and run-teacher read only the catalogue, so they
+give the same bytes from a corpus directory without its review file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 
 import pytest
 
 from recteacher.cli import main
+from recteacher.corpus import REVIEWS_FILE, load_catalog, require_id
+from recteacher.graph import load_graph
+from recteacher.verbalize import EvidenceCache, all_keys
 
 DIGESTS = {
     "corpus/users.jsonl": "fae617862225a2d32cdb39c73746d2faf55eea522b1b5679e66b74fcc26eaa9a",
@@ -82,3 +87,64 @@ def test_run_teacher_without_on_demand_needs_no_graph(artifacts, tmp_path):
                  "--cache", str(artifacts / "cache.jsonl"),
                  "--instances", str(artifacts / "instances.jsonl"), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS["sessions.jsonl"]
+
+
+@pytest.fixture(scope="module")
+def catalogue_dir(artifacts, tmp_path_factory):
+    """A copy of the toy corpus directory without its review file."""
+    corpus = tmp_path_factory.mktemp("catalogue") / "corpus"
+    shutil.copytree(artifacts / "corpus", corpus)
+    (corpus / REVIEWS_FILE).unlink()
+    return corpus
+
+
+def test_verbalize_and_run_teacher_read_only_the_catalogue(artifacts, catalogue_dir, tmp_path):
+    graph = str(artifacts / "graph.jsonl")
+    teacher = ["run-teacher", "--backend", "mock", "--corpus", str(catalogue_dir), "--graph", graph,
+               "--instances", str(artifacts / "instances.jsonl")]
+    steps = [
+        ["verbalize", "--backend", "mock", "--corpus", str(catalogue_dir), "--graph", graph,
+         "--out", str(tmp_path / "cache.jsonl")],
+        teacher + ["--cache", str(artifacts / "cache.jsonl"), "--out", str(tmp_path / "sessions.jsonl")],
+        teacher + ["--config", str(artifacts / "od.ini"), "--cache", str(tmp_path / "od_cache.jsonl"),
+                   "--out", str(tmp_path / "od_sessions.jsonl")],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv
+    for name in ("cache.jsonl", "sessions.jsonl", "od_cache.jsonl", "od_sessions.jsonl"):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == DIGESTS[name], name
+
+
+@pytest.mark.parametrize("command", ["build-graph", "make-instances"])
+def test_commands_that_read_reviews_fail_cleanly_without_them(catalogue_dir, tmp_path, capsys,
+                                                               command):
+    assert main([command, "--corpus", str(catalogue_dir), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and REVIEWS_FILE in errors[0]
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_loaded_ids_are_the_catalogue_strings(artifacts):
+    catalog = load_catalog(artifacts / "corpus")
+    graph = load_graph(artifacts / "graph.jsonl")
+    cache = EvidenceCache.load(artifacts / "cache.jsonl")
+    item_ids = {item: item for item in catalog.items}
+    user_ids = {user: user for user in catalog.users}
+
+    graph_items = [item for items in graph.user_adj.values() for item in items]
+    assert graph_items and all(item is item_ids[item] for item in graph_items)
+    assert all(item is item_ids[item] for item in graph.item_adj)
+    assert all(user is user_ids[user] for user in graph.user_adj)
+
+    entries = [cache.lookup(key) for key in all_keys(graph)]
+    neighbors = [n for evidence in entries for n in evidence.source_neighbors]
+    assert neighbors and all(n is item_ids[n] for n in neighbors)
+    ids = {"ItemCF": item_ids, "UserCF": user_ids}
+    assert all(e.key.anchor is ids[e.key.tool][e.key.anchor] for e in entries)
+
+    known = next(iter(item_ids))
+    fresh = "".join(list(known))
+    assert fresh == known and fresh is not known
+    assert require_id(fresh, "item") is known

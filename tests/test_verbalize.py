@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from recteacher.corpus import Corpus, ItemMeta, UserMeta
+from recteacher.corpus import Catalog, ItemMeta, UserMeta
 from recteacher.errors import MalformedRecord, ReplyParseError, UnknownItem, UnknownUser
 from recteacher.gateway import Gateway, GatewayConfig, ScriptBackend
 from recteacher.util import read_jsonl
@@ -29,13 +29,12 @@ GRAPH = make_graph({
     "D": {"w"},
 })
 
-CORPUS = Corpus(
+CATALOG = Catalog(
     users={u: UserMeta(user=u, attributes={"age": "30"}) for u in "ABCD"},
     items={
         i: ItemMeta(item=i, title=f"Title {i.upper()}", attributes={"genre": "sf"})
         for i in "xyzw"
     },
-    sequences={},
 )
 
 
@@ -100,7 +99,15 @@ def test_cache_load_last_record_wins(tmp_path):
     ('{"tool": "ItemCF", "anchor": "x"}', "missing text"),
     ('{"tool": "Foo", "anchor": "x", "text": "t"}', "unknown tool 'Foo'"),
     ('{"tool": "ItemCF", "anchor": "x", "text": "t", "created_at": "soon"}', "created_at"),
-], ids=["not-object", "no-tool", "no-anchor", "no-text", "unknown-tool", "bad-created-at"])
+    ('{"tool": "ItemCF", "anchor": null, "text": "t", "neighbors": [null, 3]}', "invalid anchor"),
+    ('{"tool": "ItemCF", "anchor": "x", "text": "t", "neighbors": [null, 3]}', "invalid neighbor"),
+    ('{"tool": "ItemCF", "anchor": "x", "text": "t", "neighbors": "ab"}', "neighbors must be a list"),
+    ('{"tool": "ItemCF", "anchor": "x", "text": null}', "text must be a string"),
+    ('{"tool": "ItemCF", "anchor": "x", "text": "t", "created_at": "7"}', "created_at"),
+    ('{"tool": "ItemCF", "anchor": "x", "text": "t", "created_at": true}', "created_at"),
+], ids=["not-object", "no-tool", "no-anchor", "no-text", "unknown-tool", "bad-created-at",
+        "null-anchor", "null-neighbor", "neighbors-string", "null-text", "string-created-at",
+        "bool-created-at"])
 def test_cache_load_names_the_malformed_line(tmp_path, line, reason):
     path = tmp_path / "evidence.jsonl"
     good = '{"tool": "UserCF", "anchor": "A", "text": "fine"}'
@@ -143,7 +150,7 @@ def test_cache_held_entries_reach_the_file_when_named(tmp_path):
 
 def test_verbalize_item_happy_path():
     backend, gateway = scripted_gateway(answer("readers of x also like y and z"))
-    evidence = verbalize_item(GRAPH, CORPUS.items, "x", gateway)
+    evidence = verbalize_item(GRAPH, CATALOG.items, "x", gateway)
     assert evidence.key == EvidenceKey("ItemCF", "x")
     assert evidence.text == "readers of x also like y and z"
     assert evidence.source_neighbors == ("y", "z")
@@ -163,7 +170,7 @@ def test_verbalize_item_happy_path():
 
 def test_verbalize_item_no_neighbors_skips_gateway():
     backend, gateway = scripted_gateway()
-    evidence = verbalize_item(GRAPH, CORPUS.items, "w", gateway)
+    evidence = verbalize_item(GRAPH, CATALOG.items, "w", gateway)
     assert evidence.text == FALLBACK_NO_NEIGHBORS
     assert evidence.source_neighbors == ()
     assert evidence.created_at == 0
@@ -173,21 +180,21 @@ def test_verbalize_item_no_neighbors_skips_gateway():
 def test_verbalize_item_missing_answer_tags():
     _, gateway = scripted_gateway("no envelope here")
     with pytest.raises(ReplyParseError):
-        verbalize_item(GRAPH, CORPUS.items, "x", gateway)
+        verbalize_item(GRAPH, CATALOG.items, "x", gateway)
     _, gateway = scripted_gateway("<Answer>   </Answer>")
     with pytest.raises(ReplyParseError):
-        verbalize_item(GRAPH, CORPUS.items, "x", gateway)
+        verbalize_item(GRAPH, CATALOG.items, "x", gateway)
 
 
 def test_verbalize_item_unknown_anchor():
     _, gateway = scripted_gateway()
     with pytest.raises(UnknownItem):
-        verbalize_item(GRAPH, CORPUS.items, "missing", gateway)
+        verbalize_item(GRAPH, CATALOG.items, "missing", gateway)
 
 
 def test_verbalize_user_happy_path():
     backend, gateway = scripted_gateway(answer("A would enjoy z"))
-    evidence = verbalize_user(GRAPH, CORPUS.users, CORPUS.items, "A", gateway)
+    evidence = verbalize_user(GRAPH, CATALOG.users, CATALOG.items, "A", gateway)
     assert evidence.key == EvidenceKey("UserCF", "A")
     assert evidence.text == "A would enjoy z"
     assert evidence.source_neighbors == ("z",)
@@ -204,11 +211,11 @@ def test_verbalize_user_happy_path():
 
 def test_verbalize_user_no_pool_and_unknown():
     backend, gateway = scripted_gateway()
-    evidence = verbalize_user(GRAPH, CORPUS.users, CORPUS.items, "D", gateway)
+    evidence = verbalize_user(GRAPH, CATALOG.users, CATALOG.items, "D", gateway)
     assert evidence.text == FALLBACK_NO_NEIGHBORS
     assert backend.sends == 0
     with pytest.raises(UnknownUser):
-        verbalize_user(GRAPH, CORPUS.users, CORPUS.items, "nobody", gateway)
+        verbalize_user(GRAPH, CATALOG.users, CATALOG.items, "nobody", gateway)
 
 
 def test_all_keys_sorted_items_then_users():
@@ -226,7 +233,7 @@ def test_warm_cache_full_and_persists_in_key_order(tmp_path):
     backend, gateway = scripted_gateway(*[answer(f"evidence {i}") for i in range(6)])
     path = tmp_path / "evidence.jsonl"
     cache = EvidenceCache(path)
-    assert warm_cache(GRAPH, CORPUS, gateway, cache) == []
+    assert warm_cache(GRAPH, CATALOG, gateway, cache) == []
     assert len(cache) == 8
     assert backend.sends == 6
     records = [record for _, record in read_jsonl(path)]
@@ -237,9 +244,9 @@ def test_warm_cache_full_and_persists_in_key_order(tmp_path):
 def test_warm_cache_only_missing_is_a_noop():
     backend, gateway = scripted_gateway(*[answer("e")] * 6)
     cache = EvidenceCache()
-    warm_cache(GRAPH, CORPUS, gateway, cache)
+    warm_cache(GRAPH, CATALOG, gateway, cache)
     assert backend.sends == 6
-    assert warm_cache(GRAPH, CORPUS, gateway, cache) == []
+    assert warm_cache(GRAPH, CATALOG, gateway, cache) == []
     assert len(cache) == 8
     assert backend.sends == 6
 
@@ -248,7 +255,7 @@ def test_warm_cache_partial_precache():
     backend, gateway = scripted_gateway(*[answer("e")] * 5)
     cache = EvidenceCache()
     cache.put(Evidence(EvidenceKey("ItemCF", "x"), "already", ("y", "z"), 0))
-    warm_cache(GRAPH, CORPUS, gateway, cache)
+    warm_cache(GRAPH, CATALOG, gateway, cache)
     assert backend.sends == 5
     assert cache.lookup(EvidenceKey("ItemCF", "x")).text == "already"
 
@@ -259,7 +266,7 @@ def test_warm_cache_returns_failed_keys():
         answer("x text"), "broken reply", *[answer("e")] * 4,
     )
     cache = EvidenceCache()
-    failures = warm_cache(GRAPH, CORPUS, gateway, cache)
+    failures = warm_cache(GRAPH, CATALOG, gateway, cache)
     assert [key for key, _ in failures] == [EvidenceKey("ItemCF", "y")]
     assert all(isinstance(exc, ReplyParseError) for _, exc in failures)
     # Every other key still landed despite the failure.
@@ -278,7 +285,7 @@ def test_warm_cache_side_by_side_keeps_key_order(tmp_path):
     backend, gateway = scripted_gateway(*[reply] * 6, max_parallel=3)
     path = tmp_path / "evidence.jsonl"
     cache = EvidenceCache(path)
-    failures = warm_cache(GRAPH, CORPUS, gateway, cache)
+    failures = warm_cache(GRAPH, CATALOG, gateway, cache)
     assert [key for key, _ in failures] == [EvidenceKey("ItemCF", "y")]
     assert backend.sends == 6
     anchors = [record["anchor"] for _, record in read_jsonl(path)]
