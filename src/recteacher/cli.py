@@ -525,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     backend.add_argument("--script",
                          help="JSON array of canned replies, handed out in send order (needs "
                               "--backend mock); reproducible only at --parallel 1, even within "
-                              "one session, whose analysis agents send side by side")
+                              "one session, whose agents send side by side")
 
     parser = argparse.ArgumentParser(
         prog="recteacher",

@@ -56,11 +56,15 @@ class Origin:
 
     The role is a teacher `Phase` (`(Phase.CORRECTION, kind)` on a correction pass),
     the history summarizer or an evidence tool's verbalizer; the subject is a user or anchor id.
+    `turn` is 1 only on a ranker that ranks corrections too, at every
+    `--parallel`, so it never shares an origin with the early ranker (turn 0)
+    that a failing verdict discards.
     """
 
     role: Hashable
     subject: str
     send: int = 0
+    turn: int = 0
 
 
 @dataclass(frozen=True)

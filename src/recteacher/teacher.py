@@ -3,6 +3,10 @@
 One session walks a fixed workflow over the gateway and yields a SessionLog
 whose phases carry everything the trajectory codec needs to replay the text.
 The analysis agents of one pass run side by side; their records keep plan order.
+Above one gateway slot the ranker also starts with the reflector: a passing
+verdict keeps its record, a failing one discards it, never recorded, and the
+ranker reruns after the corrections. At one slot nothing starts early, so the
+sends keep the serial order.
 Every agent's record comes out of one turn (`_turn`): ask, answer tool calls,
 decode the last reply by its role's contract, re-ask once where `REASK` allows
 it, and record the payload with the thinking of the answered rounds and of the
@@ -15,7 +19,7 @@ Recorded thinking carries no tag of the trajectory grammar (`GRAMMAR_TAG`).
 
 from __future__ import annotations
 
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 import json
@@ -400,6 +404,7 @@ def _turn(
     config: TeacherConfig,
     tools: ToolRunner | None = None,
     kind: SubtaskKind | None = None,
+    turn: int = 0,
 ) -> tuple[PhaseRecord, Any]:
     """One agent turn: ask, answering tool calls, decode the last reply and record it.
 
@@ -410,11 +415,11 @@ def _turn(
     reply: a rejected reply's thinking goes with its payload. Any failure, a
     gateway or tool error included, raises SessionError naming `phase`.
     Every send's origin has the turn's role (the phase, paired with the kind on
-    a correction pass), the session's user and the send's index in the turn.
+    a correction pass), the session's user, the send's index in the turn and `turn`.
     """
     messages = [{"role": "system", "content": system}, {"role": "user", "content": user_text}]
     rounds = config.max_tool_rounds if tools is not None else 1
-    origin = Origin((phase, kind) if phase is Phase.CORRECTION else phase, context.user)
+    origin = Origin((phase, kind) if phase is Phase.CORRECTION else phase, context.user, turn=turn)
     try:
         content, thinking, events = _tool_loop(messages, rounds, gateway, config, tools, origin)
         try:
@@ -509,10 +514,16 @@ def rank(
     gateway: Gateway,
     config: TeacherConfig = TeacherConfig(),
     tools: ToolRunner | None = None,
+    turn: int = 0,
 ) -> tuple[PhaseRecord, list[str]]:
-    """Final ranking call; tool loop optional, one re-ask, then repair."""
+    """Final ranking call; tool loop optional, one re-ask, then repair.
+
+    `turn` is 1 when `outputs` include corrections, so the ranker a failing
+    verdict discards and the one that replaces it never share an origin.
+    """
     record, ranking = _turn(Phase.RECOMMEND, context, prompts.ranker_system(config.domain),
-                            f"{context.prompt}\n{_outputs_block(outputs)}", gateway, config, tools)
+                            f"{context.prompt}\n{_outputs_block(outputs)}", gateway, config, tools,
+                            turn=turn)
     return record, repair_ranking(ranking, context.candidates)
 
 
@@ -535,18 +546,34 @@ def run_teacher(
     gateway: Gateway,
     tools: ToolRunner,
 ) -> SessionLog:
-    """One full teacher session over a prepared context."""
+    """One full teacher session over a prepared context.
+
+    Above one gateway slot the ranker starts beside the reflector, on the
+    agents' outputs. A verdict that flags no problem keeps its record. After a
+    failing verdict it is discarded, its failure included, and never recorded;
+    the corrections run and the ranker reruns on the outputs and corrections,
+    as at one slot. The session waits for a discarded ranker before it ends,
+    so no send outlives it. At one slot nothing starts early and the sends keep
+    the serial order.
+    """
     plan_record, kinds = plan(context, gateway, config)
     outputs = _fan_out(lambda kind: execute_subtask(kind, context, tools, gateway, config),
                        kinds, gateway)
-    reflection, problems = reflect(context, outputs, gateway, config)
-    corrections = _fan_out(
-        lambda problem: execute_subtask(problem.kind, context, tools, gateway, config,
-                                        suggestion=problem.suggestion),
-        problems,
-        gateway,
-    )
-    recommend, ranking = rank(context, outputs + corrections, gateway, config, tools)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        early_rank = (pool.submit(rank, context, outputs, gateway, config, tools)
+                      if gateway.config.max_parallel > 1 else None)
+        reflection, problems = reflect(context, outputs, gateway, config)
+        if early_rank is not None and not problems:
+            corrections, (recommend, ranking) = [], early_rank.result()
+        else:
+            corrections = _fan_out(
+                lambda problem: execute_subtask(problem.kind, context, tools, gateway, config,
+                                                suggestion=problem.suggestion),
+                problems,
+                gateway,
+            )
+            recommend, ranking = rank(context, outputs + corrections, gateway, config, tools,
+                                      turn=1 if problems else 0)
     return SessionLog(
         user=context.user,
         candidates=context.candidates,

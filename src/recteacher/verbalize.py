@@ -124,12 +124,15 @@ def _decode_evidence(record: dict) -> Evidence:
     """The entry of one cache-file record; ValueError says what is wrong with it.
 
     Anchor and neighbours follow the id rule (`require_id`), which hands back
-    each id's one interned string.
+    each id's one interned string; a known tool name becomes its
+    `RECOGNIZED_TOOLS` entry, so each name is one string too, and `EvidenceKey`
+    rejects any other tool.
     """
     missing = [name for name in ("tool", "anchor", "text") if name not in record]
     if missing:
         raise ValueError(f"missing {', '.join(missing)}")
-    key = EvidenceKey(tool=record["tool"], anchor=require_id(record["anchor"], "anchor"))
+    tool = next((name for name in RECOGNIZED_TOOLS if name == record["tool"]), record["tool"])
+    key = EvidenceKey(tool=tool, anchor=require_id(record["anchor"], "anchor"))
     text, neighbors = record["text"], record.get("neighbors", [])
     created_at = record.get("created_at", 0)
     if not isinstance(text, str):

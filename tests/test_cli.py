@@ -449,7 +449,7 @@ def test_script_backend_drives_run_teacher(pipeline, tmp_path, capsys):
     assert main(["run-teacher", "--corpus", str(pipeline["corpus"]),
                  "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
                  "--instances", str(single), "--out", str(out),
-                 "--backend", "mock", "--script", str(script)]) == 0
+                 "--backend", "mock", "--script", str(script), "--parallel", "1"]) == 0
     capsys.readouterr()
     (record,) = records_of(out)
     assert [p["phase"] for p in record["phases"]] == ["plan", "user_profile", "reflection", "recommend"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 import json
@@ -642,6 +643,82 @@ def test_run_teacher_raises_the_first_failing_subtask_in_plan_order():
     assert isinstance(excinfo.value.cause, ReplyParseError)
     assert recent_failed.is_set()
     assert set(threading.enumerate()) <= threads_before
+
+
+# The plan names two agents, in the reverse of their kind order.
+PLANNED = (SubtaskKind.DIVERGENCE, SubtaskKind.HISTORICAL)
+PASS = '{"correct": "yes"}'
+FAIL = json.dumps({"correct": "no", "problematic_agent": [
+    {"agent_name": SubtaskKind.HISTORICAL.value, "suggestion": "look again"}]})
+
+
+def two_agent_script(request, _index, verdict=PASS):
+    """Replies keyed on origin. After a failing verdict a turn-0 ranker asks
+    ItemCF about "i9" and then breaks its answer, so only the turn-1 ranker,
+    which ranks the corrections too, can succeed."""
+    origin = request.origin
+    role, send = origin.role, origin.send
+    if role is Phase.PLAN:
+        return f"<JSON>{json.dumps([kind.value for kind in PLANNED])}</JSON>"
+    if role in PHASE_KIND or isinstance(role, tuple):
+        return '<JSON>["a conclusion"]</JSON>'
+    if role is Phase.REFLECTION:
+        return f"<JSON>{verdict}</JSON>"
+    assert role is Phase.RECOMMEND
+    if origin.turn == 0 and verdict != PASS:
+        if send == 0:
+            return '<tool_call>{"name": "ItemCF", "arguments": {"item_id": "i9"}}</tool_call>'
+        return "no structure here at all"
+    return '<JSON>["c3", "c1", "c2"]</JSON>'
+
+
+def two_agent_session(width, verdict=PASS, tools=None):
+    """The session and the origins of its sends."""
+    backend = ScriptBackend([partial(two_agent_script, verdict=verdict)] * 16)
+    gateway = Gateway(backend, GatewayConfig(max_parallel=width), sleep=lambda s: None)
+    log = run_teacher(make_context(), TeacherConfig(), gateway, tools or ToolRunner(make_cache()))
+    return log, [request.origin for request in backend.requests]
+
+
+def test_a_plan_keeps_its_agents_in_plan_order_and_starts_no_other():
+    early, early_origins = two_agent_session(4)
+    assert [(record.phase, record.kind) for record in early.phases] == [
+        (Phase.PLAN, None), (Phase.DIVERGENCE, SubtaskKind.DIVERGENCE),
+        (Phase.HISTORICAL, SubtaskKind.HISTORICAL), (Phase.REFLECTION, None),
+        (Phase.RECOMMEND, None),
+    ]
+    assert early.final_ranking == ("c3", "c1", "c2")
+    serial, serial_origins = two_agent_session(1)
+    assert early == serial
+    # a passing verdict keeps the early ranker, so both widths send the same requests
+    assert Counter(early_origins) == Counter(serial_origins)
+    assert not {Phase.USER_PROFILE, Phase.RECENT} & {origin.role for origin in early_origins}
+
+
+def test_a_failing_verdict_discards_the_early_ranker_and_its_failure():
+    early, early_origins = two_agent_session(4, FAIL)
+    assert [record.phase for record in early.phases][-3:] == [
+        Phase.REFLECTION, Phase.CORRECTION, Phase.RECOMMEND,
+    ]
+    assert early.final_ranking == ("c3", "c1", "c2")
+    serial, serial_origins = two_agent_session(1, FAIL)
+    assert early == serial
+
+    def ranker_turns(origins):
+        return {origin.turn for origin in origins if origin.role is Phase.RECOMMEND}
+
+    assert ranker_turns(early_origins) == {0, 1}
+    assert ranker_turns(serial_origins) == {1}
+
+
+def test_a_discarded_ranker_fills_the_cache_but_writes_nothing(tmp_path):
+    cache = EvidenceCache(tmp_path / "cache.jsonl")
+    tools = ToolRunner(cache, lambda key: Evidence(key, f"filled {key.anchor}", ()))
+    log, _ = two_agent_session(4, FAIL, tools=tools)
+    tools.persist(log)
+    assert cache.lookup(EvidenceKey("ItemCF", "i9")).text == "filled i9"
+    assert not log.phases[-1].tool_events
+    assert not (tmp_path / "cache.jsonl").exists()
 
 
 def test_grammar_tags_in_thinking_are_not_recorded():

@@ -8,15 +8,21 @@ give the same bytes from a corpus directory without its review file.
 
 from __future__ import annotations
 
+from collections import Counter
 import hashlib
 import json
 import shutil
 
 import pytest
 
+import recteacher.cli
+from recteacher.abstract import SUMMARIZER
 from recteacher.cli import main
 from recteacher.corpus import REVIEWS_FILE, load_catalog, require_id
+from recteacher.gateway import Origin
 from recteacher.graph import load_graph
+from recteacher.oracle import OracleBackend
+from recteacher.teacher import Phase, SubtaskKind
 from recteacher.verbalize import EvidenceCache, all_keys
 
 DIGESTS = {
@@ -89,6 +95,52 @@ def test_run_teacher_without_on_demand_needs_no_graph(artifacts, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS["sessions.jsonl"]
 
 
+# The sends of the first toy session at --parallel 1 with --fail-reflection, in order.
+SERIAL_SESSION = [
+    Origin(SUMMARIZER, "u001"),
+    Origin(Phase.PLAN, "u001"),
+    Origin(Phase.USER_PROFILE, "u001", 0), Origin(Phase.USER_PROFILE, "u001", 1),
+    Origin(Phase.HISTORICAL, "u001", 0), Origin(Phase.HISTORICAL, "u001", 1),
+    Origin(Phase.RECENT, "u001", 0), Origin(Phase.RECENT, "u001", 1),
+    Origin(Phase.DIVERGENCE, "u001", 0), Origin(Phase.DIVERGENCE, "u001", 1),
+    Origin(Phase.REFLECTION, "u001"),
+    Origin((Phase.CORRECTION, SubtaskKind.DIVERGENCE), "u001", 0),
+    Origin((Phase.CORRECTION, SubtaskKind.DIVERGENCE), "u001", 1),
+    Origin(Phase.RECOMMEND, "u001", turn=1),
+]
+
+
+def test_a_failing_verdict_discards_one_early_ranker_per_session(artifacts, tmp_path,
+                                                                  monkeypatch):
+    oracles = []
+
+    class RecordingOracle(OracleBackend):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            self.origins = []
+            oracles.append(self)
+
+        def send(self, request):
+            self.origins.append(request.origin)
+            return super().send(request)
+
+    monkeypatch.setattr(recteacher.cli, "OracleBackend", RecordingOracle)
+    for width in ("1", "2"):
+        out = tmp_path / f"fr_sessions-{width}.jsonl"
+        assert main(["run-teacher", "--backend", "mock", "--corpus", str(artifacts / "corpus"),
+                     "--cache", str(artifacts / "cache.jsonl"),
+                     "--instances", str(artifacts / "instances.jsonl"), "--out", str(out),
+                     "--fail-reflection", "--parallel", width]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS["fr_sessions.jsonl"]
+    serial, early = oracles
+    sessions = len(out.read_text(encoding="utf-8").splitlines())
+    assert early.sends == serial.sends + sessions
+    assert [origin for origin in serial.origins if origin.subject == "u001"] == SERIAL_SESSION
+    # at two slots the first session also sends its discarded ranker, under its own origin
+    first = [origin for origin in early.origins if origin.subject == "u001"]
+    assert Counter(first) == Counter(SERIAL_SESSION + [Origin(Phase.RECOMMEND, "u001")])
+
+
 @pytest.fixture(scope="module")
 def catalogue_dir(artifacts, tmp_path_factory):
     """A copy of the toy corpus directory without its review file."""
@@ -143,6 +195,7 @@ def test_loaded_ids_are_the_catalogue_strings(artifacts):
     assert neighbors and all(n is item_ids[n] for n in neighbors)
     ids = {"ItemCF": item_ids, "UserCF": user_ids}
     assert all(e.key.anchor is ids[e.key.tool][e.key.anchor] for e in entries)
+    assert len({id(e.key.tool) for e in entries}) <= 2
 
     known = next(iter(item_ids))
     fresh = "".join(list(known))

@@ -98,6 +98,8 @@ def test_cache_load_last_record_wins(tmp_path):
     ('{"tool": "ItemCF", "text": "t"}', "missing anchor"),
     ('{"tool": "ItemCF", "anchor": "x"}', "missing text"),
     ('{"tool": "Foo", "anchor": "x", "text": "t"}', "unknown tool 'Foo'"),
+    ('{"tool": 7, "anchor": "x", "text": "t"}', "unknown tool 7"),
+    ('{"tool": ["ItemCF"], "anchor": "x", "text": "t"}', "unknown tool ['ItemCF']"),
     ('{"tool": "ItemCF", "anchor": "x", "text": "t", "created_at": "soon"}', "created_at"),
     ('{"tool": "ItemCF", "anchor": null, "text": "t", "neighbors": [null, 3]}', "invalid anchor"),
     ('{"tool": "ItemCF", "anchor": "x", "text": "t", "neighbors": [null, 3]}', "invalid neighbor"),
@@ -105,9 +107,9 @@ def test_cache_load_last_record_wins(tmp_path):
     ('{"tool": "ItemCF", "anchor": "x", "text": null}', "text must be a string"),
     ('{"tool": "ItemCF", "anchor": "x", "text": "t", "created_at": "7"}', "created_at"),
     ('{"tool": "ItemCF", "anchor": "x", "text": "t", "created_at": true}', "created_at"),
-], ids=["not-object", "no-tool", "no-anchor", "no-text", "unknown-tool", "bad-created-at",
-        "null-anchor", "null-neighbor", "neighbors-string", "null-text", "string-created-at",
-        "bool-created-at"])
+], ids=["not-object", "no-tool", "no-anchor", "no-text", "unknown-tool", "int-tool",
+        "list-tool", "bad-created-at", "null-anchor", "null-neighbor", "neighbors-string",
+        "null-text", "string-created-at", "bool-created-at"])
 def test_cache_load_names_the_malformed_line(tmp_path, line, reason):
     path = tmp_path / "evidence.jsonl"
     good = '{"tool": "UserCF", "anchor": "A", "text": "fine"}'
