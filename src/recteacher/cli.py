@@ -340,21 +340,24 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
                        k=config.neighbor_k, domain=config.domain)
     tools = ToolRunner(cache, fill)
 
-    def run_one(pair: tuple[str, EvalInstance]) -> tuple[SessionLog, dict]:
-        session_id, instance = pair
-        context = build_context(instance, catalog, gateway, teacher_config)
-        log = run_teacher(context, teacher_config, gateway, tools)
+    def run_one(ranked: tuple[int, tuple[str, EvalInstance]]) -> tuple[SessionLog, dict]:
+        rank, (session_id, instance) = ranked
+        session_gateway = gateway.for_session(rank)
+        context = build_context(instance, catalog, session_gateway, teacher_config)
+        log = run_teacher(context, teacher_config, session_gateway, tools)
         return log, _session_record(session_id, instance, context.prompt, log)
 
-    # Sessions run concurrently, but are consumed in instance order: each
-    # session's on-demand fills are appended to the cache and its record is
-    # streamed to the temp file when its turn comes. The cache file matches a
-    # serial run byte for byte, and a failed session still leaves the fills of
-    # every session before it. Instances are parsed as their sessions are
-    # submitted, at most two per worker ahead of the writer, so memory does
-    # not grow with the instance count.
+    # Sessions are ranked in instance order, so a freed gateway slot goes to
+    # the earliest-started session; on-demand fills go through `gateway`
+    # itself, ahead of every session. Sessions run concurrently, but are
+    # consumed in instance order: each session's on-demand fills are appended
+    # to the cache and its record is streamed to the temp file when its turn
+    # comes. The cache file matches a serial run byte for byte, and a failed
+    # session still leaves the fills of every session before it. Instances
+    # are parsed as their sessions are submitted, at most two per worker ahead
+    # of the writer, so memory does not grow with the instance count.
     def session_records() -> Iterator[dict]:
-        sessions = ordered_map(run_one, _iter_instances(args.instances),
+        sessions = ordered_map(run_one, enumerate(_iter_instances(args.instances)),
                                config.max_parallel, window=2 * config.max_parallel)
         for log, session_record in sessions:
             tools.persist(log)
@@ -515,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="override the configured random seed")
     common.add_argument("--parallel", type=int,
                         help="at most N sessions at once and at most N gateway calls in flight, "
-                             "a session's analysis agents included "
+                             "a session's analysis agents included; a freed call slot goes to "
+                             "the earliest-started session "
                              f"(default from config, {PipelineConfig.max_parallel})")
     common.add_argument("--verbose", action="store_true", help="debug logging")
 

@@ -1,20 +1,24 @@
 """Chat-completions gateway: one HTTP backend, one scripted offline backend.
 
 The Gateway owns retry-with-backoff and the global in-flight bound; backends
-only know how to send a single request. Tests always run on ScriptBackend, so
-no unit test ever touches the network.
+only know how to send a single request. A freed slot goes to the waiting send
+of the earliest-started session (`Gateway.for_session`), FIFO among equals.
+Tests always run on ScriptBackend, so no unit test ever touches the network.
 """
 
 from __future__ import annotations
 
+import copy
+import heapq
+import itertools
 import logging
 import os
 import random
 import threading
 import time
-from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Protocol
+from typing import Callable, Hashable, Iterable, Iterator, Protocol
 
 from .errors import GatewayError
 
@@ -134,39 +138,58 @@ class Backend(Protocol):
     def send(self, request: ChatRequest) -> ChatReply: ...
 
 
-class _FifoSlots:
-    """A bound on concurrent holders whose freed slots go to the longest waiter.
+class _RankedSlots:
+    """A bound on concurrent holders whose freed slots go to the waiter of lowest rank.
 
-    A release hands the slot straight to the head of the queue, so a thread
-    that releases and asks again at once queues behind every earlier waiter
+    Waiters of equal rank are served in arrival order. A release hands the
+    slot straight to the chosen waiter, so a thread that releases and asks
+    again at once queues behind every earlier waiter of its rank
     (threading.Semaphore would let it take the slot back first).
     """
 
     def __init__(self, size: int):
         self._lock = threading.Lock()
         self._free = size
-        self._waiters: deque[threading.Lock] = deque()
+        self._arrivals = itertools.count()
+        # (rank, arrival, ticket): arrivals are unique, so tickets are never compared
+        self._waiters: list[tuple[int, int, threading.Lock]] = []
 
-    def __enter__(self) -> None:
+    @contextmanager
+    def hold(self, rank: int) -> Iterator[None]:
         with self._lock:
             if self._free:
                 self._free -= 1
-                return
-            ticket = threading.Lock()
-            ticket.acquire()
-            self._waiters.append(ticket)
-        ticket.acquire()  # released by the holder that hands this thread its slot
-
-    def __exit__(self, *exc_info) -> None:
-        with self._lock:
-            if self._waiters:
-                self._waiters.popleft().release()
+                ticket = None
             else:
-                self._free += 1
+                ticket = threading.Lock()
+                ticket.acquire()
+                heapq.heappush(self._waiters, (rank, next(self._arrivals), ticket))
+        if ticket is not None:
+            ticket.acquire()  # released by the holder that hands this thread its slot
+        try:
+            yield
+        finally:
+            with self._lock:
+                if self._waiters:
+                    heapq.heappop(self._waiters)[2].release()
+                else:
+                    self._free += 1
+
+
+# The rank of sends that belong to no session (verbalize and on-demand
+# evidence fills): ahead of every session, because a fill blocks the tool
+# round of the session that asked for it.
+UNSESSIONED = -1
 
 
 class Gateway:
-    """Retry, backoff, and bounded parallelism around a backend."""
+    """Retry, backoff, and bounded parallelism around a backend.
+
+    At most `config.max_parallel` sends are in flight. A freed slot goes to
+    the waiting send of lowest rank, FIFO among equals: a handle from
+    `for_session(rank)` sends at that rank, the gateway itself at
+    `UNSESSIONED`, ahead of every session.
+    """
 
     def __init__(
         self,
@@ -177,14 +200,25 @@ class Gateway:
         self._backend = backend
         self.config = config or GatewayConfig()
         self._sleep = sleep
-        self._slots = _FifoSlots(self.config.max_parallel)
+        self._slots = _RankedSlots(self.config.max_parallel)
+        self.rank = UNSESSIONED
+
+    def for_session(self, rank: int) -> Gateway:
+        """A handle on the same backend, config, sleep and slots that sends at `rank`.
+
+        Sessions are ranked in the order they start, from 0, so a freed slot
+        goes to the oldest session waiting for one.
+        """
+        handle = copy.copy(self)
+        handle.rank = rank
+        return handle
 
     def complete(self, request: ChatRequest) -> ChatReply:
         attempts = self.config.retries + 1
         last: TransientFailure | None = None
         for attempt in range(attempts):
             try:
-                with self._slots:
+                with self._slots.hold(self.rank):
                     return self._backend.send(request)
             except TransientFailure as exc:
                 last = exc

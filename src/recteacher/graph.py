@@ -6,11 +6,11 @@ users/items, and ties always break by ascending id.
 
 from __future__ import annotations
 
-import heapq
 import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -64,17 +64,11 @@ def _validate_k(k: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-def _rank_key(pair: tuple[str, int]) -> tuple[int, str]:
-    """Highest count first, ties by ascending id."""
-    return -pair[1], pair[0]
-
-
 def _by_count(counts: Counter) -> list[tuple[str, int]]:
-    return sorted(counts.items(), key=_rank_key)
-
-
-def _top_k(counts: Counter, k: int) -> list[tuple[str, int]]:
-    return heapq.nsmallest(k, counts.items(), key=_rank_key)
+    """(id, count) pairs, highest count first, ties by ascending id."""
+    ranked = sorted(counts.items(), key=itemgetter(0))
+    ranked.sort(key=itemgetter(1), reverse=True)  # stable, so ties keep id order
+    return ranked
 
 
 def _two_hop(adj: Adjacency, back: Adjacency, anchor: str, k: int,
@@ -91,7 +85,7 @@ def _two_hop(adj: Adjacency, back: Adjacency, anchor: str, k: int,
     for node in middle:
         scores.update(back[node])
     del scores[anchor]
-    return _top_k(scores, k)
+    return _by_count(scores)[:k]
 
 
 def item_cf_neighbors(

@@ -2,11 +2,13 @@
 
 One session walks a fixed workflow over the gateway and yields a SessionLog
 whose phases carry everything the trajectory codec needs to replay the text.
-The analysis agents of one pass run side by side; their records keep plan order.
-Above one gateway slot the ranker also starts with the reflector: a passing
-verdict keeps its record, a failing one discards it, never recorded, and the
-ranker reruns after the corrections. At one slot nothing starts early, so the
-sends keep the serial order.
+Above one gateway slot every analysis agent of a pass is submitted at once
+(the gateway's slots bound the sends in flight, and a freed slot goes to the
+earliest-started session); their records keep plan order. Above one slot the
+ranker also starts with the reflector: a passing verdict keeps its record, a
+failing one discards it, never recorded, and the ranker reruns after the
+corrections. At one slot the agents run one at a time and nothing starts
+early, so the sends keep the serial order.
 Every agent's record comes out of one turn (`_turn`): ask, answer tool calls,
 decode the last reply by its role's contract, re-ask once where `REASK` allows
 it, and record the payload with the thinking of the answered rounds and of the
@@ -530,14 +532,17 @@ def rank(
 def _fan_out(
     func: Callable[[T], PhaseRecord], items: Sequence[T], gateway: Gateway
 ) -> list[PhaseRecord]:
-    """func over items on pool threads, up to the gateway's in-flight bound at once, in item order.
+    """func over items on pool threads, in item order: all at once above one gateway slot.
 
+    Above one slot every item is submitted at once; the gateway's slots bound
+    the sends in flight, so the session keeps a send queued for each freed
+    slot. At one slot the items run one at a time, in the serial send order.
     The agents of one pass read only the shared instance prompt, never each
     other's output, so running them concurrently leaves every record as a
     serial run makes it. The first failure in item order is raised. An empty
-    pass (no corrections) asks for width 0 and starts no thread.
+    pass (no corrections) starts no thread.
     """
-    return list(ordered_map(func, items, min(len(items), gateway.config.max_parallel)))
+    return list(ordered_map(func, items, len(items) if gateway.config.max_parallel > 1 else 1))
 
 
 def run_teacher(
@@ -553,8 +558,8 @@ def run_teacher(
     failing verdict it is discarded, its failure included, and never recorded;
     the corrections run and the ranker reruns on the outputs and corrections,
     as at one slot. The session waits for a discarded ranker before it ends,
-    so no send outlives it. At one slot nothing starts early and the sends keep
-    the serial order.
+    so no send outlives it, and logs a warning naming the user if it failed.
+    At one slot nothing starts early and the sends keep the serial order.
     """
     plan_record, kinds = plan(context, gateway, config)
     outputs = _fan_out(lambda kind: execute_subtask(kind, context, tools, gateway, config),
@@ -574,6 +579,10 @@ def run_teacher(
             )
             recommend, ranking = rank(context, outputs + corrections, gateway, config, tools,
                                       turn=1 if problems else 0)
+    discarded_failure = early_rank.exception() if early_rank is not None and problems else None
+    if discarded_failure is not None:
+        logger.warning("user %s: discarded early ranker failed: %s", context.user,
+                       discarded_failure)
     return SessionLog(
         user=context.user,
         candidates=context.candidates,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import sys
 import threading
 import time
 
@@ -168,6 +170,84 @@ def test_freed_slots_go_to_waiters_in_arrival_order():
         thread.join(timeout=10)
     assert not any(thread.is_alive() for thread in threads)
     assert order == ["holder 1", "waiter 0", "waiter 1", "waiter 2", "holder 2"]
+
+
+def test_freed_slots_go_to_the_lowest_session_rank_then_in_arrival_order():
+    release_holder = threading.Event()
+    order: list[str] = []
+
+    class HoldingBackend:
+        def send(self, request):
+            label = request.messages[0]["content"]
+            order.append(label)  # one slot, so one sender at a time
+            if label == "holder":
+                assert release_holder.wait(timeout=10)
+            return ChatReply(content="ok")
+
+    gateway = Gateway(HoldingBackend(), GatewayConfig(max_parallel=1))
+    holder = threading.Thread(target=gateway.complete, args=(chat_request([("user", "holder")]),))
+    holder.start()
+    threads = [holder]
+    wait_until(lambda: order == ["holder"])
+    # the last waiter belongs to no session, as an on-demand fill does
+    waiters = [(2, "2"), (0, "0"), (1, "1a"), (1, "1b"), (1, "1c"), (None, "fill")]
+    for n, (rank, label) in enumerate(waiters):
+        sender = gateway if rank is None else gateway.for_session(rank)
+        thread = threading.Thread(target=sender.complete, args=(chat_request([("user", label)]),))
+        thread.start()
+        threads.append(thread)
+        wait_until(lambda: len(gateway._slots._waiters) == n + 1)
+    release_holder.set()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert order == ["holder", "fill", "0", "1a", "1b", "1c", "2"]
+
+
+def test_ranked_slots_bound_and_serve_every_caller_under_contention():
+    slots, callers, calls_each = 3, 24, 20
+
+    class CountingBackend:
+        def __init__(self):
+            self.lock = threading.Lock()
+            self.active = self.peak = self.sends = 0
+
+        def send(self, request):
+            with self.lock:
+                self.active += 1
+                self.peak = max(self.peak, self.active)
+            time.sleep(0)
+            with self.lock:
+                self.active -= 1
+                self.sends += 1
+            return ChatReply(content="ok")
+
+    backend = CountingBackend()
+    gateway = Gateway(backend, GatewayConfig(max_parallel=slots))
+    served = [0] * callers
+
+    def caller(index):
+        rng = random.Random(index)
+        for _ in range(calls_each):
+            handle = gateway.for_session(rng.randrange(4)) if index % 3 else gateway
+            assert handle.complete(REQ).content == "ok"
+            served[index] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(n,)) for n in range(callers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert served == [calls_each] * callers
+    assert backend.sends == callers * calls_each
+    assert backend.peak <= slots
+    assert gateway._slots._free == slots and not gateway._slots._waiters
 
 
 def test_a_failed_send_frees_its_slot():

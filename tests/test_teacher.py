@@ -6,6 +6,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 import json
+import logging
 import random
 import sys
 import threading
@@ -617,6 +618,38 @@ def test_run_teacher_runs_the_planned_subtasks_side_by_side():
     assert set(threading.enumerate()) <= threads_before
 
 
+def test_above_one_slot_a_pass_submits_every_agent_at_once():
+    """At two slots, each agent's first send waits until all four agents have asked the gateway."""
+    context = make_context(user="u7", candidates=("c1", "c2", "c3", "c4"))
+    _, serial_gateway = oracle_gateway(ground_truth={"u7": "c3"})
+    serial = run_teacher(context, TeacherConfig(), serial_gateway,
+                         ToolRunner(make_cache(("UserCF", "u7"))))
+    lock = threading.Lock()
+    entered: set[SubtaskKind] = set()
+    all_entered = threading.Event()
+
+    class EntryGateway(Gateway):
+        def complete(self, request):
+            kind = first_round_kind(request)
+            if kind is not None:
+                with lock:
+                    entered.add(kind)
+                    if len(entered) == len(SubtaskKind):
+                        all_entered.set()
+            return super().complete(request)
+
+    class WaitingOracle(OracleBackend):
+        def send(self, request):
+            if first_round_kind(request) is not None:
+                assert all_entered.wait(timeout=5), f"agents entered: {sorted(k.name for k in entered)}"
+            return super().send(request)
+
+    gateway = EntryGateway(WaitingOracle(ground_truth={"u7": "c3"}), GatewayConfig(max_parallel=2),
+                           sleep=lambda s: None)
+    log = run_teacher(context, TeacherConfig(), gateway, ToolRunner(make_cache(("UserCF", "u7"))))
+    assert log == serial
+
+
 def test_run_teacher_raises_the_first_failing_subtask_in_plan_order():
     recent_failed = threading.Event()
 
@@ -709,6 +742,21 @@ def test_a_failing_verdict_discards_the_early_ranker_and_its_failure():
 
     assert ranker_turns(early_origins) == {0, 1}
     assert ranker_turns(serial_origins) == {1}
+
+
+def test_a_discarded_ranker_that_failed_logs_one_warning(caplog):
+    with caplog.at_level(logging.WARNING, logger="recteacher.teacher"):
+        two_agent_session(4, FAIL)
+    records = [r for r in caplog.records if r.name == "recteacher.teacher"]
+    assert len(records) == 1 and records[0].levelno == logging.WARNING
+    message = records[0].getMessage()
+    assert "u1" in message and "discarded early ranker" in message
+    assert "no <JSON> payload" in message
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="recteacher.teacher"):
+        two_agent_session(4)  # a passing verdict keeps its ranker
+        two_agent_session(1, FAIL)  # one slot starts no early ranker
+    assert not [r for r in caplog.records if r.name == "recteacher.teacher"]
 
 
 def test_a_discarded_ranker_fills_the_cache_but_writes_nothing(tmp_path):

@@ -95,6 +95,18 @@ def test_run_teacher_without_on_demand_needs_no_graph(artifacts, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS["sessions.jsonl"]
 
 
+@pytest.mark.parametrize("name, extra", [("sessions.jsonl", []),
+                                         ("fr_sessions.jsonl", ["--fail-reflection"])])
+def test_run_teacher_at_four_slots_matches_the_digests(artifacts, tmp_path, name, extra):
+    """Four sessions at once, each ranked oldest first and submitting whole agent passes."""
+    out = tmp_path / name
+    assert main(["run-teacher", "--backend", "mock", "--corpus", str(artifacts / "corpus"),
+                 "--cache", str(artifacts / "cache.jsonl"),
+                 "--instances", str(artifacts / "instances.jsonl"), "--out", str(out),
+                 "--parallel", "4", *extra]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[name]
+
+
 # The sends of the first toy session at --parallel 1 with --fail-reflection, in order.
 SERIAL_SESSION = [
     Origin(SUMMARIZER, "u001"),
