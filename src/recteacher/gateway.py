@@ -8,7 +8,6 @@ Tests always run on ScriptBackend, so no unit test ever touches the network.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import itertools
 import logging
@@ -201,16 +200,20 @@ class Gateway:
         self.config = config or GatewayConfig()
         self._sleep = sleep
         self._slots = _RankedSlots(self.config.max_parallel)
-        self.rank = UNSESSIONED
+        self._rank = UNSESSIONED
 
     def for_session(self, rank: int) -> Gateway:
-        """A handle on the same backend, config, sleep and slots that sends at `rank`.
+        """A handle that sends at `rank` and shares only the backend, config, sleep and slots.
 
         Sessions are ranked in the order they start, from 0, so a freed slot
         goes to the oldest session waiting for one.
         """
-        handle = copy.copy(self)
-        handle.rank = rank
+        handle = object.__new__(type(self))
+        handle._backend = self._backend
+        handle.config = self.config
+        handle._sleep = self._sleep
+        handle._slots = self._slots
+        handle._rank = rank
         return handle
 
     def complete(self, request: ChatRequest) -> ChatReply:
@@ -218,7 +221,7 @@ class Gateway:
         last: TransientFailure | None = None
         for attempt in range(attempts):
             try:
-                with self._slots.hold(self.rank):
+                with self._slots.hold(self._rank):
                     return self._backend.send(request)
             except TransientFailure as exc:
                 last = exc

@@ -6,6 +6,7 @@ users/items, and ties always break by ascending id.
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 from collections import Counter
@@ -64,11 +65,19 @@ def _validate_k(k: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-def _by_count(counts: Counter) -> list[tuple[str, int]]:
+def _by_count(counts: Mapping[str, int]) -> list[tuple[str, int]]:
     """(id, count) pairs, highest count first, ties by ascending id."""
     ranked = sorted(counts.items(), key=itemgetter(0))
     ranked.sort(key=itemgetter(1), reverse=True)  # stable, so ties keep id order
     return ranked
+
+
+def _top_k(counts: Mapping[str, int], k: int) -> list[tuple[str, int]]:
+    """The first k pairs of `_by_count(counts)`, sorting only the pairs at or above the k-th count."""
+    if len(counts) > k:
+        floor = heapq.nlargest(k, counts.values())[-1]
+        counts = {node: n for node, n in counts.items() if n >= floor}
+    return _by_count(counts)[:k]
 
 
 def _two_hop(adj: Adjacency, back: Adjacency, anchor: str, k: int,
@@ -85,7 +94,7 @@ def _two_hop(adj: Adjacency, back: Adjacency, anchor: str, k: int,
     for node in middle:
         scores.update(back[node])
     del scores[anchor]
-    return _by_count(scores)[:k]
+    return _top_k(scores, k)
 
 
 def item_cf_neighbors(
