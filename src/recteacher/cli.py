@@ -383,7 +383,7 @@ def _cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> int:
                 "id": session_id,
                 "user": record.get("user", ""),
                 "ground_truth": ground_truth,
-                "prompt": record.get("prompt", ""),
+                "prompt": str(_record_field(record, "prompt", "session")),
                 "trajectory": trajectory,
             })
     if unparsable:

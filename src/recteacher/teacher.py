@@ -8,7 +8,9 @@ earliest-started session); their records keep plan order. Above one slot the
 ranker also starts with the reflector: a passing verdict keeps its record, a
 failing one discards it, never recorded, and the ranker reruns after the
 corrections. At one slot the agents run one at a time and nothing starts
-early, so the sends keep the serial order.
+early, so the sends keep the serial order. A session runs its passes and its
+early ranker on one thread pool: `len(SubtaskKind) + 1` workers above one
+slot, a whole pass beside the early ranker, and one worker at one slot.
 Every agent's record comes out of one turn (`_turn`): ask, answer tool calls,
 decode the last reply by its role's contract, re-ask once where `REASK` allows
 it, and record the payload with the thinking of the answered rounds and of the
@@ -28,7 +30,7 @@ import json
 import logging
 import re
 import threading
-from typing import Any, Callable, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Mapping, Sequence
 
 from .abstract import DEFAULT_WINDOW_M, abstract, render_interaction
 from .corpus import Catalog
@@ -47,7 +49,6 @@ from .tags import (
     strip_tagged,
     tagged_bodies,
 )
-from .util import ordered_map
 from .verbalize import Evidence, EvidenceCache, EvidenceKey
 
 # Unused here, but perfbench/probes.py looks both names up on this module.
@@ -60,8 +61,6 @@ logger = logging.getLogger(__name__)
 MISS_FALLBACK = "no cached collaborative evidence available"
 
 DEFAULT_MAX_TOOL_ROUNDS = 3
-
-T = TypeVar("T")
 
 
 class SubtaskKind(Enum):
@@ -359,6 +358,8 @@ def _verdict(verdict: Any) -> tuple[Problem, ...]:
 def _ranking(ranking: Any) -> list[str]:
     if not isinstance(ranking, list):
         raise ReplyParseError("payload is not a list")
+    if not ranking:
+        raise ReplyParseError("payload is an empty list")
     return [str(item) for item in ranking]
 
 
@@ -529,22 +530,6 @@ def rank(
     return record, repair_ranking(ranking, context.candidates)
 
 
-def _fan_out(
-    func: Callable[[T], PhaseRecord], items: Sequence[T], gateway: Gateway
-) -> list[PhaseRecord]:
-    """func over items on pool threads, in item order: all at once above one gateway slot.
-
-    Above one slot every item is submitted at once; the gateway's slots bound
-    the sends in flight, so the session keeps a send queued for each freed
-    slot. At one slot the items run one at a time, in the serial send order.
-    The agents of one pass read only the shared instance prompt, never each
-    other's output, so running them concurrently leaves every record as a
-    serial run makes it. The first failure in item order is raised. An empty
-    pass (no corrections) starts no thread.
-    """
-    return list(ordered_map(func, items, len(items) if gateway.config.max_parallel > 1 else 1))
-
-
 def run_teacher(
     context: TeacherContext,
     config: TeacherConfig,
@@ -560,23 +545,28 @@ def run_teacher(
     as at one slot. The session waits for a discarded ranker before it ends,
     so no send outlives it, and logs a warning naming the user if it failed.
     At one slot nothing starts early and the sends keep the serial order.
+    One pool runs the passes and the early ranker: above one slot a worker per
+    agent and one for the ranker, so corrections never wait on a discarded
+    ranker; at one slot one worker, in plan order. The agents of a pass read
+    only the instance prompt, never each other's output, so running them side
+    by side records what a serial run does; a pass raises its first failure
+    in plan order.
     """
     plan_record, kinds = plan(context, gateway, config)
-    outputs = _fan_out(lambda kind: execute_subtask(kind, context, tools, gateway, config),
-                       kinds, gateway)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        early_rank = (pool.submit(rank, context, outputs, gateway, config, tools)
-                      if gateway.config.max_parallel > 1 else None)
+    parallel = gateway.config.max_parallel > 1
+    with ThreadPoolExecutor(max_workers=len(SubtaskKind) + 1 if parallel else 1) as pool:
+        outputs = list(pool.map(lambda kind: execute_subtask(kind, context, tools, gateway, config),
+                                kinds))
+        early_rank = pool.submit(rank, context, outputs, gateway, config, tools) if parallel else None
         reflection, problems = reflect(context, outputs, gateway, config)
         if early_rank is not None and not problems:
             corrections, (recommend, ranking) = [], early_rank.result()
         else:
-            corrections = _fan_out(
+            corrections = list(pool.map(
                 lambda problem: execute_subtask(problem.kind, context, tools, gateway, config,
                                                 suggestion=problem.suggestion),
                 problems,
-                gateway,
-            )
+            ))
             recommend, ranking = rank(context, outputs + corrections, gateway, config, tools,
                                       turn=1 if problems else 0)
     discarded_failure = early_rank.exception() if early_rank is not None and problems else None

@@ -154,18 +154,16 @@ def _section(text: str, name: str, pos: int) -> tuple[ParsedSection, int]:
 
 
 def _extract_ranking(section: ParsedSection) -> tuple[str, ...]:
-    """Ranking from the last payload if the ranker's contract reads a non-empty
-    list from it, else from the closing numbered run.
+    """Ranking from the last payload if the ranker's contract accepts it, else
+    from the closing numbered run.
 
     Only the run that closes the text outside the blocks counts: ids inside
     tool payloads and numbered prose in the thinking stay out of the ranking.
     """
     try:
-        ranking = decode_payload(section.payload, Phase.RECOMMEND)
+        return tuple(decode_payload(section.payload, Phase.RECOMMEND))
     except ReplyParseError:  # no payload, or one the ranker's contract rejects
-        ranking = []
-    if ranking:
-        return tuple(ranking)
+        pass
     _head, run = _split_ranking(section.body)
     entries = [entry.strip() for line in run for entry in _NUMBERED.findall(line)]
     return tuple(entry for entry in entries if entry)

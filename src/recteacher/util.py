@@ -109,8 +109,8 @@ def ordered_map(
 ) -> Iterator[R]:
     """Yield func(item) for every item, in item order, with up to `width` calls running.
 
-    The calls run on pool threads, never in the caller's; a width below 1
-    counts as 1, and a pool starts no thread until an item is submitted.
+    The calls run on pool threads, never in the caller's, and a pool starts
+    no thread until an item is submitted.
     Items are pulled from `items` only as they are submitted, at most `window`
     (default: no limit) beyond the last result handed back. A call that raised
     re-raises when its turn comes: calls not yet started are cancelled and the
@@ -118,7 +118,7 @@ def ordered_map(
     """
     remaining = iter(items)
     pending: deque = deque()
-    with ThreadPoolExecutor(max_workers=max(width, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=width) as pool:
         try:
             pending.extend(pool.submit(func, item) for item in islice(remaining, window))
             while pending:

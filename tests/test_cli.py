@@ -431,7 +431,7 @@ def test_fail_reflection_adds_exactly_one_correction(pipeline, tmp_path, capsys)
 
 
 def test_script_backend_drives_run_teacher(pipeline, tmp_path, capsys):
-    # one instance, one planned subtask, no tool call, empty ranking repaired
+    # one instance, one planned subtask, no tool call, a one-id ranking repaired
     instance = records_of(pipeline["instances"])[0]
     folds = max(0, -(-len(instance["history"]) // 10) - 1)  # history chunks at m=10
     script = tmp_path / "script.json"
@@ -440,7 +440,8 @@ def test_script_backend_drives_run_teacher(pipeline, tmp_path, capsys):
             'One lens is enough.\n<JSON>["User_Profile_Summary"]</JSON>',
             'Straight to the point.\n<JSON>["profile sketch"]</JSON>',
             'Holds up.\n<JSON>{"correct": "yes"}</JSON>',
-            "No preference signal; keeping the given order.\n<JSON>[]</JSON>",
+            "No preference signal; keeping the given order.\n"
+            f"<JSON>{json.dumps(instance['candidates'][:1])}</JSON>",
         ]
     ), encoding="utf-8")
     single = tmp_path / "one.jsonl"
@@ -453,7 +454,7 @@ def test_script_backend_drives_run_teacher(pipeline, tmp_path, capsys):
     capsys.readouterr()
     (record,) = records_of(out)
     assert [p["phase"] for p in record["phases"]] == ["plan", "user_profile", "reflection", "recommend"]
-    assert record["final_ranking"] == record["candidates"]  # empty list repaired in order
+    assert record["final_ranking"] == record["candidates"]  # the rest appended in order
 
 
 def test_run_teacher_failure_keeps_the_earlier_output(pipeline, tmp_path, capsys):
@@ -470,7 +471,8 @@ def test_run_teacher_failure_keeps_the_earlier_output(pipeline, tmp_path, capsys
         'One lens is enough.\n<JSON>["User_Profile_Summary"]</JSON>',
         'Straight to the point.\n<JSON>["profile sketch"]</JSON>',
         'Holds up.\n<JSON>{"correct": "yes"}</JSON>',
-        "No preference signal; keeping the given order.\n<JSON>[]</JSON>",
+        "No preference signal; keeping the given order.\n"
+        f"<JSON>{json.dumps(first['candidates'][:1])}</JSON>",
     ] + folds(second)), encoding="utf-8")
     out_dir = tmp_path / "out"
     out_dir.mkdir()
@@ -574,6 +576,19 @@ def test_filter_drops_misses(pipeline, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "kept 1 / 2" in captured.out
 
+
+def test_filter_refuses_a_kept_session_without_a_prompt(pipeline, tmp_path, capsys):
+    records = records_of(pipeline["sessions"])
+    del records[0]["prompt"]
+    path = tmp_path / "sessions.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    out = tmp_path / "kept.jsonl"
+    code = main(["filter", "--sessions", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert (f"error: PipelineError: session record {records[0]['id']!r} "
+            "is missing 'prompt'") in captured.err
+    assert not out.exists()
 
 def with_null_ground_truth(records, tmp_path, name):
     """`records` written to `name`, the first with a null ground truth."""

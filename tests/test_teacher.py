@@ -494,6 +494,15 @@ def test_rank_fails_after_two_bad_replies():
     assert backend.sends == 2
 
 
+def test_rank_reasks_an_empty_list():
+    backend, gateway = scripted_gateway("<JSON>[]</JSON>", '<JSON>["c3", "c1", "c2"]</JSON>')
+    record, ranking = rank(make_context(), [], gateway)
+    assert backend.sends == 2
+    assert "payload is an empty list" in backend.requests[1].messages[-1]["content"]
+    assert record.payload == '["c3", "c1", "c2"]'
+    assert ranking == ["c3", "c1", "c2"]
+
+
 def test_rank_names_a_null_payload():
     # JSON null decodes to None: a payload, but not a list
     backend, gateway = scripted_gateway("<JSON>null</JSON>", "<JSON>null</JSON>")
@@ -767,6 +776,24 @@ def test_a_discarded_ranker_fills_the_cache_but_writes_nothing(tmp_path):
     assert cache.lookup(EvidenceKey("ItemCF", "i9")).text == "filled i9"
     assert not log.phases[-1].tool_events
     assert not (tmp_path / "cache.jsonl").exists()
+
+
+@pytest.mark.parametrize("verdict", [PASS, FAIL], ids=["pass", "fail"])
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_a_session_runs_on_one_thread_pool(monkeypatch, width, verdict):
+    """One pool per session: a pass and the early ranker beside it above one slot, one worker at one."""
+    widths = []
+    init = ThreadPoolExecutor.__init__
+
+    def counting_init(pool, max_workers=None, *args, **kwargs):
+        widths.append(max_workers)
+        init(pool, max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "__init__", counting_init)
+    threads_before = set(threading.enumerate())
+    two_agent_session(width, verdict)
+    assert widths == [len(SubtaskKind) + 1 if width > 1 else 1]
+    assert set(threading.enumerate()) <= threads_before  # a discarded ranker included
 
 
 def test_grammar_tags_in_thinking_are_not_recorded():

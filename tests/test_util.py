@@ -144,13 +144,12 @@ def test_ordered_map_width_one_matches_width_three():
     assert list(util.ordered_map(func, range(12), 1)) == list(util.ordered_map(func, range(12), 3))
 
 
-@pytest.mark.parametrize("width", [0, 1])
-def test_ordered_map_of_nothing_starts_no_thread(monkeypatch, width):
+def test_ordered_map_of_nothing_starts_no_thread(monkeypatch):
     starts: list[threading.Thread] = []
     monkeypatch.setattr(threading.Thread, "start", lambda thread: starts.append(thread))
 
     def never(item):
         raise AssertionError("called on an empty input")
 
-    assert list(util.ordered_map(never, [], width)) == []
+    assert list(util.ordered_map(never, [], 1)) == []
     assert starts == []
