@@ -14,7 +14,7 @@ from typing import TypeVar
 from .abstract import DEFAULT_WINDOW_M
 from .errors import PipelineError
 from .evaluate import ScenarioThresholds
-from .gateway import DEFAULT_TEMPERATURE, DEFAULT_TOP_P, GatewayConfig
+from .gateway import GatewayConfig
 from .graph import DEFAULT_NEIGHBOR_K
 from .prompts import DEFAULT_DOMAIN
 from .rewards import DEFAULT_GROUP_SIZE, DEFAULT_RL_RATIO, DEFAULT_RL_TARGET, largest_remainder
@@ -39,8 +39,8 @@ class PipelineConfig:
     retries: int = GatewayConfig.retries
     timeout_s: float = GatewayConfig.timeout_s
     # sampling
-    temperature: float = DEFAULT_TEMPERATURE
-    top_p: float = DEFAULT_TOP_P
+    temperature: float = GatewayConfig.temperature
+    top_p: float = GatewayConfig.top_p
     group_size: int = DEFAULT_GROUP_SIZE
     # pipeline knobs
     domain: str = DEFAULT_DOMAIN

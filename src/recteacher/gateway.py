@@ -29,9 +29,6 @@ BASE_DELAY_S = 0.5   # first backoff delay
 MAX_DELAY_S = 8.0    # backoff ceiling
 JITTER_FRACTION = 0.25
 
-DEFAULT_TEMPERATURE = 0.7
-DEFAULT_TOP_P = 0.95
-
 
 @dataclass(frozen=True)
 class ChatUsage:
@@ -43,14 +40,6 @@ class ChatUsage:
 class ChatReply:
     content: str
     usage: ChatUsage = field(default_factory=ChatUsage)
-
-
-def check_sampling(temperature: float, top_p: float) -> None:
-    """Raise ValueError unless temperature is in [0, 2] and top_p in (0, 1]."""
-    if not 0.0 <= temperature <= 2.0:
-        raise ValueError(f"temperature {temperature} outside [0, 2]")
-    if not 0.0 < top_p <= 1.0:
-        raise ValueError(f"top_p {top_p} outside (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -75,8 +64,6 @@ class ChatRequest:
     """One chat-completion request. Messages are role/content dicts; no backend sends `origin`."""
 
     messages: tuple[dict, ...]
-    temperature: float = DEFAULT_TEMPERATURE
-    top_p: float = DEFAULT_TOP_P
     origin: Origin | None = None
 
     def __post_init__(self):
@@ -87,28 +74,35 @@ class ChatRequest:
                 raise ValueError("each message needs role and content")
             if msg["role"] not in VALID_ROLES:
                 raise ValueError(f"invalid role {msg['role']!r}")
-        check_sampling(self.temperature, self.top_p)
 
 
-def chat_request(messages: Iterable, **kwargs) -> ChatRequest:
+def chat_request(messages: Iterable, origin: Origin | None = None) -> ChatRequest:
     """Build a ChatRequest from role/content dicts or (role, content) pairs."""
     normalized = tuple(
         msg if isinstance(msg, dict) else {"role": msg[0], "content": msg[1]}
         for msg in messages
     )
-    return ChatRequest(messages=normalized, **kwargs)
+    return ChatRequest(messages=normalized, origin=origin)
 
 
 @dataclass
 class GatewayConfig:
+    """Where and how every request is sent; sampling applies to each request alike."""
+
     endpoint: str = ""
     api_key_env: str = "LLM_API_KEY"
     model: str = ""
+    temperature: float = 0.7
+    top_p: float = 0.95
     max_parallel: int = 4
     retries: int = 3
     timeout_s: float = 60.0
 
     def __post_init__(self):
+        if not 0.0 <= self.temperature <= 2.0:
+            raise ValueError(f"temperature {self.temperature} outside [0, 2]")
+        if not 0.0 < self.top_p <= 1.0:
+            raise ValueError(f"top_p {self.top_p} outside (0, 1]")
         if self.max_parallel < 1:
             raise ValueError("max_parallel must be >= 1")
         if self.retries < 0:
@@ -253,8 +247,8 @@ class HttpBackend:
         body = {
             "model": self.config.model,
             "messages": list(request.messages),
-            "temperature": request.temperature,
-            "top_p": request.top_p,
+            "temperature": self.config.temperature,
+            "top_p": self.config.top_p,
         }
 
         headers = {}

@@ -1,19 +1,11 @@
 """Multi-agent teacher orchestration: plan, execute, reflect, correct, rank.
 
 One session walks a fixed workflow over the gateway and yields a SessionLog
-whose phases carry everything the trajectory codec needs to replay the text.
-Above one gateway slot every analysis agent of a pass is submitted at once
-(the gateway's slots bound the sends in flight, and a freed slot goes to the
-earliest-started session); their records keep plan order. Above one slot the
-ranker also starts with the reflector: a passing verdict keeps its record, a
-failing one discards it, never recorded, and the ranker reruns after the
-corrections. At one slot the agents run one at a time and nothing starts
-early, so the sends keep the serial order. A session runs its passes and its
-early ranker on one thread pool: `len(SubtaskKind) + 1` workers above one
-slot, a whole pass beside the early ranker, and one worker at one slot.
-Every agent's record comes out of one turn (`_turn`): ask, answer tool calls,
-decode the last reply by its role's contract, re-ask once where `REASK` allows
-it, and record the payload with the thinking of the answered rounds and of the
+whose phases carry everything the trajectory codec needs to replay the text;
+`run_teacher` says how its agents share the gateway's slots. Every agent's
+record comes out of one turn (`_turn`): ask, answer tool calls, decode the
+last reply by its role's contract, re-ask once where `REASK` allows it, and
+record the payload with the thinking of the answered rounds and of the
 accepted reply. A role's contract (`DECODERS`, read through `decode_payload`)
 says what its <JSON> payload must decode to; the format reward reads the same one.
 Recorded thinking carries no tag of the trajectory grammar (`GRAMMAR_TAG`).
@@ -24,6 +16,7 @@ Recorded thinking carries no tag of the trajectory grammar (`GRAMMAR_TAG`).
 from __future__ import annotations
 
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
 import json
@@ -36,7 +29,7 @@ from .abstract import DEFAULT_WINDOW_M, abstract, render_interaction
 from .corpus import Catalog
 from .errors import ReplyParseError, SessionError, UnknownItem, UnknownUser
 from .evaluate import EvalInstance
-from .gateway import DEFAULT_TEMPERATURE, DEFAULT_TOP_P, Gateway, Origin, chat_request, check_sampling
+from .gateway import Gateway, Origin, chat_request
 from . import prompts
 from .tags import (
     JSON_TAG,
@@ -127,13 +120,10 @@ class SessionLog:
 @dataclass(frozen=True)
 class TeacherConfig:
     domain: str = prompts.DEFAULT_DOMAIN
-    temperature: float = DEFAULT_TEMPERATURE
-    top_p: float = DEFAULT_TOP_P
     max_tool_rounds: int = DEFAULT_MAX_TOOL_ROUNDS
     window_m: int = DEFAULT_WINDOW_M
 
     def __post_init__(self) -> None:
-        check_sampling(self.temperature, self.top_p)
         if self.max_tool_rounds < 1:
             raise ValueError("max_tool_rounds must be >= 1")
         if self.window_m < 1:
@@ -271,7 +261,6 @@ def _tool_loop(
     messages: list[dict],
     rounds: int,
     gateway: Gateway,
-    config: TeacherConfig,
     tools: ToolRunner | None,
     origin: Origin,
 ) -> tuple[str, list[str], list[tuple[ToolCall, str]]]:
@@ -286,8 +275,7 @@ def _tool_loop(
     events: list[tuple[ToolCall, str]] = []
     content = ""
     for round_index in range(rounds):
-        request = chat_request(messages, temperature=config.temperature, top_p=config.top_p,
-                               origin=replace(origin, send=origin.send + round_index))
+        request = chat_request(messages, replace(origin, send=origin.send + round_index))
         content = gateway.complete(request).content
         blocks = tagged_bodies(content, TOOL_CALL_TAG)
         if not blocks or round_index == rounds - 1:
@@ -424,7 +412,7 @@ def _turn(
     rounds = config.max_tool_rounds if tools is not None else 1
     origin = Origin((phase, kind) if phase is Phase.CORRECTION else phase, context.user, turn=turn)
     try:
-        content, thinking, events = _tool_loop(messages, rounds, gateway, config, tools, origin)
+        content, thinking, events = _tool_loop(messages, rounds, gateway, tools, origin)
         try:
             payload, value = _answer(content, phase)
         except ReplyParseError as exc:
@@ -433,7 +421,7 @@ def _turn(
             messages.append({"role": "assistant", "content": content})
             messages.append({"role": "user", "content": _REASK_TEXT.format(reason=exc)})
             # one send per answered round, then the last one
-            content, _, _ = _tool_loop(messages, 1, gateway, config, None,
+            content, _, _ = _tool_loop(messages, 1, gateway, None,
                                        replace(origin, send=len(thinking) + 1))
             payload, value = _answer(content, phase)
     except Exception as exc:
@@ -538,31 +526,35 @@ def run_teacher(
 ) -> SessionLog:
     """One full teacher session over a prepared context.
 
-    Above one gateway slot the ranker starts beside the reflector, on the
-    agents' outputs. A verdict that flags no problem keeps its record. After a
-    failing verdict it is discarded, its failure included, and never recorded;
-    the corrections run and the ranker reruns on the outputs and corrections,
-    as at one slot. The session waits for a discarded ranker before it ends,
-    so no send outlives it, and logs a warning naming the user if it failed.
-    At one slot nothing starts early and the sends keep the serial order.
-    One pool runs the passes and the early ranker: above one slot a worker per
-    agent and one for the ranker, so corrections never wait on a discarded
-    ranker; at one slot one worker, in plan order. The agents of a pass read
-    only the instance prompt, never each other's output, so running them side
-    by side records what a serial run does; a pass raises its first failure
-    in plan order.
+    At one gateway slot every agent runs on the calling thread, one at a time
+    in plan order: nothing starts early, the sends keep the serial order, and
+    a failed agent is the session's last send. Above one slot one pool, a
+    worker per agent and one for the ranker, runs the session's passes. Every
+    agent of a pass is submitted at once (the gateway's slots bound the sends
+    in flight, and a freed slot goes to the earliest-started session); their
+    records keep plan order. The agents of a pass read only the instance
+    prompt, never each other's output, so running them side by side records
+    what a serial run does; a pass raises its first failure in plan order.
+    The ranker also starts beside the reflector, on the agents' outputs. A
+    verdict that flags no problem keeps its record. After a failing verdict it
+    is discarded, its failure included, and never recorded; the corrections
+    run, never waiting on it, and the ranker reruns on the outputs and
+    corrections, as at one slot. The session waits for a discarded ranker
+    before it ends, so no send outlives it, and logs a warning naming the user
+    if it failed.
     """
     plan_record, kinds = plan(context, gateway, config)
     parallel = gateway.config.max_parallel > 1
-    with ThreadPoolExecutor(max_workers=len(SubtaskKind) + 1 if parallel else 1) as pool:
-        outputs = list(pool.map(lambda kind: execute_subtask(kind, context, tools, gateway, config),
-                                kinds))
+    with ThreadPoolExecutor(len(SubtaskKind) + 1) if parallel else nullcontext() as pool:
+        each = pool.map if parallel else map
+        outputs = list(each(lambda kind: execute_subtask(kind, context, tools, gateway, config),
+                            kinds))
         early_rank = pool.submit(rank, context, outputs, gateway, config, tools) if parallel else None
         reflection, problems = reflect(context, outputs, gateway, config)
         if early_rank is not None and not problems:
             corrections, (recommend, ranking) = [], early_rank.result()
         else:
-            corrections = list(pool.map(
+            corrections = list(each(
                 lambda problem: execute_subtask(problem.kind, context, tools, gateway, config,
                                                 suggestion=problem.suggestion),
                 problems,

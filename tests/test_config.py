@@ -119,10 +119,10 @@ def test_gateway_and_thresholds_views():
     assert gw.max_parallel == 2
     assert gw.retries == 1
     assert gw.timeout_s == 5.0
+    assert gw.temperature == 0.2
+    assert gw.top_p == GatewayConfig.top_p
     assert config.view(TeacherConfig) == TeacherConfig(
         domain=TeacherConfig.domain,
-        temperature=0.2,
-        top_p=TeacherConfig.top_p,
         max_tool_rounds=2,
         window_m=4,
     )

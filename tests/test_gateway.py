@@ -34,13 +34,13 @@ def test_chat_request_validation():
         ChatRequest(messages=())
     with pytest.raises(ValueError):
         chat_request([("oracle", "x")])
-    with pytest.raises(ValueError):
-        chat_request([("user", "x")], temperature=3.0)
-    with pytest.raises(ValueError):
-        chat_request([("user", "x")], top_p=0.0)
 
 
 def test_config_validation():
+    with pytest.raises(ValueError, match="temperature"):
+        GatewayConfig(temperature=3.0)
+    with pytest.raises(ValueError, match="top_p"):
+        GatewayConfig(top_p=0.0)
     with pytest.raises(ValueError):
         GatewayConfig(max_parallel=0)
     with pytest.raises(ValueError):
@@ -316,7 +316,8 @@ def test_http_backend_success_and_url(monkeypatch):
     assert call["url"] == "http://api.example/v1/chat/completions"
     assert call["headers"]["Authorization"] == "Bearer sekret"
     assert call["json"]["model"] == "m"
-    assert call["json"]["temperature"] == REQ.temperature
+    assert call["json"]["temperature"] == GatewayConfig.temperature
+    assert call["json"]["top_p"] == GatewayConfig.top_p
 
 
 def test_http_backend_status_mapping():
@@ -376,3 +377,33 @@ def test_http_connection_error_is_its_own_kind():
 def test_http_backend_requires_endpoint():
     with pytest.raises(ValueError):
         HttpBackend(GatewayConfig(endpoint=""))
+
+
+def test_every_request_goes_out_with_the_configured_sampling():
+    """Summaries, ItemCF and UserCF evidence and teacher turns all send the gateway's sampling."""
+    from recteacher.abstract import abstract
+    from recteacher.corpus import Corpus, Interaction, ItemMeta, UserMeta
+    from recteacher.graph import build_graph
+    from recteacher.teacher import TeacherContext, plan
+    from recteacher.verbalize import verbalize_item, verbalize_user
+
+    content = ("<SUMMARY>likes x</SUMMARY> <Answer>neighbours agree</Answer> "
+               '<JSON>["User_Profile_Summary"]</JSON>')
+    config = GatewayConfig(endpoint="http://api.example/v1", temperature=0.2, top_p=0.5, retries=0)
+    backend = HttpBackend(config)
+    session = FakeSession(FakeResponse(200, {"choices": [{"message": {"content": content}}]}))
+    backend._session = session
+    gateway = Gateway(backend, config)
+    corpus = Corpus(
+        users={u: UserMeta(user=u) for u in "AB"},
+        items={i: ItemMeta(item=i, title=i.upper()) for i in "xy"},
+        sequences={"A": [Interaction("A", "x", 1), Interaction("A", "y", 2)],
+                   "B": [Interaction("B", "x", 3)]},
+    )
+    graph = build_graph(corpus)
+    abstract(corpus.sequences["A"], 1, gateway, render=lambda interaction: interaction.item)
+    verbalize_item(graph, corpus.items, "x", gateway)
+    verbalize_user(graph, corpus.users, corpus.items, "B", gateway)
+    plan(TeacherContext(user="A", candidates=("x", "y"), prompt="rank x and y"), gateway)
+    sampling = [(call["json"]["temperature"], call["json"]["top_p"]) for call in session.calls]
+    assert sampling == [(0.2, 0.5)] * 4

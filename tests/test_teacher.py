@@ -781,7 +781,7 @@ def test_a_discarded_ranker_fills_the_cache_but_writes_nothing(tmp_path):
 @pytest.mark.parametrize("verdict", [PASS, FAIL], ids=["pass", "fail"])
 @pytest.mark.parametrize("width", [1, 2, 4])
 def test_a_session_runs_on_one_thread_pool(monkeypatch, width, verdict):
-    """One pool per session: a pass and the early ranker beside it above one slot, one worker at one."""
+    """One pool per session above one slot, a pass and the early ranker beside it; none at one slot."""
     widths = []
     init = ThreadPoolExecutor.__init__
 
@@ -792,8 +792,27 @@ def test_a_session_runs_on_one_thread_pool(monkeypatch, width, verdict):
     monkeypatch.setattr(ThreadPoolExecutor, "__init__", counting_init)
     threads_before = set(threading.enumerate())
     two_agent_session(width, verdict)
-    assert widths == [len(SubtaskKind) + 1 if width > 1 else 1]
+    assert widths == ([len(SubtaskKind) + 1] if width > 1 else [])
     assert set(threading.enumerate()) <= threads_before  # a discarded ranker included
+
+
+def test_at_one_slot_a_failed_agent_is_the_last_send_and_the_caller_sends_it():
+    senders = []
+
+    def reply(request, _index):
+        senders.append(threading.current_thread())
+        if request.origin.role is Phase.PLAN:
+            return f"<JSON>{json.dumps([kind.value for kind in PLANNED])}</JSON>"
+        return "no structure here at all"
+
+    backend = ScriptBackend([reply] * 16)
+    gateway = Gateway(backend, GatewayConfig(max_parallel=1), sleep=lambda s: None)
+    with pytest.raises(SessionError) as excinfo:
+        run_teacher(make_context(), TeacherConfig(), gateway, ToolRunner(make_cache()))
+    first = KIND_PHASE[PLANNED[0]]
+    assert excinfo.value.phase == first.value
+    assert [request.origin.role for request in backend.requests] == [Phase.PLAN, first]
+    assert senders == [threading.current_thread()] * 2
 
 
 def test_grammar_tags_in_thinking_are_not_recorded():
@@ -822,9 +841,9 @@ def test_teacher_config_validation():
     with pytest.raises(ValueError):
         TeacherConfig(window_m=0)
     with pytest.raises(ValueError, match="temperature"):
-        TeacherConfig(temperature=5.0)
+        GatewayConfig(temperature=3.0)
     with pytest.raises(ValueError, match="top_p"):
-        TeacherConfig(top_p=0.0)
+        GatewayConfig(top_p=0.0)
 
 
 # ------------------------------------------------------------- build_context
