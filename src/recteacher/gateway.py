@@ -17,7 +17,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Iterator, Protocol
+from typing import Any, Callable, Hashable, Iterable, Iterator, Protocol
 
 from .errors import GatewayError
 
@@ -281,14 +281,22 @@ class HttpBackend:
         except Exception as exc:
             raise GatewayError("malformed_response", str(exc)) from exc
 
-        usage = payload.get("usage") or {}
+        usage = payload.get("usage")
+        counts = usage if isinstance(usage, dict) else {}  # a malformed usage reads 0
         return ChatReply(
             content=content,
             usage=ChatUsage(
-                prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                completion_tokens=int(usage.get("completion_tokens", 0)),
+                prompt_tokens=_token_count(counts.get("prompt_tokens")),
+                completion_tokens=_token_count(counts.get("completion_tokens")),
             ),
         )
+
+
+def _token_count(value: Any) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        return 0
 
 
 class ScriptBackend:

@@ -146,14 +146,16 @@ class ToolRunner:
     Evidence callable) when one is given; without one, or for an anchor the
     fill's CF query does not know, the call gets a fixed sentence. Sessions may
     share one runner across threads: concurrent misses on a key wait for a
-    single fill, which every session is served from memory at once and which
-    reaches the cache file only through `persist`.
+    single fill. The runner keeps its fills in a memory-only cache of its own,
+    which serves every session at once; a fill reaches `cache`, and its file,
+    only through `persist`.
     """
 
     def __init__(self, cache: EvidenceCache,
                  fill: Callable[[EvidenceKey], Evidence] | None = None) -> None:
         self.cache = cache
         self.fill = fill
+        self._fills = EvidenceCache()
         self._lock = threading.Lock()
         self._pending: dict[EvidenceKey, Future] = {}
 
@@ -170,21 +172,25 @@ class ToolRunner:
             return MISS_FALLBACK
 
     def persist(self, log: SessionLog) -> None:
-        """Append the session's on-demand fills to the cache file, in tool-call order.
+        """Put the session's on-demand fills in the cache, and so its file, in tool-call order.
 
-        Keys already on file, and keys answered with the fallback sentence,
-        are skipped; persisting sessions in instance order therefore appends
+        Keys this runner did not fill, and keys the cache already holds, are
+        skipped; persisting sessions in instance order therefore appends
         exactly what running them one after another would.
         """
-        self.cache.write_held(
-            _evidence_key(call) for record in log.phases for call, _result in record.tool_events
-        )
+        with self._lock:
+            for record in log.phases:
+                for call, _result in record.tool_events:
+                    key = _evidence_key(call)
+                    evidence = self._fills.lookup(key)
+                    if evidence is not None and self.cache.lookup(key) is None:
+                        self.cache.put(evidence)
 
     def _fill(self, key: EvidenceKey) -> Evidence:
-        # The filler puts the entry in the cache before it leaves _pending,
+        # The filler puts the entry in its own cache before it leaves _pending,
         # so a key is never in neither and is filled at most once.
         with self._lock:
-            found = self.cache.lookup(key)
+            found = self.cache.lookup(key) or self._fills.lookup(key)
             if found is not None:
                 return found
             flight = self._pending.get(key)
@@ -195,7 +201,7 @@ class ToolRunner:
             return flight.result()
         try:
             evidence = self.fill(key)
-            self.cache.put(evidence, hold=True)
+            self._fills.put(evidence)
             flight.set_result(evidence)
             return evidence
         except BaseException as exc:
@@ -374,10 +380,13 @@ def decode_payload(payload: str | None, phase: Phase) -> Any:
     return DECODERS[phase](decoded)
 
 
-def _answer(content: str, phase: Phase) -> tuple[str, Any]:
-    """A reply's last <JSON> payload and its decoded value."""
+def _answer(content: str, phase: Phase, context: TeacherContext) -> tuple[str, Any]:
+    """A reply's last <JSON> payload and its decoded value; a ranking must name a candidate."""
     payload = (tagged_bodies(content, JSON_TAG) or [None])[-1]
-    return payload, decode_payload(payload, phase)
+    value = decode_payload(payload, phase)
+    if phase is Phase.RECOMMEND and set(value).isdisjoint(context.candidates):
+        raise ReplyParseError("payload names no candidate")
+    return payload, value
 
 
 _REASK_TEXT = (
@@ -400,13 +409,14 @@ def _turn(
     """One agent turn: ask, answering tool calls, decode the last reply and record it.
 
     With tools the agent gets `max_tool_rounds` rounds, else one. The reply is
-    decoded by `phase`'s contract (`decode_payload`); for a phase in `REASK`, a
-    rejected reply earns exactly one more call that names the reason. The
-    record's thinking is that of the answered tool rounds and of the accepted
-    reply: a rejected reply's thinking goes with its payload. Any failure, a
-    gateway or tool error included, raises SessionError naming `phase`.
-    Every send's origin has the turn's role (the phase, paired with the kind on
-    a correction pass), the session's user, the send's index in the turn and `turn`.
+    decoded by `phase`'s contract (`decode_payload`), and a ranking must name a
+    candidate; for a phase in `REASK`, a rejected reply earns exactly one more
+    call that names the reason. The record's thinking is that of the answered
+    tool rounds and of the accepted reply: a rejected reply's thinking goes
+    with its payload. Any failure, a gateway or tool error included, raises
+    SessionError naming `phase`. Every send's origin has the turn's role (the
+    phase, paired with the kind on a correction pass), the session's user, the
+    send's index in the turn and `turn`.
     """
     messages = [{"role": "system", "content": system}, {"role": "user", "content": user_text}]
     rounds = config.max_tool_rounds if tools is not None else 1
@@ -414,7 +424,7 @@ def _turn(
     try:
         content, thinking, events = _tool_loop(messages, rounds, gateway, tools, origin)
         try:
-            payload, value = _answer(content, phase)
+            payload, value = _answer(content, phase, context)
         except ReplyParseError as exc:
             if phase not in REASK:
                 raise
@@ -423,7 +433,7 @@ def _turn(
             # one send per answered round, then the last one
             content, _, _ = _tool_loop(messages, 1, gateway, None,
                                        replace(origin, send=len(thinking) + 1))
-            payload, value = _answer(content, phase)
+            payload, value = _answer(content, phase, context)
     except Exception as exc:
         raise SessionError(phase.value, exc) from exc
     thinking.append(_thinking(content))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 import threading
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import Catalog, ItemMeta, UserMeta, require_id
 from .errors import MalformedRecord
@@ -53,16 +53,13 @@ class Evidence:
 class EvidenceCache:
     """At most one Evidence per key; optionally persisted one record per line.
 
-    Writes append and flush immediately so keys verbalized before a partial
-    failure survive it. An entry put with `hold=True` is served from memory
-    at once but reaches the file only when `write_held` names its key, so
-    callers that fill keys concurrently still choose the file order.
+    `put` adds an entry and, when the cache has a path, appends it to the file
+    at once, so keys verbalized before a partial failure survive it.
     """
 
     def __init__(self, path: Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
         self._entries: dict[EvidenceKey, Evidence] = {}
-        self._held: set[EvidenceKey] = set()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -71,39 +68,20 @@ class EvidenceCache:
     def lookup(self, key: EvidenceKey) -> Evidence | None:
         return self._entries.get(key)
 
-    def put(self, evidence: Evidence, hold: bool = False) -> None:
+    def put(self, evidence: Evidence) -> None:
         with self._lock:
             self._entries[evidence.key] = evidence
-            if hold:
-                self._held.add(evidence.key)
-            else:
-                self._held.discard(evidence.key)
-                self._append([evidence])
-
-    def write_held(self, keys: Iterable[EvidenceKey]) -> None:
-        """Append the held entries among `keys`, in the order given; other keys are skipped."""
-        with self._lock:
-            fresh = []
-            for key in keys:
-                if key in self._held:
-                    self._held.discard(key)
-                    fresh.append(self._entries[key])
-            self._append(fresh)
-
-    def _append(self, entries: Sequence[Evidence]) -> None:
-        if self.path is None or not entries:
-            return
-        with open(self.path, "a", encoding="utf-8") as handle:
-            for evidence in entries:
-                record = {
-                    "tool": evidence.key.tool,
-                    "anchor": evidence.key.anchor,
-                    "created_at": evidence.created_at,
-                    "neighbors": list(evidence.source_neighbors),
-                    "text": evidence.text,
-                }
+            if self.path is None:
+                return
+            record = {
+                "tool": evidence.key.tool,
+                "anchor": evidence.key.anchor,
+                "created_at": evidence.created_at,
+                "neighbors": list(evidence.source_neighbors),
+                "text": evidence.text,
+            }
+            with open(self.path, "a", encoding="utf-8") as handle:
                 handle.write(dump_json_line(record) + "\n")
-            handle.flush()
 
     @classmethod
     def load(cls, path: Path) -> "EvidenceCache":

@@ -14,6 +14,7 @@ from recteacher.gateway import (
     BASE_DELAY_S,
     ChatReply,
     ChatRequest,
+    ChatUsage,
     Gateway,
     GatewayConfig,
     HttpBackend,
@@ -318,6 +319,20 @@ def test_http_backend_success_and_url(monkeypatch):
     assert call["json"]["model"] == "m"
     assert call["json"]["temperature"] == GatewayConfig.temperature
     assert call["json"]["top_p"] == GatewayConfig.top_p
+
+
+@pytest.mark.parametrize("malformed", [None, ["x"], "x"], ids=["null", "list", "string"])
+def test_http_backend_reads_a_malformed_usage_as_zero(malformed):
+    def reply_with(usage):
+        payload = {"choices": [{"message": {"content": "hello"}}], "usage": usage}
+        backend, _session = _http_backend(FakeResponse(200, payload))
+        return backend.send(REQ)
+
+    for usage in (malformed, {"prompt_tokens": malformed, "completion_tokens": malformed}):
+        reply = reply_with(usage)
+        assert reply.content == "hello"
+        assert reply.usage == ChatUsage(0, 0)
+    assert reply_with({"prompt_tokens": 5, "completion_tokens": malformed}).usage == ChatUsage(5, 0)
 
 
 def test_http_backend_status_mapping():

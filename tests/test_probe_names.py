@@ -116,3 +116,34 @@ def test_probes_see_every_layer_of_a_session(toy_files, tmp_path):
     assert {"teacher.plan", "teacher.execute_subtask", "teacher.reflect", "teacher.rank",
             "teacher.tool_run", "abstract.abstract", "trajectory.parse",
             "rewards.composite_reward"} <= names
+
+
+def test_only_an_on_demand_fill_puts_evidence_inside_a_tool_call(toy_files, tmp_path):
+    """The benchmark counts a fill as a `teacher.tool_run` span with a `verbalize.cache_put` child."""
+    corpus, graph, cache, instances = (
+        str(tmp_path / name) for name in ("corpus", "graph.jsonl", "cache.jsonl", "instances.jsonl")
+    )
+    on_demand = tmp_path / "od.ini"
+    on_demand.write_text("[pipeline]\non_demand_verbalize = true\n", encoding="utf-8")
+    for argv in (
+        ["ingest", "--users", str(toy_files["users"]), "--items", str(toy_files["items"]),
+         "--reviews", str(toy_files["reviews"]), "--out", corpus],
+        ["build-graph", "--corpus", corpus, "--out", graph],
+        ["verbalize", "--backend", "mock", "--corpus", corpus, "--graph", graph, "--out", cache],
+        ["make-instances", "--corpus", corpus, "--limit", "2", "--out", instances],
+    ):
+        assert main(argv) == 0, argv
+    teacher = ["run-teacher", "--backend", "mock", "--corpus", corpus, "--graph", graph,
+               "--instances", instances, "--out", str(tmp_path / "sessions.jsonl")]
+
+    def fills(argv):
+        with tracing() as tracer:
+            assert main(argv) == 0, argv
+        runs = {span.id for span in tracer.spans if span.name == "teacher.tool_run"}
+        assert runs
+        return sum(1 for span in tracer.spans
+                   if span.name == "verbalize.cache_put" and span.parent in runs)
+
+    assert fills(teacher + ["--cache", cache]) == 0
+    assert fills(teacher + ["--config", str(on_demand),
+                            "--cache", str(tmp_path / "od_cache.jsonl")]) >= 1

@@ -49,6 +49,7 @@ from recteacher.teacher import (
 from recteacher import prompts
 from recteacher.rewards import format_reward
 from recteacher.trajectory import parse, serialize
+from recteacher.util import read_jsonl
 from recteacher.verbalize import Evidence, EvidenceCache, EvidenceKey, verbalize_key
 
 CACHED_TEXT = "cached neighbor preferences"
@@ -179,6 +180,26 @@ def test_tool_runner_fills_a_shared_miss_once(tmp_path):
     runner.persist(session_with(call))
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["anchor"] for line in lines] == ["x"]
+
+
+def test_tool_runner_writes_each_named_fill_once_in_named_order(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = EvidenceCache(path)
+    cache.put(Evidence(EvidenceKey("ItemCF", "w"), "about w", (), 0))
+    runner = ToolRunner(cache, lambda key: Evidence(key, f"about {key.anchor}", ("z",), 0))
+    x, a = ToolCall("ItemCF", {"item_id": "x"}), ToolCall("UserCF", {"user_id": "A"})
+    assert runner.run(x) == "about x"
+    assert runner.run(a) == "about A"
+    # served before it is written
+    assert [record["anchor"] for _, record in read_jsonl(path)] == ["w"]
+
+    # unknown and already-written keys are skipped; each fill is written once
+    runner.persist(session_with(a, ToolCall("ItemCF", {"item_id": "nowhere"}),
+                                ToolCall("ItemCF", {"item_id": "w"}), a, x))
+    runner.persist(session_with(x))
+    assert [record["anchor"] for _, record in read_jsonl(path)] == ["w", "A", "x"]
+    assert (EvidenceCache.load(path).lookup(EvidenceKey("UserCF", "A"))
+            == Evidence(EvidenceKey("UserCF", "A"), "about A", ("z",), 0))
 
 
 def test_tool_runner_concurrent_fills_match_a_serial_run(tmp_path):
@@ -503,6 +524,21 @@ def test_rank_reasks_an_empty_list():
     assert ranking == ["c3", "c1", "c2"]
 
 
+def test_rank_reasks_a_ranking_that_names_no_candidate():
+    backend, gateway = scripted_gateway('<JSON>["zzz"]</JSON>', '<JSON>["c3", "c1", "c2"]</JSON>')
+    record, ranking = rank(make_context(), [], gateway)
+    assert backend.sends == 2
+    assert "payload names no candidate" in backend.requests[1].messages[-1]["content"]
+    assert record.payload == '["c3", "c1", "c2"]'
+    assert ranking == ["c3", "c1", "c2"]
+
+    backend, gateway = scripted_gateway('<JSON>["zzz"]</JSON>', '<JSON>["zzz"]</JSON>')
+    with pytest.raises(SessionError, match="payload names no candidate") as excinfo:
+        rank(make_context(), [], gateway)
+    assert excinfo.value.phase == "recommend"
+    assert backend.sends == 2
+
+
 def test_rank_names_a_null_payload():
     # JSON null decodes to None: a payload, but not a list
     backend, gateway = scripted_gateway("<JSON>null</JSON>", "<JSON>null</JSON>")
@@ -768,14 +804,52 @@ def test_a_discarded_ranker_that_failed_logs_one_warning(caplog):
     assert not [r for r in caplog.records if r.name == "recteacher.teacher"]
 
 
+def counting_filler():
+    """A fill that answers "filled <anchor>", and the keys it was asked for."""
+    fills = []
+
+    def fill(key):
+        fills.append(key)
+        return Evidence(key, f"filled {key.anchor}", ())
+
+    return fill, fills
+
+
+I9 = ToolCall("ItemCF", {"item_id": "i9"})
+
+
 def test_a_discarded_ranker_fills_the_cache_but_writes_nothing(tmp_path):
-    cache = EvidenceCache(tmp_path / "cache.jsonl")
-    tools = ToolRunner(cache, lambda key: Evidence(key, f"filled {key.anchor}", ()))
+    fill, fills = counting_filler()
+    tools = ToolRunner(EvidenceCache(tmp_path / "cache.jsonl"), fill)
     log, _ = two_agent_session(4, FAIL, tools=tools)
     tools.persist(log)
-    assert cache.lookup(EvidenceKey("ItemCF", "i9")).text == "filled i9"
+    assert tools.run(I9) == "filled i9"
+    assert fills == [EvidenceKey("ItemCF", "i9")]  # served from memory, not filled again
     assert not log.phases[-1].tool_events
     assert not (tmp_path / "cache.jsonl").exists()
+
+
+def test_a_discarded_rankers_fill_is_written_by_the_next_session_that_names_it(tmp_path):
+    def ranker_names_i9(request, index):
+        if request.origin.role is Phase.RECOMMEND and request.origin.send == 0:
+            return tool_call("ItemCF", item_id="i9")
+        return two_agent_script(request, index)
+
+    path = tmp_path / "cache.jsonl"
+    fill, fills = counting_filler()
+    tools = ToolRunner(EvidenceCache(path), fill)
+    discarded, _ = two_agent_session(4, FAIL, tools=tools)
+    tools.persist(discarded)
+    assert not path.exists()
+
+    gateway = Gateway(ScriptBackend([ranker_names_i9] * 16), GatewayConfig(max_parallel=4),
+                      sleep=lambda s: None)
+    later = run_teacher(make_context(), TeacherConfig(), gateway, tools)
+    assert later.phases[-1].tool_events == ((I9, "filled i9"),)
+    assert fills == [EvidenceKey("ItemCF", "i9")]  # from memory, with no new fill
+    tools.persist(later)
+    tools.persist(later)
+    assert [record["anchor"] for _, record in read_jsonl(path)] == ["i9"]
 
 
 @pytest.mark.parametrize("verdict", [PASS, FAIL], ids=["pass", "fail"])
@@ -961,7 +1035,11 @@ def test_the_turn_accepts_exactly_the_payloads_the_format_reward_passes(phase):
         if phase is Phase.RECOMMEND and payload is None:
             continue  # the ranking is serialized as a numbered list, so no payload is fine there
         accepted = turn_accepts(phase, reply)
-        rewarded = format_reward(trajectory_with(phase, payload)) == 1
-        assert accepted == rewarded, reply
+        expected = format_reward(trajectory_with(phase, payload)) == 1
+        if phase is Phase.RECOMMEND and expected:
+            # the reward cannot see the candidates; the turn also asks that one be named
+            named = {str(item) for item in json.loads(payload)}
+            expected = not named.isdisjoint(make_context().candidates)
+        assert accepted == expected, reply
         verdicts.add(accepted)
     assert verdicts == {True, False}
