@@ -339,23 +339,30 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
         fill = partial(verbalize_key, graph, catalog, gateway=gateway,
                        k=config.neighbor_k, domain=config.domain)
     tools = ToolRunner(cache, fill)
+    # Above one slot a session that can fill misses starts its user's evidence
+    # beside its history abstraction and plan, which leave a slot idle.
+    prefetch = fill is not None and config.max_parallel > 1
 
     def run_one(ranked: tuple[int, tuple[str, EvalInstance]]) -> tuple[SessionLog, dict]:
         rank, (session_id, instance) = ranked
         session_gateway = gateway.for_session(rank)
-        context = build_context(instance, catalog, session_gateway, teacher_config)
-        log = run_teacher(context, teacher_config, session_gateway, tools)
+        with tools.prefetch(instance.user, session_gateway) if prefetch else nullcontext():
+            context = build_context(instance, catalog, session_gateway, teacher_config)
+            log = run_teacher(context, teacher_config, session_gateway, tools)
         return log, _session_record(session_id, instance, context.prompt, log)
 
     # Sessions are ranked in instance order, so a freed gateway slot goes to
-    # the earliest-started session; on-demand fills go through `gateway`
-    # itself, ahead of every session. Sessions run concurrently, but are
+    # the earliest-started session. The on-demand fills of agents' tool calls
+    # go through `gateway` itself, ahead of every session, as they block a
+    # tool round; a session's prefetch goes at the session's own rank, and the
+    # session joins it before it ends. Sessions run concurrently, but are
     # consumed in instance order: each session's on-demand fills are appended
     # to the cache and its record is streamed to the temp file when its turn
-    # comes. The cache file matches a serial run byte for byte, and a failed
-    # session still leaves the fills of every session before it. Instances
-    # are parsed as their sessions are submitted, at most two per worker ahead
-    # of the writer, so memory does not grow with the instance count.
+    # comes. The cache file matches a serial run byte for byte (a prefetch no
+    # session names is not written), and a failed session still leaves the
+    # fills of every session before it. Instances are parsed as their sessions
+    # are submitted, at most two per worker ahead of the writer, so memory
+    # does not grow with the instance count.
     def session_records() -> Iterator[dict]:
         sessions = ordered_map(run_one, enumerate(_iter_instances(args.instances)),
                                config.max_parallel, window=2 * config.max_parallel)
@@ -363,7 +370,11 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
             tools.persist(log)
             yield session_record
 
-    count = write_jsonl_atomic(args.out, session_records())
+    try:
+        count = write_jsonl_atomic(args.out, session_records())
+    finally:
+        logger.info("evidence prefetches: %d started, %d named by no session, %d failed",
+                    tools.prefetches_started, tools.prefetches_unnamed, tools.prefetches_failed)
     print(f"sessions: {count} -> {args.out}")
     return EXIT_OK
 

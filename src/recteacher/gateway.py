@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
+import math
 import os
 import random
 import threading
@@ -107,8 +108,8 @@ class GatewayConfig:
             raise ValueError("max_parallel must be >= 1")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
+        if not 0 < self.timeout_s < math.inf:  # nan fails both comparisons
+            raise ValueError(f"timeout_s {self.timeout_s} must be positive and finite")
 
 
 class TransientFailure(Exception):
@@ -169,9 +170,11 @@ class _RankedSlots:
                     self._free += 1
 
 
-# The rank of sends that belong to no session (verbalize and on-demand
-# evidence fills): ahead of every session, because a fill blocks the tool
-# round of the session that asked for it.
+# The rank of sends that belong to no session (verbalize, and the on-demand
+# evidence fills of agents' tool calls): ahead of every session, because such
+# a fill blocks the tool round of the session that asked for it. A session's
+# evidence prefetch (`ToolRunner.prefetch`) blocks nothing yet, so it goes
+# through the session's own handle, at the session's rank.
 UNSESSIONED = -1
 
 

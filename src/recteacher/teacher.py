@@ -16,14 +16,14 @@ Recorded thinking carries no tag of the trajectory grammar (`GRAMMAR_TAG`).
 from __future__ import annotations
 
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
 import json
 import logging
 import re
 import threading
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .abstract import DEFAULT_WINDOW_M, abstract, render_interaction
 from .corpus import Catalog
@@ -139,27 +139,48 @@ class TeacherContext:
     prompt: str
 
 
+def session_evidence_call(user: str) -> ToolCall:
+    """The one tool call an instance alone fixes: UserCF on its user, which every oracle agent makes.
+
+    It is what `ToolRunner.prefetch` starts before the session's agents ask.
+    """
+    return ToolCall("UserCF", {TOOL_ARG_KEY["UserCF"]: user})
+
+
 class ToolRunner:
     """Executes UserCF/ItemCF calls against the evidence cache.
 
     Unknown anchors never raise. A miss is filled by `fill` (an EvidenceKey ->
-    Evidence callable) when one is given; without one, or for an anchor the
-    fill's CF query does not know, the call gets a fixed sentence. Sessions may
-    share one runner across threads: concurrent misses on a key wait for a
-    single fill. The runner keeps its fills in a memory-only cache of its own,
+    Evidence callable, which takes a `gateway=` keyword to send through
+    another gateway than its own) when one is given; without one, or for an
+    anchor the fill's CF query does not know, the call gets a fixed sentence.
+    Sessions may share one runner across threads: concurrent misses on a key
+    wait for a single fill, and a caller whose wait ends in another caller's
+    failure fills the key itself, so a failure reaches only the caller whose
+    send failed. The runner keeps its fills in a memory-only cache of its own,
     which serves every session at once; a fill reaches `cache`, and its file,
-    only through `persist`.
+    only through `persist`, and only once a persisted session names its key.
+    An agent's tool call fills through the fill's own gateway; a session's
+    prefetch (`prefetch`) fills through the session's.
     """
 
     def __init__(self, cache: EvidenceCache,
-                 fill: Callable[[EvidenceKey], Evidence] | None = None) -> None:
+                 fill: Callable[..., Evidence] | None = None) -> None:
         self.cache = cache
         self.fill = fill
         self._fills = EvidenceCache()
         self._lock = threading.Lock()
         self._pending: dict[EvidenceKey, Future] = {}
+        self.prefetches_started = 0
+        self.prefetches_failed = 0
+        self._unnamed: set[EvidenceKey] = set()  # prefetched keys no persisted session named
 
-    def run(self, call: ToolCall) -> str:
+    @property
+    def prefetches_unnamed(self) -> int:
+        return len(self._unnamed)
+
+    def run(self, call: ToolCall, gateway: Gateway | None = None) -> str:
+        """The evidence text for `call`; a miss is filled through `gateway` when one is given."""
         key = _evidence_key(call)
         found = self.cache.lookup(key)
         if found is not None:
@@ -167,40 +188,82 @@ class ToolRunner:
         if self.fill is None:
             return MISS_FALLBACK
         try:
-            return self._fill(key).text
+            return self._fill(key, gateway).text
         except (UnknownItem, UnknownUser):  # the anchor is not in the graph; nothing was sent
             return MISS_FALLBACK
+
+    @contextmanager
+    def prefetch(self, user: str, gateway: Gateway) -> Iterator[None]:
+        """Fill `user`'s session evidence (`session_evidence_call`) on a thread of its own while the body runs.
+
+        The fill is an ordinary `run` sent through `gateway`, the session's
+        handle, and the thread is joined on exit, so no send outlives the
+        session. Nothing starts when the key is cached, filled or being
+        filled. A failed prefetch is logged at warning and counted, never
+        raised: an agent that asks for the key fills it itself.
+        """
+        call = session_evidence_call(user)
+        key = _evidence_key(call)
+        with self._lock:
+            start = not (self.cache.lookup(key) or self._fills.lookup(key) or key in self._pending)
+            if start:
+                self.prefetches_started += 1
+                self._unnamed.add(key)
+        if not start:
+            yield
+            return
+
+        def fetch() -> None:
+            try:
+                self.run(call, gateway)
+            except Exception as exc:
+                with self._lock:
+                    self.prefetches_failed += 1
+                logger.warning("user %s: prefetch of %s(%s) failed: %s", user, key.tool,
+                               key.anchor, exc)
+
+        thread = threading.Thread(target=fetch, name=f"prefetch-{user}")
+        thread.start()
+        try:
+            yield
+        finally:
+            thread.join()
 
     def persist(self, log: SessionLog) -> None:
         """Put the session's on-demand fills in the cache, and so its file, in tool-call order.
 
         Keys this runner did not fill, and keys the cache already holds, are
         skipped; persisting sessions in instance order therefore appends
-        exactly what running them one after another would.
+        exactly what running them one after another would. A prefetch no
+        session names is never written.
         """
         with self._lock:
             for record in log.phases:
                 for call, _result in record.tool_events:
                     key = _evidence_key(call)
+                    self._unnamed.discard(key)
                     evidence = self._fills.lookup(key)
                     if evidence is not None and self.cache.lookup(key) is None:
                         self.cache.put(evidence)
 
-    def _fill(self, key: EvidenceKey) -> Evidence:
+    def _fill(self, key: EvidenceKey, gateway: Gateway | None) -> Evidence:
         # The filler puts the entry in its own cache before it leaves _pending,
         # so a key is never in neither and is filled at most once.
-        with self._lock:
-            found = self.cache.lookup(key) or self._fills.lookup(key)
-            if found is not None:
-                return found
-            flight = self._pending.get(key)
-            filler = flight is None
-            if filler:
-                flight = self._pending[key] = Future()
-        if not filler:
-            return flight.result()
+        while True:
+            with self._lock:
+                found = self.cache.lookup(key) or self._fills.lookup(key)
+                if found is not None:
+                    return found
+                flight = self._pending.get(key)
+                if flight is None:
+                    flight = self._pending[key] = Future()
+                    break
+            try:
+                return flight.result()
+            except Exception:  # another caller's failure: fill the key again
+                continue
         try:
-            evidence = self.fill(key)
+            evidence = self.fill(key) if gateway is None else self.fill(key, gateway=gateway)
             self._fills.put(evidence)
             flight.set_result(evidence)
             return evidence

@@ -100,6 +100,13 @@ def test_validate_ranges(tmp_path):
             load_config(write_config(tmp_path, f"[pipeline]\n{line}\n"))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_timeout_that_is_not_finite_is_refused(tmp_path, value):
+    # float() parses both, and a send would only fail on them much later
+    with pytest.raises(PipelineError, match="timeout_s"):
+        load_config(write_config(tmp_path, f"[pipeline]\ntimeout_s = {value}\n"))
+
+
 def test_gateway_and_thresholds_views():
     config = PipelineConfig(
         endpoint="http://example/v1",
