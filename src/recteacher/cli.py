@@ -5,17 +5,19 @@ restartable and two runs with the same config, seed, and mock backend
 produce byte-identical outputs (with a scripted backend, at --parallel 1). All
 writes go through temp-file-then-rename, a full `verbalize` rebuild included:
 it replaces the cache only once every key is verbalized. The documented
-exception is appending to an existing cache (`verbalize --only-missing` and
-run-teacher's on-demand fills), one record at a time, so keys filled before a
-crash survive it. JSONL artifacts are streamed to their temp file one record
+exception is appending to an existing cache one record at a time:
+`verbalize --only-missing` appends each key as it lands, so keys filled before
+a crash survive it. JSONL artifacts are streamed to their temp file one record
 at a time.
 run-teacher handles each session when its turn in instance order comes,
 whatever order the concurrent sessions finished in: it appends the session's
-on-demand fills to the cache and writes its record. Instance, session and
-rollout files name each id once, shard directories included; a repeated id is
-an error in every command that reads them, and so is a ground truth that breaks
-the id rule. run-teacher needs an existing evidence cache, unless
-on_demand_verbalize is set: only then does it load the graph, to fill misses.
+on-demand fills to the cache and writes its record, so the fills of a failed
+session, or of one not yet written, are lost. Instance, session and rollout
+files name each id once, shard directories included; a repeated id is an error
+in every command that reads them, and so is a ground truth that breaks the id
+rule. A missing evidence cache is an empty one: run-teacher fills every miss
+from the graph it is given (--graph or graph_path), and without one a miss is
+an error.
 verbalize and run-teacher read only the catalogue of the corpus directory
 (its user and item files); build-graph and make-instances read and check all
 three files.
@@ -324,21 +326,18 @@ def _cmd_make_instances(args: argparse.Namespace, config: PipelineConfig) -> int
 def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
     catalog = load_catalog(_required_path(args.corpus, config.corpus_dir, "corpus"))
     cache_path = Path(_required_path(args.cache, config.cache_path, "cache"))
-    if not (cache_path.exists() or config.on_demand_verbalize):
-        raise PipelineError(f"evidence cache {str(cache_path)!r} does not exist "
-                            "(run `verbalize` first, or set on_demand_verbalize)")
     cache = EvidenceCache.load(cache_path)
     logger.info("loaded evidence cache: %d entries from %s", len(cache), cache_path)
+    graph_path = args.graph or config.graph_path
+    fill = None
+    if graph_path:
+        fill = partial(verbalize_key, load_graph(graph_path), catalog,
+                       k=config.neighbor_k, domain=config.domain)
+    tools = ToolRunner(cache, fill)
 
     gateway = _make_gateway(args, config, ground_truth=_check_instances(args.instances))
 
     teacher_config = config.view(TeacherConfig)
-    fill = None
-    if config.on_demand_verbalize:
-        graph = load_graph(_required_path(args.graph, config.graph_path, "graph"))
-        fill = partial(verbalize_key, graph, catalog, gateway=gateway,
-                       k=config.neighbor_k, domain=config.domain)
-    tools = ToolRunner(cache, fill)
     # Above one slot a session that can fill misses starts its user's evidence
     # beside its history abstraction and plan, which leave a slot idle.
     prefetch = fill is not None and config.max_parallel > 1
@@ -352,17 +351,16 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
         return log, _session_record(session_id, instance, context.prompt, log)
 
     # Sessions are ranked in instance order, so a freed gateway slot goes to
-    # the earliest-started session. The on-demand fills of agents' tool calls
-    # go through `gateway` itself, ahead of every session, as they block a
-    # tool round; a session's prefetch goes at the session's own rank, and the
-    # session joins it before it ends. Sessions run concurrently, but are
-    # consumed in instance order: each session's on-demand fills are appended
-    # to the cache and its record is streamed to the temp file when its turn
-    # comes. The cache file matches a serial run byte for byte (a prefetch no
-    # session names is not written), and a failed session still leaves the
-    # fills of every session before it. Instances are parsed as their sessions
-    # are submitted, at most two per worker ahead of the writer, so memory
-    # does not grow with the instance count.
+    # the earliest-started session; every fill, a prefetch or an agent's, goes
+    # through the session's handle, and the session joins its prefetch before
+    # it ends. Sessions run concurrently, but are consumed in instance order:
+    # each session's on-demand fills are appended to the cache and its record
+    # is streamed to the temp file when its turn comes. The cache file matches
+    # a serial run byte for byte (a prefetch no session names is not written),
+    # and a failed session leaves the fills of every session before it, not
+    # its own. Instances are parsed as their sessions are submitted, at most
+    # two per worker ahead of the writer, so memory does not grow with the
+    # instance count.
     def session_records() -> Iterator[dict]:
         sessions = ordered_map(run_one, enumerate(_iter_instances(args.instances)),
                                config.max_parallel, window=2 * config.max_parallel)

@@ -7,6 +7,7 @@ only the API key (looked up by `api_key_env` at request time).
 from __future__ import annotations
 
 import configparser
+import logging
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import TypeVar
@@ -20,7 +21,12 @@ from .prompts import DEFAULT_DOMAIN
 from .rewards import DEFAULT_GROUP_SIZE, DEFAULT_RL_RATIO, DEFAULT_RL_TARGET, largest_remainder
 from .teacher import DEFAULT_MAX_TOOL_ROUNDS, TeacherConfig
 
+logger = logging.getLogger(__name__)
+
 SECTION = "pipeline"
+
+# Keys that no longer do anything, and why: each loads, whatever its value, with one warning.
+RETIRED_KEYS = {"on_demand_verbalize": "run-teacher fills every cache miss when it is given a graph"}
 
 T = TypeVar("T")
 
@@ -47,7 +53,6 @@ class PipelineConfig:
     window_m: int = DEFAULT_WINDOW_M
     neighbor_k: int = DEFAULT_NEIGHBOR_K
     max_tool_rounds: int = DEFAULT_MAX_TOOL_ROUNDS
-    on_demand_verbalize: bool = False
     rl_target: int = DEFAULT_RL_TARGET
     rl_ratio: tuple[int, int, int] = DEFAULT_RL_RATIO
     seed: int = 0
@@ -72,19 +77,18 @@ def _parse_ratio(raw: str) -> tuple[int, int, int]:
 def _convert(name: str, kind: type, raw: str):
     raw = raw.strip()
     try:
-        if kind is bool:
-            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if kind is int:
             return int(raw)
         if kind is float:
             return float(raw)
         return raw
-    except (KeyError, ValueError):
+    except ValueError:
         raise PipelineError(f"config key {name!r}: cannot parse {raw!r} as {kind.__name__}") from None
 
 
 def load_config(path: Path | None = None) -> PipelineConfig:
-    """Read the [pipeline] section; unknown keys are errors, not typos. A `%` is literal."""
+    """Read the [pipeline] section; unknown keys are errors, not typos, and `RETIRED_KEYS`
+    only warn. A `%` is literal."""
     config = PipelineConfig()
     if path is None:
         return config
@@ -100,6 +104,9 @@ def load_config(path: Path | None = None) -> PipelineConfig:
     known = {f.name: f for f in fields(PipelineConfig)}
     updates = {}
     for key, raw in parser.items(SECTION):
+        if key in RETIRED_KEYS:
+            logger.warning("config key %r has no effect: %s", key, RETIRED_KEYS[key])
+            continue
         if key not in known:
             raise PipelineError(f"unknown config key {key!r}")
         if key == "rl_ratio":

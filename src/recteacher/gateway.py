@@ -8,6 +8,7 @@ Tests always run on ScriptBackend, so no unit test ever touches the network.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 import logging
@@ -170,11 +171,9 @@ class _RankedSlots:
                     self._free += 1
 
 
-# The rank of sends that belong to no session (verbalize, and the on-demand
-# evidence fills of agents' tool calls): ahead of every session, because such
-# a fill blocks the tool round of the session that asked for it. A session's
-# evidence prefetch (`ToolRunner.prefetch`) blocks nothing yet, so it goes
-# through the session's own handle, at the session's rank.
+# The rank of the root gateway's own sends (verbalize's): ahead of every
+# session. run-teacher sends only through session handles, every evidence fill
+# included, so a fill waits behind no younger session.
 UNSESSIONED = -1
 
 
@@ -200,16 +199,12 @@ class Gateway:
         self._rank = UNSESSIONED
 
     def for_session(self, rank: int) -> Gateway:
-        """A handle that sends at `rank` and shares only the backend, config, sleep and slots.
+        """A shallow copy that sends at `rank`, sharing the backend, config, sleep and slots.
 
         Sessions are ranked in the order they start, from 0, so a freed slot
         goes to the oldest session waiting for one.
         """
-        handle = object.__new__(type(self))
-        handle._backend = self._backend
-        handle.config = self.config
-        handle._sleep = self._sleep
-        handle._slots = self._slots
+        handle = copy.copy(self)
         handle._rank = rank
         return handle
 

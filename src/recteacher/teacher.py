@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .abstract import DEFAULT_WINDOW_M, abstract, render_interaction
 from .corpus import Catalog
-from .errors import ReplyParseError, SessionError, UnknownItem, UnknownUser
+from .errors import PipelineError, ReplyParseError, SessionError, UnknownItem, UnknownUser
 from .evaluate import EvalInstance
 from .gateway import Gateway, Origin, chat_request
 from . import prompts
@@ -49,8 +49,8 @@ from .verbalize import verbalize_item, verbalize_user  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
-# Evidence text served when a tool call misses the cache and there is no
-# on-demand fill (or the anchor is absent from the graph).
+# Evidence text served for a tool call on an anchor the graph does not know
+# (a hallucinated id): nothing is sent, and the agent reads this instead.
 MISS_FALLBACK = "no cached collaborative evidence available"
 
 DEFAULT_MAX_TOOL_ROUNDS = 3
@@ -150,22 +150,20 @@ def session_evidence_call(user: str) -> ToolCall:
 class ToolRunner:
     """Executes UserCF/ItemCF calls against the evidence cache.
 
-    Unknown anchors never raise. A miss is filled by `fill` (an EvidenceKey ->
-    Evidence callable, which takes a `gateway=` keyword to send through
-    another gateway than its own) when one is given; without one, or for an
-    anchor the fill's CF query does not know, the call gets a fixed sentence.
-    Sessions may share one runner across threads: concurrent misses on a key
-    wait for a single fill, and a caller whose wait ends in another caller's
-    failure fills the key itself, so a failure reaches only the caller whose
-    send failed. The runner keeps its fills in a memory-only cache of its own,
+    A miss is filled by `fill`, an (EvidenceKey, Gateway) -> Evidence callable
+    over the graph, through the gateway of the caller that missed (its
+    session's handle); an anchor the graph does not know gets `MISS_FALLBACK`.
+    With no fill there is no graph, and a miss raises PipelineError. Sessions
+    may share one runner across threads: concurrent misses on a key wait for a
+    single fill, and a caller whose wait ends in another caller's failure
+    fills the key itself, so a failure reaches only the caller whose send
+    failed. The runner keeps its fills in a memory-only cache of its own,
     which serves every session at once; a fill reaches `cache`, and its file,
     only through `persist`, and only once a persisted session names its key.
-    An agent's tool call fills through the fill's own gateway; a session's
-    prefetch (`prefetch`) fills through the session's.
     """
 
     def __init__(self, cache: EvidenceCache,
-                 fill: Callable[..., Evidence] | None = None) -> None:
+                 fill: Callable[[EvidenceKey, Gateway], Evidence] | None = None) -> None:
         self.cache = cache
         self.fill = fill
         self._fills = EvidenceCache()
@@ -179,14 +177,14 @@ class ToolRunner:
     def prefetches_unnamed(self) -> int:
         return len(self._unnamed)
 
-    def run(self, call: ToolCall, gateway: Gateway | None = None) -> str:
-        """The evidence text for `call`; a miss is filled through `gateway` when one is given."""
+    def run(self, call: ToolCall, gateway: Gateway) -> str:
+        """The evidence text for `call`; a miss is filled through `gateway`."""
         key = _evidence_key(call)
         found = self.cache.lookup(key)
         if found is not None:
             return found.text
         if self.fill is None:
-            return MISS_FALLBACK
+            raise PipelineError(f"no cached {key.tool} evidence for {key.anchor!r}, and no graph to fill it")
         try:
             return self._fill(key, gateway).text
         except (UnknownItem, UnknownUser):  # the anchor is not in the graph; nothing was sent
@@ -246,7 +244,7 @@ class ToolRunner:
                     if evidence is not None and self.cache.lookup(key) is None:
                         self.cache.put(evidence)
 
-    def _fill(self, key: EvidenceKey, gateway: Gateway | None) -> Evidence:
+    def _fill(self, key: EvidenceKey, gateway: Gateway) -> Evidence:
         # The filler puts the entry in its own cache before it leaves _pending,
         # so a key is never in neither and is filled at most once.
         while True:
@@ -263,7 +261,7 @@ class ToolRunner:
             except Exception:  # another caller's failure: fill the key again
                 continue
         try:
-            evidence = self.fill(key) if gateway is None else self.fill(key, gateway=gateway)
+            evidence = self.fill(key, gateway)
             self._fills.put(evidence)
             flight.set_result(evidence)
             return evidence
@@ -354,7 +352,7 @@ def _tool_loop(
         messages.append({"role": "assistant", "content": content})
         assert tools is not None
         for call in calls:
-            result = tools.run(call)
+            result = tools.run(call, gateway)
             events.append((call, result))
             messages.append({
                 "role": "tool",

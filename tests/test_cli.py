@@ -297,8 +297,6 @@ def test_run_teacher_rerun_is_byte_identical(pipeline, tmp_path, capsys):
 
 
 def test_on_demand_run_teacher_is_the_same_at_any_parallelism(pipeline, tmp_path, capsys):
-    config = tmp_path / "ondemand.ini"
-    config.write_text("[pipeline]\non_demand_verbalize = true\n", encoding="utf-8")
     for workers in ("1", "4"):
         run = tmp_path / f"parallel-{workers}"
         run.mkdir()
@@ -306,7 +304,7 @@ def test_on_demand_run_teacher_is_the_same_at_any_parallelism(pipeline, tmp_path
                      "--graph", str(pipeline["graph"]), "--cache", str(run / "cache.jsonl"),
                      "--instances", str(pipeline["instances"]),
                      "--out", str(run / "sessions.jsonl"), "--backend", "mock",
-                     "--config", str(config), "--parallel", workers]) == 0
+                     "--parallel", workers]) == 0
     capsys.readouterr()
     serial, parallel = tmp_path / "parallel-1", tmp_path / "parallel-4"
     for name in ("sessions.jsonl", "cache.jsonl"):
@@ -388,18 +386,21 @@ def test_a_bad_instance_file_fails_before_any_session(pipeline, tmp_path, capsys
         assert sorted(os.listdir(tmp_path)) == ["instances.jsonl", "script.json"]  # no output, no temp
 
 
-def test_run_teacher_refuses_a_missing_cache_without_on_demand(pipeline, tmp_path, capsys):
-    missing = tmp_path / "nope.jsonl"
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_miss_without_a_graph_fails_the_run_and_writes_nothing(pipeline, tmp_path, capsys,
+                                                                  workers):
+    missing = tmp_path / "nope.jsonl"  # a missing cache is an empty one, so the first call misses
     out = tmp_path / "sessions.jsonl"
     code = main(["run-teacher", "--corpus", str(pipeline["corpus"]), "--cache", str(missing),
                  "--instances", str(pipeline["instances"]), "--out", str(out),
-                 "--backend", "mock"])
+                 "--backend", "mock", "--parallel", workers])
     captured = capsys.readouterr()
     assert code == 1
     error_lines = [line for line in captured.err.splitlines() if line.startswith("error: ")]
     assert len(error_lines) == 1
-    assert error_lines[0].startswith("error: PipelineError: ")
-    assert str(missing) in error_lines[0] and "verbalize" in error_lines[0]
+    user = records_of(pipeline["instances"])[0]["user"]
+    assert error_lines[0].startswith("error: SessionError: ")
+    assert f"no cached UserCF evidence for {user!r}, and no graph" in error_lines[0]
     assert os.listdir(tmp_path) == []  # no output, no temp, no cache file
 
 

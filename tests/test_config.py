@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import fields
+import logging
 
 import pytest
 
@@ -38,7 +39,6 @@ def test_load_overrides_types(tmp_path):
         "corpus_dir = data/x",
         "seed = 7",
         "temperature = 0.2",
-        "on_demand_verbalize = TRUE",
         "rl_ratio = 1, 2, 1",
         "window_m = 4",
     ]))
@@ -46,7 +46,6 @@ def test_load_overrides_types(tmp_path):
     assert config.corpus_dir == "data/x"
     assert config.seed == 7
     assert config.temperature == 0.2
-    assert config.on_demand_verbalize is True
     assert config.rl_ratio == (1, 2, 1)
     assert config.window_m == 4
     # untouched keys keep their defaults
@@ -65,12 +64,24 @@ def test_load_errors(tmp_path):
             load_config(write_config(tmp_path, f"[pipeline]\n{retired} = out\n"))
     with pytest.raises(PipelineError, match="cannot parse"):
         load_config(write_config(tmp_path, "[pipeline]\nseed = soon\n"))
-    with pytest.raises(PipelineError, match="cannot parse"):
-        load_config(write_config(tmp_path, "[pipeline]\non_demand_verbalize = maybe\n"))
     with pytest.raises(PipelineError, match="rl_ratio"):
         load_config(write_config(tmp_path, "[pipeline]\nrl_ratio = 3,4\n"))
     with pytest.raises(PipelineError, match="rl_ratio"):
         load_config(write_config(tmp_path, "[pipeline]\nrl_ratio = a,b,c\n"))
+
+
+@pytest.mark.parametrize("value", ["true", "false", "maybe"])
+def test_a_retired_key_loads_with_one_warning_whatever_its_value(tmp_path, caplog, value):
+    path = write_config(tmp_path, f"[pipeline]\non_demand_verbalize = {value}\nseed = 3\n")
+    with caplog.at_level(logging.WARNING, logger="recteacher"):
+        config = load_config(path)
+    assert config == PipelineConfig(seed=3)
+    (warning,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert "'on_demand_verbalize'" in warning and "no effect" in warning
+    # an unknown key still fails, beside a retired one too
+    with pytest.raises(PipelineError, match="unknown config key 'on_demand_verbalise'"):
+        load_config(write_config(tmp_path, "[pipeline]\non_demand_verbalize = true\n"
+                                           f"on_demand_verbalise = {value}\n"))
 
 
 @pytest.mark.parametrize("body, error", [

@@ -92,8 +92,7 @@ def test_every_request_of_a_toy_session_has_its_own_origin(toy_files, tmp_path, 
     records = [json.loads(line) for line in lines]
     longest = max(records, key=lambda record: len(record["history"]))
     (tmp_path / "one.jsonl").write_text(json.dumps(longest) + "\n", encoding="utf-8")
-    (tmp_path / "od.ini").write_text("[pipeline]\non_demand_verbalize = true\nwindow_m = 5\n",
-                                     encoding="utf-8")
+    (tmp_path / "od.ini").write_text("[pipeline]\nwindow_m = 5\n", encoding="utf-8")
     requests = []
     send = OracleBackend.send
 

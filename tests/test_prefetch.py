@@ -25,11 +25,22 @@ import recteacher.teacher
 from recteacher.abstract import SUMMARIZER
 from recteacher.cli import main
 from recteacher.errors import GatewayError
+from recteacher.gateway import Gateway, GatewayConfig, ScriptBackend
 from recteacher.oracle import OracleBackend
 from recteacher.tags import ToolCall
-from recteacher.teacher import Phase, PhaseRecord, SessionLog, ToolRunner, session_evidence_call
+from recteacher.teacher import (
+    Phase,
+    PhaseRecord,
+    SessionLog,
+    SubtaskKind,
+    TeacherContext,
+    ToolRunner,
+    execute_subtask,
+    session_evidence_call,
+)
 from recteacher.verbalize import Evidence, EvidenceCache
 
+from test_teacher import idle_gateway
 from test_toy_digests import DIGESTS
 
 WAIT_S = 10.0  # every hold gives up after this, so a broken prefetch fails a test, never hangs
@@ -57,7 +68,6 @@ def toy(toy_files, tmp_path_factory):
     ]
     for argv in steps:
         assert main(argv) == 0, argv
-    (d / "od.ini").write_text("[pipeline]\non_demand_verbalize = true\n", encoding="utf-8")
     return d
 
 
@@ -95,7 +105,7 @@ def run_teacher(toy, tmp_path, monkeypatch, oracle=RecordingOracle, *, cache=Non
 
     monkeypatch.setattr(recteacher.cli, "OracleBackend", make)
     assert main(["run-teacher", "--backend", "mock", "--corpus", str(toy / "corpus"),
-                 "--graph", str(toy / "graph.jsonl"), "--config", str(toy / "od.ini"),
+                 "--graph", str(toy / "graph.jsonl"),
                  "--cache", str(cache or tmp_path / "cache.jsonl"),
                  "--instances", str(instances or toy / "instances.jsonl"),
                  "--out", str(tmp_path / "sessions.jsonl"), "--parallel", parallel]) == 0
@@ -307,21 +317,30 @@ def test_a_prefetch_that_fails_after_an_agent_joined_it_fails_no_session(toy, tm
 
 # ------------------------------------------------------------------ ToolRunner
 
-def test_a_prefetch_fills_through_the_session_gateway_and_a_tool_call_through_its_own():
+def test_a_tool_call_fills_through_the_asking_sessions_handle():
     sent_through = []
 
-    def fill(key, gateway="own"):
+    def fill(key, gateway):
         sent_through.append((key.anchor, gateway))
         return Evidence(key, f"about {key.anchor}", (), 0)
 
+    def agent(request, _index):
+        if request.origin.send == 0:
+            call = json.dumps({"name": "UserCF", "arguments": {"user_id": "B"}})
+            return f"<tool_call>{call}</tool_call>"
+        return '<JSON>["done"]</JSON>'
+
     runner = ToolRunner(EvidenceCache(), fill)
-    session = object()
+    root = Gateway(ScriptBackend([agent] * 2), GatewayConfig(max_parallel=1), sleep=lambda s: None)
+    session = root.for_session(0)
     with runner.prefetch("A", session):
         pass
-    assert runner.run(ToolCall("UserCF", {"user_id": "B"})) == "about B"
+    context = TeacherContext(user="B", candidates=("c",), prompt="prompt")
+    record = execute_subtask(SubtaskKind.USER_PROFILE, context, runner, session)
+    assert record.tool_events == ((session_evidence_call("B"), "about B"),)
     with runner.prefetch("A", session), runner.prefetch("B", session):  # filled: nothing starts
         pass
-    assert sent_through == [("A", session), ("B", "own")]
+    assert sent_through == [("A", session), ("B", session)]
     assert (runner.prefetches_started, runner.prefetches_unnamed) == (1, 1)
     runner.persist(SessionLog(user="A", candidates=("c",), final_ranking=("c",), phases=(
         PhaseRecord(Phase.USER_PROFILE, tool_events=((session_evidence_call("A"), "about A"),)),)))
@@ -332,7 +351,7 @@ def test_a_failed_fill_reaches_only_the_caller_that_sent_it():
     anchors = [f"i{n}" for n in range(16)]
     attempts, lock = Counter(), threading.Lock()
 
-    def fill(key):
+    def fill(key, _gateway):
         with lock:
             attempts[key.anchor] += 1
             first = attempts[key.anchor] == 1
@@ -342,6 +361,7 @@ def test_a_failed_fill_reaches_only_the_caller_that_sent_it():
         return Evidence(key, f"about {key.anchor}", (), 0)
 
     runner = ToolRunner(EvidenceCache(), fill)
+    gateway = idle_gateway()
 
     def worker(seed):
         order = list(anchors)
@@ -349,7 +369,7 @@ def test_a_failed_fill_reaches_only_the_caller_that_sent_it():
         failures, texts = 0, {}
         for anchor in order:
             try:
-                texts[anchor] = runner.run(ToolCall("ItemCF", {"item_id": anchor}))
+                texts[anchor] = runner.run(ToolCall("ItemCF", {"item_id": anchor}), gateway)
             except GatewayError:
                 failures += 1
         return failures, texts

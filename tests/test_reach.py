@@ -11,14 +11,21 @@ The check is by name: a definition counts as reached when any other
 top-level statement under `src/` loads that name or an attribute of that
 name. A new unreferenced definition fails it, and so does wiring in one of
 the three without removing it from PINNED.
+
+Config knobs get the same check: every `PipelineConfig` field is read by some
+module under `src/` other than `config.py`, and no retired key is a field.
 """
 
 from __future__ import annotations
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+from typing import Iterable
 
 from conftest import REPO_ROOT
+
+from recteacher.config import RETIRED_KEYS, PipelineConfig
 
 SRC = REPO_ROOT / "src"
 
@@ -63,3 +70,53 @@ def test_an_added_unreferenced_function_is_caught(tmp_path):
         "def used():\n    return 1\n\n\ndef orphan():\n    return orphan()\n", encoding="utf-8")
     (package / "b.py").write_text("from .a import used\n\nVALUE = used()\n", encoding="utf-8")
     assert unreferenced(tmp_path) == {"pkg.a.orphan"}
+
+
+def unread_fields(src: Path, names: Iterable[str], home: str = "config.py") -> set[str]:
+    """The `names` that no module under `src` other than `home` reads.
+
+    A module reads a name when it loads it as an attribute (`config.seed`), or
+    when the name is a field of a class it passes to a `.view(...)` call
+    (`config.view(GatewayConfig)`); the class is found by name among the
+    classes under `src`, its fields being its annotated assignments.
+    """
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(src.rglob("*.py"))}
+    fields_of = {
+        node.name: {stmt.target.id for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+        for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    }
+    read: set[str] = set()
+    for path, tree in trees.items():
+        if path.name == home:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "view"):
+                for arg in node.args:
+                    if isinstance(arg, ast.Name):
+                        read |= fields_of.get(arg.id, set())
+    return set(names) - read
+
+
+def test_every_config_field_is_read_outside_the_config_module():
+    names = [field.name for field in fields(PipelineConfig)]
+    assert unread_fields(SRC, names) == set()
+    assert RETIRED_KEYS.keys().isdisjoint(names)
+
+
+def test_an_added_unread_config_field_is_caught(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "config.py").write_text(
+        "class Config:\n    a: int = 0\n    b: int = 0\n    scratch: int = 0\n\n"
+        "    def check(self):\n        return self.scratch >= 0\n", encoding="utf-8")
+    (package / "views.py").write_text("class View:\n    a: int = 0\n", encoding="utf-8")
+    (package / "cli.py").write_text(
+        "from .views import View\n\n\ndef run(config):\n    return config.view(View), config.b\n",
+        encoding="utf-8")
+    # `a` is read through the view and `b` as an attribute; `scratch` only in config.py
+    assert unread_fields(tmp_path, ["a", "b", "scratch"]) == {"scratch"}

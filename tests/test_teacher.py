@@ -16,6 +16,7 @@ import pytest
 
 from recteacher.corpus import Corpus, Interaction, ItemMeta, UserMeta
 from recteacher.errors import (
+    PipelineError,
     ReplyParseError,
     SessionError,
     ToolArgumentError,
@@ -85,26 +86,32 @@ def tool_call(name="UserCF", **arguments):
     return f"<tool_call>{json.dumps({'name': name, 'arguments': arguments})}</tool_call>"
 
 
+def idle_gateway():
+    """A gateway for tool calls that must send nothing: any send exhausts its empty script."""
+    return Gateway(ScriptBackend([]), GatewayConfig(max_parallel=1), sleep=lambda s: None)
+
+
 # ---------------------------------------------------------------- ToolRunner
 
 def test_tool_runner_cache_hit():
     runner = ToolRunner(make_cache(("UserCF", "u1")))
-    assert runner.run(ToolCall("UserCF", {"user_id": "u1"})) == CACHED_TEXT
+    assert runner.run(ToolCall("UserCF", {"user_id": "u1"}), idle_gateway()) == CACHED_TEXT
 
 
-def test_tool_runner_miss_fallback():
+def test_tool_runner_miss_without_a_graph_is_an_error():
     runner = ToolRunner(make_cache())
-    assert runner.run(ToolCall("ItemCF", {"item_id": "nowhere"})) == MISS_FALLBACK
+    with pytest.raises(PipelineError, match="no cached ItemCF evidence for 'nowhere', and no graph"):
+        runner.run(ToolCall("ItemCF", {"item_id": "nowhere"}), idle_gateway())
 
 
 def test_tool_runner_argument_validation():
-    runner = ToolRunner(make_cache())
+    runner, gateway = ToolRunner(make_cache()), idle_gateway()
     with pytest.raises(ToolArgumentError):
-        runner.run(ToolCall("UserCF", {"item_id": "x"}))
+        runner.run(ToolCall("UserCF", {"item_id": "x"}), gateway)
     with pytest.raises(ToolArgumentError):
-        runner.run(ToolCall("ItemCF", {"item_id": "x", "k": "3"}))
+        runner.run(ToolCall("ItemCF", {"item_id": "x", "k": "3"}), gateway)
     with pytest.raises(ToolParseError):
-        runner.run(ToolCall("MatrixFactorization", {"user_id": "x"}))
+        runner.run(ToolCall("MatrixFactorization", {"user_id": "x"}), gateway)
 
 
 def small_corpus():
@@ -118,23 +125,23 @@ def small_corpus():
     )
 
 
-def filler(corpus, gateway):
+def filler(corpus):
     """The on-demand fill run-teacher builds: verbalize a key over the corpus graph."""
-    return partial(verbalize_key, build_graph(corpus), corpus, gateway=gateway)
+    return partial(verbalize_key, build_graph(corpus), corpus)
 
 
 def test_tool_runner_on_demand_verbalizes_and_caches():
     corpus = small_corpus()
     backend, gateway = scripted_gateway("here it is\n<Answer>fresh evidence about x</Answer>")
-    runner = ToolRunner(make_cache(), filler(corpus, gateway))
+    runner = ToolRunner(make_cache(), filler(corpus))
     call = ToolCall("ItemCF", {"item_id": "x"})
-    assert runner.run(call) == "fresh evidence about x"
+    assert runner.run(call, gateway) == "fresh evidence about x"
     assert backend.sends == 1
-    assert runner.run(call) == "fresh evidence about x"  # second hit served from cache
+    assert runner.run(call, gateway) == "fresh evidence about x"  # second hit served from cache
     assert backend.sends == 1
     # anchors outside the graph still fall back without a gateway call
-    assert runner.run(ToolCall("ItemCF", {"item_id": "zz"})) == MISS_FALLBACK
-    assert runner.run(ToolCall("UserCF", {"user_id": "nobody"})) == MISS_FALLBACK
+    assert runner.run(ToolCall("ItemCF", {"item_id": "zz"}), gateway) == MISS_FALLBACK
+    assert runner.run(ToolCall("UserCF", {"user_id": "nobody"}), gateway) == MISS_FALLBACK
     assert backend.sends == 1
 
 
@@ -166,10 +173,10 @@ def test_tool_runner_fills_a_shared_miss_once(tmp_path):
     backend = ScriptBackend([blocking_reply])  # a second send would exhaust the script
     gateway = Gateway(backend, GatewayConfig(max_parallel=2), sleep=lambda s: None)
     path = tmp_path / "cache.jsonl"
-    runner = ToolRunner(MissRecordingCache(path=path), filler(corpus, gateway))
+    runner = ToolRunner(MissRecordingCache(path=path), filler(corpus))
     call = ToolCall("ItemCF", {"item_id": "x"})
     with ThreadPoolExecutor(max_workers=2) as pool:
-        futures = [pool.submit(runner.run, call) for _ in range(2)]
+        futures = [pool.submit(runner.run, call, gateway) for _ in range(2)]
         texts = [future.result(timeout=10) for future in futures]
     assert texts == ["shared evidence about x"] * 2
     assert backend.sends == 1
@@ -186,10 +193,10 @@ def test_tool_runner_writes_each_named_fill_once_in_named_order(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = EvidenceCache(path)
     cache.put(Evidence(EvidenceKey("ItemCF", "w"), "about w", (), 0))
-    runner = ToolRunner(cache, lambda key: Evidence(key, f"about {key.anchor}", ("z",), 0))
+    runner = ToolRunner(cache, lambda key, _gateway: Evidence(key, f"about {key.anchor}", ("z",), 0))
     x, a = ToolCall("ItemCF", {"item_id": "x"}), ToolCall("UserCF", {"user_id": "A"})
-    assert runner.run(x) == "about x"
-    assert runner.run(a) == "about A"
+    assert runner.run(x, idle_gateway()) == "about x"
+    assert runner.run(a, idle_gateway()) == "about A"
     # served before it is written
     assert [record["anchor"] for _, record in read_jsonl(path)] == ["w"]
 
@@ -220,22 +227,22 @@ def test_tool_runner_concurrent_fills_match_a_serial_run(tmp_path):
             time.sleep(0.001)  # let other threads reach the same miss
             return super().send(request)
 
-    def runner_over(backend, path):
-        gateway = Gateway(backend, GatewayConfig(max_parallel=8), sleep=lambda s: None)
-        return ToolRunner(EvidenceCache(path), filler(corpus, gateway))
+    def gateway_over(backend):
+        return Gateway(backend, GatewayConfig(max_parallel=8), sleep=lambda s: None)
 
     serial_backend = OracleBackend()
-    serial = runner_over(serial_backend, tmp_path / "serial.jsonl")
-    expected = [serial.run(call) for call in calls]
+    serial = ToolRunner(EvidenceCache(tmp_path / "serial.jsonl"), filler(corpus))
+    expected = [serial.run(call, gateway_over(serial_backend)) for call in calls]
     serial.persist(session_with(*calls))
 
     backend = SlowOracle()
-    runner = runner_over(backend, tmp_path / "concurrent.jsonl")
+    gateway = gateway_over(backend)
+    runner = ToolRunner(EvidenceCache(tmp_path / "concurrent.jsonl"), filler(corpus))
 
     def worker(seed):
         order = list(range(len(calls)))
         random.Random(seed).shuffle(order)
-        return {index: runner.run(calls[index]) for index in order}
+        return {index: runner.run(calls[index], gateway) for index in order}
 
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -256,11 +263,11 @@ def test_tool_runner_concurrent_fills_match_a_serial_run(tmp_path):
 def test_tool_runner_failed_fill_is_retried():
     corpus = small_corpus()
     backend, gateway = scripted_gateway("no envelope", "<Answer>second try</Answer>")
-    runner = ToolRunner(make_cache(), filler(corpus, gateway))
+    runner = ToolRunner(make_cache(), filler(corpus))
     call = ToolCall("ItemCF", {"item_id": "x"})
     with pytest.raises(ReplyParseError):
-        runner.run(call)
-    assert runner.run(call) == "second try"
+        runner.run(call, gateway)
+    assert runner.run(call, gateway) == "second try"
     assert backend.sends == 2
 
 
@@ -337,11 +344,10 @@ def test_execute_subtask_two_calls_in_one_block():
              '{"name": "ItemCF", "arguments": {"item_id": "i9"}}'
              '</tool_call>')
     backend, gateway = scripted_gateway(block, '<JSON>["done"]</JSON>')
-    runner = ToolRunner(make_cache(("UserCF", "u1")))
+    runner = ToolRunner(make_cache(("UserCF", "u1"), ("ItemCF", "i9")))
     record = execute_subtask(SubtaskKind.RECENT, make_context(), runner, gateway)
-    assert len(record.tool_events) == 2
-    assert record.tool_events[0][1] == CACHED_TEXT
-    assert record.tool_events[1][1] == MISS_FALLBACK
+    assert [call.name for call, _ in record.tool_events] == ["UserCF", "ItemCF"]
+    assert [result for _, result in record.tool_events] == [CACHED_TEXT] * 2
 
 
 def test_execute_subtask_round_budget_stops_tool_loop():
@@ -754,7 +760,8 @@ def two_agent_session(width, verdict=PASS, tools=None):
     """The session and the origins of its sends."""
     backend = ScriptBackend([partial(two_agent_script, verdict=verdict)] * 16)
     gateway = Gateway(backend, GatewayConfig(max_parallel=width), sleep=lambda s: None)
-    log = run_teacher(make_context(), TeacherConfig(), gateway, tools or ToolRunner(make_cache()))
+    tools = tools or ToolRunner(make_cache(("ItemCF", "i9")))
+    log = run_teacher(make_context(), TeacherConfig(), gateway, tools)
     return log, [request.origin for request in backend.requests]
 
 
@@ -808,7 +815,7 @@ def counting_filler():
     """A fill that answers "filled <anchor>", and the keys it was asked for."""
     fills = []
 
-    def fill(key):
+    def fill(key, _gateway):
         fills.append(key)
         return Evidence(key, f"filled {key.anchor}", ())
 
@@ -823,7 +830,7 @@ def test_a_discarded_ranker_fills_the_cache_but_writes_nothing(tmp_path):
     tools = ToolRunner(EvidenceCache(tmp_path / "cache.jsonl"), fill)
     log, _ = two_agent_session(4, FAIL, tools=tools)
     tools.persist(log)
-    assert tools.run(I9) == "filled i9"
+    assert tools.run(I9, idle_gateway()) == "filled i9"
     assert fills == [EvidenceKey("ItemCF", "i9")]  # served from memory, not filled again
     assert not log.phases[-1].tool_events
     assert not (tmp_path / "cache.jsonl").exists()

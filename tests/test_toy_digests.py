@@ -51,7 +51,6 @@ def artifacts(toy_files, tmp_path_factory):
     corpus, graph = str(d / "corpus"), str(d / "graph.jsonl")
     teacher = ["run-teacher", "--backend", "mock", "--corpus", corpus, "--graph", graph,
                "--instances", str(d / "instances.jsonl")]
-    (d / "od.ini").write_text("[pipeline]\non_demand_verbalize = true\n", encoding="utf-8")
     rollouts = [{"id": f"r{index:03d}", "success_count": index % 9} for index in range(40)]
     (d / "rollouts.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rollouts),
                                       encoding="utf-8")
@@ -66,8 +65,7 @@ def artifacts(toy_files, tmp_path_factory):
         teacher + ["--cache", str(d / "cache.jsonl"), "--out", str(d / "sessions.jsonl")],
         teacher + ["--cache", str(d / "cache.jsonl"), "--out", str(d / "fr_sessions.jsonl"),
                    "--fail-reflection"],
-        teacher + ["--config", str(d / "od.ini"), "--cache", str(d / "od_cache.jsonl"),
-                   "--out", str(d / "od_sessions.jsonl")],
+        teacher + ["--cache", str(d / "od_cache.jsonl"), "--out", str(d / "od_sessions.jsonl")],
         ["filter", "--sessions", str(d / "sessions.jsonl"), "--out", str(d / "kept.jsonl")],
         ["export-sft", "--kept", str(d / "kept.jsonl"), "--out", str(d / "sft.jsonl")],
         ["evaluate", "--sessions", str(d / "sessions.jsonl"),
@@ -87,7 +85,7 @@ def test_toy_artifact_digest(artifacts, name):
     assert hashlib.sha256((artifacts / name).read_bytes()).hexdigest() == DIGESTS[name]
 
 
-def test_run_teacher_without_on_demand_needs_no_graph(artifacts, tmp_path):
+def test_run_teacher_on_a_warm_cache_needs_no_graph(artifacts, tmp_path):
     out = tmp_path / "sessions.jsonl"
     assert main(["run-teacher", "--backend", "mock", "--corpus", str(artifacts / "corpus"),
                  "--cache", str(artifacts / "cache.jsonl"),
@@ -170,7 +168,7 @@ def test_verbalize_and_run_teacher_read_only_the_catalogue(artifacts, catalogue_
         ["verbalize", "--backend", "mock", "--corpus", str(catalogue_dir), "--graph", graph,
          "--out", str(tmp_path / "cache.jsonl")],
         teacher + ["--cache", str(artifacts / "cache.jsonl"), "--out", str(tmp_path / "sessions.jsonl")],
-        teacher + ["--config", str(artifacts / "od.ini"), "--cache", str(tmp_path / "od_cache.jsonl"),
+        teacher + ["--cache", str(tmp_path / "od_cache.jsonl"),
                    "--out", str(tmp_path / "od_sessions.jsonl")],
     ]
     for argv in steps:
