@@ -15,9 +15,10 @@ on-demand fills to the cache and writes its record, so the fills of a failed
 session, or of one not yet written, are lost. Instance, session and rollout
 files name each id once, shard directories included; a repeated id is an error
 in every command that reads them, and so is a ground truth that breaks the id
-rule. A missing evidence cache is an empty one: run-teacher fills every miss
-from the graph it is given (--graph or graph_path), and without one a miss is
-an error.
+rule. run-teacher needs the graph (--graph or graph_path) and loads it before
+any session starts. A missing evidence cache is an empty one; every miss is
+filled from the graph, and an anchor the graph does not know gets a fixed
+sentence.
 verbalize and run-teacher read only the catalogue of the corpus directory
 (its user and item files); build-graph and make-instances read and check all
 three files.
@@ -328,19 +329,16 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
     cache_path = Path(_required_path(args.cache, config.cache_path, "cache"))
     cache = EvidenceCache.load(cache_path)
     logger.info("loaded evidence cache: %d entries from %s", len(cache), cache_path)
-    graph_path = args.graph or config.graph_path
-    fill = None
-    if graph_path:
-        fill = partial(verbalize_key, load_graph(graph_path), catalog,
-                       k=config.neighbor_k, domain=config.domain)
-    tools = ToolRunner(cache, fill)
 
     gateway = _make_gateway(args, config, ground_truth=_check_instances(args.instances))
 
+    graph = load_graph(_required_path(args.graph, config.graph_path, "graph"))
+    tools = ToolRunner(cache, partial(verbalize_key, graph, catalog,
+                                      k=config.neighbor_k, domain=config.domain))
     teacher_config = config.view(TeacherConfig)
-    # Above one slot a session that can fill misses starts its user's evidence
-    # beside its history abstraction and plan, which leave a slot idle.
-    prefetch = fill is not None and config.max_parallel > 1
+    # Above one slot a session starts its user's evidence beside its history
+    # abstraction and plan, which leave a slot idle.
+    prefetch = config.max_parallel > 1
 
     def run_one(ranked: tuple[int, tuple[str, EvalInstance]]) -> tuple[SessionLog, dict]:
         rank, (session_id, instance) = ranked

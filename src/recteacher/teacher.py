@@ -50,7 +50,8 @@ from .verbalize import verbalize_item, verbalize_user  # noqa: F401
 logger = logging.getLogger(__name__)
 
 # Evidence text served for a tool call on an anchor the graph does not know
-# (a hallucinated id): nothing is sent, and the agent reads this instead.
+# (a made-up id, or a catalogue item nobody read): nothing is sent, and the
+# agent reads this instead.
 MISS_FALLBACK = "no cached collaborative evidence available"
 
 DEFAULT_MAX_TOOL_ROUNDS = 3
@@ -153,13 +154,14 @@ class ToolRunner:
     A miss is filled by `fill`, an (EvidenceKey, Gateway) -> Evidence callable
     over the graph, through the gateway of the caller that missed (its
     session's handle); an anchor the graph does not know gets `MISS_FALLBACK`.
-    With no fill there is no graph, and a miss raises PipelineError. Sessions
-    may share one runner across threads: concurrent misses on a key wait for a
-    single fill, and a caller whose wait ends in another caller's failure
-    fills the key itself, so a failure reaches only the caller whose send
-    failed. The runner keeps its fills in a memory-only cache of its own,
-    which serves every session at once; a fill reaches `cache`, and its file,
-    only through `persist`, and only once a persisted session names its key.
+    A runner with no fill serves its cache alone, and a miss raises
+    PipelineError; run-teacher always gives one. Sessions may share one runner
+    across threads: concurrent misses on a key wait for a single fill, and a
+    caller whose wait ends in another caller's failure fills the key itself,
+    so a failure reaches only the caller whose send failed. The runner keeps
+    its fills in a memory-only cache of its own, which serves every session at
+    once; a fill reaches `cache`, and its file, only through `persist`, and
+    only once a persisted session names its key.
     """
 
     def __init__(self, cache: EvidenceCache,

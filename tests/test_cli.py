@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from recteacher.cli import build_parser, main
+from recteacher.teacher import MISS_FALLBACK
 from recteacher.util import read_jsonl
 
 
@@ -145,8 +146,8 @@ def test_each_command_logs_what_it_loaded(pipeline, tmp_path, caplog):
         "build-graph": ["build-graph", "--corpus", corpus, "--out", str(tmp_path / "graph.jsonl")],
         "verbalize": ["verbalize", "--backend", "mock", "--corpus", corpus, "--graph", graph,
                       "--out", str(tmp_path / "cache.jsonl")],
-        "run-teacher": ["run-teacher", "--backend", "mock", "--corpus", corpus, "--cache", cache,
-                        "--instances", str(pipeline["instances"]),
+        "run-teacher": ["run-teacher", "--backend", "mock", "--corpus", corpus, "--graph", graph,
+                        "--cache", cache, "--instances", str(pipeline["instances"]),
                         "--out", str(tmp_path / "sessions.jsonl")],
     }
     loaded = {}
@@ -386,22 +387,48 @@ def test_a_bad_instance_file_fails_before_any_session(pipeline, tmp_path, capsys
         assert sorted(os.listdir(tmp_path)) == ["instances.jsonl", "script.json"]  # no output, no temp
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_a_miss_without_a_graph_fails_the_run_and_writes_nothing(pipeline, tmp_path, capsys,
-                                                                  workers):
-    missing = tmp_path / "nope.jsonl"  # a missing cache is an empty one, so the first call misses
+@pytest.mark.parametrize("graph", [True, False])
+def test_itemcf_on_an_unread_catalogue_item(pipeline, toy_files, tmp_path, capsys, graph):
+    # ingest keeps a catalogue item nobody read, so the graph does not know it
+    items = tmp_path / "items.jsonl"
+    items.write_text(toy_files["items"].read_text(encoding="utf-8")
+                     + json.dumps({"item_id": "unread", "title": "Unread"}) + "\n", encoding="utf-8")
+    corpus = tmp_path / "corpus"
+    assert main(["ingest", "--users", str(toy_files["users"]), "--items", str(items),
+                 "--reviews", str(toy_files["reviews"]), "--out", str(corpus)]) == 0
+    instance = records_of(pipeline["instances"])[0]
+    single = tmp_path / "one.jsonl"
+    single.write_text(json.dumps(instance) + "\n", encoding="utf-8")
+    folds = max(0, -(-len(instance["history"]) // 10) - 1)  # history chunks at m=10
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(
+        ["<SUMMARY>the early arc</SUMMARY>"] * folds + [
+            'One lens is enough.\n<JSON>["User_Profile_Summary"]</JSON>',
+            'Who else read it?\n<tool_call>{"name": "ItemCF", "arguments": {"item_id": "unread"}}'
+            "</tool_call>",
+            'Nobody did.\n<JSON>["profile sketch"]</JSON>',
+            'Holds up.\n<JSON>{"correct": "yes"}</JSON>',
+            f"Keeping the given order.\n<JSON>{json.dumps(instance['candidates'])}</JSON>",
+        ]  # a fill would take a send the script does not have
+    ), encoding="utf-8")
+    capsys.readouterr()
     out = tmp_path / "sessions.jsonl"
-    code = main(["run-teacher", "--corpus", str(pipeline["corpus"]), "--cache", str(missing),
-                 "--instances", str(pipeline["instances"]), "--out", str(out),
-                 "--backend", "mock", "--parallel", workers])
+    code = main(["run-teacher", "--corpus", str(corpus), "--cache", str(pipeline["cache"]),
+                 *(["--graph", str(pipeline["graph"])] if graph else []),
+                 "--instances", str(single), "--out", str(out),
+                 "--backend", "mock", "--script", str(script), "--parallel", "1"])
     captured = capsys.readouterr()
-    assert code == 1
-    error_lines = [line for line in captured.err.splitlines() if line.startswith("error: ")]
-    assert len(error_lines) == 1
-    user = records_of(pipeline["instances"])[0]["user"]
-    assert error_lines[0].startswith("error: SessionError: ")
-    assert f"no cached UserCF evidence for {user!r}, and no graph" in error_lines[0]
-    assert os.listdir(tmp_path) == []  # no output, no temp, no cache file
+    if graph:
+        assert code == 0
+        (record,) = records_of(out)
+        assert MISS_FALLBACK in record["trajectory"]
+    else:  # no session starts, so no miss can reach a record
+        assert code == 1
+        error_lines = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+        assert error_lines == ["error: PipelineError: no graph path given "
+                               "(pass the flag or set it in the config file)"]
+        assert not out.exists()
+        assert sorted(os.listdir(tmp_path)) == ["corpus", "items.jsonl", "one.jsonl", "script.json"]
 
 
 def test_session_records_carry_full_structure(pipeline):

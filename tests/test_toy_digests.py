@@ -85,20 +85,13 @@ def test_toy_artifact_digest(artifacts, name):
     assert hashlib.sha256((artifacts / name).read_bytes()).hexdigest() == DIGESTS[name]
 
 
-def test_run_teacher_on_a_warm_cache_needs_no_graph(artifacts, tmp_path):
-    out = tmp_path / "sessions.jsonl"
-    assert main(["run-teacher", "--backend", "mock", "--corpus", str(artifacts / "corpus"),
-                 "--cache", str(artifacts / "cache.jsonl"),
-                 "--instances", str(artifacts / "instances.jsonl"), "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS["sessions.jsonl"]
-
-
 @pytest.mark.parametrize("name, extra", [("sessions.jsonl", []),
                                          ("fr_sessions.jsonl", ["--fail-reflection"])])
 def test_run_teacher_at_four_slots_matches_the_digests(artifacts, tmp_path, name, extra):
     """Four sessions at once, each ranked oldest first and submitting whole agent passes."""
     out = tmp_path / name
     assert main(["run-teacher", "--backend", "mock", "--corpus", str(artifacts / "corpus"),
+                 "--graph", str(artifacts / "graph.jsonl"),
                  "--cache", str(artifacts / "cache.jsonl"),
                  "--instances", str(artifacts / "instances.jsonl"), "--out", str(out),
                  "--parallel", "4", *extra]) == 0
@@ -138,6 +131,7 @@ def test_a_failing_verdict_discards_one_early_ranker_per_session(artifacts, tmp_
     for width in ("1", "2"):
         out = tmp_path / f"fr_sessions-{width}.jsonl"
         assert main(["run-teacher", "--backend", "mock", "--corpus", str(artifacts / "corpus"),
+                     "--graph", str(artifacts / "graph.jsonl"),
                      "--cache", str(artifacts / "cache.jsonl"),
                      "--instances", str(artifacts / "instances.jsonl"), "--out", str(out),
                      "--fail-reflection", "--parallel", width]) == 0
