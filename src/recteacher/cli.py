@@ -336,14 +336,13 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
     tools = ToolRunner(cache, partial(verbalize_key, graph, catalog,
                                       k=config.neighbor_k, domain=config.domain))
     teacher_config = config.view(TeacherConfig)
-    # Above one slot a session starts its user's evidence beside its history
-    # abstraction and plan, which leave a slot idle.
-    prefetch = config.max_parallel > 1
 
+    # Above one slot (the runner reads the width off the session's handle) a session starts
+    # its user's evidence beside its history abstraction and plan, which leave a slot idle.
     def run_one(ranked: tuple[int, tuple[str, EvalInstance]]) -> tuple[SessionLog, dict]:
         rank, (session_id, instance) = ranked
         session_gateway = gateway.for_session(rank)
-        with tools.prefetch(instance.user, session_gateway) if prefetch else nullcontext():
+        with tools.prefetch(instance.user, session_gateway):
             context = build_context(instance, catalog, session_gateway, teacher_config)
             log = run_teacher(context, teacher_config, session_gateway, tools)
         return log, _session_record(session_id, instance, context.prompt, log)

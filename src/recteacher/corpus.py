@@ -33,6 +33,8 @@ logger = logging.getLogger(__name__)
 
 RATING_MIN = 0.0
 RATING_MAX = 5.0
+# 9999-12-31T23:59:59Z, the last second a rendered review time can show.
+TIMESTAMP_MAX = 253402300799
 
 USERS_FILE = "users.jsonl"
 ITEMS_FILE = "items.jsonl"
@@ -174,8 +176,8 @@ def decode_interaction(obj: Any) -> Interaction:
     timestamp = obj.get("timestamp")
     if isinstance(timestamp, bool) or not isinstance(timestamp, int):
         raise ValueError("timestamp must be an integer")
-    if timestamp < 0:
-        raise ValueError("timestamp must be >= 0")
+    if not 0 <= timestamp <= TIMESTAMP_MAX:
+        raise ValueError(f"timestamp {timestamp} outside [0, {TIMESTAMP_MAX}]")
 
     rating = obj.get("rating")
     if rating is not None:

@@ -114,28 +114,15 @@ def build_instance(
     )
 
 
-def hit_at_k(ranking: Sequence[str], ground_truth: str, k: int) -> int:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return 1 if ground_truth in ranking[:k] else 0
-
-
 def evaluate(
     pairs: Sequence[tuple[Sequence[str], EvalInstance]],
     ks: Sequence[int] = DEFAULT_KS,
 ) -> EvalReport:
+    """HR@k over `ks`: best-of-1 on one sample per instance."""
     if not pairs:
         raise EmptyInput("no (ranking, instance) pairs to evaluate")
-    n = len(pairs)
-    per_k = {
-        k: Fraction(
-            sum(hit_at_k(ranking, instance.ground_truth, k) for ranking, instance in pairs),
-            n,
-        )
-        for k in ks
-    }
-    hr_avg = sum(per_k.values(), Fraction(0)) / len(ks)
-    return EvalReport(per_k=per_k, hr_avg=hr_avg, n=n)
+    instances = [instance for _, instance in pairs]
+    return best_of_k([[ranking] for ranking, _ in pairs], instances, ks=(1,), eval_ks=ks)[1]
 
 
 def _gt_rank(ranking: Sequence[str], ground_truth: str) -> int | None:
@@ -156,6 +143,8 @@ def best_of_k(
         raise ValueError("samples and instances must align")
     if not instances:
         raise EmptyInput("no instances")
+    if any(k < 1 for k in eval_ks):
+        raise ValueError("k must be >= 1")
     need = max(ks)
     for instance, group in zip(instances, samples):
         if len(group) < need:

@@ -15,7 +15,7 @@ Recorded thinking carries no tag of the trajectory grammar (`GRAMMAR_TAG`).
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -156,10 +156,11 @@ class ToolRunner:
     session's handle); an anchor the graph does not know gets `MISS_FALLBACK`.
     A runner with no fill serves its cache alone, and a miss raises
     PipelineError; run-teacher always gives one. Sessions may share one runner
-    across threads: concurrent misses on a key wait for a single fill, and a
-    caller whose wait ends in another caller's failure fills the key itself,
-    so a failure reaches only the caller whose send failed. The runner keeps
-    its fills in a memory-only cache of its own, which serves every session at
+    across threads. Each key has one lock, and only the caller holding it
+    fills, after finding no fill of the key: concurrent misses send once, and
+    a failed fill leaves no entry, so the next waiter fills the key itself and
+    a failure reaches only the caller whose send failed. The runner keeps its
+    fills in a memory-only cache of its own, which serves every session at
     once; a fill reaches `cache`, and its file, only through `persist`, and
     only once a persisted session names its key.
     """
@@ -170,7 +171,7 @@ class ToolRunner:
         self.fill = fill
         self._fills = EvidenceCache()
         self._lock = threading.Lock()
-        self._pending: dict[EvidenceKey, Future] = {}
+        self._key_locks: dict[EvidenceKey, threading.Lock] = {}
         self.prefetches_started = 0
         self.prefetches_failed = 0
         self._unnamed: set[EvidenceKey] = set()  # prefetched keys no persisted session named
@@ -196,16 +197,19 @@ class ToolRunner:
     def prefetch(self, user: str, gateway: Gateway) -> Iterator[None]:
         """Fill `user`'s session evidence (`session_evidence_call`) on a thread of its own while the body runs.
 
-        The fill is an ordinary `run` sent through `gateway`, the session's
-        handle, and the thread is joined on exit, so no send outlives the
-        session. Nothing starts when the key is cached, filled or being
-        filled. A failed prefetch is logged at warning and counted, never
-        raised: an agent that asks for the key fills it itself.
+        Only above one slot of `gateway`, the session's handle, does it start:
+        at one slot the agent that asks fills the key in the serial order. Nor
+        does it start when the key is cached, filled or being filled (its lock
+        is held). The fill is an ordinary `run` through `gateway`, and the
+        thread is joined on exit, so no send outlives the session. A failed
+        prefetch is logged at warning and counted, never raised: an agent that
+        asks for the key fills it itself.
         """
         call = session_evidence_call(user)
         key = _evidence_key(call)
         with self._lock:
-            start = not (self.cache.lookup(key) or self._fills.lookup(key) or key in self._pending)
+            start = gateway.config.max_parallel > 1 and not (
+                self.cache.lookup(key) or self._fills.lookup(key) or self._key_lock(key).locked())
             if start:
                 self.prefetches_started += 1
                 self._unnamed.add(key)
@@ -246,33 +250,19 @@ class ToolRunner:
                     if evidence is not None and self.cache.lookup(key) is None:
                         self.cache.put(evidence)
 
+    def _key_lock(self, key: EvidenceKey) -> threading.Lock:
+        """The one lock of `key`; the caller holds `_lock`."""
+        return self._key_locks.setdefault(key, threading.Lock())
+
     def _fill(self, key: EvidenceKey, gateway: Gateway) -> Evidence:
-        # The filler puts the entry in its own cache before it leaves _pending,
-        # so a key is never in neither and is filled at most once.
-        while True:
-            with self._lock:
-                found = self.cache.lookup(key) or self._fills.lookup(key)
-                if found is not None:
-                    return found
-                flight = self._pending.get(key)
-                if flight is None:
-                    flight = self._pending[key] = Future()
-                    break
-            try:
-                return flight.result()
-            except Exception:  # another caller's failure: fill the key again
-                continue
-        try:
-            evidence = self.fill(key, gateway)
-            self._fills.put(evidence)
-            flight.set_result(evidence)
+        with self._lock:
+            key_lock = self._key_lock(key)
+        with key_lock:
+            evidence = self._fills.lookup(key)
+            if evidence is None:
+                evidence = self.fill(key, gateway)
+                self._fills.put(evidence)
             return evidence
-        except BaseException as exc:
-            flight.set_exception(exc)
-            raise
-        finally:
-            with self._lock:
-                del self._pending[key]
 
 
 def _evidence_key(call: ToolCall) -> EvidenceKey:

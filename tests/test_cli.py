@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from recteacher.cli import build_parser, main
+from recteacher.corpus import TIMESTAMP_MAX
 from recteacher.teacher import MISS_FALLBACK
 from recteacher.util import read_jsonl
 
@@ -368,6 +369,8 @@ def test_a_bad_instance_file_fails_before_any_session(pipeline, tmp_path, capsys
         {key: value for key, value in last.items() if key != "candidates"},
         {**last, "history": [{**first, "rating": "five"}, *rest]},
         {**last, "history": [{**first, "timestamp": True}, *rest]},
+        {**last, "history": [{**first, "timestamp": TIMESTAMP_MAX + 1}, *rest]},
+        {**last, "history": [{**first, "timestamp": 10**20}, *rest]},
         {**last, "candidates": with_candidate(None)},
         {**last, "candidates": with_candidate("a,b")},
         {**last, "user": None},
@@ -385,6 +388,22 @@ def test_a_bad_instance_file_fails_before_any_session(pipeline, tmp_path, capsys
         captured = capsys.readouterr()
         assert f"error: PipelineError: bad instance record {last['id']!r}" in captured.err
         assert sorted(os.listdir(tmp_path)) == ["instances.jsonl", "script.json"]  # no output, no temp
+
+
+def test_a_history_at_the_last_second_of_year_9999_runs(pipeline, tmp_path, capsys):
+    instance = records_of(pipeline["instances"])[0]
+    *earlier, latest = instance["history"]
+    instance["history"] = [*earlier, {**latest, "timestamp": TIMESTAMP_MAX}]
+    single = tmp_path / "one.jsonl"
+    single.write_text(json.dumps(instance) + "\n", encoding="utf-8")
+    cache, out = tmp_path / "cache.jsonl", tmp_path / "sessions.jsonl"
+    cache.write_bytes(pipeline["cache"].read_bytes())
+    assert main(["run-teacher", "--corpus", str(pipeline["corpus"]),
+                 "--graph", str(pipeline["graph"]), "--cache", str(cache),
+                 "--instances", str(single), "--out", str(out), "--backend", "mock"]) == 0
+    capsys.readouterr()
+    (session,) = records_of(out)
+    assert "Review time: 9999-12-31-11PM" in session["prompt"]
 
 
 @pytest.mark.parametrize("graph", [True, False])

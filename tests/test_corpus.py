@@ -8,6 +8,7 @@ import random
 import pytest
 
 from recteacher.corpus import (
+    TIMESTAMP_MAX,
     Corpus,
     Interaction,
     holdout_split,
@@ -73,6 +74,10 @@ def test_ingest_rejects_bad_records(tmp_path):
     cases = [
         (BASE_USERS, BASE_ITEMS, [{"user_id": "u1", "item_id": "i1"}], MalformedRecord),
         (BASE_USERS, BASE_ITEMS, [{"user_id": "u1", "item_id": "i1", "timestamp": -5}], MalformedRecord),
+        # past 9999-12-31T23:59:59Z, which no prompt can render
+        (BASE_USERS, BASE_ITEMS, [{"user_id": "u1", "item_id": "i1", "timestamp": TIMESTAMP_MAX + 1}],
+         MalformedRecord),
+        (BASE_USERS, BASE_ITEMS, [{"user_id": "u1", "item_id": "i1", "timestamp": 10**20}], MalformedRecord),
         (BASE_USERS, BASE_ITEMS, [{"user_id": "u1", "item_id": "i1", "timestamp": 1, "rating": 9}], MalformedRecord),
         (BASE_USERS, BASE_ITEMS, [{"user_id": "ux", "item_id": "i1", "timestamp": 1}], DanglingReference),
         (BASE_USERS, BASE_ITEMS, [{"user_id": "u1", "item_id": "ix", "timestamp": 1}], DanglingReference),
@@ -99,6 +104,13 @@ def test_malformed_record_reports_line_number(tmp_path):
     with pytest.raises(MalformedRecord) as excinfo:
         ingest(users, items, reviews)
     assert excinfo.value.line == 2
+
+
+def test_the_last_second_of_year_9999_is_a_timestamp(tmp_path):
+    assert TIMESTAMP_MAX == 253402300799
+    reviews = [*BASE_REVIEWS, {"user_id": "u2", "item_id": "i1", "timestamp": TIMESTAMP_MAX}]
+    corpus = ingest(*make_files(tmp_path, BASE_USERS, BASE_ITEMS, reviews))
+    assert corpus.sequences["u2"][-1].timestamp == TIMESTAMP_MAX
 
 
 def test_holdout_split_takes_last_item(tmp_path):

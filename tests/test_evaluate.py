@@ -22,7 +22,6 @@ from recteacher.evaluate import (
     best_of_k,
     build_instance,
     evaluate,
-    hit_at_k,
     matches_scenario,
 )
 
@@ -157,13 +156,19 @@ def test_build_instance_errors():
         build_instance(make_corpus({"u1": seq("i00", "i01", "i02")}, n_items=21), "u1")
 
 
-def test_hit_at_k():
-    assert hit_at_k(["a", "b", "c"], "a", 1) == 1
-    assert hit_at_k(["a", "b", "c"], "b", 1) == 0
-    assert hit_at_k(["a", "b", "c"], "c", 3) == 1
-    assert hit_at_k(["a", "b", "c"], "z", 3) == 0
+def test_evaluate_hit_at_k():
+    candidates = ("a", "b", "c") + tuple(f"c{i:02d}" for i in range(CANDIDATE_COUNT - 4)) + ("z",)
+
+    def hit(ground_truth, k):
+        pair = (["a", "b", "c"], make_instance(candidates=candidates, ground_truth=ground_truth))
+        return evaluate([pair], ks=(k,)).per_k[k]
+
+    assert hit("a", 1) == 1
+    assert hit("b", 1) == 0
+    assert hit("c", 3) == 1
+    assert hit("z", 3) == 0  # a ranking that leaves the ground truth out misses at every k
     with pytest.raises(ValueError):
-        hit_at_k(["a"], "a", 0)
+        hit("a", 0)
 
 
 def rank_with_gt_at(position, ground_truth):

@@ -21,7 +21,6 @@ import time
 import pytest
 
 import recteacher.cli
-import recteacher.teacher
 from recteacher.abstract import SUMMARIZER
 from recteacher.cli import main
 from recteacher.errors import GatewayError
@@ -298,19 +297,30 @@ def test_a_prefetch_that_fails_before_an_agent_asks_fails_no_session(toy, tmp_pa
 def test_a_prefetch_that_fails_after_an_agent_joined_it_fails_no_session(toy, tmp_path,
                                                                          monkeypatch, caplog):
     joined = threading.Event()
+    key_lock = ToolRunner._key_lock
 
-    class SignallingFuture(recteacher.teacher.Future):
-        """A fill in flight that says when a second caller waits for it."""
+    class SignallingLock:
+        """A key's lock that says when a caller other than a prefetch waits for it."""
 
-        def result(self, timeout=None):
-            joined.set()
-            return super().result(timeout)
+        def __init__(self, lock):
+            self._lock = lock
+
+        def locked(self):
+            return self._lock.locked()
+
+        def __enter__(self):
+            if not threading.current_thread().name.startswith("prefetch-"):
+                joined.set()
+            return self._lock.__enter__()
+
+        def __exit__(self, *exc_info):
+            return self._lock.__exit__(*exc_info)
 
     class FailsLate(FailingPrefetchOracle):
         def hold_failure(self):
             assert joined.wait(timeout=WAIT_S), "no agent joined the prefetch"
 
-    monkeypatch.setattr(recteacher.teacher, "Future", SignallingFuture)
+    monkeypatch.setattr(ToolRunner, "_key_lock", lambda self, key: SignallingLock(key_lock(self, key)))
     check_failed_prefetch(toy, tmp_path, monkeypatch, caplog, FailsLate)
     assert joined.is_set()
 
@@ -331,7 +341,7 @@ def test_a_tool_call_fills_through_the_asking_sessions_handle():
         return '<JSON>["done"]</JSON>'
 
     runner = ToolRunner(EvidenceCache(), fill)
-    root = Gateway(ScriptBackend([agent] * 2), GatewayConfig(max_parallel=1), sleep=lambda s: None)
+    root = Gateway(ScriptBackend([agent] * 2), GatewayConfig(max_parallel=2), sleep=lambda s: None)
     session = root.for_session(0)
     with runner.prefetch("A", session):
         pass
@@ -345,6 +355,28 @@ def test_a_tool_call_fills_through_the_asking_sessions_handle():
     runner.persist(SessionLog(user="A", candidates=("c",), final_ranking=("c",), phases=(
         PhaseRecord(Phase.USER_PROFILE, tool_events=((session_evidence_call("A"), "about A"),)),)))
     assert runner.prefetches_unnamed == 0
+
+
+def test_a_key_being_filled_starts_no_prefetch():
+    entered, release, fills = threading.Event(), threading.Event(), []
+
+    def fill(key, _gateway):
+        fills.append(key.anchor)
+        entered.set()
+        assert release.wait(timeout=WAIT_S)
+        return Evidence(key, f"about {key.anchor}", (), 0)
+
+    runner = ToolRunner(EvidenceCache(), fill)
+    session = Gateway(ScriptBackend([]), GatewayConfig(max_parallel=2),
+                      sleep=lambda s: None).for_session(0)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        agent = pool.submit(runner.run, session_evidence_call("A"), session)
+        assert entered.wait(timeout=WAIT_S)
+        with runner.prefetch("A", session):  # the agent's fill of the key is in flight
+            release.set()
+        assert agent.result(timeout=WAIT_S) == "about A"
+    assert runner.prefetches_started == 0
+    assert fills == ["A"]
 
 
 def test_a_failed_fill_reaches_only_the_caller_that_sent_it():

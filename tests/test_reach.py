@@ -3,14 +3,13 @@
 A definition that no other statement under `src/` names is surface no
 command reaches. The only ones allowed are those the acceptance criteria
 pin, which are wired in by later work rather than deleted:
-- `evaluate.best_of_k` (criterion 6);
 - `rewards.format_reward` (criterion 8);
 - `trajectory.outcome_filter` (criterion 5).
 
 The check is by name: a definition counts as reached when any other
 top-level statement under `src/` loads that name or an attribute of that
 name. A new unreferenced definition fails it, and so does wiring in one of
-the three without removing it from PINNED.
+the two without removing it from PINNED.
 
 Config knobs get the same check: every `PipelineConfig` field is read by some
 module under `src/` other than `config.py`.
@@ -30,7 +29,6 @@ from recteacher.config import PipelineConfig
 SRC = REPO_ROOT / "src"
 
 PINNED = {
-    "recteacher.evaluate.best_of_k",
     "recteacher.rewards.format_reward",
     "recteacher.trajectory.outcome_filter",
 }
