@@ -30,6 +30,7 @@ import argparse
 import json
 import logging
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import replace
 from functools import partial
@@ -63,7 +64,7 @@ from .oracle import OracleBackend
 from .rewards import Bucket, bucket, composite_reward, compose_rl_set, largest_remainder
 from .teacher import PhaseRecord, SessionLog, TeacherConfig, ToolRunner, build_context, run_teacher
 from .trajectory import export_sft, serialize, top1_hit
-from .util import atomic_path, ordered_map, read_jsonl, write_atomic, write_jsonl_atomic
+from .util import atomic_path, read_jsonl, write_atomic, write_jsonl_atomic
 from .verbalize import EvidenceCache, verbalize_key, warm_cache
 
 logger = logging.getLogger(__name__)
@@ -208,18 +209,6 @@ def _instance_from_record(record: dict) -> EvalInstance:
         raise _bad_record("instance", record, exc) from exc
 
 
-def _check_instances(path: str | Path) -> dict[str, str]:
-    """Validate every instance record, keeping only the ground truth of each user.
-
-    A bad file fails here, before any session starts; `_iter_instances`
-    parses the records again one at a time as their sessions are submitted.
-    """
-    ground_truth = {instance.user: instance.ground_truth for _, instance in _iter_instances(path)}
-    if not ground_truth:
-        raise EmptyInput(f"no instances in {path}")
-    return ground_truth
-
-
 def _iter_instances(path: str | Path) -> Iterator[tuple[str, EvalInstance]]:
     for instance_id, record in _unique_records(path, "instance"):
         yield instance_id, _instance_from_record(record)
@@ -330,7 +319,11 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
     cache = EvidenceCache.load(cache_path)
     logger.info("loaded evidence cache: %d entries from %s", len(cache), cache_path)
 
-    gateway = _make_gateway(args, config, ground_truth=_check_instances(args.instances))
+    instances = list(_iter_instances(args.instances))  # a bad file fails here, before any send
+    if not instances:
+        raise EmptyInput(f"no instances in {args.instances}")
+    gateway = _make_gateway(args, config, ground_truth={instance.user: instance.ground_truth
+                                                        for _, instance in instances})
 
     graph = load_graph(_required_path(args.graph, config.graph_path, "graph"))
     tools = ToolRunner(cache, partial(verbalize_key, graph, catalog,
@@ -355,15 +348,12 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
     # is streamed to the temp file when its turn comes. The cache file matches
     # a serial run byte for byte (a prefetch no session names is not written),
     # and a failed session leaves the fills of every session before it, not
-    # its own. Instances are parsed as their sessions are submitted, at most
-    # two per worker ahead of the writer, so memory does not grow with the
-    # instance count.
+    # its own; sessions not yet started when it fails are cancelled.
     def session_records() -> Iterator[dict]:
-        sessions = ordered_map(run_one, enumerate(_iter_instances(args.instances)),
-                               config.max_parallel, window=2 * config.max_parallel)
-        for log, session_record in sessions:
-            tools.persist(log)
-            yield session_record
+        with ThreadPoolExecutor(config.max_parallel) as pool:
+            for log, session_record in pool.map(run_one, enumerate(instances)):
+                tools.persist(log)
+                yield session_record
 
     try:
         count = write_jsonl_atomic(args.out, session_records())

@@ -1,21 +1,15 @@
-"""Small shared helpers: atomic writes, line-delimited JSON files, ordered fan-out."""
+"""Small shared helpers: atomic writes and line-delimited JSON files."""
 
 from __future__ import annotations
 
 import json
 import os
 import secrets
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
+from typing import Any, Iterable, Iterator, TextIO
 
 from .errors import MalformedRecord
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 def _create_temp(path: Path) -> tuple[int, Path]:
@@ -100,31 +94,3 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 raise MalformedRecord(lineno, "record is not a JSON object", source=str(path))
             yield lineno, record
 
-
-def ordered_map(
-    func: Callable[[T], R],
-    items: Iterable[T],
-    width: int,
-    window: int | None = None,
-) -> Iterator[R]:
-    """Yield func(item) for every item, in item order, with up to `width` calls running.
-
-    The calls run on pool threads, never in the caller's, and a pool starts
-    no thread until an item is submitted.
-    Items are pulled from `items` only as they are submitted, at most `window`
-    (default: no limit) beyond the last result handed back. A call that raised
-    re-raises when its turn comes: calls not yet started are cancelled and the
-    running ones are waited for first.
-    """
-    remaining = iter(items)
-    pending: deque = deque()
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        try:
-            pending.extend(pool.submit(func, item) for item in islice(remaining, window))
-            while pending:
-                result = pending.popleft().result()
-                pending.extend(pool.submit(func, item) for item in islice(remaining, 1))
-                yield result
-        finally:
-            for future in pending:
-                future.cancel()

@@ -10,6 +10,7 @@ file that sets it to another integer still loads.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 import threading
@@ -26,7 +27,7 @@ from .graph import (
 )
 from . import prompts
 from .tags import ANSWER_TAG, RECOGNIZED_TOOLS, reply_body
-from .util import dump_json_line, ordered_map, read_jsonl
+from .util import dump_json_line, read_jsonl
 
 # Deterministic evidence for anchors with no collaborative signal; no gateway call.
 FALLBACK_NO_NEIGHBORS = "no collaborative neighbors found"
@@ -229,9 +230,10 @@ def warm_cache(
             return exc
 
     failed: list[tuple[EvidenceKey, Exception]] = []
-    for key, result in zip(pending, ordered_map(attempt, pending, gateway.config.max_parallel)):
-        if isinstance(result, Exception):
-            failed.append((key, result))
-        else:
-            cache.put(result)
+    with ThreadPoolExecutor(gateway.config.max_parallel) as pool:
+        for key, result in zip(pending, pool.map(attempt, pending)):
+            if isinstance(result, Exception):
+                failed.append((key, result))
+            else:
+                cache.put(result)
     return failed

@@ -8,13 +8,17 @@ import logging
 import os
 import re
 import shlex
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from recteacher.cli import build_parser, main
 from recteacher.corpus import TIMESTAMP_MAX
-from recteacher.teacher import MISS_FALLBACK
+from recteacher.errors import GatewayError
+from recteacher.oracle import OracleBackend
+from recteacher.teacher import MISS_FALLBACK, Phase
 from recteacher.util import read_jsonl
 
 
@@ -323,37 +327,54 @@ def test_on_demand_run_teacher_is_the_same_at_any_parallelism(pipeline, tmp_path
     assert lines == [offline[("UserCF", user)] for user in users]
 
 
-def test_run_teacher_parses_instances_at_most_a_window_ahead(pipeline, tmp_path, capsys,
-                                                             monkeypatch):
+def test_a_failed_session_cancels_the_sessions_not_yet_started(pipeline, tmp_path, capsys,
+                                                               monkeypatch):
     import recteacher.cli as cli
 
-    persisted: list[str] = []
-    parsed_at: list[int] = []  # sessions persisted when each instance record was parsed
-    parse, persist = cli._instance_from_record, cli.ToolRunner.persist
+    users = [record["user"] for record in records_of(pipeline["instances"])]
+    second_started = threading.Event()
+    subjects: list[str] = []
 
-    def counting_parse(record):
-        parsed_at.append(len(persisted))
-        return parse(record)
+    class FailsTheFirstPlan(OracleBackend):
+        """Fails the first session's plan once the second session is running."""
 
-    def counting_persist(runner, log):
-        persisted.append(log.user)
-        return persist(runner, log)
+        def send(self, request):
+            origin = request.origin
+            with self._lock:
+                subjects.append(origin.subject)
+            if origin.subject == users[1]:
+                second_started.set()
+            if origin.role is Phase.PLAN and origin.subject == users[0]:
+                assert second_started.wait(timeout=10)
+                raise GatewayError("server_error", "injected plan failure")
+            time.sleep(0.001)  # the running sessions outlast the cancel
+            return super().send(request)
 
-    monkeypatch.setattr(cli, "_instance_from_record", counting_parse)
-    monkeypatch.setattr(cli.ToolRunner, "persist", counting_persist)
+    monkeypatch.setattr(cli, "OracleBackend", FailsTheFirstPlan)
+    # no UserCF evidence, so the running sessions fill some
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("".join(line + "\n" for line in
+                             pipeline["cache"].read_text(encoding="utf-8").splitlines()
+                             if json.loads(line)["tool"] == "ItemCF"), encoding="utf-8")
     out = tmp_path / "sessions.jsonl"
-    assert main(["run-teacher", "--corpus", str(pipeline["corpus"]),
-                 "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
+    out.write_bytes(pipeline["sessions"].read_bytes())
+    before = {path: path.read_bytes() for path in (cache, out)}
+    code = main(["run-teacher", "--corpus", str(pipeline["corpus"]),
+                 "--graph", str(pipeline["graph"]), "--cache", str(cache),
                  "--instances", str(pipeline["instances"]), "--out", str(out),
-                 "--backend", "mock", "--parallel", "2"]) == 0
-    capsys.readouterr()
-    assert filecmp.cmp(out, pipeline["sessions"], shallow=False)
-    count = len(records_of(pipeline["instances"]))
-    assert count > 4 and len(persisted) == count
-    # the last pass parses each instance as its session is submitted: at most
-    # two per worker beyond the sessions already handed to the writer
-    submitted = parsed_at[-count:]
-    assert max(index - done for index, done in enumerate(submitted)) <= 2 * 2
+                 "--backend", "mock", "--parallel", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    error_lines = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+    assert len(error_lines) == 1
+    assert error_lines[0].startswith("error: SessionError: session aborted in phase 'plan'")
+    assert "injected plan failure" in error_lines[0]
+    assert {path: path.read_bytes() for path in (cache, out)} == before
+    assert sorted(os.listdir(tmp_path)) == ["cache.jsonl", "sessions.jsonl"]  # no temp left
+    # the first two sessions were running; the worker freed by the failure may
+    # take the third before the rest are cancelled, and those send nothing
+    assert len(users) == 6 and {users[0], users[1]} <= set(subjects)
+    assert not set(subjects) & set(users[3:])
 
 
 def test_a_bad_instance_file_fails_before_any_session(pipeline, tmp_path, capsys):

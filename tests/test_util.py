@@ -1,11 +1,9 @@
-"""Shared helpers: atomic writes, streamed JSONL and ordered fan-out."""
+"""Shared helpers: atomic writes and streamed JSONL."""
 
 from __future__ import annotations
 
 import os
 import stat
-import threading
-import time
 
 import pytest
 
@@ -72,84 +70,3 @@ def test_write_jsonl_atomic_serializes_each_record_before_pulling_the_next(tmp_p
     assert write_jsonl_atomic(tmp_path / "out.jsonl", records()) == 4
     assert dumped == [0, 1, 2, 3]
 
-
-def test_ordered_map_yields_in_item_order_when_calls_finish_out_of_order():
-    last_done = threading.Event()
-    finished: list[int] = []
-
-    def func(i):
-        if i < 2:
-            assert last_done.wait(5)  # items 0 and 1 finish after item 2
-        finished.append(i)
-        if i == 2:
-            last_done.set()
-        return i * 10
-
-    assert list(util.ordered_map(func, range(3), 3)) == [0, 10, 20]
-    assert finished[0] == 2
-
-
-@pytest.mark.parametrize("width, window", [(1, 1), (2, 3), (4, 2)])
-def test_ordered_map_pulls_at_most_window_items_beyond_the_last_result(width, window):
-    pulled: list[int] = []
-
-    def items():
-        for i in range(10):
-            pulled.append(i)
-            yield i
-
-    results = util.ordered_map(lambda i: i, items(), width, window=window)
-    assert pulled == []  # nothing is pulled before the first result is asked for
-    handed = 0
-    for result in results:
-        assert result == handed
-        handed += 1
-        assert len(pulled) <= handed + window
-    assert handed == 10
-
-
-def test_ordered_map_raises_the_first_failure_after_running_calls_finish():
-    lock = threading.Lock()
-    started: set[int] = set()
-    finished: set[int] = set()
-
-    def func(i):
-        with lock:
-            started.add(i)
-        if i == 0:
-            time.sleep(0.05)  # item 1 fails first in time
-            raise ValueError("item 0")
-        if i == 1:
-            raise RuntimeError("item 1")
-        time.sleep(0.2)
-        with lock:
-            finished.add(i)
-        return i
-
-    with pytest.raises(ValueError, match="item 0"):
-        list(util.ordered_map(func, range(10), 2))
-    # the calls that were running when item 0 failed had finished before the
-    # raise; each worker took at most one more item, and the rest were
-    # cancelled before they started
-    assert finished == started - {0, 1}
-    assert started <= {0, 1, 2, 3}
-
-
-def test_ordered_map_width_one_matches_width_three():
-    def func(i):
-        time.sleep(0.001 * (i % 3))
-        return i * i
-
-    assert list(util.ordered_map(func, range(12), 1)) == [i * i for i in range(12)]
-    assert list(util.ordered_map(func, range(12), 1)) == list(util.ordered_map(func, range(12), 3))
-
-
-def test_ordered_map_of_nothing_starts_no_thread(monkeypatch):
-    starts: list[threading.Thread] = []
-    monkeypatch.setattr(threading.Thread, "start", lambda thread: starts.append(thread))
-
-    def never(item):
-        raise AssertionError("called on an empty input")
-
-    assert list(util.ordered_map(never, [], 1)) == []
-    assert starts == []

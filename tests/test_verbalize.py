@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from recteacher.corpus import Catalog, ItemMeta, UserMeta
@@ -231,6 +233,19 @@ def test_warm_cache_only_missing_is_a_noop():
     assert backend.sends == 6
     assert warm_cache(GRAPH, CATALOG, gateway, cache) == []
     assert len(cache) == 8
+    assert backend.sends == 6
+
+
+def test_warm_cache_on_a_complete_cache_starts_no_thread(monkeypatch):
+    backend, gateway = scripted_gateway(*[answer("e")] * 6, max_parallel=3)
+    cache = EvidenceCache()
+    warm_cache(GRAPH, CATALOG, gateway, cache)
+    assert backend.sends == 6
+    starts: list[threading.Thread] = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: (starts.append(thread), start(thread)))
+    assert warm_cache(GRAPH, CATALOG, gateway, cache) == []
+    assert starts == []
     assert backend.sends == 6
 
 
