@@ -377,6 +377,98 @@ def test_a_failed_session_cancels_the_sessions_not_yet_started(pipeline, tmp_pat
     assert not set(subjects) & set(users[3:])
 
 
+def test_run_teacher_writes_in_instance_order_when_sessions_finish_out_of_order(
+        pipeline, tmp_path, capsys, monkeypatch):
+    import recteacher.cli as cli
+
+    users = [record["user"] for record in records_of(pipeline["instances"])]
+    second_finished = threading.Event()
+    finished: list[str] = []
+    run_teacher = cli.run_teacher
+
+    def recording_run_teacher(*args, **kwargs):
+        log = run_teacher(*args, **kwargs)
+        finished.append(log.user)
+        if log.user == users[1]:
+            second_finished.set()
+        return log
+
+    class HoldsTheFirstPlan(OracleBackend):
+        """Answers the first session's plan only once the second session has finished."""
+
+        def send(self, request):
+            origin = request.origin
+            if origin.role is Phase.PLAN and origin.subject == users[0]:
+                assert second_finished.wait(timeout=10)
+            return super().send(request)
+
+    monkeypatch.setattr(cli, "run_teacher", recording_run_teacher)
+    monkeypatch.setattr(cli, "OracleBackend", HoldsTheFirstPlan)
+    out = tmp_path / "sessions.jsonl"
+    assert main(["run-teacher", "--corpus", str(pipeline["corpus"]),
+                 "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
+                 "--instances", str(pipeline["instances"]), "--out", str(out),
+                 "--backend", "mock", "--parallel", "2"]) == 0
+    capsys.readouterr()
+    assert finished.index(users[1]) < finished.index(users[0])
+    assert sorted(finished) == sorted(users)
+    assert filecmp.cmp(out, pipeline["sessions"], shallow=False)
+
+
+def test_run_teacher_raises_the_first_failure_in_instance_order(pipeline, tmp_path, capsys,
+                                                                 monkeypatch):
+    import recteacher.cli as cli
+
+    users = [record["user"] for record in records_of(pipeline["instances"])]
+    second_failed = threading.Event()
+
+    class FailsTwoPlans(OracleBackend):
+        """Fails the second session's plan, then the first session's."""
+
+        def send(self, request):
+            origin = request.origin
+            if origin.role is Phase.PLAN and origin.subject == users[1]:
+                second_failed.set()
+                raise GatewayError("server_error", "second plan failure")
+            if origin.role is Phase.PLAN and origin.subject == users[0]:
+                assert second_failed.wait(timeout=10)
+                time.sleep(0.05)  # the second session fails first in time
+                raise GatewayError("server_error", "first plan failure")
+            return super().send(request)
+
+    monkeypatch.setattr(cli, "OracleBackend", FailsTwoPlans)
+    out = tmp_path / "sessions.jsonl"
+    code = main(["run-teacher", "--corpus", str(pipeline["corpus"]),
+                 "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
+                 "--instances", str(pipeline["instances"]), "--out", str(out),
+                 "--backend", "mock", "--parallel", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    error_lines = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+    assert len(error_lines) == 1
+    assert error_lines[0].startswith("error: SessionError: session aborted in phase 'plan'")
+    assert "first plan failure" in error_lines[0]
+    assert os.listdir(tmp_path) == []  # no output, no temp
+
+
+@pytest.mark.parametrize("position", [0, 3])
+def test_a_bad_instance_anywhere_fails_before_any_session(pipeline, tmp_path, capsys, position):
+    records = records_of(pipeline["instances"])
+    broken = records[position]
+    records[position] = {**broken, "user": None}
+    instances = tmp_path / "instances.jsonl"
+    instances.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    script = tmp_path / "script.json"
+    script.write_text("[]", encoding="utf-8")  # any gateway call would exhaust it
+    assert main(["run-teacher", "--corpus", str(pipeline["corpus"]),
+                 "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
+                 "--instances", str(instances), "--out", str(tmp_path / "sessions.jsonl"),
+                 "--backend", "mock", "--script", str(script), "--parallel", "2"]) == 1
+    captured = capsys.readouterr()
+    assert f"error: PipelineError: bad instance record {broken['id']!r}" in captured.err
+    assert sorted(os.listdir(tmp_path)) == ["instances.jsonl", "script.json"]  # no output, no temp
+
+
 def test_a_bad_instance_file_fails_before_any_session(pipeline, tmp_path, capsys):
     *good, last = records_of(pipeline["instances"])
     first, *rest = last["history"]

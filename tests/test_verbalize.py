@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import threading
+import time
 
 import pytest
 
@@ -247,6 +249,50 @@ def test_warm_cache_on_a_complete_cache_starts_no_thread(monkeypatch):
     assert warm_cache(GRAPH, CATALOG, gateway, cache) == []
     assert starts == []
     assert backend.sends == 6
+
+
+def test_warm_cache_puts_in_key_order_when_calls_finish_out_of_order(tmp_path):
+    z_answered = threading.Event()
+    answered: list[str] = []
+
+    def reply(request, index):
+        user_text = request.messages[1]["content"]
+        anchor = next((a for a in "xyz" if f"# Target item\nitem_id: {a} " in user_text), "user")
+        if anchor in ("x", "y"):
+            assert z_answered.wait(5)  # the calls for x and y finish after the one for z
+        answered.append(anchor)
+        if anchor == "z":
+            z_answered.set()
+        return answer(f"about {anchor}")
+
+    backend, gateway = scripted_gateway(*[reply] * 6, max_parallel=3)
+    path = tmp_path / "evidence.jsonl"
+    cache = EvidenceCache(path)
+    assert warm_cache(GRAPH, CATALOG, gateway, cache) == []
+    assert answered[0] == "z"
+    records = [record for _, record in read_jsonl(path)]
+    assert [record["anchor"] for record in records] == ["w", "x", "y", "z", "A", "B", "C", "D"]
+    for anchor in "xyz":
+        assert cache.lookup(EvidenceKey("ItemCF", anchor)).text == f"about {anchor}"
+
+
+@pytest.mark.parametrize("width", [2, 3, 8])
+def test_warm_cache_writes_the_same_file_at_any_width(tmp_path, width):
+    # each reply is keyed by the request it answers, and calls finish out of order
+    def reply(request, index):
+        time.sleep(0.001 * (index % 3))
+        digest = hashlib.sha256(request.messages[1]["content"].encode()).hexdigest()
+        return answer(f"evidence {digest[:16]}")
+
+    paths = []
+    for parallel in (1, width):
+        _, gateway = scripted_gateway(*[reply] * 6, max_parallel=parallel)
+        path = tmp_path / f"width-{parallel}.jsonl"
+        assert warm_cache(GRAPH, CATALOG, gateway, EvidenceCache(path)) == []
+        paths.append(path)
+    serial, wide = paths
+    assert serial.read_bytes() == wide.read_bytes()
+    assert len(serial.read_text(encoding="utf-8").splitlines()) == 8
 
 
 def test_warm_cache_partial_precache():
