@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, TypeVar
 
 from .errors import (
     DanglingReference,
@@ -27,7 +27,7 @@ from .errors import (
     SequenceTooShort,
     UnknownUser,
 )
-from .util import read_jsonl, write_jsonl_atomic
+from .util import decode_jsonl, write_jsonl_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -128,16 +128,6 @@ def _require_id(obj: Any, key: str) -> str:
     return require_id(obj.get(key), key)
 
 
-def _decoded(path: str | Path, decode: Callable[[Any], T]) -> Iterator[tuple[int, T]]:
-    """(line number, decode(record)) per record; a ValueError from decode names the line."""
-    for lineno, obj in read_jsonl(path):
-        try:
-            value = decode(obj)
-        except ValueError as exc:
-            raise MalformedRecord(lineno, str(exc), source=str(path)) from None
-        yield lineno, value
-
-
 def _decode_user(obj: Any) -> tuple[str, UserMeta]:
     user_id = _require_id(obj, "user_id")
     return user_id, UserMeta(user=user_id, attributes={
@@ -158,7 +148,7 @@ def _decode_item(obj: Any) -> tuple[str, ItemMeta]:
 def _load_meta(path: str | Path, key: str, decode: Callable[[Any], tuple[str, T]]) -> dict[str, T]:
     """{id: metadata} of a user or item file; a repeated `key` id raises MalformedRecord naming its line."""
     metas: dict[str, T] = {}
-    for lineno, (meta_id, meta) in _decoded(path, decode):
+    for lineno, (meta_id, meta) in decode_jsonl(path, decode):
         if meta_id in metas:
             raise MalformedRecord(lineno, f"duplicate {key} {meta_id!r}", source=str(path))
         metas[meta_id] = meta
@@ -203,8 +193,8 @@ def decode_interaction(obj: Any) -> Interaction:
 def ingest(user_file: str | Path, item_file: str | Path, review_file: str | Path) -> Corpus:
     """Load the three record files into a validated corpus.
 
-    Raises MalformedRecord on any bad line, DanglingReference on reviews that
-    name unknown users/items, and EmptyCorpus when no interactions exist.
+    Raises MalformedRecord on any bad line (DanglingReference on reviews that
+    name unknown users/items), and EmptyCorpus when no interactions exist.
     Duplicate review triples are kept as distinct interactions.
     """
     users = _load_meta(user_file, "user_id", _decode_user)
@@ -212,7 +202,7 @@ def ingest(user_file: str | Path, item_file: str | Path, review_file: str | Path
 
     sequences: dict[str, list[Interaction]] = {}
     total = 0
-    for lineno, inter in _decoded(review_file, decode_interaction):
+    for lineno, inter in decode_jsonl(review_file, decode_interaction):
         if inter.user not in users:
             raise DanglingReference(lineno, inter.user, "user", source=str(review_file))
         if inter.item not in items:

@@ -23,15 +23,13 @@ class MalformedRecord(PipelineError):
         super().__init__(f"{where}: {reason}")
 
 
-class DanglingReference(PipelineError):
-    """A review references a user or item that was never declared."""
+class DanglingReference(MalformedRecord):
+    """A review line references a user or item that was never declared."""
 
     def __init__(self, line: int, missing_id: str, kind: str, source: str = ""):
-        self.line = line
         self.missing_id = missing_id
         self.kind = kind
-        where = f"{source}:{line}" if source else f"line {line}"
-        super().__init__(f"{where}: unknown {kind} {missing_id!r}")
+        super().__init__(line, f"unknown {kind} {missing_id!r}", source)
 
 
 class EmptyCorpus(PipelineError):

@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
+import itertools
 import json
 import logging
 import re
@@ -316,43 +317,6 @@ def _thinking(content: str) -> str:
             return content.strip()
 
 
-def _tool_loop(
-    messages: list[dict],
-    rounds: int,
-    gateway: Gateway,
-    tools: ToolRunner | None,
-    origin: Origin,
-) -> tuple[str, list[str], list[tuple[ToolCall, str]]]:
-    """Ask up to `rounds` times, answering each reply's tool calls, until a reply makes none.
-
-    Tool calls in the last round's reply go unanswered. Returns the last reply,
-    the thinking text of every answered reply, and the (call, result) events.
-    `messages` is extended in place; round r is sent as `origin` with its send
-    index advanced by r.
-    """
-    thinking: list[str] = []
-    events: list[tuple[ToolCall, str]] = []
-    content = ""
-    for round_index in range(rounds):
-        request = chat_request(messages, replace(origin, send=origin.send + round_index))
-        content = gateway.complete(request).content
-        blocks = tagged_bodies(content, TOOL_CALL_TAG)
-        if not blocks or round_index == rounds - 1:
-            break
-        thinking.append(_thinking(content))
-        calls = [call for block in blocks for call in decode_tool_calls(block)]
-        messages.append({"role": "assistant", "content": content})
-        assert tools is not None
-        for call in calls:
-            result = tools.run(call, gateway)
-            events.append((call, result))
-            messages.append({
-                "role": "tool",
-                "content": f"<{TOOL_RESPONSE_TAG}>{encode_tool_response(result)}</{TOOL_RESPONSE_TAG}>",
-            })
-    return content, thinking, events
-
-
 def _agent(name: Any) -> SubtaskKind:
     try:
         return SubtaskKind(name)
@@ -459,34 +423,50 @@ def _turn(
     kind: SubtaskKind | None = None,
     turn: int = 0,
 ) -> tuple[PhaseRecord, Any]:
-    """One agent turn: ask, answering tool calls, decode the last reply and record it.
+    """One agent turn: one loop of sends, counted from 0, until a reply is accepted.
 
-    With tools the agent gets `max_tool_rounds` rounds, else one. The reply is
-    decoded by `phase`'s contract (`decode_payload`), and a ranking must name a
-    candidate; for a phase in `REASK`, a rejected reply earns exactly one more
-    call that names the reason. The record's thinking is that of the answered
-    tool rounds and of the accepted reply: a rejected reply's thinking goes
-    with its payload. Any failure, a gateway or tool error included, raises
+    A reply with tool calls has them answered, and the loop sends again, while
+    fewer than `max_tool_rounds - 1` rounds have been answered (no round
+    without tools) and the turn has not re-asked. Any other reply is decoded by
+    `phase`'s contract (`decode_payload`), and a ranking must name a candidate;
+    for a phase in `REASK`, the first rejected reply earns one more send that
+    names the reason. The record's thinking is that of the answered tool
+    rounds and of the accepted reply: a rejected reply's thinking goes with
+    its payload. Any failure, a gateway or tool error included, raises
     SessionError naming `phase`. Every send's origin has the turn's role (the
     phase, paired with the kind on a correction pass), the session's user, the
-    send's index in the turn and `turn`.
+    loop's send counter and `turn`.
     """
     messages = [{"role": "system", "content": system}, {"role": "user", "content": user_text}]
     rounds = config.max_tool_rounds if tools is not None else 1
     origin = Origin((phase, kind) if phase is Phase.CORRECTION else phase, context.user, turn=turn)
+    thinking: list[str] = []
+    events: list[tuple[ToolCall, str]] = []
+    reasked = False
     try:
-        content, thinking, events = _tool_loop(messages, rounds, gateway, tools, origin)
-        try:
-            payload, value = _answer(content, phase, context)
-        except ReplyParseError as exc:
-            if phase not in REASK:
-                raise
-            messages.append({"role": "assistant", "content": content})
-            messages.append({"role": "user", "content": _REASK_TEXT.format(reason=exc)})
-            # one send per answered round, then the last one
-            content, _, _ = _tool_loop(messages, 1, gateway, None,
-                                       replace(origin, send=len(thinking) + 1))
-            payload, value = _answer(content, phase, context)
+        for send in itertools.count():
+            content = gateway.complete(chat_request(messages, replace(origin, send=send))).content
+            blocks = tagged_bodies(content, TOOL_CALL_TAG)
+            # before a re-ask, every earlier send was an answered round
+            if blocks and not reasked and send < rounds - 1:
+                thinking.append(_thinking(content))
+                calls = [call for block in blocks for call in decode_tool_calls(block)]
+                messages.append({"role": "assistant", "content": content})
+                for call in calls:
+                    result = tools.run(call, gateway)
+                    events.append((call, result))
+                    messages.append({"role": "tool", "content": f"<{TOOL_RESPONSE_TAG}>"
+                                     f"{encode_tool_response(result)}</{TOOL_RESPONSE_TAG}>"})
+                continue
+            try:
+                payload, value = _answer(content, phase, context)
+                break
+            except ReplyParseError as exc:
+                if phase not in REASK or reasked:
+                    raise
+                reasked = True
+                messages.append({"role": "assistant", "content": content})
+                messages.append({"role": "user", "content": _REASK_TEXT.format(reason=exc)})
     except Exception as exc:
         raise SessionError(phase.value, exc) from exc
     thinking.append(_thinking(content))

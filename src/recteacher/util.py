@@ -7,9 +7,11 @@ import os
 import secrets
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .errors import MalformedRecord
+
+T = TypeVar("T")
 
 
 def _create_temp(path: Path) -> tuple[int, Path]:
@@ -94,3 +96,12 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 raise MalformedRecord(lineno, "record is not a JSON object", source=str(path))
             yield lineno, record
 
+
+def decode_jsonl(path: str | Path, decode: Callable[[Any], T]) -> Iterator[tuple[int, T]]:
+    """(line number, decode(record)) per record of `read_jsonl`; a ValueError from decode names the line."""
+    for lineno, obj in read_jsonl(path):
+        try:
+            value = decode(obj)
+        except ValueError as exc:
+            raise MalformedRecord(lineno, str(exc), source=str(path)) from None
+        yield lineno, value

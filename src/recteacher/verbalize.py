@@ -17,7 +17,6 @@ import threading
 from typing import Mapping, Sequence
 
 from .corpus import Catalog, ItemMeta, UserMeta, require_id
-from .errors import MalformedRecord
 from .gateway import Gateway, Origin, chat_request
 from .graph import (
     DEFAULT_NEIGHBOR_K,
@@ -27,7 +26,7 @@ from .graph import (
 )
 from . import prompts
 from .tags import ANSWER_TAG, RECOGNIZED_TOOLS, reply_body
-from .util import dump_json_line, read_jsonl
+from .util import decode_jsonl, dump_json_line
 
 # Deterministic evidence for anchors with no collaborative signal; no gateway call.
 FALLBACK_NO_NEIGHBORS = "no collaborative neighbors found"
@@ -90,11 +89,7 @@ class EvidenceCache:
         cache = cls(path)
         if not cache.path.exists():
             return cache
-        for lineno, record in read_jsonl(path):
-            try:
-                evidence = _decode_evidence(record)
-            except ValueError as exc:
-                raise MalformedRecord(lineno, str(exc), source=str(path)) from None
+        for _lineno, evidence in decode_jsonl(path, _decode_evidence):
             cache._entries[evidence.key] = evidence
         return cache
 

@@ -38,6 +38,7 @@ from recteacher.teacher import (
     TeacherConfig,
     TeacherContext,
     ToolRunner,
+    _REASK_TEXT,
     _turn,
     build_context,
     execute_subtask,
@@ -566,6 +567,31 @@ def test_a_reasked_record_keeps_only_the_accepted_reply(ask, accepted):
     assert record.thinking == "Accepted reasoning."
     assert record.payload == accepted
     assert backend.sends == 2
+
+
+def test_a_ranker_reasked_after_a_tool_round_answers_no_more_tool_calls():
+    rejected = "Ranked by hunch.\n<JSON>null</JSON>"
+    backend, gateway = scripted_gateway(
+        f"Checking the anchor first.\n{tool_call(user_id='u1')}",
+        rejected,
+        f"By the neighbours.\n{tool_call(user_id='u2')}\n<JSON>[\"c2\", \"c1\", \"c3\"]</JSON>",
+    )
+    runner = ToolRunner(make_cache(("UserCF", "u1")))
+    # rounds to spare: only the re-ask, not the budget, leaves the last <tool_call> unanswered
+    config = TeacherConfig(max_tool_rounds=5)
+    record, ranking = rank(make_context(), [], gateway, config, tools=runner)
+
+    assert [request.origin.send for request in backend.requests] == [0, 1, 2]
+    reask = backend.requests[2].messages
+    assert [m["role"] for m in reask] == ["system", "user", "assistant", "tool", "assistant", "user"]
+    assert reask[-2] == {"role": "assistant", "content": rejected}
+    assert reask[-1] == {"role": "user",
+                         "content": _REASK_TEXT.format(reason="payload is not a list")}
+    # the re-asked reply's <tool_call> goes unanswered: no fourth send, no second event
+    assert backend.sends == 3
+    assert record.tool_events == ((ToolCall("UserCF", {"user_id": "u1"}), CACHED_TEXT),)
+    assert record.thinking == "Checking the anchor first.\nBy the neighbours."
+    assert ranking == ["c2", "c1", "c3"]
 
 
 # --------------------------------------------------------------- run_teacher
