@@ -12,13 +12,15 @@ at a time.
 run-teacher handles each session when its turn in instance order comes,
 whatever order the concurrent sessions finished in: it appends the session's
 on-demand fills to the cache and writes its record, so the fills of a failed
-session, or of one not yet written, are lost. Instance, session and rollout
-files name each id once, shard directories included; a repeated id is an error
-in every command that reads them, and so is a ground truth that breaks the id
-rule. run-teacher needs the graph (--graph or graph_path) and loads it before
-any session starts. A missing evidence cache is an empty one; every miss is
-filled from the graph, and an anchor the graph does not know gets a fixed
-sentence.
+session, or of one not yet written, are lost. Every instance, session, kept
+and rollout file (or directory of .jsonl shards) is read through
+`util.decode_jsonl`, with one decoder per record kind and each file decoded
+whole before the command writes: a bad record, or one that repeats an id of an
+earlier record in any shard, fails the command with one
+`MalformedRecord: <path>:<line>: <reason>` line. run-teacher needs the graph
+(--graph or graph_path) and loads it before any session starts. A missing
+evidence cache is an empty one; every miss is filled from the graph, and an
+anchor the graph does not know gets a fixed sentence.
 verbalize and run-teacher read only the catalogue of the corpus directory
 (its user and item files); build-graph and make-instances read and check all
 three files.
@@ -35,7 +37,7 @@ from contextlib import nullcontext
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar
 
 from .config import PipelineConfig, load_config
 from .corpus import (
@@ -64,7 +66,7 @@ from .oracle import OracleBackend
 from .rewards import Bucket, bucket, composite_reward, compose_rl_set, largest_remainder
 from .teacher import PhaseRecord, SessionLog, TeacherConfig, ToolRunner, build_context, run_teacher
 from .trajectory import export_sft, serialize, top1_hit
-from .util import atomic_path, read_jsonl, write_atomic, write_jsonl_atomic
+from .util import atomic_path, decode_jsonl, unique_ids, write_atomic, write_jsonl_atomic
 from .verbalize import EvidenceCache, verbalize_key, warm_cache
 
 logger = logging.getLogger(__name__)
@@ -75,6 +77,8 @@ EXIT_FAILURE = 1
 
 BACKEND_MOCK = "mock"
 BACKEND_HTTP = "http"
+
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +115,11 @@ def _make_gateway(args: argparse.Namespace, config: PipelineConfig,
                   ground_truth: Mapping[str, str] | None = None) -> Gateway:
     backend_name = getattr(args, "backend", BACKEND_HTTP)
     script_path = getattr(args, "script", None)
+    fail_reflection = getattr(args, "fail_reflection", False)
     if script_path and backend_name != BACKEND_MOCK:
         raise PipelineError("--script requires --backend mock")
+    if fail_reflection and (script_path or backend_name != BACKEND_MOCK):
+        raise PipelineError("--fail-reflection requires --backend mock without --script")
     gateway_config = config.view(GatewayConfig)
     if backend_name == BACKEND_MOCK:
         if script_path:
@@ -126,7 +133,7 @@ def _make_gateway(args: argparse.Namespace, config: PipelineConfig,
         else:
             backend = OracleBackend(
                 ground_truth=ground_truth,
-                fail_reflection=getattr(args, "fail_reflection", False),
+                fail_reflection=fail_reflection,
             )
     else:
         if not gateway_config.endpoint:
@@ -137,47 +144,30 @@ def _make_gateway(args: argparse.Namespace, config: PipelineConfig,
     return Gateway(backend, gateway_config)
 
 
-def _iter_records(path: str | Path, what: str) -> Iterator[dict]:
-    """Yield record dicts from one .jsonl file or every .jsonl in a directory."""
+def _read_records(path: str | Path, decode: Callable[[dict], tuple[str, T]],
+                  kind: str) -> Iterator[tuple[str, T]]:
+    """(id, value) per record of one .jsonl file or of every .jsonl in a directory, in name order.
+
+    A record `decode` rejects, or one repeating an id of any record before it,
+    raises MalformedRecord naming its file and line.
+    """
     base = Path(path)
-    if base.is_dir():
-        files = sorted(base.glob("*.jsonl"))
-        if not files:
-            raise EmptyInput(f"no .jsonl {what} files under {base}")
-    else:
-        files = [base]
+    files = sorted(base.glob("*.jsonl")) if base.is_dir() else [base]
+    if not files:
+        raise EmptyInput(f"no .jsonl {kind} files under {base}")
+    decode = unique_ids(decode, f"{kind} id")
     for file in files:
-        for _lineno, record in read_jsonl(file):
-            yield record
+        for _lineno, pair in decode_jsonl(file, decode):
+            yield pair
 
 
-def _record_field(record: dict, key: str, what: str) -> Any:
+def _field(record: dict, key: str, kind: type = object) -> Any:
+    """record[key]; ValueError when it is missing or not a `kind`."""
     if key not in record:
-        raise PipelineError(f"{what} record {record.get('id', '?')!r} is missing {key!r}")
+        raise ValueError(f"missing {key!r}")
+    if not isinstance(record[key], kind):
+        raise ValueError(f"{key} must be a {kind.__name__}")
     return record[key]
-
-
-def _bad_record(what: str, record: dict, exc: Exception) -> PipelineError:
-    return PipelineError(f"bad {what} record {record.get('id', '?')!r}: {exc}")
-
-
-def _id_field(record: dict, key: str, what: str) -> str:
-    """The record's `key`, read by the id rule (`require_id`)."""
-    try:
-        return require_id(record.get(key), key)
-    except ValueError as exc:
-        raise _bad_record(what, record, exc) from exc
-
-
-def _unique_records(path: str | Path, what: str) -> Iterator[tuple[str, dict]]:
-    """Yield (id, record) pairs; a repeated id is an error. Only the ids are kept."""
-    seen: set[str] = set()
-    for record in _iter_records(path, what):
-        record_id = str(_record_field(record, "id", what))
-        if record_id in seen:
-            raise PipelineError(f"duplicate {what} id {record_id!r}")
-        seen.add(record_id)
-        yield record_id, record
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +186,15 @@ def _instance_record(instance: EvalInstance, seed: int) -> dict:
     }
 
 
-def _instance_from_record(record: dict) -> EvalInstance:
-    try:
-        return EvalInstance(
-            user=require_id(record.get("user"), "user"),
-            history=tuple(decode_interaction(r) for r in record["history"]),
-            candidates=tuple(require_id(c, "candidate") for c in record["candidates"]),
-            ground_truth=require_id(record.get("ground_truth"), "ground_truth"),
-            scenario=Scenario(record.get("scenario", Scenario.CLASSIC.value)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _bad_record("instance", record, exc) from exc
-
-
-def _iter_instances(path: str | Path) -> Iterator[tuple[str, EvalInstance]]:
-    for instance_id, record in _unique_records(path, "instance"):
-        yield instance_id, _instance_from_record(record)
+def _decode_instance(record: dict) -> tuple[str, EvalInstance]:
+    """(id, instance) of an instance record; ValueError says what is wrong with it."""
+    return str(_field(record, "id")), EvalInstance(
+        user=require_id(record.get("user"), "user"),
+        history=tuple(decode_interaction(r) for r in _field(record, "history", list)),
+        candidates=tuple(require_id(c, "candidate") for c in _field(record, "candidates", list)),
+        ground_truth=require_id(record.get("ground_truth"), "ground_truth"),
+        scenario=Scenario(record.get("scenario", Scenario.CLASSIC.value)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +226,45 @@ def _session_record(session_id: str, instance: EvalInstance, prompt: str, log: S
         "final_ranking": list(log.final_ranking),
         "trajectory": serialize(log),
     }
+
+
+def _decode_session(record: dict) -> tuple[str, dict]:
+    """(id, the kept-session record filter writes on a top-1 hit) of a session record."""
+    session_id = str(_field(record, "id"))
+    return session_id, {
+        "id": session_id,
+        "user": record.get("user", ""),
+        "ground_truth": require_id(record.get("ground_truth"), "ground_truth"),
+        "prompt": str(_field(record, "prompt")),
+        "trajectory": str(_field(record, "trajectory")),
+    }
+
+
+def _decode_kept(record: dict) -> tuple[str, tuple[str, str]]:
+    """(id, (prompt, trajectory)) of a kept-session record."""
+    return str(_field(record, "id")), (str(_field(record, "prompt")), str(_field(record, "trajectory")))
+
+
+def _decode_scored(record: dict) -> tuple[str, tuple[str, str | None]]:
+    """(id, (trajectory, ground truth or None)) of a session, kept or {id, trajectory} record.
+
+    The ground truth is None only when the record has no `ground_truth` key.
+    """
+    ground_truth = require_id(record["ground_truth"], "ground_truth") if "ground_truth" in record else None
+    return str(_field(record, "id")), (str(_field(record, "trajectory")), ground_truth)
+
+
+def _decode_ranking(record: dict) -> tuple[str, list[str]]:
+    """(id, final ranking) of a session record."""
+    return str(_field(record, "id")), [str(item) for item in _field(record, "final_ranking", list)]
+
+
+def _decode_rollout(group_size: int, record: dict) -> tuple[str, Bucket]:
+    """(id, difficulty bucket) of an {id, success_count} rollout record."""
+    count = _field(record, "success_count")
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise ValueError("success_count must be an integer")
+    return str(_field(record, "id")), bucket(count, group_size)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +341,7 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
     cache = EvidenceCache.load(cache_path)
     logger.info("loaded evidence cache: %d entries from %s", len(cache), cache_path)
 
-    instances = list(_iter_instances(args.instances))  # a bad file fails here, before any send
+    instances = list(_read_records(args.instances, _decode_instance, "instance"))  # before any send
     if not instances:
         raise EmptyInput(f"no instances in {args.instances}")
     gateway = _make_gateway(args, config, ground_truth={instance.user: instance.ground_truth
@@ -367,21 +389,13 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
 def _cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> int:
     kept = []
     total = unparsable = 0
-    for session_id, record in _unique_records(args.sessions, "session"):
+    for _session_id, record in _read_records(args.sessions, _decode_session, "session"):
         total += 1
-        trajectory = str(_record_field(record, "trajectory", "session"))
-        ground_truth = _id_field(record, "ground_truth", "session")
-        hit = top1_hit(trajectory, ground_truth)
+        hit = top1_hit(record["trajectory"], record["ground_truth"])
         if hit is None:
             unparsable += 1
         elif hit:
-            kept.append({
-                "id": session_id,
-                "user": record.get("user", ""),
-                "ground_truth": ground_truth,
-                "prompt": str(_record_field(record, "prompt", "session")),
-                "trajectory": trajectory,
-            })
+            kept.append(record)
     if unparsable:
         logger.warning("filter dropped %d unparsable trajectories", unparsable)
     write_jsonl_atomic(args.out, kept)
@@ -390,30 +404,23 @@ def _cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def _cmd_export_sft(args: argparse.Namespace, config: PipelineConfig) -> int:
-    trajectories: dict[str, str] = {}
-    prompts_by_id: dict[str, str] = {}
-    for session_id, record in _unique_records(args.kept, "session"):
-        trajectories[session_id] = str(_record_field(record, "trajectory", "session"))
-        prompts_by_id[session_id] = str(_record_field(record, "prompt", "session"))
-    count = export_sft(trajectories, prompts_by_id, Path(args.out))
+    count = export_sft(dict(_read_records(args.kept, _decode_kept, "session")), Path(args.out))
     print(f"exported {count} records -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_score_rewards(args: argparse.Namespace, config: PipelineConfig) -> int:
-    ground_truth_by_id = {instance_id: instance.ground_truth
-                          for instance_id, instance in _iter_instances(args.instances)
+    ground_truth_by_id = {instance_id: instance.ground_truth for instance_id, instance
+                          in _read_records(args.instances, _decode_instance, "instance")
                           } if args.instances else {}
     out_records = []
-    for record_id, record in _unique_records(args.trajectories, "session"):
-        if "ground_truth" in record:
-            ground_truth = _id_field(record, "ground_truth", "session")
-        elif record_id in ground_truth_by_id:
-            ground_truth = ground_truth_by_id[record_id]
-        else:
+    for record_id, (trajectory, ground_truth) in _read_records(args.trajectories, _decode_scored,
+                                                                "session"):
+        if ground_truth is None:
+            ground_truth = ground_truth_by_id.get(record_id)
+        if ground_truth is None:
             raise PipelineError(f"no ground truth for trajectory {record_id!r} (pass --instances)")
-        breakdown = composite_reward(str(_record_field(record, "trajectory", "session")),
-                                     ground_truth)
+        breakdown = composite_reward(trajectory, ground_truth)
         out_records.append({
             "id": record_id,
             "format_score": breakdown.format_score,
@@ -429,17 +436,10 @@ def _cmd_score_rewards(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 def _cmd_bucket_rl(args: argparse.Namespace, config: PipelineConfig) -> int:
     by_bucket: dict[Bucket, list[str]] = {b: [] for b in Bucket}
-    bucket_of: dict[str, Bucket] = {}
-    for record_id, record in _unique_records(args.rollouts, "rollout"):
-        count = _record_field(record, "success_count", "rollout")
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise PipelineError(f"rollout {record_id!r}: success_count must be an integer")
-        try:
-            which = bucket(count, config.group_size)
-        except ValueError as exc:
-            raise PipelineError(f"rollout {record_id!r}: {exc}") from exc
+    bucket_of = dict(_read_records(args.rollouts, partial(_decode_rollout, config.group_size),
+                                   "rollout"))
+    for record_id, which in bucket_of.items():
         by_bucket[which].append(record_id)
-        bucket_of[record_id] = which
 
     target = args.target if args.target is not None else config.rl_target
     chosen = compose_rl_set(by_bucket, target_total=target, ratio=config.rl_ratio,
@@ -473,14 +473,13 @@ def _report_row(name: str, report: EvalReport) -> str:
 
 
 def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
-    instance_records = dict(_unique_records(args.instances, "instance"))
+    instances = dict(_read_records(args.instances, _decode_instance, "instance"))
     all_pairs: list[tuple[list[str], EvalInstance]] = []
     by_scenario: dict[str, list[tuple[list[str], EvalInstance]]] = {}
-    for session_id, record in _unique_records(args.sessions, "session"):
-        if session_id not in instance_records:
+    for session_id, ranking in _read_records(args.sessions, _decode_ranking, "session"):
+        if session_id not in instances:
             raise PipelineError(f"session {session_id!r} has no matching instance record")
-        instance = _instance_from_record(instance_records[session_id])
-        ranking = [str(item) for item in _record_field(record, "final_ranking", "session")]
+        instance = instances[session_id]
         all_pairs.append((ranking, instance))
         by_scenario.setdefault(instance.scenario.value, []).append((ranking, instance))
 

@@ -23,11 +23,10 @@ from typing import Any, Callable, TypeVar
 from .errors import (
     DanglingReference,
     EmptyCorpus,
-    MalformedRecord,
     SequenceTooShort,
     UnknownUser,
 )
-from .util import decode_jsonl, write_jsonl_atomic
+from .util import decode_jsonl, unique_ids, write_jsonl_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -147,12 +146,7 @@ def _decode_item(obj: Any) -> tuple[str, ItemMeta]:
 
 def _load_meta(path: str | Path, key: str, decode: Callable[[Any], tuple[str, T]]) -> dict[str, T]:
     """{id: metadata} of a user or item file; a repeated `key` id raises MalformedRecord naming its line."""
-    metas: dict[str, T] = {}
-    for lineno, (meta_id, meta) in decode_jsonl(path, decode):
-        if meta_id in metas:
-            raise MalformedRecord(lineno, f"duplicate {key} {meta_id!r}", source=str(path))
-        metas[meta_id] = meta
-    return metas
+    return dict(pair for _lineno, pair in decode_jsonl(path, unique_ids(decode, key)))
 
 
 def decode_interaction(obj: Any) -> Interaction:

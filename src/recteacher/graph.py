@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 from .corpus import Corpus, require_id
 from .errors import EmptyCorpus, MalformedRecord, UnknownItem, UnknownUser
-from .util import atomic_writer, read_jsonl
+from .util import atomic_writer, decode_jsonl, read_jsonl, unique_ids
 
 logger = logging.getLogger(__name__)
 
@@ -147,6 +147,14 @@ def save_graph(graph: InteractionGraph, path: str | Path) -> None:
             handle.write(line + "\n")
 
 
+def _decode_adjacency(obj: dict) -> tuple[str, list[str]]:
+    """(user, items) of one adjacency line; ValueError says what is wrong with it."""
+    items = obj.get("items")
+    if not isinstance(items, list):
+        raise ValueError("adjacency record needs user and items")
+    return require_id(obj.get("user"), "user"), [require_id(item, "item") for item in items]
+
+
 def load_graph(path: str | Path) -> InteractionGraph:
     """Load a persisted graph; queries behave identically to the original.
 
@@ -154,28 +162,11 @@ def load_graph(path: str | Path) -> InteractionGraph:
     is not `{user, items}`, an id `corpus.require_id` rejects, a user given a
     second line, or a header whose counts the body does not match.
     """
-    path = Path(path)
-    header: dict | None = None
-    header_line = 1
-    user_sets: dict[str, list[str]] = {}
-    for lineno, obj in read_jsonl(path):
-        if header is None:
-            header, header_line = obj, lineno
-            continue
-        items = obj.get("items")
-        if not isinstance(items, list):
-            raise MalformedRecord(lineno, "adjacency record needs user and items", source=str(path))
-        try:
-            user = require_id(obj.get("user"), "user")
-            items = [require_id(item, "item") for item in items]
-        except ValueError as exc:
-            raise MalformedRecord(lineno, str(exc), source=str(path)) from None
-        if user in user_sets:
-            raise MalformedRecord(lineno, f"duplicate user {user!r}", source=str(path))
-        user_sets[user] = items
+    header_line, header = next(read_jsonl(path), (1, None))
     if header is None:
         raise MalformedRecord(1, "empty graph file", source=str(path))
-
+    user_sets = dict(pair for _lineno, pair in
+                     decode_jsonl(path, unique_ids(_decode_adjacency, "user"), skip=1))
     graph = InteractionGraph.from_user_sets(user_sets)
     expected = (header.get("user_count"), header.get("item_count"), header.get("edge_count"))
     actual = (len(graph.user_adj), len(graph.item_adj), graph.edge_count())

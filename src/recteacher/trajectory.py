@@ -17,7 +17,7 @@ from pathlib import Path
 import re
 from typing import Mapping, Sequence
 
-from .errors import EmptyInput, PipelineError, ReplyParseError, TagError
+from .errors import EmptyInput, ReplyParseError, TagError
 from .tags import (
     JSON_TAG,
     TOOL_CALL_TAG,
@@ -226,25 +226,15 @@ def outcome_filter(pairs: Sequence[tuple[str, str]]) -> list[str]:
     return kept
 
 
-def export_sft(
-    trajectories: Mapping[str, str],
-    instance_prompts: Mapping[str, str],
-    out: Path,
-) -> int:
-    """Write one {system, user, assistant} record per session id, sorted by id.
+def export_sft(records: Mapping[str, tuple[str, str]], out: Path) -> int:
+    """Write one {system, user, assistant} record per id of {id: (prompt, trajectory)}, sorted by id.
 
     Every record's system turn is the packaged student prompt.
     """
-    if not trajectories:
+    if not records:
         raise EmptyInput("no trajectories to export")
     system = prompts.student_system()
-    records = []
-    for session_id in sorted(trajectories):
-        if session_id not in instance_prompts:
-            raise PipelineError(f"no instance prompt for session {session_id!r}")
-        records.append({
-            "system": system,
-            "user": instance_prompts[session_id],
-            "assistant": trajectories[session_id],
-        })
-    return write_jsonl_atomic(out, records)
+    return write_jsonl_atomic(out, [
+        {"system": system, "user": prompt, "assistant": trajectory}
+        for _session_id, (prompt, trajectory) in sorted(records.items())
+    ])

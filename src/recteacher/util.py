@@ -6,6 +6,7 @@ import json
 import os
 import secrets
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
 
@@ -97,11 +98,32 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield lineno, record
 
 
-def decode_jsonl(path: str | Path, decode: Callable[[Any], T]) -> Iterator[tuple[int, T]]:
-    """(line number, decode(record)) per record of `read_jsonl`; a ValueError from decode names the line."""
-    for lineno, obj in read_jsonl(path):
+def decode_jsonl(path: str | Path, decode: Callable[[Any], T], skip: int = 0) -> Iterator[tuple[int, T]]:
+    """(line number, decode(record)) per record of `read_jsonl` after the first `skip`.
+
+    A ValueError from decode raises MalformedRecord naming the file and line.
+    """
+    for lineno, obj in islice(read_jsonl(path), skip, None):
         try:
             value = decode(obj)
         except ValueError as exc:
             raise MalformedRecord(lineno, str(exc), source=str(path)) from None
         yield lineno, value
+
+
+def unique_ids(decode: Callable[[Any], tuple[str, T]], what: str) -> Callable[[Any], tuple[str, T]]:
+    """`decode`, returning (id, value), that raises ValueError on an id it returned before.
+
+    One decoder remembers the ids of every file it decodes, so a repeated id
+    is the record that repeats it, in whichever file that is.
+    """
+    seen: set[str] = set()
+
+    def decode_once(obj: Any) -> tuple[str, T]:
+        record_id, value = decode(obj)
+        if record_id in seen:
+            raise ValueError(f"duplicate {what} {record_id!r}")
+        seen.add(record_id)
+        return record_id, value
+
+    return decode_once

@@ -218,7 +218,8 @@ def test_a_repeated_instance_id_is_an_error(pipeline, tmp_path, capsys, command)
     code = main([*argv, "--instances", str(instances)])
     captured = capsys.readouterr()
     assert code == 1
-    assert f"error: PipelineError: duplicate instance id {first['id']!r}" in captured.err
+    assert (f"error: MalformedRecord: {instances}:{len(rest) + 2}: "
+            f"duplicate instance id {first['id']!r}") in captured.err
     assert not out.exists()
 
 
@@ -230,7 +231,7 @@ def test_bucket_rl_rejects_a_repeated_rollout_id(tmp_path, capsys):
                  "--out", str(tmp_path / "rl.jsonl")])
     captured = capsys.readouterr()
     assert code == 1
-    assert "error: PipelineError: duplicate rollout id 'r1'" in captured.err
+    assert f"error: MalformedRecord: {rollouts}:2: duplicate rollout id 'r1'" in captured.err
 
 
 def test_make_instances_respects_limit_and_seed(pipeline, tmp_path, capsys):
@@ -465,7 +466,8 @@ def test_a_bad_instance_anywhere_fails_before_any_session(pipeline, tmp_path, ca
                  "--instances", str(instances), "--out", str(tmp_path / "sessions.jsonl"),
                  "--backend", "mock", "--script", str(script), "--parallel", "2"]) == 1
     captured = capsys.readouterr()
-    assert f"error: PipelineError: bad instance record {broken['id']!r}" in captured.err
+    assert (f"error: MalformedRecord: {instances}:{position + 1}: "
+            "missing or invalid user") in captured.err
     assert sorted(os.listdir(tmp_path)) == ["instances.jsonl", "script.json"]  # no output, no temp
 
 
@@ -499,7 +501,7 @@ def test_a_bad_instance_file_fails_before_any_session(pipeline, tmp_path, capsys
                      "--instances", str(instances), "--out", str(out),
                      "--backend", "mock", "--script", str(script), "--parallel", "2"]) == 1
         captured = capsys.readouterr()
-        assert f"error: PipelineError: bad instance record {last['id']!r}" in captured.err
+        assert f"error: MalformedRecord: {instances}:{len(good) + 1}: " in captured.err
         assert sorted(os.listdir(tmp_path)) == ["instances.jsonl", "script.json"]  # no output, no temp
 
 
@@ -588,6 +590,37 @@ def test_fail_reflection_adds_exactly_one_correction(pipeline, tmp_path, capsys)
         phases = [p["phase"] for p in record["phases"]]
         assert phases.count("correction") == 1
         assert phases.index("correction") == phases.index("reflection") + 1
+
+
+@pytest.mark.parametrize("backend", [["--backend", "mock", "--script"], ["--backend", "http"]],
+                         ids=["script", "http"])
+def test_fail_reflection_needs_the_oracle(pipeline, tmp_path, capsys, monkeypatch, backend):
+    sends = []
+
+    class RecordingBackend:
+        def __init__(self, config):
+            pass
+
+        def send(self, request):
+            sends.append(request)
+            raise GatewayError("auth", "no send expected")
+
+    monkeypatch.setattr("recteacher.cli.HttpBackend", RecordingBackend)
+    script = tmp_path / "script.json"
+    script.write_text("[]", encoding="utf-8")  # any gateway call would exhaust it
+    config = tmp_path / "pipeline.ini"
+    config.write_text("[pipeline]\nendpoint = http://127.0.0.1:9/v1\nretries = 0\n", encoding="utf-8")
+    out = tmp_path / "sessions.jsonl"
+    code = main(["run-teacher", "--config", str(config), "--corpus", str(pipeline["corpus"]),
+                 "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
+                 "--instances", str(pipeline["instances"]), "--out", str(out),
+                 "--fail-reflection", *backend, *([str(script)] if "--script" in backend else [])])
+    error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
+    assert code == 1
+    assert error_lines == ["error: PipelineError: --fail-reflection requires --backend mock "
+                           "without --script"]
+    assert sends == []
+    assert not out.exists()
 
 
 def test_script_backend_drives_run_teacher(pipeline, tmp_path, capsys):
@@ -707,8 +740,89 @@ def test_a_repeated_session_id_is_an_error(pipeline, tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert code == 1
     first_id = records_of(pipeline["sessions"])[0]["id"]
-    assert f"error: PipelineError: duplicate session id {first_id!r}" in captured.err
+    assert (f"error: MalformedRecord: {shards / 'part-1.jsonl'}:1: "
+            f"duplicate session id {first_id!r}") in captured.err
     assert not out.exists()
+
+
+def test_a_session_id_repeated_in_a_later_shard_names_that_shard(pipeline, tmp_path, capsys):
+    records = records_of(pipeline["sessions"])
+    shards = tmp_path / "shards"
+    shards.mkdir()
+    for name, part in (("part-0.jsonl", records[:3]), ("part-1.jsonl", [*records[3:], records[1]])):
+        (shards / name).write_text("".join(json.dumps(r) + "\n" for r in part), encoding="utf-8")
+    out = tmp_path / "kept.jsonl"
+    assert main(["filter", "--sessions", str(shards), "--out", str(out)]) == 1
+    assert (f"error: MalformedRecord: {shards / 'part-1.jsonl'}:4: "
+            f"duplicate session id {records[1]['id']!r}") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_checks_an_instance_no_session_names(pipeline, tmp_path, capsys):
+    first, *rest, last = records_of(pipeline["instances"])
+    instances = tmp_path / "instances.jsonl"
+    instances.write_text("".join(json.dumps(r) + "\n" for r in [first, *rest, {**last, "user": None}]),
+                         encoding="utf-8")
+    sessions = tmp_path / "sessions.jsonl"
+    sessions.write_text(json.dumps(records_of(pipeline["sessions"])[0]) + "\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--sessions", str(sessions), "--instances", str(instances),
+                 "--out", str(out)]) == 1
+    assert (f"error: MalformedRecord: {instances}:{len(rest) + 2}: "
+            "missing or invalid user") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def without(key):
+    return lambda record: {k: v for k, v in record.items() if k != key}
+
+
+def with_value(key, value):
+    return lambda record: {**record, key: value}
+
+
+ROLLOUTS = [{"id": "r1", "success_count": 3}, {"id": "r2", "success_count": 5}]
+
+
+@pytest.mark.parametrize("command, flag, source, change", [
+    ("run-teacher", "--instances", "instances", with_value("user", None)),
+    ("evaluate", "--instances", "instances", with_value("candidates", "i1")),
+    ("score-rewards", "--instances", "instances", without("history")),
+    ("filter", "--sessions", "sessions", with_value("ground_truth", "a,b")),
+    ("evaluate", "--sessions", "sessions", without("final_ranking")),
+    ("score-rewards", "--trajectories", "sessions", without("trajectory")),
+    ("export-sft", "--kept", "kept", without("prompt")),
+    ("bucket-rl", "--rollouts", "rollouts", with_value("success_count", 9)),
+    ("run-teacher", "--graph", "graph", with_value("items", "i1")),
+], ids=["run-teacher-instances", "evaluate-instances", "score-rewards-instances", "filter-sessions",
+        "evaluate-sessions", "score-rewards-sessions", "export-sft-kept", "bucket-rl-rollouts",
+        "run-teacher-graph"])
+def test_every_reader_names_the_file_and_line_of_a_bad_record(pipeline, tmp_path, capsys,
+                                                              command, flag, source, change):
+    records = ROLLOUTS if source == "rollouts" else records_of(pipeline[source])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in [records[0], change(records[1]),
+                                                          *records[2:]]), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    argv = {
+        "run-teacher": ["--corpus", str(pipeline["corpus"]), "--graph", str(pipeline["graph"]),
+                        "--cache", str(pipeline["cache"]), "--instances", str(pipeline["instances"]),
+                        "--backend", "mock"],
+        "evaluate": ["--sessions", str(pipeline["sessions"]),
+                     "--instances", str(pipeline["instances"])],
+        "score-rewards": ["--trajectories", str(pipeline["sessions"]),
+                          "--instances", str(pipeline["instances"])],
+        "filter": ["--sessions", str(pipeline["sessions"])],
+        "export-sft": ["--kept", str(pipeline["kept"])],
+        "bucket-rl": ["--rollouts", str(bad), "--target", "0"],
+    }[command]
+    # the flag given last wins, so it replaces that input with the bad file
+    code = main([command, *argv, flag, str(bad), "--out", str(out)])
+    error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
+    assert code == 1
+    assert len(error_lines) == 1
+    assert error_lines[0].startswith(f"error: MalformedRecord: {bad}:2: ")
+    assert os.listdir(tmp_path) == ["bad.jsonl"]  # no output, no temp
 
 
 def test_filter_warns_about_unparsable_trajectories(pipeline, tmp_path, capsys, caplog):
@@ -746,8 +860,7 @@ def test_filter_refuses_a_kept_session_without_a_prompt(pipeline, tmp_path, caps
     code = main(["filter", "--sessions", str(path), "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 1
-    assert (f"error: PipelineError: session record {records[0]['id']!r} "
-            "is missing 'prompt'") in captured.err
+    assert f"error: MalformedRecord: {path}:1: missing 'prompt'" in captured.err
     assert not out.exists()
 
 def with_null_ground_truth(records, tmp_path, name):
@@ -756,20 +869,18 @@ def with_null_ground_truth(records, tmp_path, name):
     records[0]["ground_truth"] = None
     path = tmp_path / name
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-    return records[0]["id"], path
+    return path
 
 
 @pytest.mark.parametrize("command", ["filter", "score-rewards"])
 def test_a_null_session_ground_truth_is_a_bad_record(pipeline, tmp_path, capsys, command):
-    bad_id, path = with_null_ground_truth(records_of(pipeline["sessions"]), tmp_path,
-                                          "sessions.jsonl")
+    path = with_null_ground_truth(records_of(pipeline["sessions"]), tmp_path, "sessions.jsonl")
     out = tmp_path / "out.jsonl"
     flag = "--sessions" if command == "filter" else "--trajectories"
     code = main([command, flag, str(path), "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 1
-    assert (f"error: PipelineError: bad session record {bad_id!r}: "
-            "missing or invalid ground_truth") in captured.err
+    assert f"error: MalformedRecord: {path}:1: missing or invalid ground_truth" in captured.err
     assert "no ground truth" not in captured.err
     assert not out.exists()
 
@@ -778,15 +889,14 @@ def test_a_null_instance_ground_truth_fails_score_rewards(pipeline, tmp_path, ca
     bare = tmp_path / "bare.jsonl"
     bare.write_text("".join(json.dumps({"id": r["id"], "trajectory": r["trajectory"]}) + "\n"
                             for r in records_of(pipeline["sessions"])), encoding="utf-8")
-    bad_id, instances = with_null_ground_truth(records_of(pipeline["instances"]), tmp_path,
-                                               "instances.jsonl")
+    instances = with_null_ground_truth(records_of(pipeline["instances"]), tmp_path,
+                                       "instances.jsonl")
     out = tmp_path / "rewards.jsonl"
     code = main(["score-rewards", "--trajectories", str(bare), "--instances", str(instances),
                  "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 1
-    assert (f"error: PipelineError: bad instance record {bad_id!r}: "
-            "missing or invalid ground_truth") in captured.err
+    assert f"error: MalformedRecord: {instances}:1: missing or invalid ground_truth" in captured.err
     assert not out.exists()
 
 

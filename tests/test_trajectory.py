@@ -8,7 +8,7 @@ import random
 import pytest
 
 from recteacher import prompts
-from recteacher.errors import EmptyInput, PipelineError, TagError
+from recteacher.errors import EmptyInput, TagError
 from recteacher.tags import ToolCall
 from recteacher.teacher import Phase, PhaseRecord, SessionLog, SubtaskKind
 from recteacher.trajectory import (
@@ -234,8 +234,8 @@ def test_outcome_filter_empty():
 def test_export_sft(tmp_path):
     out = tmp_path / "sft.jsonl"
     count = export_sft(
-        {"s2": "<recommend>\n1. a\n</recommend>", "s1": "<recommend>\n1. b\n</recommend>"},
-        {"s1": "prompt one", "s2": "prompt two", "s3": "unused"},
+        {"s2": ("prompt two", "<recommend>\n1. a\n</recommend>"),
+         "s1": ("prompt one", "<recommend>\n1. b\n</recommend>")},
         out,
     )
     assert count == 2
@@ -247,16 +247,14 @@ def test_export_sft(tmp_path):
 
 def test_export_sft_default_system_text(tmp_path):
     out = tmp_path / "sft.jsonl"
-    export_sft({"s1": "t"}, {"s1": "p"}, out)
+    export_sft({"s1": ("p", "t")}, out)
     (_, record), = read_jsonl(out)
     assert record["system"].strip()
 
 
 def test_export_sft_errors(tmp_path):
     with pytest.raises(EmptyInput):
-        export_sft({}, {}, tmp_path / "x.jsonl")
-    with pytest.raises(PipelineError):
-        export_sft({"s1": "t"}, {}, tmp_path / "x.jsonl")
+        export_sft({}, tmp_path / "x.jsonl")
 
 
 def test_fuzzed_mutations_rejected():
