@@ -15,12 +15,14 @@ on-demand fills to the cache and writes its record, so the fills of a failed
 session, or of one not yet written, are lost. Every instance, session, kept
 and rollout file (or directory of .jsonl shards) is read through
 `util.decode_jsonl`, with one decoder per record kind and each file decoded
-whole before the command writes: a bad record, or one that repeats an id of an
-earlier record in any shard, fails the command with one
-`MalformedRecord: <path>:<line>: <reason>` line. run-teacher needs the graph
-(--graph or graph_path) and loads it before any session starts. A missing
-evidence cache is an empty one; every miss is filled from the graph, and an
-anchor the graph does not know gets a fixed sentence.
+whole before the command writes. A record whose `id` is not a string, whose
+field a decoder reads is of the wrong type (none is coerced), or that repeats
+an id of an earlier record in any shard, fails the command with one
+`MalformedRecord: <path>:<line>: <reason>` line. Flags are checked before any
+input file is read. run-teacher needs the graph (--graph or graph_path) and
+loads it before any session starts. A missing evidence cache is an empty one;
+every miss is filled from the graph, and an anchor the graph does not know
+gets a fixed sentence.
 verbalize and run-teacher read only the catalogue of the corpus directory
 (its user and item files); build-graph and make-instances read and check all
 three files.
@@ -99,65 +101,63 @@ _FLAG_MINIMUM = {"parallel": 1, "limit": 1, "target": 0}
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
+    """The config as the flags override it; every count and backend flag is checked first."""
     for name, minimum in _FLAG_MINIMUM.items():
         value = getattr(args, name, None)
         if value is not None and value < minimum:
             raise PipelineError(f"--{name} must be >= {minimum}")
+    backend = getattr(args, "backend", None)  # None on a command that sends nothing
+    if backend is not None:
+        if args.script and backend != BACKEND_MOCK:
+            raise PipelineError("--script requires --backend mock")
+        if args.fail_reflection and (args.script or backend != BACKEND_MOCK):
+            raise PipelineError("--fail-reflection requires --backend mock without --script")
     config = load_config(Path(args.config) if args.config else None)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.parallel is not None:
         config = replace(config, max_parallel=args.parallel)
+    if backend == BACKEND_HTTP and not config.endpoint:
+        raise PipelineError(
+            "http backend needs an endpoint (set `endpoint` in the config file or use --backend mock)"
+        )
     return config
 
 
 def _make_gateway(args: argparse.Namespace, config: PipelineConfig,
                   ground_truth: Mapping[str, str] | None = None) -> Gateway:
-    backend_name = getattr(args, "backend", BACKEND_HTTP)
-    script_path = getattr(args, "script", None)
-    fail_reflection = getattr(args, "fail_reflection", False)
-    if script_path and backend_name != BACKEND_MOCK:
-        raise PipelineError("--script requires --backend mock")
-    if fail_reflection and (script_path or backend_name != BACKEND_MOCK):
-        raise PipelineError("--fail-reflection requires --backend mock without --script")
+    """A gateway on the backend the flags name; `_resolve_config` has checked them."""
     gateway_config = config.view(GatewayConfig)
-    if backend_name == BACKEND_MOCK:
-        if script_path:
-            try:
-                replies = json.loads(Path(script_path).read_text(encoding="utf-8"))
-            except ValueError as exc:
-                raise PipelineError(f"script file {script_path!r} is not valid JSON: {exc}") from exc
-            if not isinstance(replies, list) or not all(isinstance(r, str) for r in replies):
-                raise PipelineError(f"script file {script_path!r} must be a JSON array of reply strings")
-            backend: Any = ScriptBackend(replies)
-        else:
-            backend = OracleBackend(
-                ground_truth=ground_truth,
-                fail_reflection=fail_reflection,
-            )
+    if args.backend == BACKEND_HTTP:
+        backend: Any = HttpBackend(gateway_config)
+    elif args.script:
+        try:
+            replies = json.loads(Path(args.script).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise PipelineError(f"script file {args.script!r} is not valid JSON: {exc}") from exc
+        if not isinstance(replies, list) or not all(isinstance(r, str) for r in replies):
+            raise PipelineError(f"script file {args.script!r} must be a JSON array of reply strings")
+        backend = ScriptBackend(replies)
     else:
-        if not gateway_config.endpoint:
-            raise PipelineError(
-                "http backend needs an endpoint (set `endpoint` in the config file or use --backend mock)"
-            )
-        backend = HttpBackend(gateway_config)
+        backend = OracleBackend(ground_truth=ground_truth, fail_reflection=args.fail_reflection)
     return Gateway(backend, gateway_config)
 
 
-def _read_records(path: str | Path, decode: Callable[[dict], tuple[str, T]],
-                  kind: str) -> Iterator[tuple[str, T]]:
-    """(id, value) per record of one .jsonl file or of every .jsonl in a directory, in name order.
+def _read_records(path: str | Path, decode: Callable[[dict], T], kind: str) -> Iterator[tuple[str, T]]:
+    """(id, decode(record)) per record of one .jsonl file or of every .jsonl in a directory.
 
-    A record `decode` rejects, or one repeating an id of any record before it,
-    raises MalformedRecord naming its file and line.
+    Files are read in name order. Every record's `id` must be a string, and is
+    read here and nowhere else. A record whose id is missing or not a string,
+    that `decode` rejects, or that repeats an id of any record before it raises
+    MalformedRecord naming its file and line.
     """
     base = Path(path)
     files = sorted(base.glob("*.jsonl")) if base.is_dir() else [base]
     if not files:
         raise EmptyInput(f"no .jsonl {kind} files under {base}")
-    decode = unique_ids(decode, f"{kind} id")
+    with_id = unique_ids(lambda record: (_field(record, "id", str), decode(record)), f"{kind} id")
     for file in files:
-        for _lineno, pair in decode_jsonl(file, decode):
+        for _lineno, pair in decode_jsonl(file, with_id):
             yield pair
 
 
@@ -186,9 +186,9 @@ def _instance_record(instance: EvalInstance, seed: int) -> dict:
     }
 
 
-def _decode_instance(record: dict) -> tuple[str, EvalInstance]:
-    """(id, instance) of an instance record; ValueError says what is wrong with it."""
-    return str(_field(record, "id")), EvalInstance(
+def _decode_instance(record: dict) -> EvalInstance:
+    """The instance of an instance record; ValueError says what is wrong with it."""
+    return EvalInstance(
         user=require_id(record.get("user"), "user"),
         history=tuple(decode_interaction(r) for r in _field(record, "history", list)),
         candidates=tuple(require_id(c, "candidate") for c in _field(record, "candidates", list)),
@@ -228,43 +228,36 @@ def _session_record(session_id: str, instance: EvalInstance, prompt: str, log: S
     }
 
 
-def _decode_session(record: dict) -> tuple[str, dict]:
-    """(id, the kept-session record filter writes on a top-1 hit) of a session record."""
-    session_id = str(_field(record, "id"))
-    return session_id, {
-        "id": session_id,
+def _decode_session(record: dict) -> dict:
+    """What filter keeps of a session record on a top-1 hit, id aside: all of a kept record."""
+    return {
         "user": record.get("user", ""),
         "ground_truth": require_id(record.get("ground_truth"), "ground_truth"),
-        "prompt": str(_field(record, "prompt")),
-        "trajectory": str(_field(record, "trajectory")),
+        "prompt": _field(record, "prompt", str),
+        "trajectory": _field(record, "trajectory", str),
     }
 
 
-def _decode_kept(record: dict) -> tuple[str, tuple[str, str]]:
-    """(id, (prompt, trajectory)) of a kept-session record."""
-    return str(_field(record, "id")), (str(_field(record, "prompt")), str(_field(record, "trajectory")))
-
-
-def _decode_scored(record: dict) -> tuple[str, tuple[str, str | None]]:
-    """(id, (trajectory, ground truth or None)) of a session, kept or {id, trajectory} record.
+def _decode_scored(record: dict) -> tuple[str, str | None]:
+    """(trajectory, ground truth or None) of a session, kept or {id, trajectory} record.
 
     The ground truth is None only when the record has no `ground_truth` key.
     """
     ground_truth = require_id(record["ground_truth"], "ground_truth") if "ground_truth" in record else None
-    return str(_field(record, "id")), (str(_field(record, "trajectory")), ground_truth)
+    return _field(record, "trajectory", str), ground_truth
 
 
-def _decode_ranking(record: dict) -> tuple[str, list[str]]:
-    """(id, final ranking) of a session record."""
-    return str(_field(record, "id")), [str(item) for item in _field(record, "final_ranking", list)]
+def _decode_ranking(record: dict) -> list[str]:
+    """The final ranking of a session record."""
+    return [require_id(item, "final_ranking entry") for item in _field(record, "final_ranking", list)]
 
 
-def _decode_rollout(group_size: int, record: dict) -> tuple[str, Bucket]:
-    """(id, difficulty bucket) of an {id, success_count} rollout record."""
+def _decode_rollout(group_size: int, record: dict) -> Bucket:
+    """The difficulty bucket of an {id, success_count} rollout record."""
     count = _field(record, "success_count")
     if isinstance(count, bool) or not isinstance(count, int):
         raise ValueError("success_count must be an integer")
-    return str(_field(record, "id")), bucket(count, group_size)
+    return bucket(count, group_size)
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +382,13 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
 def _cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> int:
     kept = []
     total = unparsable = 0
-    for _session_id, record in _read_records(args.sessions, _decode_session, "session"):
+    for session_id, record in _read_records(args.sessions, _decode_session, "session"):
         total += 1
         hit = top1_hit(record["trajectory"], record["ground_truth"])
         if hit is None:
             unparsable += 1
         elif hit:
-            kept.append(record)
+            kept.append({"id": session_id, **record})
     if unparsable:
         logger.warning("filter dropped %d unparsable trajectories", unparsable)
     write_jsonl_atomic(args.out, kept)
@@ -404,7 +397,8 @@ def _cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def _cmd_export_sft(args: argparse.Namespace, config: PipelineConfig) -> int:
-    count = export_sft(dict(_read_records(args.kept, _decode_kept, "session")), Path(args.out))
+    count = export_sft({session_id: (record["prompt"], record["trajectory"]) for session_id, record
+                        in _read_records(args.kept, _decode_session, "session")}, Path(args.out))
     print(f"exported {count} records -> {args.out}")
     return EXIT_OK
 
@@ -525,6 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="JSON array of canned replies, handed out in send order (needs "
                               "--backend mock); reproducible only at --parallel 1, even within "
                               "one session, whose agents send side by side")
+    backend.set_defaults(fail_reflection=False)  # only run-teacher has the flag
 
     parser = argparse.ArgumentParser(
         prog="recteacher",

@@ -124,6 +124,27 @@ def test_http_backend_requires_endpoint(pipeline, tmp_path, capsys):
     assert "endpoint" in captured.err
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["run-teacher", "--backend", "http", "--fail-reflection"],
+     "--fail-reflection requires --backend mock without --script"),
+    (["verbalize", "--script", "replies.json"], "--script requires --backend mock"),
+    (["verbalize", "--backend", "http"], "http backend needs an endpoint"),
+], ids=["run-teacher-fail-reflection", "verbalize-script", "verbalize-endpoint"])
+def test_backend_flags_are_checked_before_any_load(pipeline, tmp_path, capsys, caplog, argv, error):
+    # the script file does not exist: a flag mistake must fail before it is read
+    inputs = ["--corpus", str(pipeline["corpus"]), "--graph", str(pipeline["graph"])]
+    if argv[0] == "run-teacher":
+        inputs += ["--cache", str(pipeline["cache"]), "--instances", str(pipeline["instances"])]
+    with caplog.at_level(logging.INFO, logger="recteacher"):
+        code = main([*argv, *inputs, "--out", str(tmp_path / "out.jsonl")])
+    error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
+    assert code == 1
+    assert len(error_lines) == 1
+    assert error_lines[0].startswith(f"error: PipelineError: {error}")
+    assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("loaded ")] == []
+    assert os.listdir(tmp_path) == []
+
+
 def test_ingest_names_a_line_that_is_not_utf8(toy_files, tmp_path, capsys):
     items = tmp_path / "items.jsonl"
     lines = toy_files["items"].read_bytes().splitlines(keepends=True)
@@ -232,6 +253,18 @@ def test_bucket_rl_rejects_a_repeated_rollout_id(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert f"error: MalformedRecord: {rollouts}:2: duplicate rollout id 'r1'" in captured.err
+
+
+def test_a_rollout_id_must_be_a_string(tmp_path, capsys):
+    rollouts = tmp_path / "rollouts.jsonl"
+    rows = [{"id": 5, "success_count": 3}, {"id": "5", "success_count": 5}]
+    rollouts.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    code = main(["bucket-rl", "--rollouts", str(rollouts), "--target", "0",
+                 "--out", str(tmp_path / "rl.jsonl")])
+    error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
+    assert code == 1
+    assert error_lines == [f"error: MalformedRecord: {rollouts}:1: id must be a str"]
+    assert os.listdir(tmp_path) == ["rollouts.jsonl"]
 
 
 def test_make_instances_respects_limit_and_seed(pipeline, tmp_path, capsys):
@@ -794,9 +827,12 @@ ROLLOUTS = [{"id": "r1", "success_count": 3}, {"id": "r2", "success_count": 5}]
     ("export-sft", "--kept", "kept", without("prompt")),
     ("bucket-rl", "--rollouts", "rollouts", with_value("success_count", 9)),
     ("run-teacher", "--graph", "graph", with_value("items", "i1")),
+    ("score-rewards", "--trajectories", "sessions", with_value("id", None)),
+    ("filter", "--sessions", "sessions", with_value("prompt", None)),
+    ("evaluate", "--sessions", "sessions", with_value("final_ranking", [1])),
 ], ids=["run-teacher-instances", "evaluate-instances", "score-rewards-instances", "filter-sessions",
         "evaluate-sessions", "score-rewards-sessions", "export-sft-kept", "bucket-rl-rollouts",
-        "run-teacher-graph"])
+        "run-teacher-graph", "score-rewards-null-id", "filter-null-prompt", "evaluate-ranking-entry"])
 def test_every_reader_names_the_file_and_line_of_a_bad_record(pipeline, tmp_path, capsys,
                                                               command, flag, source, change):
     records = ROLLOUTS if source == "rollouts" else records_of(pipeline[source])
