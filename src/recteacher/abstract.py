@@ -73,8 +73,8 @@ def abstract(
     for send, part in enumerate(chunks[:-1]):
         block = "\n".join(f"{i}. {render(x)}" for i, x in enumerate(part, start=1))
         user_text = prompts.history_summary_user(user_block, summary, block)
-        request = chat_request([("system", system), ("user", user_text)],
-                               origin=Origin(SUMMARIZER, history[0].user, send))
+        messages = [{"role": "system", "content": system}, {"role": "user", "content": user_text}]
+        request = chat_request(messages, Origin(SUMMARIZER, history[0].user, send))
         summary = reply_body(gateway.complete(request).content, SUMMARY_TAG,
                              f"chunk of {len(part)} interactions")
     return HybridHistory(long_term_summary=summary, recent_raw=tuple(chunks[-1]))

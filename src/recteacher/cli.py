@@ -18,11 +18,11 @@ and rollout file (or directory of .jsonl shards) is read through
 whole before the command writes. A record whose `id` is not a string, whose
 field a decoder reads is of the wrong type (none is coerced), or that repeats
 an id of an earlier record in any shard, fails the command with one
-`MalformedRecord: <path>:<line>: <reason>` line. Flags are checked before any
-input file is read. run-teacher needs the graph (--graph or graph_path) and
-loads it before any session starts. A missing evidence cache is an empty one;
-every miss is filled from the graph, and an anchor the graph does not know
-gets a fixed sentence.
+`MalformedRecord: <path>:<line>: <reason>` line. Flags, the --script file
+included, are checked before any input file is read. run-teacher needs the
+graph (--graph or graph_path) and loads it before any session starts. A
+missing evidence cache is an empty one; every miss is filled from the graph,
+and an anchor the graph does not know gets a fixed sentence.
 verbalize and run-teacher read only the catalogue of the corpus directory
 (its user and item files); build-graph and make-instances read and check all
 three files.
@@ -101,7 +101,10 @@ _FLAG_MINIMUM = {"parallel": 1, "limit": 1, "target": 0}
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    """The config as the flags override it; every count and backend flag is checked first."""
+    """The config as the flags override it; every count and backend flag is checked first.
+
+    So is the --script file, whose replies then stand in `args.script`.
+    """
     for name, minimum in _FLAG_MINIMUM.items():
         value = getattr(args, name, None)
         if value is not None and value < minimum:
@@ -112,6 +115,7 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
             raise PipelineError("--script requires --backend mock")
         if args.fail_reflection and (args.script or backend != BACKEND_MOCK):
             raise PipelineError("--fail-reflection requires --backend mock without --script")
+        args.script = _read_script(args.script) if args.script else None
     config = load_config(Path(args.config) if args.config else None)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
@@ -124,20 +128,25 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
+def _read_script(path: str) -> list[str]:
+    """The replies of a --script file: a JSON array of reply strings."""
+    try:
+        replies = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise PipelineError(f"script file {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(replies, list) or not all(isinstance(r, str) for r in replies):
+        raise PipelineError(f"script file {path!r} must be a JSON array of reply strings")
+    return replies
+
+
 def _make_gateway(args: argparse.Namespace, config: PipelineConfig,
                   ground_truth: Mapping[str, str] | None = None) -> Gateway:
     """A gateway on the backend the flags name; `_resolve_config` has checked them."""
     gateway_config = config.view(GatewayConfig)
     if args.backend == BACKEND_HTTP:
         backend: Any = HttpBackend(gateway_config)
-    elif args.script:
-        try:
-            replies = json.loads(Path(args.script).read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise PipelineError(f"script file {args.script!r} is not valid JSON: {exc}") from exc
-        if not isinstance(replies, list) or not all(isinstance(r, str) for r in replies):
-            raise PipelineError(f"script file {args.script!r} must be a JSON array of reply strings")
-        backend = ScriptBackend(replies)
+    elif args.script is not None:
+        backend = ScriptBackend(args.script)
     else:
         backend = OracleBackend(ground_truth=ground_truth, fail_reflection=args.fail_reflection)
     return Gateway(backend, gateway_config)
@@ -207,7 +216,7 @@ def _phase_record(record: PhaseRecord) -> dict:
         "kind": record.kind.value if record.kind is not None else None,
         "thinking": record.thinking,
         "tool_events": [
-            {"call": {"name": call.name, "arguments": dict(call.arguments)}, "result": result}
+            {"call": {"name": call.name, "arguments": call.arguments}, "result": result}
             for call, result in record.tool_events
         ],
         "payload": record.payload,
@@ -231,7 +240,7 @@ def _session_record(session_id: str, instance: EvalInstance, prompt: str, log: S
 def _decode_session(record: dict) -> dict:
     """What filter keeps of a session record on a top-1 hit, id aside: all of a kept record."""
     return {
-        "user": record.get("user", ""),
+        "user": require_id(record.get("user"), "user"),
         "ground_truth": require_id(record.get("ground_truth"), "ground_truth"),
         "prompt": _field(record, "prompt", str),
         "trajectory": _field(record, "trajectory", str),
@@ -299,12 +308,12 @@ def _cmd_verbalize(args: argparse.Namespace, config: PipelineConfig) -> int:
         before = len(cache)
         failed = warm_cache(graph, catalog, gateway, cache, k=config.neighbor_k, domain=config.domain)
         for key, exc in failed:
-            logger.warning("verbalization failed for %s %s: %s", key.tool, key.anchor, exc)
+            logger.warning("verbalization failed for %s %s: %s", key.name, key.anchor, exc)
         print(f"cache entries: {len(cache)} ({len(cache) - before} new, {len(failed)} failed) -> {out}")
         if failed:
             key, exc = failed[0]
             raise PipelineError(f"{len(failed)} keys failed to verbalize; "
-                                f"first: {key.tool}:{key.anchor}: {type(exc).__name__}: {exc}")
+                                f"first: {key.name}:{key.anchor}: {type(exc).__name__}: {exc}")
     return EXIT_OK
 
 

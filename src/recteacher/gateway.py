@@ -79,7 +79,7 @@ class ChatRequest:
 
 
 def chat_request(messages: Iterable, origin: Origin | None = None) -> ChatRequest:
-    """Build a ChatRequest from role/content dicts or (role, content) pairs."""
+    """A ChatRequest from role/content dicts; (role, content) pairs are still read for perfbench's tests."""
     normalized = tuple(
         msg if isinstance(msg, dict) else {"role": msg[0], "content": msg[1]}
         for msg in messages

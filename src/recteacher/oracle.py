@@ -15,6 +15,7 @@ from typing import Mapping
 
 from .abstract import SUMMARIZER
 from .gateway import ChatReply, ChatRequest
+from .tags import ToolCall, encode_tool_call
 from .teacher import KIND_PHASE, Phase, SubtaskKind
 
 _CANDIDATE_LINE = re.compile(r"^\d+\. item_id: (\S+)", re.MULTILINE)
@@ -82,7 +83,7 @@ class OracleBackend:
 
     def _subtask(self, kind: SubtaskKind, user: str, send: int) -> str:
         if send == 0:
-            call = json.dumps({"name": "UserCF", "arguments": {"user_id": user}})
+            call = encode_tool_call(ToolCall("UserCF", user))
             return f"Pulling collaborative evidence first.\n<tool_call>{call}</tool_call>"
         conclusion = json.dumps([f"{kind.value} conclusion for user {user}"])
         return f"Evidence received; summarizing.\n<JSON>{conclusion}</JSON>"

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import json
 import re
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator
 
 from .errors import ReplyParseError, ToolArgumentError, ToolParseError
 
@@ -87,31 +87,33 @@ def decode_json_stream(raw: str) -> list[Any]:
 
 @dataclass(frozen=True)
 class ToolCall:
-    """A call of a recognized tool with exactly its one id argument.
+    """A recognized CF tool applied to one anchor id; also the evidence-cache key.
 
-    An unknown name raises ToolParseError, any other argument set
-    ToolArgumentError, so every ToolCall in the pipeline is a valid one.
+    An unknown name raises ToolParseError. On the wire its `arguments` are
+    `{user_id|item_id: anchor}`, and `decode_tool_call` builds a call only
+    from exactly that argument set, so every ToolCall in the pipeline is a
+    valid one.
     """
 
     name: str
-    arguments: Mapping[str, str]
+    anchor: str
 
     def __post_init__(self) -> None:
         if self.name not in RECOGNIZED_TOOLS:
             raise ToolParseError(f"unknown tool name {self.name!r}")
-        expected = TOOL_ARG_KEY[self.name]
-        if set(self.arguments) != {expected}:
-            raise ToolArgumentError(
-                f"{self.name} takes exactly one argument {expected!r}, got {sorted(self.arguments)}"
-            )
+
+    @property
+    def arguments(self) -> dict[str, str]:
+        return {TOOL_ARG_KEY[self.name]: self.anchor}
 
 
 def decode_tool_call(value: Any) -> ToolCall:
     """Validate one decoded tool-call object into a ToolCall.
 
     Accepts `arguments` as an object or as a string-encoded JSON object, whose
-    values must be ids (strings or integers). The name and the argument key
-    are checked by ToolCall itself; every failure is a ToolParseError.
+    values must be ids (strings or integers). A recognized tool with any
+    other argument set than its one id raises ToolArgumentError, and every
+    other failure is a ToolParseError.
     """
     if not isinstance(value, dict):
         raise ToolParseError(f"tool call is not an object: {value!r}")
@@ -128,7 +130,11 @@ def decode_tool_call(value: Any) -> ToolCall:
         if not isinstance(raw, (str, int)) or isinstance(raw, bool):
             raise ToolParseError(f"argument {key!r} is not an id: {raw!r}")
         cleaned[str(key)] = str(raw)
-    return ToolCall(name=value.get("name"), arguments=cleaned)
+    name = value.get("name")
+    expected = TOOL_ARG_KEY[name] if name in RECOGNIZED_TOOLS else None  # ToolCall rejects the rest
+    if expected is not None and set(cleaned) != {expected}:
+        raise ToolArgumentError(f"{name} takes exactly one argument {expected!r}, got {sorted(cleaned)}")
+    return ToolCall(name, cleaned.get(expected))
 
 
 def decode_tool_calls(body: str) -> list[ToolCall]:
@@ -144,7 +150,7 @@ def decode_tool_calls(body: str) -> list[ToolCall]:
 
 def encode_tool_call(call: ToolCall) -> str:
     return json.dumps(
-        {"name": call.name, "arguments": dict(call.arguments)},
+        {"name": call.name, "arguments": call.arguments},
         sort_keys=True, ensure_ascii=False,
     )
 

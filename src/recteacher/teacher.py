@@ -34,7 +34,6 @@ from .gateway import Gateway, Origin, chat_request
 from . import prompts
 from .tags import (
     JSON_TAG,
-    TOOL_ARG_KEY,
     TOOL_CALL_TAG,
     TOOL_RESPONSE_TAG,
     ToolCall,
@@ -43,7 +42,7 @@ from .tags import (
     strip_tagged,
     tagged_bodies,
 )
-from .verbalize import Evidence, EvidenceCache, EvidenceKey
+from .verbalize import Evidence, EvidenceCache
 
 # Unused here, but perfbench/probes.py looks both names up on this module.
 from .verbalize import verbalize_item, verbalize_user  # noqa: F401
@@ -146,13 +145,13 @@ def session_evidence_call(user: str) -> ToolCall:
 
     It is what `ToolRunner.prefetch` starts before the session's agents ask.
     """
-    return ToolCall("UserCF", {TOOL_ARG_KEY["UserCF"]: user})
+    return ToolCall("UserCF", user)
 
 
 class ToolRunner:
-    """Executes UserCF/ItemCF calls against the evidence cache.
+    """Executes UserCF/ItemCF calls against the evidence cache, where each call is its own key.
 
-    A miss is filled by `fill`, an (EvidenceKey, Gateway) -> Evidence callable
+    A miss is filled by `fill`, a (ToolCall, Gateway) -> Evidence callable
     over the graph, through the gateway of the caller that missed (its
     session's handle); an anchor the graph does not know gets `MISS_FALLBACK`.
     A runner with no fill serves its cache alone, and a miss raises
@@ -167,15 +166,15 @@ class ToolRunner:
     """
 
     def __init__(self, cache: EvidenceCache,
-                 fill: Callable[[EvidenceKey, Gateway], Evidence] | None = None) -> None:
+                 fill: Callable[[ToolCall, Gateway], Evidence] | None = None) -> None:
         self.cache = cache
         self.fill = fill
         self._fills = EvidenceCache()
         self._lock = threading.Lock()
-        self._key_locks: dict[EvidenceKey, threading.Lock] = {}
+        self._key_locks: dict[ToolCall, threading.Lock] = {}
         self.prefetches_started = 0
         self.prefetches_failed = 0
-        self._unnamed: set[EvidenceKey] = set()  # prefetched keys no persisted session named
+        self._unnamed: set[ToolCall] = set()  # prefetched keys no persisted session named
 
     @property
     def prefetches_unnamed(self) -> int:
@@ -183,14 +182,13 @@ class ToolRunner:
 
     def run(self, call: ToolCall, gateway: Gateway) -> str:
         """The evidence text for `call`; a miss is filled through `gateway`."""
-        key = _evidence_key(call)
-        found = self.cache.lookup(key)
+        found = self.cache.lookup(call)
         if found is not None:
             return found.text
         if self.fill is None:
-            raise PipelineError(f"no cached {key.tool} evidence for {key.anchor!r}, and no graph to fill it")
+            raise PipelineError(f"no cached {call.name} evidence for {call.anchor!r}, and no graph to fill it")
         try:
-            return self._fill(key, gateway).text
+            return self._fill(call, gateway).text
         except (UnknownItem, UnknownUser):  # the anchor is not in the graph; nothing was sent
             return MISS_FALLBACK
 
@@ -207,13 +205,12 @@ class ToolRunner:
         asks for the key fills it itself.
         """
         call = session_evidence_call(user)
-        key = _evidence_key(call)
         with self._lock:
             start = gateway.config.max_parallel > 1 and not (
-                self.cache.lookup(key) or self._fills.lookup(key) or self._key_lock(key).locked())
+                self.cache.lookup(call) or self._fills.lookup(call) or self._key_lock(call).locked())
             if start:
                 self.prefetches_started += 1
-                self._unnamed.add(key)
+                self._unnamed.add(call)
         if not start:
             yield
             return
@@ -224,8 +221,8 @@ class ToolRunner:
             except Exception as exc:
                 with self._lock:
                     self.prefetches_failed += 1
-                logger.warning("user %s: prefetch of %s(%s) failed: %s", user, key.tool,
-                               key.anchor, exc)
+                logger.warning("user %s: prefetch of %s(%s) failed: %s", user, call.name,
+                               call.anchor, exc)
 
         thread = threading.Thread(target=fetch, name=f"prefetch-{user}")
         thread.start()
@@ -245,17 +242,16 @@ class ToolRunner:
         with self._lock:
             for record in log.phases:
                 for call, _result in record.tool_events:
-                    key = _evidence_key(call)
-                    self._unnamed.discard(key)
-                    evidence = self._fills.lookup(key)
-                    if evidence is not None and self.cache.lookup(key) is None:
+                    self._unnamed.discard(call)
+                    evidence = self._fills.lookup(call)
+                    if evidence is not None and self.cache.lookup(call) is None:
                         self.cache.put(evidence)
 
-    def _key_lock(self, key: EvidenceKey) -> threading.Lock:
+    def _key_lock(self, key: ToolCall) -> threading.Lock:
         """The one lock of `key`; the caller holds `_lock`."""
         return self._key_locks.setdefault(key, threading.Lock())
 
-    def _fill(self, key: EvidenceKey, gateway: Gateway) -> Evidence:
+    def _fill(self, key: ToolCall, gateway: Gateway) -> Evidence:
         with self._lock:
             key_lock = self._key_lock(key)
         with key_lock:
@@ -264,10 +260,6 @@ class ToolRunner:
                 evidence = self.fill(key, gateway)
                 self._fills.put(evidence)
             return evidence
-
-
-def _evidence_key(call: ToolCall) -> EvidenceKey:
-    return EvidenceKey(tool=call.name, anchor=call.arguments[TOOL_ARG_KEY[call.name]])
 
 
 def build_context(

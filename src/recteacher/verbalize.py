@@ -25,7 +25,7 @@ from .graph import (
     neighbor_item_pool,
 )
 from . import prompts
-from .tags import ANSWER_TAG, RECOGNIZED_TOOLS, reply_body
+from .tags import ANSWER_TAG, RECOGNIZED_TOOLS, ToolCall, reply_body
 from .util import decode_jsonl, dump_json_line
 
 # Deterministic evidence for anchors with no collaborative signal; no gateway call.
@@ -33,25 +33,15 @@ FALLBACK_NO_NEIGHBORS = "no collaborative neighbors found"
 
 
 @dataclass(frozen=True)
-class EvidenceKey:
-    tool: str
-    anchor: str
-
-    def __post_init__(self) -> None:
-        if self.tool not in RECOGNIZED_TOOLS:
-            raise ValueError(f"unknown tool {self.tool!r}")
-
-
-@dataclass(frozen=True)
 class Evidence:
-    key: EvidenceKey
+    key: ToolCall
     text: str
     source_neighbors: tuple[str, ...]
     created_at: int = 0
 
 
 class EvidenceCache:
-    """At most one Evidence per key; optionally persisted one record per line.
+    """At most one Evidence per key, the ToolCall it answers; optionally persisted one record per line.
 
     `put` adds an entry and, when the cache has a path, appends it to the file
     at once, so keys verbalized before a partial failure survive it.
@@ -59,13 +49,13 @@ class EvidenceCache:
 
     def __init__(self, path: Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
-        self._entries: dict[EvidenceKey, Evidence] = {}
+        self._entries: dict[ToolCall, Evidence] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, key: EvidenceKey) -> Evidence | None:
+    def lookup(self, key: ToolCall) -> Evidence | None:
         return self._entries.get(key)
 
     def put(self, evidence: Evidence) -> None:
@@ -74,7 +64,7 @@ class EvidenceCache:
             if self.path is None:
                 return
             record = {
-                "tool": evidence.key.tool,
+                "tool": evidence.key.name,
                 "anchor": evidence.key.anchor,
                 "created_at": evidence.created_at,
                 "neighbors": list(evidence.source_neighbors),
@@ -99,14 +89,15 @@ def _decode_evidence(record: dict) -> Evidence:
 
     Anchor and neighbours follow the id rule (`require_id`), which hands back
     each id's one interned string; a known tool name becomes its
-    `RECOGNIZED_TOOLS` entry, so each name is one string too, and `EvidenceKey`
-    rejects any other tool.
+    `RECOGNIZED_TOOLS` entry, so each name is one string too.
     """
     missing = [name for name in ("tool", "anchor", "text") if name not in record]
     if missing:
         raise ValueError(f"missing {', '.join(missing)}")
-    tool = next((name for name in RECOGNIZED_TOOLS if name == record["tool"]), record["tool"])
-    key = EvidenceKey(tool=tool, anchor=require_id(record["anchor"], "anchor"))
+    tool = next((name for name in RECOGNIZED_TOOLS if name == record["tool"]), None)
+    if tool is None:
+        raise ValueError(f"unknown tool {record['tool']!r}")
+    key = ToolCall(tool, require_id(record["anchor"], "anchor"))
     text, neighbors = record["text"], record.get("neighbors", [])
     created_at = record.get("created_at", 0)
     if not isinstance(text, str):
@@ -119,12 +110,12 @@ def _decode_evidence(record: dict) -> Evidence:
                     source_neighbors=tuple(require_id(n, "neighbor") for n in neighbors))
 
 
-def _fallback(key: EvidenceKey) -> Evidence:
+def _fallback(key: ToolCall) -> Evidence:
     return Evidence(key=key, text=FALLBACK_NO_NEIGHBORS, source_neighbors=())
 
 
 def _verbalize(
-    key: EvidenceKey,
+    key: ToolCall,
     neighbors: Sequence[str],
     items: Mapping[str, ItemMeta],
     gateway: Gateway,
@@ -140,9 +131,9 @@ def _verbalize(
         neighbor_block="\n".join(f"{index}. {line}" for index, line in enumerate(lines, start=1)),
         extra_keys=sorted(keys),
     )
-    reply = gateway.complete(chat_request([("system", system), ("user", user_text)],
-                                          origin=Origin(key.tool, key.anchor)))
-    body = reply_body(reply.content, ANSWER_TAG, f"{key.tool} evidence for {key.anchor!r}")
+    messages = [{"role": "system", "content": system}, {"role": "user", "content": user_text}]
+    reply = gateway.complete(chat_request(messages, Origin(key.name, key.anchor)))
+    body = reply_body(reply.content, ANSWER_TAG, f"{key.name} evidence for {key.anchor!r}")
     return Evidence(key=key, text=body, source_neighbors=tuple(neighbors))
 
 
@@ -155,7 +146,7 @@ def verbalize_item(
     domain: str = prompts.DEFAULT_DOMAIN,
 ) -> Evidence:
     """Evidence for an item from its ItemCF neighbors."""
-    key = EvidenceKey(tool="ItemCF", anchor=anchor)
+    key = ToolCall("ItemCF", anchor)
     neighbors = [item for item, _ in item_cf_neighbors(graph, anchor, k=k)]
     if not neighbors:
         return _fallback(key)
@@ -174,7 +165,7 @@ def verbalize_user(
     domain: str = prompts.DEFAULT_DOMAIN,
 ) -> Evidence:
     """Evidence for a user from the items their UserCF neighbors touched."""
-    key = EvidenceKey(tool="UserCF", anchor=anchor)
+    key = ToolCall("UserCF", anchor)
     pool = neighbor_item_pool(graph, anchor, k_users=k)
     if not pool:
         return _fallback(key)
@@ -186,20 +177,20 @@ def verbalize_user(
 def verbalize_key(
     graph: InteractionGraph,
     catalog: Catalog,
-    key: EvidenceKey,
+    key: ToolCall,
     gateway: Gateway,
     k: int = DEFAULT_NEIGHBOR_K,
     domain: str = prompts.DEFAULT_DOMAIN,
 ) -> Evidence:
     """Verbalize one cache key with the verbalizer of its tool."""
-    if key.tool == "ItemCF":
+    if key.name == "ItemCF":
         return verbalize_item(graph, catalog.items, key.anchor, gateway, k=k, domain=domain)
     return verbalize_user(graph, catalog.users, catalog.items, key.anchor, gateway, k=k, domain=domain)
 
 
-def all_keys(graph: InteractionGraph) -> list[EvidenceKey]:
-    keys = [EvidenceKey("ItemCF", item) for item in sorted(graph.item_adj)]
-    keys.extend(EvidenceKey("UserCF", user) for user in sorted(graph.user_adj))
+def all_keys(graph: InteractionGraph) -> list[ToolCall]:
+    keys = [ToolCall("ItemCF", item) for item in sorted(graph.item_adj)]
+    keys.extend(ToolCall("UserCF", user) for user in sorted(graph.user_adj))
     return keys
 
 
@@ -210,7 +201,7 @@ def warm_cache(
     cache: EvidenceCache,
     k: int = DEFAULT_NEIGHBOR_K,
     domain: str = prompts.DEFAULT_DOMAIN,
-) -> list[tuple[EvidenceKey, Exception]]:
+) -> list[tuple[ToolCall, Exception]]:
     """Verbalize every graph key not already cached; return the failed keys and their errors.
 
     Gateway calls run with the gateway's own parallelism bound; results are
@@ -218,13 +209,13 @@ def warm_cache(
     """
     pending = [key for key in all_keys(graph) if cache.lookup(key) is None]
 
-    def attempt(key: EvidenceKey) -> Evidence | Exception:
+    def attempt(key: ToolCall) -> Evidence | Exception:
         try:
             return verbalize_key(graph, catalog, key, gateway, k=k, domain=domain)
         except Exception as exc:
             return exc
 
-    failed: list[tuple[EvidenceKey, Exception]] = []
+    failed: list[tuple[ToolCall, Exception]] = []
     with ThreadPoolExecutor(gateway.config.max_parallel) as pool:
         for key, result in zip(pending, pool.map(attempt, pending)):
             if isinstance(result, Exception):

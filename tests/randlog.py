@@ -40,9 +40,9 @@ def rand_tool_events(rng: random.Random, user: str) -> tuple[tuple[ToolCall, str
     events = []
     for _ in range(rng.randint(0, 2)):
         if rng.random() < 0.5:
-            call = ToolCall("UserCF", {"user_id": user})
+            call = ToolCall("UserCF", user)
         else:
-            call = ToolCall("ItemCF", {"item_id": f"i{rng.randint(1, 400):03d}"})
+            call = ToolCall("ItemCF", f"i{rng.randint(1, 400):03d}")
         result = " ".join(rng.choice(WORDS) for _ in range(rng.randint(1, 8)))
         events.append((call, result))
     return tuple(events)

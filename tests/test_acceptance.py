@@ -35,6 +35,7 @@ from recteacher.corpus import load_corpus
 from recteacher.gateway import Gateway, GatewayConfig, HttpBackend, ScriptBackend
 from recteacher.oracle import OracleBackend
 from recteacher.graph import item_cf_neighbors, neighbor_item_pool, user_cf_neighbors
+from recteacher.tags import ToolCall
 from recteacher.rewards import (
     Bucket,
     bucket,
@@ -47,7 +48,7 @@ from recteacher.teacher import SessionLog, TeacherConfig, TeacherContext, ToolRu
 from recteacher import prompts
 from recteacher.trajectory import outcome_filter, parse, serialize
 from recteacher.util import read_jsonl
-from recteacher.verbalize import Evidence, EvidenceCache, EvidenceKey
+from recteacher.verbalize import Evidence, EvidenceCache
 
 from cfref import brute_item_neighbors, brute_pool, brute_user_neighbors, random_graph
 from conftest import criterion
@@ -349,7 +350,7 @@ def smoke_session(gateway: Gateway) -> SessionLog:
     )
     context = TeacherContext(user="u1", candidates=SMOKE_CANDIDATES, prompt=prompt)
     cache = EvidenceCache()
-    cache.put(Evidence(EvidenceKey("UserCF", "u1"),
+    cache.put(Evidence(ToolCall("UserCF", "u1"),
                        "similar readers favor long character arcs", (), 0))
     return run_teacher(context, TeacherConfig(), gateway, ToolRunner(cache))
 

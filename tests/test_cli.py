@@ -124,17 +124,28 @@ def test_http_backend_requires_endpoint(pipeline, tmp_path, capsys):
     assert "endpoint" in captured.err
 
 
-@pytest.mark.parametrize("argv, error", [
-    (["run-teacher", "--backend", "http", "--fail-reflection"],
+@pytest.mark.parametrize("argv, script, error", [
+    (["run-teacher", "--backend", "http", "--fail-reflection"], None,
      "--fail-reflection requires --backend mock without --script"),
-    (["verbalize", "--script", "replies.json"], "--script requires --backend mock"),
-    (["verbalize", "--backend", "http"], "http backend needs an endpoint"),
-], ids=["run-teacher-fail-reflection", "verbalize-script", "verbalize-endpoint"])
-def test_backend_flags_are_checked_before_any_load(pipeline, tmp_path, capsys, caplog, argv, error):
-    # the script file does not exist: a flag mistake must fail before it is read
+    (["verbalize", "--script", "replies.json"], None, "--script requires --backend mock"),
+    (["verbalize", "--backend", "http"], None, "http backend needs an endpoint"),
+    (["run-teacher", "--backend", "mock"], '["a reply", 5]',
+     "script file {script!r} must be a JSON array of reply strings"),
+    (["verbalize", "--backend", "mock"], "[not json", "script file {script!r} is not valid JSON: "),
+], ids=["run-teacher-fail-reflection", "verbalize-script", "verbalize-endpoint",
+        "run-teacher-bad-script", "verbalize-bad-script"])
+def test_backend_flags_are_checked_before_any_load(pipeline, tmp_path, tmp_path_factory, capsys, caplog,
+                                                   argv, script, error):
+    # a script given as text is written outside tmp_path, and is read and rejected before any
+    # input; the script file of a flag mistake does not exist, so it must fail before that read
     inputs = ["--corpus", str(pipeline["corpus"]), "--graph", str(pipeline["graph"])]
     if argv[0] == "run-teacher":
         inputs += ["--cache", str(pipeline["cache"]), "--instances", str(pipeline["instances"])]
+    if script is not None:
+        path = tmp_path_factory.mktemp("script") / "replies.json"
+        path.write_text(script, encoding="utf-8")
+        inputs += ["--script", str(path)]
+        error = error.format(script=str(path))
     with caplog.at_level(logging.INFO, logger="recteacher"):
         code = main([*argv, *inputs, "--out", str(tmp_path / "out.jsonl")])
     error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
@@ -830,9 +841,12 @@ ROLLOUTS = [{"id": "r1", "success_count": 3}, {"id": "r2", "success_count": 5}]
     ("score-rewards", "--trajectories", "sessions", with_value("id", None)),
     ("filter", "--sessions", "sessions", with_value("prompt", None)),
     ("evaluate", "--sessions", "sessions", with_value("final_ranking", [1])),
+    ("filter", "--sessions", "sessions", with_value("user", 5)),
+    ("filter", "--sessions", "sessions", with_value("user", None)),
 ], ids=["run-teacher-instances", "evaluate-instances", "score-rewards-instances", "filter-sessions",
         "evaluate-sessions", "score-rewards-sessions", "export-sft-kept", "bucket-rl-rollouts",
-        "run-teacher-graph", "score-rewards-null-id", "filter-null-prompt", "evaluate-ranking-entry"])
+        "run-teacher-graph", "score-rewards-null-id", "filter-null-prompt", "evaluate-ranking-entry",
+        "filter-bad-user", "filter-null-user"])
 def test_every_reader_names_the_file_and_line_of_a_bad_record(pipeline, tmp_path, capsys,
                                                               command, flag, source, change):
     records = ROLLOUTS if source == "rollouts" else records_of(pipeline[source])

@@ -27,7 +27,8 @@ from recteacher.teacher import (
     ToolRunner,
     run_teacher,
 )
-from recteacher.verbalize import Evidence, EvidenceCache, EvidenceKey
+from recteacher.tags import ToolCall
+from recteacher.verbalize import Evidence, EvidenceCache
 
 from test_toy_digests import DIGESTS
 
@@ -149,7 +150,7 @@ def scripted_session(width, script=origin_script):
     prompt = "# User Information\n> user_id: User's unique identifier. (Value: u7)"
     context = TeacherContext(user="u7", candidates=("c1", "c2", "c3", "c4"), prompt=prompt)
     cache = EvidenceCache()
-    cache.put(Evidence(EvidenceKey("UserCF", "u7"), "neighbors liked c4", ()))
+    cache.put(Evidence(ToolCall("UserCF", "u7"), "neighbors liked c4", ()))
     backend = ScriptBackend([script] * 32)
     gateway = Gateway(backend, GatewayConfig(max_parallel=width), sleep=lambda s: None)
     return run_teacher(context, TeacherConfig(), gateway, ToolRunner(cache))

@@ -401,7 +401,7 @@ def test_a_failed_fill_reaches_only_the_caller_that_sent_it():
         failures, texts = 0, {}
         for anchor in order:
             try:
-                texts[anchor] = runner.run(ToolCall("ItemCF", {"item_id": anchor}), gateway)
+                texts[anchor] = runner.run(ToolCall("ItemCF", anchor), gateway)
             except GatewayError:
                 failures += 1
         return failures, texts

@@ -26,7 +26,7 @@ import recteacher.verbalize
 from recteacher.cli import main
 from recteacher.corpus import Corpus, ItemMeta, UserMeta
 from recteacher.gateway import Gateway, GatewayConfig, ScriptBackend
-from recteacher.verbalize import EvidenceKey
+from recteacher.tags import ToolCall
 
 from cfref import make_graph
 from conftest import REPO_ROOT
@@ -81,7 +81,7 @@ def test_probes_install_record_and_restore():
             sequences={},
         )
         gateway = Gateway(ScriptBackend(["<Answer>\nx and y\n</Answer>"] * 2), GatewayConfig())
-        for key in (EvidenceKey("ItemCF", "x"), EvidenceKey("UserCF", "B")):
+        for key in (ToolCall("ItemCF", "x"), ToolCall("UserCF", "B")):
             recteacher.verbalize.verbalize_key(graph, corpus, key, gateway)
         names = {span.name for span in tracer.spans}
         assert {"verbalize.verbalize_item", "verbalize.verbalize_user", "gateway.complete",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from recteacher.errors import ReplyParseError, ToolParseError
+from recteacher.errors import ReplyParseError, ToolArgumentError, ToolParseError
 from recteacher.tags import (
     ToolCall,
     decode_json_stream,
@@ -49,7 +49,7 @@ def test_decode_json_stream():
 
 def test_decode_tool_call_accepts_object_and_string_arguments():
     call = decode_tool_call({"name": "UserCF", "arguments": {"user_id": "u1"}})
-    assert call == ToolCall("UserCF", {"user_id": "u1"})
+    assert call == ToolCall("UserCF", "u1")
     call = decode_tool_call({"name": "ItemCF", "arguments": '{"item_id": "i9"}'})
     assert call.arguments == {"item_id": "i9"}
     # integer ids coerce to strings
@@ -72,6 +72,18 @@ def test_decode_tool_call_rejections():
             decode_tool_call(value)
 
 
+def test_decode_tool_call_argument_validation():
+    with pytest.raises(ToolArgumentError, match=r"UserCF takes exactly one argument 'user_id', got \['item_id'\]"):
+        decode_tool_call({"name": "UserCF", "arguments": {"item_id": "x"}})
+    with pytest.raises(ToolArgumentError,
+                       match=r"ItemCF takes exactly one argument 'item_id', got \['item_id', 'k'\]"):
+        decode_tool_call({"name": "ItemCF", "arguments": {"item_id": "x", "k": "3"}})
+    with pytest.raises(ToolParseError, match="unknown tool name 'MatrixFactorization'"):
+        decode_tool_call({"name": "MatrixFactorization", "arguments": {"user_id": "x"}})
+    with pytest.raises(ToolParseError, match="unknown tool name 'MatrixFactorization'"):
+        ToolCall("MatrixFactorization", "x")
+
+
 def test_decode_tool_calls_stream():
     body = '{"name": "UserCF", "arguments": {"user_id": "u1"}}\n{"name": "ItemCF", "arguments": {"item_id": "i2"}}'
     calls = decode_tool_calls(body)
@@ -83,7 +95,7 @@ def test_decode_tool_calls_stream():
 
 
 def test_encode_decode_round_trip():
-    call = ToolCall("UserCF", {"user_id": "u7"})
+    call = ToolCall("UserCF", "u7")
     encoded = encode_tool_call(call)
     assert decode_tool_calls(encoded) == [call]
     response = encode_tool_response('line one\n"quoted"')

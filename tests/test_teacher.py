@@ -19,14 +19,12 @@ from recteacher.errors import (
     PipelineError,
     ReplyParseError,
     SessionError,
-    ToolArgumentError,
-    ToolParseError,
 )
 from recteacher.evaluate import EvalInstance
 from recteacher.gateway import ChatReply, Gateway, GatewayConfig, ScriptBackend
 from recteacher.graph import build_graph
 from recteacher.oracle import OracleBackend
-from recteacher.tags import ToolCall, tagged_bodies
+from recteacher.tags import ToolCall, decode_tool_calls, tagged_bodies
 from recteacher.teacher import (
     KIND_PHASE,
     KIND_TAG,
@@ -52,7 +50,7 @@ from recteacher import prompts
 from recteacher.rewards import format_reward
 from recteacher.trajectory import parse, serialize
 from recteacher.util import read_jsonl
-from recteacher.verbalize import Evidence, EvidenceCache, EvidenceKey, verbalize_key
+from recteacher.verbalize import Evidence, EvidenceCache, verbalize_key
 
 CACHED_TEXT = "cached neighbor preferences"
 
@@ -60,7 +58,7 @@ CACHED_TEXT = "cached neighbor preferences"
 def make_cache(*anchors):
     cache = EvidenceCache()
     for tool, anchor in anchors:
-        cache.put(Evidence(EvidenceKey(tool, anchor), CACHED_TEXT, (), 0))
+        cache.put(Evidence(ToolCall(tool, anchor), CACHED_TEXT, (), 0))
     return cache
 
 
@@ -96,23 +94,22 @@ def idle_gateway():
 
 def test_tool_runner_cache_hit():
     runner = ToolRunner(make_cache(("UserCF", "u1")))
-    assert runner.run(ToolCall("UserCF", {"user_id": "u1"}), idle_gateway()) == CACHED_TEXT
+    assert runner.run(ToolCall("UserCF", "u1"), idle_gateway()) == CACHED_TEXT
 
 
 def test_tool_runner_miss_without_a_graph_is_an_error():
     runner = ToolRunner(make_cache())
     with pytest.raises(PipelineError, match="no cached ItemCF evidence for 'nowhere', and no graph"):
-        runner.run(ToolCall("ItemCF", {"item_id": "nowhere"}), idle_gateway())
+        runner.run(ToolCall("ItemCF", "nowhere"), idle_gateway())
 
 
-def test_tool_runner_argument_validation():
-    runner, gateway = ToolRunner(make_cache()), idle_gateway()
-    with pytest.raises(ToolArgumentError):
-        runner.run(ToolCall("UserCF", {"item_id": "x"}), gateway)
-    with pytest.raises(ToolArgumentError):
-        runner.run(ToolCall("ItemCF", {"item_id": "x", "k": "3"}), gateway)
-    with pytest.raises(ToolParseError):
-        runner.run(ToolCall("MatrixFactorization", {"user_id": "x"}), gateway)
+def test_a_decoded_call_is_its_evidence_key():
+    reply = "Looking up the user.\n" + tool_call("UserCF", user_id="u1")
+    (call,) = decode_tool_calls(tagged_bodies(reply, "tool_call")[0])
+    assert call == ToolCall("UserCF", "u1")
+    assert hash(call) == hash(ToolCall("UserCF", "u1"))
+    cache = make_cache(("UserCF", "u1"), ("ItemCF", "u1"))
+    assert cache.lookup(call) == Evidence(ToolCall("UserCF", "u1"), CACHED_TEXT, (), 0)
 
 
 def small_corpus():
@@ -135,14 +132,14 @@ def test_tool_runner_on_demand_verbalizes_and_caches():
     corpus = small_corpus()
     backend, gateway = scripted_gateway("here it is\n<Answer>fresh evidence about x</Answer>")
     runner = ToolRunner(make_cache(), filler(corpus))
-    call = ToolCall("ItemCF", {"item_id": "x"})
+    call = ToolCall("ItemCF", "x")
     assert runner.run(call, gateway) == "fresh evidence about x"
     assert backend.sends == 1
     assert runner.run(call, gateway) == "fresh evidence about x"  # second hit served from cache
     assert backend.sends == 1
     # anchors outside the graph still fall back without a gateway call
-    assert runner.run(ToolCall("ItemCF", {"item_id": "zz"}), gateway) == MISS_FALLBACK
-    assert runner.run(ToolCall("UserCF", {"user_id": "nobody"}), gateway) == MISS_FALLBACK
+    assert runner.run(ToolCall("ItemCF", "zz"), gateway) == MISS_FALLBACK
+    assert runner.run(ToolCall("UserCF", "nobody"), gateway) == MISS_FALLBACK
     assert backend.sends == 1
 
 
@@ -175,7 +172,7 @@ def test_tool_runner_fills_a_shared_miss_once(tmp_path):
     gateway = Gateway(backend, GatewayConfig(max_parallel=2), sleep=lambda s: None)
     path = tmp_path / "cache.jsonl"
     runner = ToolRunner(MissRecordingCache(path=path), filler(corpus))
-    call = ToolCall("ItemCF", {"item_id": "x"})
+    call = ToolCall("ItemCF", "x")
     with ThreadPoolExecutor(max_workers=2) as pool:
         futures = [pool.submit(runner.run, call, gateway) for _ in range(2)]
         texts = [future.result(timeout=10) for future in futures]
@@ -184,7 +181,7 @@ def test_tool_runner_fills_a_shared_miss_once(tmp_path):
     assert len(missed) == 2
     assert not path.exists()  # served from memory, not yet written
 
-    runner.persist(session_with(call, ToolCall("ItemCF", {"item_id": "zz"}), call))
+    runner.persist(session_with(call, ToolCall("ItemCF", "zz"), call))
     runner.persist(session_with(call))
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["anchor"] for line in lines] == ["x"]
@@ -193,21 +190,21 @@ def test_tool_runner_fills_a_shared_miss_once(tmp_path):
 def test_tool_runner_writes_each_named_fill_once_in_named_order(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = EvidenceCache(path)
-    cache.put(Evidence(EvidenceKey("ItemCF", "w"), "about w", (), 0))
+    cache.put(Evidence(ToolCall("ItemCF", "w"), "about w", (), 0))
     runner = ToolRunner(cache, lambda key, _gateway: Evidence(key, f"about {key.anchor}", ("z",), 0))
-    x, a = ToolCall("ItemCF", {"item_id": "x"}), ToolCall("UserCF", {"user_id": "A"})
+    x, a = ToolCall("ItemCF", "x"), ToolCall("UserCF", "A")
     assert runner.run(x, idle_gateway()) == "about x"
     assert runner.run(a, idle_gateway()) == "about A"
     # served before it is written
     assert [record["anchor"] for _, record in read_jsonl(path)] == ["w"]
 
     # unknown and already-written keys are skipped; each fill is written once
-    runner.persist(session_with(a, ToolCall("ItemCF", {"item_id": "nowhere"}),
-                                ToolCall("ItemCF", {"item_id": "w"}), a, x))
+    runner.persist(session_with(a, ToolCall("ItemCF", "nowhere"),
+                                ToolCall("ItemCF", "w"), a, x))
     runner.persist(session_with(x))
     assert [record["anchor"] for _, record in read_jsonl(path)] == ["w", "A", "x"]
-    assert (EvidenceCache.load(path).lookup(EvidenceKey("UserCF", "A"))
-            == Evidence(EvidenceKey("UserCF", "A"), "about A", ("z",), 0))
+    assert (EvidenceCache.load(path).lookup(ToolCall("UserCF", "A"))
+            == Evidence(ToolCall("UserCF", "A"), "about A", ("z",), 0))
 
 
 def test_tool_runner_concurrent_fills_match_a_serial_run(tmp_path):
@@ -220,8 +217,8 @@ def test_tool_runner_concurrent_fills_match_a_serial_run(tmp_path):
         sequences={u: [Interaction(u, item, t) for t, item in enumerate(rng.sample(items, 4))]
                    for u in users},
     )
-    calls = ([ToolCall("UserCF", {"user_id": u}) for u in users]
-             + [ToolCall("ItemCF", {"item_id": i}) for i in items])
+    calls = ([ToolCall("UserCF", u) for u in users]
+             + [ToolCall("ItemCF", i) for i in items])
 
     class SlowOracle(OracleBackend):
         def send(self, request):
@@ -265,7 +262,7 @@ def test_tool_runner_failed_fill_is_retried():
     corpus = small_corpus()
     backend, gateway = scripted_gateway("no envelope", "<Answer>second try</Answer>")
     runner = ToolRunner(make_cache(), filler(corpus))
-    call = ToolCall("ItemCF", {"item_id": "x"})
+    call = ToolCall("ItemCF", "x")
     with pytest.raises(ReplyParseError):
         runner.run(call, gateway)
     assert runner.run(call, gateway) == "second try"
@@ -331,7 +328,7 @@ def test_execute_subtask_tool_loop():
     assert record.kind is SubtaskKind.USER_PROFILE
     assert record.thinking == "Need evidence.\nGot it."
     assert record.payload == '["conclusion"]'
-    assert record.tool_events == ((ToolCall("UserCF", {"user_id": "u1"}), CACHED_TEXT),)
+    assert record.tool_events == ((ToolCall("UserCF", "u1"), CACHED_TEXT),)
 
     second = backend.requests[1].messages
     assert [m["role"] for m in second] == ["system", "user", "assistant", "tool"]
@@ -492,7 +489,7 @@ def test_rank_with_tool_loop():
     runner = ToolRunner(make_cache(("UserCF", "u1")))
     record, ranking = rank(make_context(), [], gateway, tools=runner)
     assert ranking == ["c3", "c2", "c1"]
-    assert record.tool_events == ((ToolCall("UserCF", {"user_id": "u1"}), CACHED_TEXT),)
+    assert record.tool_events == ((ToolCall("UserCF", "u1"), CACHED_TEXT),)
     assert backend.sends == 2
 
 
@@ -589,7 +586,7 @@ def test_a_ranker_reasked_after_a_tool_round_answers_no_more_tool_calls():
                          "content": _REASK_TEXT.format(reason="payload is not a list")}
     # the re-asked reply's <tool_call> goes unanswered: no fourth send, no second event
     assert backend.sends == 3
-    assert record.tool_events == ((ToolCall("UserCF", {"user_id": "u1"}), CACHED_TEXT),)
+    assert record.tool_events == ((ToolCall("UserCF", "u1"), CACHED_TEXT),)
     assert record.thinking == "Checking the anchor first.\nBy the neighbours."
     assert ranking == ["c2", "c1", "c3"]
 
@@ -611,7 +608,7 @@ def test_run_teacher_happy_session():
     assert log.final_ranking[0] == "c3"
     assert sorted(log.final_ranking) == sorted(log.candidates)
     for record in log.phases[1:5]:
-        assert record.tool_events == ((ToolCall("UserCF", {"user_id": "u7"}), CACHED_TEXT),)
+        assert record.tool_events == ((ToolCall("UserCF", "u7"), CACHED_TEXT),)
     assert json.loads(log.phases[0].payload) == [k.value for k in SubtaskKind]
 
 
@@ -848,7 +845,7 @@ def counting_filler():
     return fill, fills
 
 
-I9 = ToolCall("ItemCF", {"item_id": "i9"})
+I9 = ToolCall("ItemCF", "i9")
 
 
 def test_a_discarded_ranker_fills_the_cache_but_writes_nothing(tmp_path):
@@ -857,7 +854,7 @@ def test_a_discarded_ranker_fills_the_cache_but_writes_nothing(tmp_path):
     log, _ = two_agent_session(4, FAIL, tools=tools)
     tools.persist(log)
     assert tools.run(I9, idle_gateway()) == "filled i9"
-    assert fills == [EvidenceKey("ItemCF", "i9")]  # served from memory, not filled again
+    assert fills == [ToolCall("ItemCF", "i9")]  # served from memory, not filled again
     assert not log.phases[-1].tool_events
     assert not (tmp_path / "cache.jsonl").exists()
 
@@ -879,7 +876,7 @@ def test_a_discarded_rankers_fill_is_written_by_the_next_session_that_names_it(t
                       sleep=lambda s: None)
     later = run_teacher(make_context(), TeacherConfig(), gateway, tools)
     assert later.phases[-1].tool_events == ((I9, "filled i9"),)
-    assert fills == [EvidenceKey("ItemCF", "i9")]  # from memory, with no new fill
+    assert fills == [ToolCall("ItemCF", "i9")]  # from memory, with no new fill
     tools.persist(later)
     tools.persist(later)
     assert [record["anchor"] for _, record in read_jsonl(path)] == ["i9"]

@@ -198,8 +198,8 @@ def test_loaded_ids_are_the_catalogue_strings(artifacts):
     neighbors = [n for evidence in entries for n in evidence.source_neighbors]
     assert neighbors and all(n is item_ids[n] for n in neighbors)
     ids = {"ItemCF": item_ids, "UserCF": user_ids}
-    assert all(e.key.anchor is ids[e.key.tool][e.key.anchor] for e in entries)
-    assert len({id(e.key.tool) for e in entries}) <= 2
+    assert all(e.key.anchor is ids[e.key.name][e.key.anchor] for e in entries)
+    assert len({id(e.key.name) for e in entries}) <= 2
 
     known = next(iter(item_ids))
     fresh = "".join(list(known))

@@ -30,7 +30,7 @@ GOLDEN_LOG = SessionLog(
                     payload='["User_Profile_Summary", "Recent_Interest_Analysis"]'),
         PhaseRecord(phase=Phase.USER_PROFILE,
                     thinking="Check the neighborhood.",
-                    tool_events=((ToolCall("UserCF", {"user_id": "u1"}), "likes space opera"),),
+                    tool_events=((ToolCall("UserCF", "u1"), "likes space opera"),),
                     payload='["steady reader"]',
                     kind=SubtaskKind.USER_PROFILE),
         PhaseRecord(phase=Phase.RECENT, thinking="",
@@ -82,7 +82,7 @@ def test_parse_golden_round_trip():
     assert parsed.ranking == ("c2", "c3", "c1")
     profile = parsed.sections[1]
     assert profile.thinking == "Check the neighborhood."
-    assert profile.tool_events == ((ToolCall("UserCF", {"user_id": "u1"}), "likes space opera"),)
+    assert profile.tool_events == ((ToolCall("UserCF", "u1"), "likes space opera"),)
     assert profile.payload == '["steady reader"]'
     assert parsed.sections[2].thinking == ""
     assert parsed.sections[4].thinking == "Order by fit."

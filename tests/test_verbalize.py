@@ -11,12 +11,12 @@ import pytest
 from recteacher.corpus import Catalog, ItemMeta, UserMeta
 from recteacher.errors import MalformedRecord, ReplyParseError, UnknownItem, UnknownUser
 from recteacher.gateway import Gateway, GatewayConfig, ScriptBackend
+from recteacher.tags import ToolCall
 from recteacher.util import read_jsonl
 from recteacher.verbalize import (
     FALLBACK_NO_NEIGHBORS,
     Evidence,
     EvidenceCache,
-    EvidenceKey,
     all_keys,
     verbalize_item,
     verbalize_user,
@@ -52,27 +52,22 @@ def scripted_gateway(*replies, max_parallel=1):
     return backend, gateway
 
 
-def test_evidence_key_rejects_unknown_tool():
-    with pytest.raises(ValueError):
-        EvidenceKey(tool="MatrixFactorization", anchor="x")
-
-
 def test_cache_put_lookup_len_keys():
     cache = EvidenceCache()
-    key = EvidenceKey("ItemCF", "x")
+    key = ToolCall("ItemCF", "x")
     assert cache.lookup(key) is None
     evidence = Evidence(key=key, text="t", source_neighbors=("y",), created_at=7)
     cache.put(evidence)
     assert len(cache) == 1
     assert cache.lookup(key) is evidence
-    assert cache.lookup(EvidenceKey("UserCF", "x")) is None  # the key is the (tool, anchor) pair
+    assert cache.lookup(ToolCall("UserCF", "x")) is None  # the key is the (tool, anchor) pair
 
 
 def test_cache_persistence_round_trip(tmp_path):
     path = tmp_path / "evidence.jsonl"
     cache = EvidenceCache(path)
-    first = Evidence(EvidenceKey("ItemCF", "x"), "about x", ("y", "z"), 3)
-    second = Evidence(EvidenceKey("UserCF", "A"), "about A", ("z",), 4)
+    first = Evidence(ToolCall("ItemCF", "x"), "about x", ("y", "z"), 3)
+    second = Evidence(ToolCall("UserCF", "A"), "about A", ("z",), 4)
     cache.put(first)
     cache.put(second)
 
@@ -87,7 +82,7 @@ def test_cache_persistence_round_trip(tmp_path):
 def test_cache_load_last_record_wins(tmp_path):
     path = tmp_path / "evidence.jsonl"
     cache = EvidenceCache(path)
-    key = EvidenceKey("ItemCF", "x")
+    key = ToolCall("ItemCF", "x")
     cache.put(Evidence(key, "stale", (), 1))
     cache.put(Evidence(key, "fresh", ("y",), 2))
     loaded = EvidenceCache.load(path)
@@ -130,7 +125,7 @@ def test_cache_load_binds_a_missing_file_as_an_empty_cache(tmp_path):
     cache = EvidenceCache.load(path)
     assert len(cache) == 0
     assert not path.exists()
-    evidence = Evidence(EvidenceKey("ItemCF", "x"), "about x", ("y",), 0)
+    evidence = Evidence(ToolCall("ItemCF", "x"), "about x", ("y",), 0)
     cache.put(evidence)
     assert EvidenceCache.load(path).lookup(evidence.key) == evidence
 
@@ -138,7 +133,7 @@ def test_cache_load_binds_a_missing_file_as_an_empty_cache(tmp_path):
 def test_verbalize_item_happy_path():
     backend, gateway = scripted_gateway(answer("readers of x also like y and z"))
     evidence = verbalize_item(GRAPH, CATALOG.items, "x", gateway)
-    assert evidence.key == EvidenceKey("ItemCF", "x")
+    assert evidence.key == ToolCall("ItemCF", "x")
     assert evidence.text == "readers of x also like y and z"
     assert evidence.source_neighbors == ("y", "z")
     assert evidence.created_at == 0
@@ -182,7 +177,7 @@ def test_verbalize_item_unknown_anchor():
 def test_verbalize_user_happy_path():
     backend, gateway = scripted_gateway(answer("A would enjoy z"))
     evidence = verbalize_user(GRAPH, CATALOG.users, CATALOG.items, "A", gateway)
-    assert evidence.key == EvidenceKey("UserCF", "A")
+    assert evidence.key == ToolCall("UserCF", "A")
     assert evidence.text == "A would enjoy z"
     assert evidence.source_neighbors == ("z",)
 
@@ -208,10 +203,10 @@ def test_verbalize_user_no_pool_and_unknown():
 def test_all_keys_sorted_items_then_users():
     keys = all_keys(GRAPH)
     assert keys == [
-        EvidenceKey("ItemCF", "w"), EvidenceKey("ItemCF", "x"),
-        EvidenceKey("ItemCF", "y"), EvidenceKey("ItemCF", "z"),
-        EvidenceKey("UserCF", "A"), EvidenceKey("UserCF", "B"),
-        EvidenceKey("UserCF", "C"), EvidenceKey("UserCF", "D"),
+        ToolCall("ItemCF", "w"), ToolCall("ItemCF", "x"),
+        ToolCall("ItemCF", "y"), ToolCall("ItemCF", "z"),
+        ToolCall("UserCF", "A"), ToolCall("UserCF", "B"),
+        ToolCall("UserCF", "C"), ToolCall("UserCF", "D"),
     ]
 
 
@@ -273,7 +268,7 @@ def test_warm_cache_puts_in_key_order_when_calls_finish_out_of_order(tmp_path):
     records = [record for _, record in read_jsonl(path)]
     assert [record["anchor"] for record in records] == ["w", "x", "y", "z", "A", "B", "C", "D"]
     for anchor in "xyz":
-        assert cache.lookup(EvidenceKey("ItemCF", anchor)).text == f"about {anchor}"
+        assert cache.lookup(ToolCall("ItemCF", anchor)).text == f"about {anchor}"
 
 
 @pytest.mark.parametrize("width", [2, 3, 8])
@@ -298,10 +293,10 @@ def test_warm_cache_writes_the_same_file_at_any_width(tmp_path, width):
 def test_warm_cache_partial_precache():
     backend, gateway = scripted_gateway(*[answer("e")] * 5)
     cache = EvidenceCache()
-    cache.put(Evidence(EvidenceKey("ItemCF", "x"), "already", ("y", "z"), 0))
+    cache.put(Evidence(ToolCall("ItemCF", "x"), "already", ("y", "z"), 0))
     warm_cache(GRAPH, CATALOG, gateway, cache)
     assert backend.sends == 5
-    assert cache.lookup(EvidenceKey("ItemCF", "x")).text == "already"
+    assert cache.lookup(ToolCall("ItemCF", "x")).text == "already"
 
 
 def test_warm_cache_returns_failed_keys():
@@ -311,11 +306,11 @@ def test_warm_cache_returns_failed_keys():
     )
     cache = EvidenceCache()
     failures = warm_cache(GRAPH, CATALOG, gateway, cache)
-    assert [key for key, _ in failures] == [EvidenceKey("ItemCF", "y")]
+    assert [key for key, _ in failures] == [ToolCall("ItemCF", "y")]
     assert all(isinstance(exc, ReplyParseError) for _, exc in failures)
     # Every other key still landed despite the failure.
     assert len(cache) == 7
-    assert cache.lookup(EvidenceKey("ItemCF", "y")) is None
+    assert cache.lookup(ToolCall("ItemCF", "y")) is None
     assert backend.sends == 6
 
 
@@ -330,7 +325,7 @@ def test_warm_cache_side_by_side_keeps_key_order(tmp_path):
     path = tmp_path / "evidence.jsonl"
     cache = EvidenceCache(path)
     failures = warm_cache(GRAPH, CATALOG, gateway, cache)
-    assert [key for key, _ in failures] == [EvidenceKey("ItemCF", "y")]
+    assert [key for key, _ in failures] == [ToolCall("ItemCF", "y")]
     assert backend.sends == 6
     anchors = [record["anchor"] for _, record in read_jsonl(path)]
     assert anchors == ["w", "x", "z", "A", "B", "C", "D"]
