@@ -48,11 +48,11 @@ class ChatReply:
 class Origin:
     """Which agent sent a request: its role, its subject and the send's index within its turn.
 
-    The role is a teacher `Phase` (`(Phase.CORRECTION, kind)` on a correction pass),
-    the history summarizer or an evidence tool's verbalizer; the subject is a user or anchor id.
-    `turn` is 1 only on a ranker that ranks corrections too, at every
-    `--parallel`, so it never shares an origin with the early ranker (turn 0)
-    that a failing verdict discards.
+    The role is a teacher `Phase`, the history summarizer or an evidence
+    tool's verbalizer; the subject is a user or anchor id. `turn` is 1 on a
+    role's pass after a failing verdict: an analysis agent's correction, or
+    the ranker that ranks corrections too, at every `--parallel`, so it never
+    shares an origin with the early ranker (turn 0) that the verdict discards.
     """
 
     role: Hashable
@@ -171,19 +171,12 @@ class _RankedSlots:
                     self._free += 1
 
 
-# The rank of the root gateway's own sends (verbalize's): ahead of every
-# session. run-teacher sends only through session handles, every evidence fill
-# included, so a fill waits behind no younger session.
-UNSESSIONED = -1
-
-
 class Gateway:
     """Retry, backoff, and bounded parallelism around a backend.
 
     At most `config.max_parallel` sends are in flight. A freed slot goes to
     the waiting send of lowest rank, FIFO among equals: a handle from
-    `for_session(rank)` sends at that rank, the gateway itself at
-    `UNSESSIONED`, ahead of every session.
+    `for_session(rank)` sends at that rank, the gateway itself at 0.
     """
 
     def __init__(
@@ -196,7 +189,7 @@ class Gateway:
         self.config = config or GatewayConfig()
         self._sleep = sleep
         self._slots = _RankedSlots(self.config.max_parallel)
-        self._rank = UNSESSIONED
+        self._rank = 0
 
     def for_session(self, rank: int) -> Gateway:
         """A shallow copy that sends at `rank`, sharing the backend, config, sleep and slots.

@@ -16,11 +16,9 @@ from typing import Mapping
 from .abstract import SUMMARIZER
 from .gateway import ChatReply, ChatRequest
 from .tags import ToolCall, encode_tool_call
-from .teacher import KIND_PHASE, Phase, SubtaskKind
+from .teacher import PHASE_KIND, Phase, SubtaskKind
 
 _CANDIDATE_LINE = re.compile(r"^\d+\. item_id: (\S+)", re.MULTILINE)
-
-_PHASE_KIND = {phase: kind for kind, phase in KIND_PHASE.items()}
 
 _SUGGESTION = "reweigh interest divergence against the recent behavior signals"
 
@@ -62,10 +60,8 @@ class OracleBackend:
         role = origin.role if origin is not None else None
         if role is Phase.PLAN:
             return self._plan()
-        if role in _PHASE_KIND:
-            return self._subtask(_PHASE_KIND[role], origin.subject, origin.send)
-        if isinstance(role, tuple):  # a correction pass: (Phase.CORRECTION, kind)
-            return self._subtask(role[1], origin.subject, origin.send)
+        if role in PHASE_KIND:  # an analysis agent or its correction
+            return self._subtask(PHASE_KIND[role], origin.subject, origin.send)
         if role is Phase.REFLECTION:
             return self._reflect()
         if role is Phase.RECOMMEND:

@@ -73,16 +73,20 @@ class Phase(Enum):
     RECENT = "recent_analysis"
     DIVERGENCE = "interest_divergence"
     REFLECTION = "reflection"
-    CORRECTION = "correction"
     RECOMMEND = "recommend"
 
 
 # A subtask kind's phase shares its member name; the phase value is its serialization tag.
 KIND_PHASE: Mapping[SubtaskKind, Phase] = {kind: Phase[kind.name] for kind in SubtaskKind}
-KIND_TAG: Mapping[SubtaskKind, str] = {kind: phase.value for kind, phase in KIND_PHASE.items()}
+PHASE_KIND: Mapping[Phase, SubtaskKind] = {phase: kind for kind, phase in KIND_PHASE.items()}
 
-# A correction is serialized under its subtask's tag, so it has no section of its own.
-SECTION_TAGS = tuple(phase.value for phase in Phase if phase is not Phase.CORRECTION)
+
+def phase_name(phase: Phase, turn: int) -> str:
+    """What a session record and a SessionError call a pass: an analysis agent's turn 1 is its correction."""
+    return "correction" if turn and phase in PHASE_KIND else phase.value
+
+
+SECTION_TAGS = tuple(phase.value for phase in Phase)
 BLOCK_TAGS = (TOOL_CALL_TAG, TOOL_RESPONSE_TAG, JSON_TAG)
 
 # Any opener or closer of the trajectory grammar. The codec parses with it, and
@@ -92,12 +96,22 @@ GRAMMAR_TAG = re.compile("</?(?:" + "|".join(SECTION_TAGS + BLOCK_TAGS) + ")>")
 
 @dataclass(frozen=True)
 class PhaseRecord:
+    """One agent's accepted turn; its (phase, turn) is the origin role and turn of every send it made.
+
+    `turn` is 1 on a role's pass after a failing verdict: an analysis agent's
+    correction, or the ranker that ranks corrections too.
+    """
+
     phase: Phase
     thinking: str = ""
     tool_events: tuple[tuple[ToolCall, str], ...] = ()
     payload: str = ""
-    # set on subtask executions and corrections; None elsewhere
-    kind: SubtaskKind | None = None
+    turn: int = 0
+
+    @property
+    def kind(self) -> SubtaskKind | None:
+        """The analysis agent that ran this turn; None for the planner, reflector and ranker."""
+        return PHASE_KIND.get(self.phase)
 
 
 @dataclass(frozen=True)
@@ -366,11 +380,10 @@ def _ranking(ranking: Any) -> list[str]:
     return [str(item) for item in ranking]
 
 
-# Each role's reply contract: what its last <JSON> payload must decode to. A
-# correction is read as its analysis agent is, and its section carries that tag.
+# Each role's reply contract: what its last <JSON> payload must decode to.
 DECODERS: Mapping[Phase, Callable[[Any], Any]] = {
     Phase.PLAN: _plan_kinds,
-    **{phase: _conclusions for phase in (*KIND_PHASE.values(), Phase.CORRECTION)},
+    **{phase: _conclusions for phase in PHASE_KIND},
     Phase.REFLECTION: _verdict,
     Phase.RECOMMEND: _ranking,
 }
@@ -412,7 +425,6 @@ def _turn(
     gateway: Gateway,
     config: TeacherConfig,
     tools: ToolRunner | None = None,
-    kind: SubtaskKind | None = None,
     turn: int = 0,
 ) -> tuple[PhaseRecord, Any]:
     """One agent turn: one loop of sends, counted from 0, until a reply is accepted.
@@ -425,13 +437,13 @@ def _turn(
     names the reason. The record's thinking is that of the answered tool
     rounds and of the accepted reply: a rejected reply's thinking goes with
     its payload. Any failure, a gateway or tool error included, raises
-    SessionError naming `phase`. Every send's origin has the turn's role (the
-    phase, paired with the kind on a correction pass), the session's user, the
-    loop's send counter and `turn`.
+    SessionError naming the pass (`phase_name`). Every send's origin is
+    `Origin(phase, user, send, turn)`, with the loop's send counter, and the
+    record keeps `phase` and `turn`, so it names the origin of its sends.
     """
     messages = [{"role": "system", "content": system}, {"role": "user", "content": user_text}]
     rounds = config.max_tool_rounds if tools is not None else 1
-    origin = Origin((phase, kind) if phase is Phase.CORRECTION else phase, context.user, turn=turn)
+    origin = Origin(phase, context.user, turn=turn)
     thinking: list[str] = []
     events: list[tuple[ToolCall, str]] = []
     reasked = False
@@ -460,10 +472,10 @@ def _turn(
                 messages.append({"role": "assistant", "content": content})
                 messages.append({"role": "user", "content": _REASK_TEXT.format(reason=exc)})
     except Exception as exc:
-        raise SessionError(phase.value, exc) from exc
+        raise SessionError(phase_name(phase, turn), exc) from exc
     thinking.append(_thinking(content))
     record = PhaseRecord(phase=phase, thinking="\n".join(part for part in thinking if part),
-                         tool_events=tuple(events), payload=payload, kind=kind)
+                         tool_events=tuple(events), payload=payload, turn=turn)
     return record, value
 
 
@@ -483,17 +495,16 @@ def execute_subtask(
     config: TeacherConfig = TeacherConfig(),
     suggestion: str | None = None,
 ) -> PhaseRecord:
-    """Run one analysis agent with its tool loop.
+    """Run one analysis agent with its tool loop, as its `KIND_PHASE` phase.
 
     A non-None suggestion marks a correction pass: it is appended to the
-    prompt and the resulting record carries phase=CORRECTION.
+    prompt, and the pass is the agent's turn 1.
     """
     user_text = context.prompt
     if suggestion is not None:
         user_text = f"{user_text}\n# Correction Suggestion\n{suggestion}"
-    phase = Phase.CORRECTION if suggestion is not None else KIND_PHASE[kind]
-    record, _ = _turn(phase, context, prompts.subtask_system(kind.value, config.domain),
-                      user_text, gateway, config, tools, kind=kind)
+    record, _ = _turn(KIND_PHASE[kind], context, prompts.subtask_system(kind.value, config.domain),
+                      user_text, gateway, config, tools, turn=int(suggestion is not None))
     return record
 
 
@@ -503,7 +514,7 @@ def _outputs_block(records: Sequence[PhaseRecord]) -> str:
         if record.kind is None:
             continue
         label = record.kind.value
-        if record.phase is Phase.CORRECTION:
+        if record.turn:
             label += " (corrected)"
         lines.append(f"## {label}")
         lines.append(f"<{JSON_TAG}>{record.payload}</{JSON_TAG}>")

@@ -28,7 +28,7 @@ from .tags import (
     encode_tool_call,
     encode_tool_response,
 )
-from .teacher import BLOCK_TAGS, GRAMMAR_TAG, KIND_TAG, SECTION_TAGS, Phase, SessionLog, decode_payload
+from .teacher import BLOCK_TAGS, GRAMMAR_TAG, PHASE_KIND, SECTION_TAGS, Phase, SessionLog, decode_payload
 from . import prompts
 from .util import write_jsonl_atomic
 
@@ -37,7 +37,7 @@ logger = logging.getLogger(__name__)
 _RECOMMEND = Phase.RECOMMEND.value
 
 # Sections whose bodies may carry tool_call/tool_response blocks.
-TOOL_SECTIONS = (*KIND_TAG.values(), _RECOMMEND)
+TOOL_SECTIONS = (*(phase.value for phase in PHASE_KIND), _RECOMMEND)
 
 # Numbered ranking entries: "1. id" lines or "1. a, 2. b" runs.
 _NUMBERED = re.compile(r"\d+\.[ \t]*([^,\n]+)")
@@ -70,11 +70,7 @@ def serialize(log: SessionLog) -> str:
     """Flatten a SessionLog into tagged text, phases in session order."""
     sections = []
     for record in log.phases:
-        if record.phase is Phase.CORRECTION:
-            assert record.kind is not None
-            tag = KIND_TAG[record.kind]
-        else:
-            tag = record.phase.value
+        tag = record.phase.value
         lines = [f"<{tag}>"]
         if record.thinking:
             lines.append(record.thinking)

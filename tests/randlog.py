@@ -71,7 +71,6 @@ def random_log(rng: random.Random) -> SessionLog:
                 rand_thinking(rng),
                 rand_tool_events(rng, user),
                 json.dumps([f"{kind.value} view of the {rng.choice(WORDS)}"]),
-                kind=kind,
             )
         )
 
@@ -91,11 +90,11 @@ def random_log(rng: random.Random) -> SessionLog:
     for kind in failing:
         phases.append(
             PhaseRecord(
-                Phase.CORRECTION,
+                KIND_PHASE[kind],
                 rand_thinking(rng),
                 rand_tool_events(rng, user),
                 json.dumps([f"revised {kind.value}"]),
-                kind=kind,
+                turn=1,
             )
         )
 
@@ -115,10 +114,7 @@ def expected_sections(log: SessionLog) -> list[tuple[str, str, str | None, tuple
     """(tag, thinking, payload, tool_events) per phase, as parse should see them."""
     rows = []
     for record in log.phases:
-        if record.phase is Phase.CORRECTION:
-            tag = KIND_PHASE[record.kind].value
-        else:
-            tag = record.phase.value
+        tag = record.phase.value
         if record.phase is Phase.RECOMMEND:
             payload = None
         else:

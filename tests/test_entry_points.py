@@ -1,0 +1,38 @@
+"""The two entry points outside the CLI's own tests: the toy-corpus generator and `python -m`.
+
+`tools/gen_toy_corpus.py` regenerates the bundled toy corpus byte for byte,
+and `python -m recteacher` runs the CLI. Both run in a subprocess from the
+repository root, with `src` on the import path.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+from conftest import REPO_ROOT, TOY_DIR
+
+
+def run(*argv):
+    """`python *argv` from the repository root, with `src` first on the import path."""
+    path = [str(REPO_ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, *argv], cwd=REPO_ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_the_generator_reproduces_the_bundled_toy_corpus(tmp_path):
+    done = run("tools/gen_toy_corpus.py", "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    names = sorted(path.name for path in TOY_DIR.glob("*.jsonl"))
+    assert names == ["items.jsonl", "reviews.jsonl", "users.jsonl"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (TOY_DIR / name).read_bytes(), name
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run("-m", "recteacher", "--help")
+    assert done.returncode == 0, done.stderr
+    assert "run-teacher" in done.stdout

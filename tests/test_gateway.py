@@ -190,8 +190,8 @@ def test_freed_slots_go_to_the_lowest_session_rank_then_in_arrival_order():
     holder.start()
     threads = [holder]
     wait_until(lambda: order == ["holder"])
-    # the last waiter belongs to no session, as an on-demand fill does
-    waiters = [(2, "2"), (0, "0"), (1, "1a"), (1, "1b"), (1, "1c"), (None, "fill")]
+    # the last waiter is the root gateway's own send, which goes at rank 0
+    waiters = [(2, "2"), (0, "0"), (1, "1a"), (1, "1b"), (1, "1c"), (None, "root")]
     for n, (rank, label) in enumerate(waiters):
         sender = gateway if rank is None else gateway.for_session(rank)
         thread = threading.Thread(target=sender.complete, args=(chat_request([("user", label)]),))
@@ -202,7 +202,7 @@ def test_freed_slots_go_to_the_lowest_session_rank_then_in_arrival_order():
     for thread in threads:
         thread.join(timeout=10)
     assert not any(thread.is_alive() for thread in threads)
-    assert order == ["holder", "fill", "0", "1a", "1b", "1c", "2"]
+    assert order == ["holder", "0", "root", "1a", "1b", "1c", "2"]
 
 
 def test_ranked_slots_bound_and_serve_every_caller_under_contention():

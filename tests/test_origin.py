@@ -20,6 +20,7 @@ from recteacher.gateway import Gateway, GatewayConfig, ScriptBackend
 from recteacher.oracle import OracleBackend
 from recteacher.teacher import (
     KIND_PHASE,
+    PHASE_KIND,
     Phase,
     SubtaskKind,
     TeacherConfig,
@@ -37,8 +38,6 @@ SYSTEM_TEMPLATES = (
     "reflector.txt", "ranker.txt", "history_summary.txt", "item_evidence_system.txt",
     "user_evidence_system.txt",
 )
-
-PHASE_KIND = {phase: kind for kind, phase in KIND_PHASE.items()}
 
 FLAGGED = (SubtaskKind.RECENT, SubtaskKind.DIVERGENCE)
 
@@ -112,30 +111,30 @@ def test_every_request_of_a_toy_session_has_its_own_origin(toy_files, tmp_path, 
     assert None not in origins
     assert len(set(origins)) == len(origins)
     roles = {origin.role for origin in origins}
-    assert {SUMMARIZER, "UserCF", Phase.PLAN, Phase.REFLECTION, Phase.RECOMMEND,
-            (Phase.CORRECTION, SubtaskKind.DIVERGENCE)} <= roles
+    assert {SUMMARIZER, "UserCF", Phase.PLAN, Phase.REFLECTION, Phase.RECOMMEND} <= roles
     assert set(KIND_PHASE.values()) <= roles
+    assert (Phase.DIVERGENCE, 1) in {(origin.role, origin.turn) for origin in origins}
     assert {origin.send for origin in origins if origin.role == SUMMARIZER} == {0, 1, 2}
 
 
-def role_name(role):
-    if isinstance(role, tuple):  # a correction pass
-        return f"{role[0].value} of {role[1].value}"
-    return role.value
+def role_name(origin):
+    if origin.role in PHASE_KIND and origin.turn:  # a correction pass
+        return f"correction of {PHASE_KIND[origin.role].value}"
+    return origin.role.value
 
 
 def origin_script(request, _index):
     """Replies chosen by origin alone; each reply's thinking names the origin it answers."""
     origin = request.origin
     role, user, send = origin.role, origin.subject, origin.send
-    thinking = f"Answering {role_name(role)} send {send} for {user}."
+    thinking = f"Answering {role_name(origin)} send {send} for {user}."
     if role is Phase.PLAN:
         payload = [kind.value for kind in SubtaskKind]
-    elif role in PHASE_KIND or isinstance(role, tuple):
+    elif role in PHASE_KIND:
         if send == 0:
             call = {"name": "UserCF", "arguments": {"user_id": user}}
             return f"{thinking}\n<tool_call>{json.dumps(call)}</tool_call>"
-        payload = [f"{role_name(role)} conclusion"]
+        payload = [f"{role_name(origin)} conclusion"]
     elif role is Phase.REFLECTION:
         payload = {"correct": "no", "problematic_agent": [
             {"agent_name": kind.value, "suggestion": f"revisit {kind.value}"} for kind in FLAGGED
@@ -158,29 +157,30 @@ def scripted_session(width, script=origin_script):
 
 def test_an_origin_keyed_script_gives_one_session_at_any_width():
     serial = scripted_session(1)
-    assert [record.phase for record in serial.phases] == [
-        Phase.PLAN, Phase.USER_PROFILE, Phase.HISTORICAL, Phase.RECENT, Phase.DIVERGENCE,
-        Phase.REFLECTION, Phase.CORRECTION, Phase.CORRECTION, Phase.RECOMMEND,
+    assert [(record.phase, record.turn) for record in serial.phases] == [
+        (Phase.PLAN, 0), (Phase.USER_PROFILE, 0), (Phase.HISTORICAL, 0), (Phase.RECENT, 0),
+        (Phase.DIVERGENCE, 0), (Phase.REFLECTION, 0), (Phase.RECENT, 1), (Phase.DIVERGENCE, 1),
+        (Phase.RECOMMEND, 1),
     ]
-    assert serial.phases[6].kind is SubtaskKind.RECENT
     assert serial.phases[6].payload == '["correction of Recent_Interest_Analysis conclusion"]'
     assert serial.final_ranking == ("c4", "c2", "c3", "c1")
     assert scripted_session(4) == serial
 
 
 @pytest.mark.parametrize("width", [1, 4])
-@pytest.mark.parametrize("role, send, phase", [
-    (Phase.HISTORICAL, 1, Phase.HISTORICAL),
-    (Phase.REFLECTION, 0, Phase.REFLECTION),
-    ((Phase.CORRECTION, SubtaskKind.DIVERGENCE), 1, Phase.CORRECTION),
+@pytest.mark.parametrize("role, send, turn, phase", [
+    (Phase.HISTORICAL, 1, 0, "historical_analysis"),
+    (Phase.REFLECTION, 0, 0, "reflection"),
+    (Phase.DIVERGENCE, 1, 1, "correction"),
 ], ids=["historical", "reflection", "correction"])
-def test_a_bad_reply_at_one_origin_fails_its_phase(role, send, phase, width):
+def test_a_bad_reply_at_one_origin_fails_its_phase(role, send, turn, phase, width):
     def script(request, index):
-        if (request.origin.role, request.origin.send) == (role, send):
+        origin = request.origin
+        if (origin.role, origin.send, origin.turn) == (role, send, turn):
             return "no structure here at all"
         return origin_script(request, index)
 
     with pytest.raises(SessionError) as excinfo:
         scripted_session(width, script)
-    assert excinfo.value.phase == phase.value
+    assert excinfo.value.phase == phase
     assert isinstance(excinfo.value.cause, ReplyParseError)

@@ -128,9 +128,7 @@ def is_evidence_of(origin, user):
 
 def origin_line(origin):
     role = origin.role
-    if isinstance(role, tuple):
-        role = f"{role[0].value}/{role[1].value}"
-    elif isinstance(role, Phase):
+    if isinstance(role, Phase):
         role = role.value
     return f"{role} {origin.subject} {origin.send} {origin.turn}"
 

@@ -27,8 +27,8 @@ from recteacher.oracle import OracleBackend
 from recteacher.tags import ToolCall, decode_tool_calls, tagged_bodies
 from recteacher.teacher import (
     KIND_PHASE,
-    KIND_TAG,
     MISS_FALLBACK,
+    PHASE_KIND,
     Phase,
     PhaseRecord,
     SessionLog,
@@ -396,8 +396,9 @@ def test_execute_subtask_suggestion_marks_correction():
         SubtaskKind.DIVERGENCE, make_context(), runner, gateway,
         suggestion="lean on the recent window",
     )
-    assert record.phase is Phase.CORRECTION
+    assert (record.phase, record.turn) == (Phase.DIVERGENCE, 1)
     assert record.kind is SubtaskKind.DIVERGENCE
+    assert backend.requests[0].origin.turn == 1
     prompt = backend.requests[0].messages[1]["content"]
     assert "# Correction Suggestion\nlean on the recent window" in prompt
 
@@ -407,8 +408,8 @@ def test_execute_subtask_suggestion_marks_correction():
 def test_reflect_pass_verdict():
     backend, gateway = scripted_gateway('All consistent.\n<JSON>{"correct": "yes"}</JSON>')
     outputs = [
-        PhaseRecord(phase=Phase.USER_PROFILE, payload='["p"]', kind=SubtaskKind.USER_PROFILE),
-        PhaseRecord(phase=Phase.CORRECTION, payload='["d"]', kind=SubtaskKind.DIVERGENCE),
+        PhaseRecord(phase=Phase.USER_PROFILE, payload='["p"]'),
+        PhaseRecord(phase=Phase.DIVERGENCE, payload='["d"]', turn=1),
     ]
     record, problems = reflect(make_context(), outputs, gateway)
     assert problems == ()
@@ -620,11 +621,10 @@ def test_run_teacher_failing_reflection_adds_one_correction():
 
     assert [p.phase for p in log.phases] == [
         Phase.PLAN, Phase.USER_PROFILE, Phase.HISTORICAL, Phase.RECENT,
-        Phase.DIVERGENCE, Phase.REFLECTION, Phase.CORRECTION, Phase.RECOMMEND,
+        Phase.DIVERGENCE, Phase.REFLECTION, Phase.DIVERGENCE, Phase.RECOMMEND,
     ]
     assert backend.sends == 13  # the correction costs two more calls
-    correction = log.phases[6]
-    assert correction.kind is SubtaskKind.DIVERGENCE
+    assert [p.turn for p in log.phases] == [0] * 6 + [1, 1]
     assert log.final_ranking[0] == "c1"
 
 
@@ -638,9 +638,6 @@ def test_run_teacher_wraps_phase_failures():
         run_teacher(make_context(), TeacherConfig(), gateway, runner)
     assert excinfo.value.phase == "user_profile"
     assert isinstance(excinfo.value.cause, ReplyParseError)
-
-
-PHASE_KIND = {phase: kind for kind, phase in KIND_PHASE.items()}
 
 
 def first_round_kind(request):
@@ -767,7 +764,7 @@ def two_agent_script(request, _index, verdict=PASS):
     role, send = origin.role, origin.send
     if role is Phase.PLAN:
         return f"<JSON>{json.dumps([kind.value for kind in PLANNED])}</JSON>"
-    if role in PHASE_KIND or isinstance(role, tuple):
+    if role in PHASE_KIND:
         return '<JSON>["a conclusion"]</JSON>'
     if role is Phase.REFLECTION:
         return f"<JSON>{verdict}</JSON>"
@@ -805,8 +802,8 @@ def test_a_plan_keeps_its_agents_in_plan_order_and_starts_no_other():
 
 def test_a_failing_verdict_discards_the_early_ranker_and_its_failure():
     early, early_origins = two_agent_session(4, FAIL)
-    assert [record.phase for record in early.phases][-3:] == [
-        Phase.REFLECTION, Phase.CORRECTION, Phase.RECOMMEND,
+    assert [(record.phase, record.turn) for record in early.phases][-3:] == [
+        (Phase.REFLECTION, 0), (Phase.HISTORICAL, 1), (Phase.RECOMMEND, 1),
     ]
     assert early.final_ranking == ("c3", "c1", "c2")
     serial, serial_origins = two_agent_session(1, FAIL)
@@ -989,17 +986,18 @@ def test_build_context_renders_prompt_and_folds_history():
 def trajectory_with(phase, payload):
     """A well-formed trajectory whose `phase` section carries `payload`; None leaves it without one.
 
-    An analysis phase takes the user-profile slot; a correction is a divergence section.
+    An analysis phase takes the user-profile slot; the correction after the
+    reflection is a divergence section.
     """
     sections = [(Phase.PLAN, '["User_Profile_Summary"]'), (Phase.USER_PROFILE, '["steady reader"]'),
-                (Phase.REFLECTION, '{"correct": "yes"}'), (Phase.CORRECTION, '["revised view"]'),
+                (Phase.REFLECTION, '{"correct": "yes"}'), (Phase.DIVERGENCE, '["revised view"]'),
                 (Phase.RECOMMEND, None)]
-    slot = Phase.USER_PROFILE if phase in KIND_PHASE.values() else phase
+    slot = Phase.USER_PROFILE if phase in PHASE_KIND else phase
     parts = []
     for section, body in sections:
         if section is slot:
             section, body = phase, payload
-        tag = KIND_TAG[SubtaskKind.DIVERGENCE] if section is Phase.CORRECTION else section.value
+        tag = section.value
         lines = [f"<{tag}>"]
         if body is not None:
             lines.append(f"<JSON>{body}</JSON>")
@@ -1043,28 +1041,29 @@ REPLIES = (
 )
 
 
-def turn_accepts(phase, reply):
+def turn_accepts(phase, turn, reply):
     """Whether an agent turn of `phase` accepts `reply`, given it on every send."""
     _, gateway = scripted_gateway(reply, reply)
-    kind = SubtaskKind.DIVERGENCE if phase is Phase.CORRECTION else None
     try:
-        _turn(phase, make_context(), "system", "user", gateway, TeacherConfig(), kind=kind)
+        _turn(phase, make_context(), "system", "user", gateway, TeacherConfig(), turn=turn)
     except SessionError as exc:
-        assert exc.phase == phase.value
+        assert exc.phase == ("correction" if turn else phase.value)
         assert isinstance(exc.cause, ReplyParseError)
         return False
     return True
 
 
-@pytest.mark.parametrize("phase", list(Phase), ids=lambda phase: phase.value)
-def test_the_turn_accepts_exactly_the_payloads_the_format_reward_passes(phase):
+# every role's first turn, and an analysis agent's correction (turn 1)
+@pytest.mark.parametrize("phase, turn", [*((phase, 0) for phase in Phase), (Phase.DIVERGENCE, 1)],
+                         ids=[*(phase.value for phase in Phase), "correction"])
+def test_the_turn_accepts_exactly_the_payloads_the_format_reward_passes(phase, turn):
     verdicts = set()
     for reply in REPLIES:
         payloads = tagged_bodies(reply, "JSON")
         payload = payloads[-1] if payloads else None
         if phase is Phase.RECOMMEND and payload is None:
             continue  # the ranking is serialized as a numbered list, so no payload is fine there
-        accepted = turn_accepts(phase, reply)
+        accepted = turn_accepts(phase, turn, reply)
         expected = format_reward(trajectory_with(phase, payload)) == 1
         if phase is Phase.RECOMMEND and expected:
             # the reward cannot see the candidates; the turn also asks that one be named

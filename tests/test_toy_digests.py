@@ -22,7 +22,7 @@ from recteacher.corpus import REVIEWS_FILE, load_catalog, require_id
 from recteacher.gateway import Origin
 from recteacher.graph import load_graph
 from recteacher.oracle import OracleBackend
-from recteacher.teacher import Phase, SubtaskKind
+from recteacher.teacher import Phase, run_teacher
 from recteacher.verbalize import EvidenceCache, all_keys
 
 DIGESTS = {
@@ -107,8 +107,8 @@ SERIAL_SESSION = [
     Origin(Phase.RECENT, "u001", 0), Origin(Phase.RECENT, "u001", 1),
     Origin(Phase.DIVERGENCE, "u001", 0), Origin(Phase.DIVERGENCE, "u001", 1),
     Origin(Phase.REFLECTION, "u001"),
-    Origin((Phase.CORRECTION, SubtaskKind.DIVERGENCE), "u001", 0),
-    Origin((Phase.CORRECTION, SubtaskKind.DIVERGENCE), "u001", 1),
+    Origin(Phase.DIVERGENCE, "u001", 0, turn=1),
+    Origin(Phase.DIVERGENCE, "u001", 1, turn=1),
     Origin(Phase.RECOMMEND, "u001", turn=1),
 ]
 
@@ -143,6 +143,39 @@ def test_a_failing_verdict_discards_one_early_ranker_per_session(artifacts, tmp_
     # at two slots the first session also sends its discarded ranker, under its own origin
     first = [origin for origin in early.origins if origin.subject == "u001"]
     assert Counter(first) == Counter(SERIAL_SESSION + [Origin(Phase.RECOMMEND, "u001")])
+
+
+@pytest.mark.parametrize("width, unrecorded", [("1", set()), ("2", {(Phase.RECOMMEND, 0)})])
+def test_every_teacher_send_has_the_phase_and_turn_of_a_record(artifacts, tmp_path, monkeypatch,
+                                                               width, unrecorded):
+    """A record's (phase, turn) is the (role, turn) of its sends; only a discarded ranker's match no record."""
+    origins, logs = [], {}
+
+    class RecordingOracle(OracleBackend):
+        def send(self, request):
+            origins.append(request.origin)
+            return super().send(request)
+
+    def recording_run_teacher(*args):
+        log = run_teacher(*args)
+        logs[log.user] = log
+        return log
+
+    monkeypatch.setattr(recteacher.cli, "OracleBackend", RecordingOracle)
+    monkeypatch.setattr(recteacher.cli, "run_teacher", recording_run_teacher)
+    assert main(["run-teacher", "--backend", "mock", "--corpus", str(artifacts / "corpus"),
+                 "--graph", str(artifacts / "graph.jsonl"),
+                 "--cache", str(artifacts / "cache.jsonl"),
+                 "--instances", str(artifacts / "instances.jsonl"),
+                 "--out", str(tmp_path / "fr_sessions.jsonl"),
+                 "--fail-reflection", "--parallel", width]) == 0
+    teacher = [origin for origin in origins if isinstance(origin.role, Phase)]
+    assert logs and {origin.subject for origin in teacher} == set(logs)
+    for user, log in logs.items():
+        recorded = {(record.phase, record.turn) for record in log.phases}
+        sent = {(origin.role, origin.turn) for origin in teacher if origin.subject == user}
+        assert recorded <= sent, user
+        assert sent - recorded == unrecorded, user
 
 
 @pytest.fixture(scope="module")

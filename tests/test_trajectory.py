@@ -10,7 +10,7 @@ import pytest
 from recteacher import prompts
 from recteacher.errors import EmptyInput, TagError
 from recteacher.tags import ToolCall
-from recteacher.teacher import Phase, PhaseRecord, SessionLog, SubtaskKind
+from recteacher.teacher import Phase, PhaseRecord, SessionLog
 from recteacher.trajectory import (
     export_sft,
     outcome_filter,
@@ -31,11 +31,9 @@ GOLDEN_LOG = SessionLog(
         PhaseRecord(phase=Phase.USER_PROFILE,
                     thinking="Check the neighborhood.",
                     tool_events=((ToolCall("UserCF", "u1"), "likes space opera"),),
-                    payload='["steady reader"]',
-                    kind=SubtaskKind.USER_PROFILE),
+                    payload='["steady reader"]'),
         PhaseRecord(phase=Phase.RECENT, thinking="",
-                    payload='["recent drift toward essays"]',
-                    kind=SubtaskKind.RECENT),
+                    payload='["recent drift toward essays"]'),
         PhaseRecord(phase=Phase.REFLECTION, thinking="Both hold up.",
                     payload='{"correct": "yes"}'),
         PhaseRecord(phase=Phase.RECOMMEND, thinking="Order by fit."),
@@ -94,11 +92,10 @@ def test_correction_serializes_under_subtask_tag():
         candidates=("a", "b"),
         phases=(
             PhaseRecord(phase=Phase.PLAN, payload='["Interest_Divergence_Reasoning"]'),
-            PhaseRecord(phase=Phase.DIVERGENCE, payload='["too wide"]',
-                        kind=SubtaskKind.DIVERGENCE),
+            PhaseRecord(phase=Phase.DIVERGENCE, payload='["too wide"]'),
             PhaseRecord(phase=Phase.REFLECTION, payload='{"correct": "no"}'),
-            PhaseRecord(phase=Phase.CORRECTION, thinking="Reworked per suggestion.",
-                        payload='["narrower"]', kind=SubtaskKind.DIVERGENCE),
+            PhaseRecord(phase=Phase.DIVERGENCE, thinking="Reworked per suggestion.",
+                        payload='["narrower"]', turn=1),
             PhaseRecord(phase=Phase.RECOMMEND),
         ),
         final_ranking=("b", "a"),
