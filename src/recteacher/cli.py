@@ -66,8 +66,8 @@ from .gateway import Gateway, GatewayConfig, HttpBackend, ScriptBackend
 from .graph import build_graph, load_graph, save_graph
 from .oracle import OracleBackend
 from .rewards import Bucket, bucket, composite_reward, compose_rl_set, largest_remainder
-from .teacher import (PhaseRecord, SessionLog, TeacherConfig, ToolRunner, build_context, phase_name,
-                      run_teacher)
+from .teacher import (AGENT_NAMES, PhaseRecord, SessionLog, TeacherConfig, ToolRunner, build_context,
+                      phase_name, run_teacher)
 from .trajectory import export_sft, serialize, top1_hit
 from .util import atomic_path, decode_jsonl, unique_ids, write_atomic, write_jsonl_atomic
 from .verbalize import EvidenceCache, verbalize_key, warm_cache
@@ -214,7 +214,7 @@ def _decode_instance(record: dict) -> EvalInstance:
 def _phase_record(record: PhaseRecord) -> dict:
     return {
         "phase": phase_name(record.phase, record.turn),
-        "kind": record.kind.value if record.kind is not None else None,
+        "kind": AGENT_NAMES.get(record.phase),
         "thinking": record.thinking,
         "tool_events": [
             {"call": {"name": call.name, "arguments": call.arguments}, "result": result}

@@ -16,7 +16,7 @@ from typing import Mapping
 from .abstract import SUMMARIZER
 from .gateway import ChatReply, ChatRequest
 from .tags import ToolCall, encode_tool_call
-from .teacher import PHASE_KIND, Phase, SubtaskKind
+from .teacher import AGENT_NAMES, Phase
 
 _CANDIDATE_LINE = re.compile(r"^\d+\. item_id: (\S+)", re.MULTILINE)
 
@@ -60,8 +60,8 @@ class OracleBackend:
         role = origin.role if origin is not None else None
         if role is Phase.PLAN:
             return self._plan()
-        if role in PHASE_KIND:  # an analysis agent or its correction
-            return self._subtask(PHASE_KIND[role], origin.subject, origin.send)
+        if role in AGENT_NAMES:  # an analysis agent or its correction
+            return self._subtask(AGENT_NAMES[role], origin.subject, origin.send)
         if role is Phase.REFLECTION:
             return self._reflect()
         if role is Phase.RECOMMEND:
@@ -74,14 +74,14 @@ class OracleBackend:
         raise AssertionError(f"oracle got a request of unknown origin {origin!r}")
 
     def _plan(self) -> str:
-        names = json.dumps([kind.value for kind in SubtaskKind])
+        names = json.dumps(list(AGENT_NAMES.values()))
         return f"All four analyses are useful here, in the standard order.\n<JSON>{names}</JSON>"
 
-    def _subtask(self, kind: SubtaskKind, user: str, send: int) -> str:
+    def _subtask(self, agent_name: str, user: str, send: int) -> str:
         if send == 0:
             call = encode_tool_call(ToolCall("UserCF", user))
             return f"Pulling collaborative evidence first.\n<tool_call>{call}</tool_call>"
-        conclusion = json.dumps([f"{kind.value} conclusion for user {user}"])
+        conclusion = json.dumps([f"{agent_name} conclusion for user {user}"])
         return f"Evidence received; summarizing.\n<JSON>{conclusion}</JSON>"
 
     def _reflect(self) -> str:
@@ -89,7 +89,7 @@ class OracleBackend:
             verdict = {
                 "correct": "no",
                 "problematic_agent": [
-                    {"agent_name": SubtaskKind.DIVERGENCE.value, "suggestion": _SUGGESTION}
+                    {"agent_name": AGENT_NAMES[Phase.DIVERGENCE], "suggestion": _SUGGESTION}
                 ],
             }
             return f"The divergence analysis overreaches.\n<JSON>{json.dumps(verdict)}</JSON>"

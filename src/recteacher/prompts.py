@@ -24,14 +24,6 @@ TEMPLATE_FILES: tuple[str, ...] = tuple(sorted(
     entry.name for entry in _TEMPLATES.iterdir() if entry.name.endswith(".txt")
 ))
 
-# Wire name of each analysis agent -> its system template.
-SUBTASK_TEMPLATES: Mapping[str, str] = {
-    "User_Profile_Summary": "profile.txt",
-    "Historical_Interest_Analysis": "historical.txt",
-    "Recent_Interest_Analysis": "recent.txt",
-    "Interest_Divergence_Reasoning": "divergence.txt",
-}
-
 # Only lowercase word placeholders; JSON braces in examples never match.
 _PLACEHOLDER = re.compile(r"\{([a-z_]+)\}")
 
@@ -60,17 +52,14 @@ def planner_system(domain: str = DEFAULT_DOMAIN) -> str:
     return _load_rendered("planner.txt", {"domain": domain})
 
 
-def subtask_system(agent_name: str, domain: str = DEFAULT_DOMAIN) -> str:
-    try:
-        template = SUBTASK_TEMPLATES[agent_name]
-    except KeyError:
-        raise KeyError(f"unknown agent name {agent_name!r}") from None
+def subtask_system(tag: str, domain: str = DEFAULT_DOMAIN) -> str:
+    """The system prompt of the analysis agent whose phase tag is `tag`, from `<tag>.txt`."""
     values = {
         "domain": domain,
         "tool_protocol": load_template("tool_protocol.txt").rstrip("\n"),
         "subtask_output": load_template("subtask_output.txt").rstrip("\n"),
     }
-    return _load_rendered(template, values)
+    return _load_rendered(f"{tag}.txt", values)
 
 
 def reflector_system(domain: str = DEFAULT_DOMAIN) -> str:

@@ -57,15 +57,6 @@ MISS_FALLBACK = "no cached collaborative evidence available"
 DEFAULT_MAX_TOOL_ROUNDS = 3
 
 
-class SubtaskKind(Enum):
-    """The four analysis agents, by their wire names."""
-
-    USER_PROFILE = "User_Profile_Summary"
-    HISTORICAL = "Historical_Interest_Analysis"
-    RECENT = "Recent_Interest_Analysis"
-    DIVERGENCE = "Interest_Divergence_Reasoning"
-
-
 class Phase(Enum):
     PLAN = "plan"
     USER_PROFILE = "user_profile"
@@ -76,14 +67,19 @@ class Phase(Enum):
     RECOMMEND = "recommend"
 
 
-# A subtask kind's phase shares its member name; the phase value is its serialization tag.
-KIND_PHASE: Mapping[SubtaskKind, Phase] = {kind: Phase[kind.name] for kind in SubtaskKind}
-PHASE_KIND: Mapping[Phase, SubtaskKind] = {phase: kind for kind, phase in KIND_PHASE.items()}
+# The four analysis agents, in the order a full plan names them, and the wire
+# name the planner, the reflector and the agents' outputs call each by.
+AGENT_NAMES: Mapping[Phase, str] = {
+    Phase.USER_PROFILE: "User_Profile_Summary",
+    Phase.HISTORICAL: "Historical_Interest_Analysis",
+    Phase.RECENT: "Recent_Interest_Analysis",
+    Phase.DIVERGENCE: "Interest_Divergence_Reasoning",
+}
 
 
 def phase_name(phase: Phase, turn: int) -> str:
     """What a session record and a SessionError call a pass: an analysis agent's turn 1 is its correction."""
-    return "correction" if turn and phase in PHASE_KIND else phase.value
+    return "correction" if turn and phase in AGENT_NAMES else phase.value
 
 
 SECTION_TAGS = tuple(phase.value for phase in Phase)
@@ -107,17 +103,6 @@ class PhaseRecord:
     tool_events: tuple[tuple[ToolCall, str], ...] = ()
     payload: str = ""
     turn: int = 0
-
-    @property
-    def kind(self) -> SubtaskKind | None:
-        """The analysis agent that ran this turn; None for the planner, reflector and ranker."""
-        return PHASE_KIND.get(self.phase)
-
-
-@dataclass(frozen=True)
-class Problem:
-    kind: SubtaskKind
-    suggestion: str
 
 
 @dataclass(frozen=True)
@@ -323,20 +308,21 @@ def _thinking(content: str) -> str:
             return content.strip()
 
 
-def _agent(name: Any) -> SubtaskKind:
-    try:
-        return SubtaskKind(name)
-    except ValueError:
-        raise ReplyParseError(f"unknown agent name {name!r}") from None
+def _agent(name: Any) -> Phase:
+    """The agent whose wire name is `name`; any other value, unhashable too, raises ReplyParseError."""
+    for phase, agent_name in AGENT_NAMES.items():
+        if name == agent_name:
+            return phase
+    raise ReplyParseError(f"unknown agent name {name!r}")
 
 
-def _plan_kinds(names: Any) -> tuple[SubtaskKind, ...]:
+def _plan_agents(names: Any) -> tuple[Phase, ...]:
     if not isinstance(names, list) or not names:
         raise ReplyParseError("payload must be a non-empty list of agent names")
-    kinds = tuple(_agent(name) for name in names)
-    if len(set(kinds)) != len(kinds):
+    agents = tuple(_agent(name) for name in names)
+    if len(set(agents)) != len(agents):
         raise ReplyParseError("duplicate agent names")
-    return kinds
+    return agents
 
 
 def _conclusions(conclusions: Any) -> tuple[str, ...]:
@@ -346,8 +332,8 @@ def _conclusions(conclusions: Any) -> tuple[str, ...]:
     return tuple(conclusions)
 
 
-def _verdict(verdict: Any) -> tuple[Problem, ...]:
-    """The problems a reflection verdict flags, none for a pass; one per agent."""
+def _verdict(verdict: Any) -> dict[Phase, str]:
+    """Each agent a reflection verdict flags, in flag order, with its first suggestion; empty for a pass."""
     if not isinstance(verdict, dict):
         raise ReplyParseError("payload must be an object")
     correct = verdict.get("correct")
@@ -357,19 +343,19 @@ def _verdict(verdict: Any) -> tuple[Problem, ...]:
     if correct == "yes":
         if raw_problems:
             raise ReplyParseError("passing verdict cannot flag agents")
-        return ()
+        return {}
     if not isinstance(raw_problems, list) or not raw_problems:
         raise ReplyParseError("failing verdict needs a non-empty problematic_agent list")
-    problems: dict[SubtaskKind, Problem] = {}
+    problems: dict[Phase, str] = {}
     for entry in raw_problems:
         if not isinstance(entry, dict):
             raise ReplyParseError(f"problem entry is not an object: {entry!r}")
-        kind = _agent(entry.get("agent_name"))
+        phase = _agent(entry.get("agent_name"))
         suggestion = entry.get("suggestion")
         if not isinstance(suggestion, str) or not suggestion:
-            raise ReplyParseError(f"{kind.value}: missing suggestion")
-        problems.setdefault(kind, Problem(kind=kind, suggestion=suggestion))
-    return tuple(problems.values())
+            raise ReplyParseError(f"{AGENT_NAMES[phase]}: missing suggestion")
+        problems.setdefault(phase, suggestion)
+    return problems
 
 
 def _ranking(ranking: Any) -> list[str]:
@@ -382,8 +368,8 @@ def _ranking(ranking: Any) -> list[str]:
 
 # Each role's reply contract: what its last <JSON> payload must decode to.
 DECODERS: Mapping[Phase, Callable[[Any], Any]] = {
-    Phase.PLAN: _plan_kinds,
-    **{phase: _conclusions for phase in PHASE_KIND},
+    Phase.PLAN: _plan_agents,
+    **{phase: _conclusions for phase in AGENT_NAMES},
     Phase.REFLECTION: _verdict,
     Phase.RECOMMEND: _ranking,
 }
@@ -481,21 +467,21 @@ def _turn(
 
 def plan(
     context: TeacherContext, gateway: Gateway, config: TeacherConfig = TeacherConfig()
-) -> tuple[PhaseRecord, tuple[SubtaskKind, ...]]:
-    """One planning call; a malformed reply earns exactly one re-ask."""
+) -> tuple[PhaseRecord, tuple[Phase, ...]]:
+    """One planning call for the agents to run, in plan order; a malformed reply earns exactly one re-ask."""
     return _turn(Phase.PLAN, context, prompts.planner_system(config.domain), context.prompt,
                  gateway, config)
 
 
 def execute_subtask(
-    kind: SubtaskKind,
+    phase: Phase,
     context: TeacherContext,
     tools: ToolRunner,
     gateway: Gateway,
     config: TeacherConfig = TeacherConfig(),
     suggestion: str | None = None,
 ) -> PhaseRecord:
-    """Run one analysis agent with its tool loop, as its `KIND_PHASE` phase.
+    """Run the analysis agent `phase` with its tool loop, on the system prompt of its tag.
 
     A non-None suggestion marks a correction pass: it is appended to the
     prompt, and the pass is the agent's turn 1.
@@ -503,7 +489,7 @@ def execute_subtask(
     user_text = context.prompt
     if suggestion is not None:
         user_text = f"{user_text}\n# Correction Suggestion\n{suggestion}"
-    record, _ = _turn(KIND_PHASE[kind], context, prompts.subtask_system(kind.value, config.domain),
+    record, _ = _turn(phase, context, prompts.subtask_system(phase.value, config.domain),
                       user_text, gateway, config, tools, turn=int(suggestion is not None))
     return record
 
@@ -511,9 +497,9 @@ def execute_subtask(
 def _outputs_block(records: Sequence[PhaseRecord]) -> str:
     lines = ["# Preceding Agent Outputs"]
     for record in records:
-        if record.kind is None:
+        label = AGENT_NAMES.get(record.phase)
+        if label is None:
             continue
-        label = record.kind.value
         if record.turn:
             label += " (corrected)"
         lines.append(f"## {label}")
@@ -526,8 +512,8 @@ def reflect(
     outputs: Sequence[PhaseRecord],
     gateway: Gateway,
     config: TeacherConfig = TeacherConfig(),
-) -> tuple[PhaseRecord, tuple[Problem, ...]]:
-    """Single verification call; strictly decoded, no re-ask. A pass flags no problems."""
+) -> tuple[PhaseRecord, dict[Phase, str]]:
+    """Single verification call; strictly decoded, no re-ask. Its value is the verdict's flags (`_verdict`)."""
     return _turn(Phase.REFLECTION, context, prompts.reflector_system(config.domain),
                  f"{context.prompt}\n{_outputs_block(outputs)}", gateway, config)
 
@@ -582,28 +568,28 @@ def run_teacher(
     prompt, never each other's output, so running them side by side records
     what a serial run does; a pass raises its first failure in plan order.
     The ranker also starts beside the reflector, on the agents' outputs. A
-    verdict that flags no problem keeps its record. After a failing verdict it
-    is discarded, its failure included, and never recorded; the corrections
-    run, never waiting on it, and the ranker reruns on the outputs and
-    corrections, as at one slot. The session waits for a discarded ranker
-    before it ends, so no send outlives it, and logs a warning naming the user
-    if it failed.
+    verdict that flags no agent keeps its record. After a failing verdict it
+    is discarded, its failure included, and never recorded; each flagged
+    agent reruns with its suggestion, in flag order and never waiting on it,
+    and the ranker reruns on the outputs and corrections, as at one slot. The
+    session waits for a discarded ranker before it ends, so no send outlives
+    it, and logs a warning naming the user if it failed.
     """
-    plan_record, kinds = plan(context, gateway, config)
+    plan_record, agents = plan(context, gateway, config)
     parallel = gateway.config.max_parallel > 1
-    with ThreadPoolExecutor(len(SubtaskKind) + 1) if parallel else nullcontext() as pool:
+    with ThreadPoolExecutor(len(AGENT_NAMES) + 1) if parallel else nullcontext() as pool:
         each = pool.map if parallel else map
-        outputs = list(each(lambda kind: execute_subtask(kind, context, tools, gateway, config),
-                            kinds))
+        outputs = list(each(lambda phase: execute_subtask(phase, context, tools, gateway, config),
+                            agents))
         early_rank = pool.submit(rank, context, outputs, gateway, config, tools) if parallel else None
         reflection, problems = reflect(context, outputs, gateway, config)
         if early_rank is not None and not problems:
             corrections, (recommend, ranking) = [], early_rank.result()
         else:
             corrections = list(each(
-                lambda problem: execute_subtask(problem.kind, context, tools, gateway, config,
-                                                suggestion=problem.suggestion),
-                problems,
+                lambda phase, suggestion: execute_subtask(phase, context, tools, gateway, config,
+                                                          suggestion=suggestion),
+                problems, problems.values(),
             ))
             recommend, ranking = rank(context, outputs + corrections, gateway, config, tools,
                                       turn=1 if problems else 0)

@@ -28,7 +28,7 @@ from .tags import (
     encode_tool_call,
     encode_tool_response,
 )
-from .teacher import BLOCK_TAGS, GRAMMAR_TAG, PHASE_KIND, SECTION_TAGS, Phase, SessionLog, decode_payload
+from .teacher import AGENT_NAMES, BLOCK_TAGS, GRAMMAR_TAG, SECTION_TAGS, Phase, SessionLog, decode_payload
 from . import prompts
 from .util import write_jsonl_atomic
 
@@ -37,7 +37,7 @@ logger = logging.getLogger(__name__)
 _RECOMMEND = Phase.RECOMMEND.value
 
 # Sections whose bodies may carry tool_call/tool_response blocks.
-TOOL_SECTIONS = (*(phase.value for phase in PHASE_KIND), _RECOMMEND)
+TOOL_SECTIONS = (*(phase.value for phase in AGENT_NAMES), _RECOMMEND)
 
 # Numbered ranking entries: "1. id" lines or "1. a, 2. b" runs.
 _NUMBERED = re.compile(r"\d+\.[ \t]*([^,\n]+)")

@@ -12,7 +12,7 @@ import random
 import re
 
 from recteacher.tags import ToolCall
-from recteacher.teacher import KIND_PHASE, Phase, PhaseRecord, SessionLog, SubtaskKind
+from recteacher.teacher import AGENT_NAMES, Phase, PhaseRecord, SessionLog
 
 WORDS = (
     "signal", "drift", "stable", "broad", "focus", "niche", "shift",
@@ -52,48 +52,48 @@ def random_log(rng: random.Random) -> SessionLog:
     user = f"u{rng.randint(1, 999):03d}"
     candidates = rng.sample([f"c{n:03d}" for n in range(1, 200)], 20)
 
-    kinds = list(SubtaskKind)
-    rng.shuffle(kinds)
-    kinds = kinds[: rng.randint(1, len(kinds))]
+    agents = list(AGENT_NAMES)
+    rng.shuffle(agents)
+    agents = agents[: rng.randint(1, len(agents))]
 
     phases = [
         PhaseRecord(
             Phase.PLAN,
             rand_thinking(rng),
             (),
-            json.dumps([k.value for k in kinds]),
+            json.dumps([AGENT_NAMES[k] for k in agents]),
         )
     ]
-    for kind in kinds:
+    for agent in agents:
         phases.append(
             PhaseRecord(
-                KIND_PHASE[kind],
+                agent,
                 rand_thinking(rng),
                 rand_tool_events(rng, user),
-                json.dumps([f"{kind.value} view of the {rng.choice(WORDS)}"]),
+                json.dumps([f"{AGENT_NAMES[agent]} view of the {rng.choice(WORDS)}"]),
             )
         )
 
-    failing = [kind for kind in kinds if rng.random() < 0.25]
+    failing = [agent for agent in agents if rng.random() < 0.25]
     if failing:
         verdict = {
             "correct": "no",
             "problematic_agent": [
-                {"agent_name": kind.value, "suggestion": rng.choice(SUGGESTIONS)}
-                for kind in failing
+                {"agent_name": AGENT_NAMES[agent], "suggestion": rng.choice(SUGGESTIONS)}
+                for agent in failing
             ],
         }
     else:
         verdict = {"correct": "yes"}
     phases.append(PhaseRecord(Phase.REFLECTION, rand_thinking(rng), (), json.dumps(verdict)))
 
-    for kind in failing:
+    for agent in failing:
         phases.append(
             PhaseRecord(
-                KIND_PHASE[kind],
+                agent,
                 rand_thinking(rng),
                 rand_tool_events(rng, user),
-                json.dumps([f"revised {kind.value}"]),
+                json.dumps([f"revised {AGENT_NAMES[agent]}"]),
                 turn=1,
             )
         )

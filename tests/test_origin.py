@@ -19,10 +19,8 @@ from recteacher.errors import ReplyParseError, SessionError
 from recteacher.gateway import Gateway, GatewayConfig, ScriptBackend
 from recteacher.oracle import OracleBackend
 from recteacher.teacher import (
-    KIND_PHASE,
-    PHASE_KIND,
+    AGENT_NAMES,
     Phase,
-    SubtaskKind,
     TeacherConfig,
     TeacherContext,
     ToolRunner,
@@ -34,12 +32,13 @@ from recteacher.verbalize import Evidence, EvidenceCache
 from test_toy_digests import DIGESTS
 
 SYSTEM_TEMPLATES = (
-    "planner.txt", "profile.txt", "historical.txt", "recent.txt", "divergence.txt",
+    "planner.txt", "user_profile.txt", "historical_analysis.txt", "recent_analysis.txt",
+    "interest_divergence.txt",
     "reflector.txt", "ranker.txt", "history_summary.txt", "item_evidence_system.txt",
     "user_evidence_system.txt",
 )
 
-FLAGGED = (SubtaskKind.RECENT, SubtaskKind.DIVERGENCE)
+FLAGGED = (Phase.RECENT, Phase.DIVERGENCE)
 
 
 def toy_chain(toy_files, d):
@@ -112,14 +111,14 @@ def test_every_request_of_a_toy_session_has_its_own_origin(toy_files, tmp_path, 
     assert len(set(origins)) == len(origins)
     roles = {origin.role for origin in origins}
     assert {SUMMARIZER, "UserCF", Phase.PLAN, Phase.REFLECTION, Phase.RECOMMEND} <= roles
-    assert set(KIND_PHASE.values()) <= roles
+    assert set(AGENT_NAMES) <= roles
     assert (Phase.DIVERGENCE, 1) in {(origin.role, origin.turn) for origin in origins}
     assert {origin.send for origin in origins if origin.role == SUMMARIZER} == {0, 1, 2}
 
 
 def role_name(origin):
-    if origin.role in PHASE_KIND and origin.turn:  # a correction pass
-        return f"correction of {PHASE_KIND[origin.role].value}"
+    if origin.role in AGENT_NAMES and origin.turn:  # a correction pass
+        return f"correction of {AGENT_NAMES[origin.role]}"
     return origin.role.value
 
 
@@ -129,15 +128,16 @@ def origin_script(request, _index):
     role, user, send = origin.role, origin.subject, origin.send
     thinking = f"Answering {role_name(origin)} send {send} for {user}."
     if role is Phase.PLAN:
-        payload = [kind.value for kind in SubtaskKind]
-    elif role in PHASE_KIND:
+        payload = list(AGENT_NAMES.values())
+    elif role in AGENT_NAMES:
         if send == 0:
             call = {"name": "UserCF", "arguments": {"user_id": user}}
             return f"{thinking}\n<tool_call>{json.dumps(call)}</tool_call>"
         payload = [f"{role_name(origin)} conclusion"]
     elif role is Phase.REFLECTION:
         payload = {"correct": "no", "problematic_agent": [
-            {"agent_name": kind.value, "suggestion": f"revisit {kind.value}"} for kind in FLAGGED
+            {"agent_name": AGENT_NAMES[agent], "suggestion": f"revisit {AGENT_NAMES[agent]}"}
+            for agent in FLAGGED
         ]}
     else:
         assert role is Phase.RECOMMEND

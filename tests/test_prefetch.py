@@ -31,7 +31,6 @@ from recteacher.teacher import (
     Phase,
     PhaseRecord,
     SessionLog,
-    SubtaskKind,
     TeacherContext,
     ToolRunner,
     execute_subtask,
@@ -344,7 +343,7 @@ def test_a_tool_call_fills_through_the_asking_sessions_handle():
     with runner.prefetch("A", session):
         pass
     context = TeacherContext(user="B", candidates=("c",), prompt="prompt")
-    record = execute_subtask(SubtaskKind.USER_PROFILE, context, runner, session)
+    record = execute_subtask(Phase.USER_PROFILE, context, runner, session)
     assert record.tool_events == ((session_evidence_call("B"), "about B"),)
     with runner.prefetch("A", session), runner.prefetch("B", session):  # filled: nothing starts
         pass

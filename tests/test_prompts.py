@@ -7,15 +7,18 @@ import re
 import pytest
 
 from recteacher import prompts
+from recteacher.teacher import AGENT_NAMES
 
-# Role openers the scripted oracle backend dispatches on; they must survive
-# any future template edits or every mock-backed pipeline test goes dark.
+# The role statement each system template opens with. A template filed under
+# another role's name, as a rename can leave it, or an edit that drops the
+# statement fails here. The mock backend reads none of them: it answers by a
+# request's origin, and test_origin.py runs it on reworded templates.
 ROLE_MARKERS = {
     "planner.txt": "You are a planner agent",
-    "profile.txt": "You are a user profile summary agent",
-    "historical.txt": "You are a Historical interest analysis agent",
-    "recent.txt": "You are a Recent interest analysis agent",
-    "divergence.txt": "You are an interest divergence reasoning agent",
+    "user_profile.txt": "You are a user profile summary agent",
+    "historical_analysis.txt": "You are a Historical interest analysis agent",
+    "recent_analysis.txt": "You are a Recent interest analysis agent",
+    "interest_divergence.txt": "You are an interest divergence reasoning agent",
     "reflector.txt": "You are a Reflector agent",
     "ranker.txt": "You are a ranking agent",
     "history_summary.txt": "You are a long behavioral sequence summary agent",
@@ -52,9 +55,8 @@ def test_planner_system_domain():
 def test_subtask_system_expands_shared_blocks():
     protocol = prompts.load_template("tool_protocol.txt").rstrip("\n")
     output = prompts.load_template("subtask_output.txt").rstrip("\n")
-    for agent_name in ("User_Profile_Summary", "Historical_Interest_Analysis",
-                       "Recent_Interest_Analysis", "Interest_Divergence_Reasoning"):
-        system = prompts.subtask_system(agent_name)
+    for phase in AGENT_NAMES:
+        system = prompts.subtask_system(phase.value)
         assert protocol in system
         assert output in system
         assert "{tool_protocol}" not in system
@@ -64,6 +66,22 @@ def test_subtask_system_expands_shared_blocks():
 def test_subtask_system_unknown_agent():
     with pytest.raises(KeyError):
         prompts.subtask_system("Mystery_Agent")
+
+
+# How the templates spell an agent's wire name: capitalised words joined by underscores.
+_WIRE_NAME = re.compile(r"\b[A-Z][a-z]+(?:_[A-Z][a-z]+)+\b")
+
+
+@pytest.mark.parametrize("name", ["planner.txt", "student_system.txt"])
+def test_a_template_teaches_the_agent_names_the_teacher_decodes(name):
+    """The names the planner and the student are told to write, in the order they are listed."""
+    named = _WIRE_NAME.findall(prompts.load_template(name))
+    assert list(dict.fromkeys(named)) == list(AGENT_NAMES.values())
+
+
+@pytest.mark.parametrize("phase", list(AGENT_NAMES), ids=lambda phase: phase.value)
+def test_every_agent_phase_loads_the_system_template_of_its_tag(phase):
+    assert ROLE_MARKERS[f"{phase.value}.txt"] in prompts.subtask_system(phase.value)
 
 
 def test_ranker_system_expands_tool_protocol():
@@ -76,8 +94,8 @@ def test_ranker_system_expands_tool_protocol():
 RENDERERS = {
     "planner": lambda: prompts.planner_system("books"),
     **{
-        f"subtask-{name}": (lambda name=name: prompts.subtask_system(name, "books"))
-        for name in prompts.SUBTASK_TEMPLATES
+        f"subtask-{name}": (lambda tag=phase.value: prompts.subtask_system(tag, "books"))
+        for phase, name in AGENT_NAMES.items()
     },
     "reflector": lambda: prompts.reflector_system("books"),
     "ranker": lambda: prompts.ranker_system("books"),

@@ -1,8 +1,9 @@
-"""Every top-level function and class under src/ is reached from other code.
+"""Every top-level function, class and constant under src/ is reached from other code.
 
 A definition that no other statement under `src/` names is surface no
-command reaches. The only ones allowed are those the acceptance criteria
-pin, which are wired in by later work rather than deleted:
+command reaches; a module-level assignment is a definition of each name it
+binds. The only ones allowed are those the acceptance criteria pin, which
+are wired in by later work rather than deleted:
 - `rewards.format_reward` (criterion 8);
 - `trajectory.outcome_filter` (criterion 5).
 
@@ -36,8 +37,21 @@ PINNED = {
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def defined(stmt: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a def's or class's, or those an assignment binds."""
+    if isinstance(stmt, DEFINITIONS):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+
+
 def unreferenced(src: Path) -> set[str]:
-    """Dotted names of top-level defs and classes no other top-level statement names."""
+    """Dotted names of the top-level definitions no other top-level statement names."""
     statements: list[tuple[str, ast.stmt, set[str]]] = []
     for path in sorted(src.rglob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
@@ -50,10 +64,10 @@ def unreferenced(src: Path) -> set[str]:
             module = ".".join(path.relative_to(src).with_suffix("").parts)
             statements.append((module, stmt, names))
     return {
-        f"{module}.{stmt.name}"
+        f"{module}.{name}"
         for module, stmt, _ in statements
-        if isinstance(stmt, DEFINITIONS)
-        and not any(stmt.name in names for _, other, names in statements if other is not stmt)
+        for name in defined(stmt)
+        if not any(name in names for _, other, names in statements if other is not stmt)
     }
 
 
@@ -66,8 +80,18 @@ def test_an_added_unreferenced_function_is_caught(tmp_path):
     package.mkdir()
     (package / "a.py").write_text(
         "def used():\n    return 1\n\n\ndef orphan():\n    return orphan()\n", encoding="utf-8")
-    (package / "b.py").write_text("from .a import used\n\nVALUE = used()\n", encoding="utf-8")
+    (package / "b.py").write_text("from .a import used\n\nVALUE = used()\n\nprint(VALUE)\n",
+                                  encoding="utf-8")
     assert unreferenced(tmp_path) == {"pkg.a.orphan"}
+
+
+def test_an_added_unreferenced_constant_is_caught(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "USED = {}\nUNUSED_MAP = {}\nTYPED: dict = {}\nLEFT, RIGHT = 1, 2\n\n\n"
+        "def read():\n    return USED, TYPED, LEFT\n\n\nread()\n", encoding="utf-8")
+    assert unreferenced(tmp_path) == {"pkg.a.UNUSED_MAP", "pkg.a.RIGHT"}
 
 
 def _last_name(node: ast.expr) -> str:

@@ -26,13 +26,11 @@ from recteacher.graph import build_graph
 from recteacher.oracle import OracleBackend
 from recteacher.tags import ToolCall, decode_tool_calls, tagged_bodies
 from recteacher.teacher import (
-    KIND_PHASE,
+    AGENT_NAMES,
     MISS_FALLBACK,
-    PHASE_KIND,
     Phase,
     PhaseRecord,
     SessionLog,
-    SubtaskKind,
     TeacherConfig,
     TeacherContext,
     ToolRunner,
@@ -274,8 +272,8 @@ def test_tool_runner_failed_fill_is_retried():
 def test_plan_happy_path():
     reply = 'Two lenses suffice here.\n<JSON>["User_Profile_Summary", "Recent_Interest_Analysis"]</JSON>'
     backend, gateway = scripted_gateway(reply)
-    record, kinds = plan(make_context(), gateway)
-    assert kinds == (SubtaskKind.USER_PROFILE, SubtaskKind.RECENT)
+    record, agents = plan(make_context(), gateway)
+    assert agents == (Phase.USER_PROFILE, Phase.RECENT)
     assert record.phase is Phase.PLAN
     assert record.thinking == "Two lenses suffice here."
     assert record.payload == '["User_Profile_Summary", "Recent_Interest_Analysis"]'
@@ -287,8 +285,8 @@ def test_plan_reasks_once_then_succeeds():
         "no payload at all",
         '<JSON>["Historical_Interest_Analysis"]</JSON>',
     )
-    _, kinds = plan(make_context(), gateway)
-    assert kinds == (SubtaskKind.HISTORICAL,)
+    _, agents = plan(make_context(), gateway)
+    assert agents == (Phase.HISTORICAL,)
     assert backend.sends == 2
     retry = backend.requests[1].messages
     assert retry[-2]["role"] == "assistant"
@@ -302,6 +300,9 @@ PLAN_REJECTS = (
     "<JSON>[]</JSON>",
     '<JSON>["Psychic_Agent"]</JSON>',
     '<JSON>["User_Profile_Summary", "User_Profile_Summary"]</JSON>',
+    # unhashable names are unknown names too, so they keep the re-ask
+    '<JSON>[["User_Profile_Summary"]]</JSON>',
+    '<JSON>[{}]</JSON>',
 )
 
 
@@ -323,9 +324,8 @@ def test_execute_subtask_tool_loop():
         'Got it.\n<JSON>["conclusion"]</JSON>',
     )
     runner = ToolRunner(make_cache(("UserCF", "u1")))
-    record = execute_subtask(SubtaskKind.USER_PROFILE, make_context(), runner, gateway)
+    record = execute_subtask(Phase.USER_PROFILE, make_context(), runner, gateway)
     assert record.phase is Phase.USER_PROFILE
-    assert record.kind is SubtaskKind.USER_PROFILE
     assert record.thinking == "Need evidence.\nGot it."
     assert record.payload == '["conclusion"]'
     assert record.tool_events == ((ToolCall("UserCF", "u1"), CACHED_TEXT),)
@@ -343,7 +343,7 @@ def test_execute_subtask_two_calls_in_one_block():
              '</tool_call>')
     backend, gateway = scripted_gateway(block, '<JSON>["done"]</JSON>')
     runner = ToolRunner(make_cache(("UserCF", "u1"), ("ItemCF", "i9")))
-    record = execute_subtask(SubtaskKind.RECENT, make_context(), runner, gateway)
+    record = execute_subtask(Phase.RECENT, make_context(), runner, gateway)
     assert [call.name for call, _ in record.tool_events] == ["UserCF", "ItemCF"]
     assert [result for _, result in record.tool_events] == [CACHED_TEXT] * 2
 
@@ -353,7 +353,7 @@ def test_execute_subtask_round_budget_stops_tool_loop():
     backend, gateway = scripted_gateway(reply)
     runner = ToolRunner(make_cache(("UserCF", "u1")))
     record = execute_subtask(
-        SubtaskKind.HISTORICAL, make_context(), runner, gateway,
+        Phase.HISTORICAL, make_context(), runner, gateway,
         config=TeacherConfig(max_tool_rounds=1),
     )
     assert record.tool_events == ()
@@ -366,7 +366,7 @@ def test_execute_subtask_missing_payload():
     runner = ToolRunner(make_cache(("UserCF", "u1")))
     with pytest.raises(SessionError) as excinfo:
         execute_subtask(
-            SubtaskKind.DIVERGENCE, make_context(), runner, gateway,
+            Phase.DIVERGENCE, make_context(), runner, gateway,
             config=TeacherConfig(max_tool_rounds=2),
         )
     assert excinfo.value.phase == "interest_divergence"
@@ -383,7 +383,7 @@ def test_execute_subtask_missing_payload():
 def test_execute_subtask_rejects_a_payload_that_is_no_list_of_conclusions(bad):
     backend, gateway = scripted_gateway(bad)
     with pytest.raises(SessionError) as excinfo:
-        execute_subtask(SubtaskKind.RECENT, make_context(), ToolRunner(make_cache()), gateway)
+        execute_subtask(Phase.RECENT, make_context(), ToolRunner(make_cache()), gateway)
     assert excinfo.value.phase == "recent_analysis"
     assert isinstance(excinfo.value.cause, ReplyParseError)
     assert backend.sends == 1  # analysis agents get no re-ask
@@ -393,11 +393,10 @@ def test_execute_subtask_suggestion_marks_correction():
     backend, gateway = scripted_gateway('Reworked.\n<JSON>["fixed"]</JSON>')
     runner = ToolRunner(make_cache())
     record = execute_subtask(
-        SubtaskKind.DIVERGENCE, make_context(), runner, gateway,
+        Phase.DIVERGENCE, make_context(), runner, gateway,
         suggestion="lean on the recent window",
     )
     assert (record.phase, record.turn) == (Phase.DIVERGENCE, 1)
-    assert record.kind is SubtaskKind.DIVERGENCE
     assert backend.requests[0].origin.turn == 1
     prompt = backend.requests[0].messages[1]["content"]
     assert "# Correction Suggestion\nlean on the recent window" in prompt
@@ -412,7 +411,7 @@ def test_reflect_pass_verdict():
         PhaseRecord(phase=Phase.DIVERGENCE, payload='["d"]', turn=1),
     ]
     record, problems = reflect(make_context(), outputs, gateway)
-    assert problems == ()
+    assert problems == {}
     assert record.phase is Phase.REFLECTION
 
     shown = backend.requests[0].messages[1]["content"]
@@ -433,9 +432,9 @@ def test_reflect_fail_verdict_dedupes_agents():
     })
     _, gateway = scripted_gateway(f"<JSON>{payload}</JSON>")
     _, problems = reflect(make_context(), [], gateway)
-    assert [(p.kind, p.suggestion) for p in problems] == [
-        (SubtaskKind.DIVERGENCE, "first take"),
-        (SubtaskKind.RECENT, "narrow the window"),
+    assert list(problems.items()) == [
+        (Phase.DIVERGENCE, "first take"),
+        (Phase.RECENT, "narrow the window"),
     ]
 
 
@@ -449,6 +448,7 @@ VERDICT_REJECTS = (
     '<JSON>{"correct": "no", "problematic_agent": []}</JSON>',
     '<JSON>{"correct": "no", "problematic_agent": ["x"]}</JSON>',
     '<JSON>{"correct": "no", "problematic_agent": [{"agent_name": "Psychic", "suggestion": "s"}]}</JSON>',
+    '<JSON>{"correct": "no", "problematic_agent": [{"agent_name": ["Recent_Interest_Analysis"], "suggestion": "s"}]}</JSON>',
     '<JSON>{"correct": "no", "problematic_agent": [{"agent_name": "Recent_Interest_Analysis"}]}</JSON>',
 )
 
@@ -610,7 +610,7 @@ def test_run_teacher_happy_session():
     assert sorted(log.final_ranking) == sorted(log.candidates)
     for record in log.phases[1:5]:
         assert record.tool_events == ((ToolCall("UserCF", "u7"), CACHED_TEXT),)
-    assert json.loads(log.phases[0].payload) == [k.value for k in SubtaskKind]
+    assert json.loads(log.phases[0].payload) == list(AGENT_NAMES.values())
 
 
 def test_run_teacher_failing_reflection_adds_one_correction():
@@ -640,11 +640,12 @@ def test_run_teacher_wraps_phase_failures():
     assert isinstance(excinfo.value.cause, ReplyParseError)
 
 
-def first_round_kind(request):
+def first_round_agent(request):
     """The agent a subtask request is for, on its first round only; else None."""
     if request.origin.send != 0:
         return None
-    return PHASE_KIND.get(request.origin.role)
+    role = request.origin.role
+    return role if role in AGENT_NAMES else None
 
 
 def test_run_teacher_runs_the_planned_subtasks_side_by_side():
@@ -658,7 +659,7 @@ def test_run_teacher_runs_the_planned_subtasks_side_by_side():
 
         def __init__(self, **kwargs):
             super().__init__(**kwargs)
-            self.barrier = threading.Barrier(len(SubtaskKind), timeout=10)
+            self.barrier = threading.Barrier(len(AGENT_NAMES), timeout=10)
             self.lock = threading.Lock()
             self.active = self.peak = 0
 
@@ -667,7 +668,7 @@ def test_run_teacher_runs_the_planned_subtasks_side_by_side():
                 self.active += 1
                 self.peak = max(self.peak, self.active)
             try:
-                if first_round_kind(request) is not None:
+                if first_round_agent(request) is not None:
                     self.barrier.wait()
                 return super().send(request)
             finally:
@@ -696,22 +697,22 @@ def test_above_one_slot_a_pass_submits_every_agent_at_once():
     serial = run_teacher(context, TeacherConfig(), serial_gateway,
                          ToolRunner(make_cache(("UserCF", "u7"))))
     lock = threading.Lock()
-    entered: set[SubtaskKind] = set()
+    entered: set[Phase] = set()
     all_entered = threading.Event()
 
     class EntryGateway(Gateway):
         def complete(self, request):
-            kind = first_round_kind(request)
-            if kind is not None:
+            agent = first_round_agent(request)
+            if agent is not None:
                 with lock:
-                    entered.add(kind)
-                    if len(entered) == len(SubtaskKind):
+                    entered.add(agent)
+                    if len(entered) == len(AGENT_NAMES):
                         all_entered.set()
             return super().complete(request)
 
     class WaitingOracle(OracleBackend):
         def send(self, request):
-            if first_round_kind(request) is not None:
+            if first_round_agent(request) is not None:
                 assert all_entered.wait(timeout=5), f"agents entered: {sorted(k.name for k in entered)}"
             return super().send(request)
 
@@ -728,11 +729,11 @@ def test_run_teacher_raises_the_first_failing_subtask_in_plan_order():
         """The second agent fails, but only after the third one has."""
 
         def send(self, request):
-            kind = first_round_kind(request)
-            if kind is SubtaskKind.RECENT:
+            agent = first_round_agent(request)
+            if agent is Phase.RECENT:
                 recent_failed.set()
                 raise RuntimeError("recent agent backend down")
-            if kind is SubtaskKind.HISTORICAL:
+            if agent is Phase.HISTORICAL:
                 assert recent_failed.wait(timeout=10)
                 return ChatReply(content="no structure here at all")
             return super().send(request)
@@ -749,11 +750,11 @@ def test_run_teacher_raises_the_first_failing_subtask_in_plan_order():
     assert set(threading.enumerate()) <= threads_before
 
 
-# The plan names two agents, in the reverse of their kind order.
-PLANNED = (SubtaskKind.DIVERGENCE, SubtaskKind.HISTORICAL)
+# The plan names two agents, in the reverse of their `AGENT_NAMES` order.
+PLANNED = (Phase.DIVERGENCE, Phase.HISTORICAL)
 PASS = '{"correct": "yes"}'
 FAIL = json.dumps({"correct": "no", "problematic_agent": [
-    {"agent_name": SubtaskKind.HISTORICAL.value, "suggestion": "look again"}]})
+    {"agent_name": AGENT_NAMES[Phase.HISTORICAL], "suggestion": "look again"}]})
 
 
 def two_agent_script(request, _index, verdict=PASS):
@@ -763,8 +764,8 @@ def two_agent_script(request, _index, verdict=PASS):
     origin = request.origin
     role, send = origin.role, origin.send
     if role is Phase.PLAN:
-        return f"<JSON>{json.dumps([kind.value for kind in PLANNED])}</JSON>"
-    if role in PHASE_KIND:
+        return f"<JSON>{json.dumps([AGENT_NAMES[phase] for phase in PLANNED])}</JSON>"
+    if role in AGENT_NAMES:
         return '<JSON>["a conclusion"]</JSON>'
     if role is Phase.REFLECTION:
         return f"<JSON>{verdict}</JSON>"
@@ -787,10 +788,8 @@ def two_agent_session(width, verdict=PASS, tools=None):
 
 def test_a_plan_keeps_its_agents_in_plan_order_and_starts_no_other():
     early, early_origins = two_agent_session(4)
-    assert [(record.phase, record.kind) for record in early.phases] == [
-        (Phase.PLAN, None), (Phase.DIVERGENCE, SubtaskKind.DIVERGENCE),
-        (Phase.HISTORICAL, SubtaskKind.HISTORICAL), (Phase.REFLECTION, None),
-        (Phase.RECOMMEND, None),
+    assert [record.phase for record in early.phases] == [
+        Phase.PLAN, Phase.DIVERGENCE, Phase.HISTORICAL, Phase.REFLECTION, Phase.RECOMMEND,
     ]
     assert early.final_ranking == ("c3", "c1", "c2")
     serial, serial_origins = two_agent_session(1)
@@ -893,7 +892,7 @@ def test_a_session_runs_on_one_thread_pool(monkeypatch, width, verdict):
     monkeypatch.setattr(ThreadPoolExecutor, "__init__", counting_init)
     threads_before = set(threading.enumerate())
     two_agent_session(width, verdict)
-    assert widths == ([len(SubtaskKind) + 1] if width > 1 else [])
+    assert widths == ([len(AGENT_NAMES) + 1] if width > 1 else [])
     assert set(threading.enumerate()) <= threads_before  # a discarded ranker included
 
 
@@ -903,14 +902,14 @@ def test_at_one_slot_a_failed_agent_is_the_last_send_and_the_caller_sends_it():
     def reply(request, _index):
         senders.append(threading.current_thread())
         if request.origin.role is Phase.PLAN:
-            return f"<JSON>{json.dumps([kind.value for kind in PLANNED])}</JSON>"
+            return f"<JSON>{json.dumps([AGENT_NAMES[phase] for phase in PLANNED])}</JSON>"
         return "no structure here at all"
 
     backend = ScriptBackend([reply] * 16)
     gateway = Gateway(backend, GatewayConfig(max_parallel=1), sleep=lambda s: None)
     with pytest.raises(SessionError) as excinfo:
         run_teacher(make_context(), TeacherConfig(), gateway, ToolRunner(make_cache()))
-    first = KIND_PHASE[PLANNED[0]]
+    first = PLANNED[0]
     assert excinfo.value.phase == first.value
     assert [request.origin.role for request in backend.requests] == [Phase.PLAN, first]
     assert senders == [threading.current_thread()] * 2
@@ -992,7 +991,7 @@ def trajectory_with(phase, payload):
     sections = [(Phase.PLAN, '["User_Profile_Summary"]'), (Phase.USER_PROFILE, '["steady reader"]'),
                 (Phase.REFLECTION, '{"correct": "yes"}'), (Phase.DIVERGENCE, '["revised view"]'),
                 (Phase.RECOMMEND, None)]
-    slot = Phase.USER_PROFILE if phase in PHASE_KIND else phase
+    slot = Phase.USER_PROFILE if phase in AGENT_NAMES else phase
     parts = []
     for section, body in sections:
         if section is slot:
@@ -1011,7 +1010,7 @@ def trajectory_with(phase, payload):
 def test_a_subtask_payload_that_is_not_json_fails_its_turn_and_its_trajectory():
     backend, gateway = scripted_gateway("<JSON>not json</JSON>")
     with pytest.raises(SessionError) as excinfo:
-        execute_subtask(SubtaskKind.HISTORICAL, make_context(), ToolRunner(make_cache()), gateway)
+        execute_subtask(Phase.HISTORICAL, make_context(), ToolRunner(make_cache()), gateway)
     assert excinfo.value.phase == "historical_analysis"
     assert isinstance(excinfo.value.cause, ReplyParseError)
     assert "payload is not JSON" in str(excinfo.value.cause)
