@@ -274,17 +274,16 @@ def _decode_rollout(group_size: int, record: dict) -> Bucket:
 # subcommands
 
 
-def _cmd_ingest(args: argparse.Namespace, config: PipelineConfig) -> int:
+def _cmd_ingest(args: argparse.Namespace, config: PipelineConfig) -> None:
     corpus = ingest(args.users, args.items, args.reviews)
     save_corpus(corpus, args.out)
     print(
         f"ingested {len(corpus.users)} users, {len(corpus.items)} items, "
         f"{corpus.interaction_count()} interactions -> {args.out}"
     )
-    return EXIT_OK
 
 
-def _cmd_build_graph(args: argparse.Namespace, config: PipelineConfig) -> int:
+def _cmd_build_graph(args: argparse.Namespace, config: PipelineConfig) -> None:
     corpus = load_corpus(_required_path(args.corpus, config.corpus_dir, "corpus"))
     graph = build_graph(corpus)
     out = _required_path(args.out, config.graph_path, "graph output")
@@ -293,10 +292,9 @@ def _cmd_build_graph(args: argparse.Namespace, config: PipelineConfig) -> int:
         f"graph: {len(graph.user_adj)} users, {len(graph.item_adj)} items, "
         f"{graph.edge_count()} edges -> {out}"
     )
-    return EXIT_OK
 
 
-def _cmd_verbalize(args: argparse.Namespace, config: PipelineConfig) -> int:
+def _cmd_verbalize(args: argparse.Namespace, config: PipelineConfig) -> None:
     catalog = load_catalog(_required_path(args.corpus, config.corpus_dir, "corpus"))
     graph = load_graph(_required_path(args.graph, config.graph_path, "graph"))
     out = Path(_required_path(args.out, config.cache_path, "cache output"))
@@ -315,10 +313,9 @@ def _cmd_verbalize(args: argparse.Namespace, config: PipelineConfig) -> int:
             key, exc = failed[0]
             raise PipelineError(f"{len(failed)} keys failed to verbalize; "
                                 f"first: {key.name}:{key.anchor}: {type(exc).__name__}: {exc}")
-    return EXIT_OK
 
 
-def _cmd_make_instances(args: argparse.Namespace, config: PipelineConfig) -> int:
+def _cmd_make_instances(args: argparse.Namespace, config: PipelineConfig) -> None:
     corpus = load_corpus(_required_path(args.corpus, config.corpus_dir, "corpus"))
     scenario = Scenario(args.scenario)
     thresholds = config.view(ScenarioThresholds)
@@ -335,10 +332,9 @@ def _cmd_make_instances(args: argparse.Namespace, config: PipelineConfig) -> int
         raise EmptyInput(f"no users match scenario {scenario.value!r}")
     write_jsonl_atomic(args.out, records)
     print(f"instances: {len(records)} ({scenario.value}) -> {args.out}")
-    return EXIT_OK
 
 
-def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
+def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> None:
     catalog = load_catalog(_required_path(args.corpus, config.corpus_dir, "corpus"))
     cache_path = Path(_required_path(args.cache, config.cache_path, "cache"))
     cache = EvidenceCache.load(cache_path)
@@ -386,10 +382,9 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> int:
         logger.info("evidence prefetches: %d started, %d named by no session, %d failed",
                     tools.prefetches_started, tools.prefetches_unnamed, tools.prefetches_failed)
     print(f"sessions: {count} -> {args.out}")
-    return EXIT_OK
 
 
-def _cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> int:
+def _cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> None:
     kept = []
     total = unparsable = 0
     for session_id, record in _read_records(args.sessions, _decode_session, "session"):
@@ -403,17 +398,15 @@ def _cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> int:
         logger.warning("filter dropped %d unparsable trajectories", unparsable)
     write_jsonl_atomic(args.out, kept)
     print(f"kept {len(kept)} / {total}")
-    return EXIT_OK
 
 
-def _cmd_export_sft(args: argparse.Namespace, config: PipelineConfig) -> int:
+def _cmd_export_sft(args: argparse.Namespace, config: PipelineConfig) -> None:
     count = export_sft({session_id: (record["prompt"], record["trajectory"]) for session_id, record
                         in _read_records(args.kept, _decode_session, "session")}, Path(args.out))
     print(f"exported {count} records -> {args.out}")
-    return EXIT_OK
 
 
-def _cmd_score_rewards(args: argparse.Namespace, config: PipelineConfig) -> int:
+def _cmd_score_rewards(args: argparse.Namespace, config: PipelineConfig) -> None:
     ground_truth_by_id = {instance_id: instance.ground_truth for instance_id, instance
                           in _read_records(args.instances, _decode_instance, "instance")
                           } if args.instances else {}
@@ -435,10 +428,9 @@ def _cmd_score_rewards(args: argparse.Namespace, config: PipelineConfig) -> int:
         })
     write_jsonl_atomic(args.out, out_records)
     print(f"scored {len(out_records)} trajectories -> {args.out}")
-    return EXIT_OK
 
 
-def _cmd_bucket_rl(args: argparse.Namespace, config: PipelineConfig) -> int:
+def _cmd_bucket_rl(args: argparse.Namespace, config: PipelineConfig) -> None:
     by_bucket: dict[Bucket, list[str]] = {b: [] for b in Bucket}
     bucket_of = dict(_read_records(args.rollouts, partial(_decode_rollout, config.group_size),
                                    "rollout"))
@@ -454,7 +446,6 @@ def _cmd_bucket_rl(args: argparse.Namespace, config: PipelineConfig) -> int:
         f"quotas easy/medium/hard: {quotas[0]}/{quotas[1]}/{quotas[2]}; "
         f"excluded {len(by_bucket[Bucket.EXCLUDED])}; selected {len(chosen)} -> {args.out}"
     )
-    return EXIT_OK
 
 
 def _report_record(report: EvalReport, scenario: str) -> dict:
@@ -476,7 +467,7 @@ def _report_row(name: str, report: EvalReport) -> str:
     return "  ".join(cells)
 
 
-def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
+def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> None:
     instances = dict(_read_records(args.instances, _decode_instance, "instance"))
     all_pairs: list[tuple[list[str], EvalInstance]] = []
     by_scenario: dict[str, list[tuple[list[str], EvalInstance]]] = {}
@@ -504,7 +495,6 @@ def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
     for name, rep in scenario_reports.items():
         print(_report_row(name, rep))
     print(f"report -> {args.out}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="corpus directory; only its users.jsonl and items.jsonl are read")
     p.add_argument("--graph", help="graph file")
     p.add_argument("--cache", help="evidence cache file")
-    p.add_argument("--instances", required=True, help="instances .jsonl file")
+    p.add_argument("--instances", required=True, help="instances .jsonl file or directory")
     p.add_argument("--out", required=True, help="sessions .jsonl file")
     p.add_argument("--fail-reflection", action="store_true",
                    help="mock backend only: reflection flags one subtask to force a correction")
@@ -587,21 +577,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-sft", parents=[common],
                        help="export kept sessions as {system, user, assistant} training records")
-    p.add_argument("--kept", required=True, help="kept-sessions .jsonl file")
+    p.add_argument("--kept", required=True, help="kept-sessions .jsonl file or directory")
     p.add_argument("--out", required=True, help="training records .jsonl file")
     p.set_defaults(handler=_cmd_export_sft)
 
     p = sub.add_parser("score-rewards", parents=[common],
                        help="score format and outcome rewards for serialized trajectories")
-    p.add_argument("--trajectories", required=True, help="sessions or kept-sessions .jsonl")
-    p.add_argument("--instances", help="instances .jsonl for ground-truth lookup")
+    p.add_argument("--trajectories", required=True,
+                   help="sessions or kept-sessions .jsonl file or directory")
+    p.add_argument("--instances", help="instances .jsonl file or directory for ground-truth lookup")
     p.add_argument("--out", required=True, help="reward breakdowns .jsonl file")
     p.set_defaults(handler=_cmd_score_rewards)
 
     p = sub.add_parser("bucket-rl", parents=[common],
                        help="bucket rollout success counts by difficulty and sample the RL set")
     p.add_argument("--rollouts", required=True,
-                   help=".jsonl of {id, success_count} rollout records")
+                   help=".jsonl file or directory of {id, success_count} rollout records")
     p.add_argument("--target", type=int,
                    help=f"RL set size (default from config, {PipelineConfig.rl_target})")
     p.add_argument("--out", required=True, help="selected {id, bucket} .jsonl file")
@@ -610,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", parents=[common],
                        help="score session rankings against instances (sampled hit ratios)")
     p.add_argument("--sessions", required=True, help="sessions .jsonl file or directory")
-    p.add_argument("--instances", required=True, help="instances .jsonl file")
+    p.add_argument("--instances", required=True, help="instances .jsonl file or directory")
     p.add_argument("--out", required=True, help="report JSON file")
     p.set_defaults(handler=_cmd_evaluate)
 
@@ -628,10 +619,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = _resolve_config(args)
         logger.info("command %s, seed %d, resolved config: %s", args.command, config.seed, config)
-        return args.handler(args, config)
+        args.handler(args, config)
     except (PipelineError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -20,12 +20,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, TypeVar
 
-from .errors import (
-    DanglingReference,
-    EmptyCorpus,
-    SequenceTooShort,
-    UnknownUser,
-)
+from .errors import EmptyCorpus, SequenceTooShort, UnknownUser
 from .util import decode_jsonl, unique_ids, write_jsonl_atomic
 
 logger = logging.getLogger(__name__)
@@ -57,23 +52,16 @@ class Interaction:
 
 
 @dataclass(frozen=True)
-class UserMeta:
-    user: str
-    attributes: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class ItemMeta:
-    item: str
     title: str
     attributes: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
 class Catalog:
-    """All users and items by id."""
+    """Each user's attributes and each item's metadata, by id."""
 
-    users: dict[str, UserMeta]
+    users: dict[str, dict[str, str]]
     items: dict[str, ItemMeta]
 
 
@@ -127,11 +115,9 @@ def _require_id(obj: Any, key: str) -> str:
     return require_id(obj.get(key), key)
 
 
-def _decode_user(obj: Any) -> tuple[str, UserMeta]:
+def _decode_user(obj: Any) -> tuple[str, dict[str, str]]:
     user_id = _require_id(obj, "user_id")
-    return user_id, UserMeta(user=user_id, attributes={
-        k: _stringify_attribute(v) for k, v in obj.items() if k != "user_id"
-    })
+    return user_id, {k: _stringify_attribute(v) for k, v in obj.items() if k != "user_id"}
 
 
 def _decode_item(obj: Any) -> tuple[str, ItemMeta]:
@@ -139,7 +125,7 @@ def _decode_item(obj: Any) -> tuple[str, ItemMeta]:
     title = obj.get("title")
     if not isinstance(title, str) or not title:
         raise ValueError("missing or invalid title")
-    return item_id, ItemMeta(item=item_id, title=title, attributes={
+    return item_id, ItemMeta(title=title, attributes={
         k: _stringify_attribute(v) for k, v in obj.items() if k not in ("item_id", "title")
     })
 
@@ -187,20 +173,24 @@ def decode_interaction(obj: Any) -> Interaction:
 def ingest(user_file: str | Path, item_file: str | Path, review_file: str | Path) -> Corpus:
     """Load the three record files into a validated corpus.
 
-    Raises MalformedRecord on any bad line (DanglingReference on reviews that
-    name unknown users/items), and EmptyCorpus when no interactions exist.
+    Raises MalformedRecord on any bad line, a review naming an undeclared
+    user or item included, and EmptyCorpus when no interactions exist.
     Duplicate review triples are kept as distinct interactions.
     """
     users = _load_meta(user_file, "user_id", _decode_user)
     items = _load_meta(item_file, "item_id", _decode_item)
 
+    def decode_review(obj: Any) -> Interaction:
+        inter = decode_interaction(obj)
+        if inter.user not in users:
+            raise ValueError(f"unknown user {inter.user!r}")
+        if inter.item not in items:
+            raise ValueError(f"unknown item {inter.item!r}")
+        return inter
+
     sequences: dict[str, list[Interaction]] = {}
     total = 0
-    for lineno, inter in decode_jsonl(review_file, decode_interaction):
-        if inter.user not in users:
-            raise DanglingReference(lineno, inter.user, "user", source=str(review_file))
-        if inter.item not in items:
-            raise DanglingReference(lineno, inter.item, "item", source=str(review_file))
+    for _lineno, inter in decode_jsonl(review_file, decode_review):
         sequences.setdefault(inter.user, []).append(inter)
         total += 1
 
@@ -240,7 +230,7 @@ def save_corpus(corpus: Corpus, out_dir: str | Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     user_records = [
-        {"user_id": uid, **corpus.users[uid].attributes} for uid in sorted(corpus.users)
+        {"user_id": uid, **corpus.users[uid]} for uid in sorted(corpus.users)
     ]
     item_records = [
         {"item_id": iid, "title": corpus.items[iid].title, **corpus.items[iid].attributes}
@@ -273,18 +263,19 @@ def load_catalog(corpus_dir: str | Path) -> Catalog:
     return catalog
 
 
-def holdout_split(corpus: Corpus, user: str) -> tuple[list[Interaction], str]:
-    """Split one user's sequence into (history, ground_truth_item).
+def holdout_split(corpus: Corpus, user: str) -> tuple[list[Interaction], Interaction]:
+    """Split one user's sequence into (history, target interaction).
 
-    The ground truth is the item of the chronologically last interaction. The
-    history ends strictly before the user's first interaction with that item,
-    which guards against look-ahead leakage when the item occurs earlier too.
+    The target is the chronologically last interaction; its item is the
+    ground truth. The history ends strictly before the user's first
+    interaction with that item, which guards against look-ahead leakage when
+    the item occurs earlier too.
     """
     seq = corpus.sequences.get(user)
     if seq is None:
         raise UnknownUser(user)
     if len(seq) < 2:
         raise SequenceTooShort(user)
-    ground_truth = seq[-1].item
-    first_idx = next(i for i, inter in enumerate(seq) if inter.item == ground_truth)
-    return list(seq[:first_idx]), ground_truth
+    target = seq[-1]
+    first_idx = next(i for i, inter in enumerate(seq) if inter.item == target.item)
+    return list(seq[:first_idx]), target

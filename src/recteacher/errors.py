@@ -15,21 +15,11 @@ class PipelineError(Exception):
 class MalformedRecord(PipelineError):
     """A line-delimited record file contains a bad line."""
 
-    def __init__(self, line: int, reason: str, source: str = ""):
+    def __init__(self, line: int, reason: str, source: str):
         self.line = line
         self.reason = reason
         self.source = source
-        where = f"{source}:{line}" if source else f"line {line}"
-        super().__init__(f"{where}: {reason}")
-
-
-class DanglingReference(MalformedRecord):
-    """A review line references a user or item that was never declared."""
-
-    def __init__(self, line: int, missing_id: str, kind: str, source: str = ""):
-        self.missing_id = missing_id
-        self.kind = kind
-        super().__init__(line, f"unknown {kind} {missing_id!r}", source)
+        super().__init__(f"{source}:{line}: {reason}")
 
 
 class EmptyCorpus(PipelineError):

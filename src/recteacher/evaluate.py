@@ -70,7 +70,7 @@ def matches_scenario(
 ) -> bool:
     """Whether the user yields a usable instance under the scenario's filter."""
     try:
-        history, ground_truth = holdout_split(corpus, user)
+        history, target = holdout_split(corpus, user)
     except SequenceTooShort:
         return False
     if not history:
@@ -80,12 +80,10 @@ def matches_scenario(
     if scenario is Scenario.COLD_START_USER:
         return len(history) < thresholds.cold_user_max_history
     if scenario is Scenario.COLD_START_ITEM:
-        return corpus.item_reads[ground_truth] <= thresholds.cold_item_max_interactions
+        return corpus.item_reads[target.item] <= thresholds.cold_item_max_interactions
     if scenario is Scenario.EVO_LONG:
         return len(history) >= thresholds.evo_long_min_history
-    sequence = corpus.sequences[user]
-    gap = sequence[-1].timestamp - history[-1].timestamp
-    return gap <= thresholds.evo_short_max_gap_s
+    return target.timestamp - history[-1].timestamp <= thresholds.evo_short_max_gap_s
 
 
 def build_instance(
@@ -95,7 +93,7 @@ def build_instance(
     rng_seed: int | str = 0,
 ) -> EvalInstance:
     """Holdout split plus 19 seeded negatives the user never touched."""
-    history, ground_truth = holdout_split(corpus, user)
+    history, target = holdout_split(corpus, user)
     if not history:
         raise SequenceTooShort(user, "no interactions before the ground-truth item")
     interacted = {interaction.item for interaction in corpus.sequences[user]}
@@ -103,13 +101,13 @@ def build_instance(
     if len(pool) < NEGATIVE_COUNT:
         raise NotEnoughItems(f"user {user!r}: {len(pool)} candidates for {NEGATIVE_COUNT} negatives")
     rng = random.Random(rng_seed)
-    candidates = [ground_truth, *rng.sample(pool, NEGATIVE_COUNT)]
+    candidates = [target.item, *rng.sample(pool, NEGATIVE_COUNT)]
     rng.shuffle(candidates)
     return EvalInstance(
         user=user,
         history=tuple(history),
         candidates=tuple(candidates),
-        ground_truth=ground_truth,
+        ground_truth=target.item,
         scenario=scenario,
     )
 

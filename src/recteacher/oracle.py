@@ -15,8 +15,8 @@ from typing import Mapping
 
 from .abstract import SUMMARIZER
 from .gateway import ChatReply, ChatRequest
-from .tags import ToolCall, encode_tool_call
-from .teacher import AGENT_NAMES, Phase
+from .tags import encode_tool_call
+from .teacher import AGENT_NAMES, Phase, session_evidence_call
 
 _CANDIDATE_LINE = re.compile(r"^\d+\. item_id: (\S+)", re.MULTILINE)
 
@@ -79,7 +79,7 @@ class OracleBackend:
 
     def _subtask(self, agent_name: str, user: str, send: int) -> str:
         if send == 0:
-            call = encode_tool_call(ToolCall("UserCF", user))
+            call = encode_tool_call(session_evidence_call(user))
             return f"Pulling collaborative evidence first.\n<tool_call>{call}</tool_call>"
         conclusion = json.dumps([f"{agent_name} conclusion for user {user}"])
         return f"Evidence received; summarizing.\n<JSON>{conclusion}</JSON>"

@@ -1,7 +1,10 @@
 """Prompt template loading and rendering.
 
-The templates that ship as package data under ``templates/`` are the only
-prompt text. Rendering replaces only ``{word}`` placeholders whose key is
+The templates that ship as package data under ``templates/`` hold the system
+prompts and the summarizer's and verbalizers' user turns. Some prompt text is
+still built in code: the instance prompt's section headers here, the teacher's
+preceding-outputs block, correction header and re-ask text, and verbalize's
+target headers. Rendering replaces only ``{word}`` placeholders whose key is
 supplied; everything else (including JSON examples with braces) passes through
 untouched. Corpus items and users become prompt lines here, and only here.
 """
@@ -13,7 +16,7 @@ from importlib import resources
 import re
 from typing import Mapping, Sequence
 
-from .corpus import ItemMeta, UserMeta
+from .corpus import ItemMeta
 
 DEFAULT_DOMAIN = "goodreads"
 
@@ -130,13 +133,7 @@ def render_user_line(user: str, attributes: Mapping[str, str]) -> str:
 def item_meta(item: str, items: Mapping[str, ItemMeta]) -> ItemMeta:
     """The metadata of `item`; an item the corpus lacks gets an unknown title and no attributes."""
     meta = items.get(item)
-    return meta if meta is not None else ItemMeta(item=item, title="(unknown)")
-
-
-def user_attributes(user: str, users: Mapping[str, UserMeta]) -> Mapping[str, str]:
-    """The attributes of `user`; a user the corpus lacks has none."""
-    meta = users.get(user)
-    return meta.attributes if meta is not None else {}
+    return meta if meta is not None else ItemMeta("(unknown)")
 
 
 def item_lines(ids: Sequence[str], items: Mapping[str, ItemMeta]) -> tuple[list[str], set[str]]:

@@ -271,7 +271,7 @@ def build_context(
 
     A failed abstraction raises SessionError with phase "abstract".
     """
-    attributes = prompts.user_attributes(instance.user, catalog.users)
+    attributes = catalog.users.get(instance.user, {})  # a user the corpus lacks has none
     try:
         hybrid = abstract(
             list(instance.history),

@@ -16,7 +16,7 @@ from pathlib import Path
 import threading
 from typing import Mapping, Sequence
 
-from .corpus import Catalog, ItemMeta, UserMeta, require_id
+from .corpus import Catalog, ItemMeta, require_id
 from .gateway import Gateway, Origin, chat_request
 from .graph import (
     DEFAULT_NEIGHBOR_K,
@@ -157,7 +157,7 @@ def verbalize_item(
 
 def verbalize_user(
     graph: InteractionGraph,
-    users: Mapping[str, UserMeta],
+    users: Mapping[str, Mapping[str, str]],
     items: Mapping[str, ItemMeta],
     anchor: str,
     gateway: Gateway,
@@ -169,7 +169,7 @@ def verbalize_user(
     pool = neighbor_item_pool(graph, anchor, k_users=k)
     if not pool:
         return _fallback(key)
-    anchor_line = prompts.render_user_line(anchor, prompts.user_attributes(anchor, users))
+    anchor_line = prompts.render_user_line(anchor, users.get(anchor, {}))
     return _verbalize(key, pool, items, gateway, f"# Target user\n{anchor_line}\n",
                       "Preference items", prompts.user_evidence_system(domain))
 

@@ -43,7 +43,7 @@ def test_chunk_rejects_bad_window():
 
 
 def test_render_interaction_full_and_sparse():
-    items = {"i1": ItemMeta(item="i1", title="The Quiet Harbor")}
+    items = {"i1": ItemMeta(title="The Quiet Harbor")}
     full = Interaction(user="u", item="i1", timestamp=0, rating=4.0, review_text="great stuff")
     line = render_interaction(full, items)
     assert line == ('Review time: 1970-01-01-12AM item_id: i1 title: The Quiet Harbor '

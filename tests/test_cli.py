@@ -169,6 +169,37 @@ def test_ingest_names_a_line_that_is_not_utf8(toy_files, tmp_path, capsys):
     assert error_lines[0].startswith(f"error: MalformedRecord: {items}:3: invalid UTF-8: ")
 
 
+_USERS = [{"user_id": "u1"}, {"user_id": "u2"}]
+_ITEMS = [{"item_id": "i1", "title": "One"}]
+_REVIEWS = [{"user_id": "u1", "item_id": "i1", "timestamp": 1}]
+
+
+@pytest.mark.parametrize("file, records, line, reason", [
+    ("users", [*_USERS, {"user_id": "u 3"}], 3, "user_id 'u 3' contains a comma or whitespace"),
+    ("reviews", [*_REVIEWS, {"user_id": "u2", "item_id": "i1", "timestamp": "2"}], 2,
+     "timestamp must be an integer"),
+    ("items", [*_ITEMS, {"item_id": "i1", "title": "Again"}], 2, "duplicate item_id 'i1'"),
+    ("reviews", [*_REVIEWS, {"user_id": "ux", "item_id": "i1", "timestamp": 2}], 2,
+     "unknown user 'ux'"),
+    ("reviews", [*_REVIEWS, {"user_id": "u2", "item_id": "ix", "timestamp": 2}], 2,
+     "unknown item 'ix'"),
+], ids=["bad-id", "bad-timestamp", "repeated-id", "unknown-user", "unknown-item"])
+def test_a_bad_corpus_line_is_one_malformed_record_line(tmp_path, capsys, file, records, line,
+                                                        reason):
+    paths = {}
+    for name, default in (("users", _USERS), ("items", _ITEMS), ("reviews", _REVIEWS)):
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text("".join(json.dumps(r) + "\n" for r in
+                                       (records if name == file else default)), encoding="utf-8")
+    out = tmp_path / "corpus"
+    code = main(["ingest", "--users", str(paths["users"]), "--items", str(paths["items"]),
+                 "--reviews", str(paths["reviews"]), "--out", str(out)])
+    error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
+    assert code == 1
+    assert error_lines == [f"error: MalformedRecord: {paths[file]}:{line}: {reason}"]
+    assert not out.exists()
+
+
 def test_ingest_reports_counts(toy_files, tmp_path, capsys):
     code = main(["ingest", "--users", str(toy_files["users"]), "--items", str(toy_files["items"]),
                  "--reviews", str(toy_files["reviews"]), "--out", str(tmp_path / "corpus")])

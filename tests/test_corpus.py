@@ -18,7 +18,6 @@ from recteacher.corpus import (
     save_corpus,
 )
 from recteacher.errors import (
-    DanglingReference,
     EmptyCorpus,
     MalformedRecord,
     SequenceTooShort,
@@ -57,7 +56,7 @@ def test_ingest_sorts_sequences_chronologically(tmp_path):
     assert corpus.sequences["u1"][0].review_text == "fine"
     assert corpus.sequences["u1"][1].rating == 4.0
     assert corpus.interaction_count() == 4
-    assert corpus.users["u1"].attributes == {"age_group": "25-34"}
+    assert corpus.users["u1"] == {"age_group": "25-34"}
     assert corpus.items["i1"].attributes == {"genre": "mystery"}
 
 
@@ -79,8 +78,8 @@ def test_ingest_rejects_bad_records(tmp_path):
          MalformedRecord),
         (BASE_USERS, BASE_ITEMS, [{"user_id": "u1", "item_id": "i1", "timestamp": 10**20}], MalformedRecord),
         (BASE_USERS, BASE_ITEMS, [{"user_id": "u1", "item_id": "i1", "timestamp": 1, "rating": 9}], MalformedRecord),
-        (BASE_USERS, BASE_ITEMS, [{"user_id": "ux", "item_id": "i1", "timestamp": 1}], DanglingReference),
-        (BASE_USERS, BASE_ITEMS, [{"user_id": "u1", "item_id": "ix", "timestamp": 1}], DanglingReference),
+        (BASE_USERS, BASE_ITEMS, [{"user_id": "ux", "item_id": "i1", "timestamp": 1}], MalformedRecord),
+        (BASE_USERS, BASE_ITEMS, [{"user_id": "u1", "item_id": "ix", "timestamp": 1}], MalformedRecord),
         (BASE_USERS, [{"item_id": "i1"}], BASE_REVIEWS, MalformedRecord),  # no title
         ([{"user_id": "u1"}, {"user_id": "u1"}], BASE_ITEMS, BASE_REVIEWS, MalformedRecord),
         (BASE_USERS, BASE_ITEMS, [], EmptyCorpus),
@@ -115,8 +114,8 @@ def test_the_last_second_of_year_9999_is_a_timestamp(tmp_path):
 
 def test_holdout_split_takes_last_item(tmp_path):
     corpus = ingest(*make_files(tmp_path, BASE_USERS, BASE_ITEMS, BASE_REVIEWS))
-    history, ground_truth = holdout_split(corpus, "u1")
-    assert ground_truth == "i3"
+    history, target = holdout_split(corpus, "u1")
+    assert target == corpus.sequences["u1"][-1] and target.item == "i3"
     assert [it.item for it in history] == ["i1", "i2"]
 
 
@@ -127,8 +126,8 @@ def test_holdout_split_cuts_before_first_ground_truth_occurrence(tmp_path):
         {"user_id": "u1", "item_id": "i3", "timestamp": 30},
     ]
     corpus = ingest(*make_files(tmp_path, BASE_USERS, BASE_ITEMS, reviews))
-    history, ground_truth = holdout_split(corpus, "u1")
-    assert ground_truth == "i3"
+    history, target = holdout_split(corpus, "u1")
+    assert (target.item, target.timestamp) == ("i3", 30)
     assert history == []  # first occurrence is the very first interaction
 
 
@@ -193,4 +192,4 @@ def test_non_string_attributes_are_stringified(tmp_path):
     reviews = [{"user_id": "u1", "item_id": "i1", "timestamp": 1}]
     corpus = ingest(*make_files(tmp_path, users, items, reviews))
     assert corpus.items["i1"].attributes["year"] == "1999"
-    assert corpus.users["u1"].attributes["tags"] == '["a", "b"]'
+    assert corpus.users["u1"]["tags"] == '["a", "b"]'

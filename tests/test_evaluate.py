@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from recteacher.corpus import Corpus, Interaction, ItemMeta, UserMeta
+from recteacher.corpus import Corpus, Interaction, ItemMeta
 from recteacher.errors import (
     EmptyInput,
     InsufficientSamples,
@@ -29,8 +29,8 @@ DAY = 86400
 
 
 def make_corpus(sequences, n_items=30):
-    items = {f"i{k:02d}": ItemMeta(item=f"i{k:02d}", title=f"T{k}") for k in range(n_items)}
-    users = {user: UserMeta(user=user) for user in sequences}
+    items = {f"i{k:02d}": ItemMeta(title=f"T{k}") for k in range(n_items)}
+    users = {user: {} for user in sequences}
     built = {
         user: [Interaction(user, item, ts) for item, ts in seq]
         for user, seq in sequences.items()

@@ -397,7 +397,7 @@ def test_http_backend_requires_endpoint():
 def test_every_request_goes_out_with_the_configured_sampling():
     """Summaries, ItemCF and UserCF evidence and teacher turns all send the gateway's sampling."""
     from recteacher.abstract import abstract
-    from recteacher.corpus import Corpus, Interaction, ItemMeta, UserMeta
+    from recteacher.corpus import Corpus, Interaction, ItemMeta
     from recteacher.graph import build_graph
     from recteacher.teacher import TeacherContext, plan
     from recteacher.verbalize import verbalize_item, verbalize_user
@@ -410,8 +410,8 @@ def test_every_request_goes_out_with_the_configured_sampling():
     backend._session = session
     gateway = Gateway(backend, config)
     corpus = Corpus(
-        users={u: UserMeta(user=u) for u in "AB"},
-        items={i: ItemMeta(item=i, title=i.upper()) for i in "xy"},
+        users={u: {} for u in "AB"},
+        items={i: ItemMeta(title=i.upper()) for i in "xy"},
         sequences={"A": [Interaction("A", "x", 1), Interaction("A", "y", 2)],
                    "B": [Interaction("B", "x", 3)]},
     )

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from cfref import brute_item_neighbors, brute_pool, brute_user_neighbors, make_graph, random_graph
-from recteacher.corpus import Corpus, ItemMeta, Interaction, UserMeta
+from recteacher.corpus import Corpus, ItemMeta, Interaction
 from recteacher.errors import EmptyCorpus, MalformedRecord, UnknownItem, UnknownUser
 from recteacher.graph import (
     build_graph,
@@ -70,8 +70,8 @@ def test_unknown_anchor_raises():
 
 def test_build_graph_dedupes_repeat_interactions():
     corpus = Corpus(
-        users={"A": UserMeta("A")},
-        items={"x": ItemMeta("x", "X")},
+        users={"A": {}},
+        items={"x": ItemMeta("X")},
         sequences={"A": [
             Interaction("A", "x", 1),
             Interaction("A", "x", 2),

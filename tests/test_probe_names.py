@@ -24,7 +24,7 @@ import recteacher.teacher
 import recteacher.trajectory
 import recteacher.verbalize
 from recteacher.cli import main
-from recteacher.corpus import Corpus, ItemMeta, UserMeta
+from recteacher.corpus import Corpus, ItemMeta
 from recteacher.gateway import Gateway, GatewayConfig, ScriptBackend
 from recteacher.tags import ToolCall
 
@@ -76,8 +76,8 @@ def test_probes_install_record_and_restore():
         # verbalize_key reaches the verbalizers through the patched module globals
         graph = make_graph({"A": {"x", "y"}, "B": {"x"}})
         corpus = Corpus(
-            users={u: UserMeta(user=u) for u in "AB"},
-            items={i: ItemMeta(item=i, title=i.upper()) for i in "xy"},
+            users={u: {} for u in "AB"},
+            items={i: ItemMeta(title=i.upper()) for i in "xy"},
             sequences={},
         )
         gateway = Gateway(ScriptBackend(["<Answer>\nx and y\n</Answer>"] * 2), GatewayConfig())

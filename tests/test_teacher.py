@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from recteacher.corpus import Corpus, Interaction, ItemMeta, UserMeta
+from recteacher.corpus import Corpus, Interaction, ItemMeta
 from recteacher.errors import (
     PipelineError,
     ReplyParseError,
@@ -112,8 +112,8 @@ def test_a_decoded_call_is_its_evidence_key():
 
 def small_corpus():
     return Corpus(
-        users={u: UserMeta(user=u) for u in "AB"},
-        items={i: ItemMeta(item=i, title=i.upper()) for i in "xy"},
+        users={u: {} for u in "AB"},
+        items={i: ItemMeta(title=i.upper()) for i in "xy"},
         sequences={
             "A": [Interaction("A", "x", 1), Interaction("A", "y", 2)],
             "B": [Interaction("B", "x", 3)],
@@ -210,8 +210,8 @@ def test_tool_runner_concurrent_fills_match_a_serial_run(tmp_path):
     users = [f"u{n}" for n in range(12)]
     items = [f"i{n}" for n in range(16)]
     corpus = Corpus(
-        users={u: UserMeta(user=u) for u in users},
-        items={i: ItemMeta(item=i, title=i.upper()) for i in items},
+        users={u: {} for u in users},
+        items={i: ItemMeta(title=i.upper()) for i in items},
         sequences={u: [Interaction(u, item, t) for t, item in enumerate(rng.sample(items, 4))]
                    for u in users},
     )
@@ -949,11 +949,11 @@ def test_teacher_config_validation():
 # ------------------------------------------------------------- build_context
 
 def test_build_context_renders_prompt_and_folds_history():
-    items = {f"i{k:02d}": ItemMeta(item=f"i{k:02d}", title=f"Title {k}", attributes={"genre": "sf"})
+    items = {f"i{k:02d}": ItemMeta(title=f"Title {k}", attributes={"genre": "sf"})
              for k in range(25)}
     history = tuple(Interaction("u1", f"i{k:02d}", 1000 + k, rating=4.0) for k in range(5))
     corpus = Corpus(
-        users={"u1": UserMeta(user="u1", attributes={"age": "30"})},
+        users={"u1": {"age": "30"}},
         items=items,
         sequences={"u1": list(history) + [Interaction("u1", "i05", 2000)]},
     )

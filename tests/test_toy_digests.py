@@ -98,6 +98,40 @@ def test_run_teacher_at_four_slots_matches_the_digests(artifacts, tmp_path, name
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[name]
 
 
+# sha256 of every request the toy chain sends at --parallel 1, in send order: verbalize, then
+# run-teacher on the warm cache, with --fail-reflection and on an empty cache. Each request is
+# its origin and its messages, so this pins every prompt byte, not only the instance prompt.
+REQUESTS = (1241, "7f3ccfcb101004b9678470afb518bef3292ba3e812f9cb4c197a75e2b2f80206")
+
+
+def test_every_prompt_byte_of_the_toy_chain(artifacts, tmp_path, monkeypatch):
+    requests = []
+
+    class RecordingOracle(OracleBackend):
+        def send(self, request):
+            origin = request.origin
+            requests.append([getattr(origin.role, "value", origin.role), origin.subject,
+                             origin.send, origin.turn, list(request.messages)])
+            return super().send(request)
+
+    monkeypatch.setattr(recteacher.cli, "OracleBackend", RecordingOracle)
+    corpus, graph = str(artifacts / "corpus"), str(artifacts / "graph.jsonl")
+    teacher = ["run-teacher", "--backend", "mock", "--corpus", corpus, "--graph", graph,
+               "--instances", str(artifacts / "instances.jsonl"), "--parallel", "1"]
+    steps = [
+        ["verbalize", "--backend", "mock", "--corpus", corpus, "--graph", graph,
+         "--out", str(tmp_path / "cache.jsonl"), "--parallel", "1"],
+        teacher + ["--cache", str(tmp_path / "cache.jsonl"), "--out", str(tmp_path / "s.jsonl")],
+        teacher + ["--cache", str(tmp_path / "cache.jsonl"), "--out", str(tmp_path / "fr.jsonl"),
+                   "--fail-reflection"],
+        teacher + ["--cache", str(tmp_path / "od_cache.jsonl"), "--out", str(tmp_path / "od.jsonl")],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv
+    encoded = json.dumps(requests, ensure_ascii=False).encode("utf-8")
+    assert (len(requests), hashlib.sha256(encoded).hexdigest()) == REQUESTS
+
+
 # The sends of the first toy session at --parallel 1 with --fail-reflection, in order.
 SERIAL_SESSION = [
     Origin(SUMMARIZER, "u001"),

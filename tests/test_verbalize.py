@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from recteacher.corpus import Catalog, ItemMeta, UserMeta
+from recteacher.corpus import Catalog, ItemMeta
 from recteacher.errors import MalformedRecord, ReplyParseError, UnknownItem, UnknownUser
 from recteacher.gateway import Gateway, GatewayConfig, ScriptBackend
 from recteacher.tags import ToolCall
@@ -34,9 +34,9 @@ GRAPH = make_graph({
 })
 
 CATALOG = Catalog(
-    users={u: UserMeta(user=u, attributes={"age": "30"}) for u in "ABCD"},
+    users={u: {"age": "30"} for u in "ABCD"},
     items={
-        i: ItemMeta(item=i, title=f"Title {i.upper()}", attributes={"genre": "sf"})
+        i: ItemMeta(title=f"Title {i.upper()}", attributes={"genre": "sf"})
         for i in "xyzw"
     },
 )
