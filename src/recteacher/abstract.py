@@ -7,10 +7,9 @@ chunk stays raw so the orchestrator sees recent behavior verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
-from .corpus import Interaction, ItemMeta
+from .corpus import Interaction
 from .errors import EmptyInput
 from .gateway import Gateway, Origin, chat_request
 from . import prompts
@@ -18,7 +17,6 @@ from .tags import SUMMARY_TAG, reply_body
 
 DEFAULT_WINDOW_M = 10
 SUMMARIZER = "abstract"  # the origin role of a summary call; send n folds chunk n
-REVIEW_EXCERPT_CHARS = 300  # cap per rendered review
 
 
 @dataclass(frozen=True)
@@ -32,21 +30,6 @@ def chunk(history: Sequence[Interaction], m: int) -> list[list[Interaction]]:
     if m < 1:
         raise ValueError("m must be >= 1")
     return [list(history[i:i + m]) for i in range(0, len(history), m)]
-
-
-def render_interaction(interaction: Interaction, items: Mapping[str, ItemMeta]) -> str:
-    stamp = datetime.fromtimestamp(interaction.timestamp, tz=timezone.utc)
-    parts = [
-        f"Review time: {stamp.strftime('%Y-%m-%d-%I%p')}",
-        f"item_id: {interaction.item}",
-        f"title: {prompts.item_meta(interaction.item, items).title}",
-    ]
-    if interaction.rating is not None:
-        parts.append(f"rating: {interaction.rating:g}")
-    if interaction.review_text:
-        excerpt = interaction.review_text[:REVIEW_EXCERPT_CHARS]
-        parts.append(f'user review text: "{excerpt}"')
-    return " ".join(parts)
 
 
 def abstract(

@@ -24,8 +24,9 @@ graph (--graph or graph_path) and loads it before any session starts. A
 missing evidence cache is an empty one; every miss is filled from the graph,
 and an anchor the graph does not know gets a fixed sentence.
 verbalize and run-teacher read only the catalogue of the corpus directory
-(its user and item files); build-graph and make-instances read and check all
-three files.
+(its user and item files). Before any send they refuse a graph, and
+run-teacher an instance, that names a user or item the catalogue lacks.
+build-graph and make-instances read and check all three files.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar
 
 from .config import PipelineConfig, load_config
 from .corpus import (
+    Catalog,
     decode_interaction,
     ingest,
     interaction_record,
@@ -63,7 +65,7 @@ from .evaluate import (
     matches_scenario,
 )
 from .gateway import Gateway, GatewayConfig, HttpBackend, ScriptBackend
-from .graph import build_graph, load_graph, save_graph
+from .graph import InteractionGraph, build_graph, load_graph, save_graph
 from .oracle import OracleBackend
 from .rewards import Bucket, bucket, composite_reward, compose_rl_set, largest_remainder
 from .teacher import (AGENT_NAMES, PhaseRecord, SessionLog, TeacherConfig, ToolRunner, build_context,
@@ -151,6 +153,17 @@ def _make_gateway(args: argparse.Namespace, config: PipelineConfig,
     else:
         backend = OracleBackend(ground_truth=ground_truth, fail_reflection=args.fail_reflection)
     return Gateway(backend, gateway_config)
+
+
+def _load_graph(args: argparse.Namespace, config: PipelineConfig, catalog: Catalog) -> InteractionGraph:
+    """The graph of --graph or graph_path; a user or item the catalogue lacks is a PipelineError."""
+    path = _required_path(args.graph, config.graph_path, "graph")
+    graph = load_graph(path)
+    try:
+        catalog.require_known(graph.user_adj, graph.item_adj)
+    except ValueError as exc:
+        raise PipelineError(f"graph {path}: {exc}") from exc
+    return graph
 
 
 def _read_records(path: str | Path, decode: Callable[[dict], T], kind: str) -> Iterator[tuple[str, T]]:
@@ -296,7 +309,7 @@ def _cmd_build_graph(args: argparse.Namespace, config: PipelineConfig) -> None:
 
 def _cmd_verbalize(args: argparse.Namespace, config: PipelineConfig) -> None:
     catalog = load_catalog(_required_path(args.corpus, config.corpus_dir, "corpus"))
-    graph = load_graph(_required_path(args.graph, config.graph_path, "graph"))
+    graph = _load_graph(args, config, catalog)
     out = Path(_required_path(args.out, config.cache_path, "cache output"))
     gateway = _make_gateway(args, config)
     only_missing = args.only_missing and out.exists()
@@ -340,13 +353,18 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> None:
     cache = EvidenceCache.load(cache_path)
     logger.info("loaded evidence cache: %d entries from %s", len(cache), cache_path)
 
-    instances = list(_read_records(args.instances, _decode_instance, "instance"))  # before any send
+    def decode_known(record: dict) -> EvalInstance:
+        instance = _decode_instance(record)
+        catalog.require_known((instance.user,), [*(i.item for i in instance.history), *instance.candidates])
+        return instance
+
+    instances = list(_read_records(args.instances, decode_known, "instance"))  # before any send
     if not instances:
         raise EmptyInput(f"no instances in {args.instances}")
     gateway = _make_gateway(args, config, ground_truth={instance.user: instance.ground_truth
                                                         for _, instance in instances})
 
-    graph = load_graph(_required_path(args.graph, config.graph_path, "graph"))
+    graph = _load_graph(args, config, catalog)
     tools = ToolRunner(cache, partial(verbalize_key, graph, catalog,
                                       k=config.neighbor_k, domain=config.domain))
     teacher_config = config.view(TeacherConfig)

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Iterable, TypeVar
 
 from .errors import EmptyCorpus, SequenceTooShort, UnknownUser
 from .util import decode_jsonl, unique_ids, write_jsonl_atomic
@@ -63,6 +63,15 @@ class Catalog:
 
     users: dict[str, dict[str, str]]
     items: dict[str, ItemMeta]
+
+    def require_known(self, users: Iterable[str], items: Iterable[str]) -> None:
+        """ValueError naming the first of `users`, then of `items`, that the catalogue lacks."""
+        for user in users:
+            if user not in self.users:
+                raise ValueError(f"unknown user {user!r}")
+        for item in items:
+            if item not in self.items:
+                raise ValueError(f"unknown item {item!r}")
 
 
 @dataclass
@@ -177,15 +186,12 @@ def ingest(user_file: str | Path, item_file: str | Path, review_file: str | Path
     user or item included, and EmptyCorpus when no interactions exist.
     Duplicate review triples are kept as distinct interactions.
     """
-    users = _load_meta(user_file, "user_id", _decode_user)
-    items = _load_meta(item_file, "item_id", _decode_item)
+    catalog = Catalog(users=_load_meta(user_file, "user_id", _decode_user),
+                      items=_load_meta(item_file, "item_id", _decode_item))
 
     def decode_review(obj: Any) -> Interaction:
         inter = decode_interaction(obj)
-        if inter.user not in users:
-            raise ValueError(f"unknown user {inter.user!r}")
-        if inter.item not in items:
-            raise ValueError(f"unknown item {inter.item!r}")
+        catalog.require_known((inter.user,), (inter.item,))
         return inter
 
     sequences: dict[str, list[Interaction]] = {}
@@ -202,9 +208,9 @@ def ingest(user_file: str | Path, item_file: str | Path, review_file: str | Path
 
     logger.info(
         "loaded corpus: %d users, %d items, %d interactions",
-        len(users), len(items), total,
+        len(catalog.users), len(catalog.items), total,
     )
-    return Corpus(users=users, items=items, sequences=sequences)
+    return Corpus(users=catalog.users, items=catalog.items, sequences=sequences)
 
 
 def interaction_record(interaction: Interaction) -> dict[str, Any]:

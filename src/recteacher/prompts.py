@@ -6,19 +6,21 @@ still built in code: the instance prompt's section headers here, the teacher's
 preceding-outputs block, correction header and re-ask text, and verbalize's
 target headers. Rendering replaces only ``{word}`` placeholders whose key is
 supplied; everything else (including JSON examples with braces) passes through
-untouched. Corpus items and users become prompt lines here, and only here.
+untouched. Corpus items, users and interactions become prompt lines here only.
 """
 
 from __future__ import annotations
 
+from datetime import datetime, timezone
 from functools import lru_cache
 from importlib import resources
 import re
 from typing import Mapping, Sequence
 
-from .corpus import ItemMeta
+from .corpus import Interaction, ItemMeta
 
 DEFAULT_DOMAIN = "goodreads"
+REVIEW_EXCERPT_CHARS = 300  # cap per rendered review
 
 _TEMPLATES = resources.files(__package__) / "templates"
 
@@ -130,10 +132,16 @@ def render_user_line(user: str, attributes: Mapping[str, str]) -> str:
     return " | ".join(parts)
 
 
-def item_meta(item: str, items: Mapping[str, ItemMeta]) -> ItemMeta:
-    """The metadata of `item`; an item the corpus lacks gets an unknown title and no attributes."""
-    meta = items.get(item)
-    return meta if meta is not None else ItemMeta("(unknown)")
+def render_interaction(interaction: Interaction, items: Mapping[str, ItemMeta]) -> str:
+    stamp = datetime.fromtimestamp(interaction.timestamp, tz=timezone.utc)
+    parts = [f"Review time: {stamp.strftime('%Y-%m-%d-%I%p')}", f"item_id: {interaction.item}",
+             f"title: {items[interaction.item].title}"]
+    if interaction.rating is not None:
+        parts.append(f"rating: {interaction.rating:g}")
+    if interaction.review_text:
+        excerpt = interaction.review_text[:REVIEW_EXCERPT_CHARS]
+        parts.append(f'user review text: "{excerpt}"')
+    return " ".join(parts)
 
 
 def item_lines(ids: Sequence[str], items: Mapping[str, ItemMeta]) -> tuple[list[str], set[str]]:
@@ -141,7 +149,7 @@ def item_lines(ids: Sequence[str], items: Mapping[str, ItemMeta]) -> tuple[list[
     lines: list[str] = []
     keys: set[str] = set()
     for item in ids:
-        meta = item_meta(item, items)
+        meta = items[item]
         keys.update(meta.attributes)
         lines.append(render_item_line(item, meta.title, meta.attributes))
     return lines, keys

@@ -26,7 +26,7 @@ import re
 import threading
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from .abstract import DEFAULT_WINDOW_M, abstract, render_interaction
+from .abstract import DEFAULT_WINDOW_M, abstract
 from .corpus import Catalog
 from .errors import PipelineError, ReplyParseError, SessionError, UnknownItem, UnknownUser
 from .evaluate import EvalInstance
@@ -271,22 +271,22 @@ def build_context(
 
     A failed abstraction raises SessionError with phase "abstract".
     """
-    attributes = catalog.users.get(instance.user, {})  # a user the corpus lacks has none
+    attributes = catalog.users[instance.user]
     try:
         hybrid = abstract(
             list(instance.history),
             config.window_m,
             gateway,
-            render=lambda i: render_interaction(i, catalog.items),
+            render=lambda i: prompts.render_interaction(i, catalog.items),
             domain=config.domain,
             user_block=prompts.render_user_line(instance.user, attributes),
         )
     except Exception as exc:
         raise SessionError("abstract", exc) from exc
-    recent_lines = [render_interaction(i, catalog.items) for i in hybrid.recent_raw]
+    recent_lines = [prompts.render_interaction(i, catalog.items) for i in hybrid.recent_raw]
     candidate_lines, item_keys = prompts.item_lines(instance.candidates, catalog.items)
     for interaction in hybrid.recent_raw:
-        item_keys.update(prompts.item_meta(interaction.item, catalog.items).attributes)
+        item_keys.update(catalog.items[interaction.item].attributes)
     prompt = prompts.render_instance_prompt(
         user=instance.user,
         user_attributes=attributes,

@@ -169,7 +169,7 @@ def verbalize_user(
     pool = neighbor_item_pool(graph, anchor, k_users=k)
     if not pool:
         return _fallback(key)
-    anchor_line = prompts.render_user_line(anchor, users.get(anchor, {}))
+    anchor_line = prompts.render_user_line(anchor, users[anchor])
     return _verbalize(key, pool, items, gateway, f"# Target user\n{anchor_line}\n",
                       "Preference items", prompts.user_evidence_system(domain))
 

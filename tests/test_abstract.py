@@ -7,10 +7,11 @@ import random
 
 import pytest
 
-from recteacher.abstract import HybridHistory, abstract, chunk, render_interaction
+from recteacher.abstract import HybridHistory, abstract, chunk
 from recteacher.corpus import Interaction, ItemMeta
 from recteacher.errors import EmptyInput, ReplyParseError
 from recteacher.gateway import Gateway, GatewayConfig, ScriptBackend
+from recteacher.prompts import render_interaction
 
 
 def interactions(n):
@@ -43,17 +44,17 @@ def test_chunk_rejects_bad_window():
 
 
 def test_render_interaction_full_and_sparse():
-    items = {"i1": ItemMeta(title="The Quiet Harbor")}
+    items = {"i1": ItemMeta(title="The Quiet Harbor"), "i9": ItemMeta(title="Ninth")}
     full = Interaction(user="u", item="i1", timestamp=0, rating=4.0, review_text="great stuff")
     line = render_interaction(full, items)
     assert line == ('Review time: 1970-01-01-12AM item_id: i1 title: The Quiet Harbor '
                     'rating: 4 user review text: "great stuff"')
     sparse = Interaction(user="u", item="i9", timestamp=0)
-    assert render_interaction(sparse, items) == "Review time: 1970-01-01-12AM item_id: i9 title: (unknown)"
+    assert render_interaction(sparse, items) == "Review time: 1970-01-01-12AM item_id: i9 title: Ninth"
 
 
 def test_render_interaction_caps_review_excerpt():
-    items = {}
+    items = {"i1": ItemMeta(title="T")}
     noisy = Interaction(user="u", item="i1", timestamp=0, review_text="x" * 1000)
     line = render_interaction(noisy, items)
     assert line.endswith('"' + "x" * 300 + '"')

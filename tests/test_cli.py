@@ -17,6 +17,7 @@ import pytest
 from recteacher.cli import build_parser, main
 from recteacher.corpus import TIMESTAMP_MAX
 from recteacher.errors import GatewayError
+from recteacher.graph import InteractionGraph, load_graph, save_graph
 from recteacher.oracle import OracleBackend
 from recteacher.teacher import MISS_FALLBACK, Phase
 from recteacher.util import read_jsonl
@@ -75,6 +76,27 @@ def test_readme_commands_parse(capsys):
                         f"{capsys.readouterr().err}")
     # every subcommand is shown at least once
     assert {argv[0] for argv in commands} == set(parser._subparsers._group_actions[0].choices)
+
+
+def test_readme_walkthrough_runs(tmp_path, capsys):
+    from conftest import REPO_ROOT, TOY_DIR
+
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    walkthrough = readme.split("## CLI walkthrough", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", walkthrough, re.DOTALL).group(1)
+    places = {"data/toy/": f"{TOY_DIR}/", "out/": f"{tmp_path}/"}
+    ran, checked, printed = 0, 0, []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("recteacher "):
+            argv = [next((place + arg[len(prefix):] for prefix, place in places.items()
+                          if arg.startswith(prefix)), arg) for arg in shlex.split(line)[1:]]
+            assert main(argv) == 0, line
+            printed = capsys.readouterr().out.splitlines()
+            ran += 1
+        elif line.startswith("# prints: "):
+            assert line.removeprefix("# prints: ") in printed, line
+            checked += 1
+    assert (ran, checked) == (9, 1)
 
 
 def test_usage_errors_exit_2(capsys):
@@ -578,6 +600,67 @@ def test_a_bad_instance_file_fails_before_any_session(pipeline, tmp_path, capsys
         captured = capsys.readouterr()
         assert f"error: MalformedRecord: {instances}:{len(good) + 1}: " in captured.err
         assert sorted(os.listdir(tmp_path)) == ["instances.jsonl", "script.json"]  # no output, no temp
+
+
+@pytest.mark.parametrize("field, reason", [
+    ("user", "unknown user 'ux'"),
+    ("history", "unknown item 'yyy'"),
+    ("candidates", "unknown item 'zzz'"),
+])
+def test_an_instance_naming_an_id_the_catalogue_lacks_fails_before_any_session(
+        pipeline, tmp_path, capsys, field, reason):
+    *good, last = records_of(pipeline["instances"])
+    first, *rest = last["history"]
+    other = next(c for c in last["candidates"] if c != last["ground_truth"])
+    last[field] = {
+        "user": "ux",
+        "history": [first, {**rest[0], "item_id": "yyy"}, *rest[1:]],
+        "candidates": ["zzz" if c == other else c for c in last["candidates"]],
+    }[field]
+    instances = tmp_path / "instances.jsonl"
+    instances.write_text("".join(json.dumps(r) + "\n" for r in [*good, last]), encoding="utf-8")
+    script = tmp_path / "script.json"
+    script.write_text("[]", encoding="utf-8")  # any gateway call would exhaust it
+    code = main(["run-teacher", "--corpus", str(pipeline["corpus"]),
+                 "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
+                 "--instances", str(instances), "--out", str(tmp_path / "sessions.jsonl"),
+                 "--backend", "mock", "--script", str(script), "--parallel", "2"])
+    error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
+    assert code == 1
+    assert error_lines == [f"error: MalformedRecord: {instances}:{len(good) + 1}: {reason}"]
+    assert sorted(os.listdir(tmp_path)) == ["instances.jsonl", "script.json"]  # no output, no temp
+
+
+def foreign_graph(pipeline, path, anchor):
+    """The pipeline graph plus one edge to `anchor`, a user or item the toy catalogue lacks."""
+    user_sets = {user: set(items) for user, items in load_graph(pipeline["graph"]).user_adj.items()}
+    if anchor.startswith("u"):
+        user_sets[anchor] = {"i001"}
+    else:
+        user_sets["u001"].add(anchor)
+    save_graph(InteractionGraph.from_user_sets(user_sets), path)
+    return path
+
+
+@pytest.mark.parametrize("anchor, kind", [("u999", "user"), ("i999", "item")])
+@pytest.mark.parametrize("command", ["verbalize", "verbalize --only-missing", "run-teacher"])
+def test_a_graph_naming_an_id_the_catalogue_lacks_fails_before_any_send(
+        pipeline, tmp_path, capsys, anchor, kind, command):
+    graph = foreign_graph(pipeline, tmp_path / "graph.jsonl", anchor)
+    script = tmp_path / "script.json"
+    script.write_text("[]", encoding="utf-8")  # any gateway call would exhaust it
+    out = tmp_path / "out.jsonl"  # an earlier output, left as it was
+    out.write_bytes(pipeline["cache"].read_bytes())
+    argv = [*command.split(), "--corpus", str(pipeline["corpus"]), "--graph", str(graph),
+            "--out", str(out), "--backend", "mock", "--script", str(script), "--parallel", "1"]
+    if command == "run-teacher":
+        argv += ["--cache", str(pipeline["cache"]), "--instances", str(pipeline["instances"])]
+    code = main(argv)
+    error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
+    assert code == 1
+    assert error_lines == [f"error: PipelineError: graph {graph}: unknown {kind} '{anchor}'"]
+    assert out.read_bytes() == pipeline["cache"].read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["graph.jsonl", "out.jsonl", "script.json"]  # no temp
 
 
 def test_a_history_at_the_last_second_of_year_9999_runs(pipeline, tmp_path, capsys):
