@@ -42,8 +42,8 @@ def abstract(
 ) -> HybridHistory:
     """Fold all chunks but the last into a rolling summary.
 
-    Gateway calls = len(chunks) - 1 when there are 2+ chunks, else 0. The
-    subject of every call's origin is the user of the history's first interaction.
+    Gateway calls = len(chunks) - 1 when there are 2+ chunks, else 0. Every call's
+    origin subject is `history[0].user`, the session's user: an instance's history is its own.
     """
     if not history:
         raise EmptyInput("history is empty")

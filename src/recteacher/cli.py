@@ -15,10 +15,10 @@ on-demand fills to the cache and writes its record, so the fills of a failed
 session, or of one not yet written, are lost. Every instance, session, kept
 and rollout file (or directory of .jsonl shards) is read through
 `util.decode_jsonl`, with one decoder per record kind and each file decoded
-whole before the command writes. A record whose `id` is not a string, whose
-field a decoder reads is of the wrong type (none is coerced), or that repeats
-an id of an earlier record in any shard, fails the command with one
-`MalformedRecord: <path>:<line>: <reason>` line. Flags, the --script file
+whole before the command writes. A record with a field `util.require_field`
+rejects (missing, or not of its JSON type: none is coerced), that repeats an
+id of any earlier record, or an instance whose history names another user,
+fails the command with one `MalformedRecord: <path>:<line>: <reason>` line. Flags, the --script file
 included, are checked before any input file is read. run-teacher needs the
 graph (--graph or graph_path) and loads it before any session starts. A
 missing evidence cache is an empty one; every miss is filled from the graph,
@@ -71,7 +71,7 @@ from .rewards import Bucket, bucket, composite_reward, compose_rl_set, largest_r
 from .teacher import (AGENT_NAMES, PhaseRecord, SessionLog, TeacherConfig, ToolRunner, build_context,
                       phase_name, run_teacher)
 from .trajectory import export_sft, serialize, top1_hit
-from .util import atomic_path, decode_jsonl, unique_ids, write_atomic, write_jsonl_atomic
+from .util import atomic_path, decode_jsonl, require_field, unique_ids, write_atomic, write_jsonl_atomic
 from .verbalize import EvidenceCache, verbalize_key, warm_cache
 
 logger = logging.getLogger(__name__)
@@ -178,19 +178,10 @@ def _read_records(path: str | Path, decode: Callable[[dict], T], kind: str) -> I
     files = sorted(base.glob("*.jsonl")) if base.is_dir() else [base]
     if not files:
         raise EmptyInput(f"no .jsonl {kind} files under {base}")
-    with_id = unique_ids(lambda record: (_field(record, "id", str), decode(record)), f"{kind} id")
+    with_id = unique_ids(lambda record: (require_field(record, "id", str), decode(record)), f"{kind} id")
     for file in files:
         for _lineno, pair in decode_jsonl(file, with_id):
             yield pair
-
-
-def _field(record: dict, key: str, kind: type = object) -> Any:
-    """record[key]; ValueError when it is missing or not a `kind`."""
-    if key not in record:
-        raise ValueError(f"missing {key!r}")
-    if not isinstance(record[key], kind):
-        raise ValueError(f"{key} must be a {kind.__name__}")
-    return record[key]
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +204,10 @@ def _decode_instance(record: dict) -> EvalInstance:
     """The instance of an instance record; ValueError says what is wrong with it."""
     return EvalInstance(
         user=require_id(record.get("user"), "user"),
-        history=tuple(decode_interaction(r) for r in _field(record, "history", list)),
-        candidates=tuple(require_id(c, "candidate") for c in _field(record, "candidates", list)),
+        history=tuple(decode_interaction(r) for r in require_field(record, "history", list)),
+        candidates=tuple(require_id(c, "candidate") for c in require_field(record, "candidates", list)),
         ground_truth=require_id(record.get("ground_truth"), "ground_truth"),
-        scenario=Scenario(record.get("scenario", Scenario.CLASSIC.value)),
+        scenario=Scenario(require_field(record, "scenario", str, Scenario.CLASSIC.value)),
     )
 
 
@@ -256,8 +247,8 @@ def _decode_session(record: dict) -> dict:
     return {
         "user": require_id(record.get("user"), "user"),
         "ground_truth": require_id(record.get("ground_truth"), "ground_truth"),
-        "prompt": _field(record, "prompt", str),
-        "trajectory": _field(record, "trajectory", str),
+        "prompt": require_field(record, "prompt", str),
+        "trajectory": require_field(record, "trajectory", str),
     }
 
 
@@ -267,20 +258,17 @@ def _decode_scored(record: dict) -> tuple[str, str | None]:
     The ground truth is None only when the record has no `ground_truth` key.
     """
     ground_truth = require_id(record["ground_truth"], "ground_truth") if "ground_truth" in record else None
-    return _field(record, "trajectory", str), ground_truth
+    return require_field(record, "trajectory", str), ground_truth
 
 
 def _decode_ranking(record: dict) -> list[str]:
     """The final ranking of a session record."""
-    return [require_id(item, "final_ranking entry") for item in _field(record, "final_ranking", list)]
+    return [require_id(item, "final_ranking entry") for item in require_field(record, "final_ranking", list)]
 
 
 def _decode_rollout(group_size: int, record: dict) -> Bucket:
     """The difficulty bucket of an {id, success_count} rollout record."""
-    count = _field(record, "success_count")
-    if isinstance(count, bool) or not isinstance(count, int):
-        raise ValueError("success_count must be an integer")
-    return bucket(count, group_size)
+    return bucket(require_field(record, "success_count", int), group_size)
 
 
 # ---------------------------------------------------------------------------

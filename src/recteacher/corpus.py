@@ -18,10 +18,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Iterable
 
 from .errors import EmptyCorpus, SequenceTooShort, UnknownUser
-from .util import decode_jsonl, unique_ids, write_jsonl_atomic
+from .util import decode_jsonl, require_field, unique_ids, write_jsonl_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -36,8 +36,6 @@ REVIEWS_FILE = "reviews.jsonl"
 
 # A ranking line ("1. a, 2. b") splits entries at commas and strips whitespace.
 _ID_BREAK = re.compile(r"[,\s]")
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -131,17 +129,20 @@ def _decode_user(obj: Any) -> tuple[str, dict[str, str]]:
 
 def _decode_item(obj: Any) -> tuple[str, ItemMeta]:
     item_id = _require_id(obj, "item_id")
-    title = obj.get("title")
-    if not isinstance(title, str) or not title:
-        raise ValueError("missing or invalid title")
+    title = require_field(obj, "title", str)
+    if not title:
+        raise ValueError("title must not be empty")
     return item_id, ItemMeta(title=title, attributes={
         k: _stringify_attribute(v) for k, v in obj.items() if k not in ("item_id", "title")
     })
 
 
-def _load_meta(path: str | Path, key: str, decode: Callable[[Any], tuple[str, T]]) -> dict[str, T]:
-    """{id: metadata} of a user or item file; a repeated `key` id raises MalformedRecord naming its line."""
-    return dict(pair for _lineno, pair in decode_jsonl(path, unique_ids(decode, key)))
+def _read_catalog(user_file: str | Path, item_file: str | Path) -> Catalog:
+    """The catalogue of a user and an item file; a bad line or repeated id raises MalformedRecord naming it."""
+    users, items = (dict(pair for _lineno, pair in decode_jsonl(path, unique_ids(decode, key)))
+                    for path, key, decode in ((user_file, "user_id", _decode_user),
+                                              (item_file, "item_id", _decode_item)))
+    return Catalog(users=users, items=items)
 
 
 def decode_interaction(obj: Any) -> Interaction:
@@ -152,30 +153,22 @@ def decode_interaction(obj: Any) -> Interaction:
     user_id = _require_id(obj, "user_id")
     item_id = _require_id(obj, "item_id")
 
-    timestamp = obj.get("timestamp")
-    if isinstance(timestamp, bool) or not isinstance(timestamp, int):
-        raise ValueError("timestamp must be an integer")
+    timestamp = require_field(obj, "timestamp", int)
     if not 0 <= timestamp <= TIMESTAMP_MAX:
         raise ValueError(f"timestamp {timestamp} outside [0, {TIMESTAMP_MAX}]")
 
-    rating = obj.get("rating")
+    rating = require_field(obj, "rating", float, None)
     if rating is not None:
-        if isinstance(rating, bool) or not isinstance(rating, (int, float)):
-            raise ValueError("rating must be a number")
         rating = float(rating)
         if not RATING_MIN <= rating <= RATING_MAX:
             raise ValueError(f"rating {rating} outside [{RATING_MIN}, {RATING_MAX}]")
-
-    review_text = obj.get("review_text")
-    if review_text is not None and not isinstance(review_text, str):
-        raise ValueError("review_text must be a string")
 
     return Interaction(
         user=user_id,
         item=item_id,
         timestamp=timestamp,
         rating=rating,
-        review_text=review_text,
+        review_text=require_field(obj, "review_text", str, None),
     )
 
 
@@ -186,8 +179,7 @@ def ingest(user_file: str | Path, item_file: str | Path, review_file: str | Path
     user or item included, and EmptyCorpus when no interactions exist.
     Duplicate review triples are kept as distinct interactions.
     """
-    catalog = Catalog(users=_load_meta(user_file, "user_id", _decode_user),
-                      items=_load_meta(item_file, "item_id", _decode_item))
+    catalog = _read_catalog(user_file, item_file)
 
     def decode_review(obj: Any) -> Interaction:
         inter = decode_interaction(obj)
@@ -263,8 +255,7 @@ def load_catalog(corpus_dir: str | Path) -> Catalog:
     The review file is not opened, so it need not exist.
     """
     base = Path(corpus_dir)
-    catalog = Catalog(users=_load_meta(base / USERS_FILE, "user_id", _decode_user),
-                      items=_load_meta(base / ITEMS_FILE, "item_id", _decode_item))
+    catalog = _read_catalog(base / USERS_FILE, base / ITEMS_FILE)
     logger.info("loaded catalogue: %d users, %d items", len(catalog.users), len(catalog.items))
     return catalog
 

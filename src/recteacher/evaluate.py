@@ -47,6 +47,9 @@ class EvalInstance:
     def __post_init__(self) -> None:
         if not self.history:
             raise ValueError("history must be non-empty")
+        stranger = next((entry.user for entry in self.history if entry.user != self.user), None)
+        if stranger is not None:
+            raise ValueError(f"history names user {stranger!r}, not the instance's {self.user!r}")
         if len(self.candidates) != CANDIDATE_COUNT:
             raise ValueError(f"need exactly {CANDIDATE_COUNT} candidates, got {len(self.candidates)}")
         if len(set(self.candidates)) != len(self.candidates):
@@ -123,11 +126,9 @@ def evaluate(
     return best_of_k([[ranking] for ranking, _ in pairs], instances, ks=(1,), eval_ks=ks)[1]
 
 
-def _gt_rank(ranking: Sequence[str], ground_truth: str) -> int | None:
-    try:
-        return list(ranking).index(ground_truth)
-    except ValueError:
-        return None
+def gt_rank(ranking: Sequence[str], ground_truth: str) -> int | None:
+    """The ground truth's 0-based position in `ranking`; None when it is absent."""
+    return ranking.index(ground_truth) if ground_truth in ranking else None
 
 
 def best_of_k(
@@ -150,7 +151,7 @@ def best_of_k(
 
     # Rank of gt per sample; None (absent) loses to every real rank.
     ranks: list[list[int | None]] = [
-        [_gt_rank(ranking, instance.ground_truth) for ranking in group]
+        [gt_rank(ranking, instance.ground_truth) for ranking in group]
         for instance, group in zip(instances, samples)
     ]
     reports: dict[int, EvalReport] = {}

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 from .corpus import Corpus, require_id
 from .errors import EmptyCorpus, MalformedRecord, UnknownItem, UnknownUser
-from .util import atomic_writer, decode_jsonl, read_jsonl, unique_ids
+from .util import atomic_writer, decode_jsonl, read_jsonl, require_field, unique_ids
 
 logger = logging.getLogger(__name__)
 
@@ -149,9 +149,7 @@ def save_graph(graph: InteractionGraph, path: str | Path) -> None:
 
 def _decode_adjacency(obj: dict) -> tuple[str, list[str]]:
     """(user, items) of one adjacency line; ValueError says what is wrong with it."""
-    items = obj.get("items")
-    if not isinstance(items, list):
-        raise ValueError("adjacency record needs user and items")
+    items = require_field(obj, "items", list)
     return require_id(obj.get("user"), "user"), [require_id(item, "item") for item in items]
 
 

@@ -13,6 +13,7 @@ import random
 from typing import Mapping, Sequence, TypeVar
 
 from .errors import InsufficientBucket, ReplyParseError, TagError, ToolParseError
+from .evaluate import gt_rank
 from .tags import decode_tool_calls
 from .teacher import Phase, decode_payload
 from .trajectory import ParsedTrajectory, parse
@@ -69,9 +70,8 @@ def format_reward(text: str) -> int:
 
 def outcome_reward(ranking: Sequence[str], ground_truth: str) -> Fraction:
     """Tiered rank reward: top-1 full credit, top-3 two thirds, top-5 one third."""
-    try:
-        index = list(ranking).index(ground_truth)
-    except ValueError:
+    index = gt_rank(ranking, ground_truth)
+    if index is None:
         return Fraction(0)
     if index == 0:
         return Fraction(1)

@@ -1,4 +1,4 @@
-"""Small shared helpers: atomic writes and line-delimited JSON files."""
+"""Small shared helpers: atomic writes, line-delimited JSON files and their record fields."""
 
 from __future__ import annotations
 
@@ -109,6 +109,28 @@ def decode_jsonl(path: str | Path, decode: Callable[[Any], T], skip: int = 0) ->
         except ValueError as exc:
             raise MalformedRecord(lineno, str(exc), source=str(path)) from None
         yield lineno, value
+
+
+_REQUIRED: Any = object()
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a number", list: "a list"}
+
+
+def require_field(record: dict, key: str, kind: type = object, default: Any = _REQUIRED) -> Any:
+    """record[key], unconverted; ValueError `missing 'key'` or `key must be a string|an integer|...`.
+
+    An absent key is `default` where one is given, and a JSON null is absent
+    only where that default is None. A JSON true or false is never an integer
+    or a number; a `float` field takes any JSON number.
+    """
+    if key not in record or (default is None and record[key] is None):
+        if default is _REQUIRED:
+            raise ValueError(f"missing {key!r}")
+        return default
+    value = record[key]
+    json_type = (int, float) if kind is float else kind
+    if kind is not object and (isinstance(value, bool) or not isinstance(value, json_type)):
+        raise ValueError(f"{key} must be {_KIND_NAMES[kind]}")
+    return value
 
 
 def unique_ids(decode: Callable[[Any], tuple[str, T]], what: str) -> Callable[[Any], tuple[str, T]]:

@@ -26,7 +26,7 @@ from .graph import (
 )
 from . import prompts
 from .tags import ANSWER_TAG, RECOGNIZED_TOOLS, ToolCall, reply_body
-from .util import decode_jsonl, dump_json_line
+from .util import decode_jsonl, dump_json_line, require_field
 
 # Deterministic evidence for anchors with no collaborative signal; no gateway call.
 FALLBACK_NO_NEIGHBORS = "no collaborative neighbors found"
@@ -91,22 +91,14 @@ def _decode_evidence(record: dict) -> Evidence:
     each id's one interned string; a known tool name becomes its
     `RECOGNIZED_TOOLS` entry, so each name is one string too.
     """
-    missing = [name for name in ("tool", "anchor", "text") if name not in record]
-    if missing:
-        raise ValueError(f"missing {', '.join(missing)}")
-    tool = next((name for name in RECOGNIZED_TOOLS if name == record["tool"]), None)
+    name = require_field(record, "tool")
+    tool = next((known for known in RECOGNIZED_TOOLS if known == name), None)
     if tool is None:
-        raise ValueError(f"unknown tool {record['tool']!r}")
-    key = ToolCall(tool, require_id(record["anchor"], "anchor"))
-    text, neighbors = record["text"], record.get("neighbors", [])
-    created_at = record.get("created_at", 0)
-    if not isinstance(text, str):
-        raise ValueError("text must be a string")
-    if not isinstance(neighbors, list):
-        raise ValueError("neighbors must be a list of ids")
-    if isinstance(created_at, bool) or not isinstance(created_at, int):
-        raise ValueError("created_at must be an integer")
-    return Evidence(key=key, text=text, created_at=created_at,
+        raise ValueError(f"unknown tool {name!r}")
+    key = ToolCall(tool, require_id(require_field(record, "anchor"), "anchor"))
+    text = require_field(record, "text", str)
+    neighbors = require_field(record, "neighbors", list, [])
+    return Evidence(key=key, text=text, created_at=require_field(record, "created_at", int, 0),
                     source_neighbors=tuple(require_id(n, "neighbor") for n in neighbors))
 
 

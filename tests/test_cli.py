@@ -327,7 +327,7 @@ def test_a_rollout_id_must_be_a_string(tmp_path, capsys):
                  "--out", str(tmp_path / "rl.jsonl")])
     error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
     assert code == 1
-    assert error_lines == [f"error: MalformedRecord: {rollouts}:1: id must be a str"]
+    assert error_lines == [f"error: MalformedRecord: {rollouts}:1: id must be a string"]
     assert os.listdir(tmp_path) == ["rollouts.jsonl"]
 
 
@@ -580,6 +580,7 @@ def test_a_bad_instance_file_fails_before_any_session(pipeline, tmp_path, capsys
     broken_records = [
         {key: value for key, value in last.items() if key != "candidates"},
         {**last, "history": [{**first, "rating": "five"}, *rest]},
+        {**last, "history": [1, *rest]},
         {**last, "history": [{**first, "timestamp": True}, *rest]},
         {**last, "history": [{**first, "timestamp": TIMESTAMP_MAX + 1}, *rest]},
         {**last, "history": [{**first, "timestamp": 10**20}, *rest]},
@@ -617,6 +618,8 @@ def test_an_instance_naming_an_id_the_catalogue_lacks_fails_before_any_session(
         "history": [first, {**rest[0], "item_id": "yyy"}, *rest[1:]],
         "candidates": ["zzz" if c == other else c for c in last["candidates"]],
     }[field]
+    if field == "user":  # an instance's history is its own user's
+        last["history"] = [{**entry, "user_id": "ux"} for entry in last["history"]]
     instances = tmp_path / "instances.jsonl"
     instances.write_text("".join(json.dumps(r) + "\n" for r in [*good, last]), encoding="utf-8")
     script = tmp_path / "script.json"
@@ -629,6 +632,117 @@ def test_an_instance_naming_an_id_the_catalogue_lacks_fails_before_any_session(
     assert code == 1
     assert error_lines == [f"error: MalformedRecord: {instances}:{len(good) + 1}: {reason}"]
     assert sorted(os.listdir(tmp_path)) == ["instances.jsonl", "script.json"]  # no output, no temp
+
+
+@pytest.mark.parametrize("command", [
+    ["run-teacher", "--corpus", "{corpus}", "--graph", "{graph}", "--cache", "{cache}",
+     "--instances", "{path}", "--out", "{out}", "--backend", "mock", "--script", "{script}"],
+    ["evaluate", "--sessions", "{sessions}", "--instances", "{path}", "--out", "{out}"],
+    ["score-rewards", "--trajectories", "{sessions}", "--instances", "{path}", "--out", "{out}"],
+], ids=["run-teacher", "evaluate", "score-rewards"])
+def test_an_instance_history_naming_another_user_fails_before_any_session(pipeline, tmp_path, capsys,
+                                                                           command):
+    records = records_of(pipeline["instances"])
+    records[0]["history"] = [{**entry, "user_id": "ux"} for entry in records[0]["history"]]
+    path = tmp_path / "instances.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    script = tmp_path / "script.json"
+    script.write_text("[]", encoding="utf-8")  # any gateway call would exhaust it
+    names = {name: str(p) for name, p in pipeline.items()}
+    code = main([arg.format(**names, path=path, script=script, out=tmp_path / "out") for arg in command])
+    error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
+    assert code == 1
+    assert error_lines == [f"error: MalformedRecord: {path}:1: history names user 'ux', "
+                           f"not the instance's {records[0]['user']!r}"]
+    assert sorted(os.listdir(tmp_path)) == ["instances.jsonl", "script.json"]  # no output, no temp
+
+
+# Each record kind a command reads: the file it comes from, and a command reading `{path}` as it.
+_READERS = {
+    "review": ("reviews", ["ingest", "--users", "{users}", "--items", "{items}",
+                           "--reviews", "{path}", "--out", "{out}"]),
+    "item": ("items", ["ingest", "--users", "{users}", "--items", "{path}",
+                       "--reviews", "{reviews}", "--out", "{out}"]),
+    "instance": ("instances", ["evaluate", "--sessions", "{sessions}", "--instances", "{path}",
+                               "--out", "{out}"]),
+    "session": ("sessions", ["filter", "--sessions", "{path}", "--out", "{out}"]),
+    "kept": ("kept", ["export-sft", "--kept", "{path}", "--out", "{out}"]),
+    "rollout": ("rollouts", ["bucket-rl", "--rollouts", "{path}", "--target", "0", "--out", "{out}"]),
+    "graph line": ("graph", ["verbalize", "--corpus", "{corpus}", "--graph", "{path}",
+                             "--out", "{out}", "--backend", "mock"]),
+    "cache line": ("cache", ["verbalize", "--only-missing", "--corpus", "{corpus}", "--graph", "{graph}",
+                             "--out", "{path}", "--backend", "mock"]),
+}
+_READERS["history entry"] = _READERS["instance"]  # the first history entry of the last instance
+_ABSENT = object()
+
+
+def read_as(kind, pipeline, toy_files, tmp_path, change=None):
+    """Exit code of the command reading a copy of `kind`'s good file, its last record changed by `change`.
+
+    Returns (code, path of the copy, line of its last record).
+    """
+    rollouts = tmp_path / "good-rollouts.jsonl"
+    rollouts.write_text("".join(json.dumps({"id": f"r{n}", "success_count": n}) + "\n" for n in range(9)),
+                        encoding="utf-8")
+    files = {**toy_files, **pipeline, "rollouts": rollouts}
+    source, argv = _READERS[kind]
+    records = records_of(files[source])
+    if change is not None:
+        change(records[-1]["history"][0] if kind == "history entry" else records[-1])
+    path = tmp_path / f"{source}.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    names = {name: str(p) for name, p in files.items()}
+    code = main([arg.format(**names, path=path, out=tmp_path / "out") for arg in argv])
+    return code, path, len(records)
+
+
+@pytest.mark.parametrize("kind", list(_READERS))
+def test_a_good_file_of_each_record_kind_loads(pipeline, toy_files, tmp_path, capsys, kind):
+    code, _path, _line = read_as(kind, pipeline, toy_files, tmp_path)
+    assert code == 0, capsys.readouterr().err
+
+
+_FIELD_CASES = [
+    ("review", "timestamp", _ABSENT, "missing 'timestamp'"),
+    ("review", "timestamp", True, "timestamp must be an integer"),
+    ("item", "title", _ABSENT, "missing 'title'"),
+    ("item", "title", None, "title must be a string"),
+    ("instance", "candidates", _ABSENT, "missing 'candidates'"),
+    ("instance", "history", None, "history must be a list"),
+    ("history entry", "timestamp", _ABSENT, "missing 'timestamp'"),
+    ("history entry", "timestamp", True, "timestamp must be an integer"),
+    ("session", "prompt", _ABSENT, "missing 'prompt'"),
+    ("session", "trajectory", None, "trajectory must be a string"),
+    ("kept", "trajectory", _ABSENT, "missing 'trajectory'"),
+    ("kept", "prompt", None, "prompt must be a string"),
+    ("rollout", "success_count", _ABSENT, "missing 'success_count'"),
+    ("rollout", "success_count", True, "success_count must be an integer"),
+    ("rollout", "id", None, "id must be a string"),
+    ("graph line", "items", _ABSENT, "missing 'items'"),
+    ("graph line", "items", None, "items must be a list"),
+    ("cache line", "text", _ABSENT, "missing 'text'"),
+    ("cache line", "created_at", True, "created_at must be an integer"),
+    ("cache line", "text", None, "text must be a string"),
+    ("cache line", "neighbors", None, "neighbors must be a list"),
+]
+
+
+@pytest.mark.parametrize("kind, key, value, reason", _FIELD_CASES, ids=[
+    f"{kind}-{key}-{'absent' if value is _ABSENT else json.dumps(value)}"
+    for kind, key, value, _reason in _FIELD_CASES])
+def test_every_reader_words_a_bad_field_alike(pipeline, toy_files, tmp_path, capsys, kind, key, value,
+                                              reason):
+    def change(record):
+        if value is _ABSENT:
+            del record[key]
+        else:
+            record[key] = value
+
+    code, path, line = read_as(kind, pipeline, toy_files, tmp_path, change)
+    error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
+    assert code == 1
+    assert error_lines == [f"error: MalformedRecord: {path}:{line}: {reason}"]
 
 
 def foreign_graph(pipeline, path, anchor):

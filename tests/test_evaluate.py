@@ -59,6 +59,8 @@ def test_eval_instance_validation():
     make_instance()  # the happy path constructs
     with pytest.raises(ValueError):
         make_instance(history=())
+    with pytest.raises(ValueError, match="history names user 'ux', not the instance's 'u1'"):
+        make_instance(history=(Interaction("u1", "h", 1), Interaction("ux", "h", 2)))
     with pytest.raises(ValueError):
         make_instance(candidates=("c1", "c2"))
     with pytest.raises(ValueError):

@@ -118,7 +118,7 @@ EDGE = '{"items": ["x"], "user": "A"}'
 @pytest.mark.parametrize("text, line, reason", [
     (f"{HEADER}\n\n\n{EDGE}\n[1]\n", 5, "record is not a JSON object"),
     (f"\n{HEADER}\n\n{EDGE}\n{{broken\n", 5, "invalid JSON"),
-    (f"{HEADER}\n\n{{\"user\": \"A\"}}\n", 3, "needs user and items"),
+    (f"{HEADER}\n\n{{\"user\": \"A\"}}\n", 3, "missing 'items'"),
     (f"\n\n[]\n", 3, "record is not a JSON object"),
     (f"\n\n{HEADER.replace('1', '2')}\n{EDGE}\n", 3, "header counts"),
     ("\n\n", 1, "empty graph file"),

@@ -8,7 +8,7 @@ import stat
 import pytest
 
 from recteacher import util
-from recteacher.util import write_atomic, write_jsonl_atomic
+from recteacher.util import require_field, write_atomic, write_jsonl_atomic
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
@@ -23,6 +23,19 @@ def test_write_atomic_applies_the_umask(tmp_path, umask, mode):
     assert path.read_bytes() == b"{\"id\": 1}\n"
     assert os.listdir(path.parent) == ["artifact.jsonl"]  # no temp file left behind
 
+
+
+def test_require_field_reads_null_as_absent_only_under_a_none_default():
+    assert require_field({"rating": None}, "rating", float, None) is None
+    assert require_field({}, "neighbors", list, []) == []
+    assert require_field({"rating": 4}, "rating", float, None) == 4  # never converted
+    with pytest.raises(ValueError, match="^neighbors must be a list$"):
+        require_field({"neighbors": None}, "neighbors", list, [])
+    with pytest.raises(ValueError, match="^missing 'text'$"):
+        require_field({}, "text", str)
+    with pytest.raises(ValueError, match="^rating must be a number$"):
+        require_field({"rating": False}, "rating", float, None)
+    assert require_field({"tool": True}, "tool") is True  # an untyped field takes any value
 
 
 def test_write_jsonl_atomic_failure_keeps_the_old_file(tmp_path):

@@ -93,9 +93,9 @@ def test_cache_load_last_record_wins(tmp_path):
 
 @pytest.mark.parametrize("line, reason", [
     ('["ItemCF", "x", "text"]', "not a JSON object"),
-    ('{"anchor": "x", "text": "t"}', "missing tool"),
-    ('{"tool": "ItemCF", "text": "t"}', "missing anchor"),
-    ('{"tool": "ItemCF", "anchor": "x"}', "missing text"),
+    ('{"anchor": "x", "text": "t"}', "missing 'tool'"),
+    ('{"tool": "ItemCF", "text": "t"}', "missing 'anchor'"),
+    ('{"tool": "ItemCF", "anchor": "x"}', "missing 'text'"),
     ('{"tool": "Foo", "anchor": "x", "text": "t"}', "unknown tool 'Foo'"),
     ('{"tool": 7, "anchor": "x", "text": "t"}', "unknown tool 7"),
     ('{"tool": ["ItemCF"], "anchor": "x", "text": "t"}', "unknown tool ['ItemCF']"),
