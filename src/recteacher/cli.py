@@ -59,7 +59,6 @@ from .evaluate import (
     EvalInstance,
     EvalReport,
     Scenario,
-    ScenarioThresholds,
     build_instance,
     evaluate,
     matches_scenario,
@@ -67,7 +66,8 @@ from .evaluate import (
 from .gateway import Gateway, GatewayConfig, HttpBackend, ScriptBackend
 from .graph import InteractionGraph, build_graph, load_graph, save_graph
 from .oracle import OracleBackend
-from .rewards import Bucket, bucket, composite_reward, compose_rl_set, largest_remainder
+from .rewards import (DEFAULT_RL_RATIO, DEFAULT_RL_TARGET, Bucket, bucket, composite_reward,
+                      compose_rl_set, largest_remainder)
 from .teacher import (AGENT_NAMES, PhaseRecord, SessionLog, TeacherConfig, ToolRunner, build_context,
                       phase_name, run_teacher)
 from .trajectory import export_sft, serialize, top1_hit
@@ -306,7 +306,7 @@ def _cmd_verbalize(args: argparse.Namespace, config: PipelineConfig) -> None:
     with (nullcontext(out) if only_missing else atomic_path(out)) as path:
         cache = EvidenceCache.load(path)
         before = len(cache)
-        failed = warm_cache(graph, catalog, gateway, cache, k=config.neighbor_k, domain=config.domain)
+        failed = warm_cache(graph, catalog, gateway, cache, domain=config.domain)
         for key, exc in failed:
             logger.warning("verbalization failed for %s %s: %s", key.name, key.anchor, exc)
         print(f"cache entries: {len(cache)} ({len(cache) - before} new, {len(failed)} failed) -> {out}")
@@ -319,10 +319,9 @@ def _cmd_verbalize(args: argparse.Namespace, config: PipelineConfig) -> None:
 def _cmd_make_instances(args: argparse.Namespace, config: PipelineConfig) -> None:
     corpus = load_corpus(_required_path(args.corpus, config.corpus_dir, "corpus"))
     scenario = Scenario(args.scenario)
-    thresholds = config.view(ScenarioThresholds)
     records = []
     for user in sorted(corpus.sequences):
-        if not matches_scenario(corpus, user, scenario, thresholds):
+        if not matches_scenario(corpus, user, scenario):
             continue
         # per-user seed string keeps negatives stable when the user set changes
         instance = build_instance(corpus, user, scenario, rng_seed=f"{config.seed}:{user}")
@@ -353,8 +352,7 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> None:
                                                         for _, instance in instances})
 
     graph = _load_graph(args, config, catalog)
-    tools = ToolRunner(cache, partial(verbalize_key, graph, catalog,
-                                      k=config.neighbor_k, domain=config.domain))
+    tools = ToolRunner(cache, partial(verbalize_key, graph, catalog, domain=config.domain))
     teacher_config = config.view(TeacherConfig)
 
     # Above one slot (the runner reads the width off the session's handle) a session starts
@@ -443,10 +441,8 @@ def _cmd_bucket_rl(args: argparse.Namespace, config: PipelineConfig) -> None:
     for record_id, which in bucket_of.items():
         by_bucket[which].append(record_id)
 
-    target = args.target if args.target is not None else config.rl_target
-    chosen = compose_rl_set(by_bucket, target_total=target, ratio=config.rl_ratio,
-                            rng_seed=config.seed)
-    quotas = largest_remainder(target, config.rl_ratio)
+    chosen = compose_rl_set(by_bucket, target_total=args.target, rng_seed=config.seed)
+    quotas = largest_remainder(args.target, DEFAULT_RL_RATIO)
     write_jsonl_atomic(args.out, [{"id": cid, "bucket": bucket_of[cid].value} for cid in chosen])
     print(
         f"quotas easy/medium/hard: {quotas[0]}/{quotas[1]}/{quotas[2]}; "
@@ -599,8 +595,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bucket rollout success counts by difficulty and sample the RL set")
     p.add_argument("--rollouts", required=True,
                    help=".jsonl file or directory of {id, success_count} rollout records")
-    p.add_argument("--target", type=int,
-                   help=f"RL set size (default from config, {PipelineConfig.rl_target})")
+    p.add_argument("--target", type=int, default=DEFAULT_RL_TARGET,
+                   help=f"RL set size (default {DEFAULT_RL_TARGET})")
     p.add_argument("--out", required=True, help="selected {id, bucket} .jsonl file")
     p.set_defaults(handler=_cmd_bucket_rl)
 

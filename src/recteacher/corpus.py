@@ -20,7 +20,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable
 
-from .errors import EmptyCorpus, SequenceTooShort, UnknownUser
+from .errors import EmptyInput, SequenceTooShort, UnknownUser
 from .util import decode_jsonl, require_field, unique_ids, write_jsonl_atomic
 
 logger = logging.getLogger(__name__)
@@ -176,7 +176,7 @@ def ingest(user_file: str | Path, item_file: str | Path, review_file: str | Path
     """Load the three record files into a validated corpus.
 
     Raises MalformedRecord on any bad line, a review naming an undeclared
-    user or item included, and EmptyCorpus when no interactions exist.
+    user or item included, and EmptyInput when no interactions exist.
     Duplicate review triples are kept as distinct interactions.
     """
     catalog = _read_catalog(user_file, item_file)
@@ -193,7 +193,7 @@ def ingest(user_file: str | Path, item_file: str | Path, review_file: str | Path
         total += 1
 
     if total == 0:
-        raise EmptyCorpus("review file contains no interactions")
+        raise EmptyInput("review file contains no interactions")
 
     for user_id, seq in sequences.items():
         seq.sort(key=lambda it: it.timestamp)  # stable: ties keep file order

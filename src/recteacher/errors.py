@@ -22,10 +22,6 @@ class MalformedRecord(PipelineError):
         super().__init__(f"{source}:{line}: {reason}")
 
 
-class EmptyCorpus(PipelineError):
-    """No interactions at all."""
-
-
 class SequenceTooShort(PipelineError):
     """A user's sequence cannot support a holdout split."""
 

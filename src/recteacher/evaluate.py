@@ -19,6 +19,12 @@ BEST_OF_KS = (1, 2, 4, 8, 16)
 
 SECONDS_PER_DAY = 86400
 
+# What each scenario means; fixed so that two runs' per-scenario numbers compare.
+COLD_USER_MAX_HISTORY = 5                    # ColdStartUser: truncated history shorter than this
+COLD_ITEM_MAX_INTERACTIONS = 2               # ColdStartItem: gt interactions corpus-wide at most this
+EVO_LONG_MIN_HISTORY = 10                    # EvoLong: truncated history at least this
+EVO_SHORT_MAX_GAP_S = 30 * SECONDS_PER_DAY   # EvoShort: gt gap at most this
+
 
 class Scenario(Enum):
     CLASSIC = "Classic"
@@ -26,14 +32,6 @@ class Scenario(Enum):
     COLD_START_ITEM = "ColdStartItem"
     EVO_LONG = "EvoLong"
     EVO_SHORT = "EvoShort"
-
-
-@dataclass(frozen=True)
-class ScenarioThresholds:
-    cold_user_max_history: int = 5       # ColdStartUser: truncated history shorter than this
-    cold_item_max_interactions: int = 2  # ColdStartItem: gt interactions corpus-wide at most this
-    evo_long_min_history: int = 10       # EvoLong: truncated history at least this
-    evo_short_max_gap_s: int = 30 * SECONDS_PER_DAY  # EvoShort: gt gap at most this
 
 
 @dataclass(frozen=True)
@@ -65,12 +63,7 @@ class EvalReport:
     n: int
 
 
-def matches_scenario(
-    corpus: Corpus,
-    user: str,
-    scenario: Scenario,
-    thresholds: ScenarioThresholds = ScenarioThresholds(),
-) -> bool:
+def matches_scenario(corpus: Corpus, user: str, scenario: Scenario) -> bool:
     """Whether the user yields a usable instance under the scenario's filter."""
     try:
         history, target = holdout_split(corpus, user)
@@ -81,12 +74,12 @@ def matches_scenario(
     if scenario is Scenario.CLASSIC:
         return True
     if scenario is Scenario.COLD_START_USER:
-        return len(history) < thresholds.cold_user_max_history
+        return len(history) < COLD_USER_MAX_HISTORY
     if scenario is Scenario.COLD_START_ITEM:
-        return corpus.item_reads[target.item] <= thresholds.cold_item_max_interactions
+        return corpus.item_reads[target.item] <= COLD_ITEM_MAX_INTERACTIONS
     if scenario is Scenario.EVO_LONG:
-        return len(history) >= thresholds.evo_long_min_history
-    return target.timestamp - history[-1].timestamp <= thresholds.evo_short_max_gap_s
+        return len(history) >= EVO_LONG_MIN_HISTORY
+    return target.timestamp - history[-1].timestamp <= EVO_SHORT_MAX_GAP_S
 
 
 def build_instance(

@@ -16,12 +16,12 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .corpus import Corpus, require_id
-from .errors import EmptyCorpus, MalformedRecord, UnknownItem, UnknownUser
+from .errors import EmptyInput, MalformedRecord, UnknownItem, UnknownUser
 from .util import atomic_writer, decode_jsonl, read_jsonl, require_field, unique_ids
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_NEIGHBOR_K = 10
+DEFAULT_NEIGHBOR_K = 10  # fixed, so every evidence entry of one cache is built from the same k
 
 Adjacency = Mapping[str, frozenset[str]]
 
@@ -51,7 +51,7 @@ def build_graph(corpus: Corpus) -> InteractionGraph:
     """Build the deduplicated bipartite graph from all interactions."""
     user_sets = {user: {inter.item for inter in seq} for user, seq in corpus.sequences.items() if seq}
     if not user_sets:
-        raise EmptyCorpus("no interactions to build a graph from")
+        raise EmptyInput("no interactions to build a graph from")
     graph = InteractionGraph.from_user_sets(user_sets)
     logger.info(
         "built graph: %d users, %d items, %d edges",
@@ -158,15 +158,19 @@ def load_graph(path: str | Path) -> InteractionGraph:
 
     A bad record raises MalformedRecord naming its line in the file: one that
     is not `{user, items}`, an id `corpus.require_id` rejects, a user given a
-    second line, or a header whose counts the body does not match.
+    second line, or a header whose counts are not integers or not the body's.
     """
     header_line, header = next(read_jsonl(path), (1, None))
     if header is None:
         raise MalformedRecord(1, "empty graph file", source=str(path))
+    try:
+        expected = tuple(require_field(header, key, int)
+                         for key in ("user_count", "item_count", "edge_count"))
+    except ValueError as exc:
+        raise MalformedRecord(header_line, str(exc), source=str(path)) from None
     user_sets = dict(pair for _lineno, pair in
                      decode_jsonl(path, unique_ids(_decode_adjacency, "user"), skip=1))
     graph = InteractionGraph.from_user_sets(user_sets)
-    expected = (header.get("user_count"), header.get("item_count"), header.get("edge_count"))
     actual = (len(graph.user_adj), len(graph.item_adj), graph.edge_count())
     if expected != actual:
         raise MalformedRecord(header_line, f"header counts {expected} do not match body {actual}",

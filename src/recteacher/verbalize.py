@@ -18,12 +18,7 @@ from typing import Mapping, Sequence
 
 from .corpus import Catalog, ItemMeta, require_id
 from .gateway import Gateway, Origin, chat_request
-from .graph import (
-    DEFAULT_NEIGHBOR_K,
-    InteractionGraph,
-    item_cf_neighbors,
-    neighbor_item_pool,
-)
+from .graph import InteractionGraph, item_cf_neighbors, neighbor_item_pool
 from . import prompts
 from .tags import ANSWER_TAG, RECOGNIZED_TOOLS, ToolCall, reply_body
 from .util import decode_jsonl, dump_json_line, require_field
@@ -134,12 +129,11 @@ def verbalize_item(
     items: Mapping[str, ItemMeta],
     anchor: str,
     gateway: Gateway,
-    k: int = DEFAULT_NEIGHBOR_K,
     domain: str = prompts.DEFAULT_DOMAIN,
 ) -> Evidence:
     """Evidence for an item from its ItemCF neighbors."""
     key = ToolCall("ItemCF", anchor)
-    neighbors = [item for item, _ in item_cf_neighbors(graph, anchor, k=k)]
+    neighbors = [item for item, _ in item_cf_neighbors(graph, anchor)]
     if not neighbors:
         return _fallback(key)
     (anchor_line,), _ = prompts.item_lines([anchor], items)
@@ -153,12 +147,11 @@ def verbalize_user(
     items: Mapping[str, ItemMeta],
     anchor: str,
     gateway: Gateway,
-    k: int = DEFAULT_NEIGHBOR_K,
     domain: str = prompts.DEFAULT_DOMAIN,
 ) -> Evidence:
     """Evidence for a user from the items their UserCF neighbors touched."""
     key = ToolCall("UserCF", anchor)
-    pool = neighbor_item_pool(graph, anchor, k_users=k)
+    pool = neighbor_item_pool(graph, anchor)
     if not pool:
         return _fallback(key)
     anchor_line = prompts.render_user_line(anchor, users[anchor])
@@ -171,13 +164,12 @@ def verbalize_key(
     catalog: Catalog,
     key: ToolCall,
     gateway: Gateway,
-    k: int = DEFAULT_NEIGHBOR_K,
     domain: str = prompts.DEFAULT_DOMAIN,
 ) -> Evidence:
     """Verbalize one cache key with the verbalizer of its tool."""
     if key.name == "ItemCF":
-        return verbalize_item(graph, catalog.items, key.anchor, gateway, k=k, domain=domain)
-    return verbalize_user(graph, catalog.users, catalog.items, key.anchor, gateway, k=k, domain=domain)
+        return verbalize_item(graph, catalog.items, key.anchor, gateway, domain=domain)
+    return verbalize_user(graph, catalog.users, catalog.items, key.anchor, gateway, domain=domain)
 
 
 def all_keys(graph: InteractionGraph) -> list[ToolCall]:
@@ -191,7 +183,6 @@ def warm_cache(
     catalog: Catalog,
     gateway: Gateway,
     cache: EvidenceCache,
-    k: int = DEFAULT_NEIGHBOR_K,
     domain: str = prompts.DEFAULT_DOMAIN,
 ) -> list[tuple[ToolCall, Exception]]:
     """Verbalize every graph key not already cached; return the failed keys and their errors.
@@ -203,7 +194,7 @@ def warm_cache(
 
     def attempt(key: ToolCall) -> Evidence | Exception:
         try:
-            return verbalize_key(graph, catalog, key, gateway, k=k, domain=domain)
+            return verbalize_key(graph, catalog, key, gateway, domain=domain)
         except Exception as exc:
             return exc
 

@@ -10,7 +10,6 @@ import re
 import shlex
 import threading
 import time
-from pathlib import Path
 
 import pytest
 

@@ -11,7 +11,6 @@ import pytest
 from recteacher.cli import main
 from recteacher.config import PipelineConfig, load_config
 from recteacher.errors import PipelineError
-from recteacher.evaluate import ScenarioThresholds
 from recteacher.gateway import GatewayConfig
 from recteacher.teacher import TeacherConfig
 
@@ -29,7 +28,6 @@ def test_defaults_without_file():
     assert config.group_size == 8
     assert config.temperature == 0.7
     assert config.top_p == 0.95
-    assert config.rl_ratio == (3, 4, 3)
     assert config.window_m == 10
 
 
@@ -39,14 +37,12 @@ def test_load_overrides_types(tmp_path):
         "corpus_dir = data/x",
         "seed = 7",
         "temperature = 0.2",
-        "rl_ratio = 1, 2, 1",
         "window_m = 4",
     ]))
     config = load_config(path)
     assert config.corpus_dir == "data/x"
     assert config.seed == 7
     assert config.temperature == 0.2
-    assert config.rl_ratio == (1, 2, 1)
     assert config.window_m == 4
     # untouched keys keep their defaults
     assert config.group_size == 8
@@ -59,15 +55,13 @@ def test_load_errors(tmp_path):
         load_config(write_config(tmp_path, "[other]\nseed = 1\n"))
     with pytest.raises(PipelineError, match="unknown config key"):
         load_config(write_config(tmp_path, "[pipeline]\nseeed = 1\n"))
-    for retired in ("output_dir", "ranker_tools", "templates_dir"):
+    for retired in ("output_dir", "ranker_tools", "templates_dir", "cold_user_max_history",
+                    "cold_item_max_interactions", "evo_long_min_history", "evo_short_max_gap_s",
+                    "rl_ratio", "rl_target", "neighbor_k"):
         with pytest.raises(PipelineError, match=f"unknown config key '{retired}'"):
             load_config(write_config(tmp_path, f"[pipeline]\n{retired} = out\n"))
     with pytest.raises(PipelineError, match="cannot parse"):
         load_config(write_config(tmp_path, "[pipeline]\nseed = soon\n"))
-    with pytest.raises(PipelineError, match="rl_ratio"):
-        load_config(write_config(tmp_path, "[pipeline]\nrl_ratio = 3,4\n"))
-    with pytest.raises(PipelineError, match="rl_ratio"):
-        load_config(write_config(tmp_path, "[pipeline]\nrl_ratio = a,b,c\n"))
 
 
 @pytest.mark.parametrize("value", ["true", "false", "maybe"])
@@ -104,9 +98,8 @@ def test_config_file_syntax_ends_in_one_error_line(tmp_path, capsys, body, error
 
 
 def test_validate_ranges(tmp_path):
-    for line in ("window_m = 0", "neighbor_k = 0", "group_size = 0", "rl_target = 0",
-                 "max_tool_rounds = 0", "max_parallel = 0", "retries = -1", "timeout_s = 0",
-                 "rl_ratio = 0,0,0", "temperature = 5", "top_p = 0"):
+    for line in ("window_m = 0", "group_size = 0", "max_tool_rounds = 0", "max_parallel = 0",
+                 "retries = -1", "timeout_s = 0", "temperature = 5", "top_p = 0"):
         with pytest.raises(PipelineError, match=line.split(" = ")[0]):
             load_config(write_config(tmp_path, f"[pipeline]\n{line}\n"))
 
@@ -118,15 +111,13 @@ def test_a_timeout_that_is_not_finite_is_refused(tmp_path, value):
         load_config(write_config(tmp_path, f"[pipeline]\ntimeout_s = {value}\n"))
 
 
-def test_gateway_and_thresholds_views():
+def test_gateway_and_teacher_views():
     config = PipelineConfig(
         endpoint="http://example/v1",
         model="local-model",
         max_parallel=2,
         retries=1,
         timeout_s=5.0,
-        cold_user_max_history=3,
-        evo_short_max_gap_s=100,
         window_m=4,
         max_tool_rounds=2,
         temperature=0.2,
@@ -143,13 +134,6 @@ def test_gateway_and_thresholds_views():
         domain=TeacherConfig.domain,
         max_tool_rounds=2,
         window_m=4,
-    )
-    thresholds = config.view(ScenarioThresholds)
-    assert thresholds == ScenarioThresholds(
-        cold_user_max_history=3,
-        cold_item_max_interactions=2,
-        evo_long_min_history=10,
-        evo_short_max_gap_s=100,
     )
 
 

@@ -9,8 +9,6 @@ import pytest
 
 from recteacher.corpus import (
     TIMESTAMP_MAX,
-    Corpus,
-    Interaction,
     holdout_split,
     ingest,
     load_catalog,
@@ -18,7 +16,7 @@ from recteacher.corpus import (
     save_corpus,
 )
 from recteacher.errors import (
-    EmptyCorpus,
+    EmptyInput,
     MalformedRecord,
     SequenceTooShort,
     UnknownUser,
@@ -82,7 +80,7 @@ def test_ingest_rejects_bad_records(tmp_path):
         (BASE_USERS, BASE_ITEMS, [{"user_id": "u1", "item_id": "ix", "timestamp": 1}], MalformedRecord),
         (BASE_USERS, [{"item_id": "i1"}], BASE_REVIEWS, MalformedRecord),  # no title
         ([{"user_id": "u1"}, {"user_id": "u1"}], BASE_ITEMS, BASE_REVIEWS, MalformedRecord),
-        (BASE_USERS, BASE_ITEMS, [], EmptyCorpus),
+        (BASE_USERS, BASE_ITEMS, [], EmptyInput),
         # ids a ranking line ("1. a, 2. b") cannot carry back
         ([{"user_id": "u,1"}], BASE_ITEMS, BASE_REVIEWS, MalformedRecord),
         (BASE_USERS, [{"item_id": "i 1", "title": "Spaced"}], BASE_REVIEWS, MalformedRecord),

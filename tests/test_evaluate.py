@@ -16,9 +16,12 @@ from recteacher.errors import (
 )
 from recteacher.evaluate import (
     CANDIDATE_COUNT,
+    COLD_ITEM_MAX_INTERACTIONS,
+    COLD_USER_MAX_HISTORY,
+    EVO_LONG_MIN_HISTORY,
+    EVO_SHORT_MAX_GAP_S,
     EvalInstance,
     Scenario,
-    ScenarioThresholds,
     best_of_k,
     build_instance,
     evaluate,
@@ -77,47 +80,50 @@ def test_matches_scenario_classic():
     assert matches_scenario(corpus, "u2", Scenario.CLASSIC) is False
 
 
+def with_history(length):
+    """A sequence whose holdout split leaves `length` interactions of history."""
+    return seq(*[f"i{k:02d}" for k in range(length + 1)])
+
+
 def test_matches_scenario_cold_start_user():
     corpus = make_corpus({
-        "short": seq("i00", "i01", "i02"),                              # 2 of history
-        "long": seq("i00", "i01", "i02", "i03", "i04", "i05", "i06"),   # 6 of history
+        "short": with_history(COLD_USER_MAX_HISTORY - 1),  # 4 of history
+        "edge": with_history(COLD_USER_MAX_HISTORY),       # 5 of history
     })
     assert matches_scenario(corpus, "short", Scenario.COLD_START_USER) is True
-    assert matches_scenario(corpus, "long", Scenario.COLD_START_USER) is False
-    tight = ScenarioThresholds(cold_user_max_history=2)
-    assert matches_scenario(corpus, "short", Scenario.COLD_START_USER, tight) is False
+    assert matches_scenario(corpus, "edge", Scenario.COLD_START_USER) is False
 
 
 def test_matches_scenario_cold_start_item():
-    # i09 is u1's ground truth and appears twice corpus-wide; i01 appears 3 times
+    # i09 is u1's ground truth and appears twice corpus-wide; i01, u4's, appears 3 times
     corpus = make_corpus({
         "u1": seq("i00", "i09"),
         "u2": seq("i01", "i09"),
         "u3": seq("i01", "i02"),
         "u4": seq("i02", "i01"),
     })
+    assert corpus.item_reads["i09"] == COLD_ITEM_MAX_INTERACTIONS
+    assert corpus.item_reads["i01"] == COLD_ITEM_MAX_INTERACTIONS + 1
     assert matches_scenario(corpus, "u1", Scenario.COLD_START_ITEM) is True
     assert matches_scenario(corpus, "u4", Scenario.COLD_START_ITEM) is False
-    assert matches_scenario(
-        corpus, "u1", Scenario.COLD_START_ITEM, ScenarioThresholds(cold_item_max_interactions=1)
-    ) is False
 
 
 def test_matches_scenario_evo_long():
     corpus = make_corpus({
-        "u1": seq(*[f"i{k:02d}" for k in range(11)]),  # 10 of history
-        "u2": seq(*[f"i{k:02d}" for k in range(10)]),  # 9 of history
+        "u1": with_history(EVO_LONG_MIN_HISTORY),      # 10 of history
+        "u2": with_history(EVO_LONG_MIN_HISTORY - 1),  # 9 of history
     })
     assert matches_scenario(corpus, "u1", Scenario.EVO_LONG) is True
     assert matches_scenario(corpus, "u2", Scenario.EVO_LONG) is False
 
 
 def test_matches_scenario_evo_short_gap():
-    recent = [("i00", 1000), ("i01", 1000 + 29 * DAY)]
-    stale = [("i00", 1000), ("i01", 1000 + 31 * DAY)]
-    corpus = make_corpus({"fresh": recent, "cold": stale})
-    assert matches_scenario(corpus, "fresh", Scenario.EVO_SHORT) is True
-    assert matches_scenario(corpus, "cold", Scenario.EVO_SHORT) is False
+    assert EVO_SHORT_MAX_GAP_S == 30 * DAY
+    edge = [("i00", 1000), ("i01", 1000 + EVO_SHORT_MAX_GAP_S)]
+    past = [("i00", 1000), ("i01", 1000 + EVO_SHORT_MAX_GAP_S + 1)]
+    corpus = make_corpus({"edge": edge, "past": past})
+    assert matches_scenario(corpus, "edge", Scenario.EVO_SHORT) is True
+    assert matches_scenario(corpus, "past", Scenario.EVO_SHORT) is False
 
 
 def test_build_instance_no_leak_and_determinism():

@@ -8,7 +8,7 @@ import pytest
 
 from cfref import brute_item_neighbors, brute_pool, brute_user_neighbors, make_graph, random_graph
 from recteacher.corpus import Corpus, ItemMeta, Interaction
-from recteacher.errors import EmptyCorpus, MalformedRecord, UnknownItem, UnknownUser
+from recteacher.errors import EmptyInput, MalformedRecord, UnknownItem, UnknownUser
 from recteacher.graph import (
     build_graph,
     item_cf_neighbors,
@@ -84,7 +84,7 @@ def test_build_graph_dedupes_repeat_interactions():
 
 def test_build_graph_empty_raises():
     corpus = Corpus(users={}, items={}, sequences={})
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(EmptyInput):
         build_graph(corpus)
 
 
@@ -121,6 +121,10 @@ EDGE = '{"items": ["x"], "user": "A"}'
     (f"{HEADER}\n\n{{\"user\": \"A\"}}\n", 3, "missing 'items'"),
     (f"\n\n[]\n", 3, "record is not a JSON object"),
     (f"\n\n{HEADER.replace('1', '2')}\n{EDGE}\n", 3, "header counts"),
+    (f'{{"edge_count": 1.0, "item_count": true, "user_count": true}}\n{EDGE}\n', 1,
+     "user_count must be an integer"),
+    (f'{{"edge_count": 1.0, "item_count": 1, "user_count": 1}}\n{EDGE}\n', 1,
+     "edge_count must be an integer"),
     ("\n\n", 1, "empty graph file"),
     ('{"edge_count": 3, "item_count": 3, "user_count": 2}\n{"items": ["x", "y"], "user": "A"}\n'
      '{"items": ["x"], "user": "B"}\n{"items": ["z", "x"], "user": "A"}\n', 4, "duplicate user 'A'"),
@@ -129,7 +133,8 @@ EDGE = '{"items": ["x"], "user": "A"}'
     (f"{HEADER}\n{{\"items\": [\"x\"], \"user\": \"A B\"}}\n", 2, "contains a comma or whitespace"),
     (f"{HEADER}\n{{\"items\": [\"x,y\"], \"user\": \"A\"}}\n", 2, "contains a comma or whitespace"),
     (f"{HEADER}\n{{\"items\": [\"x\"], \"user\": \"\"}}\n", 2, "missing or invalid user"),
-], ids=["not-object", "bad-json", "no-items", "bad-header", "count-mismatch", "empty",
+], ids=["not-object", "bad-json", "no-items", "bad-header", "count-mismatch",
+        "bool-count", "float-count", "empty",
         "repeated-user", "non-string-items", "user-with-space", "item-with-comma", "empty-user"])
 def test_load_graph_names_the_line_in_the_file(tmp_path, text, line, reason):
     path = tmp_path / "g.jsonl"

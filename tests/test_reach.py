@@ -14,6 +14,9 @@ the two without removing it from PINNED.
 
 Config knobs get the same check: every `PipelineConfig` field is read by some
 module under `src/` other than `config.py`.
+
+Imports get one too: every name a module under `src/`, `tests/` or `tools/`
+imports is used in that module, so a deletion leaves no import behind.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from conftest import REPO_ROOT
 from recteacher.config import PipelineConfig
 
 SRC = REPO_ROOT / "src"
+IMPORTING_DIRS = (SRC, REPO_ROOT / "tests", REPO_ROOT / "tools")
+NOQA_UNUSED_IMPORT = "# noqa: F401"
 
 PINNED = {
     "recteacher.rewards.format_reward",
@@ -153,3 +158,44 @@ def test_an_added_unread_config_field_is_caught(tmp_path):
     # `a` is read through the view and `b` as an attribute of a config; `scratch`
     # only in config.py and as an attribute of another object
     assert unread_fields(tmp_path, ["a", "b", "scratch"]) == {"scratch"}
+
+
+def unused_imports(path: Path) -> list[str]:
+    """`path:line: name` for each name the module imports and never uses.
+
+    A name is used when the module loads it anywhere, itself or through an
+    attribute (`json` in `json.dumps`); `import a.b` binds `a`. Imports from
+    `__future__` and import statements marked `# noqa: F401` are exempt.
+    """
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source, filename=str(path))
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any(NOQA_UNUSED_IMPORT in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                unused.append(f"{path}:{node.lineno}: {name}")
+    return unused
+
+
+def test_every_imported_name_is_used():
+    paths = sorted(path for root in IMPORTING_DIRS for path in root.rglob("*.py"))
+    assert [line for path in paths for line in unused_imports(path)] == []
+
+
+def test_an_added_unused_import_is_caught(tmp_path):
+    path = tmp_path / "a.py"
+    path.write_text(
+        "from __future__ import annotations\n\nimport json\nimport os.path\n"
+        "from typing import (\n    Any,\n    Iterator,\n)\n"
+        "from pathlib import Path as P  # noqa: F401\n\n\n"
+        "def f() -> Iterator:\n    return os.path.join(P.cwd())\n", encoding="utf-8")
+    assert unused_imports(path) == [f"{path}:3: json", f"{path}:5: Any"]
