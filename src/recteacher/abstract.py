@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .corpus import Interaction
-from .errors import EmptyInput
+from .errors import InsufficientInput
 from .gateway import Gateway, Origin, chat_request
 from . import prompts
 from .tags import SUMMARY_TAG, reply_body
@@ -46,7 +46,7 @@ def abstract(
     origin subject is `history[0].user`, the session's user: an instance's history is its own.
     """
     if not history:
-        raise EmptyInput("history is empty")
+        raise InsufficientInput("history is empty")
     chunks = chunk(history, m)
     if len(chunks) <= 1:
         return HybridHistory(long_term_summary="", recent_raw=tuple(history))

@@ -53,7 +53,7 @@ from .corpus import (
     require_id,
     save_corpus,
 )
-from .errors import EmptyInput, PipelineError
+from .errors import InsufficientInput, PipelineError
 from .evaluate import (
     DEFAULT_KS,
     EvalInstance,
@@ -177,7 +177,7 @@ def _read_records(path: str | Path, decode: Callable[[dict], T], kind: str) -> I
     base = Path(path)
     files = sorted(base.glob("*.jsonl")) if base.is_dir() else [base]
     if not files:
-        raise EmptyInput(f"no .jsonl {kind} files under {base}")
+        raise InsufficientInput(f"no .jsonl {kind} files under {base}")
     with_id = unique_ids(lambda record: (require_field(record, "id", str), decode(record)), f"{kind} id")
     for file in files:
         for _lineno, pair in decode_jsonl(file, with_id):
@@ -329,7 +329,7 @@ def _cmd_make_instances(args: argparse.Namespace, config: PipelineConfig) -> Non
         if args.limit is not None and len(records) >= args.limit:
             break
     if not records:
-        raise EmptyInput(f"no users match scenario {scenario.value!r}")
+        raise InsufficientInput(f"no users match scenario {scenario.value!r}")
     write_jsonl_atomic(args.out, records)
     print(f"instances: {len(records)} ({scenario.value}) -> {args.out}")
 
@@ -347,7 +347,7 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> None:
 
     instances = list(_read_records(args.instances, decode_known, "instance"))  # before any send
     if not instances:
-        raise EmptyInput(f"no instances in {args.instances}")
+        raise InsufficientInput(f"no instances in {args.instances}")
     gateway = _make_gateway(args, config, ground_truth={instance.user: instance.ground_truth
                                                         for _, instance in instances})
 

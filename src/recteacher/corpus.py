@@ -20,7 +20,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable
 
-from .errors import EmptyInput, SequenceTooShort, UnknownUser
+from .errors import InsufficientInput, UnknownId
 from .util import decode_jsonl, require_field, unique_ids, write_jsonl_atomic
 
 logger = logging.getLogger(__name__)
@@ -176,7 +176,7 @@ def ingest(user_file: str | Path, item_file: str | Path, review_file: str | Path
     """Load the three record files into a validated corpus.
 
     Raises MalformedRecord on any bad line, a review naming an undeclared
-    user or item included, and EmptyInput when no interactions exist.
+    user or item included, and InsufficientInput when no interactions exist.
     Duplicate review triples are kept as distinct interactions.
     """
     catalog = _read_catalog(user_file, item_file)
@@ -193,7 +193,7 @@ def ingest(user_file: str | Path, item_file: str | Path, review_file: str | Path
         total += 1
 
     if total == 0:
-        raise EmptyInput("review file contains no interactions")
+        raise InsufficientInput("review file contains no interactions")
 
     for user_id, seq in sequences.items():
         seq.sort(key=lambda it: it.timestamp)  # stable: ties keep file order
@@ -270,9 +270,9 @@ def holdout_split(corpus: Corpus, user: str) -> tuple[list[Interaction], Interac
     """
     seq = corpus.sequences.get(user)
     if seq is None:
-        raise UnknownUser(user)
+        raise UnknownId(f"unknown user {user!r}")
     if len(seq) < 2:
-        raise SequenceTooShort(user)
+        raise InsufficientInput(f"user {user!r}: needs at least 2 interactions")
     target = seq[-1]
     first_idx = next(i for i, inter in enumerate(seq) if inter.item == target.item)
     return list(seq[:first_idx]), target

@@ -2,7 +2,9 @@
 
 Every error raised by library code derives from PipelineError so the CLI can
 report any pipeline failure with one machine-parsable line. One fault has one
-class: a malformed LLM reply is a ReplyParseError whoever asked for it.
+class: a malformed LLM reply is a ReplyParseError whoever asked for it, a
+bad tool call in it included; an operation given too few elements raises
+InsufficientInput, and an id the data lacks raises UnknownId.
 """
 
 from __future__ import annotations
@@ -22,20 +24,12 @@ class MalformedRecord(PipelineError):
         super().__init__(f"{source}:{line}: {reason}")
 
 
-class SequenceTooShort(PipelineError):
-    """A user's sequence cannot support a holdout split."""
-
-    def __init__(self, user: str, detail: str = "needs at least 2 interactions"):
-        self.user = user
-        super().__init__(f"user {user!r}: {detail}")
+class InsufficientInput(PipelineError):
+    """An operation got fewer elements than it needs: none, or fewer than its minimum."""
 
 
-class UnknownUser(PipelineError):
-    pass
-
-
-class UnknownItem(PipelineError):
-    pass
+class UnknownId(PipelineError):
+    """A user or item id the data at hand lacks; the message names the side and the id."""
 
 
 GATEWAY_ERROR_KINDS = (
@@ -62,16 +56,9 @@ class ReplyParseError(PipelineError):
     """An LLM reply lacks the envelope or payload its caller asked for.
 
     One class for every reader: the teacher's agents, the history summarizer
-    and the evidence verbalizer; the message names what was asked.
+    and the evidence verbalizer, and every malformed tool call; the message
+    names what was asked.
     """
-
-
-class ToolParseError(PipelineError):
-    pass
-
-
-class ToolArgumentError(ToolParseError):
-    """A recognized tool called without exactly its one id argument."""
 
 
 class SessionError(PipelineError):
@@ -100,25 +87,3 @@ class TagError(PipelineError):
             raise ValueError(f"unknown tag error kind {kind!r}")
         self.kind = kind
         super().__init__(f"{kind}: {detail}" if detail else kind)
-
-
-class InsufficientBucket(PipelineError):
-    """A difficulty bucket cannot fill its quota."""
-
-    def __init__(self, bucket: str, need: int, have: int):
-        self.bucket = bucket
-        self.need = need
-        self.have = have
-        super().__init__(f"bucket {bucket}: need {need}, have {have}")
-
-
-class NotEnoughItems(PipelineError):
-    """Too few never-interacted items to sample negatives from."""
-
-
-class EmptyInput(PipelineError):
-    """An operation that needs at least one element got none."""
-
-
-class InsufficientSamples(PipelineError):
-    """Best-of-k needs at least max(k') sampled rankings per instance."""

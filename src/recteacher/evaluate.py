@@ -9,7 +9,7 @@ import random
 from typing import Mapping, Sequence
 
 from .corpus import Corpus, Interaction, holdout_split
-from .errors import EmptyInput, InsufficientSamples, NotEnoughItems, SequenceTooShort
+from .errors import InsufficientInput
 
 CANDIDATE_COUNT = 20
 NEGATIVE_COUNT = CANDIDATE_COUNT - 1
@@ -54,6 +54,9 @@ class EvalInstance:
             raise ValueError("candidates must be distinct")
         if self.ground_truth not in self.candidates:
             raise ValueError("ground truth must be among the candidates")
+        if not history_fits(self.scenario, len(self.history)):
+            raise ValueError(f"a {self.scenario.value} instance cannot have "
+                             f"{len(self.history)} history entries")
 
 
 @dataclass(frozen=True)
@@ -63,23 +66,28 @@ class EvalReport:
     n: int
 
 
+def history_fits(scenario: Scenario, length: int) -> bool:
+    """The part of the scenario's filter that history length alone decides; true where it decides nothing."""
+    if scenario is Scenario.COLD_START_USER:
+        return length < COLD_USER_MAX_HISTORY
+    if scenario is Scenario.EVO_LONG:
+        return length >= EVO_LONG_MIN_HISTORY
+    return True
+
+
 def matches_scenario(corpus: Corpus, user: str, scenario: Scenario) -> bool:
     """Whether the user yields a usable instance under the scenario's filter."""
     try:
         history, target = holdout_split(corpus, user)
-    except SequenceTooShort:
+    except InsufficientInput:
         return False
-    if not history:
+    if not history or not history_fits(scenario, len(history)):
         return False
-    if scenario is Scenario.CLASSIC:
-        return True
-    if scenario is Scenario.COLD_START_USER:
-        return len(history) < COLD_USER_MAX_HISTORY
     if scenario is Scenario.COLD_START_ITEM:
         return corpus.item_reads[target.item] <= COLD_ITEM_MAX_INTERACTIONS
-    if scenario is Scenario.EVO_LONG:
-        return len(history) >= EVO_LONG_MIN_HISTORY
-    return target.timestamp - history[-1].timestamp <= EVO_SHORT_MAX_GAP_S
+    if scenario is Scenario.EVO_SHORT:
+        return target.timestamp - history[-1].timestamp <= EVO_SHORT_MAX_GAP_S
+    return True
 
 
 def build_instance(
@@ -91,11 +99,11 @@ def build_instance(
     """Holdout split plus 19 seeded negatives the user never touched."""
     history, target = holdout_split(corpus, user)
     if not history:
-        raise SequenceTooShort(user, "no interactions before the ground-truth item")
+        raise InsufficientInput(f"user {user!r}: no interactions before the ground-truth item")
     interacted = {interaction.item for interaction in corpus.sequences[user]}
     pool = [item for item in corpus.sorted_item_ids if item not in interacted]
     if len(pool) < NEGATIVE_COUNT:
-        raise NotEnoughItems(f"user {user!r}: {len(pool)} candidates for {NEGATIVE_COUNT} negatives")
+        raise InsufficientInput(f"user {user!r}: {len(pool)} candidates for {NEGATIVE_COUNT} negatives")
     rng = random.Random(rng_seed)
     candidates = [target.item, *rng.sample(pool, NEGATIVE_COUNT)]
     rng.shuffle(candidates)
@@ -114,7 +122,7 @@ def evaluate(
 ) -> EvalReport:
     """HR@k over `ks`: best-of-1 on one sample per instance."""
     if not pairs:
-        raise EmptyInput("no (ranking, instance) pairs to evaluate")
+        raise InsufficientInput("no (ranking, instance) pairs to evaluate")
     instances = [instance for _, instance in pairs]
     return best_of_k([[ranking] for ranking, _ in pairs], instances, ks=(1,), eval_ks=ks)[1]
 
@@ -134,13 +142,13 @@ def best_of_k(
     if len(samples) != len(instances):
         raise ValueError("samples and instances must align")
     if not instances:
-        raise EmptyInput("no instances")
+        raise InsufficientInput("no instances")
     if any(k < 1 for k in eval_ks):
         raise ValueError("k must be >= 1")
     need = max(ks)
     for instance, group in zip(instances, samples):
         if len(group) < need:
-            raise InsufficientSamples(f"user {instance.user!r}: {len(group)} samples, need {need}")
+            raise InsufficientInput(f"user {instance.user!r}: {len(group)} samples, need {need}")
 
     # Rank of gt per sample; None (absent) loses to every real rank.
     ranks: list[list[int | None]] = [

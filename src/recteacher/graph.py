@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .corpus import Corpus, require_id
-from .errors import EmptyInput, MalformedRecord, UnknownItem, UnknownUser
+from .errors import InsufficientInput, MalformedRecord, UnknownId
 from .util import atomic_writer, decode_jsonl, read_jsonl, require_field, unique_ids
 
 logger = logging.getLogger(__name__)
@@ -51,7 +51,7 @@ def build_graph(corpus: Corpus) -> InteractionGraph:
     """Build the deduplicated bipartite graph from all interactions."""
     user_sets = {user: {inter.item for inter in seq} for user, seq in corpus.sequences.items() if seq}
     if not user_sets:
-        raise EmptyInput("no interactions to build a graph from")
+        raise InsufficientInput("no interactions to build a graph from")
     graph = InteractionGraph.from_user_sets(user_sets)
     logger.info(
         "built graph: %d users, %d items, %d edges",
@@ -81,15 +81,16 @@ def _top_k(counts: Mapping[str, int], k: int) -> list[tuple[str, int]]:
 
 
 def _two_hop(adj: Adjacency, back: Adjacency, anchor: str, k: int,
-             unknown: type[Exception]) -> list[tuple[str, int]]:
+             side: str) -> list[tuple[str, int]]:
     """Top-k nodes sharing a neighbor with the anchor (anchor -> adj -> back), by shared count.
 
-    The anchor itself is excluded; an anchor not in `adj` raises `unknown`.
+    The anchor itself is excluded; an anchor not in `adj` raises UnknownId
+    naming `side`, the anchor's kind ("item" or "user").
     """
     _validate_k(k)
     middle = adj.get(anchor)
     if middle is None:
-        raise unknown(anchor)
+        raise UnknownId(f"unknown {side} {anchor!r}")
     scores: Counter = Counter()
     for node in middle:
         scores.update(back[node])
@@ -103,7 +104,7 @@ def item_cf_neighbors(
     k: int = DEFAULT_NEIGHBOR_K,
 ) -> list[tuple[str, int]]:
     """Top-k items sharing users with the anchor (Item -> User -> Item), scored by co-reader count."""
-    return _two_hop(graph.item_adj, graph.user_adj, anchor, k, UnknownItem)
+    return _two_hop(graph.item_adj, graph.user_adj, anchor, k, "item")
 
 
 def user_cf_neighbors(
@@ -112,7 +113,7 @@ def user_cf_neighbors(
     k: int = DEFAULT_NEIGHBOR_K,
 ) -> list[tuple[str, int]]:
     """Top-k users sharing items with the anchor (User -> Item -> User)."""
-    return _two_hop(graph.user_adj, graph.item_adj, anchor, k, UnknownUser)
+    return _two_hop(graph.user_adj, graph.item_adj, anchor, k, "user")
 
 
 def neighbor_item_pool(

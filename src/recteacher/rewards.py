@@ -12,7 +12,7 @@ from fractions import Fraction
 import random
 from typing import Mapping, Sequence, TypeVar
 
-from .errors import InsufficientBucket, ReplyParseError, TagError, ToolParseError
+from .errors import InsufficientInput, ReplyParseError, TagError
 from .evaluate import gt_rank
 from .tags import decode_tool_calls
 from .teacher import Phase, decode_payload
@@ -49,7 +49,7 @@ def _format_of(parsed: ParsedTrajectory) -> int:
             if section.payload is not None or section.tag != Phase.RECOMMEND.value:
                 decode_payload(section.payload, Phase(section.tag))
         blocks = [decode_tool_calls(body) for section in parsed.sections for body in section.tool_calls]
-    except (ReplyParseError, ToolParseError):
+    except ReplyParseError:
         return FORMAT_FAIL
     # exactly one call object per block
     return FORMAT_PASS if all(len(calls) == 1 for calls in blocks) else FORMAT_FAIL
@@ -146,6 +146,6 @@ def compose_rl_set(
     for which, need in zip(order, quotas):
         available = list(buckets.get(which, ()))
         if len(available) < need:
-            raise InsufficientBucket(which.value, need, len(available))
+            raise InsufficientInput(f"bucket {which.value}: need {need}, have {len(available)}")
         chosen.extend(rng.sample(available, need))
     return chosen

@@ -2,8 +2,9 @@
 
 Every reply is read through one scan (`envelopes`): bodies between a tag pair
 are raw text and the closing tag is found literally, so envelope contents
-never need escaping. A reply that lacks the envelope its caller asked for
-raises ReplyParseError. Tool-call bodies are decoded here and only here.
+never need escaping. A reply that lacks the envelope its caller asked for,
+or holds a malformed tool call, raises ReplyParseError. Tool-call bodies are
+decoded here and only here.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import re
 from typing import Any, Iterator
 
-from .errors import ReplyParseError, ToolArgumentError, ToolParseError
+from .errors import ReplyParseError
 
 ANSWER_TAG = "Answer"
 SUMMARY_TAG = "SUMMARY"
@@ -89,7 +90,7 @@ def decode_json_stream(raw: str) -> list[Any]:
 class ToolCall:
     """A recognized CF tool applied to one anchor id; also the evidence-cache key.
 
-    An unknown name raises ToolParseError. On the wire its `arguments` are
+    An unknown name raises ReplyParseError. On the wire its `arguments` are
     `{user_id|item_id: anchor}`, and `decode_tool_call` builds a call only
     from exactly that argument set, so every ToolCall in the pipeline is a
     valid one.
@@ -100,7 +101,7 @@ class ToolCall:
 
     def __post_init__(self) -> None:
         if self.name not in RECOGNIZED_TOOLS:
-            raise ToolParseError(f"unknown tool name {self.name!r}")
+            raise ReplyParseError(f"unknown tool name {self.name!r}")
 
     @property
     def arguments(self) -> dict[str, str]:
@@ -111,29 +112,29 @@ def decode_tool_call(value: Any) -> ToolCall:
     """Validate one decoded tool-call object into a ToolCall.
 
     Accepts `arguments` as an object or as a string-encoded JSON object, whose
-    values must be ids (strings or integers). A recognized tool with any
-    other argument set than its one id raises ToolArgumentError, and every
-    other failure is a ToolParseError.
+    values must be ids (strings or integers). Every failure, a recognized
+    tool given any other argument set than its one id included, raises
+    ReplyParseError.
     """
     if not isinstance(value, dict):
-        raise ToolParseError(f"tool call is not an object: {value!r}")
+        raise ReplyParseError(f"tool call is not an object: {value!r}")
     arguments = value.get("arguments")
     if isinstance(arguments, str):
         try:
             arguments = json.loads(arguments)
         except ValueError as exc:
-            raise ToolParseError(f"arguments not decodable: {arguments!r}") from exc
+            raise ReplyParseError(f"arguments not decodable: {arguments!r}") from exc
     if not isinstance(arguments, dict):
-        raise ToolParseError(f"arguments is not an object: {arguments!r}")
+        raise ReplyParseError(f"arguments is not an object: {arguments!r}")
     cleaned: dict[str, str] = {}
     for key, raw in arguments.items():
         if not isinstance(raw, (str, int)) or isinstance(raw, bool):
-            raise ToolParseError(f"argument {key!r} is not an id: {raw!r}")
+            raise ReplyParseError(f"argument {key!r} is not an id: {raw!r}")
         cleaned[str(key)] = str(raw)
     name = value.get("name")
     expected = TOOL_ARG_KEY[name] if name in RECOGNIZED_TOOLS else None  # ToolCall rejects the rest
     if expected is not None and set(cleaned) != {expected}:
-        raise ToolArgumentError(f"{name} takes exactly one argument {expected!r}, got {sorted(cleaned)}")
+        raise ReplyParseError(f"{name} takes exactly one argument {expected!r}, got {sorted(cleaned)}")
     return ToolCall(name, cleaned.get(expected))
 
 
@@ -142,9 +143,9 @@ def decode_tool_calls(body: str) -> list[ToolCall]:
     try:
         values = decode_json_stream(body)
     except ValueError as exc:
-        raise ToolParseError(f"undecodable tool_call body: {body!r}") from exc
+        raise ReplyParseError(f"undecodable tool_call body: {body!r}") from exc
     if not values:
-        raise ToolParseError("empty tool_call body")
+        raise ReplyParseError("empty tool_call body")
     return [decode_tool_call(value) for value in values]
 
 

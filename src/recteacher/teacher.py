@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .abstract import DEFAULT_WINDOW_M, abstract
 from .corpus import Catalog
-from .errors import PipelineError, ReplyParseError, SessionError, UnknownItem, UnknownUser
+from .errors import PipelineError, ReplyParseError, SessionError, UnknownId
 from .evaluate import EvalInstance
 from .gateway import Gateway, Origin, chat_request
 from . import prompts
@@ -180,7 +180,10 @@ class ToolRunner:
         return len(self._unnamed)
 
     def run(self, call: ToolCall, gateway: Gateway) -> str:
-        """The evidence text for `call`; a miss is filled through `gateway`."""
+        """The evidence text for `call`; a miss is filled through `gateway`.
+
+        An anchor the graph lacks (UnknownId) sends nothing and reads MISS_FALLBACK.
+        """
         found = self.cache.lookup(call)
         if found is not None:
             return found.text
@@ -188,7 +191,7 @@ class ToolRunner:
             raise PipelineError(f"no cached {call.name} evidence for {call.anchor!r}, and no graph to fill it")
         try:
             return self._fill(call, gateway).text
-        except (UnknownItem, UnknownUser):  # the anchor is not in the graph; nothing was sent
+        except UnknownId:
             return MISS_FALLBACK
 
     @contextmanager

@@ -17,7 +17,7 @@ from pathlib import Path
 import re
 from typing import Mapping, Sequence
 
-from .errors import EmptyInput, ReplyParseError, TagError
+from .errors import InsufficientInput, ReplyParseError, TagError
 from .tags import (
     JSON_TAG,
     TOOL_CALL_TAG,
@@ -228,7 +228,7 @@ def export_sft(records: Mapping[str, tuple[str, str]], out: Path) -> int:
     Every record's system turn is the packaged student prompt.
     """
     if not records:
-        raise EmptyInput("no trajectories to export")
+        raise InsufficientInput("no trajectories to export")
     system = prompts.student_system()
     return write_jsonl_atomic(out, [
         {"system": system, "user": prompt, "assistant": trajectory}

@@ -9,7 +9,7 @@ import pytest
 
 from recteacher.abstract import HybridHistory, abstract, chunk
 from recteacher.corpus import Interaction, ItemMeta
-from recteacher.errors import EmptyInput, ReplyParseError
+from recteacher.errors import InsufficientInput, ReplyParseError
 from recteacher.gateway import Gateway, GatewayConfig, ScriptBackend
 from recteacher.prompts import render_interaction
 
@@ -63,7 +63,7 @@ def test_render_interaction_caps_review_excerpt():
 
 def test_abstract_empty_history():
     _, gateway = scripted_gateway()
-    with pytest.raises(EmptyInput):
+    with pytest.raises(InsufficientInput):
         abstract([], 3, gateway, render=lambda x: x.item)
 
 

@@ -16,6 +16,7 @@ import pytest
 from recteacher.cli import build_parser, main
 from recteacher.corpus import TIMESTAMP_MAX
 from recteacher.errors import GatewayError
+from recteacher.evaluate import COLD_USER_MAX_HISTORY
 from recteacher.graph import InteractionGraph, load_graph, save_graph
 from recteacher.oracle import OracleBackend
 from recteacher.teacher import MISS_FALLBACK, Phase
@@ -633,27 +634,50 @@ def test_an_instance_naming_an_id_the_catalogue_lacks_fails_before_any_session(
     assert sorted(os.listdir(tmp_path)) == ["instances.jsonl", "script.json"]  # no output, no temp
 
 
-@pytest.mark.parametrize("command", [
+# Each command that reads `{path}` as its instances; the script exhausts at any gateway call.
+_INSTANCE_READERS = pytest.mark.parametrize("command", [
     ["run-teacher", "--corpus", "{corpus}", "--graph", "{graph}", "--cache", "{cache}",
      "--instances", "{path}", "--out", "{out}", "--backend", "mock", "--script", "{script}"],
     ["evaluate", "--sessions", "{sessions}", "--instances", "{path}", "--out", "{out}"],
     ["score-rewards", "--trajectories", "{sessions}", "--instances", "{path}", "--out", "{out}"],
 ], ids=["run-teacher", "evaluate", "score-rewards"])
-def test_an_instance_history_naming_another_user_fails_before_any_session(pipeline, tmp_path, capsys,
-                                                                           command):
-    records = records_of(pipeline["instances"])
-    records[0]["history"] = [{**entry, "user_id": "ux"} for entry in records[0]["history"]]
+
+
+def instance_error_lines(pipeline, tmp_path, capsys, command, records):
+    """The `error: ` lines of `command` run on `records` as its instances; it must exit 1, writing nothing."""
     path = tmp_path / "instances.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     script = tmp_path / "script.json"
     script.write_text("[]", encoding="utf-8")  # any gateway call would exhaust it
     names = {name: str(p) for name, p in pipeline.items()}
     code = main([arg.format(**names, path=path, script=script, out=tmp_path / "out") for arg in command])
-    error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
     assert code == 1
-    assert error_lines == [f"error: MalformedRecord: {path}:1: history names user 'ux', "
-                           f"not the instance's {records[0]['user']!r}"]
     assert sorted(os.listdir(tmp_path)) == ["instances.jsonl", "script.json"]  # no output, no temp
+    return [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
+
+
+@_INSTANCE_READERS
+def test_an_instance_history_naming_another_user_fails_before_any_session(pipeline, tmp_path, capsys,
+                                                                           command):
+    records = records_of(pipeline["instances"])
+    records[0]["history"] = [{**entry, "user_id": "ux"} for entry in records[0]["history"]]
+    path = tmp_path / "instances.jsonl"
+    assert instance_error_lines(pipeline, tmp_path, capsys, command, records) == [
+        f"error: MalformedRecord: {path}:1: history names user 'ux', "
+        f"not the instance's {records[0]['user']!r}"]
+
+
+@_INSTANCE_READERS
+def test_an_instance_whose_history_length_contradicts_its_scenario_fails(pipeline, tmp_path, capsys,
+                                                                         command):
+    records = records_of(pipeline["instances"])
+    length = len(records[0]["history"])
+    assert length >= COLD_USER_MAX_HISTORY
+    records[0]["scenario"] = "ColdStartUser"
+    path = tmp_path / "instances.jsonl"
+    assert instance_error_lines(pipeline, tmp_path, capsys, command, records) == [
+        f"error: MalformedRecord: {path}:1: "
+        f"a ColdStartUser instance cannot have {length} history entries"]
 
 
 # Each record kind a command reads: the file it comes from, and a command reading `{path}` as it.

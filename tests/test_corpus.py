@@ -15,12 +15,7 @@ from recteacher.corpus import (
     load_corpus,
     save_corpus,
 )
-from recteacher.errors import (
-    EmptyInput,
-    MalformedRecord,
-    SequenceTooShort,
-    UnknownUser,
-)
+from recteacher.errors import InsufficientInput, MalformedRecord, UnknownId
 
 
 def write_jsonl(path, records):
@@ -80,7 +75,7 @@ def test_ingest_rejects_bad_records(tmp_path):
         (BASE_USERS, BASE_ITEMS, [{"user_id": "u1", "item_id": "ix", "timestamp": 1}], MalformedRecord),
         (BASE_USERS, [{"item_id": "i1"}], BASE_REVIEWS, MalformedRecord),  # no title
         ([{"user_id": "u1"}, {"user_id": "u1"}], BASE_ITEMS, BASE_REVIEWS, MalformedRecord),
-        (BASE_USERS, BASE_ITEMS, [], EmptyInput),
+        (BASE_USERS, BASE_ITEMS, [], InsufficientInput),
         # ids a ranking line ("1. a, 2. b") cannot carry back
         ([{"user_id": "u,1"}], BASE_ITEMS, BASE_REVIEWS, MalformedRecord),
         (BASE_USERS, [{"item_id": "i 1", "title": "Spaced"}], BASE_REVIEWS, MalformedRecord),
@@ -131,9 +126,9 @@ def test_holdout_split_cuts_before_first_ground_truth_occurrence(tmp_path):
 
 def test_holdout_split_errors(tmp_path):
     corpus = ingest(*make_files(tmp_path, BASE_USERS, BASE_ITEMS, BASE_REVIEWS))
-    with pytest.raises(UnknownUser):
+    with pytest.raises(UnknownId, match="^unknown user 'nope'$"):
         holdout_split(corpus, "nope")
-    with pytest.raises(SequenceTooShort):
+    with pytest.raises(InsufficientInput, match="^user 'u2': needs at least 2 interactions$"):
         holdout_split(corpus, "u2")
 
 

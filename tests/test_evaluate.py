@@ -8,12 +8,7 @@ import random
 import pytest
 
 from recteacher.corpus import Corpus, Interaction, ItemMeta
-from recteacher.errors import (
-    EmptyInput,
-    InsufficientSamples,
-    NotEnoughItems,
-    SequenceTooShort,
-)
+from recteacher.errors import InsufficientInput
 from recteacher.evaluate import (
     CANDIDATE_COUNT,
     COLD_ITEM_MAX_INTERACTIONS,
@@ -71,6 +66,22 @@ def test_eval_instance_validation():
     dupes = ("c00",) * 2 + tuple(f"c{i:02d}" for i in range(1, CANDIDATE_COUNT - 1))
     with pytest.raises(ValueError):
         make_instance(candidates=dupes)
+
+
+def history_of(length):
+    return tuple(Interaction("u1", f"h{i}", i) for i in range(length))
+
+
+def test_an_instance_label_its_history_length_contradicts_is_refused():
+    make_instance(history=history_of(COLD_USER_MAX_HISTORY - 1), scenario=Scenario.COLD_START_USER)
+    with pytest.raises(ValueError, match="a ColdStartUser instance cannot have 5 history entries"):
+        make_instance(history=history_of(COLD_USER_MAX_HISTORY), scenario=Scenario.COLD_START_USER)
+    make_instance(history=history_of(EVO_LONG_MIN_HISTORY), scenario=Scenario.EVO_LONG)
+    with pytest.raises(ValueError, match="a EvoLong instance cannot have 9 history entries"):
+        make_instance(history=history_of(EVO_LONG_MIN_HISTORY - 1), scenario=Scenario.EVO_LONG)
+    # the record holds no corpus counts and no ground-truth timestamp, so these go unchecked
+    for scenario in (Scenario.CLASSIC, Scenario.COLD_START_ITEM, Scenario.EVO_SHORT):
+        make_instance(history=history_of(EVO_LONG_MIN_HISTORY), scenario=scenario)
 
 
 def test_matches_scenario_classic():
@@ -157,10 +168,10 @@ def test_build_instance_exhaustive_no_leak():
 
 
 def test_build_instance_errors():
-    with pytest.raises(SequenceTooShort):
+    with pytest.raises(InsufficientInput):
         build_instance(make_corpus({"u1": seq("i00")}), "u1")
     # 21 items minus 2 interacted leaves 18 < 19 negatives
-    with pytest.raises(NotEnoughItems):
+    with pytest.raises(InsufficientInput):
         build_instance(make_corpus({"u1": seq("i00", "i01", "i02")}, n_items=21), "u1")
 
 
@@ -206,7 +217,7 @@ def test_evaluate_exact_fractions_and_empty():
     report = evaluate(pairs)
     assert report.per_k == {1: Fraction(1, 3), 3: Fraction(2, 3), 5: Fraction(2, 3)}
     assert report.hr_avg == Fraction(5, 9)
-    with pytest.raises(EmptyInput):
+    with pytest.raises(InsufficientInput):
         evaluate([])
 
 
@@ -269,9 +280,9 @@ def test_best_of_k_monotone_in_k_prime():
 
 def test_best_of_k_errors():
     instance = make_instance()
-    with pytest.raises(InsufficientSamples):
+    with pytest.raises(InsufficientInput):
         best_of_k([[rank_with_gt_at(1, "c00")] * 3], [instance])
     with pytest.raises(ValueError):
         best_of_k([], [instance])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(InsufficientInput):
         best_of_k([], [])

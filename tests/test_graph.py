@@ -8,7 +8,7 @@ import pytest
 
 from cfref import brute_item_neighbors, brute_pool, brute_user_neighbors, make_graph, random_graph
 from recteacher.corpus import Corpus, ItemMeta, Interaction
-from recteacher.errors import EmptyInput, MalformedRecord, UnknownItem, UnknownUser
+from recteacher.errors import InsufficientInput, MalformedRecord, UnknownId
 from recteacher.graph import (
     build_graph,
     item_cf_neighbors,
@@ -60,9 +60,9 @@ def test_anchor_excluded_and_zero_overlap_dropped():
 
 def test_unknown_anchor_raises():
     graph = make_graph(TRIANGLE)
-    with pytest.raises(UnknownItem):
+    with pytest.raises(UnknownId, match="^unknown item 'nope'$"):
         item_cf_neighbors(graph, "nope", k=1)
-    with pytest.raises(UnknownUser):
+    with pytest.raises(UnknownId, match="^unknown user 'nobody'$"):
         user_cf_neighbors(graph, "nobody", k=1)
     with pytest.raises(ValueError):
         item_cf_neighbors(graph, "x", k=0)
@@ -84,7 +84,7 @@ def test_build_graph_dedupes_repeat_interactions():
 
 def test_build_graph_empty_raises():
     corpus = Corpus(users={}, items={}, sequences={})
-    with pytest.raises(EmptyInput):
+    with pytest.raises(InsufficientInput):
         build_graph(corpus)
 
 

@@ -17,11 +17,16 @@ module under `src/` other than `config.py`.
 
 Imports get one too: every name a module under `src/`, `tests/` or `tools/`
 imports is used in that module, so a deletion leaves no import behind.
+
+So do exception classes: every one defined under `src/` is named by some
+`raise` under `src/`, so a class that is only caught or passed around, and
+whose fault some other class therefore reports, fails it.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 from dataclasses import fields
 from pathlib import Path
 from typing import Iterable
@@ -199,3 +204,48 @@ def test_an_added_unused_import_is_caught(tmp_path):
         "from pathlib import Path as P  # noqa: F401\n\n\n"
         "def f() -> Iterator:\n    return os.path.join(P.cwd())\n", encoding="utf-8")
     assert unused_imports(path) == [f"{path}:3: json", f"{path}:5: Any"]
+
+
+def unraised_exceptions(src: Path) -> set[str]:
+    """Dotted names of the exception classes under `src` that no `raise` under `src` names.
+
+    A class is an exception class when one of its bases, by name, is a builtin
+    exception or an exception class under `src`. A raise names a class when
+    its exception is the class or a call of it, plain or as an attribute
+    (`raise errors.X(...)`); naming it in an `except` or passing it along
+    does not count.
+    """
+    classes: dict[str, tuple[str, set[str]]] = {}  # name -> (dotted name, base names)
+    raised: set[str] = set()
+    for path in sorted(src.rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = (f"{module}.{node.name}", {_last_name(base) for base in node.bases})
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                raised.add(_last_name(node.exc.func if isinstance(node.exc, ast.Call) else node.exc))
+    exceptions = {name for name, value in vars(builtins).items()
+                  if isinstance(value, type) and issubclass(value, BaseException)}
+    while True:
+        found = {name for name, (_, bases) in classes.items() if bases & exceptions} - exceptions
+        if not found:
+            break
+        exceptions |= found
+    return {dotted for name, (dotted, _) in classes.items() if name in exceptions and name not in raised}
+
+
+def test_every_exception_class_is_raised():
+    assert unraised_exceptions(SRC) == set()
+
+
+def test_an_exception_class_only_caught_is_caught(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "errors.py").write_text(
+        "class Base(Exception):\n    pass\n\n\nclass Raised(Base):\n    pass\n\n\n"
+        "class OnlyCaught(Base):\n    pass\n\n\nclass Plain:\n    pass\n", encoding="utf-8")
+    (package / "use.py").write_text(
+        "from . import errors\nfrom .errors import Base, OnlyCaught\n\n\n"
+        "def f(flag):\n    try:\n        if flag:\n            raise errors.Raised(flag)\n"
+        "        raise Base\n    except OnlyCaught:\n        return OnlyCaught\n", encoding="utf-8")
+    assert unraised_exceptions(tmp_path) == {"pkg.errors.OnlyCaught"}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from recteacher.errors import ReplyParseError, ToolArgumentError, ToolParseError
+from recteacher.errors import ReplyParseError
 from recteacher.tags import (
     ToolCall,
     decode_json_stream,
@@ -68,19 +68,19 @@ def test_decode_tool_call_rejections():
         {"arguments": {"user_id": "u1"}},
     ]
     for value in bad:
-        with pytest.raises(ToolParseError):
+        with pytest.raises(ReplyParseError):
             decode_tool_call(value)
 
 
 def test_decode_tool_call_argument_validation():
-    with pytest.raises(ToolArgumentError, match=r"UserCF takes exactly one argument 'user_id', got \['item_id'\]"):
+    with pytest.raises(ReplyParseError, match=r"UserCF takes exactly one argument 'user_id', got \['item_id'\]"):
         decode_tool_call({"name": "UserCF", "arguments": {"item_id": "x"}})
-    with pytest.raises(ToolArgumentError,
+    with pytest.raises(ReplyParseError,
                        match=r"ItemCF takes exactly one argument 'item_id', got \['item_id', 'k'\]"):
         decode_tool_call({"name": "ItemCF", "arguments": {"item_id": "x", "k": "3"}})
-    with pytest.raises(ToolParseError, match="unknown tool name 'MatrixFactorization'"):
+    with pytest.raises(ReplyParseError, match="unknown tool name 'MatrixFactorization'"):
         decode_tool_call({"name": "MatrixFactorization", "arguments": {"user_id": "x"}})
-    with pytest.raises(ToolParseError, match="unknown tool name 'MatrixFactorization'"):
+    with pytest.raises(ReplyParseError, match="unknown tool name 'MatrixFactorization'"):
         ToolCall("MatrixFactorization", "x")
 
 
@@ -88,9 +88,9 @@ def test_decode_tool_calls_stream():
     body = '{"name": "UserCF", "arguments": {"user_id": "u1"}}\n{"name": "ItemCF", "arguments": {"item_id": "i2"}}'
     calls = decode_tool_calls(body)
     assert [c.name for c in calls] == ["UserCF", "ItemCF"]
-    with pytest.raises(ToolParseError):
+    with pytest.raises(ReplyParseError):
         decode_tool_calls("")
-    with pytest.raises(ToolParseError):
+    with pytest.raises(ReplyParseError):
         decode_tool_calls("{broken")
 
 

@@ -640,6 +640,19 @@ def test_run_teacher_wraps_phase_failures():
     assert isinstance(excinfo.value.cause, ReplyParseError)
 
 
+def test_a_malformed_tool_call_fails_its_session_unasked():
+    backend, gateway = scripted_gateway(
+        '<JSON>["User_Profile_Summary"]</JSON>',
+        tool_call("UserCF", item_id="x"),
+    )
+    with pytest.raises(SessionError) as excinfo:
+        run_teacher(make_context(), TeacherConfig(), gateway, ToolRunner(make_cache()))
+    assert excinfo.value.phase == "user_profile"
+    assert backend.sends == 2  # no re-ask, and no tool was run
+    assert isinstance(excinfo.value.cause, ReplyParseError)
+    assert "UserCF takes exactly one argument 'user_id'" in str(excinfo.value.cause)
+
+
 def first_round_agent(request):
     """The agent a subtask request is for, on its first round only; else None."""
     if request.origin.send != 0:

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from recteacher import prompts
-from recteacher.errors import EmptyInput, TagError
+from recteacher.errors import InsufficientInput, TagError
 from recteacher.tags import ToolCall
 from recteacher.teacher import Phase, PhaseRecord, SessionLog
 from recteacher.trajectory import (
@@ -249,7 +249,7 @@ def test_export_sft_default_system_text(tmp_path):
 
 
 def test_export_sft_errors(tmp_path):
-    with pytest.raises(EmptyInput):
+    with pytest.raises(InsufficientInput):
         export_sft({}, tmp_path / "x.jsonl")
 
 

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from recteacher.corpus import Catalog, ItemMeta
-from recteacher.errors import MalformedRecord, ReplyParseError, UnknownItem, UnknownUser
+from recteacher.errors import MalformedRecord, ReplyParseError, UnknownId
 from recteacher.gateway import Gateway, GatewayConfig, ScriptBackend
 from recteacher.tags import ToolCall
 from recteacher.util import read_jsonl
@@ -170,7 +170,7 @@ def test_verbalize_item_missing_answer_tags():
 
 def test_verbalize_item_unknown_anchor():
     _, gateway = scripted_gateway()
-    with pytest.raises(UnknownItem):
+    with pytest.raises(UnknownId):
         verbalize_item(GRAPH, CATALOG.items, "missing", gateway)
 
 
@@ -196,7 +196,7 @@ def test_verbalize_user_no_pool_and_unknown():
     evidence = verbalize_user(GRAPH, CATALOG.users, CATALOG.items, "D", gateway)
     assert evidence.text == FALLBACK_NO_NEIGHBORS
     assert backend.sends == 0
-    with pytest.raises(UnknownUser):
+    with pytest.raises(UnknownId):
         verbalize_user(GRAPH, CATALOG.users, CATALOG.items, "nobody", gateway)
 
 
