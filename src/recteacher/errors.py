@@ -4,7 +4,8 @@ Every error raised by library code derives from PipelineError so the CLI can
 report any pipeline failure with one machine-parsable line. One fault has one
 class: a malformed LLM reply is a ReplyParseError whoever asked for it, a
 bad tool call in it included; an operation given too few elements raises
-InsufficientInput, and an id the data lacks raises UnknownId.
+InsufficientInput, an id the data lacks raises UnknownId, and a failed LLM
+send is a GatewayError whose kind decides whether the gateway retries it.
 """
 
 from __future__ import annotations
@@ -32,24 +33,22 @@ class UnknownId(PipelineError):
     """A user or item id the data at hand lacks; the message names the side and the id."""
 
 
-GATEWAY_ERROR_KINDS = (
-    "auth",
-    "rate_limit_exhausted",
-    "server_error",
-    "timeout",
-    "connection_error",
-    "malformed_response",
-)
+TRANSIENT_GATEWAY_ERROR_KINDS = ("rate_limit", "server_error", "timeout", "connection_error")
+GATEWAY_ERROR_KINDS = TRANSIENT_GATEWAY_ERROR_KINDS + ("auth", "malformed_response")
 
 
 class GatewayError(PipelineError):
-    """A chat-completion request failed for good."""
+    """A chat-completion send failed. The gateway retries a transient kind; any other fails at once."""
 
     def __init__(self, kind: str, detail: str = ""):
         if kind not in GATEWAY_ERROR_KINDS:
             raise ValueError(f"unknown gateway error kind {kind!r}")
         self.kind = kind
         super().__init__(f"{kind}: {detail}" if detail else kind)
+
+    @property
+    def transient(self) -> bool:
+        return self.kind in TRANSIENT_GATEWAY_ERROR_KINDS
 
 
 class ReplyParseError(PipelineError):
@@ -62,12 +61,12 @@ class ReplyParseError(PipelineError):
 
 
 class SessionError(PipelineError):
-    """A teacher session aborted; names the phase that failed."""
+    """A teacher session aborted; names the phase that failed and its cause's class."""
 
     def __init__(self, phase: str, cause: Exception):
         self.phase = phase
         self.cause = cause
-        super().__init__(f"session aborted in phase {phase!r}: {cause}")
+        super().__init__(f"session aborted in phase {phase!r}: {type(cause).__name__}: {cause}")
 
 
 TAG_ERROR_KINDS = (

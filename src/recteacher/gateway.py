@@ -113,22 +113,6 @@ class GatewayConfig:
             raise ValueError(f"timeout_s {self.timeout_s} must be positive and finite")
 
 
-class TransientFailure(Exception):
-    """A retryable backend failure (rate limit, server error, timeout, lost connection)."""
-
-    def __init__(self, kind: str, detail: str = ""):
-        self.kind = kind  # "rate_limit" | "server" | "timeout" | "connection"
-        super().__init__(f"{kind}: {detail}" if detail else kind)
-
-
-_EXHAUSTED_KIND = {
-    "rate_limit": "rate_limit_exhausted",
-    "server": "server_error",
-    "timeout": "timeout",
-    "connection": "connection_error",
-}
-
-
 class Backend(Protocol):
     def send(self, request: ChatRequest) -> ChatReply: ...
 
@@ -202,19 +186,20 @@ class Gateway:
         return handle
 
     def complete(self, request: ChatRequest) -> ChatReply:
-        attempts = self.config.retries + 1
-        last: TransientFailure | None = None
-        for attempt in range(attempts):
+        """The backend's reply; a transient GatewayError is retried up to `config.retries` times.
+
+        Each retry backs off first. The last failure is re-raised as it was; a
+        GatewayError of any other kind, or any other exception, propagates at once.
+        """
+        for attempt in itertools.count():
             try:
                 with self._slots.hold(self._rank):
                     return self._backend.send(request)
-            except TransientFailure as exc:
-                last = exc
-                if attempt < attempts - 1:
-                    self._sleep(_backoff_delay(attempt))
-                    logger.debug("retrying after %s (attempt %d)", exc, attempt + 1)
-        assert last is not None
-        raise GatewayError(_EXHAUSTED_KIND[last.kind], str(last))
+            except GatewayError as exc:
+                if not exc.transient or attempt == self.config.retries:
+                    raise
+                self._sleep(_backoff_delay(attempt))
+                logger.debug("retrying after %s (attempt %d)", exc, attempt + 1)
 
 
 def _backoff_delay(attempt: int) -> float:
@@ -251,16 +236,16 @@ class HttpBackend:
         try:
             resp = self._session.post(url, json=body, headers=headers, timeout=self.config.timeout_s)
         except self._requests.Timeout as exc:
-            raise TransientFailure("timeout", str(exc)) from exc
+            raise GatewayError("timeout", str(exc)) from exc
         except self._requests.RequestException as exc:
-            raise TransientFailure("connection", str(exc)) from exc
+            raise GatewayError("connection_error", str(exc)) from exc
 
         if resp.status_code in (401, 403):
             raise GatewayError("auth", f"HTTP {resp.status_code}")
         if resp.status_code == 429:
-            raise TransientFailure("rate_limit", "HTTP 429")
+            raise GatewayError("rate_limit", "HTTP 429")
         if 500 <= resp.status_code < 600:
-            raise TransientFailure("server", f"HTTP {resp.status_code}")
+            raise GatewayError("server_error", f"HTTP {resp.status_code}")
         if resp.status_code != 200:
             raise GatewayError("malformed_response", f"HTTP {resp.status_code}")
 
@@ -284,17 +269,16 @@ class HttpBackend:
 
 
 def _token_count(value: Any) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        return 0
+    """A JSON integer >= 0 as given; anything else, true and false included, reads 0."""
+    return value if type(value) is int and value >= 0 else 0
 
 
 class ScriptBackend:
     """Deterministic scripted backend: replays entries in send order.
 
-    Entries may be reply strings, exceptions to raise (TransientFailure to
-    exercise retries), or callables of (request, index) returning a string.
+    Entries may be reply strings, exceptions to raise (a GatewayError of a
+    transient kind exercises retries), or callables of (request, index)
+    returning a string.
     A callable keyed on `request.origin`, not the index, replies alike at any parallelism.
     """
 

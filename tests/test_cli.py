@@ -444,7 +444,7 @@ def test_a_failed_session_cancels_the_sessions_not_yet_started(pipeline, tmp_pat
                 second_started.set()
             if origin.role is Phase.PLAN and origin.subject == users[0]:
                 assert second_started.wait(timeout=10)
-                raise GatewayError("server_error", "injected plan failure")
+                raise GatewayError("auth", "injected plan failure")  # not retried
             time.sleep(0.001)  # the running sessions outlast the cancel
             return super().send(request)
 
@@ -527,11 +527,11 @@ def test_run_teacher_raises_the_first_failure_in_instance_order(pipeline, tmp_pa
             origin = request.origin
             if origin.role is Phase.PLAN and origin.subject == users[1]:
                 second_failed.set()
-                raise GatewayError("server_error", "second plan failure")
+                raise GatewayError("auth", "second plan failure")  # not retried
             if origin.role is Phase.PLAN and origin.subject == users[0]:
                 assert second_failed.wait(timeout=10)
                 time.sleep(0.05)  # the second session fails first in time
-                raise GatewayError("server_error", "first plan failure")
+                raise GatewayError("auth", "first plan failure")
             return super().send(request)
 
     monkeypatch.setattr(cli, "OracleBackend", FailsTwoPlans)
@@ -546,6 +546,7 @@ def test_run_teacher_raises_the_first_failure_in_instance_order(pipeline, tmp_pa
     assert len(error_lines) == 1
     assert error_lines[0].startswith("error: SessionError: session aborted in phase 'plan'")
     assert "first plan failure" in error_lines[0]
+    assert ": GatewayError: auth: first plan failure" in error_lines[0]  # the cause's class
     assert os.listdir(tmp_path) == []  # no output, no temp
 
 

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from recteacher.errors import GatewayError
+from recteacher.errors import GATEWAY_ERROR_KINDS, GatewayError
 from recteacher.gateway import (
     BASE_DELAY_S,
     ChatReply,
@@ -19,7 +19,6 @@ from recteacher.gateway import (
     GatewayConfig,
     HttpBackend,
     ScriptBackend,
-    TransientFailure,
     chat_request,
 )
 
@@ -51,7 +50,7 @@ def test_config_validation():
 
 
 def test_complete_retries_transient_then_succeeds():
-    backend = ScriptBackend([TransientFailure("rate_limit", "429"), "ok"])
+    backend = ScriptBackend([GatewayError("rate_limit", "429"), "ok"])
     sleeps: list[float] = []
     gateway = Gateway(backend, GatewayConfig(retries=3), sleep=sleeps.append)
     reply = gateway.complete(REQ)
@@ -63,16 +62,18 @@ def test_complete_retries_transient_then_succeeds():
 
 
 def test_complete_exhausts_retries():
-    backend = ScriptBackend([TransientFailure("rate_limit")] * 3)
+    failures = [GatewayError("rate_limit", f"HTTP 429, send {n}") for n in range(3)]
+    backend = ScriptBackend(failures)
     gateway = Gateway(backend, GatewayConfig(retries=2), sleep=lambda _s: None)
     with pytest.raises(GatewayError) as excinfo:
         gateway.complete(REQ)
-    assert excinfo.value.kind == "rate_limit_exhausted"
+    assert excinfo.value is failures[-1]  # the last failure, re-raised unchanged
+    assert str(excinfo.value) == "rate_limit: HTTP 429, send 2"
     assert backend.sends == 3
 
 
 def test_timeout_exhaustion_keeps_timeout_kind():
-    backend = ScriptBackend([TransientFailure("timeout", "t")])
+    backend = ScriptBackend([GatewayError("timeout", "t")])
     gateway = Gateway(backend, GatewayConfig(retries=0), sleep=lambda _s: None)
     with pytest.raises(GatewayError) as excinfo:
         gateway.complete(REQ)
@@ -80,7 +81,7 @@ def test_timeout_exhaustion_keeps_timeout_kind():
 
 
 def test_backoff_delays_grow():
-    backend = ScriptBackend([TransientFailure("server")] * 4)
+    backend = ScriptBackend([GatewayError("server_error")] * 4)
     sleeps: list[float] = []
     gateway = Gateway(backend, GatewayConfig(retries=3), sleep=sleeps.append)
     with pytest.raises(GatewayError):
@@ -89,6 +90,32 @@ def test_backoff_delays_grow():
     for attempt, delay in enumerate(sleeps):
         expected = BASE_DELAY_S * (2 ** attempt)
         assert expected * 0.75 <= delay <= expected * 1.25
+
+
+TRANSIENT_KINDS = {"rate_limit", "server_error", "timeout", "connection_error"}
+
+
+def test_a_gateway_error_has_six_kinds_four_of_them_transient():
+    assert set(GATEWAY_ERROR_KINDS) == TRANSIENT_KINDS | {"auth", "malformed_response"}
+    assert len(GATEWAY_ERROR_KINDS) == 6
+
+
+@pytest.mark.parametrize("kind", GATEWAY_ERROR_KINDS)
+def test_a_failed_send_is_retried_by_its_kind(kind):
+    backend = ScriptBackend([GatewayError(kind, "x")] * 3 + ["never"])
+    gateway = Gateway(backend, GatewayConfig(retries=2), sleep=lambda _s: None)
+    with pytest.raises(GatewayError) as excinfo:
+        gateway.complete(REQ)
+    assert excinfo.value.transient == (kind in TRANSIENT_KINDS)
+    assert backend.sends == (3 if kind in TRANSIENT_KINDS else 1)
+
+
+def test_any_other_exception_is_not_retried():
+    backend = ScriptBackend([ValueError("bad"), "never"])
+    gateway = Gateway(backend, GatewayConfig(retries=3), sleep=lambda _s: None)
+    with pytest.raises(ValueError, match="bad"):
+        gateway.complete(REQ)
+    assert backend.sends == 1
 
 
 def test_permanent_errors_do_not_retry():
@@ -321,7 +348,9 @@ def test_http_backend_success_and_url(monkeypatch):
     assert call["json"]["top_p"] == GatewayConfig.top_p
 
 
-@pytest.mark.parametrize("malformed", [None, ["x"], "x"], ids=["null", "list", "string"])
+@pytest.mark.parametrize("malformed", [None, ["x"], "x", True, -5, "12", 3.9],
+                         ids=["null", "list", "string", "true", "negative", "numeric-string",
+                              "fraction"])
 def test_http_backend_reads_a_malformed_usage_as_zero(malformed):
     def reply_with(usage):
         payload = {"choices": [{"message": {"content": "hello"}}], "usage": usage}
@@ -337,14 +366,16 @@ def test_http_backend_reads_a_malformed_usage_as_zero(malformed):
 
 def test_http_backend_status_mapping():
     backend, _session = _http_backend(FakeResponse(429))
-    with pytest.raises(TransientFailure) as excinfo:
+    with pytest.raises(GatewayError) as excinfo:
         backend.send(REQ)
     assert excinfo.value.kind == "rate_limit"
+    assert str(excinfo.value) == "rate_limit: HTTP 429"
 
     backend, _session = _http_backend(FakeResponse(503))
-    with pytest.raises(TransientFailure) as excinfo:
+    with pytest.raises(GatewayError) as excinfo:
         backend.send(REQ)
-    assert excinfo.value.kind == "server"
+    assert excinfo.value.kind == "server_error"
+    assert str(excinfo.value) == "server_error: HTTP 503"
 
     backend, _session = _http_backend(FakeResponse(401))
     with pytest.raises(GatewayError) as excinfo:
@@ -361,9 +392,10 @@ def test_http_backend_timeout_is_transient():
     import requests
 
     backend, _session = _http_backend(requests.Timeout("slow"))
-    with pytest.raises(TransientFailure) as excinfo:
+    with pytest.raises(GatewayError) as excinfo:
         backend.send(REQ)
     assert excinfo.value.kind == "timeout"
+    assert excinfo.value.transient
 
 
 def test_http_server_error_exhausts_as_server_error():
@@ -371,7 +403,7 @@ def test_http_server_error_exhausts_as_server_error():
     gateway = Gateway(backend, GatewayConfig(retries=2), sleep=lambda _s: None)
     with pytest.raises(GatewayError) as excinfo:
         gateway.complete(REQ)
-    assert excinfo.value.kind == "server_error"
+    assert str(excinfo.value) == "server_error: HTTP 503"
     assert len(session.calls) == 3
 
 
@@ -379,9 +411,10 @@ def test_http_connection_error_is_its_own_kind():
     import requests
 
     backend, session = _http_backend(requests.ConnectionError("refused"))
-    with pytest.raises(TransientFailure) as excinfo:
+    with pytest.raises(GatewayError) as excinfo:
         backend.send(REQ)
-    assert excinfo.value.kind == "connection"
+    assert excinfo.value.kind == "connection_error"
+    assert excinfo.value.transient
     gateway = Gateway(backend, GatewayConfig(retries=1), sleep=lambda _s: None)
     with pytest.raises(GatewayError) as excinfo:
         gateway.complete(REQ)

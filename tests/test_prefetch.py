@@ -254,7 +254,7 @@ class FailingPrefetchOracle(RecordingOracle):
         if first:
             self.hold_failure()
             self.failed.set()
-            raise GatewayError("server_error", "injected prefetch failure")
+            raise GatewayError("auth", "injected prefetch failure")  # not retried
 
     def hold_failure(self):
         """Called before the first evidence send fails."""

@@ -20,7 +20,9 @@ imports is used in that module, so a deletion leaves no import behind.
 
 So do exception classes: every one defined under `src/` is named by some
 `raise` under `src/`, so a class that is only caught or passed around, and
-whose fault some other class therefore reports, fails it.
+whose fault some other class therefore reports, fails it. And the kinds of
+`GatewayError` and `TagError`: each kind in its tuple is the literal first
+argument of some call of its class under `src/`, and no call passes another.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from typing import Iterable
 from conftest import REPO_ROOT
 
 from recteacher.config import PipelineConfig
+from recteacher.errors import GATEWAY_ERROR_KINDS, TAG_ERROR_KINDS
 
 SRC = REPO_ROOT / "src"
 IMPORTING_DIRS = (SRC, REPO_ROOT / "tests", REPO_ROOT / "tools")
@@ -249,3 +252,35 @@ def test_an_exception_class_only_caught_is_caught(tmp_path):
         "def f(flag):\n    try:\n        if flag:\n            raise errors.Raised(flag)\n"
         "        raise Base\n    except OnlyCaught:\n        return OnlyCaught\n", encoding="utf-8")
     assert unraised_exceptions(tmp_path) == {"pkg.errors.OnlyCaught"}
+
+
+def passed_kinds(src: Path, cls: str) -> set[str]:
+    """The first arguments of every call of `cls` under `src`, plain or as an attribute.
+
+    A string literal stands for itself; any other expression, or a call with
+    no argument, for its source text, so a kind computed at run time never
+    matches a kind tuple.
+    """
+    kinds = set()
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Call) and _last_name(node.func) == cls:
+                first = node.args[0] if node.args else node
+                literal = isinstance(first, ast.Constant) and isinstance(first.value, str)
+                kinds.add(first.value if literal else ast.unparse(first))
+    return kinds
+
+
+def test_every_error_kind_is_raised_and_no_other():
+    assert passed_kinds(SRC, "GatewayError") == set(GATEWAY_ERROR_KINDS)
+    assert passed_kinds(SRC, "TagError") == set(TAG_ERROR_KINDS)
+
+
+def test_an_error_kind_never_raised_is_caught(tmp_path):
+    (tmp_path / "use.py").write_text(
+        "from . import errors\nfrom .errors import KINDS, KindError\n\n\n"
+        'def f(kind):\n    if kind:\n        raise errors.KindError("used", "x")\n'
+        "    raise KindError(KINDS[kind])\n", encoding="utf-8")
+    # so KINDS = ("used", "scratch") fails the check twice: "scratch" is never
+    # passed, and the computed kind is not a literal of the tuple
+    assert passed_kinds(tmp_path, "KindError") == {"used", "KINDS[kind]"}

@@ -16,6 +16,7 @@ import pytest
 
 from recteacher.corpus import Corpus, Interaction, ItemMeta
 from recteacher.errors import (
+    GatewayError,
     PipelineError,
     ReplyParseError,
     SessionError,
@@ -651,6 +652,53 @@ def test_a_malformed_tool_call_fails_its_session_unasked():
     assert backend.sends == 2  # no re-ask, and no tool was run
     assert isinstance(excinfo.value.cause, ReplyParseError)
     assert "UserCF takes exactly one argument 'user_id'" in str(excinfo.value.cause)
+
+
+class FailsTheFirstPlanSend(OracleBackend):
+    """The oracle, but the first send of (PLAN, "u7", 0) fails with a GatewayError of `kind`."""
+
+    def __init__(self, kind):
+        super().__init__(ground_truth={"u7": "c3"})
+        self.kind = kind
+        self.failures = 0
+
+    def send(self, request):
+        origin = request.origin
+        first_plan = (origin.role, origin.subject, origin.send) == (Phase.PLAN, "u7", 0)
+        with self._lock:
+            fail = first_plan and not self.failures
+            self.failures += fail
+        if fail:
+            raise GatewayError(self.kind, "injected plan failure")
+        return super().send(request)
+
+
+def session_of(backend):
+    """u7's session on `backend` behind a gateway that retries once, without sleeping."""
+    gateway = Gateway(backend, GatewayConfig(max_parallel=1, retries=1), sleep=lambda s: None)
+    context = make_context(user="u7", candidates=("c1", "c2", "c3", "c4"))
+    return run_teacher(context, TeacherConfig(), gateway, ToolRunner(make_cache(("UserCF", "u7"))))
+
+
+def test_a_transient_send_failure_is_retried_inside_a_session():
+    clean_backend = OracleBackend(ground_truth={"u7": "c3"})
+    clean = session_of(clean_backend)
+    backend = FailsTheFirstPlanSend("server_error")
+    log = session_of(backend)
+    assert log == clean
+    assert serialize(log) == serialize(clean)
+    assert backend.failures == 1 and backend.sends == clean_backend.sends  # one send added
+
+
+def test_a_send_failure_of_another_kind_fails_its_session():
+    backend = FailsTheFirstPlanSend("auth")
+    with pytest.raises(SessionError) as excinfo:
+        session_of(backend)
+    assert excinfo.value.phase == "plan"
+    assert backend.failures == 1 and backend.sends == 0  # the failed send was the only one
+    assert isinstance(excinfo.value.cause, GatewayError)
+    assert str(excinfo.value) == (
+        "session aborted in phase 'plan': GatewayError: auth: injected plan failure")
 
 
 def first_round_agent(request):
