@@ -68,8 +68,8 @@ from .graph import InteractionGraph, build_graph, load_graph, save_graph
 from .oracle import OracleBackend
 from .rewards import (DEFAULT_RL_RATIO, DEFAULT_RL_TARGET, Bucket, bucket, composite_reward,
                       compose_rl_set, largest_remainder)
-from .teacher import (AGENT_NAMES, PhaseRecord, SessionLog, TeacherConfig, ToolRunner, build_context,
-                      phase_name, run_teacher)
+from .teacher import (AGENT_NAMES, PhaseRecord, SessionLog, ToolRunner, build_context, phase_name,
+                      run_teacher)
 from .trajectory import export_sft, serialize, top1_hit
 from .util import atomic_path, decode_jsonl, require_field, unique_ids, write_atomic, write_jsonl_atomic
 from .verbalize import EvidenceCache, verbalize_key, warm_cache
@@ -123,8 +123,8 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.parallel is not None:
-        config = replace(config, max_parallel=args.parallel)
-    if backend == BACKEND_HTTP and not config.endpoint:
+        config = replace(config, gateway=replace(config.gateway, max_parallel=args.parallel))
+    if backend == BACKEND_HTTP and not config.gateway.endpoint:
         raise PipelineError(
             "http backend needs an endpoint (set `endpoint` in the config file or use --backend mock)"
         )
@@ -145,14 +145,13 @@ def _read_script(path: str) -> list[str]:
 def _make_gateway(args: argparse.Namespace, config: PipelineConfig,
                   ground_truth: Mapping[str, str] | None = None) -> Gateway:
     """A gateway on the backend the flags name; `_resolve_config` has checked them."""
-    gateway_config = config.view(GatewayConfig)
     if args.backend == BACKEND_HTTP:
-        backend: Any = HttpBackend(gateway_config)
+        backend: Any = HttpBackend(config.gateway)
     elif args.script is not None:
         backend = ScriptBackend(args.script)
     else:
         backend = OracleBackend(ground_truth=ground_truth, fail_reflection=args.fail_reflection)
-    return Gateway(backend, gateway_config)
+    return Gateway(backend, config.gateway)
 
 
 def _load_graph(args: argparse.Namespace, config: PipelineConfig, catalog: Catalog) -> InteractionGraph:
@@ -306,7 +305,7 @@ def _cmd_verbalize(args: argparse.Namespace, config: PipelineConfig) -> None:
     with (nullcontext(out) if only_missing else atomic_path(out)) as path:
         cache = EvidenceCache.load(path)
         before = len(cache)
-        failed = warm_cache(graph, catalog, gateway, cache, domain=config.domain)
+        failed = warm_cache(graph, catalog, gateway, cache, domain=config.teacher.domain)
         for key, exc in failed:
             logger.warning("verbalization failed for %s %s: %s", key.name, key.anchor, exc)
         print(f"cache entries: {len(cache)} ({len(cache) - before} new, {len(failed)} failed) -> {out}")
@@ -352,8 +351,7 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> None:
                                                         for _, instance in instances})
 
     graph = _load_graph(args, config, catalog)
-    tools = ToolRunner(cache, partial(verbalize_key, graph, catalog, domain=config.domain))
-    teacher_config = config.view(TeacherConfig)
+    tools = ToolRunner(cache, partial(verbalize_key, graph, catalog, domain=config.teacher.domain))
 
     # Above one slot (the runner reads the width off the session's handle) a session starts
     # its user's evidence beside its history abstraction and plan, which leave a slot idle.
@@ -361,8 +359,8 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> None:
         rank, (session_id, instance) = ranked
         session_gateway = gateway.for_session(rank)
         with tools.prefetch(instance.user, session_gateway):
-            context = build_context(instance, catalog, session_gateway, teacher_config)
-            log = run_teacher(context, teacher_config, session_gateway, tools)
+            context = build_context(instance, catalog, session_gateway, config.teacher)
+            log = run_teacher(context, config.teacher, session_gateway, tools)
         return log, _session_record(session_id, instance, context.prompt, log)
 
     # Sessions are ranked in instance order, so a freed gateway slot goes to
@@ -375,7 +373,7 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> None:
     # and a failed session leaves the fills of every session before it, not
     # its own; sessions not yet started when it fails are cancelled.
     def session_records() -> Iterator[dict]:
-        with ThreadPoolExecutor(config.max_parallel) as pool:
+        with ThreadPoolExecutor(config.gateway.max_parallel) as pool:
             for log, session_record in pool.map(run_one, enumerate(instances)):
                 tools.persist(log)
                 yield session_record
@@ -511,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="at most N sessions at once and at most N gateway calls in flight, "
                              "a session's analysis agents included; a freed call slot goes to "
                              "the earliest-started session "
-                             f"(default from config, {PipelineConfig.max_parallel})")
+                             f"(default from config, {GatewayConfig.max_parallel})")
     common.add_argument("--verbose", action="store_true", help="debug logging")
 
     backend = argparse.ArgumentParser(add_help=False)

@@ -1,5 +1,10 @@
 """Flat INI pipeline configuration shared by every CLI command.
 
+The [pipeline] section is flat, but each key is a field of exactly one
+dataclass: `PipelineConfig` for paths, `group_size` and `seed`,
+`GatewayConfig` for the endpoint and sampling, `TeacherConfig` for `domain`,
+`window_m` and `max_tool_rounds`. Each dataclass checks its own bounds.
+
 Precedence: CLI flags override config values; environment variables override
 only the API key (looked up by `api_key_env` at request time).
 """
@@ -8,50 +13,37 @@ from __future__ import annotations
 
 import configparser
 import logging
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import TypeVar
 
-from .abstract import DEFAULT_WINDOW_M
 from .errors import PipelineError
 from .gateway import GatewayConfig
-from .prompts import DEFAULT_DOMAIN
 from .rewards import DEFAULT_GROUP_SIZE
-from .teacher import DEFAULT_MAX_TOOL_ROUNDS, TeacherConfig
+from .teacher import TeacherConfig
 
 logger = logging.getLogger(__name__)
 
 SECTION = "pipeline"
 
-T = TypeVar("T")
+# the PipelineConfig fields that hold another dataclass's settings
+PARTS = ("gateway", "teacher")
 
 
 @dataclass
 class PipelineConfig:
-    # paths
+    """The pipeline's own settings, and the gateway's and teacher's, each in its own dataclass."""
+
     corpus_dir: str = ""
     graph_path: str = ""
     cache_path: str = ""
-    # gateway
-    endpoint: str = ""
-    model: str = ""
-    api_key_env: str = GatewayConfig.api_key_env
-    max_parallel: int = GatewayConfig.max_parallel
-    retries: int = GatewayConfig.retries
-    timeout_s: float = GatewayConfig.timeout_s
-    # sampling
-    temperature: float = GatewayConfig.temperature
-    top_p: float = GatewayConfig.top_p
     group_size: int = DEFAULT_GROUP_SIZE
-    # pipeline knobs
-    domain: str = DEFAULT_DOMAIN
-    window_m: int = DEFAULT_WINDOW_M
-    max_tool_rounds: int = DEFAULT_MAX_TOOL_ROUNDS
     seed: int = 0
+    gateway: GatewayConfig = field(default_factory=GatewayConfig)
+    teacher: TeacherConfig = field(default_factory=TeacherConfig)
 
-    def view(self, cls: type[T]) -> T:
-        """A `cls` (GatewayConfig or TeacherConfig) from the fields named alike."""
-        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+    def __post_init__(self):
+        if self.group_size < 1:
+            raise ValueError("group_size must be >= 1")
 
 
 def _convert(name: str, kind: type, raw: str):
@@ -80,27 +72,20 @@ def load_config(path: Path | None = None) -> PipelineConfig:
         raise PipelineError(f"config file not found: {path}")
     if not parser.has_section(SECTION):
         raise PipelineError(f"config file {path} has no [{SECTION}] section")
-    known = {f.name: f for f in fields(PipelineConfig)}
-    updates = {}
+    homes = {"": config, **{part: getattr(config, part) for part in PARTS}}  # "": its own keys
+    home_of = {f.name: name for name, home in homes.items() for f in fields(home) if f.name not in PARTS}
+    updates: dict[str, dict] = {name: {} for name in homes}
     for key, raw in parser.items(SECTION):
         if key == "on_demand_verbalize":  # retired, but the benchmark's ondemand.ini still sets it
             logger.warning("config key %r has no effect: run-teacher fills every cache miss "
                            "from its graph", key)
             continue
-        if key not in known:
+        if key not in home_of:
             raise PipelineError(f"unknown config key {key!r}")
-        updates[key] = _convert(key, type(getattr(config, key)), raw)
-    config = replace(config, **updates)
-    validate_config(config)
-    return config
-
-
-def validate_config(config: PipelineConfig) -> None:
-    """Check every bound; the gateway and teacher checks are reused, not restated."""
-    if config.group_size < 1:
-        raise PipelineError("group_size must be >= 1")
-    try:
-        config.view(GatewayConfig)
-        config.view(TeacherConfig)
+        name = home_of[key]
+        updates[name][key] = _convert(key, type(getattr(homes[name], key)), raw)
+    try:  # each dataclass checks its own bounds as it is built
+        parts = {part: replace(homes[part], **updates[part]) for part in PARTS}
+        return replace(config, **updates[""], **parts)
     except ValueError as exc:
         raise PipelineError(str(exc)) from None

@@ -242,6 +242,8 @@ class HttpBackend:
 
         if resp.status_code in (401, 403):
             raise GatewayError("auth", f"HTTP {resp.status_code}")
+        if resp.status_code == 408:
+            raise GatewayError("timeout", "HTTP 408")
         if resp.status_code == 429:
             raise GatewayError("rate_limit", "HTTP 429")
         if 500 <= resp.status_code < 600:

@@ -500,9 +500,7 @@ def execute_subtask(
 def _outputs_block(records: Sequence[PhaseRecord]) -> str:
     lines = ["# Preceding Agent Outputs"]
     for record in records:
-        label = AGENT_NAMES.get(record.phase)
-        if label is None:
-            continue
+        label = AGENT_NAMES[record.phase]
         if record.turn:
             label += " (corrected)"
         lines.append(f"## {label}")

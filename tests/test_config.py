@@ -9,10 +9,8 @@ import logging
 import pytest
 
 from recteacher.cli import main
-from recteacher.config import PipelineConfig, load_config
+from recteacher.config import PARTS, PipelineConfig, load_config
 from recteacher.errors import PipelineError
-from recteacher.gateway import GatewayConfig
-from recteacher.teacher import TeacherConfig
 
 
 def write_config(tmp_path, body):
@@ -26,9 +24,9 @@ def test_defaults_without_file():
     assert config == PipelineConfig()
     assert config.seed == 0
     assert config.group_size == 8
-    assert config.temperature == 0.7
-    assert config.top_p == 0.95
-    assert config.window_m == 10
+    assert config.gateway.temperature == 0.7
+    assert config.gateway.top_p == 0.95
+    assert config.teacher.window_m == 10
 
 
 def test_load_overrides_types(tmp_path):
@@ -42,8 +40,8 @@ def test_load_overrides_types(tmp_path):
     config = load_config(path)
     assert config.corpus_dir == "data/x"
     assert config.seed == 7
-    assert config.temperature == 0.2
-    assert config.window_m == 4
+    assert config.gateway.temperature == 0.2
+    assert config.teacher.window_m == 4
     # untouched keys keep their defaults
     assert config.group_size == 8
 
@@ -90,7 +88,7 @@ def test_config_file_syntax_ends_in_one_error_line(tmp_path, capsys, body, error
     error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
     assert code == 1 and len(error_lines) == 1
     if error is None:  # a `%` is literal, so the run gets past the config to the missing corpus
-        assert load_config(path).endpoint == "http://x/a%20b"
+        assert load_config(path).gateway.endpoint == "http://x/a%20b"
         assert "nowhere" in error_lines[0]
     else:
         assert error_lines[0].startswith(f"error: PipelineError: config file {path}: ")
@@ -111,30 +109,35 @@ def test_a_timeout_that_is_not_finite_is_refused(tmp_path, value):
         load_config(write_config(tmp_path, f"[pipeline]\ntimeout_s = {value}\n"))
 
 
-def test_gateway_and_teacher_views():
-    config = PipelineConfig(
-        endpoint="http://example/v1",
-        model="local-model",
-        max_parallel=2,
-        retries=1,
-        timeout_s=5.0,
-        window_m=4,
-        max_tool_rounds=2,
-        temperature=0.2,
-    )
-    gw = config.view(GatewayConfig)
-    assert gw.endpoint == "http://example/v1"
-    assert gw.model == "local-model"
-    assert gw.max_parallel == 2
-    assert gw.retries == 1
-    assert gw.timeout_s == 5.0
-    assert gw.temperature == 0.2
-    assert gw.top_p == GatewayConfig.top_p
-    assert config.view(TeacherConfig) == TeacherConfig(
-        domain=TeacherConfig.domain,
-        max_tool_rounds=2,
-        window_m=4,
-    )
+def homes(config):
+    """The three dataclasses of a config, each with its fields that are INI keys."""
+    return [(home, {f.name for f in fields(home)} - set(PARTS))
+            for home in (config, config.gateway, config.teacher)]
+
+
+def test_every_example_key_lands_in_the_one_field_of_its_name(tmp_path):
+    from conftest import REPO_ROOT
+
+    parser = configparser.ConfigParser()
+    parser.read(REPO_ROOT / "config.example.ini", encoding="utf-8")
+    defaults = homes(PipelineConfig())
+    wanted = {}  # every key set to a valid value that is not its default
+    for key in parser["pipeline"]:
+        (default,) = [getattr(home, key) for home, names in defaults if key in names]
+        if isinstance(default, str):
+            wanted[key] = f"{key}-set"
+        elif isinstance(default, int):
+            wanted[key] = default + 1
+        else:
+            wanted[key] = default / 2
+    body = "".join(f"{key} = {value}\n" for key, value in wanted.items())
+    config = load_config(write_config(tmp_path, f"[pipeline]\n{body}"))
+    landed = {}
+    for home, names in homes(config):
+        for name in names:
+            assert name not in landed, f"{name} is a field of two dataclasses"
+            landed[name] = getattr(home, name)
+    assert landed == wanted
 
 
 def test_shipped_example_config_loads():
@@ -147,4 +150,4 @@ def test_shipped_example_config_loads():
     # the example documents every key, and nothing that is not one
     parser = configparser.ConfigParser()
     parser.read(path, encoding="utf-8")
-    assert set(parser["pipeline"]) == {field.name for field in fields(PipelineConfig)}
+    assert set(parser["pipeline"]) == set().union(*(names for _, names in homes(PipelineConfig())))

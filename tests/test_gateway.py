@@ -382,6 +382,20 @@ def test_http_backend_status_mapping():
         backend.send(REQ)
     assert excinfo.value.kind == "auth"
 
+    backend, _session = _http_backend(FakeResponse(408))
+    with pytest.raises(GatewayError) as excinfo:
+        backend.send(REQ)
+    assert excinfo.value.kind == "timeout"
+    assert excinfo.value.transient
+    assert str(excinfo.value) == "timeout: HTTP 408"
+
+    for status in (400, 404):  # a refused request is not retried
+        backend, _session = _http_backend(FakeResponse(status))
+        with pytest.raises(GatewayError) as excinfo:
+            backend.send(REQ)
+        assert excinfo.value.kind == "malformed_response"
+        assert not excinfo.value.transient
+
     backend, _session = _http_backend(FakeResponse(200, {"choices": []}))
     with pytest.raises(GatewayError) as excinfo:
         backend.send(REQ)
@@ -404,6 +418,15 @@ def test_http_server_error_exhausts_as_server_error():
     with pytest.raises(GatewayError) as excinfo:
         gateway.complete(REQ)
     assert str(excinfo.value) == "server_error: HTTP 503"
+    assert len(session.calls) == 3
+
+
+def test_http_request_timeout_is_retried():
+    backend, session = _http_backend(FakeResponse(408))
+    gateway = Gateway(backend, GatewayConfig(retries=2), sleep=lambda _s: None)
+    with pytest.raises(GatewayError) as excinfo:
+        gateway.complete(REQ)
+    assert str(excinfo.value) == "timeout: HTTP 408"
     assert len(session.calls) == 3
 
 

@@ -12,8 +12,9 @@ top-level statement under `src/` loads that name or an attribute of that
 name. A new unreferenced definition fails it, and so does wiring in one of
 the two without removing it from PINNED.
 
-Config knobs get the same check: every `PipelineConfig` field is read by some
-module under `src/` other than `config.py`.
+Config knobs get the same check: every field of `PipelineConfig`,
+`GatewayConfig` and `TeacherConfig` is read by some module under `src/` other
+than `config.py`.
 
 Imports get one too: every name a module under `src/`, `tests/` or `tools/`
 imports is used in that module, so a deletion leaves no import behind.
@@ -36,6 +37,8 @@ from typing import Iterable
 from conftest import REPO_ROOT
 
 from recteacher.config import PipelineConfig
+from recteacher.gateway import GatewayConfig
+from recteacher.teacher import TeacherConfig
 from recteacher.errors import GATEWAY_ERROR_KINDS, TAG_ERROR_KINDS
 
 SRC = REPO_ROOT / "src"
@@ -119,36 +122,22 @@ def unread_fields(src: Path, names: Iterable[str], home: str = "config.py") -> s
 
     A module reads a name when it loads it as an attribute of a config, that
     is of a name or attribute ending in `config` (`config.seed`,
-    `self.config.model`, `gateway_config.endpoint`), or when the name is a
-    field of a class it passes to a `.view(...)` call
-    (`config.view(GatewayConfig)`); the class is found by name among the
-    classes under `src`, its fields being its annotated assignments.
+    `self.config.model`, `gateway_config.endpoint`).
     """
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-             for path in sorted(src.rglob("*.py"))}
-    fields_of = {
-        node.name: {stmt.target.id for stmt in node.body
-                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
-        for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
-    }
     read: set[str] = set()
-    for path, tree in trees.items():
+    for path in sorted(src.rglob("*.py")):
         if path.name == home:
             continue
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
             if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
                     and _last_name(node.value).endswith("config")):
                 read.add(node.attr)
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "view"):
-                for arg in node.args:
-                    if isinstance(arg, ast.Name):
-                        read |= fields_of.get(arg.id, set())
     return set(names) - read
 
 
 def test_every_config_field_is_read_outside_the_config_module():
-    names = [field.name for field in fields(PipelineConfig)]
+    names = [field.name for cls in (PipelineConfig, GatewayConfig, TeacherConfig)
+             for field in fields(cls)]
     assert unread_fields(SRC, names) == set()
 
 
@@ -158,14 +147,13 @@ def test_an_added_unread_config_field_is_caught(tmp_path):
     (package / "config.py").write_text(
         "class Config:\n    a: int = 0\n    b: int = 0\n    scratch: int = 0\n\n"
         "    def check(self):\n        return self.scratch >= 0\n", encoding="utf-8")
-    (package / "views.py").write_text("class View:\n    a: int = 0\n", encoding="utf-8")
     (package / "cli.py").write_text(
-        "from .views import View\n\n\ndef run(config, args):\n"
-        "    return config.view(View), config.b, args.scratch\n",
+        "def run(config, gateway_config, args):\n"
+        "    return gateway_config.a, config.gateway.b, args.scratch\n",
         encoding="utf-8")
-    # `a` is read through the view and `b` as an attribute of a config; `scratch`
-    # only in config.py and as an attribute of another object
-    assert unread_fields(tmp_path, ["a", "b", "scratch"]) == {"scratch"}
+    # `a` is read as an attribute of a config; `b` only of `config.gateway`, whose
+    # name does not end in `config`; `scratch` only in config.py and of another object
+    assert unread_fields(tmp_path, ["a", "b", "scratch"]) == {"b", "scratch"}
 
 
 def unused_imports(path: Path) -> list[str]:
