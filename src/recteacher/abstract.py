@@ -15,6 +15,8 @@ from .gateway import Gateway, Origin, chat_request
 from . import prompts
 from .tags import SUMMARY_TAG, reply_body
 
+# The chunk size m the teacher cuts every history into: all chunks but the
+# last are summarized. Fixed, so every trajectory of a run is built the same way.
 DEFAULT_WINDOW_M = 10
 SUMMARIZER = "abstract"  # the origin role of a summary call; send n folds chunk n
 

@@ -352,6 +352,7 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> None:
 
     graph = _load_graph(args, config, catalog)
     tools = ToolRunner(cache, partial(verbalize_key, graph, catalog, domain=config.teacher.domain))
+    cache_path.parent.mkdir(parents=True, exist_ok=True)  # inputs checked; sessions append fills
 
     # Above one slot (the runner reads the width off the session's handle) a session starts
     # its user's evidence beside its history abstraction and plan, which leave a slot idle.

@@ -2,8 +2,9 @@
 
 The [pipeline] section is flat, but each key is a field of exactly one
 dataclass: `PipelineConfig` for paths, `group_size` and `seed`,
-`GatewayConfig` for the endpoint and sampling, `TeacherConfig` for `domain`,
-`window_m` and `max_tool_rounds`. Each dataclass checks its own bounds.
+`GatewayConfig` for the endpoint and sampling, `TeacherConfig` for `domain`.
+Each dataclass checks its own bounds. The teacher's history window and tool
+round bound are constants (`DEFAULT_WINDOW_M`, `DEFAULT_MAX_TOOL_ROUNDS`).
 
 Precedence: CLI flags override config values; environment variables override
 only the API key (looked up by `api_key_env` at request time).
@@ -66,7 +67,7 @@ def load_config(path: Path | None = None) -> PipelineConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(str(path), encoding="utf-8")
-    except configparser.Error as exc:  # its message may span lines
+    except (configparser.Error, UnicodeDecodeError) as exc:  # its message may span lines
         raise PipelineError(f"config file {path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise PipelineError(f"config file not found: {path}")

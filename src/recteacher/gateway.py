@@ -249,7 +249,7 @@ class HttpBackend:
         if 500 <= resp.status_code < 600:
             raise GatewayError("server_error", f"HTTP {resp.status_code}")
         if resp.status_code != 200:
-            raise GatewayError("malformed_response", f"HTTP {resp.status_code}")
+            raise GatewayError("malformed_response", f"HTTP {resp.status_code} from {url}")
 
         try:
             payload = resp.json()

@@ -54,6 +54,8 @@ logger = logging.getLogger(__name__)
 # agent reads this instead.
 MISS_FALLBACK = "no cached collaborative evidence available"
 
+# The bound on one agent turn's tool loop (`_turn`). Fixed, so every
+# trajectory of a run is built the same way.
 DEFAULT_MAX_TOOL_ROUNDS = 3
 
 
@@ -120,14 +122,6 @@ class SessionLog:
 @dataclass(frozen=True)
 class TeacherConfig:
     domain: str = prompts.DEFAULT_DOMAIN
-    max_tool_rounds: int = DEFAULT_MAX_TOOL_ROUNDS
-    window_m: int = DEFAULT_WINDOW_M
-
-    def __post_init__(self) -> None:
-        if self.max_tool_rounds < 1:
-            raise ValueError("max_tool_rounds must be >= 1")
-        if self.window_m < 1:
-            raise ValueError("window_m must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -278,7 +272,7 @@ def build_context(
     try:
         hybrid = abstract(
             list(instance.history),
-            config.window_m,
+            DEFAULT_WINDOW_M,
             gateway,
             render=lambda i: prompts.render_interaction(i, catalog.items),
             domain=config.domain,
@@ -412,14 +406,13 @@ def _turn(
     system: str,
     user_text: str,
     gateway: Gateway,
-    config: TeacherConfig,
     tools: ToolRunner | None = None,
     turn: int = 0,
 ) -> tuple[PhaseRecord, Any]:
     """One agent turn: one loop of sends, counted from 0, until a reply is accepted.
 
     A reply with tool calls has them answered, and the loop sends again, while
-    fewer than `max_tool_rounds - 1` rounds have been answered (no round
+    fewer than `DEFAULT_MAX_TOOL_ROUNDS - 1` rounds have been answered (no round
     without tools) and the turn has not re-asked. Any other reply is decoded by
     `phase`'s contract (`decode_payload`), and a ranking must name a candidate;
     for a phase in `REASK`, the first rejected reply earns one more send that
@@ -431,7 +424,7 @@ def _turn(
     record keeps `phase` and `turn`, so it names the origin of its sends.
     """
     messages = [{"role": "system", "content": system}, {"role": "user", "content": user_text}]
-    rounds = config.max_tool_rounds if tools is not None else 1
+    rounds = DEFAULT_MAX_TOOL_ROUNDS if tools is not None else 1
     origin = Origin(phase, context.user, turn=turn)
     thinking: list[str] = []
     events: list[tuple[ToolCall, str]] = []
@@ -473,7 +466,7 @@ def plan(
 ) -> tuple[PhaseRecord, tuple[Phase, ...]]:
     """One planning call for the agents to run, in plan order; a malformed reply earns exactly one re-ask."""
     return _turn(Phase.PLAN, context, prompts.planner_system(config.domain), context.prompt,
-                 gateway, config)
+                 gateway)
 
 
 def execute_subtask(
@@ -493,7 +486,7 @@ def execute_subtask(
     if suggestion is not None:
         user_text = f"{user_text}\n# Correction Suggestion\n{suggestion}"
     record, _ = _turn(phase, context, prompts.subtask_system(phase.value, config.domain),
-                      user_text, gateway, config, tools, turn=int(suggestion is not None))
+                      user_text, gateway, tools, turn=int(suggestion is not None))
     return record
 
 
@@ -516,7 +509,7 @@ def reflect(
 ) -> tuple[PhaseRecord, dict[Phase, str]]:
     """Single verification call; strictly decoded, no re-ask. Its value is the verdict's flags (`_verdict`)."""
     return _turn(Phase.REFLECTION, context, prompts.reflector_system(config.domain),
-                 f"{context.prompt}\n{_outputs_block(outputs)}", gateway, config)
+                 f"{context.prompt}\n{_outputs_block(outputs)}", gateway)
 
 
 def repair_ranking(raw: Sequence[str], candidates: Sequence[str]) -> list[str]:
@@ -546,7 +539,7 @@ def rank(
     verdict discards and the one that replaces it never share an origin.
     """
     record, ranking = _turn(Phase.RECOMMEND, context, prompts.ranker_system(config.domain),
-                            f"{context.prompt}\n{_outputs_block(outputs)}", gateway, config, tools,
+                            f"{context.prompt}\n{_outputs_block(outputs)}", gateway, tools,
                             turn=turn)
     return record, repair_ranking(ranking, context.candidates)
 

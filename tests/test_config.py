@@ -26,7 +26,7 @@ def test_defaults_without_file():
     assert config.group_size == 8
     assert config.gateway.temperature == 0.7
     assert config.gateway.top_p == 0.95
-    assert config.teacher.window_m == 10
+    assert config.teacher.domain == "goodreads"
 
 
 def test_load_overrides_types(tmp_path):
@@ -35,13 +35,15 @@ def test_load_overrides_types(tmp_path):
         "corpus_dir = data/x",
         "seed = 7",
         "temperature = 0.2",
-        "window_m = 4",
+        "max_parallel = 2",
+        "domain = movies",
     ]))
     config = load_config(path)
     assert config.corpus_dir == "data/x"
     assert config.seed == 7
     assert config.gateway.temperature == 0.2
-    assert config.teacher.window_m == 4
+    assert config.gateway.max_parallel == 2
+    assert config.teacher.domain == "movies"
     # untouched keys keep their defaults
     assert config.group_size == 8
 
@@ -55,7 +57,7 @@ def test_load_errors(tmp_path):
         load_config(write_config(tmp_path, "[pipeline]\nseeed = 1\n"))
     for retired in ("output_dir", "ranker_tools", "templates_dir", "cold_user_max_history",
                     "cold_item_max_interactions", "evo_long_min_history", "evo_short_max_gap_s",
-                    "rl_ratio", "rl_target", "neighbor_k"):
+                    "rl_ratio", "rl_target", "neighbor_k", "window_m", "max_tool_rounds"):
         with pytest.raises(PipelineError, match=f"unknown config key '{retired}'"):
             load_config(write_config(tmp_path, f"[pipeline]\n{retired} = out\n"))
     with pytest.raises(PipelineError, match="cannot parse"):
@@ -80,9 +82,11 @@ def test_a_retired_key_loads_with_one_warning_whatever_its_value(tmp_path, caplo
     ("[pipeline]\nendpoint = http://x/a%20b\n", None),
     ("seed = 1\n", "File contains no section headers."),
     ("[pipeline]\nseed = 1\nseed = 2\n", "option 'seed' in section 'pipeline' already exists"),
-], ids=["percent", "no-section-header", "repeated-key"])
+    (b"[pipeline]\nseed = 1\n# caf\xe9\n", "'utf-8' codec can't decode byte 0xe9 in position 25"),
+], ids=["percent", "no-section-header", "repeated-key", "not-utf-8"])
 def test_config_file_syntax_ends_in_one_error_line(tmp_path, capsys, body, error):
-    path = write_config(tmp_path, body)
+    path = tmp_path / "pipeline.ini"
+    path.write_bytes(body if isinstance(body, bytes) else body.encode("utf-8"))
     code = main(["build-graph", "--config", str(path), "--corpus", str(tmp_path / "nowhere"),
                  "--out", str(tmp_path / "g.jsonl")])
     error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
@@ -96,8 +100,8 @@ def test_config_file_syntax_ends_in_one_error_line(tmp_path, capsys, body, error
 
 
 def test_validate_ranges(tmp_path):
-    for line in ("window_m = 0", "group_size = 0", "max_tool_rounds = 0", "max_parallel = 0",
-                 "retries = -1", "timeout_s = 0", "temperature = 5", "top_p = 0"):
+    for line in ("group_size = 0", "max_parallel = 0", "retries = -1", "timeout_s = 0",
+                 "temperature = 5", "top_p = 0"):
         with pytest.raises(PipelineError, match=line.split(" = ")[0]):
             load_config(write_config(tmp_path, f"[pipeline]\n{line}\n"))
 
@@ -113,6 +117,17 @@ def homes(config):
     """The three dataclasses of a config, each with its fields that are INI keys."""
     return [(home, {f.name for f in fields(home)} - set(PARTS))
             for home in (config, config.gateway, config.teacher)]
+
+
+def test_the_ini_keys_are_exactly_these_fourteen():
+    # a new key is a new concept to document and test: adding one edits this list
+    keys = set().union(*(names for _, names in homes(PipelineConfig())))
+    assert keys == {
+        "corpus_dir", "graph_path", "cache_path", "group_size", "seed",
+        "endpoint", "model", "api_key_env", "max_parallel", "retries", "timeout_s",
+        "temperature", "top_p",
+        "domain",
+    }
 
 
 def test_every_example_key_lands_in_the_one_field_of_its_name(tmp_path):

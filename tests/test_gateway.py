@@ -395,6 +395,9 @@ def test_http_backend_status_mapping():
             backend.send(REQ)
         assert excinfo.value.kind == "malformed_response"
         assert not excinfo.value.transient
+        # the refusal names where the request went: a wrong endpoint path shows
+        assert str(excinfo.value) == ("malformed_response: "
+                                      f"HTTP {status} from http://api.example/v1/chat/completions")
 
     backend, _session = _http_backend(FakeResponse(200, {"choices": []}))
     with pytest.raises(GatewayError) as excinfo:

@@ -91,7 +91,7 @@ def test_every_request_of_a_toy_session_has_its_own_origin(toy_files, tmp_path, 
     records = [json.loads(line) for line in lines]
     longest = max(records, key=lambda record: len(record["history"]))
     (tmp_path / "one.jsonl").write_text(json.dumps(longest) + "\n", encoding="utf-8")
-    (tmp_path / "od.ini").write_text("[pipeline]\nwindow_m = 5\n", encoding="utf-8")
+    monkeypatch.setattr("recteacher.teacher.DEFAULT_WINDOW_M", 5)
     requests = []
     send = OracleBackend.send
 
@@ -100,7 +100,7 @@ def test_every_request_of_a_toy_session_has_its_own_origin(toy_files, tmp_path, 
         return send(backend, request)
 
     monkeypatch.setattr(OracleBackend, "send", recording)
-    assert main(teacher + ["--config", str(tmp_path / "od.ini"), "--parallel", "4",
+    assert main(teacher + ["--parallel", "4",
                            "--instances", str(tmp_path / "one.jsonl"),
                            "--cache", str(tmp_path / "cache.jsonl"),
                            "--out", str(tmp_path / "sessions.jsonl"),

@@ -349,27 +349,23 @@ def test_execute_subtask_two_calls_in_one_block():
     assert [result for _, result in record.tool_events] == [CACHED_TEXT] * 2
 
 
-def test_execute_subtask_round_budget_stops_tool_loop():
+def test_execute_subtask_round_budget_stops_tool_loop(monkeypatch):
+    monkeypatch.setattr("recteacher.teacher.DEFAULT_MAX_TOOL_ROUNDS", 1)
     reply = f"{tool_call(user_id='u1')}\n<JSON>[\"fallback conclusion\"]</JSON>"
     backend, gateway = scripted_gateway(reply)
     runner = ToolRunner(make_cache(("UserCF", "u1")))
-    record = execute_subtask(
-        Phase.HISTORICAL, make_context(), runner, gateway,
-        config=TeacherConfig(max_tool_rounds=1),
-    )
+    record = execute_subtask(Phase.HISTORICAL, make_context(), runner, gateway)
     assert record.tool_events == ()
     assert record.payload == '["fallback conclusion"]'
     assert backend.sends == 1
 
 
-def test_execute_subtask_missing_payload():
+def test_execute_subtask_missing_payload(monkeypatch):
+    monkeypatch.setattr("recteacher.teacher.DEFAULT_MAX_TOOL_ROUNDS", 2)
     backend, gateway = scripted_gateway(tool_call(user_id="u1"), tool_call(user_id="u1"))
     runner = ToolRunner(make_cache(("UserCF", "u1")))
     with pytest.raises(SessionError) as excinfo:
-        execute_subtask(
-            Phase.DIVERGENCE, make_context(), runner, gateway,
-            config=TeacherConfig(max_tool_rounds=2),
-        )
+        execute_subtask(Phase.DIVERGENCE, make_context(), runner, gateway)
     assert excinfo.value.phase == "interest_divergence"
     assert isinstance(excinfo.value.cause, ReplyParseError)
     assert backend.sends == 2
@@ -568,7 +564,7 @@ def test_a_reasked_record_keeps_only_the_accepted_reply(ask, accepted):
     assert backend.sends == 2
 
 
-def test_a_ranker_reasked_after_a_tool_round_answers_no_more_tool_calls():
+def test_a_ranker_reasked_after_a_tool_round_answers_no_more_tool_calls(monkeypatch):
     rejected = "Ranked by hunch.\n<JSON>null</JSON>"
     backend, gateway = scripted_gateway(
         f"Checking the anchor first.\n{tool_call(user_id='u1')}",
@@ -577,8 +573,8 @@ def test_a_ranker_reasked_after_a_tool_round_answers_no_more_tool_calls():
     )
     runner = ToolRunner(make_cache(("UserCF", "u1")))
     # rounds to spare: only the re-ask, not the budget, leaves the last <tool_call> unanswered
-    config = TeacherConfig(max_tool_rounds=5)
-    record, ranking = rank(make_context(), [], gateway, config, tools=runner)
+    monkeypatch.setattr("recteacher.teacher.DEFAULT_MAX_TOOL_ROUNDS", 5)
+    record, ranking = rank(make_context(), [], gateway, tools=runner)
 
     assert [request.origin.send for request in backend.requests] == [0, 1, 2]
     reask = backend.requests[2].messages
@@ -996,20 +992,10 @@ def test_session_log_requires_permutation():
         SessionLog(user="u", candidates=("a", "b"), phases=(), final_ranking=("a",))
 
 
-def test_teacher_config_validation():
-    with pytest.raises(ValueError):
-        TeacherConfig(max_tool_rounds=0)
-    with pytest.raises(ValueError):
-        TeacherConfig(window_m=0)
-    with pytest.raises(ValueError, match="temperature"):
-        GatewayConfig(temperature=3.0)
-    with pytest.raises(ValueError, match="top_p"):
-        GatewayConfig(top_p=0.0)
-
-
 # ------------------------------------------------------------- build_context
 
-def test_build_context_renders_prompt_and_folds_history():
+def test_build_context_renders_prompt_and_folds_history(monkeypatch):
+    monkeypatch.setattr("recteacher.teacher.DEFAULT_WINDOW_M", 2)
     items = {f"i{k:02d}": ItemMeta(title=f"Title {k}", attributes={"genre": "sf"})
              for k in range(25)}
     history = tuple(Interaction("u1", f"i{k:02d}", 1000 + k, rating=4.0) for k in range(5))
@@ -1028,7 +1014,7 @@ def test_build_context_renders_prompt_and_folds_history():
         "<SUMMARY>first fold</SUMMARY>",
         "<SUMMARY>older arc: steady genre fiction</SUMMARY>",
     )
-    context = build_context(instance, corpus, gateway, TeacherConfig(window_m=2))
+    context = build_context(instance, corpus, gateway)
     # 5 interactions at m=2 -> 3 chunks -> 2 folds
     assert backend.sends == 2
     assert "(Value: u1)" in context.prompt
@@ -1105,7 +1091,7 @@ def turn_accepts(phase, turn, reply):
     """Whether an agent turn of `phase` accepts `reply`, given it on every send."""
     _, gateway = scripted_gateway(reply, reply)
     try:
-        _turn(phase, make_context(), "system", "user", gateway, TeacherConfig(), turn=turn)
+        _turn(phase, make_context(), "system", "user", gateway, turn=turn)
     except SessionError as exc:
         assert exc.phase == ("correction" if turn else phase.value)
         assert isinstance(exc.cause, ReplyParseError)

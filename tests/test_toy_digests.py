@@ -98,6 +98,16 @@ def test_run_teacher_at_four_slots_matches_the_digests(artifacts, tmp_path, name
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[name]
 
 
+def test_run_teacher_makes_the_directory_of_a_new_cache(artifacts, tmp_path):
+    # the directory is made before the first session, so its on-demand fills are not lost
+    cache, out = tmp_path / "new" / "dir" / "od_cache.jsonl", tmp_path / "od_sessions.jsonl"
+    assert main(["run-teacher", "--backend", "mock", "--corpus", str(artifacts / "corpus"),
+                 "--graph", str(artifacts / "graph.jsonl"), "--cache", str(cache),
+                 "--instances", str(artifacts / "instances.jsonl"), "--out", str(out)]) == 0
+    for path in (cache, out):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[path.name], path.name
+
+
 # sha256 of every request the toy chain sends at --parallel 1, in send order: verbalize, then
 # run-teacher on the warm cache, with --fail-reflection and on an empty cache. Each request is
 # its origin and its messages, so this pins every prompt byte, not only the instance prompt.
