@@ -39,7 +39,6 @@ def abstract(
     m: int,
     gateway: Gateway,
     render: Callable[[Interaction], str],
-    domain: str = prompts.DEFAULT_DOMAIN,
     user_block: str = "",
 ) -> HybridHistory:
     """Fold all chunks but the last into a rolling summary.
@@ -53,7 +52,7 @@ def abstract(
     if len(chunks) <= 1:
         return HybridHistory(long_term_summary="", recent_raw=tuple(history))
 
-    system = prompts.history_summary_system(domain)
+    system = prompts.history_summary_system()
     summary = ""
     for send, part in enumerate(chunks[:-1]):
         block = "\n".join(f"{i}. {render(x)}" for i, x in enumerate(part, start=1))

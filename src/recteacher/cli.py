@@ -5,10 +5,10 @@ restartable and two runs with the same config, seed, and mock backend
 produce byte-identical outputs (with a scripted backend, at --parallel 1). All
 writes go through temp-file-then-rename, a full `verbalize` rebuild included:
 it replaces the cache only once every key is verbalized. The documented
-exception is appending to an existing cache one record at a time:
-`verbalize --only-missing` appends each key as it lands, so keys filled before
-a crash survive it. JSONL artifacts are streamed to their temp file one record
-at a time.
+exception is appending to a cache one record at a time: `verbalize
+--only-missing` creates the cache if need be and appends each key as it lands,
+so keys filled before a crash survive it. JSONL artifacts are streamed to
+their temp file one record at a time.
 run-teacher handles each session when its turn in instance order comes,
 whatever order the concurrent sessions finished in: it appends the session's
 on-demand fills to the cache and writes its record, so the fills of a failed
@@ -68,8 +68,8 @@ from .graph import InteractionGraph, build_graph, load_graph, save_graph
 from .oracle import OracleBackend
 from .rewards import (DEFAULT_RL_RATIO, DEFAULT_RL_TARGET, Bucket, bucket, composite_reward,
                       compose_rl_set, largest_remainder)
-from .teacher import (AGENT_NAMES, PhaseRecord, SessionLog, ToolRunner, build_context, phase_name,
-                      run_teacher)
+from .teacher import (AGENT_NAMES, PhaseRecord, SessionLog, TeacherConfig, ToolRunner, build_context,
+                      phase_name, run_teacher)
 from .trajectory import export_sft, serialize, top1_hit
 from .util import atomic_path, decode_jsonl, require_field, unique_ids, write_atomic, write_jsonl_atomic
 from .verbalize import EvidenceCache, verbalize_key, warm_cache
@@ -299,13 +299,15 @@ def _cmd_verbalize(args: argparse.Namespace, config: PipelineConfig) -> None:
     graph = _load_graph(args, config, catalog)
     out = Path(_required_path(args.out, config.cache_path, "cache output"))
     gateway = _make_gateway(args, config)
-    only_missing = args.only_missing and out.exists()
-    # --only-missing appends to --out as each key lands; a full rebuild fills a
-    # temp file that replaces --out only once every key is verbalized.
-    with (nullcontext(out) if only_missing else atomic_path(out)) as path:
+    # --only-missing appends to --out as each key lands, creating it if need be;
+    # a full rebuild fills a temp file that replaces --out only once every key
+    # is verbalized.
+    if args.only_missing:
+        out.parent.mkdir(parents=True, exist_ok=True)
+    with (nullcontext(out) if args.only_missing else atomic_path(out)) as path:
         cache = EvidenceCache.load(path)
         before = len(cache)
-        failed = warm_cache(graph, catalog, gateway, cache, domain=config.teacher.domain)
+        failed = warm_cache(graph, catalog, gateway, cache)
         for key, exc in failed:
             logger.warning("verbalization failed for %s %s: %s", key.name, key.anchor, exc)
         print(f"cache entries: {len(cache)} ({len(cache) - before} new, {len(failed)} failed) -> {out}")
@@ -351,7 +353,7 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> None:
                                                         for _, instance in instances})
 
     graph = _load_graph(args, config, catalog)
-    tools = ToolRunner(cache, partial(verbalize_key, graph, catalog, domain=config.teacher.domain))
+    tools = ToolRunner(cache, partial(verbalize_key, graph, catalog))
     cache_path.parent.mkdir(parents=True, exist_ok=True)  # inputs checked; sessions append fills
 
     # Above one slot (the runner reads the width off the session's handle) a session starts
@@ -360,8 +362,8 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> None:
         rank, (session_id, instance) = ranked
         session_gateway = gateway.for_session(rank)
         with tools.prefetch(instance.user, session_gateway):
-            context = build_context(instance, catalog, session_gateway, config.teacher)
-            log = run_teacher(context, config.teacher, session_gateway, tools)
+            context = build_context(instance, catalog, session_gateway)
+            log = run_teacher(context, TeacherConfig(), session_gateway, tools)
         return log, _session_record(session_id, instance, context.prompt, log)
 
     # Sessions are ranked in instance order, so a freed gateway slot goes to

@@ -2,9 +2,10 @@
 
 The [pipeline] section is flat, but each key is a field of exactly one
 dataclass: `PipelineConfig` for paths, `group_size` and `seed`,
-`GatewayConfig` for the endpoint and sampling, `TeacherConfig` for `domain`.
-Each dataclass checks its own bounds. The teacher's history window and tool
-round bound are constants (`DEFAULT_WINDOW_M`, `DEFAULT_MAX_TOOL_ROUNDS`).
+`GatewayConfig` for the endpoint and sampling. Each dataclass checks its own
+bounds. The teacher has no settings: its history window, tool round bound and
+the dataset its prompts name are constants (`DEFAULT_WINDOW_M`,
+`DEFAULT_MAX_TOOL_ROUNDS`, `prompts.DEFAULT_DOMAIN`).
 
 Precedence: CLI flags override config values; environment variables override
 only the API key (looked up by `api_key_env` at request time).
@@ -20,19 +21,18 @@ from pathlib import Path
 from .errors import PipelineError
 from .gateway import GatewayConfig
 from .rewards import DEFAULT_GROUP_SIZE
-from .teacher import TeacherConfig
 
 logger = logging.getLogger(__name__)
 
 SECTION = "pipeline"
 
 # the PipelineConfig fields that hold another dataclass's settings
-PARTS = ("gateway", "teacher")
+PARTS = ("gateway",)
 
 
 @dataclass
 class PipelineConfig:
-    """The pipeline's own settings, and the gateway's and teacher's, each in its own dataclass."""
+    """The pipeline's own settings, and the gateway's in its own dataclass."""
 
     corpus_dir: str = ""
     graph_path: str = ""
@@ -40,7 +40,6 @@ class PipelineConfig:
     group_size: int = DEFAULT_GROUP_SIZE
     seed: int = 0
     gateway: GatewayConfig = field(default_factory=GatewayConfig)
-    teacher: TeacherConfig = field(default_factory=TeacherConfig)
 
     def __post_init__(self):
         if self.group_size < 1:

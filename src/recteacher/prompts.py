@@ -6,7 +6,8 @@ still built in code: the instance prompt's section headers here, the teacher's
 preceding-outputs block, correction header and re-ask text, and verbalize's
 target headers. Rendering replaces only ``{word}`` placeholders whose key is
 supplied; everything else (including JSON examples with braces) passes through
-untouched. Corpus items, users and interactions become prompt lines here only.
+untouched. Corpus items, users and interactions become prompt lines here only,
+and every corpus string in them is rendered on one line (`one_line`).
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from typing import Mapping, Sequence
 
 from .corpus import Interaction, ItemMeta
 
+# The dataset the system prompts name. Fixed, so an evidence cache and the
+# sessions that read it come from the same prompts.
 DEFAULT_DOMAIN = "goodreads"
 REVIEW_EXCERPT_CHARS = 300  # cap per rendered review
 
@@ -49,59 +52,53 @@ def render(text: str, values: Mapping[str, str]) -> str:
     return _PLACEHOLDER.sub(lambda m: values.get(m.group(1), m.group(0)), text)
 
 
-def _load_rendered(name: str, values: Mapping[str, str]) -> str:
-    return render(load_template(name), values)
+def _load_rendered(name: str, **values: str) -> str:
+    """Template `name` with `values` filled in, and `{domain}` with DEFAULT_DOMAIN."""
+    return render(load_template(name), {"domain": DEFAULT_DOMAIN, **values})
 
 
-def planner_system(domain: str = DEFAULT_DOMAIN) -> str:
-    return _load_rendered("planner.txt", {"domain": domain})
+def planner_system() -> str:
+    return _load_rendered("planner.txt")
 
 
-def subtask_system(tag: str, domain: str = DEFAULT_DOMAIN) -> str:
+def subtask_system(tag: str) -> str:
     """The system prompt of the analysis agent whose phase tag is `tag`, from `<tag>.txt`."""
-    values = {
-        "domain": domain,
-        "tool_protocol": load_template("tool_protocol.txt").rstrip("\n"),
-        "subtask_output": load_template("subtask_output.txt").rstrip("\n"),
-    }
-    return _load_rendered(f"{tag}.txt", values)
+    return _load_rendered(f"{tag}.txt",
+                          tool_protocol=load_template("tool_protocol.txt").rstrip("\n"),
+                          subtask_output=load_template("subtask_output.txt").rstrip("\n"))
 
 
-def reflector_system(domain: str = DEFAULT_DOMAIN) -> str:
-    return _load_rendered("reflector.txt", {"domain": domain})
+def reflector_system() -> str:
+    return _load_rendered("reflector.txt")
 
 
-def ranker_system(domain: str = DEFAULT_DOMAIN) -> str:
-    values = {
-        "domain": domain,
-        "tool_protocol": load_template("tool_protocol.txt").rstrip("\n"),
-    }
-    return _load_rendered("ranker.txt", values)
+def ranker_system() -> str:
+    return _load_rendered("ranker.txt", tool_protocol=load_template("tool_protocol.txt").rstrip("\n"))
 
 
 def student_system() -> str:
     return load_template("student_system.txt")
 
 
-def history_summary_system(domain: str = DEFAULT_DOMAIN) -> str:
-    return _load_rendered("history_summary.txt", {"domain": domain})
+def history_summary_system() -> str:
+    return _load_rendered("history_summary.txt")
 
 
 def history_summary_user(user_block: str, previous_summary: str, chunk_block: str) -> str:
-    values = {
-        "user_block": user_block,
-        "previous_summary": previous_summary if previous_summary else "(no previous summary)",
-        "chunk_block": chunk_block,
-    }
-    return _load_rendered("history_summary_user.txt", values)
+    return _load_rendered(
+        "history_summary_user.txt",
+        user_block=user_block,
+        previous_summary=previous_summary if previous_summary else "(no previous summary)",
+        chunk_block=chunk_block,
+    )
 
 
-def item_evidence_system(domain: str = DEFAULT_DOMAIN) -> str:
-    return _load_rendered("item_evidence_system.txt", {"domain": domain})
+def item_evidence_system() -> str:
+    return _load_rendered("item_evidence_system.txt")
 
 
-def user_evidence_system(domain: str = DEFAULT_DOMAIN) -> str:
-    return _load_rendered("user_evidence_system.txt", {"domain": domain})
+def user_evidence_system() -> str:
+    return _load_rendered("user_evidence_system.txt")
 
 
 def evidence_user(
@@ -110,36 +107,41 @@ def evidence_user(
     neighbor_block: str,
     extra_keys: Sequence[str] = (),
 ) -> str:
-    extra = "\n".join(f"> {key} (Item attribute)" for key in extra_keys)
-    values = {
-        "extra_key_definitions": extra,
-        "target_block": target_block,
-        "neighbor_header": neighbor_header,
-        "neighbor_block": neighbor_block,
-    }
-    return _load_rendered("evidence_user.txt", values)
+    extra = "\n".join(f"> {one_line(key)} (Item attribute)" for key in extra_keys)
+    return _load_rendered(
+        "evidence_user.txt",
+        extra_key_definitions=extra,
+        target_block=target_block,
+        neighbor_header=neighbor_header,
+        neighbor_block=neighbor_block,
+    )
+
+
+def one_line(text: str) -> str:
+    """`text` with its line breaks turned to spaces, so corpus text cannot start a prompt line of its own."""
+    return " ".join(text.splitlines())
+
+
+def _attribute_parts(attributes: Mapping[str, str]) -> list[str]:
+    return [f"{one_line(key)}: {one_line(attributes[key])}" for key in sorted(attributes)]
 
 
 def render_item_line(item: str, title: str, attributes: Mapping[str, str]) -> str:
-    parts = [f"item_id: {item}", f"title: {title}"]
-    parts.extend(f"{key}: {attributes[key]}" for key in sorted(attributes))
-    return " | ".join(parts)
+    return " | ".join([f"item_id: {item}", f"title: {one_line(title)}", *_attribute_parts(attributes)])
 
 
 def render_user_line(user: str, attributes: Mapping[str, str]) -> str:
-    parts = [f"user_id: {user}"]
-    parts.extend(f"{key}: {attributes[key]}" for key in sorted(attributes))
-    return " | ".join(parts)
+    return " | ".join([f"user_id: {user}", *_attribute_parts(attributes)])
 
 
 def render_interaction(interaction: Interaction, items: Mapping[str, ItemMeta]) -> str:
     stamp = datetime.fromtimestamp(interaction.timestamp, tz=timezone.utc)
     parts = [f"Review time: {stamp.strftime('%Y-%m-%d-%I%p')}", f"item_id: {interaction.item}",
-             f"title: {items[interaction.item].title}"]
+             f"title: {one_line(items[interaction.item].title)}"]
     if interaction.rating is not None:
         parts.append(f"rating: {interaction.rating:g}")
     if interaction.review_text:
-        excerpt = interaction.review_text[:REVIEW_EXCERPT_CHARS]
+        excerpt = one_line(interaction.review_text)[:REVIEW_EXCERPT_CHARS]
         parts.append(f'user review text: "{excerpt}"')
     return " ".join(parts)
 
@@ -167,16 +169,14 @@ def render_instance_prompt(
     lines: list[str] = ["# User Information"]
     lines.append("> User Key Definitions:")
     lines.append(f"> user_id: User's unique identifier. (Value: {user})")
-    for key in sorted(user_attributes):
-        lines.append(f"> {key}: {user_attributes[key]}")
+    lines.extend(f"> {part}" for part in _attribute_parts(user_attributes))
     lines.append("# Long-term User Behavior Summary")
     lines.append(long_term_summary if long_term_summary else "(no long-term summary)")
     lines.append("# User Behavior (Recent Activity)")
     lines.append("> Item Key Definition:")
     lines.append("> item_id (Unique item identifier)")
     lines.append("> title (Item title)")
-    for key in item_keys:
-        lines.append(f"> {key} (Item attribute)")
+    lines.extend(f"> {one_line(key)} (Item attribute)" for key in item_keys)
     for index, text in enumerate(recent_lines, start=1):
         lines.append(f"{index}. {text}")
     lines.append("# Candidate Item Information")

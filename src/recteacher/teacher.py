@@ -121,7 +121,7 @@ class SessionLog:
 
 @dataclass(frozen=True)
 class TeacherConfig:
-    domain: str = prompts.DEFAULT_DOMAIN
+    """The teacher's settings: none. Its protocol and prompts are fixed in code."""
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,6 @@ def build_context(
     instance: EvalInstance,
     catalog: Catalog,
     gateway: Gateway,
-    config: TeacherConfig = TeacherConfig(),
 ) -> TeacherContext:
     """Abstract the instance history and render the shared instance prompt.
 
@@ -275,7 +274,6 @@ def build_context(
             DEFAULT_WINDOW_M,
             gateway,
             render=lambda i: prompts.render_interaction(i, catalog.items),
-            domain=config.domain,
             user_block=prompts.render_user_line(instance.user, attributes),
         )
     except Exception as exc:
@@ -461,12 +459,9 @@ def _turn(
     return record, value
 
 
-def plan(
-    context: TeacherContext, gateway: Gateway, config: TeacherConfig = TeacherConfig()
-) -> tuple[PhaseRecord, tuple[Phase, ...]]:
+def plan(context: TeacherContext, gateway: Gateway) -> tuple[PhaseRecord, tuple[Phase, ...]]:
     """One planning call for the agents to run, in plan order; a malformed reply earns exactly one re-ask."""
-    return _turn(Phase.PLAN, context, prompts.planner_system(config.domain), context.prompt,
-                 gateway)
+    return _turn(Phase.PLAN, context, prompts.planner_system(), context.prompt, gateway)
 
 
 def execute_subtask(
@@ -474,7 +469,6 @@ def execute_subtask(
     context: TeacherContext,
     tools: ToolRunner,
     gateway: Gateway,
-    config: TeacherConfig = TeacherConfig(),
     suggestion: str | None = None,
 ) -> PhaseRecord:
     """Run the analysis agent `phase` with its tool loop, on the system prompt of its tag.
@@ -485,7 +479,7 @@ def execute_subtask(
     user_text = context.prompt
     if suggestion is not None:
         user_text = f"{user_text}\n# Correction Suggestion\n{suggestion}"
-    record, _ = _turn(phase, context, prompts.subtask_system(phase.value, config.domain),
+    record, _ = _turn(phase, context, prompts.subtask_system(phase.value),
                       user_text, gateway, tools, turn=int(suggestion is not None))
     return record
 
@@ -505,10 +499,9 @@ def reflect(
     context: TeacherContext,
     outputs: Sequence[PhaseRecord],
     gateway: Gateway,
-    config: TeacherConfig = TeacherConfig(),
 ) -> tuple[PhaseRecord, dict[Phase, str]]:
     """Single verification call; strictly decoded, no re-ask. Its value is the verdict's flags (`_verdict`)."""
-    return _turn(Phase.REFLECTION, context, prompts.reflector_system(config.domain),
+    return _turn(Phase.REFLECTION, context, prompts.reflector_system(),
                  f"{context.prompt}\n{_outputs_block(outputs)}", gateway)
 
 
@@ -529,7 +522,6 @@ def rank(
     context: TeacherContext,
     outputs: Sequence[PhaseRecord],
     gateway: Gateway,
-    config: TeacherConfig = TeacherConfig(),
     tools: ToolRunner | None = None,
     turn: int = 0,
 ) -> tuple[PhaseRecord, list[str]]:
@@ -538,7 +530,7 @@ def rank(
     `turn` is 1 when `outputs` include corrections, so the ranker a failing
     verdict discards and the one that replaces it never share an origin.
     """
-    record, ranking = _turn(Phase.RECOMMEND, context, prompts.ranker_system(config.domain),
+    record, ranking = _turn(Phase.RECOMMEND, context, prompts.ranker_system(),
                             f"{context.prompt}\n{_outputs_block(outputs)}", gateway, tools,
                             turn=turn)
     return record, repair_ranking(ranking, context.candidates)
@@ -551,6 +543,9 @@ def run_teacher(
     tools: ToolRunner,
 ) -> SessionLog:
     """One full teacher session over a prepared context.
+
+    The teacher has no settings: `config` is a TeacherConfig, which declares
+    no field.
 
     At one gateway slot every agent runs on the calling thread, one at a time
     in plan order: nothing starts early, the sends keep the serial order, and
@@ -569,23 +564,23 @@ def run_teacher(
     session waits for a discarded ranker before it ends, so no send outlives
     it, and logs a warning naming the user if it failed.
     """
-    plan_record, agents = plan(context, gateway, config)
+    plan_record, agents = plan(context, gateway)
     parallel = gateway.config.max_parallel > 1
     with ThreadPoolExecutor(len(AGENT_NAMES) + 1) if parallel else nullcontext() as pool:
         each = pool.map if parallel else map
-        outputs = list(each(lambda phase: execute_subtask(phase, context, tools, gateway, config),
+        outputs = list(each(lambda phase: execute_subtask(phase, context, tools, gateway),
                             agents))
-        early_rank = pool.submit(rank, context, outputs, gateway, config, tools) if parallel else None
-        reflection, problems = reflect(context, outputs, gateway, config)
+        early_rank = pool.submit(rank, context, outputs, gateway, tools) if parallel else None
+        reflection, problems = reflect(context, outputs, gateway)
         if early_rank is not None and not problems:
             corrections, (recommend, ranking) = [], early_rank.result()
         else:
             corrections = list(each(
-                lambda phase, suggestion: execute_subtask(phase, context, tools, gateway, config,
+                lambda phase, suggestion: execute_subtask(phase, context, tools, gateway,
                                                           suggestion=suggestion),
                 problems, problems.values(),
             ))
-            recommend, ranking = rank(context, outputs + corrections, gateway, config, tools,
+            recommend, ranking = rank(context, outputs + corrections, gateway, tools,
                                       turn=1 if problems else 0)
     discarded_failure = early_rank.exception() if early_rank is not None and problems else None
     if discarded_failure is not None:

@@ -8,7 +8,7 @@ import secrets
 from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
+from typing import Any, Callable, Hashable, Iterable, Iterator, TextIO, TypeVar
 
 from .errors import MalformedRecord
 
@@ -133,15 +133,16 @@ def require_field(record: dict, key: str, kind: type = object, default: Any = _R
     return value
 
 
-def unique_ids(decode: Callable[[Any], tuple[str, T]], what: str) -> Callable[[Any], tuple[str, T]]:
+def unique_ids(decode: Callable[[Any], tuple[Hashable, T]],
+               what: str) -> Callable[[Any], tuple[Hashable, T]]:
     """`decode`, returning (id, value), that raises ValueError on an id it returned before.
 
     One decoder remembers the ids of every file it decodes, so a repeated id
     is the record that repeats it, in whichever file that is.
     """
-    seen: set[str] = set()
+    seen: set[Hashable] = set()
 
-    def decode_once(obj: Any) -> tuple[str, T]:
+    def decode_once(obj: Any) -> tuple[Hashable, T]:
         record_id, value = decode(obj)
         if record_id in seen:
             raise ValueError(f"duplicate {what} {record_id!r}")

@@ -21,7 +21,7 @@ from .gateway import Gateway, Origin, chat_request
 from .graph import InteractionGraph, item_cf_neighbors, neighbor_item_pool
 from . import prompts
 from .tags import ANSWER_TAG, RECOGNIZED_TOOLS, ToolCall, reply_body
-from .util import decode_jsonl, dump_json_line, require_field
+from .util import decode_jsonl, dump_json_line, require_field, unique_ids
 
 # Deterministic evidence for anchors with no collaborative signal; no gateway call.
 FALLBACK_NO_NEIGHBORS = "no collaborative neighbors found"
@@ -70,17 +70,20 @@ class EvidenceCache:
 
     @classmethod
     def load(cls, path: Path) -> "EvidenceCache":
-        """Read the cache file at `path` (a missing one is empty); a bad line raises MalformedRecord."""
+        """Read the cache file at `path` (a missing one is empty).
+
+        A bad line, or one that repeats an earlier line's key, raises MalformedRecord.
+        """
         cache = cls(path)
         if not cache.path.exists():
             return cache
-        for _lineno, evidence in decode_jsonl(path, _decode_evidence):
-            cache._entries[evidence.key] = evidence
+        for _lineno, (key, evidence) in decode_jsonl(path, unique_ids(_decode_evidence, "evidence key")):
+            cache._entries[key] = evidence
         return cache
 
 
-def _decode_evidence(record: dict) -> Evidence:
-    """The entry of one cache-file record; ValueError says what is wrong with it.
+def _decode_evidence(record: dict) -> tuple[ToolCall, Evidence]:
+    """The key and entry of one cache-file record; ValueError says what is wrong with it.
 
     Anchor and neighbours follow the id rule (`require_id`), which hands back
     each id's one interned string; a known tool name becomes its
@@ -93,8 +96,8 @@ def _decode_evidence(record: dict) -> Evidence:
     key = ToolCall(tool, require_id(require_field(record, "anchor"), "anchor"))
     text = require_field(record, "text", str)
     neighbors = require_field(record, "neighbors", list, [])
-    return Evidence(key=key, text=text, created_at=require_field(record, "created_at", int, 0),
-                    source_neighbors=tuple(require_id(n, "neighbor") for n in neighbors))
+    return key, Evidence(key=key, text=text, created_at=require_field(record, "created_at", int, 0),
+                         source_neighbors=tuple(require_id(n, "neighbor") for n in neighbors))
 
 
 def _fallback(key: ToolCall) -> Evidence:
@@ -129,7 +132,6 @@ def verbalize_item(
     items: Mapping[str, ItemMeta],
     anchor: str,
     gateway: Gateway,
-    domain: str = prompts.DEFAULT_DOMAIN,
 ) -> Evidence:
     """Evidence for an item from its ItemCF neighbors."""
     key = ToolCall("ItemCF", anchor)
@@ -138,7 +140,7 @@ def verbalize_item(
         return _fallback(key)
     (anchor_line,), _ = prompts.item_lines([anchor], items)
     return _verbalize(key, neighbors, items, gateway, f"# Target item\n{anchor_line}\n",
-                      "Collaborative items", prompts.item_evidence_system(domain))
+                      "Collaborative items", prompts.item_evidence_system())
 
 
 def verbalize_user(
@@ -147,7 +149,6 @@ def verbalize_user(
     items: Mapping[str, ItemMeta],
     anchor: str,
     gateway: Gateway,
-    domain: str = prompts.DEFAULT_DOMAIN,
 ) -> Evidence:
     """Evidence for a user from the items their UserCF neighbors touched."""
     key = ToolCall("UserCF", anchor)
@@ -156,20 +157,14 @@ def verbalize_user(
         return _fallback(key)
     anchor_line = prompts.render_user_line(anchor, users[anchor])
     return _verbalize(key, pool, items, gateway, f"# Target user\n{anchor_line}\n",
-                      "Preference items", prompts.user_evidence_system(domain))
+                      "Preference items", prompts.user_evidence_system())
 
 
-def verbalize_key(
-    graph: InteractionGraph,
-    catalog: Catalog,
-    key: ToolCall,
-    gateway: Gateway,
-    domain: str = prompts.DEFAULT_DOMAIN,
-) -> Evidence:
+def verbalize_key(graph: InteractionGraph, catalog: Catalog, key: ToolCall, gateway: Gateway) -> Evidence:
     """Verbalize one cache key with the verbalizer of its tool."""
     if key.name == "ItemCF":
-        return verbalize_item(graph, catalog.items, key.anchor, gateway, domain=domain)
-    return verbalize_user(graph, catalog.users, catalog.items, key.anchor, gateway, domain=domain)
+        return verbalize_item(graph, catalog.items, key.anchor, gateway)
+    return verbalize_user(graph, catalog.users, catalog.items, key.anchor, gateway)
 
 
 def all_keys(graph: InteractionGraph) -> list[ToolCall]:
@@ -183,7 +178,6 @@ def warm_cache(
     catalog: Catalog,
     gateway: Gateway,
     cache: EvidenceCache,
-    domain: str = prompts.DEFAULT_DOMAIN,
 ) -> list[tuple[ToolCall, Exception]]:
     """Verbalize every graph key not already cached; return the failed keys and their errors.
 
@@ -194,7 +188,7 @@ def warm_cache(
 
     def attempt(key: ToolCall) -> Evidence | Exception:
         try:
-            return verbalize_key(graph, catalog, key, gateway, domain=domain)
+            return verbalize_key(graph, catalog, key, gateway)
         except Exception as exc:
             return exc
 

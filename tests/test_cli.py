@@ -388,6 +388,47 @@ def test_failed_verbalize_rebuild_keeps_the_old_cache(pipeline, tmp_path, capsys
     assert sorted(os.listdir(tmp_path)) == ["cache.jsonl", "script.json"]
 
 
+def test_only_missing_creates_the_cache_and_keeps_what_landed_before_a_failure(pipeline, tmp_path, capsys):
+    answer = "<Answer>scripted evidence</Answer>"
+    replies = [answer] * 80
+    replies[40] = "Grouped, but with no envelope."
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(replies), encoding="utf-8")
+    out = tmp_path / "new" / "new.jsonl"  # neither the file nor its directory exists yet
+
+    def verbalize(*extra):
+        return main(["verbalize", "--corpus", str(pipeline["corpus"]), "--graph", str(pipeline["graph"]),
+                     "--backend", "mock", "--script", str(script), "--parallel", "1", *extra])
+
+    assert verbalize("--only-missing", "--out", str(out)) == 1
+    assert f"cache entries: 79 (79 new, 1 failed) -> {out}" in capsys.readouterr().out
+    assert len(records_of(out)) == 79
+    script.write_text(json.dumps([answer]), encoding="utf-8")  # one send fills the gap
+    assert verbalize("--only-missing", "--out", str(out)) == 0
+    assert "(1 new, 0 failed)" in capsys.readouterr().out
+    script.write_text(json.dumps([answer] * 80), encoding="utf-8")
+    assert verbalize("--out", str(tmp_path / "clean.jsonl")) == 0
+    capsys.readouterr()
+    lines = [path.read_text(encoding="utf-8").splitlines() for path in (out, tmp_path / "clean.jsonl")]
+    assert len(lines[0]) == 80 and set(lines[0]) == set(lines[1])
+
+
+def test_a_cache_that_repeats_a_key_fails_run_teacher_before_any_send(pipeline, tmp_path, capsys):
+    cache = tmp_path / "evidence.jsonl"
+    lines = pipeline["cache"].read_text(encoding="utf-8").splitlines()
+    cache.write_text("\n".join([*lines, lines[0]]) + "\n", encoding="utf-8")
+    script = tmp_path / "script.json"
+    script.write_text("[]", encoding="utf-8")  # any gateway call would exhaust it
+    code = main(["run-teacher", "--corpus", str(pipeline["corpus"]), "--graph", str(pipeline["graph"]),
+                 "--cache", str(cache), "--instances", str(pipeline["instances"]),
+                 "--out", str(tmp_path / "sessions.jsonl"), "--backend", "mock", "--script", str(script)])
+    error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
+    assert code == 1
+    (error,) = error_lines
+    assert error.startswith(f"error: MalformedRecord: {cache}:{len(lines) + 1}: duplicate evidence key ")
+    assert not (tmp_path / "sessions.jsonl").exists()
+
+
 def test_run_teacher_rerun_is_byte_identical(pipeline, tmp_path, capsys):
     outs = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
     for out in outs:

@@ -26,7 +26,6 @@ def test_defaults_without_file():
     assert config.group_size == 8
     assert config.gateway.temperature == 0.7
     assert config.gateway.top_p == 0.95
-    assert config.teacher.domain == "goodreads"
 
 
 def test_load_overrides_types(tmp_path):
@@ -36,14 +35,12 @@ def test_load_overrides_types(tmp_path):
         "seed = 7",
         "temperature = 0.2",
         "max_parallel = 2",
-        "domain = movies",
     ]))
     config = load_config(path)
     assert config.corpus_dir == "data/x"
     assert config.seed == 7
     assert config.gateway.temperature == 0.2
     assert config.gateway.max_parallel == 2
-    assert config.teacher.domain == "movies"
     # untouched keys keep their defaults
     assert config.group_size == 8
 
@@ -57,7 +54,7 @@ def test_load_errors(tmp_path):
         load_config(write_config(tmp_path, "[pipeline]\nseeed = 1\n"))
     for retired in ("output_dir", "ranker_tools", "templates_dir", "cold_user_max_history",
                     "cold_item_max_interactions", "evo_long_min_history", "evo_short_max_gap_s",
-                    "rl_ratio", "rl_target", "neighbor_k", "window_m", "max_tool_rounds"):
+                    "rl_ratio", "rl_target", "neighbor_k", "window_m", "max_tool_rounds", "domain"):
         with pytest.raises(PipelineError, match=f"unknown config key '{retired}'"):
             load_config(write_config(tmp_path, f"[pipeline]\n{retired} = out\n"))
     with pytest.raises(PipelineError, match="cannot parse"):
@@ -114,19 +111,17 @@ def test_a_timeout_that_is_not_finite_is_refused(tmp_path, value):
 
 
 def homes(config):
-    """The three dataclasses of a config, each with its fields that are INI keys."""
-    return [(home, {f.name for f in fields(home)} - set(PARTS))
-            for home in (config, config.gateway, config.teacher)]
+    """The two dataclasses of a config, each with its fields that are INI keys."""
+    return [(home, {f.name for f in fields(home)} - set(PARTS)) for home in (config, config.gateway)]
 
 
-def test_the_ini_keys_are_exactly_these_fourteen():
+def test_the_ini_keys_are_exactly_these_thirteen():
     # a new key is a new concept to document and test: adding one edits this list
     keys = set().union(*(names for _, names in homes(PipelineConfig())))
     assert keys == {
         "corpus_dir", "graph_path", "cache_path", "group_size", "seed",
         "endpoint", "model", "api_key_env", "max_parallel", "retries", "timeout_s",
         "temperature", "top_p",
-        "domain",
     }
 
 

@@ -79,16 +79,19 @@ def test_cache_persistence_round_trip(tmp_path):
     assert loaded.path == path
 
 
-def test_cache_load_last_record_wins(tmp_path):
+def test_cache_load_refuses_a_repeated_key(tmp_path):
+    # one repeated-id rule for every keyed record: the repeat, not the last line, is what counts
     path = tmp_path / "evidence.jsonl"
     cache = EvidenceCache(path)
     key = ToolCall("ItemCF", "x")
     cache.put(Evidence(key, "stale", (), 1))
+    cache.put(Evidence(ToolCall("UserCF", "x"), "same anchor, other tool", (), 1))
     cache.put(Evidence(key, "fresh", ("y",), 2))
-    loaded = EvidenceCache.load(path)
-    assert len(loaded) == 1
-    assert loaded.lookup(key).text == "fresh"
-    assert loaded.lookup(key).created_at == 2
+    with pytest.raises(MalformedRecord) as excinfo:
+        EvidenceCache.load(path)
+    assert (excinfo.value.source, excinfo.value.line) == (str(path), 3)
+    assert excinfo.value.reason.startswith("duplicate evidence key ")
+    assert "ItemCF" in excinfo.value.reason and "'x'" in excinfo.value.reason
 
 
 @pytest.mark.parametrize("line, reason", [
