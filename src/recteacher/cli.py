@@ -71,7 +71,7 @@ from .rewards import (DEFAULT_RL_RATIO, DEFAULT_RL_TARGET, Bucket, bucket, compo
 from .teacher import (AGENT_NAMES, PhaseRecord, SessionLog, TeacherConfig, ToolRunner, build_context,
                       phase_name, run_teacher)
 from .trajectory import export_sft, serialize, top1_hit
-from .util import atomic_path, decode_jsonl, require_field, unique_ids, write_atomic, write_jsonl_atomic
+from .util import atomic_path, atomic_writer, decode_jsonl, require_field, unique_ids, write_jsonl_atomic
 from .verbalize import EvidenceCache, verbalize_key, warm_cache
 
 logger = logging.getLogger(__name__)
@@ -139,6 +139,12 @@ def _read_script(path: str) -> list[str]:
         raise PipelineError(f"script file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(replies, list) or not all(isinstance(r, str) for r in replies):
         raise PipelineError(f"script file {path!r} must be a JSON array of reply strings")
+    for index, reply in enumerate(replies):
+        try:
+            reply.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise PipelineError(f"script file {path!r}: reply {index} holds a lone surrogate, "
+                                "which UTF-8 cannot encode") from exc
     return replies
 
 
@@ -488,7 +494,8 @@ def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> None:
         "overall": _report_record(overall, "Overall"),
         "scenarios": {name: _report_record(rep, name) for name, rep in scenario_reports.items()},
     }
-    write_atomic(args.out, json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
+    with atomic_writer(args.out) as handle:
+        handle.write(json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
 
     header = ["scenario".ljust(14), "   n"]
     header.extend(f"{'HR@' + str(k):>8}" for k in DEFAULT_KS)

@@ -256,6 +256,7 @@ class HttpBackend:
             content = payload["choices"][0]["message"]["content"]
             if not isinstance(content, str):
                 raise TypeError("content is not a string")
+            content.encode("utf-8")  # resp.json() decodes a lone surrogate escape, which UTF-8 cannot encode
         except Exception as exc:
             raise GatewayError("malformed_response", str(exc)) from exc
 

@@ -157,7 +157,8 @@ def encode_tool_call(call: ToolCall) -> str:
 
 
 def encode_tool_response(result: str) -> str:
-    return json.dumps({"result": result}, sort_keys=True, ensure_ascii=False)
+    """A tool_response body holding `result`; `</` is written `<\\/`, so the body holds no closing tag."""
+    return json.dumps({"result": result}, sort_keys=True, ensure_ascii=False).replace("</", "<\\/")
 
 
 def decode_tool_response(body: str) -> str:

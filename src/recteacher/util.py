@@ -1,4 +1,7 @@
-"""Small shared helpers: atomic writes, line-delimited JSON files and their record fields."""
+"""Small shared helpers: atomic writes and appends, line-delimited JSON files and their record fields.
+
+No other module calls `open` or writes a file, so every artifact is written here.
+"""
 
 from __future__ import annotations
 
@@ -59,12 +62,6 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
         yield handle
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write text via a temp file in the same directory, then rename."""
-    with atomic_writer(path) as handle:
-        handle.write(text)
-
-
 def dump_json_line(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False)
 
@@ -79,8 +76,27 @@ def write_jsonl_atomic(path: str | Path, records: Iterable[Any]) -> int:
     return count
 
 
+def append_jsonl(path: str | Path, record: Any) -> None:
+    """Append one record to `path` as one line, as `write_jsonl_atomic` writes it.
+
+    The line starts on a line of its own even when the file's last line lacks its newline.
+    """
+    line = (dump_json_line(record) + "\n").encode("utf-8")
+    with open(path, "a+b") as handle:
+        end = handle.seek(0, os.SEEK_END)
+        if end:
+            handle.seek(end - 1)
+            if handle.read(1) != b"\n":
+                line = b"\n" + line
+        handle.write(line)
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, record) per non-blank line; a line not one JSON object raises MalformedRecord."""
+    """Yield (line_number, record) per non-blank line; a line not one JSON object raises MalformedRecord.
+
+    So does a line whose text UTF-8 cannot encode: a `\\u` escape of a lone
+    surrogate, which could be read but never written back.
+    """
     path = Path(path)
     with path.open("rb") as handle:
         for lineno, raw in enumerate(handle, 1):
@@ -89,10 +105,15 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 if not stripped:
                     continue
                 record = json.loads(stripped)
+                if "\\u" in stripped:  # only an escape can decode to a lone surrogate
+                    dump_json_line(record).encode("utf-8")
             except UnicodeDecodeError as exc:
                 raise MalformedRecord(lineno, f"invalid UTF-8: {exc}", source=str(path)) from exc
             except json.JSONDecodeError as exc:
                 raise MalformedRecord(lineno, f"invalid JSON: {exc}", source=str(path)) from exc
+            except UnicodeEncodeError as exc:
+                raise MalformedRecord(lineno, f"lone surrogate {exc.object[exc.start:exc.end]!r}, "
+                                      "which UTF-8 cannot encode", source=str(path)) from exc
             if not isinstance(record, dict):
                 raise MalformedRecord(lineno, "record is not a JSON object", source=str(path))
             yield lineno, record

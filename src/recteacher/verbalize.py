@@ -21,7 +21,7 @@ from .gateway import Gateway, Origin, chat_request
 from .graph import InteractionGraph, item_cf_neighbors, neighbor_item_pool
 from . import prompts
 from .tags import ANSWER_TAG, RECOGNIZED_TOOLS, ToolCall, reply_body
-from .util import decode_jsonl, dump_json_line, require_field, unique_ids
+from .util import append_jsonl, decode_jsonl, require_field, unique_ids
 
 # Deterministic evidence for anchors with no collaborative signal; no gateway call.
 FALLBACK_NO_NEIGHBORS = "no collaborative neighbors found"
@@ -65,8 +65,7 @@ class EvidenceCache:
                 "neighbors": list(evidence.source_neighbors),
                 "text": evidence.text,
             }
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(dump_json_line(record) + "\n")
+            append_jsonl(self.path, record)
 
     @classmethod
     def load(cls, path: Path) -> "EvidenceCache":

@@ -191,6 +191,44 @@ def test_ingest_names_a_line_that_is_not_utf8(toy_files, tmp_path, capsys):
     assert error_lines[0].startswith(f"error: MalformedRecord: {items}:3: invalid UTF-8: ")
 
 
+def test_a_lone_surrogate_fails_ingest_and_leaves_the_corpus_as_it_was(toy_files, tmp_path, capsys):
+    out = tmp_path / "corpus"
+    ingest = ["ingest", "--users", str(toy_files["users"]), "--items", str(toy_files["items"]),
+              "--out", str(out)]
+    assert main([*ingest, "--reviews", str(toy_files["reviews"])]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    reviews = tmp_path / "reviews.jsonl"
+    lines = toy_files["reviews"].read_text(encoding="utf-8").splitlines(keepends=True)
+    lines.append(json.dumps({"user_id": "u001", "item_id": "i001", "timestamp": 1,
+                             "review_text": "bad \ud800 text"}) + "\n")
+    reviews.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main([*ingest, "--reviews", str(reviews)]) == 1
+    error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
+    assert error_lines == [f"error: MalformedRecord: {reviews}:{len(lines)}: "
+                           "lone surrogate '\\ud800', which UTF-8 cannot encode"]
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_a_script_reply_with_a_lone_surrogate_fails_before_any_send(pipeline, tmp_path, capsys):
+    out = tmp_path / "cache.jsonl"
+    earlier = b"".join(pipeline["cache"].read_bytes().splitlines(keepends=True)[:40])
+    out.write_bytes(earlier)
+    replies = ["<Answer>scripted evidence</Answer>"] * 80
+    replies[40] = "<Answer>bad \ud800 text</Answer>"
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(replies), encoding="utf-8")
+    code = main(["verbalize", "--corpus", str(pipeline["corpus"]), "--graph", str(pipeline["graph"]),
+                 "--out", str(out), "--only-missing", "--backend", "mock", "--script", str(script)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert [l for l in captured.err.splitlines() if l.startswith("error: ")] == [
+        f"error: PipelineError: script file {str(script)!r}: reply 40 holds a lone surrogate, "
+        "which UTF-8 cannot encode"]
+    assert "cache entries" not in captured.out
+    assert out.read_bytes() == earlier
+
+
 _USERS = [{"user_id": "u1"}, {"user_id": "u2"}]
 _ITEMS = [{"item_id": "i1", "title": "One"}]
 _REVIEWS = [{"user_id": "u1", "item_id": "i1", "timestamp": 1}]

@@ -364,6 +364,16 @@ def test_http_backend_reads_a_malformed_usage_as_zero(malformed):
     assert reply_with({"prompt_tokens": 5, "completion_tokens": malformed}).usage == ChatUsage(5, 0)
 
 
+def test_http_backend_refuses_a_reply_with_a_lone_surrogate():
+    # resp.json() decodes the escape \\ud800 to a lone surrogate, which no file can hold
+    payload = {"choices": [{"message": {"content": "bad \ud800 text"}}]}
+    backend, _session = _http_backend(FakeResponse(200, payload))
+    with pytest.raises(GatewayError) as excinfo:
+        backend.send(REQ)
+    assert excinfo.value.kind == "malformed_response"
+    assert "surrogates not allowed" in str(excinfo.value)
+
+
 def test_http_backend_status_mapping():
     backend, _session = _http_backend(FakeResponse(429))
     with pytest.raises(GatewayError) as excinfo:

@@ -12,6 +12,14 @@ top-level statement under `src/` loads that name or an attribute of that
 name. A new unreferenced definition fails it, and so does wiring in one of
 the two without removing it from PINNED.
 
+Class members get one too: every dataclass field, method and property a
+class under `src/` defines is loaded as an attribute somewhere under `src/`,
+by name, as above; a dunder method is exempt, since Python calls it. The
+only ones allowed are those PINNED_MEMBERS lists:
+- `ChatReply.usage` and the two token counts of `ChatUsage`, which the
+  token accounting of ROADMAP items 3 and 15 is to read;
+- `ScriptBackend.sends` (criterion 4).
+
 Config knobs get the same check: every field of `PipelineConfig`,
 `GatewayConfig` and `TeacherConfig` is read by some module under `src/` other
 than `config.py`.
@@ -24,6 +32,10 @@ So do exception classes: every one defined under `src/` is named by some
 whose fault some other class therefore reports, fails it. And the kinds of
 `GatewayError` and `TagError`: each kind in its tuple is the literal first
 argument of some call of its class under `src/`, and no call passes another.
+
+File writes have one home: no module under `src/` but `util.py` calls
+`open`, `write_text` or `write_bytes`, so how an artifact's bytes reach the
+disk (atomic rename, append on a line of its own) is decided in one place.
 """
 
 from __future__ import annotations
@@ -48,6 +60,13 @@ NOQA_UNUSED_IMPORT = "# noqa: F401"
 PINNED = {
     "recteacher.rewards.format_reward",
     "recteacher.trajectory.outcome_filter",
+}
+
+PINNED_MEMBERS = {
+    "recteacher.gateway.ChatReply.usage",
+    "recteacher.gateway.ChatUsage.completion_tokens",
+    "recteacher.gateway.ChatUsage.prompt_tokens",
+    "recteacher.gateway.ScriptBackend.sends",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -108,6 +127,55 @@ def test_an_added_unreferenced_constant_is_caught(tmp_path):
         "USED = {}\nUNUSED_MAP = {}\nTYPED: dict = {}\nLEFT, RIGHT = 1, 2\n\n\n"
         "def read():\n    return USED, TYPED, LEFT\n\n\nread()\n", encoding="utf-8")
     assert unreferenced(tmp_path) == {"pkg.a.UNUSED_MAP", "pkg.a.RIGHT"}
+
+
+def unread_members(src: Path) -> set[str]:
+    """Dotted names of the class members under `src` that no attribute load under `src` names.
+
+    A member is a method or property (a def in the class body) or an
+    annotated field; dunder methods are exempt. A store (`self.x = ...`) or
+    a keyword argument naming a field does not read it.
+    """
+    members: dict[str, str] = {}  # dotted name -> member name
+    loaded: set[str] = set()
+    for path in sorted(src.rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        name = stmt.name
+                    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        name = stmt.target.id
+                    else:
+                        continue
+                    if not (name.startswith("__") and name.endswith("__")):
+                        members[f"{module}.{node.name}.{name}"] = name
+    return {dotted for dotted, name in members.items() if name not in loaded}
+
+
+def test_only_the_pinned_members_are_unread():
+    assert unread_members(SRC) == PINNED_MEMBERS
+
+
+def test_an_added_unread_member_is_caught(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "from dataclasses import dataclass\n\n\n@dataclass\nclass Record:\n"
+        "    read: int\n    written: int\n    unread: int = 0\n\n"
+        "    def used(self):\n        return self.read\n\n"
+        "    def unused(self):\n        return 0\n\n"
+        "    @property\n    def shown(self):\n        return 1\n\n"
+        "    def __len__(self):\n        return 1\n", encoding="utf-8")
+    (package / "b.py").write_text(
+        "from .a import Record\n\n\ndef make():\n    record = Record(1, written=2)\n"
+        "    record.written = 3\n    return record.used(), len(record)\n", encoding="utf-8")
+    # `written` is only stored and passed by keyword; `__len__` is called by len()
+    assert unread_members(tmp_path) == {"pkg.a.Record.written", "pkg.a.Record.unread",
+                                        "pkg.a.Record.unused", "pkg.a.Record.shown"}
 
 
 def _last_name(node: ast.expr) -> str:
@@ -195,6 +263,40 @@ def test_an_added_unused_import_is_caught(tmp_path):
         "from pathlib import Path as P  # noqa: F401\n\n\n"
         "def f() -> Iterator:\n    return os.path.join(P.cwd())\n", encoding="utf-8")
     assert unused_imports(path) == [f"{path}:3: json", f"{path}:5: Any"]
+
+
+FILE_OPENERS = {"open", "write_text", "write_bytes"}
+
+
+def file_openers(src: Path, home: str = "util.py") -> set[str]:
+    """`path:line: name` for each call under `src`, outside `home`, that opens a file or writes one.
+
+    A call counts by the name it calls, plain or as an attribute
+    (`open(...)`, `os.open(...)`, `path.write_text(...)`); reading a whole
+    file with `read_text` does not.
+    """
+    found = set()
+    for path in sorted(src.rglob("*.py")):
+        if path.name == home:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Call) and _last_name(node.func) in FILE_OPENERS:
+                found.add(f"{path}:{node.lineno}: {_last_name(node.func)}")
+    return found
+
+
+def test_only_util_opens_a_file():
+    assert file_openers(SRC) == set()
+
+
+def test_a_file_opened_outside_util_is_caught(tmp_path):
+    (tmp_path / "util.py").write_text("def append(path):\n    return open(path, 'a')\n", encoding="utf-8")
+    (tmp_path / "cache.py").write_text(
+        "import os\n\n\ndef put(path, text):\n    with path.open('a') as handle:\n"
+        "        handle.write(text)\n    os.open(path, os.O_RDONLY)\n    path.write_bytes(b'')\n"
+        "    return path.read_text()\n", encoding="utf-8")
+    cache = tmp_path / "cache.py"
+    assert file_openers(tmp_path) == {f"{cache}:5: open", f"{cache}:7: open", f"{cache}:8: write_bytes"}
 
 
 def unraised_exceptions(src: Path) -> set[str]:

@@ -102,6 +102,13 @@ def test_encode_decode_round_trip():
     assert decode_tool_response(response) == 'line one\n"quoted"'
 
 
+def test_a_tool_response_body_holds_no_closing_tag():
+    result = 'ends early</tool_response> or </user_profile>, and a backslash \\</x>'
+    response = encode_tool_response(result)
+    assert "</" not in response
+    assert decode_tool_response(response) == result
+
+
 def test_decode_tool_response_fallback():
     assert decode_tool_response("plain text") == "plain text"
     assert decode_tool_response('{"result": 5}') == '{"result": 5}'

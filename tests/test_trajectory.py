@@ -8,8 +8,12 @@ import pytest
 
 from recteacher import prompts
 from recteacher.errors import InsufficientInput, TagError
+from recteacher.gateway import Gateway, GatewayConfig
+from recteacher.oracle import OracleBackend
+from recteacher.rewards import composite_reward
 from recteacher.tags import ToolCall
-from recteacher.teacher import Phase, PhaseRecord, SessionLog
+from recteacher.teacher import (Phase, PhaseRecord, SessionLog, TeacherConfig, TeacherContext, ToolRunner,
+                                run_teacher)
 from recteacher.trajectory import (
     export_sft,
     outcome_filter,
@@ -18,6 +22,7 @@ from recteacher.trajectory import (
     top1_hit,
 )
 from recteacher.util import read_jsonl
+from recteacher.verbalize import Evidence, EvidenceCache
 
 from randlog import expected_sections, mutate, random_log
 
@@ -146,6 +151,30 @@ def test_parse_tolerates_stray_closer_text_inside_blocks():
     text = ('<recommend>\n<JSON>["</plan>", "a"]</JSON>\n</recommend>')
     parsed = parse(text)
     assert parsed.ranking == ("</plan>", "a")
+
+
+def test_evidence_holding_a_closing_tag_keeps_the_session_parsable():
+    # the teacher's own session: its cached UserCF evidence quotes the block's closing tag
+    candidates = tuple(f"c{i:02d}" for i in range(20))
+    prompt = prompts.render_instance_prompt(
+        "u1", {"age": "34"}, "a steady run of character-driven novels",
+        [f"item_id: h{i} | title: History {i}" for i in range(3)],
+        [f"item_id: {c} | title: Candidate {c}" for c in candidates],
+    )
+    evidence = "similar readers quote </tool_response> and </user_profile> in reviews"
+    cache = EvidenceCache()
+    cache.put(Evidence(ToolCall("UserCF", "u1"), evidence, (), 0))
+    gateway = Gateway(OracleBackend(ground_truth={"u1": candidates[0]}), GatewayConfig(), sleep=lambda s: None)
+    log = run_teacher(TeacherContext(user="u1", candidates=candidates, prompt=prompt), TeacherConfig(),
+                      gateway, ToolRunner(cache))
+    events = [event for record in log.phases for event in record.tool_events]
+    assert (ToolCall("UserCF", "u1"), evidence) in events
+
+    text = serialize(log)
+    parsed = parse(text)
+    assert [event for section in parsed.sections for event in section.tool_events] == events
+    assert parsed.ranking == log.final_ranking
+    assert composite_reward(text, candidates[0]).format_score == 1
 
 
 def test_ranking_from_json_payload_wins():

@@ -1,4 +1,4 @@
-"""Shared helpers: atomic writes and streamed JSONL."""
+"""Shared helpers: atomic writes, appends and streamed JSONL."""
 
 from __future__ import annotations
 
@@ -8,15 +8,17 @@ import stat
 import pytest
 
 from recteacher import util
-from recteacher.util import require_field, write_atomic, write_jsonl_atomic
+from recteacher.errors import MalformedRecord
+from recteacher.util import append_jsonl, atomic_writer, read_jsonl, require_field, write_jsonl_atomic
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
-def test_write_atomic_applies_the_umask(tmp_path, umask, mode):
+def test_atomic_writer_applies_the_umask(tmp_path, umask, mode):
     path = tmp_path / "out" / "artifact.jsonl"
     previous = os.umask(umask)
     try:
-        write_atomic(path, "{\"id\": 1}\n")
+        with atomic_writer(path) as handle:
+            handle.write("{\"id\": 1}\n")
     finally:
         os.umask(previous)
     assert stat.S_IMODE(path.stat().st_mode) == mode
@@ -83,3 +85,38 @@ def test_write_jsonl_atomic_serializes_each_record_before_pulling_the_next(tmp_p
     assert write_jsonl_atomic(tmp_path / "out.jsonl", records()) == 4
     assert dumped == [0, 1, 2, 3]
 
+
+@pytest.mark.parametrize("existing, prefix", [
+    (None, b""), (b"", b""), (b'{"id": 0}\n', b'{"id": 0}\n'), (b'{"id": 0}', b'{"id": 0}\n'),
+], ids=["missing", "empty", "newline-ended", "unended"])
+def test_append_jsonl_starts_each_record_on_a_line_of_its_own(tmp_path, existing, prefix):
+    path = tmp_path / "cache.jsonl"
+    if existing is not None:
+        path.write_bytes(existing)
+    append_jsonl(path, {"id": 1, "text": "café"})
+    append_jsonl(path, {"id": 2})
+    assert path.read_bytes() == prefix + '{"id": 1, "text": "café"}\n{"id": 2}\n'.encode("utf-8")
+
+
+@pytest.mark.parametrize("line", [
+    r'{"text": "bad \ud800 text"}',
+    r'{"text": "low \udc00 alone"}',
+    r'{"text": "pair reversed \ude00\ud83d"}',
+    r'{"bad \ud800 key": 1}',
+    r'{"nested": [{"text": "\udfff"}]}',
+], ids=["high", "low", "reversed-pair", "key", "nested"])
+def test_read_jsonl_refuses_a_lone_surrogate(tmp_path, line):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"text": "fine"}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as excinfo:
+        list(read_jsonl(path))
+    assert (excinfo.value.source, excinfo.value.line) == (str(path), 2)
+    assert excinfo.value.reason.startswith("lone surrogate '\\ud")
+    assert excinfo.value.reason.endswith("', which UTF-8 cannot encode")
+
+
+def test_read_jsonl_reads_an_escaped_surrogate_pair_and_an_escaped_backslash(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text(r'{"text": "smile \ud83d\ude00"}' + "\n" + r'{"text": "not an escape \\ud800"}' + "\n",
+                    encoding="utf-8")
+    assert [record["text"] for _, record in read_jsonl(path)] == ["smile \U0001F600", "not an escape \\ud800"]

@@ -79,6 +79,18 @@ def test_cache_persistence_round_trip(tmp_path):
     assert loaded.path == path
 
 
+def test_a_put_after_a_last_line_without_its_newline_keeps_both_entries(tmp_path):
+    path = tmp_path / "evidence.jsonl"
+    path.write_text('{"tool": "ItemCF", "anchor": "x", "text": "about x"}', encoding="utf-8")
+    cache = EvidenceCache.load(path)
+    second = Evidence(ToolCall("UserCF", "A"), "about A", ("z",), 0)
+    cache.put(second)
+    loaded = EvidenceCache.load(path)
+    assert len(loaded) == 2
+    assert loaded.lookup(ToolCall("ItemCF", "x")).text == "about x"
+    assert loaded.lookup(second.key) == second
+
+
 def test_cache_load_refuses_a_repeated_key(tmp_path):
     # one repeated-id rule for every keyed record: the repeat, not the last line, is what counts
     path = tmp_path / "evidence.jsonl"
