@@ -34,8 +34,9 @@ USERS_FILE = "users.jsonl"
 ITEMS_FILE = "items.jsonl"
 REVIEWS_FILE = "reviews.jsonl"
 
-# A ranking line ("1. a, 2. b") splits entries at commas and strips whitespace.
-_ID_BREAK = re.compile(r"[,\s]")
+# A ranking line ("1. a, 2. b") splits entries at commas and strips whitespace,
+# and `<` or `>` could write a grammar tag into it.
+_ID_BREAK = re.compile(r"[,\s<>]")
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ def _stringify_attribute(value: Any) -> str:
 
 
 def require_id(value: Any, name: str) -> str:
-    """`value` as a user or item id: a non-empty string free of commas and whitespace.
+    """`value` as a user or item id: a non-empty string free of commas, whitespace, `<` and `>`.
 
     The ranking line could not carry any other id back. Corpus, instance,
     graph and evidence-cache records all go through here. The id comes back
@@ -110,8 +111,9 @@ def require_id(value: Any, name: str) -> str:
     """
     if not isinstance(value, str) or not value:
         raise ValueError(f"missing or invalid {name}")
-    if _ID_BREAK.search(value):
-        raise ValueError(f"{name} {value!r} contains a comma or whitespace")
+    if found := _ID_BREAK.search(value):
+        what = "'<' or '>'" if found.group() in "<>" else "a comma or whitespace"
+        raise ValueError(f"{name} {value!r} contains {what}")
     return sys.intern(value)
 
 

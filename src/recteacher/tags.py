@@ -1,10 +1,10 @@
 """Angle-tag envelopes in LLM replies, and the tool-call codec.
 
 Every reply is read through one scan (`envelopes`): bodies between a tag pair
-are raw text and the closing tag is found literally, so envelope contents
-never need escaping. A reply that lacks the envelope its caller asked for,
-or holds a malformed tool call, raises ReplyParseError. Tool-call bodies are
-decoded here and only here.
+are raw text and the closing tag is found literally. A reply that lacks the
+envelope its caller asked for, or holds a malformed tool call, raises
+ReplyParseError. Tool-call bodies are decoded here and only here, and both
+tool blocks are encoded by one rule (`_encode_body`) that escapes `</`.
 """
 
 from __future__ import annotations
@@ -149,16 +149,19 @@ def decode_tool_calls(body: str) -> list[ToolCall]:
     return [decode_tool_call(value) for value in values]
 
 
+def _encode_body(value: dict[str, Any]) -> str:
+    """Sorted JSON for a tool block body; `</` is written `<\\/`, so the body holds no closing tag."""
+    return json.dumps(value, sort_keys=True, ensure_ascii=False).replace("</", "<\\/")
+
+
 def encode_tool_call(call: ToolCall) -> str:
-    return json.dumps(
-        {"name": call.name, "arguments": call.arguments},
-        sort_keys=True, ensure_ascii=False,
-    )
+    """A tool_call body for `call`; an anchor holding `</` is escaped as `_encode_body` does."""
+    return _encode_body({"name": call.name, "arguments": call.arguments})
 
 
 def encode_tool_response(result: str) -> str:
-    """A tool_response body holding `result`; `</` is written `<\\/`, so the body holds no closing tag."""
-    return json.dumps({"result": result}, sort_keys=True, ensure_ascii=False).replace("</", "<\\/")
+    """A tool_response body holding `result`, escaped as `_encode_body` does."""
+    return _encode_body({"result": result})
 
 
 def decode_tool_response(body: str) -> str:

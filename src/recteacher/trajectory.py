@@ -2,8 +2,8 @@
 
 SessionLogs flatten into tagged linear text; the strict parser walks the tag
 grammar back out. Block bodies (tool_call, tool_response, JSON) are raw until
-their literal closing tag; a tool_response body writes `</` as the JSON escape
-`<\\/`, so evidence text holding a closing tag stays inside it. One walk over
+their literal closing tag; both tool blocks write `</` as the JSON escape
+`<\\/`, so an anchor or evidence holding a closing tag stays inside. One walk over
 each section validates it and collects its blocks, its thinking (the text
 before the first block) and its text outside every block, where the ranking
 scan looks for the closing numbered list; serialize sets a numbered last line
