@@ -308,8 +308,6 @@ def _cmd_verbalize(args: argparse.Namespace, config: PipelineConfig) -> None:
     # --only-missing appends to --out as each key lands, creating it if need be;
     # a full rebuild fills a temp file that replaces --out only once every key
     # is verbalized.
-    if args.only_missing:
-        out.parent.mkdir(parents=True, exist_ok=True)
     with (nullcontext(out) if args.only_missing else atomic_path(out)) as path:
         cache = EvidenceCache.load(path)
         before = len(cache)
@@ -360,7 +358,6 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> None:
 
     graph = _load_graph(args, config, catalog)
     tools = ToolRunner(cache, partial(verbalize_key, graph, catalog))
-    cache_path.parent.mkdir(parents=True, exist_ok=True)  # inputs checked; sessions append fills
 
     # Above one slot (the runner reads the width off the session's handle) a session starts
     # its user's evidence beside its history abstraction and plan, which leave a slot idle.

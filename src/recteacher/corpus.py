@@ -227,8 +227,6 @@ def save_corpus(corpus: Corpus, out_dir: str | Path) -> None:
     Re-ingesting the written files reproduces an equal corpus.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     user_records = [
         {"user_id": uid, **corpus.users[uid]} for uid in sorted(corpus.users)
     ]

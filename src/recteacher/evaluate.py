@@ -75,18 +75,28 @@ def history_fits(scenario: Scenario, length: int) -> bool:
     return True
 
 
+def _negative_pool(corpus: Corpus, user: str) -> list[str]:
+    """The items the user never touched, in id order; InsufficientInput when too few for the negatives."""
+    interacted = {interaction.item for interaction in corpus.sequences[user]}
+    pool = [item for item in corpus.sorted_item_ids if item not in interacted]
+    if len(pool) < NEGATIVE_COUNT:
+        raise InsufficientInput(f"user {user!r}: {len(pool)} candidates for {NEGATIVE_COUNT} negatives")
+    return pool
+
+
 def matches_scenario(corpus: Corpus, user: str, scenario: Scenario) -> bool:
-    """Whether the user yields a usable instance under the scenario's filter."""
+    """Whether `build_instance` gives the user an instance, and the scenario's filter keeps it."""
     try:
         history, target = holdout_split(corpus, user)
+        if not history or not history_fits(scenario, len(history)):
+            return False
+        if scenario is Scenario.COLD_START_ITEM and corpus.item_reads[target.item] > COLD_ITEM_MAX_INTERACTIONS:
+            return False
+        if scenario is Scenario.EVO_SHORT and target.timestamp - history[-1].timestamp > EVO_SHORT_MAX_GAP_S:
+            return False
+        _negative_pool(corpus, user)  # last, as the only check that walks the catalogue
     except InsufficientInput:
         return False
-    if not history or not history_fits(scenario, len(history)):
-        return False
-    if scenario is Scenario.COLD_START_ITEM:
-        return corpus.item_reads[target.item] <= COLD_ITEM_MAX_INTERACTIONS
-    if scenario is Scenario.EVO_SHORT:
-        return target.timestamp - history[-1].timestamp <= EVO_SHORT_MAX_GAP_S
     return True
 
 
@@ -100,10 +110,7 @@ def build_instance(
     history, target = holdout_split(corpus, user)
     if not history:
         raise InsufficientInput(f"user {user!r}: no interactions before the ground-truth item")
-    interacted = {interaction.item for interaction in corpus.sequences[user]}
-    pool = [item for item in corpus.sorted_item_ids if item not in interacted]
-    if len(pool) < NEGATIVE_COUNT:
-        raise InsufficientInput(f"user {user!r}: {len(pool)} candidates for {NEGATIVE_COUNT} negatives")
+    pool = _negative_pool(corpus, user)
     rng = random.Random(rng_seed)
     candidates = [target.item, *rng.sample(pool, NEGATIVE_COUNT)]
     rng.shuffle(candidates)

@@ -7,7 +7,6 @@ users/items, and ties always break by ascending id.
 from __future__ import annotations
 
 import heapq
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Iterable, Mapping
 
 from .corpus import Corpus, require_id
 from .errors import InsufficientInput, MalformedRecord, UnknownId
-from .util import atomic_writer, decode_jsonl, read_jsonl, require_field, unique_ids
+from .util import decode_jsonl, read_jsonl, require_field, unique_ids, write_jsonl_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -135,17 +134,11 @@ def neighbor_item_pool(
 
 
 def save_graph(graph: InteractionGraph, path: str | Path) -> None:
-    """Persist as one header line plus one id-sorted adjacency line per user."""
-    header = {
-        "user_count": len(graph.user_adj),
-        "item_count": len(graph.item_adj),
-        "edge_count": graph.edge_count(),
-    }
-    with atomic_writer(path) as handle:
-        handle.write(json.dumps(header, sort_keys=True) + "\n")
-        for user in sorted(graph.user_adj):
-            line = json.dumps({"user": user, "items": sorted(graph.user_adj[user])}, sort_keys=True)
-            handle.write(line + "\n")
+    """Write one header line plus one id-sorted adjacency line per user, keys sorted, through `util`."""
+    header = {"edge_count": graph.edge_count(), "item_count": len(graph.item_adj),
+              "user_count": len(graph.user_adj)}
+    adjacency = ({"items": sorted(graph.user_adj[user]), "user": user} for user in sorted(graph.user_adj))
+    write_jsonl_atomic(path, [header, *adjacency])
 
 
 def _decode_adjacency(obj: dict) -> tuple[str, list[str]]:

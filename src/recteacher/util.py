@@ -1,6 +1,6 @@
 """Small shared helpers: atomic writes and appends, line-delimited JSON files and their record fields.
 
-No other module calls `open` or writes a file, so every artifact is written here.
+No other module calls `open`, writes a file or makes a directory, so every artifact is written here.
 """
 
 from __future__ import annotations
@@ -79,8 +79,10 @@ def write_jsonl_atomic(path: str | Path, records: Iterable[Any]) -> int:
 def append_jsonl(path: str | Path, record: Any) -> None:
     """Append one record to `path` as one line, as `write_jsonl_atomic` writes it.
 
-    The line starts on a line of its own even when the file's last line lacks its newline.
+    The file and its directory are made if need be. The line starts on a line
+    of its own even when the file's last line lacks its newline.
     """
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     line = (dump_json_line(record) + "\n").encode("utf-8")
     with open(path, "a+b") as handle:
         end = handle.seek(0, os.SEEK_END)

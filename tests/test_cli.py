@@ -243,7 +243,8 @@ _REVIEWS = [{"user_id": "u1", "item_id": "i1", "timestamp": 1}]
      "unknown user 'ux'"),
     ("reviews", [*_REVIEWS, {"user_id": "u2", "item_id": "ix", "timestamp": 2}], 2,
      "unknown item 'ix'"),
-], ids=["bad-id", "bad-timestamp", "repeated-id", "unknown-user", "unknown-item"])
+    ("items", [*_ITEMS, {"item_id": "i2", "title": ""}], 2, "title must not be empty"),
+], ids=["bad-id", "bad-timestamp", "repeated-id", "unknown-user", "unknown-item", "empty-title"])
 def test_a_bad_corpus_line_is_one_malformed_record_line(tmp_path, capsys, file, records, line,
                                                         reason):
     paths = {}
@@ -396,6 +397,70 @@ def test_make_instances_scenario_filter(pipeline, tmp_path, capsys):
     assert records
     assert all(record["scenario"] == "ColdStartUser" for record in records)
     assert all(len(record["history"]) < 5 for record in records)
+
+
+def error_lines(capsys):
+    return [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+
+
+@pytest.fixture
+def heavy_user_corpus(tmp_path):
+    """4 users and 25 items: u0 read 12 items, leaving 13 untouched for 19 negatives; u1-u3 read 3 each."""
+    reads = {"u0": range(12), "u1": range(12, 15), "u2": range(15, 18), "u3": range(18, 21)}
+    files = {
+        "users": [{"user_id": user} for user in reads],
+        "items": [{"item_id": f"i{n:02d}", "title": f"Title {n}"} for n in range(25)],
+        "reviews": [{"user_id": user, "item_id": f"i{n:02d}", "timestamp": 86400 * (1 + day)}
+                    for user, items in reads.items() for day, n in enumerate(items)],
+    }
+    for name, records in files.items():
+        (tmp_path / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records),
+                                                encoding="utf-8")
+    corpus = tmp_path / "corpus"
+    assert main(["ingest", *(f"--{name}={tmp_path / name}.jsonl" for name in files),
+                 "--out", str(corpus)]) == 0
+    return corpus
+
+
+def test_make_instances_skips_a_user_with_too_few_untouched_items(heavy_user_corpus, tmp_path, capsys):
+    out = tmp_path / "instances.jsonl"
+    assert main(["make-instances", "--corpus", str(heavy_user_corpus), "--out", str(out)]) == 0
+    assert f"instances: 3 (Classic) -> {out}" in capsys.readouterr().out
+    assert [record["user"] for record in records_of(out)] == ["u1", "u2", "u3"]
+
+
+def test_make_instances_with_no_matching_user_is_one_error_line(heavy_user_corpus, tmp_path, capsys):
+    # only u0's history is long enough for EvoLong, and u0 has too few untouched items
+    out = tmp_path / "instances.jsonl"
+    assert main(["make-instances", "--corpus", str(heavy_user_corpus), "--scenario", "EvoLong",
+                 "--out", str(out)]) == 1
+    assert error_lines(capsys) == ["error: InsufficientInput: no users match scenario 'EvoLong'"]
+    assert not out.exists()
+
+
+def test_a_directory_without_jsonl_files_is_one_error_line(tmp_path, capsys):
+    shards = tmp_path / "shards"
+    shards.mkdir()
+    (shards / "notes.txt").write_text("not a shard\n", encoding="utf-8")
+    out = tmp_path / "kept.jsonl"
+    assert main(["filter", "--sessions", str(shards), "--out", str(out)]) == 1
+    assert error_lines(capsys) == [f"error: InsufficientInput: no .jsonl session files under {shards}"]
+    assert not out.exists()
+
+
+def test_an_empty_instances_file_fails_run_teacher_before_any_send(pipeline, tmp_path, capsys,
+                                                                   monkeypatch):
+    def no_send(self, request):
+        raise AssertionError("no send expected")
+
+    monkeypatch.setattr(OracleBackend, "send", no_send)
+    instances, out = tmp_path / "instances.jsonl", tmp_path / "sessions.jsonl"
+    instances.write_text("\n", encoding="utf-8")
+    assert main(["run-teacher", "--backend", "mock", "--corpus", str(pipeline["corpus"]),
+                 "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
+                 "--instances", str(instances), "--out", str(out)]) == 1
+    assert error_lines(capsys) == [f"error: InsufficientInput: no instances in {instances}"]
+    assert not out.exists()
 
 
 def test_verbalize_reports_and_only_missing(pipeline, capsys):

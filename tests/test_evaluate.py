@@ -173,6 +173,18 @@ def test_build_instance_errors():
     # 21 items minus 2 interacted leaves 18 < 19 negatives
     with pytest.raises(InsufficientInput):
         build_instance(make_corpus({"u1": seq("i00", "i01", "i02")}, n_items=21), "u1")
+    # the last read repeats the first, so the history before its first read is empty
+    with pytest.raises(InsufficientInput, match="^user 'u1': no interactions before the ground-truth item$"):
+        build_instance(make_corpus({"u1": seq("i00", "i01", "i00")}), "u1")
+
+
+@pytest.mark.parametrize("scenario", [s for s in Scenario if s is not Scenario.EVO_LONG])
+def test_a_user_with_too_few_untouched_items_matches_no_scenario(scenario):
+    # 3 reads (a 2-item history fits every scenario but EvoLong) leave n_items - 3 untouched
+    reads = seq("i00", "i01", "i02")
+    assert matches_scenario(make_corpus({"u1": reads}, n_items=3 + CANDIDATE_COUNT - 1), "u1", scenario)
+    short = make_corpus({"u1": reads}, n_items=3 + CANDIDATE_COUNT - 2)
+    assert not matches_scenario(short, "u1", scenario)
 
 
 def test_evaluate_hit_at_k():

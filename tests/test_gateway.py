@@ -34,6 +34,9 @@ def test_chat_request_validation():
         ChatRequest(messages=())
     with pytest.raises(ValueError):
         chat_request([("oracle", "x")])
+    for message in ({"role": "user"}, {"content": "x"}, ("user", "x")):
+        with pytest.raises(ValueError, match="^each message needs role and content$"):
+            ChatRequest(messages=({"role": "system", "content": "s"}, message))
 
 
 def test_config_validation():
@@ -372,6 +375,16 @@ def test_http_backend_refuses_a_reply_with_a_lone_surrogate():
         backend.send(REQ)
     assert excinfo.value.kind == "malformed_response"
     assert "surrogates not allowed" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("content", [None, 7, ["hello"]], ids=["null", "number", "list"])
+def test_http_backend_reads_a_non_string_content_as_malformed(content):
+    backend, _session = _http_backend(FakeResponse(200, {"choices": [{"message": {"content": content}}]}))
+    with pytest.raises(GatewayError) as excinfo:
+        backend.send(REQ)
+    assert excinfo.value.kind == "malformed_response"
+    assert not excinfo.value.transient
+    assert str(excinfo.value) == "malformed_response: content is not a string"
 
 
 def test_http_backend_status_mapping():

@@ -111,6 +111,18 @@ def test_save_load_round_trip(tmp_path):
     assert item_cf_neighbors(loaded, anchor, 5) == item_cf_neighbors(graph, anchor, 5)
 
 
+def test_a_graph_with_non_ascii_ids_round_trips_as_raw_utf8(tmp_path):
+    graph = make_graph({"ü1": {"café", "x"}, "u2": {"x", "日本"}})
+    path = tmp_path / "new" / "g.jsonl"  # its directory does not exist yet
+    save_graph(graph, path)
+    assert path.read_bytes() == (
+        '{"edge_count": 4, "item_count": 3, "user_count": 2}\n'
+        '{"items": ["x", "日本"], "user": "u2"}\n'
+        '{"items": ["café", "x"], "user": "ü1"}\n').encode("utf-8")
+    loaded = load_graph(path)
+    assert (loaded.user_adj, loaded.item_adj) == (graph.user_adj, graph.item_adj)
+
+
 HEADER = '{"edge_count": 1, "item_count": 1, "user_count": 1}'
 EDGE = '{"items": ["x"], "user": "A"}'
 

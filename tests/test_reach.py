@@ -34,8 +34,9 @@ whose fault some other class therefore reports, fails it. And the kinds of
 argument of some call of its class under `src/`, and no call passes another.
 
 File writes have one home: no module under `src/` but `util.py` calls
-`open`, `write_text` or `write_bytes`, so how an artifact's bytes reach the
-disk (atomic rename, append on a line of its own) is decided in one place.
+`open`, `write_text`, `write_bytes` or `mkdir`, so how an artifact's bytes
+reach the disk (atomic rename, append on a line of its own, the directory it
+lands in) is decided in one place.
 """
 
 from __future__ import annotations
@@ -265,15 +266,15 @@ def test_an_added_unused_import_is_caught(tmp_path):
     assert unused_imports(path) == [f"{path}:3: json", f"{path}:5: Any"]
 
 
-FILE_OPENERS = {"open", "write_text", "write_bytes"}
+FILE_OPENERS = {"open", "write_text", "write_bytes", "mkdir", "makedirs"}
 
 
 def file_openers(src: Path, home: str = "util.py") -> set[str]:
-    """`path:line: name` for each call under `src`, outside `home`, that opens a file or writes one.
+    """`path:line: name` for each call under `src`, outside `home`, that opens or writes a file or makes a directory.
 
     A call counts by the name it calls, plain or as an attribute
-    (`open(...)`, `os.open(...)`, `path.write_text(...)`); reading a whole
-    file with `read_text` does not.
+    (`open(...)`, `os.open(...)`, `path.write_text(...)`, `out.mkdir(...)`,
+    `os.makedirs(...)`); reading a whole file with `read_text` does not.
     """
     found = set()
     for path in sorted(src.rglob("*.py")):
@@ -294,9 +295,11 @@ def test_a_file_opened_outside_util_is_caught(tmp_path):
     (tmp_path / "cache.py").write_text(
         "import os\n\n\ndef put(path, text):\n    with path.open('a') as handle:\n"
         "        handle.write(text)\n    os.open(path, os.O_RDONLY)\n    path.write_bytes(b'')\n"
+        "    path.parent.mkdir(exist_ok=True)\n    os.makedirs(path.parent, exist_ok=True)\n"
         "    return path.read_text()\n", encoding="utf-8")
     cache = tmp_path / "cache.py"
-    assert file_openers(tmp_path) == {f"{cache}:5: open", f"{cache}:7: open", f"{cache}:8: write_bytes"}
+    assert file_openers(tmp_path) == {f"{cache}:5: open", f"{cache}:7: open", f"{cache}:8: write_bytes",
+                                      f"{cache}:9: mkdir", f"{cache}:10: makedirs"}
 
 
 def unraised_exceptions(src: Path) -> set[str]:

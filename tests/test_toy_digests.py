@@ -99,7 +99,7 @@ def test_run_teacher_at_four_slots_matches_the_digests(artifacts, tmp_path, name
 
 
 def test_run_teacher_makes_the_directory_of_a_new_cache(artifacts, tmp_path):
-    # the directory is made before the first session, so its on-demand fills are not lost
+    # the cache's first append makes its directory, so no session's on-demand fills are lost
     cache, out = tmp_path / "new" / "dir" / "od_cache.jsonl", tmp_path / "od_sessions.jsonl"
     assert main(["run-teacher", "--backend", "mock", "--corpus", str(artifacts / "corpus"),
                  "--graph", str(artifacts / "graph.jsonl"), "--cache", str(cache),

@@ -98,6 +98,12 @@ def test_append_jsonl_starts_each_record_on_a_line_of_its_own(tmp_path, existing
     assert path.read_bytes() == prefix + '{"id": 1, "text": "café"}\n{"id": 2}\n'.encode("utf-8")
 
 
+def test_append_jsonl_makes_the_directory(tmp_path):
+    path = tmp_path / "new" / "dir" / "cache.jsonl"
+    append_jsonl(path, {"id": 1})
+    assert path.read_bytes() == b'{"id": 1}\n'
+
+
 @pytest.mark.parametrize("line", [
     r'{"text": "bad \ud800 text"}',
     r'{"text": "low \udc00 alone"}',
