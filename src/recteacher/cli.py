@@ -271,9 +271,9 @@ def _decode_ranking(record: dict) -> list[str]:
     return [require_id(item, "final_ranking entry") for item in require_field(record, "final_ranking", list)]
 
 
-def _decode_rollout(group_size: int, record: dict) -> Bucket:
+def _decode_rollout(record: dict) -> Bucket:
     """The difficulty bucket of an {id, success_count} rollout record."""
-    return bucket(require_field(record, "success_count", int), group_size)
+    return bucket(require_field(record, "success_count", int))
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +440,7 @@ def _cmd_score_rewards(args: argparse.Namespace, config: PipelineConfig) -> None
 
 def _cmd_bucket_rl(args: argparse.Namespace, config: PipelineConfig) -> None:
     by_bucket: dict[Bucket, list[str]] = {b: [] for b in Bucket}
-    bucket_of = dict(_read_records(args.rollouts, partial(_decode_rollout, config.group_size),
-                                   "rollout"))
+    bucket_of = dict(_read_records(args.rollouts, _decode_rollout, "rollout"))
     for record_id, which in bucket_of.items():
         by_bucket[which].append(record_id)
 
@@ -481,6 +480,8 @@ def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> None:
         if session_id not in instances:
             raise PipelineError(f"session {session_id!r} has no matching instance record")
         instance = instances[session_id]
+        if sorted(ranking) != sorted(instance.candidates):  # an id alone may join another draw
+            raise PipelineError(f"session {session_id!r} does not rank its instance's candidates")
         all_pairs.append((ranking, instance))
         by_scenario.setdefault(instance.scenario.value, []).append((ranking, instance))
 

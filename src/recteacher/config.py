@@ -1,11 +1,11 @@
 """Flat INI pipeline configuration shared by every CLI command.
 
 The [pipeline] section is flat, but each key is a field of exactly one
-dataclass: `PipelineConfig` for paths, `group_size` and `seed`,
-`GatewayConfig` for the endpoint and sampling. Each dataclass checks its own
-bounds. The teacher has no settings: its history window, tool round bound and
-the dataset its prompts name are constants (`DEFAULT_WINDOW_M`,
-`DEFAULT_MAX_TOOL_ROUNDS`, `prompts.DEFAULT_DOMAIN`).
+dataclass: `PipelineConfig` for paths and `seed`, `GatewayConfig` for the
+endpoint and sampling. Each dataclass checks its own bounds. Nothing else is a
+setting: the teacher's history window, tool round bound and prompt dataset, and
+bucket-rl's rollout group, are constants (`DEFAULT_WINDOW_M`,
+`DEFAULT_MAX_TOOL_ROUNDS`, `prompts.DEFAULT_DOMAIN`, `rewards.DEFAULT_GROUP_SIZE`).
 
 Precedence: CLI flags override config values; environment variables override
 only the API key (looked up by `api_key_env` at request time).
@@ -20,7 +20,6 @@ from pathlib import Path
 
 from .errors import PipelineError
 from .gateway import GatewayConfig
-from .rewards import DEFAULT_GROUP_SIZE
 
 logger = logging.getLogger(__name__)
 
@@ -37,13 +36,8 @@ class PipelineConfig:
     corpus_dir: str = ""
     graph_path: str = ""
     cache_path: str = ""
-    group_size: int = DEFAULT_GROUP_SIZE
     seed: int = 0
     gateway: GatewayConfig = field(default_factory=GatewayConfig)
-
-    def __post_init__(self):
-        if self.group_size < 1:
-            raise ValueError("group_size must be >= 1")
 
 
 def _convert(name: str, kind: type, raw: str):
@@ -59,7 +53,7 @@ def _convert(name: str, kind: type, raw: str):
 
 
 def load_config(path: Path | None = None) -> PipelineConfig:
-    """Read the [pipeline] section; unknown keys are errors, not typos. A `%` is literal."""
+    """Read the [pipeline] section; unknown keys and sections are errors. A `%` is literal."""
     config = PipelineConfig()
     if path is None:
         return config
@@ -72,6 +66,10 @@ def load_config(path: Path | None = None) -> PipelineConfig:
         raise PipelineError(f"config file not found: {path}")
     if not parser.has_section(SECTION):
         raise PipelineError(f"config file {path} has no [{SECTION}] section")
+    for other in parser.sections():  # [DEFAULT] is not one: its keys join [pipeline]'s
+        if other != SECTION:
+            raise PipelineError(f"config file {path}: unknown section [{other}]; "
+                                f"every key goes under [{SECTION}]")
     homes = {"": config, **{part: getattr(config, part) for part in PARTS}}  # "": its own keys
     home_of = {f.name: name for name, home in homes.items() for f in fields(home) if f.name not in PARTS}
     updates: dict[str, dict] = {name: {} for name in homes}

@@ -20,6 +20,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Iterator, Protocol
+from urllib.parse import urlsplit
 
 from .errors import GatewayError
 
@@ -111,6 +112,10 @@ class GatewayConfig:
             raise ValueError("retries must be >= 0")
         if not 0 < self.timeout_s < math.inf:  # nan fails both comparisons
             raise ValueError(f"timeout_s {self.timeout_s} must be positive and finite")
+        if self.endpoint:  # else every send would fail, and be retried, as a connection error
+            url = urlsplit(self.endpoint)
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ValueError(f"endpoint {self.endpoint!r} is not an http(s) URL with a host")
 
 
 class Backend(Protocol):

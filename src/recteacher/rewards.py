@@ -100,9 +100,9 @@ def bucket(success_count: int, g: int = DEFAULT_GROUP_SIZE) -> Bucket:
         raise ValueError(f"success count {success_count} outside 0..{g}")
     if success_count in (0, g):
         return Bucket.EXCLUDED
-    if success_count <= min(2, g - 1):
+    if success_count <= 2:
         return Bucket.HARD
-    if success_count <= min(5, g - 1):
+    if success_count <= 5:
         return Bucket.MEDIUM
     return Bucket.EASY
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from recteacher.cli import main
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TOY_DIR = REPO_ROOT / "data" / "toy"
 
@@ -63,3 +65,26 @@ def toy_files() -> dict[str, Path]:
         "items": TOY_DIR / "items.jsonl",
         "reviews": TOY_DIR / "reviews.jsonl",
     }
+
+
+def toy_chain(d: Path, *, verbalize: bool, limit: int | None = None) -> dict[str, Path]:
+    """Run ingest, build-graph, verbalize (when `verbalize`) and make-instances on the toy corpus.
+
+    Every artifact goes under `d`; `limit` is make-instances' `--limit`. Returns the
+    paths by name; `cache` is written only when `verbalize` is set.
+    """
+    paths = {"corpus": d / "corpus", "graph": d / "graph.jsonl", "cache": d / "cache.jsonl",
+             "instances": d / "instances.jsonl"}
+    corpus, graph = str(paths["corpus"]), str(paths["graph"])
+    steps = [
+        ["ingest", "--users", str(TOY_DIR / "users.jsonl"), "--items", str(TOY_DIR / "items.jsonl"),
+         "--reviews", str(TOY_DIR / "reviews.jsonl"), "--out", corpus],
+        ["build-graph", "--corpus", corpus, "--out", graph],
+        ["verbalize", "--backend", "mock", "--corpus", corpus, "--graph", graph,
+         "--out", str(paths["cache"])] if verbalize else None,
+        ["make-instances", "--corpus", corpus, *(["--limit", str(limit)] if limit else []),
+         "--out", str(paths["instances"])],
+    ]
+    for argv in filter(None, steps):
+        assert main(argv) == 0, argv
+    return paths

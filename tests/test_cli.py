@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from conftest import toy_chain
 from recteacher.cli import build_parser, main
 from recteacher.corpus import TIMESTAMP_MAX
 from recteacher.errors import GatewayError
@@ -28,25 +29,12 @@ def records_of(path):
 
 
 @pytest.fixture(scope="session")
-def pipeline(toy_files, tmp_path_factory):
+def pipeline(tmp_path_factory):
     """Full mock-backend pipeline over the toy corpus, built once."""
     root = tmp_path_factory.mktemp("pipeline")
-    paths = {
-        "corpus": root / "corpus",
-        "graph": root / "graph.jsonl",
-        "cache": root / "evidence.jsonl",
-        "instances": root / "instances.jsonl",
-        "sessions": root / "sessions.jsonl",
-        "kept": root / "kept.jsonl",
-    }
+    paths = {**toy_chain(root, verbalize=True, limit=6),
+             "sessions": root / "sessions.jsonl", "kept": root / "kept.jsonl"}
     steps = [
-        ["ingest", "--users", str(toy_files["users"]), "--items", str(toy_files["items"]),
-         "--reviews", str(toy_files["reviews"]), "--out", str(paths["corpus"])],
-        ["build-graph", "--corpus", str(paths["corpus"]), "--out", str(paths["graph"])],
-        ["verbalize", "--corpus", str(paths["corpus"]), "--graph", str(paths["graph"]),
-         "--out", str(paths["cache"]), "--backend", "mock"],
-        ["make-instances", "--corpus", str(paths["corpus"]), "--limit", "6",
-         "--out", str(paths["instances"])],
         ["run-teacher", "--corpus", str(paths["corpus"]), "--graph", str(paths["graph"]),
          "--cache", str(paths["cache"]), "--instances", str(paths["instances"]),
          "--out", str(paths["sessions"]), "--backend", "mock"],
@@ -1464,6 +1452,21 @@ def test_evaluate_requires_matching_instance(pipeline, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "no matching instance" in captured.err
+
+
+def test_evaluate_refuses_a_session_that_ranks_other_candidates(pipeline, tmp_path, capsys):
+    # the same users drawn with another seed: every id matches, no candidate list does
+    instances = tmp_path / "instances.jsonl"
+    assert main(["make-instances", "--corpus", str(pipeline["corpus"]), "--limit", "6",
+                 "--seed", "7", "--out", str(instances)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--sessions", str(pipeline["sessions"]), "--instances", str(instances),
+                 "--out", str(out)]) == 1
+    first = records_of(pipeline["sessions"])[0]["id"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: PipelineError: session {first!r} does not rank its instance's candidates"]
+    assert not out.exists()
 
 
 def test_config_file_supplies_paths(pipeline, tmp_path, capsys):

@@ -18,6 +18,7 @@ import string
 
 import pytest
 
+from conftest import toy_chain
 import recteacher.cli
 from randlog import random_log
 from recteacher.cli import main
@@ -82,20 +83,10 @@ def test_serialize_then_parse_keeps_ranking_thinking_and_tool_events(seed):
 
 
 @pytest.fixture(scope="module")
-def toy(toy_files, tmp_path_factory):
+def toy(tmp_path_factory):
     """Corpus, graph, warm cache and six instances of the toy chain."""
     d = tmp_path_factory.mktemp("codec")
-    corpus, graph = str(d / "corpus"), str(d / "graph.jsonl")
-    steps = [
-        ["ingest", "--users", str(toy_files["users"]), "--items", str(toy_files["items"]),
-         "--reviews", str(toy_files["reviews"]), "--out", corpus],
-        ["build-graph", "--corpus", corpus, "--out", graph],
-        ["verbalize", "--backend", "mock", "--corpus", corpus, "--graph", graph,
-         "--out", str(d / "cache.jsonl")],
-        ["make-instances", "--corpus", corpus, "--limit", "6", "--out", str(d / "instances.jsonl")],
-    ]
-    for argv in steps:
-        assert main(argv) == 0, argv
+    toy_chain(d, verbalize=True, limit=6)
     return d
 
 

@@ -23,7 +23,6 @@ def test_defaults_without_file():
     config = load_config(None)
     assert config == PipelineConfig()
     assert config.seed == 0
-    assert config.group_size == 8
     assert config.gateway.temperature == 0.7
     assert config.gateway.top_p == 0.95
 
@@ -42,7 +41,7 @@ def test_load_overrides_types(tmp_path):
     assert config.gateway.temperature == 0.2
     assert config.gateway.max_parallel == 2
     # untouched keys keep their defaults
-    assert config.group_size == 8
+    assert config.gateway.top_p == 0.95
 
 
 def test_load_errors(tmp_path):
@@ -54,7 +53,8 @@ def test_load_errors(tmp_path):
         load_config(write_config(tmp_path, "[pipeline]\nseeed = 1\n"))
     for retired in ("output_dir", "ranker_tools", "templates_dir", "cold_user_max_history",
                     "cold_item_max_interactions", "evo_long_min_history", "evo_short_max_gap_s",
-                    "rl_ratio", "rl_target", "neighbor_k", "window_m", "max_tool_rounds", "domain"):
+                    "rl_ratio", "rl_target", "neighbor_k", "window_m", "max_tool_rounds", "domain",
+                    "group_size"):
         with pytest.raises(PipelineError, match=f"unknown config key '{retired}'"):
             load_config(write_config(tmp_path, f"[pipeline]\n{retired} = out\n"))
     with pytest.raises(PipelineError, match="cannot parse"):
@@ -80,7 +80,9 @@ def test_a_retired_key_loads_with_one_warning_whatever_its_value(tmp_path, caplo
     ("seed = 1\n", "File contains no section headers."),
     ("[pipeline]\nseed = 1\nseed = 2\n", "option 'seed' in section 'pipeline' already exists"),
     (b"[pipeline]\nseed = 1\n# caf\xe9\n", "'utf-8' codec can't decode byte 0xe9 in position 25"),
-], ids=["percent", "no-section-header", "repeated-key", "not-utf-8"])
+    ("[pipeline]\nseed = 3\n[gateway]\nmax_parallel = 16\nretries = 9\n",
+     "unknown section [gateway]; every key goes under [pipeline]"),
+], ids=["percent", "no-section-header", "repeated-key", "not-utf-8", "other-section"])
 def test_config_file_syntax_ends_in_one_error_line(tmp_path, capsys, body, error):
     path = tmp_path / "pipeline.ini"
     path.write_bytes(body if isinstance(body, bytes) else body.encode("utf-8"))
@@ -97,7 +99,7 @@ def test_config_file_syntax_ends_in_one_error_line(tmp_path, capsys, body, error
 
 
 def test_validate_ranges(tmp_path):
-    for line in ("group_size = 0", "max_parallel = 0", "retries = -1", "timeout_s = 0",
+    for line in ("max_parallel = 0", "retries = -1", "timeout_s = 0",
                  "temperature = 5", "top_p = 0"):
         with pytest.raises(PipelineError, match=line.split(" = ")[0]):
             load_config(write_config(tmp_path, f"[pipeline]\n{line}\n"))
@@ -110,16 +112,30 @@ def test_a_timeout_that_is_not_finite_is_refused(tmp_path, value):
         load_config(write_config(tmp_path, f"[pipeline]\ntimeout_s = {value}\n"))
 
 
+@pytest.mark.parametrize("endpoint", ["localhost:8000/v1", "ftp://host/v1", "http:///v1"])
+def test_an_endpoint_that_is_not_an_http_url_fails_before_any_input_is_read(tmp_path, capsys,
+                                                                           endpoint):
+    # else each send fails as a connection error, and is retried with backoff, key after key
+    path = write_config(tmp_path, f"[pipeline]\nendpoint = {endpoint}\n")
+    code = main(["verbalize", "--config", str(path), "--corpus", str(tmp_path / "nowhere"),
+                 "--graph", str(tmp_path / "nowhere.jsonl"), "--out", str(tmp_path / "cache.jsonl")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: PipelineError: endpoint {endpoint!r} is not an http(s) URL with a host"]
+    path = write_config(tmp_path, "[pipeline]\nendpoint = https://api.example/v1\n")
+    assert load_config(path).gateway.endpoint == "https://api.example/v1"
+
+
 def homes(config):
     """The two dataclasses of a config, each with its fields that are INI keys."""
     return [(home, {f.name for f in fields(home)} - set(PARTS)) for home in (config, config.gateway)]
 
 
-def test_the_ini_keys_are_exactly_these_thirteen():
+def test_the_ini_keys_are_exactly_these_twelve():
     # a new key is a new concept to document and test: adding one edits this list
     keys = set().union(*(names for _, names in homes(PipelineConfig())))
     assert keys == {
-        "corpus_dir", "graph_path", "cache_path", "group_size", "seed",
+        "corpus_dir", "graph_path", "cache_path", "seed",
         "endpoint", "model", "api_key_env", "max_parallel", "retries", "timeout_s",
         "temperature", "top_p",
     }
@@ -134,7 +150,9 @@ def test_every_example_key_lands_in_the_one_field_of_its_name(tmp_path):
     wanted = {}  # every key set to a valid value that is not its default
     for key in parser["pipeline"]:
         (default,) = [getattr(home, key) for home, names in defaults if key in names]
-        if isinstance(default, str):
+        if key == "endpoint":  # the one string key with a form: an http(s) URL
+            wanted[key] = "http://endpoint-set/v1"
+        elif isinstance(default, str):
             wanted[key] = f"{key}-set"
         elif isinstance(default, int):
             wanted[key] = default + 1

@@ -29,6 +29,7 @@ from recteacher.teacher import (
 from recteacher.tags import ToolCall
 from recteacher.verbalize import Evidence, EvidenceCache
 
+from conftest import toy_chain
 from test_toy_digests import DIGESTS
 
 SYSTEM_TEMPLATES = (
@@ -41,22 +42,14 @@ SYSTEM_TEMPLATES = (
 FLAGGED = (Phase.RECENT, Phase.DIVERGENCE)
 
 
-def toy_chain(toy_files, d):
-    """ingest, build-graph and make-instances over the toy corpus; returns run-teacher's argv."""
-    corpus, graph = str(d / "corpus"), str(d / "graph.jsonl")
-    steps = [
-        ["ingest", "--users", str(toy_files["users"]), "--items", str(toy_files["items"]),
-         "--reviews", str(toy_files["reviews"]), "--out", corpus],
-        ["build-graph", "--corpus", corpus, "--out", graph],
-        ["make-instances", "--corpus", corpus, "--scenario", "Classic",
-         "--out", str(d / "instances.jsonl")],
-    ]
-    for argv in steps:
-        assert main(argv) == 0, argv
-    return ["run-teacher", "--backend", "mock", "--corpus", corpus, "--graph", graph]
+def teacher_argv(d, *, verbalize):
+    """The toy chain under `d`; returns run-teacher's argv over its corpus and graph."""
+    paths = toy_chain(d, verbalize=verbalize)
+    return ["run-teacher", "--backend", "mock", "--corpus", str(paths["corpus"]),
+            "--graph", str(paths["graph"])]
 
 
-def test_the_mock_runs_on_reworded_system_templates(toy_files, tmp_path, monkeypatch):
+def test_the_mock_runs_on_reworded_system_templates(tmp_path, monkeypatch):
     original = prompts._packaged
 
     def reworded(name):
@@ -70,11 +63,9 @@ def test_the_mock_runs_on_reworded_system_templates(toy_files, tmp_path, monkeyp
 
     monkeypatch.setattr(prompts, "_packaged", reworded)
     assert "You are a planner agent" not in prompts.planner_system()
-    teacher = toy_chain(toy_files, tmp_path) + ["--instances", str(tmp_path / "instances.jsonl"),
-                                               "--cache", str(tmp_path / "cache.jsonl")]
+    teacher = teacher_argv(tmp_path, verbalize=True) + [
+        "--instances", str(tmp_path / "instances.jsonl"), "--cache", str(tmp_path / "cache.jsonl")]
     steps = [
-        ["verbalize", "--backend", "mock", "--corpus", str(tmp_path / "corpus"),
-         "--graph", str(tmp_path / "graph.jsonl"), "--out", str(tmp_path / "cache.jsonl")],
         teacher + ["--out", str(tmp_path / "sessions.jsonl")],
         teacher + ["--out", str(tmp_path / "fr_sessions.jsonl"), "--fail-reflection"],
     ]
@@ -84,8 +75,8 @@ def test_the_mock_runs_on_reworded_system_templates(toy_files, tmp_path, monkeyp
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == DIGESTS[name], name
 
 
-def test_every_request_of_a_toy_session_has_its_own_origin(toy_files, tmp_path, monkeypatch):
-    teacher = toy_chain(toy_files, tmp_path)
+def test_every_request_of_a_toy_session_has_its_own_origin(tmp_path, monkeypatch):
+    teacher = teacher_argv(tmp_path, verbalize=False)
     # the longest history, so the session folds several chunks before it plans
     lines = (tmp_path / "instances.jsonl").read_text(encoding="utf-8").splitlines()
     records = [json.loads(line) for line in lines]

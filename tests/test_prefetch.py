@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from conftest import toy_chain
 import recteacher.cli
 from recteacher.abstract import SUMMARIZER
 from recteacher.cli import main
@@ -52,20 +53,9 @@ WARM_SENDS = 357
 
 
 @pytest.fixture(scope="module")
-def toy(toy_files, tmp_path_factory):
+def toy(tmp_path_factory):
     d = tmp_path_factory.mktemp("prefetch")
-    corpus, graph = str(d / "corpus"), str(d / "graph.jsonl")
-    steps = [
-        ["ingest", "--users", str(toy_files["users"]), "--items", str(toy_files["items"]),
-         "--reviews", str(toy_files["reviews"]), "--out", corpus],
-        ["build-graph", "--corpus", corpus, "--out", graph],
-        ["verbalize", "--backend", "mock", "--corpus", corpus, "--graph", graph,
-         "--out", str(d / "cache.jsonl")],
-        ["make-instances", "--corpus", corpus, "--scenario", "Classic",
-         "--out", str(d / "instances.jsonl")],
-    ]
-    for argv in steps:
-        assert main(argv) == 0, argv
+    toy_chain(d, verbalize=True)
     return d
 
 
