@@ -2,9 +2,9 @@
 
 Stages chain through plain line-delimited artifacts so every command is
 restartable and two runs with the same config, seed, and mock backend
-produce byte-identical outputs (with a scripted backend, at --parallel 1). All
-writes go through temp-file-then-rename, a full `verbalize` rebuild included:
-it replaces the cache only once every key is verbalized. The documented
+produce byte-identical outputs at any --parallel. All writes go through
+temp-file-then-rename, a full `verbalize` rebuild included: it replaces the
+cache only once every key is verbalized. The documented
 exception is appending to a cache one record at a time: `verbalize
 --only-missing` creates the cache if need be and appends each key as it lands,
 so keys filled before a crash survive it. JSONL artifacts are streamed to
@@ -18,9 +18,9 @@ and rollout file (or directory of .jsonl shards) is read through
 whole before the command writes. A record with a field `util.require_field`
 rejects (missing, or not of its JSON type: none is coerced), that repeats an
 id of any earlier record, or an instance whose history names another user,
-fails the command with one `MalformedRecord: <path>:<line>: <reason>` line. Flags, the --script file
-included, are checked before any input file is read. run-teacher needs the
-graph (--graph or graph_path) and loads it before any session starts. A
+fails the command with one `MalformedRecord: <path>:<line>: <reason>` line.
+Flags are checked before any input file is read. run-teacher needs the graph
+(--graph or graph_path) and loads it before any session starts. A
 missing evidence cache is an empty one; every miss is filled from the graph,
 and an anchor the graph does not know gets a fixed sentence.
 verbalize and run-teacher read only the catalogue of the corpus directory
@@ -63,7 +63,7 @@ from .evaluate import (
     evaluate,
     matches_scenario,
 )
-from .gateway import Gateway, GatewayConfig, HttpBackend, ScriptBackend
+from .gateway import Gateway, GatewayConfig, HttpBackend
 from .graph import InteractionGraph, build_graph, load_graph, save_graph
 from .oracle import OracleBackend
 from .rewards import (DEFAULT_RL_RATIO, DEFAULT_RL_TARGET, Bucket, bucket, composite_reward,
@@ -104,21 +104,14 @@ _FLAG_MINIMUM = {"parallel": 1, "limit": 1, "target": 0}
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    """The config as the flags override it; every count and backend flag is checked first.
-
-    So is the --script file, whose replies then stand in `args.script`.
-    """
+    """The config as the flags override it; every count and backend flag is checked first."""
     for name, minimum in _FLAG_MINIMUM.items():
         value = getattr(args, name, None)
         if value is not None and value < minimum:
             raise PipelineError(f"--{name} must be >= {minimum}")
     backend = getattr(args, "backend", None)  # None on a command that sends nothing
-    if backend is not None:
-        if args.script and backend != BACKEND_MOCK:
-            raise PipelineError("--script requires --backend mock")
-        if args.fail_reflection and (args.script or backend != BACKEND_MOCK):
-            raise PipelineError("--fail-reflection requires --backend mock without --script")
-        args.script = _read_script(args.script) if args.script else None
+    if backend == BACKEND_HTTP and args.fail_reflection:
+        raise PipelineError("--fail-reflection requires --backend mock")
     config = load_config(Path(args.config) if args.config else None)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
@@ -131,30 +124,11 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
-def _read_script(path: str) -> list[str]:
-    """The replies of a --script file: a JSON array of reply strings."""
-    try:
-        replies = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise PipelineError(f"script file {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(replies, list) or not all(isinstance(r, str) for r in replies):
-        raise PipelineError(f"script file {path!r} must be a JSON array of reply strings")
-    for index, reply in enumerate(replies):
-        try:
-            reply.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise PipelineError(f"script file {path!r}: reply {index} holds a lone surrogate, "
-                                "which UTF-8 cannot encode") from exc
-    return replies
-
-
 def _make_gateway(args: argparse.Namespace, config: PipelineConfig,
                   ground_truth: Mapping[str, str] | None = None) -> Gateway:
     """A gateway on the backend the flags name; `_resolve_config` has checked them."""
     if args.backend == BACKEND_HTTP:
         backend: Any = HttpBackend(config.gateway)
-    elif args.script is not None:
-        backend = ScriptBackend(args.script)
     else:
         backend = OracleBackend(ground_truth=ground_truth, fail_reflection=args.fail_reflection)
     return Gateway(backend, config.gateway)
@@ -523,10 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     backend = argparse.ArgumentParser(add_help=False)
     backend.add_argument("--backend", choices=[BACKEND_MOCK, BACKEND_HTTP], default=BACKEND_HTTP,
                          help="LLM backend: a deterministic offline mock or the configured http endpoint")
-    backend.add_argument("--script",
-                         help="JSON array of canned replies, handed out in send order (needs "
-                              "--backend mock); reproducible only at --parallel 1, even within "
-                              "one session, whose agents send side by side")
     backend.set_defaults(fail_reflection=False)  # only run-teacher has the flag
 
     parser = argparse.ArgumentParser(

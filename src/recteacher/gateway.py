@@ -1,9 +1,11 @@
-"""Chat-completions gateway: one HTTP backend, one scripted offline backend.
+"""Chat-completions gateway: one HTTP backend, one scripted backend for in-process tests.
 
 The Gateway owns retry-with-backoff and the global in-flight bound; backends
 only know how to send a single request. A freed slot goes to the waiting send
 of the earliest-started session (`Gateway.for_session`), FIFO among equals.
-Tests always run on ScriptBackend, so no unit test ever touches the network.
+Tests send through ScriptBackend, the oracle, or HttpBackend against a stub
+server that `tests/test_http_path.py` binds to 127.0.0.1; only the live
+smoke test, run when an endpoint is set, sends past the loopback.
 """
 
 from __future__ import annotations

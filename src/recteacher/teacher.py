@@ -109,7 +109,6 @@ class PhaseRecord:
 
 @dataclass(frozen=True)
 class SessionLog:
-    user: str
     candidates: tuple[str, ...]
     phases: tuple[PhaseRecord, ...]
     final_ranking: tuple[str, ...]
@@ -587,7 +586,6 @@ def run_teacher(
         logger.warning("user %s: discarded early ranker failed: %s", context.user,
                        discarded_failure)
     return SessionLog(
-        user=context.user,
         candidates=context.candidates,
         phases=(plan_record, *outputs, reflection, *corrections, recommend),
         final_ranking=tuple(ranking),

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import contextlib
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
 from recteacher.cli import main
+from recteacher.gateway import ChatReply, Origin
+from recteacher.oracle import OracleBackend
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TOY_DIR = REPO_ROOT / "data" / "toy"
@@ -88,3 +91,32 @@ def toy_chain(d: Path, *, verbalize: bool, limit: int | None = None) -> dict[str
     for argv in filter(None, steps):
         assert main(argv) == 0, argv
     return paths
+
+
+def no_send(origin: Origin) -> AssertionError:
+    """The reply of a send that should not happen: the error it raises."""
+    return AssertionError(f"no send expected, got one from {origin}")
+
+
+def steer_oracle(monkeypatch, reply: Callable[[Origin], str | BaseException | None] = no_send,
+                 ) -> list[Origin]:
+    """Make `--backend mock` reply by origin, and return the origins sent, in send order.
+
+    `reply(origin)` answers each send: a string is the reply, an exception is
+    raised, and None leaves the oracle's own reply. Without `reply` every
+    send fails with "no send expected".
+    """
+    sent: list[Origin] = []
+
+    class SteeredOracle(OracleBackend):
+        def send(self, request):
+            sent.append(request.origin)
+            answer = reply(request.origin)
+            if answer is None:
+                return super().send(request)
+            if isinstance(answer, BaseException):
+                raise answer
+            return ChatReply(content=answer)
+
+    monkeypatch.setattr("recteacher.cli.OracleBackend", SteeredOracle)
+    return sent

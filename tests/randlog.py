@@ -103,7 +103,6 @@ def random_log(rng: random.Random) -> SessionLog:
     phases.append(PhaseRecord(Phase.RECOMMEND, rand_thinking(rng), rand_tool_events(rng, user), ""))
 
     return SessionLog(
-        user=user,
         candidates=tuple(candidates),
         phases=tuple(phases),
         final_ranking=tuple(ranking),

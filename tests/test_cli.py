@@ -13,13 +13,13 @@ import time
 
 import pytest
 
-from conftest import toy_chain
+from conftest import no_send, steer_oracle, toy_chain
+from recteacher.abstract import SUMMARIZER
 from recteacher.cli import build_parser, main
 from recteacher.corpus import TIMESTAMP_MAX
 from recteacher.errors import GatewayError
 from recteacher.evaluate import COLD_USER_MAX_HISTORY
 from recteacher.graph import InteractionGraph, load_graph, save_graph
-from recteacher.oracle import OracleBackend
 from recteacher.teacher import MISS_FALLBACK, Phase
 from recteacher.util import read_jsonl
 
@@ -66,6 +66,23 @@ def test_readme_commands_parse(capsys):
     assert {argv[0] for argv in commands} == set(parser._subparsers._group_actions[0].choices)
 
 
+def test_readme_names_no_flag_the_parser_lacks():
+    from conftest import REPO_ROOT
+
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    parser = build_parser()
+    options = {option for subparser in parser._subparsers._group_actions[0].choices.values()
+               for action in subparser._actions for option in action.option_strings}
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.DOTALL)
+             for line in block.replace("\\\n", " ").splitlines()]
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.DOTALL))
+    # another program's flags are its own: pip's, or a .py script's
+    ours = [text for text in [*lines, *spans] if text.split()
+            and not (text.split()[0] in ("pip", "python") or text.split()[0].endswith(".py"))]
+    named = {flag for text in ours for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text)}
+    assert named and named - options == set()
+
+
 def test_readme_walkthrough_runs(tmp_path, capsys):
     from conftest import REPO_ROOT, TOY_DIR
 
@@ -88,12 +105,10 @@ def test_readme_walkthrough_runs(tmp_path, capsys):
 
 
 def test_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main([])
-    assert excinfo.value.code == 2
-    with pytest.raises(SystemExit) as excinfo:
-        main(["run-teacher", "--no-such-flag"])
-    assert excinfo.value.code == 2
+    for argv in ([], ["run-teacher", "--no-such-flag"], ["verbalize", "--backend", "mock", "--script", "r.json"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2, argv
     capsys.readouterr()
 
 
@@ -115,17 +130,6 @@ def test_missing_path_flag_names_the_gap(tmp_path, capsys):
     assert "error: PipelineError: no corpus path given" in captured.err
 
 
-def test_script_requires_mock_backend(pipeline, tmp_path, capsys):
-    script = tmp_path / "script.json"
-    script.write_text("[]", encoding="utf-8")
-    code = main(["verbalize", "--corpus", str(pipeline["corpus"]),
-                 "--graph", str(pipeline["graph"]), "--out", str(tmp_path / "c.jsonl"),
-                 "--script", str(script)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "--script requires --backend mock" in captured.err
-
-
 def test_http_backend_requires_endpoint(pipeline, tmp_path, capsys):
     code = main(["verbalize", "--corpus", str(pipeline["corpus"]),
                  "--graph", str(pipeline["graph"]), "--out", str(tmp_path / "c.jsonl")])
@@ -134,28 +138,14 @@ def test_http_backend_requires_endpoint(pipeline, tmp_path, capsys):
     assert "endpoint" in captured.err
 
 
-@pytest.mark.parametrize("argv, script, error", [
-    (["run-teacher", "--backend", "http", "--fail-reflection"], None,
-     "--fail-reflection requires --backend mock without --script"),
-    (["verbalize", "--script", "replies.json"], None, "--script requires --backend mock"),
-    (["verbalize", "--backend", "http"], None, "http backend needs an endpoint"),
-    (["run-teacher", "--backend", "mock"], '["a reply", 5]',
-     "script file {script!r} must be a JSON array of reply strings"),
-    (["verbalize", "--backend", "mock"], "[not json", "script file {script!r} is not valid JSON: "),
-], ids=["run-teacher-fail-reflection", "verbalize-script", "verbalize-endpoint",
-        "run-teacher-bad-script", "verbalize-bad-script"])
-def test_backend_flags_are_checked_before_any_load(pipeline, tmp_path, tmp_path_factory, capsys, caplog,
-                                                   argv, script, error):
-    # a script given as text is written outside tmp_path, and is read and rejected before any
-    # input; the script file of a flag mistake does not exist, so it must fail before that read
+@pytest.mark.parametrize("argv, error", [
+    (["run-teacher", "--backend", "http", "--fail-reflection"], "--fail-reflection requires --backend mock"),
+    (["verbalize", "--backend", "http"], "http backend needs an endpoint"),
+], ids=["run-teacher-fail-reflection", "verbalize-endpoint"])
+def test_backend_flags_are_checked_before_any_load(pipeline, tmp_path, capsys, caplog, argv, error):
     inputs = ["--corpus", str(pipeline["corpus"]), "--graph", str(pipeline["graph"])]
     if argv[0] == "run-teacher":
         inputs += ["--cache", str(pipeline["cache"]), "--instances", str(pipeline["instances"])]
-    if script is not None:
-        path = tmp_path_factory.mktemp("script") / "replies.json"
-        path.write_text(script, encoding="utf-8")
-        inputs += ["--script", str(path)]
-        error = error.format(script=str(path))
     with caplog.at_level(logging.INFO, logger="recteacher"):
         code = main([*argv, *inputs, "--out", str(tmp_path / "out.jsonl")])
     error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
@@ -196,25 +186,6 @@ def test_a_lone_surrogate_fails_ingest_and_leaves_the_corpus_as_it_was(toy_files
     assert error_lines == [f"error: MalformedRecord: {reviews}:{len(lines)}: "
                            "lone surrogate '\\ud800', which UTF-8 cannot encode"]
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
-
-
-def test_a_script_reply_with_a_lone_surrogate_fails_before_any_send(pipeline, tmp_path, capsys):
-    out = tmp_path / "cache.jsonl"
-    earlier = b"".join(pipeline["cache"].read_bytes().splitlines(keepends=True)[:40])
-    out.write_bytes(earlier)
-    replies = ["<Answer>scripted evidence</Answer>"] * 80
-    replies[40] = "<Answer>bad \ud800 text</Answer>"
-    script = tmp_path / "script.json"
-    script.write_text(json.dumps(replies), encoding="utf-8")
-    code = main(["verbalize", "--corpus", str(pipeline["corpus"]), "--graph", str(pipeline["graph"]),
-                 "--out", str(out), "--only-missing", "--backend", "mock", "--script", str(script)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert [l for l in captured.err.splitlines() if l.startswith("error: ")] == [
-        f"error: PipelineError: script file {str(script)!r}: reply 40 holds a lone surrogate, "
-        "which UTF-8 cannot encode"]
-    assert "cache entries" not in captured.out
-    assert out.read_bytes() == earlier
 
 
 _USERS = [{"user_id": "u1"}, {"user_id": "u2"}]
@@ -438,10 +409,7 @@ def test_a_directory_without_jsonl_files_is_one_error_line(tmp_path, capsys):
 
 def test_an_empty_instances_file_fails_run_teacher_before_any_send(pipeline, tmp_path, capsys,
                                                                    monkeypatch):
-    def no_send(self, request):
-        raise AssertionError("no send expected")
-
-    monkeypatch.setattr(OracleBackend, "send", no_send)
+    steer_oracle(monkeypatch)
     instances, out = tmp_path / "instances.jsonl", tmp_path / "sessions.jsonl"
     instances.write_text("\n", encoding="utf-8")
     assert main(["run-teacher", "--backend", "mock", "--corpus", str(pipeline["corpus"]),
@@ -462,57 +430,55 @@ def test_verbalize_reports_and_only_missing(pipeline, capsys):
     assert "cache entries: 80" in captured.out
 
 
-def test_failed_verbalize_rebuild_keeps_the_old_cache(pipeline, tmp_path, capsys):
+def test_failed_verbalize_rebuild_keeps_the_old_cache(pipeline, tmp_path, capsys, monkeypatch):
     out = tmp_path / "cache.jsonl"
     earlier = pipeline["cache"].read_bytes()
     out.write_bytes(earlier)
-    script = tmp_path / "script.json"
-    script.write_text(json.dumps(["Grouped, but with no envelope."] * 80), encoding="utf-8")
+    steer_oracle(monkeypatch, lambda origin: "Grouped, but with no envelope.")
     code = main(["verbalize", "--corpus", str(pipeline["corpus"]),
                  "--graph", str(pipeline["graph"]), "--out", str(out),
-                 "--backend", "mock", "--script", str(script), "--parallel", "1"])
+                 "--backend", "mock", "--parallel", "1"])
     captured = capsys.readouterr()
     assert code == 1
     assert "keys failed to verbalize" in captured.err
     assert "ReplyParseError" in captured.err
     assert out.read_bytes() == earlier
-    assert sorted(os.listdir(tmp_path)) == ["cache.jsonl", "script.json"]
+    assert os.listdir(tmp_path) == ["cache.jsonl"]
 
 
-def test_only_missing_creates_the_cache_and_keeps_what_landed_before_a_failure(pipeline, tmp_path, capsys):
+def test_only_missing_creates_the_cache_and_keeps_what_landed_before_a_failure(pipeline, tmp_path, capsys,
+                                                                                monkeypatch):
     answer = "<Answer>scripted evidence</Answer>"
-    replies = [answer] * 80
-    replies[40] = "Grouped, but with no envelope."
-    script = tmp_path / "script.json"
-    script.write_text(json.dumps(replies), encoding="utf-8")
+    failing = ("UserCF", "u001")
+    steer_oracle(monkeypatch, lambda origin: "Grouped, but with no envelope."
+                 if (origin.role, origin.subject) == failing else answer)
     out = tmp_path / "new" / "new.jsonl"  # neither the file nor its directory exists yet
 
     def verbalize(*extra):
         return main(["verbalize", "--corpus", str(pipeline["corpus"]), "--graph", str(pipeline["graph"]),
-                     "--backend", "mock", "--script", str(script), "--parallel", "1", *extra])
+                     "--backend", "mock", "--parallel", "1", *extra])
 
     assert verbalize("--only-missing", "--out", str(out)) == 1
     assert f"cache entries: 79 (79 new, 1 failed) -> {out}" in capsys.readouterr().out
     assert len(records_of(out)) == 79
-    script.write_text(json.dumps([answer]), encoding="utf-8")  # one send fills the gap
+    failing = None  # the failed key verbalizes now: one send fills the gap
     assert verbalize("--only-missing", "--out", str(out)) == 0
     assert "(1 new, 0 failed)" in capsys.readouterr().out
-    script.write_text(json.dumps([answer] * 80), encoding="utf-8")
     assert verbalize("--out", str(tmp_path / "clean.jsonl")) == 0
     capsys.readouterr()
     lines = [path.read_text(encoding="utf-8").splitlines() for path in (out, tmp_path / "clean.jsonl")]
     assert len(lines[0]) == 80 and set(lines[0]) == set(lines[1])
 
 
-def test_a_cache_that_repeats_a_key_fails_run_teacher_before_any_send(pipeline, tmp_path, capsys):
+def test_a_cache_that_repeats_a_key_fails_run_teacher_before_any_send(pipeline, tmp_path, capsys,
+                                                                      monkeypatch):
     cache = tmp_path / "evidence.jsonl"
     lines = pipeline["cache"].read_text(encoding="utf-8").splitlines()
     cache.write_text("\n".join([*lines, lines[0]]) + "\n", encoding="utf-8")
-    script = tmp_path / "script.json"
-    script.write_text("[]", encoding="utf-8")  # any gateway call would exhaust it
+    steer_oracle(monkeypatch)
     code = main(["run-teacher", "--corpus", str(pipeline["corpus"]), "--graph", str(pipeline["graph"]),
                  "--cache", str(cache), "--instances", str(pipeline["instances"]),
-                 "--out", str(tmp_path / "sessions.jsonl"), "--backend", "mock", "--script", str(script)])
+                 "--out", str(tmp_path / "sessions.jsonl"), "--backend", "mock"])
     error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
     assert code == 1
     (error,) = error_lines
@@ -559,28 +525,20 @@ def test_on_demand_run_teacher_is_the_same_at_any_parallelism(pipeline, tmp_path
 
 def test_a_failed_session_cancels_the_sessions_not_yet_started(pipeline, tmp_path, capsys,
                                                                monkeypatch):
-    import recteacher.cli as cli
-
     users = [record["user"] for record in records_of(pipeline["instances"])]
     second_started = threading.Event()
-    subjects: list[str] = []
 
-    class FailsTheFirstPlan(OracleBackend):
+    def fails_the_first_plan(origin):
         """Fails the first session's plan once the second session is running."""
+        if origin.subject == users[1]:
+            second_started.set()
+        if origin.role is Phase.PLAN and origin.subject == users[0]:
+            assert second_started.wait(timeout=10)
+            return GatewayError("auth", "injected plan failure")  # not retried
+        time.sleep(0.001)  # the running sessions outlast the cancel
+        return None
 
-        def send(self, request):
-            origin = request.origin
-            with self._lock:
-                subjects.append(origin.subject)
-            if origin.subject == users[1]:
-                second_started.set()
-            if origin.role is Phase.PLAN and origin.subject == users[0]:
-                assert second_started.wait(timeout=10)
-                raise GatewayError("auth", "injected plan failure")  # not retried
-            time.sleep(0.001)  # the running sessions outlast the cancel
-            return super().send(request)
-
-    monkeypatch.setattr(cli, "OracleBackend", FailsTheFirstPlan)
+    sent = steer_oracle(monkeypatch, fails_the_first_plan)
     # no UserCF evidence, so the running sessions fill some
     cache = tmp_path / "cache.jsonl"
     cache.write_text("".join(line + "\n" for line in
@@ -603,8 +561,9 @@ def test_a_failed_session_cancels_the_sessions_not_yet_started(pipeline, tmp_pat
     assert sorted(os.listdir(tmp_path)) == ["cache.jsonl", "sessions.jsonl"]  # no temp left
     # the first two sessions were running; the worker freed by the failure may
     # take the third before the rest are cancelled, and those send nothing
-    assert len(users) == 6 and {users[0], users[1]} <= set(subjects)
-    assert not set(subjects) & set(users[3:])
+    subjects = {origin.subject for origin in sent}
+    assert len(users) == 6 and {users[0], users[1]} <= subjects
+    assert not subjects & set(users[3:])
 
 
 def test_run_teacher_writes_in_instance_order_when_sessions_finish_out_of_order(
@@ -616,24 +575,20 @@ def test_run_teacher_writes_in_instance_order_when_sessions_finish_out_of_order(
     finished: list[str] = []
     run_teacher = cli.run_teacher
 
-    def recording_run_teacher(*args, **kwargs):
-        log = run_teacher(*args, **kwargs)
-        finished.append(log.user)
-        if log.user == users[1]:
+    def recording_run_teacher(context, *args):
+        log = run_teacher(context, *args)
+        finished.append(context.user)
+        if context.user == users[1]:
             second_finished.set()
         return log
 
-    class HoldsTheFirstPlan(OracleBackend):
+    def holds_the_first_plan(origin):
         """Answers the first session's plan only once the second session has finished."""
-
-        def send(self, request):
-            origin = request.origin
-            if origin.role is Phase.PLAN and origin.subject == users[0]:
-                assert second_finished.wait(timeout=10)
-            return super().send(request)
+        if origin.role is Phase.PLAN and origin.subject == users[0]:
+            assert second_finished.wait(timeout=10)
 
     monkeypatch.setattr(cli, "run_teacher", recording_run_teacher)
-    monkeypatch.setattr(cli, "OracleBackend", HoldsTheFirstPlan)
+    steer_oracle(monkeypatch, holds_the_first_plan)
     out = tmp_path / "sessions.jsonl"
     assert main(["run-teacher", "--corpus", str(pipeline["corpus"]),
                  "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
@@ -647,26 +602,21 @@ def test_run_teacher_writes_in_instance_order_when_sessions_finish_out_of_order(
 
 def test_run_teacher_raises_the_first_failure_in_instance_order(pipeline, tmp_path, capsys,
                                                                  monkeypatch):
-    import recteacher.cli as cli
-
     users = [record["user"] for record in records_of(pipeline["instances"])]
     second_failed = threading.Event()
 
-    class FailsTwoPlans(OracleBackend):
+    def fails_two_plans(origin):
         """Fails the second session's plan, then the first session's."""
+        if origin.role is Phase.PLAN and origin.subject == users[1]:
+            second_failed.set()
+            return GatewayError("auth", "second plan failure")  # not retried
+        if origin.role is Phase.PLAN and origin.subject == users[0]:
+            assert second_failed.wait(timeout=10)
+            time.sleep(0.05)  # the second session fails first in time
+            return GatewayError("auth", "first plan failure")
+        return None
 
-        def send(self, request):
-            origin = request.origin
-            if origin.role is Phase.PLAN and origin.subject == users[1]:
-                second_failed.set()
-                raise GatewayError("auth", "second plan failure")  # not retried
-            if origin.role is Phase.PLAN and origin.subject == users[0]:
-                assert second_failed.wait(timeout=10)
-                time.sleep(0.05)  # the second session fails first in time
-                raise GatewayError("auth", "first plan failure")
-            return super().send(request)
-
-    monkeypatch.setattr(cli, "OracleBackend", FailsTwoPlans)
+    steer_oracle(monkeypatch, fails_two_plans)
     out = tmp_path / "sessions.jsonl"
     code = main(["run-teacher", "--corpus", str(pipeline["corpus"]),
                  "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
@@ -683,25 +633,24 @@ def test_run_teacher_raises_the_first_failure_in_instance_order(pipeline, tmp_pa
 
 
 @pytest.mark.parametrize("position", [0, 3])
-def test_a_bad_instance_anywhere_fails_before_any_session(pipeline, tmp_path, capsys, position):
+def test_a_bad_instance_anywhere_fails_before_any_session(pipeline, tmp_path, capsys, monkeypatch, position):
     records = records_of(pipeline["instances"])
     broken = records[position]
     records[position] = {**broken, "user": None}
     instances = tmp_path / "instances.jsonl"
     instances.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-    script = tmp_path / "script.json"
-    script.write_text("[]", encoding="utf-8")  # any gateway call would exhaust it
+    steer_oracle(monkeypatch)
     assert main(["run-teacher", "--corpus", str(pipeline["corpus"]),
                  "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
                  "--instances", str(instances), "--out", str(tmp_path / "sessions.jsonl"),
-                 "--backend", "mock", "--script", str(script), "--parallel", "2"]) == 1
+                 "--backend", "mock", "--parallel", "2"]) == 1
     captured = capsys.readouterr()
     assert (f"error: MalformedRecord: {instances}:{position + 1}: "
             "missing or invalid user") in captured.err
-    assert sorted(os.listdir(tmp_path)) == ["instances.jsonl", "script.json"]  # no output, no temp
+    assert os.listdir(tmp_path) == ["instances.jsonl"]  # no output, no temp
 
 
-def test_a_bad_instance_file_fails_before_any_session(pipeline, tmp_path, capsys):
+def test_a_bad_instance_file_fails_before_any_session(pipeline, tmp_path, capsys, monkeypatch):
     *good, last = records_of(pipeline["instances"])
     first, *rest = last["history"]
     other = next(c for c in last["candidates"] if c != last["ground_truth"])
@@ -722,18 +671,17 @@ def test_a_bad_instance_file_fails_before_any_session(pipeline, tmp_path, capsys
         {**last, "user": None},
     ]
     instances = tmp_path / "instances.jsonl"
-    script = tmp_path / "script.json"
-    script.write_text("[]", encoding="utf-8")  # any gateway call would exhaust it
+    steer_oracle(monkeypatch)
     out = tmp_path / "sessions.jsonl"
     for broken in broken_records:
         instances.write_text("".join(json.dumps(r) + "\n" for r in [*good, broken]), encoding="utf-8")
         assert main(["run-teacher", "--corpus", str(pipeline["corpus"]),
                      "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
                      "--instances", str(instances), "--out", str(out),
-                     "--backend", "mock", "--script", str(script), "--parallel", "2"]) == 1
+                     "--backend", "mock", "--parallel", "2"]) == 1
         captured = capsys.readouterr()
         assert f"error: MalformedRecord: {instances}:{len(good) + 1}: " in captured.err
-        assert sorted(os.listdir(tmp_path)) == ["instances.jsonl", "script.json"]  # no output, no temp
+        assert os.listdir(tmp_path) == ["instances.jsonl"]  # no output, no temp
 
 
 @pytest.mark.parametrize("field, reason", [
@@ -742,7 +690,7 @@ def test_a_bad_instance_file_fails_before_any_session(pipeline, tmp_path, capsys
     ("candidates", "unknown item 'zzz'"),
 ])
 def test_an_instance_naming_an_id_the_catalogue_lacks_fails_before_any_session(
-        pipeline, tmp_path, capsys, field, reason):
+        pipeline, tmp_path, capsys, monkeypatch, field, reason):
     *good, last = records_of(pipeline["instances"])
     first, *rest = last["history"]
     other = next(c for c in last["candidates"] if c != last["ground_truth"])
@@ -755,60 +703,58 @@ def test_an_instance_naming_an_id_the_catalogue_lacks_fails_before_any_session(
         last["history"] = [{**entry, "user_id": "ux"} for entry in last["history"]]
     instances = tmp_path / "instances.jsonl"
     instances.write_text("".join(json.dumps(r) + "\n" for r in [*good, last]), encoding="utf-8")
-    script = tmp_path / "script.json"
-    script.write_text("[]", encoding="utf-8")  # any gateway call would exhaust it
+    steer_oracle(monkeypatch)
     code = main(["run-teacher", "--corpus", str(pipeline["corpus"]),
                  "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
                  "--instances", str(instances), "--out", str(tmp_path / "sessions.jsonl"),
-                 "--backend", "mock", "--script", str(script), "--parallel", "2"])
+                 "--backend", "mock", "--parallel", "2"])
     error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
     assert code == 1
     assert error_lines == [f"error: MalformedRecord: {instances}:{len(good) + 1}: {reason}"]
-    assert sorted(os.listdir(tmp_path)) == ["instances.jsonl", "script.json"]  # no output, no temp
+    assert os.listdir(tmp_path) == ["instances.jsonl"]  # no output, no temp
 
 
-# Each command that reads `{path}` as its instances; the script exhausts at any gateway call.
+# Each command that reads `{path}` as its instances; no gateway call is expected.
 _INSTANCE_READERS = pytest.mark.parametrize("command", [
     ["run-teacher", "--corpus", "{corpus}", "--graph", "{graph}", "--cache", "{cache}",
-     "--instances", "{path}", "--out", "{out}", "--backend", "mock", "--script", "{script}"],
+     "--instances", "{path}", "--out", "{out}", "--backend", "mock"],
     ["evaluate", "--sessions", "{sessions}", "--instances", "{path}", "--out", "{out}"],
     ["score-rewards", "--trajectories", "{sessions}", "--instances", "{path}", "--out", "{out}"],
 ], ids=["run-teacher", "evaluate", "score-rewards"])
 
 
-def instance_error_lines(pipeline, tmp_path, capsys, command, records):
+def instance_error_lines(pipeline, tmp_path, capsys, monkeypatch, command, records):
     """The `error: ` lines of `command` run on `records` as its instances; it must exit 1, writing nothing."""
     path = tmp_path / "instances.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-    script = tmp_path / "script.json"
-    script.write_text("[]", encoding="utf-8")  # any gateway call would exhaust it
+    steer_oracle(monkeypatch)
     names = {name: str(p) for name, p in pipeline.items()}
-    code = main([arg.format(**names, path=path, script=script, out=tmp_path / "out") for arg in command])
+    code = main([arg.format(**names, path=path, out=tmp_path / "out") for arg in command])
     assert code == 1
-    assert sorted(os.listdir(tmp_path)) == ["instances.jsonl", "script.json"]  # no output, no temp
+    assert os.listdir(tmp_path) == ["instances.jsonl"]  # no output, no temp
     return [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
 
 
 @_INSTANCE_READERS
 def test_an_instance_history_naming_another_user_fails_before_any_session(pipeline, tmp_path, capsys,
-                                                                           command):
+                                                                           monkeypatch, command):
     records = records_of(pipeline["instances"])
     records[0]["history"] = [{**entry, "user_id": "ux"} for entry in records[0]["history"]]
     path = tmp_path / "instances.jsonl"
-    assert instance_error_lines(pipeline, tmp_path, capsys, command, records) == [
+    assert instance_error_lines(pipeline, tmp_path, capsys, monkeypatch, command, records) == [
         f"error: MalformedRecord: {path}:1: history names user 'ux', "
         f"not the instance's {records[0]['user']!r}"]
 
 
 @_INSTANCE_READERS
 def test_an_instance_whose_history_length_contradicts_its_scenario_fails(pipeline, tmp_path, capsys,
-                                                                         command):
+                                                                         monkeypatch, command):
     records = records_of(pipeline["instances"])
     length = len(records[0]["history"])
     assert length >= COLD_USER_MAX_HISTORY
     records[0]["scenario"] = "ColdStartUser"
     path = tmp_path / "instances.jsonl"
-    assert instance_error_lines(pipeline, tmp_path, capsys, command, records) == [
+    assert instance_error_lines(pipeline, tmp_path, capsys, monkeypatch, command, records) == [
         f"error: MalformedRecord: {path}:1: "
         f"a ColdStartUser instance cannot have {length} history entries"]
 
@@ -915,14 +861,13 @@ def foreign_graph(pipeline, path, anchor):
 @pytest.mark.parametrize("anchor, kind", [("u999", "user"), ("i999", "item")])
 @pytest.mark.parametrize("command", ["verbalize", "verbalize --only-missing", "run-teacher"])
 def test_a_graph_naming_an_id_the_catalogue_lacks_fails_before_any_send(
-        pipeline, tmp_path, capsys, anchor, kind, command):
+        pipeline, tmp_path, capsys, monkeypatch, anchor, kind, command):
     graph = foreign_graph(pipeline, tmp_path / "graph.jsonl", anchor)
-    script = tmp_path / "script.json"
-    script.write_text("[]", encoding="utf-8")  # any gateway call would exhaust it
+    steer_oracle(monkeypatch)
     out = tmp_path / "out.jsonl"  # an earlier output, left as it was
     out.write_bytes(pipeline["cache"].read_bytes())
     argv = [*command.split(), "--corpus", str(pipeline["corpus"]), "--graph", str(graph),
-            "--out", str(out), "--backend", "mock", "--script", str(script), "--parallel", "1"]
+            "--out", str(out), "--backend", "mock", "--parallel", "1"]
     if command == "run-teacher":
         argv += ["--cache", str(pipeline["cache"]), "--instances", str(pipeline["instances"])]
     code = main(argv)
@@ -930,7 +875,7 @@ def test_a_graph_naming_an_id_the_catalogue_lacks_fails_before_any_send(
     assert code == 1
     assert error_lines == [f"error: PipelineError: graph {graph}: unknown {kind} '{anchor}'"]
     assert out.read_bytes() == pipeline["cache"].read_bytes()
-    assert sorted(os.listdir(tmp_path)) == ["graph.jsonl", "out.jsonl", "script.json"]  # no temp
+    assert sorted(os.listdir(tmp_path)) == ["graph.jsonl", "out.jsonl"]  # no temp
 
 
 def test_a_history_at_the_last_second_of_year_9999_runs(pipeline, tmp_path, capsys):
@@ -950,7 +895,7 @@ def test_a_history_at_the_last_second_of_year_9999_runs(pipeline, tmp_path, caps
 
 
 @pytest.mark.parametrize("graph", [True, False])
-def test_itemcf_on_an_unread_catalogue_item(pipeline, toy_files, tmp_path, capsys, graph):
+def test_itemcf_on_an_unread_catalogue_item(pipeline, toy_files, tmp_path, capsys, monkeypatch, graph):
     # ingest keeps a catalogue item nobody read, so the graph does not know it
     items = tmp_path / "items.jsonl"
     items.write_text(toy_files["items"].read_text(encoding="utf-8")
@@ -961,24 +906,28 @@ def test_itemcf_on_an_unread_catalogue_item(pipeline, toy_files, tmp_path, capsy
     instance = records_of(pipeline["instances"])[0]
     single = tmp_path / "one.jsonl"
     single.write_text(json.dumps(instance) + "\n", encoding="utf-8")
-    folds = max(0, -(-len(instance["history"]) // 10) - 1)  # history chunks at m=10
-    script = tmp_path / "script.json"
-    script.write_text(json.dumps(
-        ["<SUMMARY>the early arc</SUMMARY>"] * folds + [
-            'One lens is enough.\n<JSON>["User_Profile_Summary"]</JSON>',
-            'Who else read it?\n<tool_call>{"name": "ItemCF", "arguments": {"item_id": "unread"}}'
-            "</tool_call>",
-            'Nobody did.\n<JSON>["profile sketch"]</JSON>',
-            'Holds up.\n<JSON>{"correct": "yes"}</JSON>',
-            f"Keeping the given order.\n<JSON>{json.dumps(instance['candidates'])}</JSON>",
-        ]  # a fill would take a send the script does not have
-    ), encoding="utf-8")
+    replies = {
+        SUMMARIZER: "<SUMMARY>the early arc</SUMMARY>",
+        Phase.PLAN: 'One lens is enough.\n<JSON>["User_Profile_Summary"]</JSON>',
+        Phase.REFLECTION: 'Holds up.\n<JSON>{"correct": "yes"}</JSON>',
+        Phase.RECOMMEND: f"Keeping the given order.\n<JSON>{json.dumps(instance['candidates'])}</JSON>",
+    }
+    profile = ['Who else read it?\n<tool_call>{"name": "ItemCF", "arguments": {"item_id": "unread"}}'
+               "</tool_call>",
+               'Nobody did.\n<JSON>["profile sketch"]</JSON>']
+
+    def reply(origin):  # a fill would send as a verbalizer, which gets no reply
+        if origin.role is Phase.USER_PROFILE:
+            return profile[origin.send]
+        return replies.get(origin.role) or no_send(origin)
+
+    steer_oracle(monkeypatch, reply)
     capsys.readouterr()
     out = tmp_path / "sessions.jsonl"
     code = main(["run-teacher", "--corpus", str(corpus), "--cache", str(pipeline["cache"]),
                  *(["--graph", str(pipeline["graph"])] if graph else []),
                  "--instances", str(single), "--out", str(out),
-                 "--backend", "mock", "--script", str(script), "--parallel", "1"])
+                 "--backend", "mock", "--parallel", "1"])
     captured = capsys.readouterr()
     if graph:
         assert code == 0
@@ -990,7 +939,7 @@ def test_itemcf_on_an_unread_catalogue_item(pipeline, toy_files, tmp_path, capsy
         assert error_lines == ["error: PipelineError: no graph path given "
                                "(pass the flag or set it in the config file)"]
         assert not out.exists()
-        assert sorted(os.listdir(tmp_path)) == ["corpus", "items.jsonl", "one.jsonl", "script.json"]
+        assert sorted(os.listdir(tmp_path)) == ["corpus", "items.jsonl", "one.jsonl"]
 
 
 def test_session_records_carry_full_structure(pipeline):
@@ -1020,8 +969,7 @@ def test_fail_reflection_adds_exactly_one_correction(pipeline, tmp_path, capsys)
         assert phases.index("correction") == phases.index("reflection") + 1
 
 
-@pytest.mark.parametrize("backend", [["--backend", "mock", "--script"], ["--backend", "http"]],
-                         ids=["script", "http"])
+@pytest.mark.parametrize("backend", [["--backend", "http"]], ids=["http"])
 def test_fail_reflection_needs_the_oracle(pipeline, tmp_path, capsys, monkeypatch, backend):
     sends = []
 
@@ -1034,67 +982,52 @@ def test_fail_reflection_needs_the_oracle(pipeline, tmp_path, capsys, monkeypatc
             raise GatewayError("auth", "no send expected")
 
     monkeypatch.setattr("recteacher.cli.HttpBackend", RecordingBackend)
-    script = tmp_path / "script.json"
-    script.write_text("[]", encoding="utf-8")  # any gateway call would exhaust it
     config = tmp_path / "pipeline.ini"
     config.write_text("[pipeline]\nendpoint = http://127.0.0.1:9/v1\nretries = 0\n", encoding="utf-8")
     out = tmp_path / "sessions.jsonl"
     code = main(["run-teacher", "--config", str(config), "--corpus", str(pipeline["corpus"]),
                  "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
                  "--instances", str(pipeline["instances"]), "--out", str(out),
-                 "--fail-reflection", *backend, *([str(script)] if "--script" in backend else [])])
+                 "--fail-reflection", *backend])
     error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
     assert code == 1
-    assert error_lines == ["error: PipelineError: --fail-reflection requires --backend mock "
-                           "without --script"]
+    assert error_lines == ["error: PipelineError: --fail-reflection requires --backend mock"]
     assert sends == []
     assert not out.exists()
 
 
-def test_script_backend_drives_run_teacher(pipeline, tmp_path, capsys):
+def test_script_backend_drives_run_teacher(pipeline, tmp_path, capsys, monkeypatch):
     # one instance, one planned subtask, no tool call, a one-id ranking repaired
     instance = records_of(pipeline["instances"])[0]
-    folds = max(0, -(-len(instance["history"]) // 10) - 1)  # history chunks at m=10
-    script = tmp_path / "script.json"
-    script.write_text(json.dumps(
-        ["<SUMMARY>the early arc</SUMMARY>"] * folds + [
-            'One lens is enough.\n<JSON>["User_Profile_Summary"]</JSON>',
-            'Straight to the point.\n<JSON>["profile sketch"]</JSON>',
-            'Holds up.\n<JSON>{"correct": "yes"}</JSON>',
-            "No preference signal; keeping the given order.\n"
-            f"<JSON>{json.dumps(instance['candidates'][:1])}</JSON>",
-        ]
-    ), encoding="utf-8")
+    replies = {
+        SUMMARIZER: "<SUMMARY>the early arc</SUMMARY>",
+        Phase.PLAN: 'One lens is enough.\n<JSON>["User_Profile_Summary"]</JSON>',
+        Phase.USER_PROFILE: 'Straight to the point.\n<JSON>["profile sketch"]</JSON>',
+        Phase.REFLECTION: 'Holds up.\n<JSON>{"correct": "yes"}</JSON>',
+        Phase.RECOMMEND: "No preference signal; keeping the given order.\n"
+                         f"<JSON>{json.dumps(instance['candidates'][:1])}</JSON>",
+    }
+    steer_oracle(monkeypatch, lambda origin: replies.get(origin.role) or no_send(origin))
     single = tmp_path / "one.jsonl"
     single.write_text(json.dumps(instance) + "\n", encoding="utf-8")
     out = tmp_path / "sessions.jsonl"
     assert main(["run-teacher", "--corpus", str(pipeline["corpus"]),
                  "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
                  "--instances", str(single), "--out", str(out),
-                 "--backend", "mock", "--script", str(script), "--parallel", "1"]) == 0
+                 "--backend", "mock", "--parallel", "1"]) == 0
     capsys.readouterr()
     (record,) = records_of(out)
     assert [p["phase"] for p in record["phases"]] == ["plan", "user_profile", "reflection", "recommend"]
     assert record["final_ranking"] == record["candidates"]  # the rest appended in order
 
 
-def test_run_teacher_failure_keeps_the_earlier_output(pipeline, tmp_path, capsys):
-    # two scripted sessions at one worker; the script runs out at the second plan
+def test_run_teacher_failure_keeps_the_earlier_output(pipeline, tmp_path, capsys, monkeypatch):
+    # two sessions at one worker; the second session's plan fails
     first, second = records_of(pipeline["instances"])[:2]
     instances = tmp_path / "two.jsonl"
     instances.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n", encoding="utf-8")
-
-    def folds(instance):  # history chunks at m=10
-        return ["<SUMMARY>the early arc</SUMMARY>"] * max(0, -(-len(instance["history"]) // 10) - 1)
-
-    script = tmp_path / "script.json"
-    script.write_text(json.dumps(folds(first) + [
-        'One lens is enough.\n<JSON>["User_Profile_Summary"]</JSON>',
-        'Straight to the point.\n<JSON>["profile sketch"]</JSON>',
-        'Holds up.\n<JSON>{"correct": "yes"}</JSON>',
-        "No preference signal; keeping the given order.\n"
-        f"<JSON>{json.dumps(first['candidates'][:1])}</JSON>",
-    ] + folds(second)), encoding="utf-8")
+    steer_oracle(monkeypatch, lambda origin: GatewayError("auth", "injected plan failure")
+                 if (origin.role, origin.subject) == (Phase.PLAN, second["user"]) else None)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     out = out_dir / "sessions.jsonl"
@@ -1103,25 +1036,24 @@ def test_run_teacher_failure_keeps_the_earlier_output(pipeline, tmp_path, capsys
     assert main(["run-teacher", "--corpus", str(pipeline["corpus"]),
                  "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
                  "--instances", str(instances), "--out", str(out),
-                 "--backend", "mock", "--script", str(script), "--parallel", "1"]) == 1
+                 "--backend", "mock", "--parallel", "1"]) == 1
     captured = capsys.readouterr()
     assert "error: SessionError: session aborted in phase 'plan'" in captured.err
-    assert "script exhausted" in captured.err
+    assert "injected plan failure" in captured.err
     assert out.read_bytes() == earlier
     assert sorted(os.listdir(out_dir)) == ["sessions.jsonl"]
 
 
-def test_abstraction_failure_is_a_one_line_session_error(pipeline, tmp_path, capsys):
+def test_abstraction_failure_is_a_one_line_session_error(pipeline, tmp_path, capsys, monkeypatch):
     # more history than one window (m=10), so the first call is a summary
     record = next(r for r in records_of(pipeline["instances"]) if len(r["history"]) > 10)
     instances = tmp_path / "one.jsonl"
     instances.write_text(json.dumps(record) + "\n", encoding="utf-8")
-    script = tmp_path / "script.json"
-    script.write_text("[]", encoding="utf-8")
+    steer_oracle(monkeypatch, lambda origin: GatewayError("auth", "injected summary failure"))
     code = main(["run-teacher", "--corpus", str(pipeline["corpus"]),
                  "--graph", str(pipeline["graph"]), "--cache", str(pipeline["cache"]),
                  "--instances", str(instances), "--out", str(tmp_path / "sessions.jsonl"),
-                 "--backend", "mock", "--script", str(script)])
+                 "--backend", "mock"])
     captured = capsys.readouterr()
     assert code == 1
     error_lines = [l for l in captured.err.splitlines() if l.startswith("error: ")]

@@ -339,7 +339,7 @@ def test_a_tool_call_fills_through_the_asking_sessions_handle():
         pass
     assert sent_through == [("A", session), ("B", session)]
     assert (runner.prefetches_started, runner.prefetches_unnamed) == (1, 1)
-    runner.persist(SessionLog(user="A", candidates=("c",), final_ranking=("c",), phases=(
+    runner.persist(SessionLog(candidates=("c",), final_ranking=("c",), phases=(
         PhaseRecord(Phase.USER_PROFILE, tool_events=((session_evidence_call("A"), "about A"),)),)))
     assert runner.prefetches_unnamed == 0
 

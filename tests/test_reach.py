@@ -3,14 +3,16 @@
 A definition that no other statement under `src/` names is surface no
 command reaches; a module-level assignment is a definition of each name it
 binds. The only ones allowed are those the acceptance criteria pin, which
-are wired in by later work rather than deleted:
+are wired in by later work rather than deleted, and one that only tests use:
 - `rewards.format_reward` (criterion 8);
-- `trajectory.outcome_filter` (criterion 5).
+- `trajectory.outcome_filter` (criterion 5);
+- `gateway.ScriptBackend`, the in-process backend of tests: no command builds
+  it, and criteria 4 and 9 import it from `gateway`.
 
 The check is by name: a definition counts as reached when any other
 top-level statement under `src/` loads that name or an attribute of that
 name. A new unreferenced definition fails it, and so does wiring in one of
-the two without removing it from PINNED.
+them without removing it from PINNED.
 
 Class members get one too: every dataclass field, method and property a
 class under `src/` defines is loaded as an attribute somewhere under `src/`,
@@ -59,6 +61,7 @@ IMPORTING_DIRS = (SRC, REPO_ROOT / "tests", REPO_ROOT / "tools")
 NOQA_UNUSED_IMPORT = "# noqa: F401"
 
 PINNED = {
+    "recteacher.gateway.ScriptBackend",
     "recteacher.rewards.format_reward",
     "recteacher.trajectory.outcome_filter",
 }

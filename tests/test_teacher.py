@@ -145,7 +145,7 @@ def test_tool_runner_on_demand_verbalizes_and_caches():
 def session_with(*calls):
     events = tuple((call, "served") for call in calls)
     record = PhaseRecord(phase=Phase.RECOMMEND, tool_events=events)
-    return SessionLog(user="A", candidates=("c",), phases=(record,), final_ranking=("c",))
+    return SessionLog(candidates=("c",), phases=(record,), final_ranking=("c",))
 
 
 def test_tool_runner_fills_a_shared_miss_once(tmp_path):
@@ -989,7 +989,7 @@ def test_grammar_tags_in_thinking_are_not_recorded():
 
 def test_session_log_requires_permutation():
     with pytest.raises(ValueError):
-        SessionLog(user="u", candidates=("a", "b"), phases=(), final_ranking=("a",))
+        SessionLog(candidates=("a", "b"), phases=(), final_ranking=("a",))
 
 
 # ------------------------------------------------------------- build_context

@@ -202,7 +202,7 @@ def test_every_teacher_send_has_the_phase_and_turn_of_a_record(artifacts, tmp_pa
 
     def recording_run_teacher(*args):
         log = run_teacher(*args)
-        logs[log.user] = log
+        logs[args[0].user] = log  # the session's context
         return log
 
     monkeypatch.setattr(recteacher.cli, "OracleBackend", RecordingOracle)

@@ -27,7 +27,6 @@ from recteacher.verbalize import Evidence, EvidenceCache
 from randlog import expected_sections, mutate, random_log
 
 GOLDEN_LOG = SessionLog(
-    user="u1",
     candidates=("c1", "c2", "c3"),
     phases=(
         PhaseRecord(phase=Phase.PLAN, thinking="Pick two lenses.",
@@ -92,7 +91,6 @@ def test_parse_golden_round_trip():
 
 def test_correction_serializes_under_subtask_tag():
     log = SessionLog(
-        user="u1",
         candidates=("a", "b"),
         phases=(
             PhaseRecord(phase=Phase.PLAN, payload='["Interest_Divergence_Reasoning"]'),
@@ -208,7 +206,7 @@ def test_ranking_ignores_numbered_prose_above_the_list():
 ])
 def test_numbered_tail_of_ranker_thinking_stays_thinking(thinking):
     candidates = tuple(f"i{n:02d}" for n in range(5))
-    log = SessionLog(user="u1", candidates=candidates,
+    log = SessionLog(candidates=candidates,
                      phases=(PhaseRecord(phase=Phase.RECOMMEND, thinking=thinking),),
                      final_ranking=candidates)
     parsed = parse(serialize(log))
