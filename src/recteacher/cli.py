@@ -1,4 +1,4 @@
-"""Pipeline entry point: one subcommand per stage, shared config file.
+"""Pipeline entry point: one subcommand per stage, one gateway config file.
 
 Stages chain through plain line-delimited artifacts so every command is
 restartable and two runs with the same config, seed, and mock backend
@@ -19,10 +19,11 @@ whole before the command writes. A record with a field `util.require_field`
 rejects (missing, or not of its JSON type: none is coerced), that repeats an
 id of any earlier record, or an instance whose history names another user,
 fails the command with one `MalformedRecord: <path>:<line>: <reason>` line.
-Flags are checked before any input file is read. run-teacher needs the graph
-(--graph or graph_path) and loads it before any session starts. A
-missing evidence cache is an empty one; every miss is filled from the graph,
-and an anchor the graph does not know gets a fixed sentence.
+Flags are checked before any input file is read; every path comes from a
+flag, and an empty one is a usage error. run-teacher loads the graph before
+any session starts. A missing evidence cache is an empty one; every miss is
+filled from the graph, and an anchor the graph does not know gets a fixed
+sentence.
 verbalize and run-teacher read only the catalogue of the corpus directory
 (its user and item files). Before any send they refuse a graph, and
 run-teacher an instance, that names a user or item the catalogue lacks.
@@ -42,7 +43,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar
 
-from .config import PipelineConfig, load_config
+from .config import load_config
 from .corpus import (
     Catalog,
     decode_interaction,
@@ -90,21 +91,19 @@ T = TypeVar("T")
 # shared plumbing
 
 
-def _required_path(flag_value: str | None, config_value: str, what: str) -> str:
-    """Resolve a path from the CLI flag, falling back to the config file."""
-    if flag_value:
-        return flag_value
-    if config_value:
-        return config_value
-    raise PipelineError(f"no {what} path given (pass the flag or set it in the config file)")
+def _path(text: str) -> str:
+    """The argparse type of every path option: an empty one would name the current directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return text
 
 
 # Least value of each count flag; the config file's own bounds are checked on load.
 _FLAG_MINIMUM = {"parallel": 1, "limit": 1, "target": 0}
 
 
-def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    """The config as the flags override it; every count and backend flag is checked first."""
+def _resolve_config(args: argparse.Namespace) -> GatewayConfig:
+    """The gateway config as --parallel overrides it; every count and backend flag is checked first."""
     for name, minimum in _FLAG_MINIMUM.items():
         value = getattr(args, name, None)
         if value is not None and value < minimum:
@@ -113,30 +112,27 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     if backend == BACKEND_HTTP and args.fail_reflection:
         raise PipelineError("--fail-reflection requires --backend mock")
     config = load_config(Path(args.config) if args.config else None)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
     if args.parallel is not None:
-        config = replace(config, gateway=replace(config.gateway, max_parallel=args.parallel))
-    if backend == BACKEND_HTTP and not config.gateway.endpoint:
+        config = replace(config, max_parallel=args.parallel)
+    if backend == BACKEND_HTTP and not config.endpoint:
         raise PipelineError(
             "http backend needs an endpoint (set `endpoint` in the config file or use --backend mock)"
         )
     return config
 
 
-def _make_gateway(args: argparse.Namespace, config: PipelineConfig,
+def _make_gateway(args: argparse.Namespace, config: GatewayConfig,
                   ground_truth: Mapping[str, str] | None = None) -> Gateway:
     """A gateway on the backend the flags name; `_resolve_config` has checked them."""
     if args.backend == BACKEND_HTTP:
-        backend: Any = HttpBackend(config.gateway)
+        backend: Any = HttpBackend(config)
     else:
         backend = OracleBackend(ground_truth=ground_truth, fail_reflection=args.fail_reflection)
-    return Gateway(backend, config.gateway)
+    return Gateway(backend, config)
 
 
-def _load_graph(args: argparse.Namespace, config: PipelineConfig, catalog: Catalog) -> InteractionGraph:
-    """The graph of --graph or graph_path; a user or item the catalogue lacks is a PipelineError."""
-    path = _required_path(args.graph, config.graph_path, "graph")
+def _load_graph(path: str, catalog: Catalog) -> InteractionGraph:
+    """The graph at `path`; a user or item the catalogue lacks is a PipelineError."""
     graph = load_graph(path)
     try:
         catalog.require_known(graph.user_adj, graph.item_adj)
@@ -254,7 +250,7 @@ def _decode_rollout(record: dict) -> Bucket:
 # subcommands
 
 
-def _cmd_ingest(args: argparse.Namespace, config: PipelineConfig) -> None:
+def _cmd_ingest(args: argparse.Namespace, config: GatewayConfig) -> None:
     corpus = ingest(args.users, args.items, args.reviews)
     save_corpus(corpus, args.out)
     print(
@@ -263,21 +259,19 @@ def _cmd_ingest(args: argparse.Namespace, config: PipelineConfig) -> None:
     )
 
 
-def _cmd_build_graph(args: argparse.Namespace, config: PipelineConfig) -> None:
-    corpus = load_corpus(_required_path(args.corpus, config.corpus_dir, "corpus"))
-    graph = build_graph(corpus)
-    out = _required_path(args.out, config.graph_path, "graph output")
-    save_graph(graph, out)
+def _cmd_build_graph(args: argparse.Namespace, config: GatewayConfig) -> None:
+    graph = build_graph(load_corpus(args.corpus))
+    save_graph(graph, args.out)
     print(
         f"graph: {len(graph.user_adj)} users, {len(graph.item_adj)} items, "
-        f"{graph.edge_count()} edges -> {out}"
+        f"{graph.edge_count()} edges -> {args.out}"
     )
 
 
-def _cmd_verbalize(args: argparse.Namespace, config: PipelineConfig) -> None:
-    catalog = load_catalog(_required_path(args.corpus, config.corpus_dir, "corpus"))
-    graph = _load_graph(args, config, catalog)
-    out = Path(_required_path(args.out, config.cache_path, "cache output"))
+def _cmd_verbalize(args: argparse.Namespace, config: GatewayConfig) -> None:
+    catalog = load_catalog(args.corpus)
+    graph = _load_graph(args.graph, catalog)
+    out = Path(args.out)
     gateway = _make_gateway(args, config)
     # --only-missing appends to --out as each key lands, creating it if need be;
     # a full rebuild fills a temp file that replaces --out only once every key
@@ -295,16 +289,16 @@ def _cmd_verbalize(args: argparse.Namespace, config: PipelineConfig) -> None:
                                 f"first: {key.name}:{key.anchor}: {type(exc).__name__}: {exc}")
 
 
-def _cmd_make_instances(args: argparse.Namespace, config: PipelineConfig) -> None:
-    corpus = load_corpus(_required_path(args.corpus, config.corpus_dir, "corpus"))
+def _cmd_make_instances(args: argparse.Namespace, config: GatewayConfig) -> None:
+    corpus = load_corpus(args.corpus)
     scenario = Scenario(args.scenario)
     records = []
     for user in sorted(corpus.sequences):
         if not matches_scenario(corpus, user, scenario):
             continue
         # per-user seed string keeps negatives stable when the user set changes
-        instance = build_instance(corpus, user, scenario, rng_seed=f"{config.seed}:{user}")
-        records.append(_instance_record(instance, config.seed))
+        instance = build_instance(corpus, user, scenario, rng_seed=f"{args.seed}:{user}")
+        records.append(_instance_record(instance, args.seed))
         if args.limit is not None and len(records) >= args.limit:
             break
     if not records:
@@ -313,11 +307,10 @@ def _cmd_make_instances(args: argparse.Namespace, config: PipelineConfig) -> Non
     print(f"instances: {len(records)} ({scenario.value}) -> {args.out}")
 
 
-def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> None:
-    catalog = load_catalog(_required_path(args.corpus, config.corpus_dir, "corpus"))
-    cache_path = Path(_required_path(args.cache, config.cache_path, "cache"))
-    cache = EvidenceCache.load(cache_path)
-    logger.info("loaded evidence cache: %d entries from %s", len(cache), cache_path)
+def _cmd_run_teacher(args: argparse.Namespace, config: GatewayConfig) -> None:
+    catalog = load_catalog(args.corpus)
+    cache = EvidenceCache.load(Path(args.cache))
+    logger.info("loaded evidence cache: %d entries from %s", len(cache), args.cache)
 
     def decode_known(record: dict) -> EvalInstance:
         instance = _decode_instance(record)
@@ -330,7 +323,7 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> None:
     gateway = _make_gateway(args, config, ground_truth={instance.user: instance.ground_truth
                                                         for _, instance in instances})
 
-    graph = _load_graph(args, config, catalog)
+    graph = _load_graph(args.graph, catalog)
     tools = ToolRunner(cache, partial(verbalize_key, graph, catalog))
 
     # Above one slot (the runner reads the width off the session's handle) a session starts
@@ -353,7 +346,7 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> None:
     # and a failed session leaves the fills of every session before it, not
     # its own; sessions not yet started when it fails are cancelled.
     def session_records() -> Iterator[dict]:
-        with ThreadPoolExecutor(config.gateway.max_parallel) as pool:
+        with ThreadPoolExecutor(config.max_parallel) as pool:
             for log, session_record in pool.map(run_one, enumerate(instances)):
                 tools.persist(log)
                 yield session_record
@@ -366,7 +359,7 @@ def _cmd_run_teacher(args: argparse.Namespace, config: PipelineConfig) -> None:
     print(f"sessions: {count} -> {args.out}")
 
 
-def _cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> None:
+def _cmd_filter(args: argparse.Namespace, config: GatewayConfig) -> None:
     kept = []
     total = unparsable = 0
     for session_id, record in _read_records(args.sessions, _decode_session, "session"):
@@ -382,13 +375,13 @@ def _cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> None:
     print(f"kept {len(kept)} / {total}")
 
 
-def _cmd_export_sft(args: argparse.Namespace, config: PipelineConfig) -> None:
+def _cmd_export_sft(args: argparse.Namespace, config: GatewayConfig) -> None:
     count = export_sft({session_id: (record["prompt"], record["trajectory"]) for session_id, record
                         in _read_records(args.kept, _decode_session, "session")}, Path(args.out))
     print(f"exported {count} records -> {args.out}")
 
 
-def _cmd_score_rewards(args: argparse.Namespace, config: PipelineConfig) -> None:
+def _cmd_score_rewards(args: argparse.Namespace, config: GatewayConfig) -> None:
     ground_truth_by_id = {instance_id: instance.ground_truth for instance_id, instance
                           in _read_records(args.instances, _decode_instance, "instance")
                           } if args.instances else {}
@@ -397,6 +390,8 @@ def _cmd_score_rewards(args: argparse.Namespace, config: PipelineConfig) -> None
                                                                 "session"):
         if ground_truth is None:
             ground_truth = ground_truth_by_id.get(record_id)
+        elif ground_truth_by_id.get(record_id, ground_truth) != ground_truth:
+            raise PipelineError(f"session {record_id!r} does not carry its instance's ground truth")
         if ground_truth is None:
             raise PipelineError(f"no ground truth for trajectory {record_id!r} (pass --instances)")
         breakdown = composite_reward(trajectory, ground_truth)
@@ -412,13 +407,13 @@ def _cmd_score_rewards(args: argparse.Namespace, config: PipelineConfig) -> None
     print(f"scored {len(out_records)} trajectories -> {args.out}")
 
 
-def _cmd_bucket_rl(args: argparse.Namespace, config: PipelineConfig) -> None:
+def _cmd_bucket_rl(args: argparse.Namespace, config: GatewayConfig) -> None:
     by_bucket: dict[Bucket, list[str]] = {b: [] for b in Bucket}
     bucket_of = dict(_read_records(args.rollouts, _decode_rollout, "rollout"))
     for record_id, which in bucket_of.items():
         by_bucket[which].append(record_id)
 
-    chosen = compose_rl_set(by_bucket, target_total=args.target, rng_seed=config.seed)
+    chosen = compose_rl_set(by_bucket, target_total=args.target, rng_seed=args.seed)
     quotas = largest_remainder(args.target, DEFAULT_RL_RATIO)
     write_jsonl_atomic(args.out, [{"id": cid, "bucket": bucket_of[cid].value} for cid in chosen])
     print(
@@ -446,7 +441,7 @@ def _report_row(name: str, report: EvalReport) -> str:
     return "  ".join(cells)
 
 
-def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> None:
+def _cmd_evaluate(args: argparse.Namespace, config: GatewayConfig) -> None:
     instances = dict(_read_records(args.instances, _decode_instance, "instance"))
     all_pairs: list[tuple[list[str], EvalInstance]] = []
     by_scenario: dict[str, list[tuple[list[str], EvalInstance]]] = {}
@@ -485,8 +480,8 @@ def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="pipeline config file (INI)")
-    common.add_argument("--seed", type=int, help="override the configured random seed")
+    common.add_argument("--config", type=_path, help="gateway config file (INI)")
+    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     common.add_argument("--parallel", type=int,
                         help="at most N sessions at once and at most N gateway calls in flight, "
                              "a session's analysis agents included; a freed call slot goes to "
@@ -507,80 +502,83 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", parents=[common],
                        help="validate the three record files and write a normalized corpus")
-    p.add_argument("--users", required=True, help="users.jsonl")
-    p.add_argument("--items", required=True, help="items.jsonl")
-    p.add_argument("--reviews", required=True, help="reviews.jsonl")
-    p.add_argument("--out", required=True, help="output corpus directory")
+    p.add_argument("--users", type=_path, required=True, help="users.jsonl")
+    p.add_argument("--items", type=_path, required=True, help="items.jsonl")
+    p.add_argument("--reviews", type=_path, required=True, help="reviews.jsonl")
+    p.add_argument("--out", type=_path, required=True, help="output corpus directory")
     p.set_defaults(handler=_cmd_ingest)
 
     p = sub.add_parser("build-graph", parents=[common],
                        help="build the bipartite interaction graph from a corpus")
-    p.add_argument("--corpus", help="corpus directory")
-    p.add_argument("--out", help="graph file")
+    p.add_argument("--corpus", type=_path, required=True, help="corpus directory")
+    p.add_argument("--out", type=_path, required=True, help="graph file")
     p.set_defaults(handler=_cmd_build_graph)
 
     p = sub.add_parser("verbalize", parents=[common, backend],
                        help="precompute natural-language evidence for every graph anchor")
-    p.add_argument("--corpus", help="corpus directory; only its users.jsonl and items.jsonl are read")
-    p.add_argument("--graph", help="graph file")
-    p.add_argument("--out", help="evidence cache file")
+    p.add_argument("--corpus", type=_path, required=True,
+                   help="corpus directory; only its users.jsonl and items.jsonl are read")
+    p.add_argument("--graph", type=_path, required=True, help="graph file")
+    p.add_argument("--out", type=_path, required=True, help="evidence cache file")
     p.add_argument("--only-missing", action="store_true",
                    help="keep existing cache entries and fill gaps only")
     p.set_defaults(handler=_cmd_verbalize)
 
     p = sub.add_parser("make-instances", parents=[common],
                        help="build leave-last-out evaluation instances for a scenario")
-    p.add_argument("--corpus", help="corpus directory")
+    p.add_argument("--corpus", type=_path, required=True, help="corpus directory")
     p.add_argument("--scenario", choices=[s.value for s in Scenario], default=Scenario.CLASSIC.value)
     p.add_argument("--limit", type=int, help="stop after this many instances")
-    p.add_argument("--out", required=True, help="instances .jsonl file")
+    p.add_argument("--out", type=_path, required=True, help="instances .jsonl file")
     p.set_defaults(handler=_cmd_make_instances)
 
     p = sub.add_parser("run-teacher", parents=[common, backend],
                        help="run one multi-phase teacher session per instance")
-    p.add_argument("--corpus", help="corpus directory; only its users.jsonl and items.jsonl are read")
-    p.add_argument("--graph", help="graph file")
-    p.add_argument("--cache", help="evidence cache file")
-    p.add_argument("--instances", required=True, help="instances .jsonl file or directory")
-    p.add_argument("--out", required=True, help="sessions .jsonl file")
+    p.add_argument("--corpus", type=_path, required=True,
+                   help="corpus directory; only its users.jsonl and items.jsonl are read")
+    p.add_argument("--graph", type=_path, required=True, help="graph file")
+    p.add_argument("--cache", type=_path, required=True, help="evidence cache file")
+    p.add_argument("--instances", type=_path, required=True, help="instances .jsonl file or directory")
+    p.add_argument("--out", type=_path, required=True, help="sessions .jsonl file")
     p.add_argument("--fail-reflection", action="store_true",
                    help="mock backend only: reflection flags one subtask to force a correction")
     p.set_defaults(handler=_cmd_run_teacher)
 
     p = sub.add_parser("filter", parents=[common],
                        help="keep only sessions whose top-ranked item is the ground truth")
-    p.add_argument("--sessions", required=True, help="sessions .jsonl file or directory")
-    p.add_argument("--out", required=True, help="kept-sessions .jsonl file")
+    p.add_argument("--sessions", type=_path, required=True, help="sessions .jsonl file or directory")
+    p.add_argument("--out", type=_path, required=True, help="kept-sessions .jsonl file")
     p.set_defaults(handler=_cmd_filter)
 
     p = sub.add_parser("export-sft", parents=[common],
                        help="export kept sessions as {system, user, assistant} training records")
-    p.add_argument("--kept", required=True, help="kept-sessions .jsonl file or directory")
-    p.add_argument("--out", required=True, help="training records .jsonl file")
+    p.add_argument("--kept", type=_path, required=True, help="kept-sessions .jsonl file or directory")
+    p.add_argument("--out", type=_path, required=True, help="training records .jsonl file")
     p.set_defaults(handler=_cmd_export_sft)
 
     p = sub.add_parser("score-rewards", parents=[common],
                        help="score format and outcome rewards for serialized trajectories")
-    p.add_argument("--trajectories", required=True,
+    p.add_argument("--trajectories", type=_path, required=True,
                    help="sessions or kept-sessions .jsonl file or directory")
-    p.add_argument("--instances", help="instances .jsonl file or directory for ground-truth lookup")
-    p.add_argument("--out", required=True, help="reward breakdowns .jsonl file")
+    p.add_argument("--instances", type=_path,
+                   help="instances .jsonl file or directory for ground-truth lookup")
+    p.add_argument("--out", type=_path, required=True, help="reward breakdowns .jsonl file")
     p.set_defaults(handler=_cmd_score_rewards)
 
     p = sub.add_parser("bucket-rl", parents=[common],
                        help="bucket rollout success counts by difficulty and sample the RL set")
-    p.add_argument("--rollouts", required=True,
+    p.add_argument("--rollouts", type=_path, required=True,
                    help=".jsonl file or directory of {id, success_count} rollout records")
     p.add_argument("--target", type=int, default=DEFAULT_RL_TARGET,
                    help=f"RL set size (default {DEFAULT_RL_TARGET})")
-    p.add_argument("--out", required=True, help="selected {id, bucket} .jsonl file")
+    p.add_argument("--out", type=_path, required=True, help="selected {id, bucket} .jsonl file")
     p.set_defaults(handler=_cmd_bucket_rl)
 
     p = sub.add_parser("evaluate", parents=[common],
                        help="score session rankings against instances (sampled hit ratios)")
-    p.add_argument("--sessions", required=True, help="sessions .jsonl file or directory")
-    p.add_argument("--instances", required=True, help="instances .jsonl file or directory")
-    p.add_argument("--out", required=True, help="report JSON file")
+    p.add_argument("--sessions", type=_path, required=True, help="sessions .jsonl file or directory")
+    p.add_argument("--instances", type=_path, required=True, help="instances .jsonl file or directory")
+    p.add_argument("--out", type=_path, required=True, help="report JSON file")
     p.set_defaults(handler=_cmd_evaluate)
 
     return parser
@@ -596,7 +594,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         config = _resolve_config(args)
-        logger.info("command %s, seed %d, resolved config: %s", args.command, config.seed, config)
+        logger.info("command %s, seed %d, resolved config: %s", args.command, args.seed, config)
         args.handler(args, config)
     except (PipelineError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

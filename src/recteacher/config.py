@@ -1,13 +1,13 @@
-"""Flat INI pipeline configuration shared by every CLI command.
+"""Flat INI configuration of the LLM gateway, shared by every CLI command.
 
-The [pipeline] section is flat, but each key is a field of exactly one
-dataclass: `PipelineConfig` for paths and `seed`, `GatewayConfig` for the
-endpoint and sampling. Each dataclass checks its own bounds. Nothing else is a
-setting: the teacher's history window, tool round bound and prompt dataset, and
-bucket-rl's rollout group, are constants (`DEFAULT_WINDOW_M`,
-`DEFAULT_MAX_TOOL_ROUNDS`, `prompts.DEFAULT_DOMAIN`, `rewards.DEFAULT_GROUP_SIZE`).
+Each key of the [pipeline] section is a field of `GatewayConfig`: the
+endpoint and sampling. It checks its own bounds. Nothing else is a setting:
+paths and the seed are flags, and the teacher's history window, tool round
+bound and prompt dataset, and bucket-rl's rollout group, are constants
+(`DEFAULT_WINDOW_M`, `DEFAULT_MAX_TOOL_ROUNDS`, `prompts.DEFAULT_DOMAIN`,
+`rewards.DEFAULT_GROUP_SIZE`).
 
-Precedence: CLI flags override config values; environment variables override
+Precedence: --parallel overrides `max_parallel`; the environment supplies
 only the API key (looked up by `api_key_env` at request time).
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import configparser
 import logging
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import PipelineError
@@ -24,20 +24,6 @@ from .gateway import GatewayConfig
 logger = logging.getLogger(__name__)
 
 SECTION = "pipeline"
-
-# the PipelineConfig fields that hold another dataclass's settings
-PARTS = ("gateway",)
-
-
-@dataclass
-class PipelineConfig:
-    """The pipeline's own settings, and the gateway's in its own dataclass."""
-
-    corpus_dir: str = ""
-    graph_path: str = ""
-    cache_path: str = ""
-    seed: int = 0
-    gateway: GatewayConfig = field(default_factory=GatewayConfig)
 
 
 def _convert(name: str, kind: type, raw: str):
@@ -52,11 +38,10 @@ def _convert(name: str, kind: type, raw: str):
         raise PipelineError(f"config key {name!r}: cannot parse {raw!r} as {kind.__name__}") from None
 
 
-def load_config(path: Path | None = None) -> PipelineConfig:
+def load_config(path: Path | None) -> GatewayConfig:
     """Read the [pipeline] section; unknown keys and sections are errors. A `%` is literal."""
-    config = PipelineConfig()
     if path is None:
-        return config
+        return GatewayConfig()
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(str(path), encoding="utf-8")
@@ -70,20 +55,17 @@ def load_config(path: Path | None = None) -> PipelineConfig:
         if other != SECTION:
             raise PipelineError(f"config file {path}: unknown section [{other}]; "
                                 f"every key goes under [{SECTION}]")
-    homes = {"": config, **{part: getattr(config, part) for part in PARTS}}  # "": its own keys
-    home_of = {f.name: name for name, home in homes.items() for f in fields(home) if f.name not in PARTS}
-    updates: dict[str, dict] = {name: {} for name in homes}
+    kinds = {f.name: type(f.default) for f in fields(GatewayConfig)}
+    values = {}
     for key, raw in parser.items(SECTION):
         if key == "on_demand_verbalize":  # retired, but the benchmark's ondemand.ini still sets it
             logger.warning("config key %r has no effect: run-teacher fills every cache miss "
                            "from its graph", key)
             continue
-        if key not in home_of:
+        if key not in kinds:
             raise PipelineError(f"unknown config key {key!r}")
-        name = home_of[key]
-        updates[name][key] = _convert(key, type(getattr(homes[name], key)), raw)
-    try:  # each dataclass checks its own bounds as it is built
-        parts = {part: replace(homes[part], **updates[part]) for part in PARTS}
-        return replace(config, **updates[""], **parts)
+        values[key] = _convert(key, kinds[key], raw)
+    try:  # GatewayConfig checks its own bounds as it is built
+        return GatewayConfig(**values)
     except ValueError as exc:
         raise PipelineError(str(exc)) from None

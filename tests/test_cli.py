@@ -104,12 +104,25 @@ def test_readme_walkthrough_runs(tmp_path, capsys):
     assert (ran, checked) == (9, 1)
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
     for argv in ([], ["run-teacher", "--no-such-flag"], ["verbalize", "--backend", "mock", "--script", "r.json"]):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2, argv
     capsys.readouterr()
+    # an empty path would name the current directory: a shard directory, a
+    # file to open, or, for --config, no file at all
+    out = str(tmp_path / "out.jsonl")
+    for flag, argv in (("--sessions", ["filter", "--sessions", "", "--out", out]),
+                       ("--config", ["make-instances", "--config", "", "--corpus", str(tmp_path),
+                                     "--out", out]),
+                       ("--users", ["ingest", "--users", "", "--items", out, "--reviews", out,
+                                    "--out", out])):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2, argv
+        assert f"argument {flag}: an empty path names no file" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_missing_input_is_a_clean_failure(tmp_path, capsys):
@@ -124,10 +137,11 @@ def test_missing_input_is_a_clean_failure(tmp_path, capsys):
 
 
 def test_missing_path_flag_names_the_gap(tmp_path, capsys):
-    code = main(["build-graph", "--out", str(tmp_path / "g.jsonl")])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "error: PipelineError: no corpus path given" in captured.err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["build-graph", "--out", str(tmp_path / "g.jsonl")])
+    assert excinfo.value.code == 2
+    assert "the following arguments are required: --corpus" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_http_backend_requires_endpoint(pipeline, tmp_path, capsys):
@@ -924,20 +938,19 @@ def test_itemcf_on_an_unread_catalogue_item(pipeline, toy_files, tmp_path, capsy
     steer_oracle(monkeypatch, reply)
     capsys.readouterr()
     out = tmp_path / "sessions.jsonl"
-    code = main(["run-teacher", "--corpus", str(corpus), "--cache", str(pipeline["cache"]),
-                 *(["--graph", str(pipeline["graph"])] if graph else []),
-                 "--instances", str(single), "--out", str(out),
-                 "--backend", "mock", "--parallel", "1"])
-    captured = capsys.readouterr()
+    argv = ["run-teacher", "--corpus", str(corpus), "--cache", str(pipeline["cache"]),
+            *(["--graph", str(pipeline["graph"])] if graph else []),
+            "--instances", str(single), "--out", str(out),
+            "--backend", "mock", "--parallel", "1"]
     if graph:
-        assert code == 0
+        assert main(argv) == 0
         (record,) = records_of(out)
         assert MISS_FALLBACK in record["trajectory"]
     else:  # no session starts, so no miss can reach a record
-        assert code == 1
-        error_lines = [line for line in captured.err.splitlines() if line.startswith("error: ")]
-        assert error_lines == ["error: PipelineError: no graph path given "
-                               "(pass the flag or set it in the config file)"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "the following arguments are required: --graph" in capsys.readouterr().err
         assert not out.exists()
         assert sorted(os.listdir(tmp_path)) == ["corpus", "items.jsonl", "one.jsonl"]
 
@@ -1320,6 +1333,26 @@ def test_score_rewards_ground_truth_from_instances(pipeline, tmp_path, capsys):
     assert "no ground truth" in captured.err
 
 
+def test_score_rewards_refuses_a_ground_truth_its_instance_contradicts(pipeline, tmp_path, capsys):
+    # evaluate scores the session against the instance's ground truth, and so must score-rewards
+    records = records_of(pipeline["instances"])
+    changed = records[0]
+    changed["ground_truth"] = next(c for c in changed["candidates"] if c != changed["ground_truth"])
+    instances = tmp_path / "instances.jsonl"
+    instances.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert main(["evaluate", "--sessions", str(pipeline["sessions"]), "--instances", str(instances),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert report["overall"]["per_k"]["1"]["fraction"] == "5/6"
+    capsys.readouterr()
+    out = tmp_path / "rewards.jsonl"
+    assert main(["score-rewards", "--trajectories", str(pipeline["sessions"]),
+                 "--instances", str(instances), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: PipelineError: session {changed['id']!r} does not carry its instance's ground truth"]
+    assert not out.exists()
+
+
 def test_bucket_rl_quotas_line(tmp_path, capsys):
     rollouts = tmp_path / "rollouts.jsonl"
     rows = []
@@ -1401,15 +1434,13 @@ def test_evaluate_refuses_a_session_that_ranks_other_candidates(pipeline, tmp_pa
     assert not out.exists()
 
 
-def test_config_file_supplies_paths(pipeline, tmp_path, capsys):
+@pytest.mark.parametrize("key", ["corpus_dir", "graph_path", "cache_path", "seed"])
+def test_a_config_key_for_a_path_or_the_seed_is_unknown(pipeline, tmp_path, capsys, key):
+    # paths and the seed are flags: a config key for one would be a second source
     config = tmp_path / "pipeline.ini"
-    config.write_text(
-        "[pipeline]\n"
-        f"corpus_dir = {pipeline['corpus']}\n"
-        f"graph_path = {tmp_path / 'graph.jsonl'}\n",
-        encoding="utf-8",
-    )
-    assert main(["build-graph", "--config", str(config)]) == 0
-    captured = capsys.readouterr()
-    assert "graph: 30 users, 50 items, 442 edges" in captured.out
-    assert (tmp_path / "graph.jsonl").exists()
+    config.write_text(f"[pipeline]\n{key} = 3\n", encoding="utf-8")
+    graph = tmp_path / "graph.jsonl"
+    assert main(["build-graph", "--config", str(config), "--corpus", str(pipeline["corpus"]),
+                 "--out", str(graph)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: PipelineError: unknown config key {key!r}"]
+    assert not graph.exists()

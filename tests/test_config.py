@@ -9,8 +9,9 @@ import logging
 import pytest
 
 from recteacher.cli import main
-from recteacher.config import PARTS, PipelineConfig, load_config
+from recteacher.config import load_config
 from recteacher.errors import PipelineError
+from recteacher.gateway import GatewayConfig
 
 
 def write_config(tmp_path, body):
@@ -21,52 +22,51 @@ def write_config(tmp_path, body):
 
 def test_defaults_without_file():
     config = load_config(None)
-    assert config == PipelineConfig()
-    assert config.seed == 0
-    assert config.gateway.temperature == 0.7
-    assert config.gateway.top_p == 0.95
+    assert config == GatewayConfig()
+    assert config.temperature == 0.7
+    assert config.top_p == 0.95
 
 
 def test_load_overrides_types(tmp_path):
     path = write_config(tmp_path, "\n".join([
         "[pipeline]",
-        "corpus_dir = data/x",
-        "seed = 7",
+        "model = m-1",
         "temperature = 0.2",
         "max_parallel = 2",
     ]))
     config = load_config(path)
-    assert config.corpus_dir == "data/x"
-    assert config.seed == 7
-    assert config.gateway.temperature == 0.2
-    assert config.gateway.max_parallel == 2
+    assert config.model == "m-1"
+    assert config.temperature == 0.2
+    assert config.max_parallel == 2
     # untouched keys keep their defaults
-    assert config.gateway.top_p == 0.95
+    assert config.top_p == 0.95
 
 
 def test_load_errors(tmp_path):
     with pytest.raises(PipelineError, match="not found"):
         load_config(tmp_path / "absent.ini")
     with pytest.raises(PipelineError, match="no \\[pipeline\\] section"):
-        load_config(write_config(tmp_path, "[other]\nseed = 1\n"))
+        load_config(write_config(tmp_path, "[other]\nretries = 1\n"))
     with pytest.raises(PipelineError, match="unknown config key"):
-        load_config(write_config(tmp_path, "[pipeline]\nseeed = 1\n"))
-    for retired in ("output_dir", "ranker_tools", "templates_dir", "cold_user_max_history",
+        load_config(write_config(tmp_path, "[pipeline]\nretriess = 1\n"))
+    # paths and the seed are flags, not keys
+    for retired in ("corpus_dir", "graph_path", "cache_path", "seed",
+                    "output_dir", "ranker_tools", "templates_dir", "cold_user_max_history",
                     "cold_item_max_interactions", "evo_long_min_history", "evo_short_max_gap_s",
                     "rl_ratio", "rl_target", "neighbor_k", "window_m", "max_tool_rounds", "domain",
                     "group_size"):
         with pytest.raises(PipelineError, match=f"unknown config key '{retired}'"):
             load_config(write_config(tmp_path, f"[pipeline]\n{retired} = out\n"))
     with pytest.raises(PipelineError, match="cannot parse"):
-        load_config(write_config(tmp_path, "[pipeline]\nseed = soon\n"))
+        load_config(write_config(tmp_path, "[pipeline]\nretries = soon\n"))
 
 
 @pytest.mark.parametrize("value", ["true", "false", "maybe"])
 def test_a_retired_key_loads_with_one_warning_whatever_its_value(tmp_path, caplog, value):
-    path = write_config(tmp_path, f"[pipeline]\non_demand_verbalize = {value}\nseed = 3\n")
+    path = write_config(tmp_path, f"[pipeline]\non_demand_verbalize = {value}\nretries = 5\n")
     with caplog.at_level(logging.WARNING, logger="recteacher"):
         config = load_config(path)
-    assert config == PipelineConfig(seed=3)
+    assert config == GatewayConfig(retries=5)
     (warning,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
     assert "'on_demand_verbalize'" in warning and "no effect" in warning
     # an unknown key still fails, beside a retired one too
@@ -77,10 +77,10 @@ def test_a_retired_key_loads_with_one_warning_whatever_its_value(tmp_path, caplo
 
 @pytest.mark.parametrize("body, error", [
     ("[pipeline]\nendpoint = http://x/a%20b\n", None),
-    ("seed = 1\n", "File contains no section headers."),
-    ("[pipeline]\nseed = 1\nseed = 2\n", "option 'seed' in section 'pipeline' already exists"),
-    (b"[pipeline]\nseed = 1\n# caf\xe9\n", "'utf-8' codec can't decode byte 0xe9 in position 25"),
-    ("[pipeline]\nseed = 3\n[gateway]\nmax_parallel = 16\nretries = 9\n",
+    ("retries = 1\n", "File contains no section headers."),
+    ("[pipeline]\nretries = 1\nretries = 2\n", "option 'retries' in section 'pipeline' already exists"),
+    (b"[pipeline]\nretries = 1\n# caf\xe9\n", "'utf-8' codec can't decode byte 0xe9 in position 28"),
+    ("[pipeline]\nretries = 3\n[gateway]\nmax_parallel = 16\nretries = 9\n",
      "unknown section [gateway]; every key goes under [pipeline]"),
 ], ids=["percent", "no-section-header", "repeated-key", "not-utf-8", "other-section"])
 def test_config_file_syntax_ends_in_one_error_line(tmp_path, capsys, body, error):
@@ -91,7 +91,7 @@ def test_config_file_syntax_ends_in_one_error_line(tmp_path, capsys, body, error
     error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
     assert code == 1 and len(error_lines) == 1
     if error is None:  # a `%` is literal, so the run gets past the config to the missing corpus
-        assert load_config(path).gateway.endpoint == "http://x/a%20b"
+        assert load_config(path).endpoint == "http://x/a%20b"
         assert "nowhere" in error_lines[0]
     else:
         assert error_lines[0].startswith(f"error: PipelineError: config file {path}: ")
@@ -123,19 +123,15 @@ def test_an_endpoint_that_is_not_an_http_url_fails_before_any_input_is_read(tmp_
     assert capsys.readouterr().err.splitlines() == [
         f"error: PipelineError: endpoint {endpoint!r} is not an http(s) URL with a host"]
     path = write_config(tmp_path, "[pipeline]\nendpoint = https://api.example/v1\n")
-    assert load_config(path).gateway.endpoint == "https://api.example/v1"
+    assert load_config(path).endpoint == "https://api.example/v1"
 
 
-def homes(config):
-    """The two dataclasses of a config, each with its fields that are INI keys."""
-    return [(home, {f.name for f in fields(home)} - set(PARTS)) for home in (config, config.gateway)]
+KEYS = {field.name for field in fields(GatewayConfig)}
 
 
-def test_the_ini_keys_are_exactly_these_twelve():
+def test_the_ini_keys_are_exactly_these_eight():
     # a new key is a new concept to document and test: adding one edits this list
-    keys = set().union(*(names for _, names in homes(PipelineConfig())))
-    assert keys == {
-        "corpus_dir", "graph_path", "cache_path", "seed",
+    assert KEYS == {
         "endpoint", "model", "api_key_env", "max_parallel", "retries", "timeout_s",
         "temperature", "top_p",
     }
@@ -146,10 +142,9 @@ def test_every_example_key_lands_in_the_one_field_of_its_name(tmp_path):
 
     parser = configparser.ConfigParser()
     parser.read(REPO_ROOT / "config.example.ini", encoding="utf-8")
-    defaults = homes(PipelineConfig())
     wanted = {}  # every key set to a valid value that is not its default
     for key in parser["pipeline"]:
-        (default,) = [getattr(home, key) for home, names in defaults if key in names]
+        default = getattr(GatewayConfig(), key)
         if key == "endpoint":  # the one string key with a form: an http(s) URL
             wanted[key] = "http://endpoint-set/v1"
         elif isinstance(default, str):
@@ -160,22 +155,16 @@ def test_every_example_key_lands_in_the_one_field_of_its_name(tmp_path):
             wanted[key] = default / 2
     body = "".join(f"{key} = {value}\n" for key, value in wanted.items())
     config = load_config(write_config(tmp_path, f"[pipeline]\n{body}"))
-    landed = {}
-    for home, names in homes(config):
-        for name in names:
-            assert name not in landed, f"{name} is a field of two dataclasses"
-            landed[name] = getattr(home, name)
-    assert landed == wanted
+    assert {key: getattr(config, key) for key in wanted} == wanted
 
 
 def test_shipped_example_config_loads():
     from conftest import REPO_ROOT
 
     path = REPO_ROOT / "config.example.ini"
-    config = load_config(path)
-    assert config.corpus_dir
-    assert config.seed == 0
+    # the example shows every default
+    assert load_config(path) == GatewayConfig()
     # the example documents every key, and nothing that is not one
     parser = configparser.ConfigParser()
     parser.read(path, encoding="utf-8")
-    assert set(parser["pipeline"]) == set().union(*(names for _, names in homes(PipelineConfig())))
+    assert set(parser["pipeline"]) == KEYS

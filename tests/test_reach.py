@@ -22,9 +22,9 @@ only ones allowed are those PINNED_MEMBERS lists:
   token accounting of ROADMAP items 3 and 15 is to read;
 - `ScriptBackend.sends` (criterion 4).
 
-Config knobs get the same check: every field of `PipelineConfig`,
-`GatewayConfig` and `TeacherConfig` is read by some module under `src/` other
-than `config.py`.
+Config knobs get the same check: every field of every dataclass under
+`src/` whose class name ends in `Config`, found by AST so that no list names
+them, is read by some module under `src/` other than `config.py`.
 
 Imports get one too: every name a module under `src/`, `tests/` or `tools/`
 imports is used in that module, so a deletion leaves no import behind.
@@ -45,15 +45,11 @@ from __future__ import annotations
 
 import ast
 import builtins
-from dataclasses import fields
 from pathlib import Path
 from typing import Iterable
 
 from conftest import REPO_ROOT
 
-from recteacher.config import PipelineConfig
-from recteacher.gateway import GatewayConfig
-from recteacher.teacher import TeacherConfig
 from recteacher.errors import GATEWAY_ERROR_KINDS, TAG_ERROR_KINDS
 
 SRC = REPO_ROOT / "src"
@@ -207,9 +203,27 @@ def unread_fields(src: Path, names: Iterable[str], home: str = "config.py") -> s
     return set(names) - read
 
 
+def config_fields(src: Path) -> set[str]:
+    """The field names of every dataclass under `src` whose class name ends in `Config`.
+
+    A class is a dataclass when a decorator, plain, called or as an attribute
+    (`@dataclass`, `@dataclass(frozen=True)`, `@dataclasses.dataclass`), is
+    named `dataclass`; its fields are the annotated names of its body.
+    """
+    names: set[str] = set()
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if (isinstance(node, ast.ClassDef) and node.name.endswith("Config")
+                    and any(_last_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+                            for d in node.decorator_list)):
+                names |= {stmt.target.id for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+    return names
+
+
 def test_every_config_field_is_read_outside_the_config_module():
-    names = [field.name for cls in (PipelineConfig, GatewayConfig, TeacherConfig)
-             for field in fields(cls)]
+    names = config_fields(SRC)
+    assert names  # the finder sees the gateway's settings at least
     assert unread_fields(SRC, names) == set()
 
 
@@ -226,6 +240,21 @@ def test_an_added_unread_config_field_is_caught(tmp_path):
     # `a` is read as an attribute of a config; `b` only of `config.gateway`, whose
     # name does not end in `config`; `scratch` only in config.py and of another object
     assert unread_fields(tmp_path, ["a", "b", "scratch"]) == {"b", "scratch"}
+
+
+def test_an_added_unread_field_of_a_new_config_class_is_caught(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "import dataclasses\nfrom dataclasses import dataclass\n\n\n"
+        "@dataclass\nclass OldConfig:\n    read: int = 0\n\n\n"
+        "@dataclasses.dataclass(frozen=True)\nclass NewConfig:\n    added: int = 0\n\n\n"
+        "class PlainConfig:\n    plain: int = 0\n\n\n"
+        "@dataclass\nclass Record:\n    other: int = 0\n", encoding="utf-8")
+    (package / "b.py").write_text("def run(config):\n    return config.read\n", encoding="utf-8")
+    # PlainConfig is no dataclass and Record no config, so neither is checked
+    assert config_fields(tmp_path) == {"read", "added"}
+    assert unread_fields(tmp_path, config_fields(tmp_path)) == {"added"}
 
 
 def unused_imports(path: Path) -> list[str]:
