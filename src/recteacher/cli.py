@@ -20,7 +20,12 @@ rejects (missing, or not of its JSON type: none is coerced), that repeats an
 id of any earlier record, or an instance whose history names another user,
 fails the command with one `MalformedRecord: <path>:<line>: <reason>` line.
 Flags are checked before any input file is read; every path comes from a
-flag, and an empty one is a usage error. run-teacher loads the graph before
+flag, and an empty one is a usage error. Each command takes only the flags
+it reads, but for --parallel and --verbose, which every command takes:
+--config and --backend only verbalize and run-teacher, the two commands that
+send, which alone load the config file and read --parallel; --seed only
+make-instances and bucket-rl. filter, score-rewards and evaluate read a
+session's ranking from its trajectory. run-teacher loads the graph before
 any session starts. A missing evidence cache is an empty one; every miss is
 filled from the graph, and an anchor the graph does not know gets a fixed
 sentence.
@@ -54,7 +59,7 @@ from .corpus import (
     require_id,
     save_corpus,
 )
-from .errors import InsufficientInput, PipelineError
+from .errors import InsufficientInput, PipelineError, TagError
 from .evaluate import (
     DEFAULT_KS,
     EvalInstance,
@@ -71,7 +76,7 @@ from .rewards import (DEFAULT_RL_RATIO, DEFAULT_RL_TARGET, Bucket, bucket, compo
                       compose_rl_set, largest_remainder)
 from .teacher import (AGENT_NAMES, PhaseRecord, SessionLog, TeacherConfig, ToolRunner, build_context,
                       phase_name, run_teacher)
-from .trajectory import export_sft, serialize, top1_hit
+from .trajectory import export_sft, parse, serialize, top1_hit
 from .util import atomic_path, atomic_writer, decode_jsonl, require_field, unique_ids, write_jsonl_atomic
 from .verbalize import EvidenceCache, verbalize_key, warm_cache
 
@@ -102,19 +107,22 @@ def _path(text: str) -> str:
 _FLAG_MINIMUM = {"parallel": 1, "limit": 1, "target": 0}
 
 
-def _resolve_config(args: argparse.Namespace) -> GatewayConfig:
-    """The gateway config as --parallel overrides it; every count and backend flag is checked first."""
+def _check_counts(args: argparse.Namespace) -> None:
+    """Refuse a count flag below its least value, on any command that has it."""
     for name, minimum in _FLAG_MINIMUM.items():
         value = getattr(args, name, None)
         if value is not None and value < minimum:
             raise PipelineError(f"--{name} must be >= {minimum}")
-    backend = getattr(args, "backend", None)  # None on a command that sends nothing
-    if backend == BACKEND_HTTP and args.fail_reflection:
+
+
+def _resolve_config(args: argparse.Namespace) -> GatewayConfig:
+    """A sending command's gateway config as --parallel overrides it; its backend flags are checked first."""
+    if args.backend == BACKEND_HTTP and args.fail_reflection:
         raise PipelineError("--fail-reflection requires --backend mock")
     config = load_config(Path(args.config) if args.config else None)
     if args.parallel is not None:
         config = replace(config, max_parallel=args.parallel)
-    if backend == BACKEND_HTTP and not config.endpoint:
+    if args.backend == BACKEND_HTTP and not config.endpoint:
         raise PipelineError(
             "http backend needs an endpoint (set `endpoint` in the config file or use --backend mock)"
         )
@@ -236,9 +244,9 @@ def _decode_scored(record: dict) -> tuple[str, str | None]:
     return require_field(record, "trajectory", str), ground_truth
 
 
-def _decode_ranking(record: dict) -> list[str]:
-    """The final ranking of a session record."""
-    return [require_id(item, "final_ranking entry") for item in require_field(record, "final_ranking", list)]
+def _decode_trajectory(record: dict) -> str:
+    """The serialized trajectory of a session record."""
+    return require_field(record, "trajectory", str)
 
 
 def _decode_rollout(record: dict) -> Bucket:
@@ -250,7 +258,7 @@ def _decode_rollout(record: dict) -> Bucket:
 # subcommands
 
 
-def _cmd_ingest(args: argparse.Namespace, config: GatewayConfig) -> None:
+def _cmd_ingest(args: argparse.Namespace) -> None:
     corpus = ingest(args.users, args.items, args.reviews)
     save_corpus(corpus, args.out)
     print(
@@ -259,7 +267,7 @@ def _cmd_ingest(args: argparse.Namespace, config: GatewayConfig) -> None:
     )
 
 
-def _cmd_build_graph(args: argparse.Namespace, config: GatewayConfig) -> None:
+def _cmd_build_graph(args: argparse.Namespace) -> None:
     graph = build_graph(load_corpus(args.corpus))
     save_graph(graph, args.out)
     print(
@@ -289,7 +297,7 @@ def _cmd_verbalize(args: argparse.Namespace, config: GatewayConfig) -> None:
                                 f"first: {key.name}:{key.anchor}: {type(exc).__name__}: {exc}")
 
 
-def _cmd_make_instances(args: argparse.Namespace, config: GatewayConfig) -> None:
+def _cmd_make_instances(args: argparse.Namespace) -> None:
     corpus = load_corpus(args.corpus)
     scenario = Scenario(args.scenario)
     records = []
@@ -359,7 +367,7 @@ def _cmd_run_teacher(args: argparse.Namespace, config: GatewayConfig) -> None:
     print(f"sessions: {count} -> {args.out}")
 
 
-def _cmd_filter(args: argparse.Namespace, config: GatewayConfig) -> None:
+def _cmd_filter(args: argparse.Namespace) -> None:
     kept = []
     total = unparsable = 0
     for session_id, record in _read_records(args.sessions, _decode_session, "session"):
@@ -375,13 +383,13 @@ def _cmd_filter(args: argparse.Namespace, config: GatewayConfig) -> None:
     print(f"kept {len(kept)} / {total}")
 
 
-def _cmd_export_sft(args: argparse.Namespace, config: GatewayConfig) -> None:
+def _cmd_export_sft(args: argparse.Namespace) -> None:
     count = export_sft({session_id: (record["prompt"], record["trajectory"]) for session_id, record
                         in _read_records(args.kept, _decode_session, "session")}, Path(args.out))
     print(f"exported {count} records -> {args.out}")
 
 
-def _cmd_score_rewards(args: argparse.Namespace, config: GatewayConfig) -> None:
+def _cmd_score_rewards(args: argparse.Namespace) -> None:
     ground_truth_by_id = {instance_id: instance.ground_truth for instance_id, instance
                           in _read_records(args.instances, _decode_instance, "instance")
                           } if args.instances else {}
@@ -407,7 +415,7 @@ def _cmd_score_rewards(args: argparse.Namespace, config: GatewayConfig) -> None:
     print(f"scored {len(out_records)} trajectories -> {args.out}")
 
 
-def _cmd_bucket_rl(args: argparse.Namespace, config: GatewayConfig) -> None:
+def _cmd_bucket_rl(args: argparse.Namespace) -> None:
     by_bucket: dict[Bucket, list[str]] = {b: [] for b in Bucket}
     bucket_of = dict(_read_records(args.rollouts, _decode_rollout, "rollout"))
     for record_id, which in bucket_of.items():
@@ -441,14 +449,18 @@ def _report_row(name: str, report: EvalReport) -> str:
     return "  ".join(cells)
 
 
-def _cmd_evaluate(args: argparse.Namespace, config: GatewayConfig) -> None:
+def _cmd_evaluate(args: argparse.Namespace) -> None:
     instances = dict(_read_records(args.instances, _decode_instance, "instance"))
-    all_pairs: list[tuple[list[str], EvalInstance]] = []
-    by_scenario: dict[str, list[tuple[list[str], EvalInstance]]] = {}
-    for session_id, ranking in _read_records(args.sessions, _decode_ranking, "session"):
+    all_pairs: list[tuple[Sequence[str], EvalInstance]] = []
+    by_scenario: dict[str, list[tuple[Sequence[str], EvalInstance]]] = {}
+    for session_id, trajectory in _read_records(args.sessions, _decode_trajectory, "session"):
         if session_id not in instances:
             raise PipelineError(f"session {session_id!r} has no matching instance record")
         instance = instances[session_id]
+        try:  # the ranking filter and score-rewards read
+            ranking = parse(trajectory).ranking
+        except TagError as exc:
+            raise PipelineError(f"session {session_id!r} has an unparsable trajectory: {exc}") from exc
         if sorted(ranking) != sorted(instance.candidates):  # an id alone may join another draw
             raise PipelineError(f"session {session_id!r} does not rank its instance's candidates")
         all_pairs.append((ranking, instance))
@@ -480,19 +492,22 @@ def _cmd_evaluate(args: argparse.Namespace, config: GatewayConfig) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=_path, help="gateway config file (INI)")
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     common.add_argument("--parallel", type=int,
-                        help="at most N sessions at once and at most N gateway calls in flight, "
-                             "a session's analysis agents included; a freed call slot goes to "
-                             "the earliest-started session "
-                             f"(default from config, {GatewayConfig.max_parallel})")
+                        help="verbalize and run-teacher: at most N sessions at once and at most N "
+                             "gateway calls in flight, a session's analysis agents included; a "
+                             "freed call slot goes to the earliest-started session "
+                             f"(default from config, {GatewayConfig.max_parallel}); "
+                             "every other command accepts it and ignores it")
     common.add_argument("--verbose", action="store_true", help="debug logging")
 
     backend = argparse.ArgumentParser(add_help=False)
+    backend.add_argument("--config", type=_path, help="gateway config file (INI)")
     backend.add_argument("--backend", choices=[BACKEND_MOCK, BACKEND_HTTP], default=BACKEND_HTTP,
                          help="LLM backend: a deterministic offline mock or the configured http endpoint")
     backend.set_defaults(fail_reflection=False)  # only run-teacher has the flag
+
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
     parser = argparse.ArgumentParser(
         prog="recteacher",
@@ -524,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep existing cache entries and fill gaps only")
     p.set_defaults(handler=_cmd_verbalize)
 
-    p = sub.add_parser("make-instances", parents=[common],
+    p = sub.add_parser("make-instances", parents=[common, seeded],
                        help="build leave-last-out evaluation instances for a scenario")
     p.add_argument("--corpus", type=_path, required=True, help="corpus directory")
     p.add_argument("--scenario", choices=[s.value for s in Scenario], default=Scenario.CLASSIC.value)
@@ -565,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=_path, required=True, help="reward breakdowns .jsonl file")
     p.set_defaults(handler=_cmd_score_rewards)
 
-    p = sub.add_parser("bucket-rl", parents=[common],
+    p = sub.add_parser("bucket-rl", parents=[common, seeded],
                        help="bucket rollout success counts by difficulty and sample the RL set")
     p.add_argument("--rollouts", type=_path, required=True,
                    help=".jsonl file or directory of {id, success_count} rollout records")
@@ -593,9 +608,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         stream=sys.stderr,
     )
     try:
-        config = _resolve_config(args)
-        logger.info("command %s, seed %d, resolved config: %s", args.command, args.seed, config)
-        args.handler(args, config)
+        _check_counts(args)
+        if "config" in args:  # verbalize and run-teacher, the two commands that send
+            config = _resolve_config(args)
+            logger.info("command %s, resolved config: %s", args.command, config)
+            args.handler(args, config)
+        else:
+            logger.info("command %s%s", args.command, f", seed {args.seed}" if "seed" in args else "")
+            args.handler(args)
     except (PipelineError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -10,6 +10,7 @@ import re
 import shlex
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -114,14 +115,52 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     # file to open, or, for --config, no file at all
     out = str(tmp_path / "out.jsonl")
     for flag, argv in (("--sessions", ["filter", "--sessions", "", "--out", out]),
-                       ("--config", ["make-instances", "--config", "", "--corpus", str(tmp_path),
-                                     "--out", out]),
+                       ("--config", ["verbalize", "--config", "", "--corpus", str(tmp_path),
+                                     "--graph", out, "--out", out]),
                        ("--users", ["ingest", "--users", "", "--items", out, "--reviews", out,
                                     "--out", out])):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2, argv
         assert f"argument {flag}: an empty path names no file" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+# The path flags each command requires, by name; none is opened before the flags are checked.
+REQUIRED_PATHS = {
+    "ingest": ["--users", "--items", "--reviews", "--out"],
+    "build-graph": ["--corpus", "--out"],
+    "verbalize": ["--corpus", "--graph", "--out"],
+    "make-instances": ["--corpus", "--out"],
+    "run-teacher": ["--corpus", "--graph", "--cache", "--instances", "--out"],
+    "filter": ["--sessions", "--out"],
+    "export-sft": ["--kept", "--out"],
+    "score-rewards": ["--trajectories", "--out"],
+    "bucket-rl": ["--rollouts", "--out"],
+    "evaluate": ["--sessions", "--instances", "--out"],
+}
+SENDING = {"verbalize", "run-teacher"}
+SEEDED = {"make-instances", "bucket-rl"}
+
+
+@pytest.mark.parametrize("flag, value, command, takes", [
+    pytest.param(flag, value, command, command in readers, id=f"{command}{flag}")
+    for flag, value, readers in (("--config", "gateway.ini", SENDING), ("--seed", "9", SEEDED))
+    for command in REQUIRED_PATHS
+])
+def test_a_command_takes_config_and_seed_only_where_it_reads_them(tmp_path, capsys, flag, value,
+                                                                  command, takes):
+    # only the two commands that send read the gateway config, and only two draw at random
+    argv = [command, *(part for name in REQUIRED_PATHS[command]
+                       for part in (name, str(tmp_path / name.lstrip("-"))))]
+    build_parser().parse_args(argv)  # the command's own flags parse
+    if takes:
+        assert getattr(build_parser().parse_args([*argv, flag, value]), flag.lstrip("-")) is not None
+        return
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, flag, value])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 
@@ -1162,14 +1201,14 @@ ROLLOUTS = [{"id": "r1", "success_count": 3}, {"id": "r2", "success_count": 5}]
     ("evaluate", "--instances", "instances", with_value("candidates", "i1")),
     ("score-rewards", "--instances", "instances", without("history")),
     ("filter", "--sessions", "sessions", with_value("ground_truth", "a,b")),
-    ("evaluate", "--sessions", "sessions", without("final_ranking")),
+    ("evaluate", "--sessions", "sessions", without("trajectory")),
     ("score-rewards", "--trajectories", "sessions", without("trajectory")),
     ("export-sft", "--kept", "kept", without("prompt")),
     ("bucket-rl", "--rollouts", "rollouts", with_value("success_count", 9)),
     ("run-teacher", "--graph", "graph", with_value("items", "i1")),
     ("score-rewards", "--trajectories", "sessions", with_value("id", None)),
     ("filter", "--sessions", "sessions", with_value("prompt", None)),
-    ("evaluate", "--sessions", "sessions", with_value("final_ranking", [1])),
+    ("evaluate", "--sessions", "sessions", with_value("trajectory", ["1. i1"])),
     ("filter", "--sessions", "sessions", with_value("user", 5)),
     ("filter", "--sessions", "sessions", with_value("user", None)),
 ], ids=["run-teacher-instances", "evaluate-instances", "score-rewards-instances", "filter-sessions",
@@ -1434,13 +1473,45 @@ def test_evaluate_refuses_a_session_that_ranks_other_candidates(pipeline, tmp_pa
     assert not out.exists()
 
 
+def test_evaluate_scores_the_ranking_filter_keeps_by(pipeline, tmp_path, capsys):
+    # `final_ranking` is a copy of the trajectory's ranking: a hand-edited copy changes no score
+    records = records_of(pipeline["sessions"])
+    for record in records[::3]:
+        record["final_ranking"][:2] = record["final_ranking"][1::-1]
+    sessions = tmp_path / "sessions.jsonl"
+    sessions.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    kept = tmp_path / "kept.jsonl"
+    assert main(["filter", "--sessions", str(sessions), "--out", str(kept)]) == 0
+    report = tmp_path / "report.json"
+    assert main(["evaluate", "--sessions", str(sessions), "--instances", str(pipeline["instances"]),
+                 "--out", str(report)]) == 0
+    capsys.readouterr()
+    hr1 = json.loads(report.read_text(encoding="utf-8"))["overall"]["per_k"]["1"]["fraction"]
+    assert Fraction(hr1) == Fraction(len(records_of(kept)), len(records)) == 1
+
+
+def test_evaluate_refuses_an_unparsable_trajectory(pipeline, tmp_path, capsys):
+    records = records_of(pipeline["sessions"])
+    records[1]["trajectory"] = records[1]["trajectory"].replace("</recommend>", "")
+    sessions = tmp_path / "sessions.jsonl"
+    sessions.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--sessions", str(sessions), "--instances", str(pipeline["instances"]),
+                 "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: PipelineError: session {records[1]['id']!r} has an unparsable "
+                           "trajectory: unclosed")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["corpus_dir", "graph_path", "cache_path", "seed"])
 def test_a_config_key_for_a_path_or_the_seed_is_unknown(pipeline, tmp_path, capsys, key):
     # paths and the seed are flags: a config key for one would be a second source
     config = tmp_path / "pipeline.ini"
     config.write_text(f"[pipeline]\n{key} = 3\n", encoding="utf-8")
-    graph = tmp_path / "graph.jsonl"
-    assert main(["build-graph", "--config", str(config), "--corpus", str(pipeline["corpus"]),
-                 "--out", str(graph)]) == 1
+    cache = tmp_path / "cache.jsonl"
+    assert main(["verbalize", "--config", str(config), "--backend", "mock",
+                 "--corpus", str(pipeline["corpus"]), "--graph", str(pipeline["graph"]),
+                 "--out", str(cache)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: PipelineError: unknown config key {key!r}"]
-    assert not graph.exists()
+    assert not cache.exists()

@@ -86,8 +86,8 @@ def test_a_retired_key_loads_with_one_warning_whatever_its_value(tmp_path, caplo
 def test_config_file_syntax_ends_in_one_error_line(tmp_path, capsys, body, error):
     path = tmp_path / "pipeline.ini"
     path.write_bytes(body if isinstance(body, bytes) else body.encode("utf-8"))
-    code = main(["build-graph", "--config", str(path), "--corpus", str(tmp_path / "nowhere"),
-                 "--out", str(tmp_path / "g.jsonl")])
+    code = main(["verbalize", "--config", str(path), "--corpus", str(tmp_path / "nowhere"),
+                 "--graph", str(tmp_path / "nowhere.jsonl"), "--out", str(tmp_path / "cache.jsonl")])
     error_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
     assert code == 1 and len(error_lines) == 1
     if error is None:  # a `%` is literal, so the run gets past the config to the missing corpus

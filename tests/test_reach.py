@@ -39,6 +39,13 @@ File writes have one home: no module under `src/` but `util.py` calls
 `open`, `write_text`, `write_bytes` or `mkdir`, so how an artifact's bytes
 reach the disk (atomic rename, append on a line of its own, the directory it
 lands in) is decided in one place.
+
+Parameters get one too: every parameter of every function and lambda under
+`src/` but `self` and `cls` is loaded by name in its body, so an argument
+passed and never read fails. The only ones allowed are those
+PINNED_PARAMETERS lists:
+- `Backend.send`'s `request`: the method is a Protocol stub, whose body is `...`;
+- `teacher.run_teacher`'s `config`: criterion 9 passes it a `TeacherConfig()`.
 """
 
 from __future__ import annotations
@@ -67,6 +74,11 @@ PINNED_MEMBERS = {
     "recteacher.gateway.ChatUsage.completion_tokens",
     "recteacher.gateway.ChatUsage.prompt_tokens",
     "recteacher.gateway.ScriptBackend.sends",
+}
+
+PINNED_PARAMETERS = {
+    "recteacher.gateway.Backend.send.request",
+    "recteacher.teacher.run_teacher.config",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -409,3 +421,58 @@ def test_an_error_kind_never_raised_is_caught(tmp_path):
     # so KINDS = ("used", "scratch") fails the check twice: "scratch" is never
     # passed, and the computed kind is not a literal of the tuple
     assert passed_kinds(tmp_path, "KindError") == {"used", "KINDS[kind]"}
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def unread_parameters(src: Path) -> set[str]:
+    """`module.Qualified.name.parameter` for each parameter under `src` its function never loads.
+
+    Every parameter counts, positional, keyword-only, `*args` and `**kwargs`
+    alike, but `self` and `cls`. A function's body includes the functions
+    nested in it, so a closure that reads a parameter reads it; a lambda is
+    named `<lambda>` within the function that holds it.
+    """
+    unread = set()
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, FUNCTIONS):
+                name = f"{prefix}.{getattr(child, 'name', '<lambda>')}"
+                params = child.args
+                body = [child.body] if isinstance(child, ast.Lambda) else child.body
+                loaded = {n.id for part in body for n in ast.walk(part)
+                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                for arg in [*params.posonlyargs, *params.args, *params.kwonlyargs,
+                            *filter(None, [params.vararg, params.kwarg])]:
+                    if arg.arg not in loaded | {"self", "cls"}:
+                        unread.add(f"{name}.{arg.arg}")
+            elif isinstance(child, ast.ClassDef):
+                name = f"{prefix}.{child.name}"
+            visit(child, name)
+
+    for path in sorted(src.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)),
+              ".".join(path.relative_to(src).with_suffix("").parts))
+    return unread
+
+
+def test_only_the_pinned_parameters_are_unread():
+    assert unread_parameters(SRC) == PINNED_PARAMETERS
+
+
+def test_an_added_unread_parameter_is_caught(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "def run(args, config, *rest, flag=False, **options):\n"
+        "    def inner(value, unused):\n        return value, args\n\n"
+        "    config = 1\n    return inner(flag, 0), sorted(rest, key=lambda item, spare=0: item)\n\n\n"
+        "class Runner:\n    def go(self, target):\n        return 0\n\n"
+        "    @classmethod\n    def make(cls, seed):\n        return seed\n", encoding="utf-8")
+    # `config` is only stored, never loaded; `args` is read by the closure; self and cls are exempt
+    assert unread_parameters(tmp_path) == {
+        "pkg.a.run.config", "pkg.a.run.options", "pkg.a.run.inner.unused",
+        "pkg.a.run.<lambda>.spare", "pkg.a.Runner.go.target"}
