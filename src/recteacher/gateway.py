@@ -2,7 +2,10 @@
 
 The Gateway owns retry-with-backoff and the global in-flight bound; backends
 only know how to send a single request. A freed slot goes to the waiting send
-of the earliest-started session (`Gateway.for_session`), FIFO among equals.
+of the earliest-started session (`Gateway.for_session`), FIFO among equals,
+and that send starts before the thread that freed the slot runs on: the
+freeing thread yields the interpreter lock to it rather than keep it while it
+parses its reply.
 Tests send through ScriptBackend, the oracle, or HttpBackend against a stub
 server that `tests/test_http_path.py` binds to 127.0.0.1; only the live
 smoke test, run when an endpoint is set, sends past the loopback.
@@ -130,36 +133,67 @@ class _RankedSlots:
     Waiters of equal rank are served in arrival order. A release hands the
     slot straight to the chosen waiter, so a thread that releases and asks
     again at once queues behind every earlier waiter of its rank
-    (threading.Semaphore would let it take the slot back first).
+    (threading.Semaphore would let it take the slot back first). The release
+    then blocks until that waiter runs: a woken thread needs the interpreter
+    lock, which the releasing thread would otherwise keep while it parses its
+    reply and renders its next prompt, so the waiter's send starts first. An
+    uncontended acquire or release never waits.
     """
 
     def __init__(self, size: int):
         self._lock = threading.Lock()
         self._free = size
         self._arrivals = itertools.count()
-        # (rank, arrival, ticket): arrivals are unique, so tickets are never compared
-        self._waiters: list[tuple[int, int, threading.Lock]] = []
+        # (rank, arrival, ticket, started): arrivals are unique, so locks are never compared
+        self._waiters: list[tuple[int, int, threading.Lock, threading.Lock]] = []
 
     @contextmanager
     def hold(self, rank: int) -> Iterator[None]:
         with self._lock:
             if self._free:
                 self._free -= 1
-                ticket = None
+                entry = None
             else:
-                ticket = threading.Lock()
-                ticket.acquire()
-                heapq.heappush(self._waiters, (rank, next(self._arrivals), ticket))
-        if ticket is not None:
-            ticket.acquire()  # released by the holder that hands this thread its slot
+                entry = (rank, next(self._arrivals), _held_lock(), _held_lock())
+                heapq.heappush(self._waiters, entry)
+        if entry is not None:
+            _, _, ticket, started = entry
+            try:
+                ticket.acquire()  # released by the holder that hands this thread its slot
+            except BaseException:  # a signal handler's exception, which only the main thread gets
+                self._withdraw(entry)
+                raise
+            finally:
+                started.release()  # before anything that can raise: that holder waits on it
         try:
             yield
         finally:
-            with self._lock:
-                if self._waiters:
-                    heapq.heappop(self._waiters)[2].release()
-                else:
-                    self._free += 1
+            self._release()
+
+    def _release(self) -> None:
+        with self._lock:
+            if not self._waiters:
+                self._free += 1
+                return
+            _, _, ticket, started = heapq.heappop(self._waiters)
+            ticket.release()
+        started.acquire()  # drops the interpreter lock until the chosen waiter runs
+
+    def _withdraw(self, entry: tuple) -> None:
+        """Take back an abandoned wait: dequeue it, or pass on the slot it was handed."""
+        with self._lock:
+            queued = entry in self._waiters
+            if queued:
+                self._waiters.remove(entry)
+                heapq.heapify(self._waiters)
+        if not queued:
+            self._release()
+
+
+def _held_lock() -> threading.Lock:
+    lock = threading.Lock()
+    lock.acquire()
+    return lock
 
 
 class Gateway:
@@ -195,7 +229,8 @@ class Gateway:
     def complete(self, request: ChatRequest) -> ChatReply:
         """The backend's reply; a transient GatewayError is retried up to `config.retries` times.
 
-        Each retry backs off first. The last failure is re-raised as it was; a
+        Each retry backs off first, after a warning that names the failure, the
+        attempt and the delay. The last failure is re-raised as it was; a
         GatewayError of any other kind, or any other exception, propagates at once.
         """
         for attempt in itertools.count():
@@ -205,8 +240,10 @@ class Gateway:
             except GatewayError as exc:
                 if not exc.transient or attempt == self.config.retries:
                     raise
-                self._sleep(_backoff_delay(attempt))
-                logger.debug("retrying after %s (attempt %d)", exc, attempt + 1)
+                delay = _backoff_delay(attempt)
+                logger.warning("send failed (%s), attempt %d of %d; retrying in %.2f s",
+                               exc, attempt + 1, self.config.retries + 1, delay)
+                self._sleep(delay)
 
 
 def _backoff_delay(attempt: int) -> float:

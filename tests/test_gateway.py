@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import logging
 import random
+import signal
 import sys
 import threading
 import time
@@ -293,6 +295,112 @@ def test_a_failed_send_frees_its_slot():
     assert not thread.is_alive()
     assert [r.content for r in results] == ["ok"]
 
+
+
+class GatedBackend:
+    """Records each send's label; the send labelled `held` waits for `release`."""
+
+    def __init__(self, held: str):
+        self.held = held
+        self.release = threading.Event()
+        self.order: list[str] = []
+
+    def send(self, request):
+        label = request.messages[0]["content"]
+        self.order.append(label)
+        if label == self.held:
+            assert self.release.wait(timeout=10)
+        return ChatReply(content="ok")
+
+
+def test_a_release_to_a_waiter_returns_once_the_waiters_send_has_started():
+    backend = GatedBackend("holder")
+    gateway = Gateway(backend, GatewayConfig(max_parallel=1))
+    seen_on_return: list[list[str]] = []
+
+    def holder():
+        gateway.complete(chat_request([("user", "holder")]))
+        seen_on_return.append(list(backend.order))
+
+    threads = [threading.Thread(target=holder),
+               threading.Thread(target=gateway.complete, args=(chat_request([("user", "waiter")]),))]
+    threads[0].start()
+    wait_until(lambda: backend.order == ["holder"])
+    threads[1].start()
+    wait_until(lambda: len(gateway._slots._waiters) == 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1.0)  # no thread loses the interpreter lock to the timer
+    try:
+        backend.release.set()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen_on_return == [["holder", "waiter"]]
+
+
+def test_a_release_with_no_waiter_returns_without_waiting():
+    gateway = Gateway(ScriptBackend(["ok", "ok"]), GatewayConfig(max_parallel=1))
+    thread = threading.Thread(target=lambda: [gateway.complete(REQ) for _ in range(2)])
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert gateway._slots._free == 1 and not gateway._slots._waiters
+
+
+class Interrupted(Exception):
+    pass
+
+
+def test_an_interrupted_wait_leaves_no_entry_behind():
+    """A signal handler's exception ends a main-thread wait; the next release still hands on."""
+    backend = GatedBackend("holder")
+    gateway = Gateway(backend, GatewayConfig(max_parallel=1))
+    holder = threading.Thread(target=gateway.complete, args=(chat_request([("user", "holder")]),))
+    holder.start()
+    wait_until(lambda: backend.order == ["holder"])
+
+    def interrupt_the_wait():
+        wait_until(lambda: gateway._slots._waiters)
+        time.sleep(0.05)  # the main thread is then blocked on its ticket
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGUSR1)
+
+    def raise_interrupted(signum, frame):
+        raise Interrupted
+
+    previous = signal.signal(signal.SIGUSR1, raise_interrupted)
+    interrupter = threading.Thread(target=interrupt_the_wait)
+    interrupter.start()
+    try:
+        with pytest.raises(Interrupted):
+            gateway.complete(chat_request([("user", "interrupted")]))
+    finally:
+        interrupter.join(timeout=10)
+        signal.signal(signal.SIGUSR1, previous)
+    assert not gateway._slots._waiters
+    backend.release.set()
+    holder.join(timeout=10)
+    assert not holder.is_alive()
+    assert gateway.complete(chat_request([("user", "after")])).content == "ok"
+    assert backend.order == ["holder", "after"]
+    assert gateway._slots._free == 1
+
+
+def test_a_retry_is_logged_before_its_backoff(caplog):
+    logged_by_sleep: list[tuple[float, list[str]]] = []
+
+    def sleep(delay):
+        logged_by_sleep.append((delay, [record.getMessage() for record in caplog.records]))
+
+    backend = ScriptBackend([GatewayError("rate_limit", "HTTP 429"), "ok"])
+    gateway = Gateway(backend, GatewayConfig(retries=1), sleep=sleep)
+    with caplog.at_level(logging.WARNING, logger="recteacher.gateway"):
+        assert gateway.complete(REQ).content == "ok"
+    [(delay, messages)] = logged_by_sleep
+    assert messages == [f"send failed (rate_limit: HTTP 429), attempt 1 of 2; "
+                        f"retrying in {delay:.2f} s"]
+    assert [record.levelno for record in caplog.records] == [logging.WARNING]
 
 def test_script_backend_callable_and_exhaustion():
     backend = ScriptBackend([lambda request, index: f"reply {index}"])

@@ -12,10 +12,12 @@ from collections import Counter
 import hashlib
 import json
 import shutil
+import time
 
 import pytest
 
 import recteacher.cli
+from conftest import steer_oracle
 from recteacher.abstract import SUMMARIZER
 from recteacher.cli import main
 from recteacher.corpus import REVIEWS_FILE, load_catalog, require_id
@@ -106,6 +108,28 @@ def test_run_teacher_makes_the_directory_of_a_new_cache(artifacts, tmp_path):
                  "--instances", str(artifacts / "instances.jsonl"), "--out", str(out)]) == 0
     for path in (cache, out):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[path.name], path.name
+
+
+def jitter(origin: Origin) -> None:
+    """Delay a send 0-5 ms by a hash of its origin; None leaves the oracle's reply."""
+    time.sleep(hashlib.sha256(repr(origin).encode()).digest()[0] / 255 * 0.005)
+
+
+@pytest.mark.parametrize("width", ["2", "4"])
+def test_run_teacher_matches_the_digests_when_sends_finish_out_of_order(artifacts, tmp_path,
+                                                                        monkeypatch, width):
+    """The mock replies at once, so sends finish in start order; jitter reorders them."""
+    steer_oracle(monkeypatch, jitter)
+    teacher = ["run-teacher", "--backend", "mock", "--corpus", str(artifacts / "corpus"),
+               "--graph", str(artifacts / "graph.jsonl"),
+               "--instances", str(artifacts / "instances.jsonl"), "--parallel", width]
+    runs = {"sessions.jsonl": ["--cache", str(artifacts / "cache.jsonl")],
+            "fr_sessions.jsonl": ["--cache", str(artifacts / "cache.jsonl"), "--fail-reflection"],
+            "od_sessions.jsonl": ["--cache", str(tmp_path / "od_cache.jsonl")]}
+    for name, extra in runs.items():
+        assert main([*teacher, *extra, "--out", str(tmp_path / name)]) == 0, name
+    for name in [*runs, "od_cache.jsonl"]:
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == DIGESTS[name], name
 
 
 # sha256 of every request the toy chain sends at --parallel 1, in send order: verbalize, then
