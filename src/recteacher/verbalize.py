@@ -180,10 +180,17 @@ def warm_cache(
 ) -> list[tuple[ToolCall, Exception]]:
     """Verbalize every graph key not already cached; return the failed keys and their errors.
 
-    Gateway calls run with the gateway's own parallelism bound; results are
-    put in the cache in key order. A failed key never blocks the others.
+    At most the gateway's `max_parallel` sends are in flight. Above one slot
+    the pool keeps `max_parallel + 1` callers, so the next send is rendered
+    before a slot frees; at one slot it keeps one. Results are put in the
+    cache in key order. A failed key never blocks the others.
     """
     pending = [key for key in all_keys(graph) if cache.lookup(key) is None]
+    slots = gateway.config.max_parallel
+    # The extra caller always has a rendered request queued at `_RankedSlots.hold`, and a
+    # releasing holder hands its slot to that waiter at once. One caller at one slot keeps
+    # the serial key order of the sends.
+    workers = slots + 1 if slots > 1 else 1
 
     def attempt(key: ToolCall) -> Evidence | Exception:
         try:
@@ -192,7 +199,7 @@ def warm_cache(
             return exc
 
     failed: list[tuple[ToolCall, Exception]] = []
-    with ThreadPoolExecutor(gateway.config.max_parallel) as pool:
+    with ThreadPoolExecutor(workers) as pool:
         for key, result in zip(pending, pool.map(attempt, pending)):
             if isinstance(result, Exception):
                 failed.append((key, result))

@@ -132,6 +132,18 @@ def test_run_teacher_matches_the_digests_when_sends_finish_out_of_order(artifact
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == DIGESTS[name], name
 
 
+@pytest.mark.parametrize("width", ["2", "4"])
+def test_verbalize_matches_the_digest_when_sends_finish_out_of_order(artifacts, tmp_path,
+                                                                     monkeypatch, width):
+    """Above one slot verbalize keeps one caller more than its slots; jitter reorders the sends."""
+    steer_oracle(monkeypatch, jitter)
+    out = tmp_path / "cache.jsonl"
+    assert main(["verbalize", "--backend", "mock", "--corpus", str(artifacts / "corpus"),
+                 "--graph", str(artifacts / "graph.jsonl"), "--out", str(out),
+                 "--parallel", width]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS["cache.jsonl"]
+
+
 # sha256 of every request the toy chain sends at --parallel 1, in send order: verbalize, then
 # run-teacher on the warm cache, with --fail-reflection and on an empty cache. Each request is
 # its origin and its messages, so this pins every prompt byte, not only the instance prompt.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 import hashlib
 import threading
 import time
@@ -303,6 +304,57 @@ def test_warm_cache_writes_the_same_file_at_any_width(tmp_path, width):
     serial, wide = paths
     assert serial.read_bytes() == wide.read_bytes()
     assert len(serial.read_text(encoding="utf-8").splitlines()) == 8
+
+
+@pytest.mark.parametrize("slots, workers", [(1, 1), (2, 3), (4, 5)])
+def test_warm_cache_runs_one_caller_more_than_its_slots_above_one_slot(monkeypatch, slots, workers):
+    widths = []
+    init = ThreadPoolExecutor.__init__
+
+    def counting_init(pool, max_workers=None, *args, **kwargs):
+        widths.append(max_workers)
+        init(pool, max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "__init__", counting_init)
+    _, gateway = scripted_gateway(*[answer("e")] * 6, max_parallel=slots)
+    assert warm_cache(GRAPH, CATALOG, gateway, EvidenceCache()) == []
+    assert widths == [workers]
+
+
+def test_at_two_slots_a_third_caller_waits_while_both_sends_are_in_flight():
+    # the first two sends return only once a third caller is in `complete`, so its request
+    # was rendered while no slot was free; a pool of two callers times out here instead
+    third_entered = threading.Event()
+    lock = threading.Lock()
+    entered = in_flight = peak = 0
+    waits = []
+
+    def reply(request, index):
+        nonlocal in_flight, peak
+        with lock:
+            in_flight += 1
+            peak = max(peak, in_flight)
+        if index < 2:
+            waits.append(third_entered.wait(5))
+        with lock:
+            in_flight -= 1
+        return answer("e")
+
+    _, gateway = scripted_gateway(*[reply] * 6, max_parallel=2)
+    complete = gateway.complete
+
+    def counting_complete(request):
+        nonlocal entered
+        with lock:
+            entered += 1
+            if entered == 3:
+                third_entered.set()
+        return complete(request)
+
+    gateway.complete = counting_complete
+    assert warm_cache(GRAPH, CATALOG, gateway, EvidenceCache()) == []
+    assert waits == [True, True]
+    assert peak == 2
 
 
 def test_warm_cache_partial_precache():
